@@ -106,15 +106,6 @@ def is_principal(chi: DirichletChar) -> bool:
     return chi.index == 0 or chi.p == 2
 
 
-def char_from_string(text: str) -> DirichletChar:
-    """Parse the "p:index" notation used on the command line."""
-    try:
-        p_str, idx_str = text.split(":")
-        return DirichletChar(int(p_str), int(idx_str))
-    except ValueError as exc:
-        raise ValueError(f"expected character as p:index, got {text!r}") from exc
-
-
 @dataclass(frozen=True)
 class LiftedCharacter:
     """psi = chi o N: the norm pullback of chi to an extension field."""
@@ -150,30 +141,3 @@ def lifted_eval(psi: LiftedCharacter, a: fc.ExtFieldElement) -> complex:
 def lifted_order(psi: LiftedCharacter) -> int:
     """Order of the lift; the norm is onto, so it equals the base order."""
     return char_order(psi.base)
-
-
-def verify_binary_quadratic_correspondence(chi: DirichletChar, form) -> bool:
-    """Check chi(f(x1,x2)) = psi(x1 + x2 w) for every point of F_p^2.
-
-    Here f = X1^2 + a X1 X2 + b X2^2 must be irreducible over F_p, and w is
-    a root of X^2 - a X + b, so that f(X1,X2) is exactly the norm of
-    X1 + X2 w down to F_p. The lift psi is chi composed with that norm.
-    """
-    p = chi.p
-    coef = dict(form.monomials)
-    if form.p != p:
-        raise ValueError("character modulus and form modulus differ")
-    if form.n != 2 or form.k != 2 or coef.get((2, 0)) != 1:
-        raise ValueError("form must be X1^2 + a X1 X2 + b X2^2 with unit leading coefficient")
-    a = coef.get((1, 1), 0)
-    b = coef.get((0, 2), 0)
-    if any(((x * x + a * x + b) % p) == 0 for x in range(p)):
-        raise ValueError(f"form is reducible mod {p}: X^2+{a}X+{b} has a root")
-    ctx = fc.ext_field_ctx(p, 2, (b % p, (-a) % p, 1))
-    psi = lift_character(chi, ctx)
-    for x1 in range(p):
-        for x2 in range(p):
-            f_val = (x1 * x1 + a * x1 * x2 + b * x2 * x2) % p
-            if char_index(chi, f_val) != lifted_index(psi, ctx.element((x1, x2))):
-                return False
-    return True

@@ -84,15 +84,18 @@ def charsum_lifted(
     if B.volume > BOX_CAP:
         raise ValueError(f"box volume {B.volume} over cap {BOX_CAP}")
     p = D.p
-    psis = [cc.lift_character(chi, ctx) for ctx in D.ctxs]
+    # psi_i(lambda_i(x)) = chi(N_i(U_i x)): block coordinates go straight
+    # into each field's norm kernel, with no field element per point
+    factors = [(U, fc.norm_kernel(ctx)) for U, ctx in zip(D.blocks, D.ctxs)]
     order = max(1, p - 1)
     weights = [0] * order
     zeros = 0
     for x in B.iter_points():
         idx_sum = 0
         dead = False
-        for i, psi in enumerate(psis):
-            idx = cc.lifted_index(psi, D.lam(i, x))
+        for U, norm in factors:
+            coords = tuple(sum(u * v for u, v in zip(row, x)) % p for row in U)
+            idx = cc.char_index(chi, norm(coords))
             if idx is None:
                 dead = True
                 break
@@ -144,12 +147,14 @@ def weil_complete_sum(
     weights = [0] * order
     zeros = 0
     if lifted:
-        shifted = [(psi.ctx.from_int(shift), mult) for shift, mult in merged.items()]
-        for x in psi.ctx.iter_elements():
+        # x + shift on raw coordinates: the shift lands on coordinate 0
+        norm = fc.norm_kernel(psi.ctx)
+        for x in itertools.product(range(p), repeat=psi.ctx.m):
+            head, rest = x[0], x[1:]
             idx_sum = 0
             dead = False
-            for shift, mult in shifted:
-                idx = cc.lifted_index(psi, fc.ext_add(x, shift))
+            for shift, mult in merged.items():
+                idx = cc.char_index(psi.base, norm((head + shift,) + rest))
                 if idx is None:
                     dead = True
                     break
@@ -211,13 +216,20 @@ def s2_moment(
         raise ValueError("moment enumeration infeasible at this size")
     order = max(1, p - 1)
     total = [0] * order
-    for z in itertools.product(*[psi.ctx.iter_elements() for psi in psis]):
+    # z runs over the concatenated raw coordinates of all fields; field i
+    # owns z[a:b] and its shift by t lands on coordinate a
+    cuts = tuple(itertools.accumulate(partition, initial=0))
+    fields = [
+        (psi.base, fc.norm_kernel(psi.ctx), a, b)
+        for psi, a, b in zip(psis, cuts, cuts[1:])
+    ]
+    for z in itertools.product(range(p), repeat=k):
         inner = [0] * order
         for t in range(1, T + 1):
             idx_sum = 0
             dead = False
-            for psi, zi in zip(psis, z):
-                idx = cc.lifted_index(psi, fc.ext_add(zi, psi.ctx.from_int(t)))
+            for chi, norm, a, b in fields:
+                idx = cc.char_index(chi, norm((z[a] + t,) + z[a + 1 : b]))
                 if idx is None:
                     dead = True
                     break

@@ -45,36 +45,9 @@ def _raw(table) -> list:
     return [tuple(e.coeffs for e in lam) for lam in table]
 
 
-def _mul_kernel(ctx: fc.ExtFieldCtx):
-    """Product on raw coefficient tuples, closed-form for degrees 1 and 2.
-
-    The histogram loops are the hot path; constructing field elements per
-    pair would dominate the runtime.  Degree >= 3 falls back to the
-    element route, so the kernel and ext_mul never disagree by design.
-    """
-    p = ctx.p
-    if ctx.m == 1:
-        return lambda a, b: ((a[0] * b[0]) % p,)
-    if ctx.m == 2:
-        f0, f1 = ctx.defining_poly[0], ctx.defining_poly[1]
-
-        def mul2(a, b):
-            t = a[1] * b[1]
-            return (
-                (a[0] * b[0] - f0 * t) % p,
-                (a[0] * b[1] + a[1] * b[0] - f1 * t) % p,
-            )
-
-        return mul2
-
-    def mul_general(a, b):
-        return fc.ext_mul(ctx.element(a), ctx.element(b)).coeffs
-
-    return mul_general
-
-
 def _kernels(D: fm.NormFormDecomposition) -> tuple:
-    return tuple(_mul_kernel(ctx) for ctx in D.ctxs)
+    """Raw-tuple products per field: the histogram loops are the hot path."""
+    return tuple(fc.mul_kernel(ctx) for ctx in D.ctxs)
 
 
 def _pair_histogram(raw_u, raw_v, kernels) -> dict:

@@ -210,11 +210,21 @@ class ExtFieldCtx:
             yield self.element(coeffs)
 
 
+_ctx_cache: dict = {}
+
+
 def ext_field_ctx(p: int, m: int, defining_poly=None) -> ExtFieldCtx:
-    """Build F_{p^m}; the canonical defining polynomial unless one is given."""
-    if defining_poly is None:
-        defining_poly = find_irreducible(p, m)
-    return ExtFieldCtx(p, m, tuple(defining_poly))
+    """F_{p^m}; the canonical defining polynomial unless one is given.
+
+    Contexts are memoized on (p, m, poly), so the irreducibility search and
+    Rabin's test run once per field.
+    """
+    key = (p, m, None if defining_poly is None else tuple(defining_poly))
+    ctx = _ctx_cache.get(key)
+    if ctx is None:
+        poly = find_irreducible(p, m) if defining_poly is None else key[2]
+        ctx = _ctx_cache[key] = ExtFieldCtx(p, m, poly)
+    return ctx
 
 
 @dataclass(frozen=True)
@@ -315,16 +325,16 @@ def frobenius(a: ExtFieldElement, i: int) -> ExtFieldElement:
 
 
 def norm(a: ExtFieldElement) -> int:
-    """Field norm down to F_p via the exponent (p^m - 1)/(p - 1); norm(0) = 0."""
-    if a.is_zero():
-        return 0
-    ctx = a.ctx
-    e = (ctx.order - 1) // (ctx.p - 1)
-    return ext_pow(a, e).as_int()
+    """Field norm down to F_p, by the context's raw kernel; norm(0) = 0."""
+    return norm_kernel(a.ctx)(a.coeffs)
 
 
 def norm_via_conjugates(a: ExtFieldElement) -> int:
-    """Independent route: the product of all Frobenius conjugates of a."""
+    """Oracle route: the product of all Frobenius conjugates of a.
+
+    The exponent route ext_pow(a, (p^m - 1)/(p - 1)) is the other oracle;
+    the tests hold both against norm_kernel.
+    """
     prod = a.ctx.one()
     for i in range(a.ctx.m):
         prod = ext_mul(prod, frobenius(a, i))
@@ -335,3 +345,102 @@ def is_normal_element(a: ExtFieldElement) -> bool:
     """True iff the conjugates of a form an F_p-basis of F_{p^m}."""
     rows = [list(frobenius(a, i).coeffs) for i in range(a.ctx.m)]
     return linalg.mat_rank(rows, a.ctx.p) == a.ctx.m
+
+
+# ---------------------------------------------------------------------------
+# raw-coordinate kernels: functions on coefficient tuples, one per context
+
+_norm_kernels: dict = {}
+_mul_kernels: dict = {}
+
+
+def _det3(M, p: int) -> int:
+    (a, b, c), (d, e, f), (g, h, i) = M
+    return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
+
+
+def norm_kernel(ctx: ExtFieldCtx):
+    """N(a) in F_p from the coefficient tuple of a, cached per context.
+
+    The norm is the determinant of multiplication by a (Lidl-Niederreiter,
+    Finite Fields, ch. 2).  Degree 1 is the coordinate itself and degree 2
+    the quadratic a0^2 - f1 a0 a1 + f0 a1^2 for f = X^2 + f1 X + f0.  For
+    degree m >= 3 that matrix is sum_k a_k C^k, C the companion matrix of f;
+    its columns a, w a, ..., w^(m-1) a come from m - 1 shifts reduced by f,
+    and its determinant is expanded in closed form at m = 3.  Coordinates
+    need not be reduced mod p.
+    """
+    kernel = _norm_kernels.get(ctx)
+    if kernel is not None:
+        return kernel
+    p, m = ctx.p, ctx.m
+    if m == 1:
+        def kernel(a):
+            return a[0] % p
+    elif m == 2:
+        f0, f1 = ctx.defining_poly[0], ctx.defining_poly[1]
+
+        def kernel(a):
+            a0, a1 = a
+            return (a0 * (a0 - f1 * a1) + f0 * a1 * a1) % p
+    else:
+        tail = ctx.defining_poly[:m]
+        det = _det3 if m == 3 else linalg.mat_det
+
+        def kernel(a):
+            # columns a, w a, ..., w^(m-1) a: the matrix sum_k a_k C^k
+            col = a
+            cols = [col]
+            for _ in range(m - 1):
+                top = col[-1]
+                col = [-top * tail[0]] + [col[i - 1] - top * tail[i] for i in range(1, m)]
+                cols.append(col)
+            return det(cols, p)
+
+    _norm_kernels[ctx] = kernel
+    return kernel
+
+
+def mul_kernel(ctx: ExtFieldCtx):
+    """Product of two coefficient tuples as a reduced tuple, cached per context.
+
+    Closed forms for degrees 1 and 2; degree m >= 3 multiplies the
+    polynomials and reduces by the monic defining polynomial, so no field
+    element is built per product.
+    """
+    kernel = _mul_kernels.get(ctx)
+    if kernel is not None:
+        return kernel
+    p, m = ctx.p, ctx.m
+    f = ctx.defining_poly
+    if m == 1:
+        def kernel(a, b):
+            return ((a[0] * b[0]) % p,)
+    elif m == 2:
+        f0, f1 = f[0], f[1]
+
+        def kernel(a, b):
+            t = a[1] * b[1]
+            return (
+                (a[0] * b[0] - f0 * t) % p,
+                (a[0] * b[1] + a[1] * b[0] - f1 * t) % p,
+            )
+    else:
+        tail = f[:m]
+
+        def kernel(a, b):
+            prod = [0] * (2 * m - 1)
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b):
+                        prod[i + j] += ai * bj
+            # X^m = -(f_0 + ... + f_{m-1} X^{m-1}), from the top degree down
+            for d in range(2 * m - 2, m - 1, -1):
+                c = prod[d] % p
+                if c:
+                    for t, ft in enumerate(tail, start=d - m):
+                        prod[t] -= c * ft
+            return tuple(v % p for v in prod[:m])
+
+    _mul_kernels[ctx] = kernel
+    return kernel

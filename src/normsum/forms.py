@@ -788,9 +788,30 @@ def form_to_dict(F: FormSpec) -> dict:
     }
 
 
+def _checked(d, keys, what: str) -> dict:
+    """Return d after checking that it is a JSON object with every key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+    missing = [key for key in keys if key not in d]
+    if missing:
+        raise ValueError(f"{what} lacks key(s): {', '.join(missing)}")
+    return d
+
+
+def _checked_list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"{what} must be a JSON list, got {type(v).__name__}")
+    return v
+
+
 def form_from_dict(d: dict) -> FormSpec:
+    d = _checked(d, ("p", "n", "k", "monomials"), "form")
+    monos = [
+        _checked(m, ("exp", "coef"), "form monomial")
+        for m in _checked_list(d["monomials"], "form monomials")
+    ]
     return FormSpec(
-        d["p"], d["n"], d["k"], tuple((tuple(m["exp"]), m["coef"]) for m in d["monomials"])
+        d["p"], d["n"], d["k"], tuple((tuple(m["exp"]), m["coef"]) for m in monos)
     )
 
 
@@ -807,14 +828,16 @@ def decomposition_to_dict(D: NormFormDecomposition) -> dict:
 
 
 def decomposition_from_dict(d: dict) -> NormFormDecomposition:
-    ctxs = tuple(
-        fc.ExtFieldCtx(c["p"], c["m"], tuple(c["defining_poly"])) for c in d["ctxs"]
-    )
+    d = _checked(d, ("p", "n", "partition", "ctxs", "blocks"), "decomposition")
+    ctxs = []
+    for c in _checked_list(d["ctxs"], "decomposition ctxs"):
+        c = _checked(c, ("p", "m", "defining_poly"), "field context")
+        ctxs.append(fc.ext_field_ctx(c["p"], c["m"], c["defining_poly"]))
     return NormFormDecomposition(
         d["p"],
         d["n"],
         tuple(d["partition"]),
-        ctxs,
+        tuple(ctxs),
         tuple(tuple(tuple(row) for row in U) for U in d["blocks"]),
     )
 

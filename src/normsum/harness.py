@@ -86,8 +86,18 @@ class ExperimentConfig:
             raise UsageError(f"format must be csv or json, got {self.fmt!r}")
         if min(self.n, self.k, self.r) < 1:
             raise UsageError("n, k and r must be positive")
+        if not (math.isfinite(self.eps) and math.isfinite(self.kappa)):
+            raise UsageError("eps and kappa must be finite")
         if self.eps < 0 or self.kappa < 0:
             raise UsageError("eps and kappa must be nonnegative")
+        # box sides are p^(1/4 + kappa) and bound exponents stay below 1/2 + eps
+        try:
+            float(max(2, self.p_hi)) ** (1 + self.kappa + self.eps)
+        except OverflowError:
+            raise UsageError(
+                f"kappa {self.kappa} or eps {self.eps} too large: "
+                f"p^(1 + kappa + eps) overflows at p = {self.p_hi}"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -243,14 +253,20 @@ def run_gen_form(config: ExperimentConfig) -> dict:
     return {"form": fm.form_to_dict(F), "decomposition": fm.decomposition_to_dict(D)}
 
 
-def _load_form(path: str) -> fm.FormSpec:
+def _load_object(path: str, key: str) -> dict:
+    """The JSON object in path, or its `key` member when it holds one."""
     d = fm.load_json(path)
-    return fm.form_from_dict(d.get("form", d))
+    if not isinstance(d, dict):
+        raise UsageError(f"{path}: expected a JSON object, got {type(d).__name__}")
+    return d.get(key, d)
+
+
+def _load_form(path: str) -> fm.FormSpec:
+    return fm.form_from_dict(_load_object(path, "form"))
 
 
 def _load_decomposition(path: str) -> fm.NormFormDecomposition:
-    d = fm.load_json(path)
-    return fm.decomposition_from_dict(d.get("decomposition", d))
+    return fm.decomposition_from_dict(_load_object(path, "decomposition"))
 
 
 def run_decompose(config: ExperimentConfig, form_path: str | None) -> dict:

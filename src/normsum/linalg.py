@@ -6,8 +6,6 @@ function says otherwise; no floats anywhere.
 
 from __future__ import annotations
 
-import math
-
 PRIMALITY_CAP = 10**6
 
 
@@ -190,10 +188,3 @@ def hnf_columns(vectors, dim: int) -> list[tuple[int, ...]]:
                 for r in range(dim):
                     pj[r] -= q * pi[r]
     return [tuple(c) for c in pivot_cols]
-
-
-def gcd_vector(v) -> int:
-    g = 0
-    for x in v:
-        g = math.gcd(g, x)
-    return g

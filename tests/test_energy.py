@@ -383,17 +383,34 @@ class TestEmbed:
 
 
 class TestMulKernel:
-    @pytest.mark.parametrize("p,m", [(5, 1), (3, 2), (5, 2), (7, 2)])
+    @pytest.mark.parametrize(
+        "p,m", [(5, 1), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (2, 4)]
+    )
     def test_matches_field_product_exhaustively(self, p, m):
         ctx = fc.ext_field_ctx(p, m)
-        mul = en._mul_kernel(ctx)
+        mul = fc.mul_kernel(ctx)
         for a in ctx.iter_elements():
             for b in ctx.iter_elements():
                 assert mul(a.coeffs, b.coeffs) == fc.ext_mul(a, b).coeffs
 
-    def test_general_degree_falls_back(self):
+    @pytest.mark.parametrize(
+        "p,poly", [(3, (2, 1, 1)), (5, (1, 1, 1)), (3, (2, 1, 1, 1)), (2, (1, 1, 1, 1, 1))]
+    )
+    def test_matches_field_product_in_full_presentations(self, p, poly):
+        # every coefficient of the defining polynomial is nonzero
+        ctx = fc.ext_field_ctx(p, len(poly) - 1, poly)
+        mul = fc.mul_kernel(ctx)
+        for a in ctx.iter_elements():
+            for b in ctx.iter_elements():
+                assert mul(a.coeffs, b.coeffs) == fc.ext_mul(a, b).coeffs
+
+    def test_general_degree_reduces_by_defining_poly(self):
         ctx = fc.ext_field_ctx(2, 3)
-        mul = en._mul_kernel(ctx)
+        mul = fc.mul_kernel(ctx)
         g = ctx.gen()
         cube = fc.ext_mul(fc.ext_mul(g, g), g)
         assert mul(g.coeffs, fc.ext_mul(g, g).coeffs) == cube.coeffs
+
+    def test_cached_per_context(self):
+        ctx = fc.ext_field_ctx(3, 3)
+        assert fc.mul_kernel(ctx) is fc.mul_kernel(fc.ext_field_ctx(3, 3))

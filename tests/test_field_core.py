@@ -1,9 +1,12 @@
 """Extension field arithmetic against hand-checked values and field axioms."""
 
+import itertools
 import random
 
 import pytest
 
+from normsum import char_core as cc
+from normsum import charsum as cs
 from normsum import field_core as fc
 
 
@@ -155,3 +158,105 @@ def test_ext_pow_matches_repeated_mul():
     for e in range(12):
         assert fc.ext_pow(a, e) == acc
         acc = fc.ext_mul(acc, a)
+
+
+def test_ext_field_ctx_memoized():
+    assert fc.ext_field_ctx(3, 2) is fc.ext_field_ctx(3, 2)
+    assert fc.ext_field_ctx(3, 2, [1, 0, 1]) is fc.ext_field_ctx(3, 2, (1, 0, 1))
+    assert fc.ext_field_ctx(3, 2, (2, 2, 1)).defining_poly == (2, 2, 1)
+    assert fc.ext_field_ctx(3, 2, (2, 2, 1)) != fc.ext_field_ctx(3, 2)
+
+
+# every field with m = 1..6 and q <= 729 at p = 2, 3, 5, plus larger p, in
+# the canonical presentation (odd p gives X^2 + c at m = 2)
+KERNEL_FIELDS = [(2, m, None) for m in range(1, 7)] + [(3, m, None) for m in range(1, 7)] + [
+    (5, 1, None), (5, 2, None), (5, 3, None), (5, 4, None), (7, 1, None),
+    (7, 2, None), (7, 3, None), (11, 2, None), (13, 2, None), (23, 2, None),
+]
+# presentations with every coefficient nonzero, so each f_i enters the kernel
+NONCANONICAL_FIELDS = [
+    (3, 2, (2, 1, 1)), (5, 2, (1, 1, 1)), (7, 2, (3, 1, 1)), (3, 3, (2, 1, 1, 1)),
+    (5, 3, (3, 1, 1, 1)), (2, 4, (1, 1, 1, 1, 1)), (3, 4, (1, 1, 1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("p,m,poly", KERNEL_FIELDS + NONCANONICAL_FIELDS)
+def test_norm_kernel_matches_exponent_and_conjugate_routes(p, m, poly):
+    ctx = fc.ext_field_ctx(p, m, poly)
+    kernel = fc.norm_kernel(ctx)
+    e = (ctx.order - 1) // (p - 1)
+    for a in ctx.iter_elements():
+        value = kernel(a.coeffs)
+        assert value == fc.ext_pow(a, e).as_int()
+        assert value == fc.norm_via_conjugates(a)
+        assert fc.norm(a) == value
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (7, 2), (3, 3), (2, 4), (3, 5)])
+def test_norm_kernel_accepts_unreduced_coordinates(p, m):
+    ctx = fc.ext_field_ctx(p, m)
+    kernel = fc.norm_kernel(ctx)
+    rng = random.Random(p * 10 + m)
+    for a in ctx.iter_elements():
+        lifted = tuple(c + p * rng.randint(-3, 3) for c in a.coeffs)
+        assert kernel(lifted) == kernel(a.coeffs)
+    assert fc.norm_kernel(ctx) is kernel
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (3, 4)])
+def test_lifted_index_matches_conjugate_norm(p, m):
+    ctx = fc.ext_field_ctx(p, m)
+    norms = [(a, fc.norm_via_conjugates(a)) for a in ctx.iter_elements()]
+    for t in range(p - 1):
+        chi = cc.DirichletChar(p, t)
+        psi = cc.lift_character(chi, ctx)
+        for a, value in norms:
+            assert cc.lifted_index(psi, a) == cc.char_index(chi, value)
+
+
+def _element_route_index(psi, x, shift):
+    """Lifted index of x + shift through field elements, the pre-kernel route."""
+    return cc.lifted_index(psi, fc.ext_add(x, psi.ctx.from_int(shift)))
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (7, 2), (11, 2), (3, 3), (5, 3), (3, 4)])
+def test_weil_raw_route_matches_element_route(p, m):
+    ctx = fc.ext_field_ctx(p, m)
+    for t in sorted({1, (p - 1) // 2}):
+        psi = cc.lift_character(cc.DirichletChar(p, t), ctx)
+        for factors in ([(1, 1)], [(0, 1), (2, 2)], [(1, 1), (p - 1, 3), (p + 1, 1)]):
+            merged = {}
+            for shift, mult in factors:
+                merged[shift % p] = merged.get(shift % p, 0) + mult
+            weights = [0] * (p - 1)
+            for x in ctx.iter_elements():
+                idx = [_element_route_index(psi, x, s) for s in merged]
+                if None not in idx:
+                    total = sum(mult * i for mult, i in zip(merged.values(), idx))
+                    weights[total % (p - 1)] += 1
+            value = cs.weil_complete_sum(psi, factors)[0]
+            assert value == cs._histogram_value(weights, p)
+
+
+@pytest.mark.parametrize(
+    "p,partition,T,r",
+    [(5, (2,), 3, 2), (7, (2,), 2, 2), (3, (3,), 3, 2), (5, (3,), 2, 2),
+     (5, (1, 1), 3, 2), (3, (2, 1), 2, 3), (3, (1, 2), 2, 2)],
+)
+def test_s2_moment_raw_route_matches_element_route(p, partition, T, r):
+    chi = cc.DirichletChar(p, (p - 1) // 2)
+    psis = [cc.lift_character(chi, fc.ext_field_ctx(p, m)) for m in partition]
+    order = p - 1
+    total = [0] * order
+    for z in itertools.product(*[list(psi.ctx.iter_elements()) for psi in psis]):
+        inner = [0] * order
+        for t in range(1, T + 1):
+            idx = [_element_route_index(psi, zi, t) for psi, zi in zip(psis, z)]
+            if None not in idx:
+                inner[sum(idx) % order] += 1
+        sq = cs._cyclic_correlate(inner, inner, order)
+        powed = sq
+        for _ in range(r - 1):
+            powed = cs._cyclic_convolve(powed, sq, order)
+        total = [a + b for a, b in zip(total, powed)]
+    assert cs.s2_moment(partition, psis, T, r)["weights"] == tuple(total)

@@ -36,6 +36,18 @@ class TestConfig:
         with pytest.raises(hn.UsageError, match="nonnegative"):
             hn.ExperimentConfig("energy-scan", eps=-0.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_eps_and_kappa(self, value):
+        with pytest.raises(hn.UsageError, match="finite"):
+            hn.ExperimentConfig("charsum", kappa=value)
+        with pytest.raises(hn.UsageError, match="finite"):
+            hn.ExperimentConfig("bound-table", eps=value)
+
+    def test_rejects_overflowing_box_side(self):
+        with pytest.raises(hn.UsageError, match="overflows"):
+            hn.ExperimentConfig("charsum", p_hi=31, kappa=1e300)
+        hn.ExperimentConfig("charsum", p_hi=31, kappa=100.0)
+
 
 class TestSerialization:
     def test_encode_cell_shapes(self):
@@ -304,3 +316,26 @@ class TestCli:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run_cli(["decompose", "--form", str(tmp_path / "nope.json"),
                         "--seed", "0"]) == 2
+
+    @pytest.mark.parametrize("command", ["charsum", "bound-table"])
+    def test_huge_kappa_is_usage_error(self, command, capsys):
+        args = [command, "--p", "31", "--n", "2", "--k", "2", "--kappa", "1e300",
+                "--seed", "1"]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "kappa" in err
+
+    def test_form_without_n_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps({"p": 7, "k": 1, "monomials": []}))
+        assert run_cli(["decompose", "--form", str(path), "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "lacks key(s): n" in err
+
+    def test_top_level_list_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "form.json"
+        path.write_text("[1, 2, 3]")
+        assert run_cli(["decompose", "--form", str(path), "--seed", "0"]) == 2
+        assert run_cli(["charsum", "--decomp", str(path), "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("usage error:") == 2 and "JSON object" in err
