@@ -26,7 +26,7 @@ def primitive_root(p: int) -> int:
     if p == 2:
         return 1
     order = p - 1
-    prime_factors = fc._prime_divisors(order)
+    prime_factors = fc.prime_divisors(order)
     for g in range(2, p):
         if all(pow(g, order // q, p) != 1 for q in prime_factors):
             return g

@@ -2,14 +2,16 @@
 
 Every count is an integer, and each is produced by two independent
 algorithms where feasible: a literal quadruple loop and a histogram over
-per-field pair products.  The histogram key's zero pattern carries the
-vanishing index set, so degenerate classes stay separated rather than
-being skipped.
+per-field pair products, taken as sums of discrete logs.  The histogram
+key's zero pattern carries the vanishing index set, so degenerate classes
+stay separated rather than being skipped.
 """
 
 from __future__ import annotations
 
+import operator
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from . import field_core as fc
@@ -19,6 +21,9 @@ from . import linalg as la
 PAIR_CAP = 4 * 10**6
 QUAD_CROSS_CHECK_CAP = 10**6
 QUAD_SCAN_CAP = 10**9
+# distinct raw pair sums held before they are folded into classes: near
+# the field cap one histogram meets millions, which would all be held at once
+RAW_FLUSH = 2**18
 
 
 @dataclass(frozen=True)
@@ -37,33 +42,100 @@ class EnergyInstance:
             )
 
 
-def _lam_table(D: fm.NormFormDecomposition, box: fm.BoxSpec) -> list:
-    return [tuple(D.lam(i, x) for i in range(D.s)) for x in box.iter_points()]
+def _lam_table(D: fm.NormFormDecomposition, box: fm.BoxSpec, blocks=None) -> list:
+    """lambda(x) per point as field elements, for the literal oracle loops.
+
+    The restricted energies pass the partition slices of a coefficient
+    matrix as blocks in place of D's own.
+    """
+    blocks = D.blocks if blocks is None else blocks
+    return [
+        tuple(ctx.element(la.mat_vec(U, x, D.p)) for U, ctx in zip(blocks, D.ctxs))
+        for x in box.iter_points()
+    ]
 
 
-def _raw(table) -> list:
-    return [tuple(e.coeffs for e in lam) for lam in table]
+# ---------------------------------------------------------------------------
+# pair histograms in the log domain
+#
+# Each F_{q_i}^* is cyclic, so a product class of lambda_i values is the
+# sum of their discrete logs mod q_i - 1, with zero a class of its own.  A
+# point is coded as one int, sum_i L_i S_i, where L_i is the log of
+# lambda_i(x) or the zero sentinel Z_i = 2(q_i - 1) - 1 of fc.log_table,
+# in the mixed radix S_{i+1} = S_i (4(q_i - 1) - 1).  Adding two codes
+# adds digit-wise without carries (a digit sum is at most 2 Z_i), and a
+# digit sum is below Z_i exactly when both factors are nonzero.
 
 
-def _kernels(D: fm.NormFormDecomposition) -> tuple:
-    """Raw-tuple products per field: the histogram loops are the hot path."""
-    return tuple(fc.mul_kernel(ctx) for ctx in D.ctxs)
+def _log_codes(D: fm.NormFormDecomposition, box: fm.BoxSpec, blocks=None) -> list:
+    """The log code of lambda(x) for each point x of the box, in box order."""
+    p = D.p
+    blocks = D.blocks if blocks is None else blocks
+    fields = []
+    scale = 1
+    for U, ctx in zip(blocks, D.ctxs):
+        # coordinates U x mod p index the table by their base-p code
+        weighted = [(p**j, row) for j, row in enumerate(U)]
+        fields.append((weighted, fc.log_table(ctx), scale))
+        scale *= 4 * (ctx.order - 1) - 1
+    codes = []
+    for x in box.iter_points():
+        code = 0
+        for weighted, logs, scale in fields:
+            idx = sum(
+                w * (sum(u * v for u, v in zip(row, x)) % p) for w, row in weighted
+            )
+            code += logs[idx] * scale
+        codes.append(code)
+    return codes
 
 
-def _pair_histogram(raw_u, raw_v, kernels) -> dict:
+def _pair_histogram(D: fm.NormFormDecomposition, codes_u, codes_v) -> dict:
+    """Pair counts per product class over all pairs (u, v).
+
+    Pairs are counted on raw code sums, one C-level Counter update per u;
+    the distinct sums are folded to class keys digit by digit through
+    fc.log_fold, whenever about RAW_FLUSH of them have piled up.  A class
+    key has digit t_i in base q_i: the log of the product, or the zero
+    marker q_i - 1 (_has_zero_factor).  Passing the same list twice counts
+    each unordered pair once and weighs it twice.
+    """
+    digits = [(4 * (ctx.order - 1) - 1, fc.log_fold(ctx), ctx.order) for ctx in D.ctxs]
     hist: dict = {}
-    if len(kernels) == 1:
-        mul = kernels[0]
-        for (a,) in raw_u:
-            for (b,) in raw_v:
-                key = (mul(a, b),)
-                hist[key] = hist.get(key, 0) + 1
-        return hist
-    for lu in raw_u:
-        for lv in raw_v:
-            key = tuple(mul(a, b) for mul, a, b in zip(kernels, lu, lv))
-            hist[key] = hist.get(key, 0) + 1
+    get = hist.get
+
+    def fold_into(raw: Counter, weight: int):
+        rest = list(raw)
+        keys = [0] * len(rest)
+        scale = 1
+        for base, fold, q in digits:
+            classes = map(fold.__getitem__, map(base.__rmod__, rest))
+            keys = list(map(operator.add, keys, map(scale.__mul__, classes)))
+            rest = list(map(base.__rfloordiv__, rest))
+            scale *= q
+        for key, c in zip(keys, raw.values()):
+            hist[key] = get(key, 0) + weight * c
+
+    same = codes_u is codes_v
+    raw: Counter = Counter()
+    for i, a in enumerate(codes_u):
+        raw.update(map(a.__add__, codes_v[i + 1:] if same else codes_v))
+        if len(raw) >= RAW_FLUSH:
+            fold_into(raw, 2 if same else 1)
+            raw.clear()
+    fold_into(raw, 2 if same else 1)
+    if same:
+        fold_into(Counter(map(operator.add, codes_u, codes_u)), 1)
     return hist
+
+
+def _has_zero_factor(D: fm.NormFormDecomposition, key: int) -> bool:
+    """Whether a class key of _pair_histogram marks a zero product."""
+    for ctx in D.ctxs:
+        key, t = divmod(key, ctx.order)
+        if t == ctx.order - 1:
+            return True
+    return False
 
 
 def energy_histogram(inst: EnergyInstance) -> int:
@@ -74,11 +146,11 @@ def energy_histogram(inst: EnergyInstance) -> int:
     tuple, zeros included.
     """
     D = inst.decomposition
-    table_x = _lam_table(D, inst.box_x)
-    table_y = _lam_table(D, inst.box_y)
-    if len(table_x) * len(table_y) > PAIR_CAP:
+    if inst.box_x.volume * inst.box_y.volume > PAIR_CAP:
         raise ValueError("pair enumeration infeasible at this size")
-    hist = _pair_histogram(_raw(table_x), _raw(table_y), _kernels(D))
+    codes_x = _log_codes(D, inst.box_x)
+    codes_y = codes_x if inst.box_y == inst.box_x else _log_codes(D, inst.box_y)
+    hist = _pair_histogram(D, codes_x, codes_y)
     return sum(c * c for c in hist.values())
 
 
@@ -162,8 +234,11 @@ def s1_identity_check(D: fm.NormFormDecomposition, box_x: fm.BoxSpec, box_y: fm.
             ratio_hist[key] = ratio_hist.get(key, 0) + 1
     s1 = sum(c * c for c in ratio_hist.values())
 
-    prod_hist = _pair_histogram(_raw(live_x), _raw(live_y), _kernels(D))
-    quads = sum(c * c for c in prod_hist.values())
+    # a pair has no zero factor exactly when both its points are live
+    prod_hist = _pair_histogram(D, _log_codes(D, box_x), _log_codes(D, box_y))
+    quads = sum(
+        c * c for key, c in prod_hist.items() if not _has_zero_factor(D, key)
+    )
 
     if (len(table_x) * len(table_y)) ** 2 <= QUAD_CROSS_CHECK_CAP:
         literal = 0
@@ -219,20 +294,6 @@ def _block_slices(partition):
     return slices
 
 
-def _sliced_lam_table(D: fm.NormFormDecomposition, M, box: fm.BoxSpec) -> list:
-    # rows of M sliced by the partition, read in the power bases
-    slices = _block_slices(D.partition)
-    table = []
-    for x in box.iter_points():
-        v = la.mat_vec(M, [int(c) for c in x], D.p)
-        table.append(
-            tuple(
-                D.ctxs[i].element(tuple(v[a:b])) for i, (a, b) in enumerate(slices)
-            )
-        )
-    return table
-
-
 def energy_restricted(
     inst: GeneralizedEnergyInstance, symmetric_variant=False, cross_check=None
 ):
@@ -245,32 +306,39 @@ def energy_restricted(
     checks that when symmetric_variant is set.
     """
     D = inst.decomposition
-    a1, a2, a3, a4 = inst.matrices
-    t1 = _sliced_lam_table(D, a1, inst.box_x)
-    t2 = _sliced_lam_table(D, a2, inst.box_x)
-    t3 = _sliced_lam_table(D, a3, inst.box_y)
-    t4 = _sliced_lam_table(D, a4, inst.box_y)
-    if len(t1) * len(t4) > PAIR_CAP:
+    box_x, box_y = inst.box_x, inst.box_y
+    if box_x.volume * box_y.volume > PAIR_CAP:
         raise ValueError("pair enumeration infeasible at this size")
-    kernels = _kernels(D)
-    h14 = _pair_histogram(_raw(t1), _raw(t4), kernels)
-    h23 = _pair_histogram(_raw(t2), _raw(t3), kernels)
+    # lambda^j(x): the rows of a_j sliced by the partition, in the power bases
+    blocks = [
+        tuple(M[a:b] for a, b in _block_slices(D.partition)) for M in inst.matrices
+    ]
+    h14 = _pair_histogram(
+        D, _log_codes(D, box_x, blocks[0]), _log_codes(D, box_y, blocks[3])
+    )
+    h23 = _pair_histogram(
+        D, _log_codes(D, box_x, blocks[1]), _log_codes(D, box_y, blocks[2])
+    )
     total = 0
     live = 0
     degenerate = 0
     for key, c14 in h14.items():
         c = c14 * h23.get(key, 0)
         total += c
-        if any(all(v == 0 for v in comp) for comp in key):
+        if _has_zero_factor(D, key):
             degenerate += c
         else:
             live += c
     assert live + degenerate == total
 
-    quads = (len(t1) * len(t3)) ** 2
+    quads = (box_x.volume * box_y.volume) ** 2
     if cross_check is None:
         cross_check = quads <= QUAD_CROSS_CHECK_CAP
     if cross_check:
+        t1, t2, t3, t4 = (
+            _lam_table(D, box, U)
+            for box, U in zip((box_x, box_x, box_y, box_y), blocks)
+        )
         lit_live = lit_deg = 0
         for l1 in t1:
             for l2 in t2:

@@ -8,6 +8,7 @@ the class of X mod f. All arithmetic is exact.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import linalg
@@ -69,7 +70,8 @@ def _poly_powmod(base, e: int, mod, p: int) -> list[int]:
     return result
 
 
-def _prime_divisors(n: int) -> list[int]:
+def prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending (by trial division)."""
     out = []
     d = 2
     while d * d <= n:
@@ -92,7 +94,7 @@ def is_irreducible_poly(coeffs, p: int) -> bool:
     x_mod_f = _poly_divmod([0, 1], f, p)[1]
     if _poly_powmod([0, 1], p**m, f, p) != x_mod_f:
         return False
-    for q in _prime_divisors(m):
+    for q in prime_divisors(m):
         h = _poly_sub(_poly_powmod([0, 1], p ** (m // q), f, p), x_mod_f, p)
         if len(_poly_gcd(h, f, p)) != 1:
             return False
@@ -444,3 +446,71 @@ def mul_kernel(ctx: ExtFieldCtx):
 
     _mul_kernels[ctx] = kernel
     return kernel
+
+
+# a field's log table and fold hold about 5q references (some 100 MB at
+# q = 10^6), and a scan over a prime range builds them for new fields at
+# every prime, so only the most recently built are kept, up to this many
+# elements: room for F_p, F_{p^2}, ... of one prime up to the field cap
+LOG_CACHE_ELEMENTS = FIELD_SIZE_CAP
+_log_tables: dict = {}
+
+
+def log_table(ctx: ExtFieldCtx) -> list:
+    """Discrete logs in F_q^*, indexed by element code.
+
+    The code of a = (a_0, ..., a_{m-1}) is sum_j a_j p^j.  For a != 0 the
+    entry is the j in [0, q - 2] with g^j = a, where g is the primitive
+    element of smallest code (g^((q-1)/r) != 1 for every prime r | q - 1).
+    The entry for 0 is the sentinel 2(q - 1) - 1, above every sum of two
+    logs, so the sum of two entries shows whether either factor is zero.
+    The table is filled by stepping with mul_kernel and fails closed: a
+    repeated code raises rather than store a table that is not a bijection.
+    """
+    return _log_tables_of(ctx)[0]
+
+
+def log_fold(ctx: ExtFieldCtx) -> list:
+    """The log of a product from the sum of its factors' log_table entries.
+
+    For a sum s = log[a] + log[b] of two entries (0 <= s <= 4(q - 1) - 2),
+    fold[s] is log[ab] = s mod (q - 1) when a and b are nonzero, and the
+    marker q - 1, which is no log, when either is zero.
+    """
+    return _log_tables_of(ctx)[1]
+
+
+def _log_tables_of(ctx: ExtFieldCtx) -> tuple:
+    tables = _log_tables.get(ctx)
+    if tables is not None:
+        return tables
+    p, m, q = ctx.p, ctx.m, ctx.order
+    # make room first, so an evicted field is freed before the new one grows
+    while _log_tables and (
+        sum(len(t) for t, _ in _log_tables.values()) + q > LOG_CACHE_ELEMENTS
+    ):
+        del _log_tables[next(iter(_log_tables))]
+    order = q - 1
+    weights = [p**j for j in range(m)]
+    exponents = [order // r for r in prime_divisors(order)]
+    one = ctx.one()
+    for code in range(1, q):
+        g = ctx.element(tuple(code // w % p for w in weights))
+        if all(ext_pow(g, e) != one for e in exponents):
+            break
+    mul = mul_kernel(ctx)
+    logs = list(range(order))  # one int object per log, shared with the fold
+    table = [None] * q
+    acc = one.coeffs
+    for j in logs:
+        code = sum(map(operator.mul, acc, weights))
+        if code == 0 or table[code] is not None:
+            raise AssertionError(
+                f"log table of F_{p}^{m}: step {j} revisits code {code}"
+            )
+        table[code] = j
+        acc = mul(acc, g.coeffs)
+    table[0] = 2 * order - 1
+    fold = logs + logs[: order - 1] + [order] * (2 * order)
+    tables = _log_tables[ctx] = (table, fold)
+    return tables

@@ -804,6 +804,17 @@ def _checked_list(v, what: str) -> list:
     return v
 
 
+def _checked_int(v, what: str) -> int:
+    # JSON true/false load as bool, a subclass of int
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{what} must be an integer, got {type(v).__name__}")
+    return v
+
+
+def _checked_ints(v, what: str) -> tuple:
+    return tuple(_checked_int(x, what) for x in _checked_list(v, what))
+
+
 def form_from_dict(d: dict) -> FormSpec:
     d = _checked(d, ("p", "n", "k", "monomials"), "form")
     monos = [
@@ -811,7 +822,16 @@ def form_from_dict(d: dict) -> FormSpec:
         for m in _checked_list(d["monomials"], "form monomials")
     ]
     return FormSpec(
-        d["p"], d["n"], d["k"], tuple((tuple(m["exp"]), m["coef"]) for m in monos)
+        _checked_int(d["p"], "form p"),
+        _checked_int(d["n"], "form n"),
+        _checked_int(d["k"], "form k"),
+        tuple(
+            (
+                _checked_ints(m["exp"], "form exponent"),
+                _checked_int(m["coef"], "form coefficient"),
+            )
+            for m in monos
+        ),
     )
 
 
@@ -832,13 +852,26 @@ def decomposition_from_dict(d: dict) -> NormFormDecomposition:
     ctxs = []
     for c in _checked_list(d["ctxs"], "decomposition ctxs"):
         c = _checked(c, ("p", "m", "defining_poly"), "field context")
-        ctxs.append(fc.ext_field_ctx(c["p"], c["m"], c["defining_poly"]))
+        ctxs.append(
+            fc.ext_field_ctx(
+                _checked_int(c["p"], "field context p"),
+                _checked_int(c["m"], "field context m"),
+                _checked_ints(c["defining_poly"], "defining polynomial"),
+            )
+        )
+    blocks = tuple(
+        tuple(
+            _checked_ints(row, "block entry")
+            for row in _checked_list(U, "decomposition block")
+        )
+        for U in _checked_list(d["blocks"], "decomposition blocks")
+    )
     return NormFormDecomposition(
-        d["p"],
-        d["n"],
-        tuple(d["partition"]),
+        _checked_int(d["p"], "decomposition p"),
+        _checked_int(d["n"], "decomposition n"),
+        _checked_ints(d["partition"], "partition entry"),
         tuple(ctxs),
-        tuple(tuple(tuple(row) for row in U) for U in d["blocks"]),
+        blocks,
     )
 
 

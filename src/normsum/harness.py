@@ -90,6 +90,13 @@ class ExperimentConfig:
             raise UsageError("eps and kappa must be finite")
         if self.eps < 0 or self.kappa < 0:
             raise UsageError("eps and kappa must be nonnegative")
+        # every command builds F_{p^m} with m >= 1, so no prime above the
+        # field cap can run; refuse before primes_in walks the range
+        if self.p_hi > fc.FIELD_SIZE_CAP:
+            raise UsageError(
+                f"prime range ends at {self.p_hi}, above the field size cap "
+                f"{fc.FIELD_SIZE_CAP}"
+            )
         # box sides are p^(1/4 + kappa) and bound exponents stay below 1/2 + eps
         try:
             float(max(2, self.p_hi)) ** (1 + self.kappa + self.eps)
@@ -266,7 +273,13 @@ def _load_form(path: str) -> fm.FormSpec:
 
 
 def _load_decomposition(path: str) -> fm.NormFormDecomposition:
-    return fm.decomposition_from_dict(_load_object(path, "decomposition"))
+    D = fm.decomposition_from_dict(_load_object(path, "decomposition"))
+    if not fm.decomposition_in_class(D):
+        raise UsageError(
+            f"{path}: decomposition is outside the supported class "
+            "(a rank condition fails or two closure factors are proportional)"
+        )
+    return D
 
 
 def run_decompose(config: ExperimentConfig, form_path: str | None) -> dict:

@@ -8,6 +8,7 @@ import pytest
 from normsum import energy as en
 from normsum import field_core as fc
 from normsum import forms as fm
+from normsum import harness as hn
 
 
 def line_decomp(p):
@@ -94,16 +95,11 @@ class TestBruteforce:
         D = fm.random_decomposition(5, 2, (2,), rng)
         bx = box((0, 0), (4, 4))
         by = box((-1, 2), (3, 3))
-        kernels = en._kernels(D)
-        whole = en._pair_histogram(
-            en._raw(en._lam_table(D, bx)), en._raw(en._lam_table(D, by)), kernels
-        )
-        raw_y = en._raw(en._lam_table(D, by))
+        codes_y = en._log_codes(D, by)
+        whole = en._pair_histogram(D, en._log_codes(D, bx), codes_y)
         merged = {}
         for part in fm.split_box(bx, 2):
-            for key, c in en._pair_histogram(
-                en._raw(en._lam_table(D, part)), raw_y, kernels
-            ).items():
+            for key, c in en._pair_histogram(D, en._log_codes(D, part), codes_y).items():
                 merged[key] = merged.get(key, 0) + c
         assert merged == whole
 
@@ -414,3 +410,112 @@ class TestMulKernel:
     def test_cached_per_context(self):
         ctx = fc.ext_field_ctx(3, 3)
         assert fc.mul_kernel(ctx) is fc.mul_kernel(fc.ext_field_ctx(3, 3))
+
+
+def _partial_zero_point(D):
+    """A point where some, but not every, lambda_i vanishes; None if none."""
+    half = max(1, D.p // 2)
+    for x in itertools.product(range(-half, half + 1), repeat=D.n):
+        zeros = [D.lam(i, x).is_zero() for i in range(D.s)]
+        if any(zeros) and not all(zeros):
+            return x
+    return None
+
+
+# (p, n, partition): every partition of n for n = 1..3, plus the
+# rectangular partitions of n + 1 at n = 2
+LOG_DOMAIN_CASES = [
+    (p, n, part)
+    for p in (2, 3, 5, 7)
+    for n in (1, 2, 3)
+    for k in ((n,) if n != 2 else (2, 3))
+    for part in hn.square_partitions(k)
+]
+
+
+class TestLogDomain:
+    @pytest.mark.parametrize("p,n,partition", LOG_DOMAIN_CASES)
+    def test_histogram_matches_quadruple_loop(self, p, n, partition):
+        rng = random.Random(p * 100 + n * 10 + len(partition))
+        D = fm.random_decomposition(p, n, partition, rng)
+        # the origin zeroes every factor; a partial zero point zeroes some
+        around_origin = box((-2,) * n, (3 if n < 3 else 2,) * n)
+        x0 = _partial_zero_point(D)
+        if x0 is None:
+            assert D.s == 1 or D.k == D.n == 1
+            other = box((-1,) * n, (2,) * n)
+        else:
+            other = box([v - 1 for v in x0], (2,) * n)
+            assert other.contains(x0)
+        for bx, by in [(around_origin, around_origin), (around_origin, other),
+                       (other, around_origin), (other, other)]:
+            inst = en.EnergyInstance(D, bx, by)
+            assert en.energy_histogram(inst) == en.energy_quadruple_loop(inst)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_zero_classes_stay_separate(self, p):
+        # lambda(0) = 0 in every field, so the origin's pairs land on the
+        # class whose digits are all zero markers, and nowhere else
+        rng = random.Random(p)
+        D = fm.random_decomposition(p, 2, (1, 1), rng)
+        b = box((-1, -1), (2, 2))
+        codes = en._log_codes(D, b)
+        hist = en._pair_histogram(D, codes, codes)
+        assert sum(hist.values()) == b.volume**2
+        all_zero = (p - 1) + (p - 1) * p
+        origin = list(b.iter_points()).index((0, 0))
+        alone = en._pair_histogram(D, [codes[origin]], codes)
+        assert alone == {all_zero: b.volume}
+        assert en._has_zero_factor(D, all_zero)
+        for key in hist:
+            assert 0 <= key < p * p
+        live = sum(c for key, c in hist.items() if not en._has_zero_factor(D, key))
+        live_points = sum(
+            1 for x in b.iter_points()
+            if not any(D.lam(i, x).is_zero() for i in range(D.s))
+        )
+        assert live == live_points**2
+
+    @pytest.mark.parametrize("p,n,partition", [
+        (2, 2, (1, 1)), (3, 2, (2,)), (7, 3, (2, 1)), (5, 3, (1, 1, 1)),
+    ])
+    def test_one_box_counts_each_unordered_pair_once(self, p, n, partition):
+        # the same code list on both sides takes the unordered-pair route
+        D = fm.random_decomposition(p, n, partition, random.Random(p + n))
+        codes = en._log_codes(D, box((-2,) * n, (3,) * n))
+        assert en._pair_histogram(D, codes, codes) == en._pair_histogram(
+            D, codes, list(codes)
+        )
+
+    def test_batched_fold_matches_single_fold(self, monkeypatch):
+        D = fm.random_decomposition(7, 2, (1, 1), random.Random(3))
+        bx = box((-2, -2), (4, 4))
+        by = box((0, -1), (3, 4))
+        codes_x, codes_y = en._log_codes(D, bx), en._log_codes(D, by)
+        whole = [
+            en._pair_histogram(D, codes_x, codes_x),
+            en._pair_histogram(D, codes_x, codes_y),
+        ]
+        monkeypatch.setattr(en, "RAW_FLUSH", 5)
+        assert en._pair_histogram(D, codes_x, codes_x) == whole[0]
+        assert en._pair_histogram(D, codes_x, codes_y) == whole[1]
+
+    @pytest.mark.parametrize("p,n,partition", [
+        (3, 2, (1, 1)), (5, 2, (2,)), (5, 2, (1, 1)), (7, 1, (1,)), (3, 3, (2, 1)),
+    ])
+    def test_restricted_split_matches_literal_loop(self, p, n, partition):
+        rng = random.Random(p + 7 * n)
+        D = fm.random_decomposition(p, n, partition, rng)
+        side = 2 if n < 3 else 1
+        degenerate_seen = False
+        for _ in range(3):
+            mats = tuple(en._random_nonsingular(rng, n, p) for _ in range(4))
+            bx = box([rng.randint(-2, 0) for _ in range(n)], (side + 1,) * n)
+            by = box([rng.randint(-2, 0) for _ in range(n)], (side,) * n)
+            gi = en.GeneralizedEnergyInstance(D, mats, bx, by)
+            # cross_check=True runs the literal loop and asserts the split
+            plain = en.energy_restricted(gi, cross_check=True)
+            variant = en.energy_restricted(gi, symmetric_variant=True, cross_check=True)
+            assert plain == variant
+            degenerate_seen = degenerate_seen or plain[1] > 0
+        assert degenerate_seen

@@ -260,3 +260,76 @@ def test_s2_moment_raw_route_matches_element_route(p, partition, T, r):
             powed = cs._cyclic_convolve(powed, sq, order)
         total = [a + b for a, b in zip(total, powed)]
     assert cs.s2_moment(partition, psis, T, r)["weights"] == tuple(total)
+
+
+def _code(a):
+    return sum(c * a.ctx.p**j for j, c in enumerate(a.coeffs))
+
+
+@pytest.mark.parametrize("p,m,poly", KERNEL_FIELDS + NONCANONICAL_FIELDS)
+def test_log_table_inverts_ext_pow(p, m, poly):
+    ctx = fc.ext_field_ctx(p, m, poly)
+    q = ctx.order
+    table = fc.log_table(ctx)
+    assert len(table) == q
+    assert table[0] == 2 * (q - 1) - 1
+    assert sorted(table[1:]) == list(range(q - 1))
+    elems = list(ctx.iter_elements())
+    g = next(a for a in elems if table[_code(a)] == 1) if q > 2 else ctx.one()
+    # g is the primitive element of smallest code
+    exponents = [(q - 1) // r for r in fc.prime_divisors(q - 1)]
+    for a in elems:
+        if 0 < _code(a) < _code(g):
+            assert any(fc.ext_pow(a, e) == ctx.one() for e in exponents)
+    for a in elems:
+        if not a.is_zero():
+            assert fc.ext_pow(g, table[_code(a)]) == a
+    assert fc.log_table(ctx) is table
+
+
+def test_log_table_fails_closed(monkeypatch):
+    # a multiply that never moves revisits the code of 1 at the first step
+    monkeypatch.setattr(fc, "_log_tables", {})
+    monkeypatch.setattr(fc, "mul_kernel", lambda ctx: lambda a, b: a)
+    with pytest.raises(AssertionError, match="revisits code 1"):
+        fc.log_table(fc.ext_field_ctx(5, 2))
+    assert fc._log_tables == {}
+
+
+@pytest.mark.parametrize("p,m,poly", [(2, 1, None), (2, 3, None), (7, 1, None),
+                                        (3, 3, None), (5, 2, (1, 1, 1))])
+def test_log_fold_gives_the_log_of_the_product(p, m, poly):
+    ctx = fc.ext_field_ctx(p, m, poly)
+    q = ctx.order
+    table, fold = fc.log_table(ctx), fc.log_fold(ctx)
+    assert len(fold) == 4 * (q - 1) - 1
+    elems = list(ctx.iter_elements())
+    for a in elems:
+        for b in elems:
+            folded = fold[table[_code(a)] + table[_code(b)]]
+            ab = fc.ext_mul(a, b)
+            assert folded == (q - 1 if ab.is_zero() else table[_code(ab)])
+
+
+def test_log_cache_is_bounded_by_elements(monkeypatch):
+    monkeypatch.setattr(fc, "_log_tables", {})
+    monkeypatch.setattr(fc, "LOG_CACHE_ELEMENTS", 30)
+    ctxs = [fc.ext_field_ctx(p, 1) for p in (3, 5, 7, 11, 13, 17, 31)]
+    for ctx in ctxs:
+        table = fc.log_table(ctx)
+        assert fc.log_table(ctx) is table
+        sizes = [len(t) for t, _ in fc._log_tables.values()]
+        assert sum(sizes) <= 30 or sizes == [ctx.order]
+    assert list(fc._log_tables) == ctxs[-1:]
+    # 17 + 13 fit together; evicting the oldest keeps the newest
+    fc.log_table(ctxs[4])
+    fc.log_table(ctxs[5])
+    assert list(fc._log_tables) == [ctxs[4], ctxs[5]]
+
+
+def test_prime_divisors():
+    assert fc.prime_divisors(1) == []
+    assert fc.prime_divisors(2) == [2]
+    assert fc.prime_divisors(360) == [2, 3, 5]
+    assert fc.prime_divisors(97 * 97) == [97]
+    assert cc.primitive_root(41) == 6

@@ -48,6 +48,11 @@ class TestConfig:
             hn.ExperimentConfig("charsum", p_hi=31, kappa=1e300)
         hn.ExperimentConfig("charsum", p_hi=31, kappa=100.0)
 
+    def test_rejects_range_above_field_cap(self):
+        with pytest.raises(hn.UsageError, match="field size cap"):
+            hn.ExperimentConfig("energy", p_lo=10**6, p_hi=10**6 + 1)
+        hn.ExperimentConfig("energy", p_lo=10**6, p_hi=10**6)
+
 
 class TestSerialization:
     def test_encode_cell_shapes(self):
@@ -339,3 +344,67 @@ class TestCli:
         assert run_cli(["charsum", "--decomp", str(path), "--seed", "0"]) == 2
         err = capsys.readouterr().err
         assert err.count("usage error:") == 2 and "JSON object" in err
+
+    def _gen_form_object(self, tmp_path):
+        path = tmp_path / "gen.json"
+        assert run_cli(["gen-form", "--p", "7", "--n", "2", "--k", "3",
+                        "--seed", "5", "--out", str(path)]) == 0
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize(
+        "part,field,value",
+        [
+            ("form", "p", "7"),
+            ("form", "n", True),
+            ("form", "k", 3.0),
+            ("form", "coef", "1"),
+            ("form", "exp", ["1", 1]),
+            ("decomposition", "p", "7"),
+            ("decomposition", "n", None),
+            ("decomposition", "partition", [2.0, 1]),
+            ("decomposition", "block", "3"),
+            ("decomposition", "defining_poly", [1, False, 1]),
+        ],
+    )
+    def test_mistyped_json_values_are_usage_errors(
+        self, tmp_path, capsys, part, field, value
+    ):
+        obj = self._gen_form_object(tmp_path)[part]
+        if field in ("coef", "exp"):
+            obj["monomials"][0][field] = value
+        elif field == "block":
+            obj["blocks"][0][0][0] = value
+        elif field == "defining_poly":
+            obj["ctxs"][0][field] = value
+        else:
+            obj[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        command = "decompose" if part == "form" else "charsum"
+        flag = "--form" if part == "form" else "--decomp"
+        capsys.readouterr()
+        assert run_cli([command, flag, str(path), "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "must be an integer" in err
+        assert "Traceback" not in err
+
+    def test_out_of_class_decomposition_is_usage_error(self, tmp_path, capsys):
+        obj = self._gen_form_object(tmp_path)
+        form_path = tmp_path / "form.json"
+        form_path.write_text(json.dumps(obj["form"]))
+        D = obj["decomposition"]
+        D["blocks"][0] = [[0] * len(row) for row in D["blocks"][0]]
+        dec_path = tmp_path / "zero_block.json"
+        dec_path.write_text(json.dumps(D))
+        capsys.readouterr()
+        args = ["charsum", "--form", str(form_path), "--decomp", str(dec_path),
+                "--seed", "0"]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "outside the supported class" in err
+
+    def test_range_above_field_cap_exits_before_walking(self, capsys):
+        args = ["energy", "--p-range", "1000000..100000000000", "--seed", "1"]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "field size cap" in err
