@@ -188,7 +188,8 @@ def congruence_lattice(p: int, P, Q) -> IntegerLattice:
         tuple(tuple(v % p for v in row) for row in Q),
     )
     lat = IntegerLattice(2 * n, basis, form=form)
-    assert lat.det() == p**n
+    if lat.det() != p**n:
+        raise la.CheckFailed(f"lattice determinant {lat.det()} differs from p^n = {p**n}")
     return lat
 
 
@@ -211,20 +212,6 @@ def build_lattice(A, A_prime, z: Sequence[fc.ExtFieldElement]) -> IntegerLattice
         z,
     )
     return IntegerLattice(lat.dim, lat.basis, form=lat.form, block=block)
-
-
-def _nullspace(rows, cols: int, p: int) -> list[list[int]]:
-    if not rows:
-        return [[1 if u == t else 0 for u in range(cols)] for t in range(cols)]
-    red, pivots = la._row_reduce(rows, p)
-    basis = []
-    for f in (c for c in range(cols) if c not in pivots):
-        vec = [0] * cols
-        vec[f] = 1
-        for r, c in enumerate(pivots):
-            vec[c] = (-red[r][f]) % p
-        basis.append(vec)
-    return basis
 
 
 def symmetrizer(M, p: int, seed: int = 0) -> list[list[int]]:
@@ -257,7 +244,7 @@ def symmetrizer(M, p: int, seed: int = 0) -> list[list[int]]:
                 row[index[(min(t, b), max(t, b))]] += Mm[a][t]
                 row[index[(min(t, a), max(t, a))]] -= Mm[b][t]
             rows.append([v % p for v in row])
-    basis = _nullspace(rows, len(unknowns), p)
+    basis = la.nullspace_mod(rows, len(unknowns), p)
 
     def check(coeffs):
         vec = [
@@ -267,7 +254,8 @@ def symmetrizer(M, p: int, seed: int = 0) -> list[list[int]]:
         C = to_matrix(vec)
         if la.mat_det(C, p) == 0:
             return None
-        assert la.mat_mul(Mm, C, p) == la.mat_mul(C, la.transpose(Mm), p)
+        if la.mat_mul(Mm, C, p) != la.mat_mul(C, la.transpose(Mm), p):
+            raise la.CheckFailed("symmetrizer C does not satisfy M C = C M^T mod p")
         return C
 
     tried = 0
@@ -285,7 +273,7 @@ def symmetrizer(M, p: int, seed: int = 0) -> list[list[int]]:
         C = check([rng.randrange(p) for _ in range(len(basis))])
         if C is not None:
             return C
-    raise AssertionError("no nonsingular symmetrizer found; similarity to the transpose guarantees one")
+    raise la.CheckFailed("no nonsingular symmetrizer found; similarity to the transpose guarantees one")
 
 
 def block_symmetrizer(z: Sequence[fc.ExtFieldElement], seed: int = 0) -> list[list[int]]:
@@ -308,7 +296,8 @@ def dual_pairing_check(L: IntegerLattice, dual: IntegerLattice) -> None:
     p = L.form.p
     for u in dual.columns():
         for x in L.columns():
-            assert sum(a * b for a, b in zip(u, x)) % p == 0
+            if sum(a * b for a, b in zip(u, x)) % p:
+                raise la.CheckFailed(f"dual column {u} pairs nonzero mod {p} with column {x}")
 
 
 def dual_lattice(L: IntegerLattice, report: bool = False):
@@ -334,14 +323,16 @@ def dual_lattice(L: IntegerLattice, report: bool = False):
         P0 = la.mat_mul(la.transpose(M), inv_t, p)
         Q0 = la.mat_neg(la.transpose(la.mat_inv(A_prime, p)), p)
         alt = congruence_lattice(p, P0, Q0)
-        assert alt.basis == dual.basis
+        if alt.basis != dual.basis:
+            raise la.CheckFailed("inverse-transpose dual route gives a different basis")
         C = block_symmetrizer(z)
         A2 = la.mat_neg(
             la.transpose(la.mat_inv(la.mat_mul(la.mat_inv(C, p), A_prime, p), p)), p
         )
         A3 = la.mat_mul(la.transpose(C), inv_t, p)
         structured = congruence_lattice(p, la.mat_mul(M, A3, p), A2)
-        assert structured.basis == dual.basis
+        if structured.basis != dual.basis:
+            raise la.CheckFailed("structured dual route gives a different basis")
         info["structured"] = (A2, A3, C)
     dual_pairing_check(L, dual)
     if report:
@@ -363,28 +354,57 @@ def _triangular_columns(L: IntegerLattice) -> list[tuple[int, ...]]:
     return la.hnf_columns(cols, d)
 
 
-def _coeff_points(L: IntegerLattice, W: Sequence[int]) -> list[tuple[int, ...]]:
-    """All lattice vectors v with |v_i| <= W_i, by bounded column coefficients."""
-    cols = _triangular_columns(L)
-    d = L.dim
-    out: list[tuple[int, ...]] = []
+def _box_gauge(H: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """Integer form of the box gauge: max_i |v_i| / H_i = max_i w_i |v_i| / scale.
+
+    scale is the lcm of the positive sides and w_i = scale // H_i.  A zero
+    side gets a weight above scale, so within budget scale (the box itself)
+    its coordinate must vanish.
+    """
+    scale = math.lcm(*(h for h in H if h))
+    return scale, tuple(scale // h if h else scale + 1 for h in H)
+
+
+def _gauge_ball(
+    cols, w: Sequence[int], budget: int, additive: bool
+) -> list[tuple[int, tuple[int, ...]]]:
+    """All lattice vectors v with g(v) <= budget, as (g(v), v) pairs.
+
+    g(v) = sum_i w_i |v_i| if additive, else max_i w_i |v_i|, with positive
+    integer weights w.  cols is a triangular basis (column j vanishes above
+    row j, pivot cols[j][j] > 0), so coordinate j is final once coefficient
+    j is chosen: the recursion carries the gauge of the coordinates fixed so
+    far and bounds each coefficient by the budget that remains, so no point
+    outside the ball is visited (Fincke-Pohst pruning).
+    """
+    d = len(cols)
+    out: list[tuple[int, tuple[int, ...]]] = []
     v = [0] * d
 
-    def rec(j: int) -> None:
-        if j == d:
-            out.append(tuple(v))
+    def rec(j: int, acc: int) -> None:
+        wj, col = w[j], cols[j]
+        piv, x0 = col[j], v[j]
+        W = ((budget - acc) if additive else budget) // wj
+        lo = _ceil_div(-W - x0, piv)
+        hi = (W - x0) // piv
+        if j == d - 1:
+            for x in range(x0 + lo * piv, x0 + hi * piv + 1, piv):
+                v[j] = x
+                g = wj * abs(x)
+                out.append((acc + g if additive else max(acc, g), tuple(v)))
+            v[j] = x0
             return
-        piv = cols[j][j]
-        lo = _ceil_div(-W[j] - v[j], piv)
-        hi = (W[j] - v[j]) // piv
-        for c in range(lo, hi + 1):
+        saved = v[j:]
+        for i in range(j, d):
+            v[i] += lo * col[i]
+        for _ in range(lo, hi + 1):
+            g = wj * abs(v[j])
+            rec(j + 1, acc + g if additive else max(acc, g))
             for i in range(j, d):
-                v[i] += c * cols[j][i]
-            rec(j + 1)
-            for i in range(j, d):
-                v[i] -= c * cols[j][i]
+                v[i] += col[i]
+        v[j:] = saved
 
-    rec(0)
+    rec(0, 0)
     return out
 
 
@@ -407,13 +427,15 @@ def points_in_box(L: IntegerLattice, H: Sequence[int], cross_check: bool | None 
     if len(H) != L.dim or any(h < 0 for h in H):
         raise ValueError("box bounds must be one nonnegative integer per dimension")
     vol = math.prod(2 * h + 1 for h in H)
-    pts = sorted(_coeff_points(L, H))
+    scale, w = _box_gauge(H)
+    pts = sorted(v for _, v in _gauge_ball(_triangular_columns(L), w, scale, False))
     if cross_check is None:
         cross_check = vol <= CROSS_CHECK_CAP
     if cross_check:
         if vol > SCAN_CAP:
             raise ValueError(f"scan infeasible: box volume {vol} over cap {SCAN_CAP}")
-        assert sorted(_scan_points(L, H)) == pts
+        if sorted(_scan_points(L, H)) != pts:
+            raise la.CheckFailed("box enumeration and membership scan disagree")
     return len(pts), tuple(pts)
 
 
@@ -422,22 +444,6 @@ class SuccessiveMinimaReport:
     minima: tuple[Fraction, ...]
     s: int
     vectors: tuple[tuple[int, ...], ...]
-
-
-def _rank_increases(chosen: list[tuple[int, ...]], v: Sequence[int]) -> bool:
-    rows = [[Fraction(t) for t in u] for u in chosen] + [[Fraction(t) for t in v]]
-    r = 0
-    for c in range(len(v)):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c]:
-                f = rows[i][c] / rows[r][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return r == len(chosen) + 1
 
 
 def successive_minima(
@@ -460,27 +466,26 @@ def successive_minima(
     if gauge not in ("box", "polar"):
         raise ValueError(f"unknown gauge {gauge!r}")
 
-    def measure(v) -> Fraction:
-        if gauge == "box":
-            return max(Fraction(abs(a), h) for a, h in zip(v, H))
-        return Fraction(sum(h * abs(a) for a, h in zip(v, H)))
-
+    # |v| = g(v) / scale with an integer gauge g; sorting on (g, v) is
+    # sorting on (|v|, v).
+    scale, w = _box_gauge(H) if gauge == "box" else (1, H)
+    cols = _triangular_columns(L)
     radius = 1
     while True:
-        W = [radius * h if gauge == "box" else radius // h for h in H]
-        cand = [v for v in _coeff_points(L, W) if any(v) and measure(v) <= radius]
-        cand.sort(key=lambda v: (measure(v), v))
+        cand = sorted(_gauge_ball(cols, w, radius * scale, gauge == "polar"))
+        echelon = la.IntegerEchelon()
         chosen: list[tuple[int, ...]] = []
-        minima: list[Fraction] = []
-        for v in cand:
-            if _rank_increases(chosen, v):
+        gauges: list[int] = []
+        for g, v in cand:
+            if g and echelon.add(v):
                 chosen.append(v)
-                minima.append(measure(v))
+                gauges.append(g)
                 if len(chosen) == d:
                     break
         if len(chosen) == d:
             break
         radius *= 2
+    minima = [Fraction(g, scale) for g in gauges]
 
     det = L.det()
     if gauge == "box":
@@ -488,9 +493,8 @@ def successive_minima(
     else:
         vol = Fraction(2**d, math.factorial(d) * math.prod(H))
     ratio = vol * math.prod(minima, start=Fraction(1)) / det
-    assert Fraction(2**d, math.factorial(d)) <= ratio <= 2**d, (
-        f"minima product outside the Minkowski range: {ratio}"
-    )
+    if not Fraction(2**d, math.factorial(d)) <= ratio <= 2**d:
+        raise la.CheckFailed(f"minima product outside the Minkowski range: {ratio}")
     s = sum(1 for lam in minima if lam <= 1)
     return SuccessiveMinimaReport(tuple(minima), s, tuple(chosen))
 
@@ -510,75 +514,6 @@ def mahler_check(L: IntegerLattice, H: Sequence[int]) -> dict:
     products = tuple(rep.minima[i] * dual_minima[d - 1 - i] for i in range(d))
     bound = Fraction(math.factorial(d) ** 2)
     for prod in products:
-        assert 1 <= prod <= bound, f"transference product {prod} outside [1, {bound}]"
+        if not 1 <= prod <= bound:
+            raise la.CheckFailed(f"transference product {prod} outside [1, {bound}]")
     return {"minima": rep.minima, "dual_minima": dual_minima, "products": products}
-
-
-def box_count_ratio(L: IntegerLattice, H: Sequence[int], H_small: Sequence[int]) -> dict:
-    """Exact nested-box counts plus the dilation-power comparison.
-
-    The smaller count never exceeds the larger (containment, asserted).  The
-    observed ratio against (H/H')^s, with s taken from the larger box, is
-    reported as a fitted constant, not asserted.
-    """
-    H = tuple(int(h) for h in H)
-    H_small = tuple(int(h) for h in H_small)
-    if any(h <= 0 for h in H_small) or any(a > b for a, b in zip(H_small, H)):
-        raise ValueError("smaller box must be positive and nested in the larger")
-    big = points_in_box(L, H)[0]
-    small = points_in_box(L, H_small)[0]
-    assert small <= big
-    rep = successive_minima(L, H)
-    scale = Fraction(min(H), min(H_small)) ** rep.s
-    return {
-        "count_large": big,
-        "count_small": small,
-        "s": rep.s,
-        "kappa": Fraction(big) / (scale * small),
-    }
-
-
-def coset_count_checks(p: int, M, b, window: Sequence[int], seed: int = 0, samples: int = 20) -> dict:
-    """Exhaustive checks that shifted solution counts never beat centered ones.
-
-    S(b; D) counts integer points x in D with M x = b mod p.  Shifted closed
-    windows [N, N+W] are compared against the centered window [-W, W]; the
-    symmetric count S(b; [-W, W]) is compared against S(0; [-2W, 2W]).  The
-    worst ratio S(b; [-W, W]) / S(0; [-W, W]) over sampled b is reported, not
-    bounded.
-    """
-    la.check_prime(p)
-    rows, m = len(M), len(M[0])
-    window = tuple(int(v) for v in window)
-    if len(window) != m or any(v <= 0 for v in window):
-        raise ValueError("window sides must be positive, one per column")
-
-    def count(bvec, lows, highs) -> int:
-        target = [v % p for v in bvec]
-        total = 0
-        for x in itertools.product(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)]):
-            if la.mat_vec(M, list(x), p) == target:
-                total += 1
-        return total
-
-    centered = count([0] * rows, [-v for v in window], list(window))
-    centered_double = count([0] * rows, [-2 * v for v in window], [2 * v for v in window])
-    rng = random.Random(seed)
-    shifted_max = 0
-    ratio_max = Fraction(0)
-    targets = [list(b)] + [[rng.randrange(p) for _ in range(rows)] for _ in range(samples)]
-    for bvec in targets:
-        for _ in range(samples):
-            N = [rng.randrange(-p, p + 1) for _ in range(m)]
-            c = count(bvec, N, [N_i + w for N_i, w in zip(N, window)])
-            assert c <= centered
-            shifted_max = max(shifted_max, c)
-        sym = count(bvec, [-v for v in window], list(window))
-        assert sym <= centered_double
-        ratio_max = max(ratio_max, Fraction(sym, centered))
-    return {
-        "centered": centered,
-        "centered_double": centered_double,
-        "shifted_max": shifted_max,
-        "ratio_max": ratio_max,
-    }

@@ -6,7 +6,18 @@ function says otherwise; no floats anywhere.
 
 from __future__ import annotations
 
+import math
+
 PRIMALITY_CAP = 10**6
+
+
+class CheckFailed(AssertionError):
+    """A checked identity or bound did not hold.
+
+    Raised explicitly, so `python -O` cannot strip the check; it derives
+    from AssertionError so callers that map assertion failures to a failed
+    check keep working.
+    """
 
 
 def is_prime(n: int) -> bool:
@@ -87,6 +98,21 @@ def _row_reduce(A, p: int):
         if r == rows:
             break
     return M, pivots
+
+
+def nullspace_mod(rows, cols: int, p: int) -> list[list[int]]:
+    """A basis of the solutions x of rows . x = 0 mod p, one list per vector."""
+    if not rows:
+        return [[1 if u == t else 0 for u in range(cols)] for t in range(cols)]
+    red, pivots = _row_reduce(rows, p)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        vec = [0] * cols
+        vec[f] = 1
+        for r, c in enumerate(pivots):
+            vec[c] = (-red[r][f]) % p
+        basis.append(vec)
+    return basis
 
 
 def mat_rank(A, p: int) -> int:
@@ -188,3 +214,30 @@ def hnf_columns(vectors, dim: int) -> list[tuple[int, ...]]:
                 for r in range(dim):
                     pj[r] -= q * pi[r]
     return [tuple(c) for c in pivot_cols]
+
+
+class IntegerEchelon:
+    """Integer row echelon form over Q, grown one vector at a time.
+
+    Fraction-free: a vector is reduced against each stored row by an
+    integer combination that clears the row's pivot column, and a row is
+    kept divided by the gcd of its entries so coefficients stay small.
+    """
+
+    def __init__(self):
+        self.rows: list[tuple[int, list[int]]] = []  # (pivot column, row)
+
+    def add(self, vec) -> bool:
+        """Store vec if it is outside the span of the stored rows; say whether it was."""
+        r = list(vec)
+        for c, row in self.rows:
+            a = r[c]
+            if a:
+                b = row[c]
+                r = [b * x - a * y for x, y in zip(r, row)]
+        piv = next((c for c, x in enumerate(r) if x), None)
+        if piv is None:
+            return False
+        g = math.gcd(*r)
+        self.rows.append((piv, [x // g for x in r]))
+        return True

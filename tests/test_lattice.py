@@ -1,9 +1,13 @@
 """Congruence lattices: duals, symmetrizers, point counts, minima."""
 
+import ast
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -308,7 +312,7 @@ def test_points_two_routes_agree():
         random_multiplier(rng, 7, (2,)),
     )
     for H in [(2, 2, 2, 2), (4, 1, 3, 2)]:
-        coeff = sorted(lt._coeff_points(L, H))
+        coeff = list(lt.points_in_box(L, H, cross_check=False)[1])
         scan = sorted(lt._scan_points(L, H))
         assert coeff == scan
 
@@ -380,38 +384,296 @@ def test_minkowski_and_mahler_on_instances():
             assert 1 <= prod <= math.factorial(d) ** 2
 
 
+# ---------------------------------------------------------------------------
+# minima oracle: the enumerate-the-box, Fraction-elimination route, kept as
+# it was before the integer gauges and the pruned enumeration replaced it
+
+
+def _reference_coeff_points(L, W):
+    """All lattice vectors v with |v_i| <= W_i, by bounded column coefficients."""
+    cols = lt._triangular_columns(L)
+    d = L.dim
+    out = []
+    v = [0] * d
+
+    def rec(j: int) -> None:
+        if j == d:
+            out.append(tuple(v))
+            return
+        piv = cols[j][j]
+        lo = lt._ceil_div(-W[j] - v[j], piv)
+        hi = (W[j] - v[j]) // piv
+        for c in range(lo, hi + 1):
+            for i in range(j, d):
+                v[i] += c * cols[j][i]
+            rec(j + 1)
+            for i in range(j, d):
+                v[i] -= c * cols[j][i]
+
+    rec(0)
+    return out
+
+
+def _reference_rank_increases(chosen, v) -> bool:
+    rows = [[Fraction(t) for t in u] for u in chosen] + [[Fraction(t) for t in v]]
+    r = 0
+    for c in range(len(v)):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            if rows[i][c]:
+                f = rows[i][c] / rows[r][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r == len(chosen) + 1
+
+
+def reference_successive_minima(L, H, gauge="box"):
+    d = L.dim
+    if d > lt.MINIMA_DIM_CAP:
+        raise ValueError(f"successive minima supported up to dimension {lt.MINIMA_DIM_CAP}")
+    H = tuple(int(h) for h in H)
+    if len(H) != d or any(h <= 0 for h in H):
+        raise ValueError("box sides must be positive")
+    if gauge not in ("box", "polar"):
+        raise ValueError(f"unknown gauge {gauge!r}")
+
+    def measure(v) -> Fraction:
+        if gauge == "box":
+            return max(Fraction(abs(a), h) for a, h in zip(v, H))
+        return Fraction(sum(h * abs(a) for a, h in zip(v, H)))
+
+    radius = 1
+    while True:
+        W = [radius * h if gauge == "box" else radius // h for h in H]
+        cand = [v for v in _reference_coeff_points(L, W) if any(v) and measure(v) <= radius]
+        cand.sort(key=lambda v: (measure(v), v))
+        chosen = []
+        minima = []
+        for v in cand:
+            if _reference_rank_increases(chosen, v):
+                chosen.append(v)
+                minima.append(measure(v))
+                if len(chosen) == d:
+                    break
+        if len(chosen) == d:
+            break
+        radius *= 2
+
+    det = L.det()
+    if gauge == "box":
+        vol = Fraction(math.prod(2 * h for h in H))
+    else:
+        vol = Fraction(2**d, math.factorial(d) * math.prod(H))
+    ratio = vol * math.prod(minima, start=Fraction(1)) / det
+    assert Fraction(2**d, math.factorial(d)) <= ratio <= 2**d, (
+        f"minima product outside the Minkowski range: {ratio}"
+    )
+    s = sum(1 for lam in minima if lam <= 1)
+    return lt.SuccessiveMinimaReport(tuple(minima), s, tuple(chosen))
+
+
+def seeded_lattice(seed, p, partition):
+    rng = random.Random(seed)
+    n = sum(partition)
+    return lt.build_lattice(
+        random_nonsingular(rng, n, p),
+        random_nonsingular(rng, n, p),
+        random_multiplier(rng, p, partition),
+    )
+
+
+# (seed, p, partition, the sides H tried besides the equal sides isqrt(p))
+ORACLE_CASES = [
+    (1, 5, (1,), [(3, 2), (1, 4)]),
+    (2, 11, (1,), [(2, 5)]),
+    (3, 7, (1, 1), [(4, 1, 3, 2), (1, 2, 2, 1)]),
+    (4, 5, (2,), [(4, 1, 3, 2), (1, 2, 2, 1)]),
+    (5, 3, (3,), [(1, 2, 1, 1, 2, 1)]),
+    (6, 3, (2, 1), [(2, 1, 1, 1, 1, 2)]),
+    (7, 3, (1, 1, 1), []),
+]
+
+
+@pytest.mark.parametrize("seed,p,partition,sides", ORACLE_CASES)
+def test_minima_match_reference(seed, p, partition, sides):
+    L = seeded_lattice(seed, p, partition)
+    d = L.dim
+    for lattice in (L, lt.dual_lattice(L)):
+        for H in [(max(1, math.isqrt(p)),) * d] + sides:
+            for gauge in ("box", "polar"):
+                got = lt.successive_minima(lattice, H, gauge=gauge)
+                assert got == reference_successive_minima(lattice, H, gauge=gauge), (
+                    lattice.basis, H, gauge,
+                )
+
+
+@pytest.mark.parametrize("seed,p,partition,H", [
+    (3, 7, (1, 1), (1, 1, 1, 1)),
+    (3, 7, (1, 1), (4, 1, 3, 2)),
+    (4, 5, (2,), (1, 2, 2, 1)),
+    (1, 5, (1,), (3, 2)),
+])
+def test_polar_ball_matches_filtered_scan(seed, p, partition, H):
+    L = seeded_lattice(seed, p, partition)
+    cols = lt._triangular_columns(L)
+    r_max = 10
+    scan = [
+        (sum(h * abs(a) for a, h in zip(v, H)), v)
+        for v in lt._scan_points(L, [r_max // h for h in H])
+    ]
+    for r in range(r_max + 1):
+        ball = lt._gauge_ball(cols, H, r, True)
+        assert sorted(ball) == sorted((g, v) for g, v in scan if g <= r)
+
+
+def test_box_gauge_weights():
+    assert lt._box_gauge((4, 1, 3, 2)) == (12, (3, 12, 4, 6))
+    assert lt._box_gauge((2, 2)) == (2, (1, 1))
+    assert lt._box_gauge((0, 3)) == (3, (4, 1))
+    assert lt._box_gauge((0, 0)) == (1, (2, 2))
+
+
+def box_count_ratio(L, H, H_small) -> dict:
+    """Exact nested-box counts plus the dilation-power comparison.
+
+    The smaller count never exceeds the larger (containment, checked).  The
+    observed ratio against (H/H')^s, with s taken from the larger box, is
+    reported as a fitted constant, not checked.
+    """
+    H = tuple(int(h) for h in H)
+    H_small = tuple(int(h) for h in H_small)
+    if any(h <= 0 for h in H_small) or any(a > b for a, b in zip(H_small, H)):
+        raise ValueError("smaller box must be positive and nested in the larger")
+    big = lt.points_in_box(L, H)[0]
+    small = lt.points_in_box(L, H_small)[0]
+    if small > big:
+        raise la.CheckFailed(f"nested box holds more points: {small} > {big}")
+    rep = lt.successive_minima(L, H)
+    scale = Fraction(min(H), min(H_small)) ** rep.s
+    return {
+        "count_large": big,
+        "count_small": small,
+        "s": rep.s,
+        "kappa": Fraction(big) / (scale * small),
+    }
+
+
 def test_box_count_ratio():
     L = lt.build_lattice([[1]], [[1]], (scalar(11, 4),))
-    report = lt.box_count_ratio(L, (8, 8), (2, 2))
+    report = box_count_ratio(L, (8, 8), (2, 2))
     assert report["count_small"] <= report["count_large"]
     assert report["kappa"] > 0
     with pytest.raises(ValueError, match="nested"):
-        lt.box_count_ratio(L, (2, 2), (4, 4))
+        box_count_ratio(L, (2, 2), (4, 4))
 
 
 # ---------------------------------------------------------------------------
 # coset counting windows
 
 
+def coset_count_checks(p, M, b, window, seed=0, samples=20) -> dict:
+    """Exhaustive checks that shifted solution counts never beat centered ones.
+
+    S(b; D) counts integer points x in D with M x = b mod p.  Shifted closed
+    windows [N, N+W] are compared against the centered window [-W, W]; the
+    symmetric count S(b; [-W, W]) is compared against S(0; [-2W, 2W]).  The
+    worst ratio S(b; [-W, W]) / S(0; [-W, W]) over sampled b is reported, not
+    bounded.
+    """
+    la.check_prime(p)
+    rows, m = len(M), len(M[0])
+    window = tuple(int(v) for v in window)
+    if len(window) != m or any(v <= 0 for v in window):
+        raise ValueError("window sides must be positive, one per column")
+
+    def count(bvec, lows, highs) -> int:
+        target = [v % p for v in bvec]
+        total = 0
+        for x in itertools.product(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)]):
+            if la.mat_vec(M, list(x), p) == target:
+                total += 1
+        return total
+
+    centered = count([0] * rows, [-v for v in window], list(window))
+    centered_double = count([0] * rows, [-2 * v for v in window], [2 * v for v in window])
+    rng = random.Random(seed)
+    shifted_max = 0
+    ratio_max = Fraction(0)
+    targets = [list(b)] + [[rng.randrange(p) for _ in range(rows)] for _ in range(samples)]
+    for bvec in targets:
+        for _ in range(samples):
+            N = [rng.randrange(-p, p + 1) for _ in range(m)]
+            c = count(bvec, N, [N_i + w for N_i, w in zip(N, window)])
+            if c > centered:
+                raise la.CheckFailed(f"shifted window count {c} over centered {centered}")
+            shifted_max = max(shifted_max, c)
+        sym = count(bvec, [-v for v in window], list(window))
+        if sym > centered_double:
+            raise la.CheckFailed(f"symmetric count {sym} over doubled {centered_double}")
+        ratio_max = max(ratio_max, Fraction(sym, centered))
+    return {
+        "centered": centered,
+        "centered_double": centered_double,
+        "shifted_max": shifted_max,
+        "ratio_max": ratio_max,
+    }
+
+
 def test_coset_frozen_scalar():
-    report = lt.coset_count_checks(5, [[1]], [2], (2,))
+    report = coset_count_checks(5, [[1]], [2], (2,))
     assert report["centered"] == 1
     assert report["shifted_max"] <= 1
     assert report["ratio_max"] <= 1
 
 
 def test_coset_unsolvable_target():
-    report = lt.coset_count_checks(5, [[1], [1]], [1, 2], (2,))
+    report = coset_count_checks(5, [[1], [1]], [1, 2], (2,))
     assert report["centered"] == 1  # x = 0 solves the zero target
     assert report["ratio_max"] <= 1
 
 
 def test_coset_full_rank_square():
-    report = lt.coset_count_checks(5, [[1, 1], [0, 1]], [0, 0], (2, 2))
+    report = coset_count_checks(5, [[1, 1], [0, 1]], [0, 0], (2, 2))
     assert report["centered"] == 1
     assert report["centered_double"] >= 1
 
 
 def test_coset_window_errors():
     with pytest.raises(ValueError, match="positive"):
-        lt.coset_count_checks(5, [[1]], [0], (0,))
+        coset_count_checks(5, [[1]], [0], (0,))
+
+
+# ---------------------------------------------------------------------------
+# checks survive python -O
+
+
+def test_lattice_has_no_assert_statements():
+    tree = ast.parse(Path(lt.__file__).read_text())
+    asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    raised = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "AssertionError"
+    ]
+    assert asserts == [] and raised == []
+
+
+def test_pairing_check_fails_under_optimize():
+    script = (
+        "from normsum import field_core as fc, lattice as lt, linalg as la\n"
+        "L = lt.build_lattice([[1]], [[1]], (fc.ext_field_ctx(5, 1).from_int(1),))\n"
+        "try:\n"
+        "    lt.dual_pairing_check(L, L)\n"
+        "except la.CheckFailed as exc:\n"
+        "    print('CheckFailed:', exc)\n"
+    )
+    src = str(Path(lt.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("CheckFailed: dual column")

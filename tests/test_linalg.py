@@ -1,0 +1,78 @@
+"""Exact linear algebra: the integer echelon and the nullspace mod p."""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from normsum import linalg as la
+
+
+def fraction_rank(rows) -> int:
+    M = [[Fraction(v) for v in row] for row in rows]
+    r = 0
+    for c in range(len(M[0]) if M else 0):
+        piv = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        for i in range(r + 1, len(M)):
+            f = M[i][c] / M[r][c]
+            M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        r += 1
+    return r
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+def test_echelon_tracks_rank(d):
+    rng = random.Random(d)
+    for _ in range(40):
+        ech = la.IntegerEchelon()
+        seen = []
+        # small entries and repeated multiples make dependent vectors common
+        for _ in range(2 * d):
+            if seen and rng.random() < 0.4:
+                a, b = rng.sample(seen + seen, 2)
+                s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+                v = [s * x + t * y for x, y in zip(a, b)]
+            else:
+                v = [rng.randint(-2, 2) for _ in range(d)]
+            grew = ech.add(v)
+            assert grew == (fraction_rank(seen + [v]) > fraction_rank(seen))
+            seen.append(v)
+            assert len(ech.rows) == fraction_rank(seen)
+            pivots = [c for c, _ in ech.rows]
+            for k, (c, row) in enumerate(ech.rows):
+                assert math.gcd(*row) == 1
+                assert row[c] != 0
+                assert all(row[c2] == 0 for c2 in pivots[:k])
+
+
+def test_echelon_keeps_rows_primitive():
+    ech = la.IntegerEchelon()
+    assert ech.add((6, 4, 2))
+    assert ech.rows == [(0, [3, 2, 1])]
+    assert not ech.add((-9, -6, -3))
+    assert not ech.add((0, 0, 0))
+    assert ech.add((3, 2, 4))
+    assert ech.rows[1] == (2, [0, 0, 1])
+
+
+def test_nullspace_mod():
+    rng = random.Random(5)
+    for p in (2, 3, 7):
+        for rows_n, cols in itertools.product((1, 2, 3), (2, 3, 5)):
+            rows = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows_n)]
+            basis = la.nullspace_mod(rows, cols, p)
+            assert len(basis) == cols - la.mat_rank(rows, p)
+            for x in basis:
+                assert la.mat_vec(rows, x, p) == [0] * rows_n
+            if basis:
+                assert la.mat_rank(basis, p) == len(basis)
+    assert la.nullspace_mod([], 2, 5) == [[1, 0], [0, 1]]
+
+
+def test_check_failed_is_an_assertion_error():
+    assert issubclass(la.CheckFailed, AssertionError)
