@@ -16,10 +16,29 @@ from typing import Sequence, Union
 from . import char_core as cc
 from . import field_core as fc
 from . import forms as fm
+from . import linalg as la
 
 BOX_CAP = 10**8
 MOMENT_CAP = 10**7
 BAD_TUPLE_CAP = 10**7
+
+
+def index_histogram(chi: cc.DirichletChar, residues) -> tuple[tuple[int, ...], int]:
+    """Root-of-unity index weights of chi over the residues, and the zero count.
+
+    Every sum in this module is chi at one residue per term: chi is
+    multiplicative, so a product of lifted values psi_i(lambda_i) is chi at
+    the product of the norms.  The residues are counted once and chi is
+    looked up once per distinct residue; a residue outside [0, p) raises.
+    """
+    counts = Counter(residues)
+    zeros = counts.pop(0, 0)
+    weights = [0] * max(1, chi.p - 1)
+    for a, c in counts.items():
+        if not 0 < a < chi.p:
+            raise ValueError(f"residue {a} outside [0, {chi.p})")
+        weights[cc.char_index(chi, a)] += c
+    return tuple(weights), zeros
 
 
 def _histogram_value(weights: Sequence[int], p: int) -> complex:
@@ -41,8 +60,21 @@ class CharSumResult:
     zero_terms: int
 
     def __post_init__(self):
-        assert abs(self.value) <= self.term_count + 1e-9
-        assert sum(self.weights) + self.zero_terms == self.term_count
+        if not abs(self.value) <= self.term_count + 1e-9:
+            raise la.CheckFailed(
+                f"|sum| = {abs(self.value)} exceeds the term count {self.term_count}"
+            )
+        if sum(self.weights) + self.zero_terms != self.term_count:
+            raise la.CheckFailed(
+                f"weights and zero terms do not add up to {self.term_count} terms"
+            )
+
+
+def _box_sum(chi, B: fm.BoxSpec, residues, source: str) -> CharSumResult:
+    weights, zeros = index_histogram(chi, residues)
+    return CharSumResult(
+        _histogram_value(weights, chi.p), B.volume, chi.p, B, source, weights, zeros
+    )
 
 
 def charsum_direct(chi: cc.DirichletChar, F: fm.FormSpec, B: fm.BoxSpec) -> CharSumResult:
@@ -53,66 +85,25 @@ def charsum_direct(chi: cc.DirichletChar, F: fm.FormSpec, B: fm.BoxSpec) -> Char
         raise ValueError("box dimension and form arity differ")
     if B.volume > BOX_CAP:
         raise ValueError(f"box volume {B.volume} over cap {BOX_CAP}")
-    p = F.p
-    weights = [0] * max(1, p - 1)
-    zeros = 0
-    for x in B.iter_points():
-        idx = cc.char_index(chi, fm._eval_int(F, x))
-        if idx is None:
-            zeros += 1
-        else:
-            weights[idx] += 1
-    return CharSumResult(
-        _histogram_value(weights, p),
-        B.volume,
-        p,
-        B,
-        f"direct deg-{F.k} form in {F.n} vars",
-        tuple(weights),
-        zeros,
-    )
+    residues = (fm.eval_form(F, x) for x in B.iter_points())
+    return _box_sum(chi, B, residues, f"direct deg-{F.k} form in {F.n} vars")
 
 
 def charsum_lifted(
     D: fm.NormFormDecomposition, chi: cc.DirichletChar, B: fm.BoxSpec
 ) -> CharSumResult:
-    """Sum the product of norm-pulled-back character values over the box."""
+    """Sum the product of norm-pulled-back character values over the box.
+
+    prod_i psi_i(lambda_i(x)) = chi(prod_i N_i(U_i x)) = chi(D.value(x)).
+    """
     if chi.p != D.p:
         raise ValueError("character modulus and decomposition modulus differ")
     if B.dim != D.n:
         raise ValueError("box dimension and decomposition arity differ")
     if B.volume > BOX_CAP:
         raise ValueError(f"box volume {B.volume} over cap {BOX_CAP}")
-    p = D.p
-    # psi_i(lambda_i(x)) = chi(N_i(U_i x)): block coordinates go straight
-    # into each field's norm kernel, with no field element per point
-    factors = [(U, fc.norm_kernel(ctx)) for U, ctx in zip(D.blocks, D.ctxs)]
-    order = max(1, p - 1)
-    weights = [0] * order
-    zeros = 0
-    for x in B.iter_points():
-        idx_sum = 0
-        dead = False
-        for U, norm in factors:
-            coords = tuple(sum(u * v for u, v in zip(row, x)) % p for row in U)
-            idx = cc.char_index(chi, norm(coords))
-            if idx is None:
-                dead = True
-                break
-            idx_sum += idx
-        if dead:
-            zeros += 1
-        else:
-            weights[idx_sum % order] += 1
-    return CharSumResult(
-        _histogram_value(weights, p),
-        B.volume,
-        p,
-        B,
-        f"lifted product of {D.s} norm factors",
-        tuple(weights),
-        zeros,
-    )
+    residues = map(D.value, B.iter_points())
+    return _box_sum(chi, B, residues, f"lifted product of {D.s} norm factors")
 
 
 def weil_complete_sum(
@@ -125,12 +116,13 @@ def weil_complete_sum(
     Returns (value, bound, holds): the exact sum over the whole field, the
     square-root bound (m-1) sqrt(q) when f is not a d-th power for d the
     character order, the trivial bound q when it is, and whether |value|
-    stays within that bound.
+    stays within that bound.  A character mod p is summed as its lift to
+    F_p itself, where the norm is the identity.
     """
-    lifted = isinstance(psi, cc.LiftedCharacter)
-    p = psi.base.p if lifted else psi.p
-    q = psi.ctx.order if lifted else p
-    d = cc.lifted_order(psi) if lifted else cc.char_order(psi)
+    if not isinstance(psi, cc.LiftedCharacter):
+        psi = cc.lift_character(psi, fc.ext_field_ctx(psi.p, 1))
+    p, q = psi.base.p, psi.ctx.order
+    d = cc.lifted_order(psi)
     if q > fc.FIELD_SIZE_CAP:
         raise ValueError(f"field size {q} over cap {fc.FIELD_SIZE_CAP}")
     merged: dict[int, int] = {}
@@ -143,40 +135,20 @@ def weil_complete_sum(
     m = len(merged)
     is_power = all(mult % d == 0 for mult in merged.values())
 
-    order = max(1, p - 1)
-    weights = [0] * order
-    zeros = 0
-    if lifted:
-        # x + shift on raw coordinates: the shift lands on coordinate 0
-        norm = fc.norm_kernel(psi.ctx)
-        for x in itertools.product(range(p), repeat=psi.ctx.m):
-            head, rest = x[0], x[1:]
-            idx_sum = 0
-            dead = False
-            for shift, mult in merged.items():
-                idx = cc.char_index(psi.base, norm((head + shift,) + rest))
-                if idx is None:
-                    dead = True
-                    break
-                idx_sum += mult * idx
-            if dead:
-                zeros += 1
-            else:
-                weights[idx_sum % order] += 1
-    else:
-        for x in range(p):
-            idx_sum = 0
-            dead = False
-            for shift, mult in merged.items():
-                idx = cc.char_index(psi, x + shift)
-                if idx is None:
-                    dead = True
-                    break
-                idx_sum += mult * idx
-            if dead:
-                zeros += 1
-            else:
-                weights[idx_sum % order] += 1
+    # psi(f(x)) = chi(prod_j N(x + s_j)^{m_j}); on raw coordinates the
+    # shift lands on coordinate 0
+    norm = fc.norm_kernel(psi.ctx)
+
+    def residue(x):
+        head, rest = x[0], x[1:]
+        total = 1
+        for shift, mult in merged.items():
+            total = total * pow(norm((head + shift,) + rest), mult, p) % p
+        return total
+
+    weights, _ = index_histogram(
+        psi.base, map(residue, itertools.product(range(p), repeat=psi.ctx.m))
+    )
     value = _histogram_value(weights, p)
     bound = float(q) if is_power else (m - 1) * math.sqrt(q)
     holds = abs(value) <= bound + 1e-9
@@ -208,9 +180,12 @@ def s2_moment(
         psi.ctx.m != ki for psi, ki in zip(psis, partition)
     ):
         raise ValueError("need one character per field, degrees matching the partition")
+    chi = psis[0].base
+    if any(psi.base != chi for psi in psis):
+        raise ValueError("every character must lift the same base character")
     if T < 1 or r < 1:
         raise ValueError("window and exponent must be positive")
-    p = psis[0].base.p
+    p = chi.p
     k = sum(partition)
     if p**k * T ** (2 * r) > MOMENT_CAP:
         raise ValueError("moment enumeration infeasible at this size")
@@ -220,22 +195,14 @@ def s2_moment(
     # owns z[a:b] and its shift by t lands on coordinate a
     cuts = tuple(itertools.accumulate(partition, initial=0))
     fields = [
-        (psi.base, fc.norm_kernel(psi.ctx), a, b)
-        for psi, a, b in zip(psis, cuts, cuts[1:])
+        (fc.norm_kernel(psi.ctx), a, b) for psi, a, b in zip(psis, cuts, cuts[1:])
     ]
     for z in itertools.product(range(p), repeat=k):
-        inner = [0] * order
-        for t in range(1, T + 1):
-            idx_sum = 0
-            dead = False
-            for chi, norm, a, b in fields:
-                idx = cc.char_index(chi, norm((z[a] + t,) + z[a + 1 : b]))
-                if idx is None:
-                    dead = True
-                    break
-                idx_sum += idx
-            if not dead:
-                inner[idx_sum % order] += 1
+        residues = [
+            math.prod(norm((z[a] + t,) + z[a + 1 : b]) for norm, a, b in fields) % p
+            for t in range(1, T + 1)
+        ]
+        inner, _ = index_histogram(chi, residues)
         sq = _cyclic_correlate(inner, inner, order)
         powed = sq
         for _ in range(r - 1):
@@ -243,7 +210,8 @@ def s2_moment(
         for e in range(order):
             total[e] += powed[e]
     value = _histogram_value(total, p)
-    assert abs(value.imag) < 1e-6
+    if not abs(value.imag) < 1e-6:
+        raise la.CheckFailed(f"moment has imaginary part {value.imag}")
     bound_terms = (T ** (2 * r) * p ** (k / 2), T**r * float(p**k))
     return {
         "value": value.real,
@@ -259,7 +227,7 @@ def bad_tuple_count(T: int, r: int) -> tuple[int, int]:
     A tuple counts when each of its values appears at least twice among the
     2r entries, which forces at most r distinct values.  Returns (count,
     bound) where bound = sum_{m=1}^{r} 2^{2r-2} T^m m^{2r-m}; count <= bound
-    is asserted.
+    is checked.
     """
     if T < 1 or r < 1:
         raise ValueError("window and exponent must be positive")
@@ -270,7 +238,8 @@ def bad_tuple_count(T: int, r: int) -> tuple[int, int]:
         if all(c >= 2 for c in Counter(t).values()):
             count += 1
     bound = sum(2 ** (2 * r - 2) * T**m * m ** (2 * r - m) for m in range(1, r + 1))
-    assert count <= bound
+    if count > bound:
+        raise la.CheckFailed(f"bad tuple count {count} exceeds its bound {bound}")
     return count, bound
 
 

@@ -11,19 +11,6 @@ import sys
 
 from . import harness as hn
 
-RANDOMIZED = {
-    "gen-form",
-    "decompose",
-    "charsum",
-    "energy",
-    "lattice",
-    "bound-table",
-    "energy-scan",
-    "identity-suite",
-}
-
-DEFAULT_RANGE = {"identity-suite": (3, 7)}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -61,51 +48,23 @@ def _parse_range(ns) -> tuple:
             return int(lo), int(hi)
         except ValueError:
             raise hn.UsageError(f"range bounds must be integers, got {ns.p_range!r}")
-    return DEFAULT_RANGE.get(ns.command, (3, 13))
+    return hn.COMMANDS[ns.command].p_range
 
 
 def _dispatch(config: hn.ExperimentConfig, ns):
-    command = config.command
-    if command == "gen-form":
-        return hn.render_object(hn.run_gen_form(config)), 0
-    if command == "decompose":
-        return hn.render_object(hn.run_decompose(config, ns.form)), 0
-
-    if command == "charsum":
-        rows, skips = hn.run_charsum(config, ns.form, ns.decomp)
-        columns = hn.SCAN_COLUMNS
-    elif command == "energy":
-        rows, skips = hn.run_energy(config)
-        columns = hn.SCAN_COLUMNS
-    elif command == "lattice":
-        rows, skips = hn.run_lattice(config)
-        columns = hn.SCAN_COLUMNS
-    elif command == "weil-check":
-        rows, skips = hn.run_weil_check(config)
-        columns = hn.SCAN_COLUMNS
-    elif command == "moment":
-        rows, skips = hn.run_moment(config)
-        columns = hn.SCAN_COLUMNS
-    elif command == "bound-table":
-        rows, skips = hn.run_bound_table(config)
-        columns = hn.BOUND_COLUMNS
-    elif command == "energy-scan":
-        rows, skips = hn.run_energy_scan(config)
-        columns = hn.SCAN_COLUMNS
-    elif command == "identity-suite":
-        results, failures = hn.run_identity_suite(config)
-        for f in failures:
-            print(f"fail: {f['check']} {f['instance']}", file=sys.stderr)
-        return (
-            hn.render(hn.IDENTITY_COLUMNS, results, config.fmt),
-            1 if failures else 0,
-        )
-    else:
-        raise hn.UsageError(f"unknown command {command!r}")
-
-    for line in skips:
-        print(f"skip: {line}", file=sys.stderr)
-    return hn.render(columns, rows, config.fmt), 0
+    command = hn.COMMANDS[config.command]
+    run = getattr(hn, command.run)
+    out = run(config, *(getattr(ns, name) for name in command.inputs))
+    if command.columns is None:
+        return hn.render_object(out), 0
+    rows, notes = out
+    for note in notes:
+        if command.fails:
+            print(f"fail: {note['check']} {note['instance']}", file=sys.stderr)
+        else:
+            print(f"skip: {note}", file=sys.stderr)
+    code = 1 if command.fails and notes else 0
+    return hn.render(command.columns, rows, config.fmt), code
 
 
 def main(argv=None) -> int:
@@ -116,7 +75,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
 
     try:
-        if ns.command in RANDOMIZED and ns.seed is None:
+        if hn.COMMANDS[ns.command].seeded and ns.seed is None:
             raise hn.UsageError(f"{ns.command} is seeded; --seed is required")
         p_lo, p_hi = _parse_range(ns)
         config = hn.ExperimentConfig(

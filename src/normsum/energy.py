@@ -154,6 +154,23 @@ def energy_histogram(inst: EnergyInstance) -> int:
     return sum(c * c for c in hist.values())
 
 
+def _literal_quadruples(t1, t2, t3, t4):
+    """Each (l1, l2, l3, l4) of the four lambda tables with l1_i l4_i = l2_i l3_i.
+
+    The literal oracle: the equation is tested in every field, quadruple by
+    quadruple.
+    """
+    for l1 in t1:
+        for l2 in t2:
+            for l3 in t3:
+                for l4 in t4:
+                    if all(
+                        fc.ext_mul(a, d) == fc.ext_mul(b, c)
+                        for a, b, c, d in zip(l1, l2, l3, l4)
+                    ):
+                        yield l1, l2, l3, l4
+
+
 def energy_quadruple_loop(inst: EnergyInstance) -> int:
     """Literal definition: test the per-field equation on each quadruple."""
     D = inst.decomposition
@@ -161,18 +178,7 @@ def energy_quadruple_loop(inst: EnergyInstance) -> int:
     table_y = _lam_table(D, inst.box_y)
     if (len(table_x) * len(table_y)) ** 2 > QUAD_SCAN_CAP:
         raise ValueError("quadruple enumeration infeasible at this size")
-    count = 0
-    s = D.s
-    for lx in table_x:
-        for lxp in table_x:
-            for ly in table_y:
-                for lyp in table_y:
-                    if all(
-                        fc.ext_mul(lx[i], lyp[i]) == fc.ext_mul(lxp[i], ly[i])
-                        for i in range(s)
-                    ):
-                        count += 1
-    return count
+    return sum(1 for _ in _literal_quadruples(table_x, table_x, table_y, table_y))
 
 
 def energy_bruteforce(inst: EnergyInstance, cross_check=None) -> int:
@@ -241,16 +247,7 @@ def s1_identity_check(D: fm.NormFormDecomposition, box_x: fm.BoxSpec, box_y: fm.
     )
 
     if (len(table_x) * len(table_y)) ** 2 <= QUAD_CROSS_CHECK_CAP:
-        literal = 0
-        for lx in live_x:
-            for lxp in live_x:
-                for ly in live_y:
-                    for lyp in live_y:
-                        if all(
-                            fc.ext_mul(lx[i], lyp[i]) == fc.ext_mul(lxp[i], ly[i])
-                            for i in range(D.s)
-                        ):
-                            literal += 1
+        literal = sum(1 for _ in _literal_quadruples(live_x, live_x, live_y, live_y))
         assert literal == quads
 
     e_x = energy_bruteforce(EnergyInstance(D, box_x, box_x), cross_check=False)
@@ -340,28 +337,12 @@ def energy_restricted(
             for box, U in zip((box_x, box_x, box_y, box_y), blocks)
         )
         lit_live = lit_deg = 0
-        for l1 in t1:
-            for l2 in t2:
-                for l3 in t3:
-                    for l4 in t4:
-                        if any(
-                            fc.ext_mul(l1[i], l4[i]) != fc.ext_mul(l2[i], l3[i])
-                            for i in range(D.s)
-                        ):
-                            continue
-                        if symmetric_variant:
-                            ok = not any(
-                                e.is_zero() for l in (l1, l2, l3, l4) for e in l
-                            )
-                        else:
-                            ok = not any(
-                                l1[i].is_zero() or l4[i].is_zero()
-                                for i in range(D.s)
-                            )
-                        if ok:
-                            lit_live += 1
-                        else:
-                            lit_deg += 1
+        for quad in _literal_quadruples(t1, t2, t3, t4):
+            tested = quad if symmetric_variant else (quad[0], quad[3])
+            if any(e.is_zero() for l in tested for e in l):
+                lit_deg += 1
+            else:
+                lit_live += 1
         assert (lit_live, lit_deg) == (live, degenerate)
     return live, degenerate, total
 

@@ -33,7 +33,8 @@ def _poly_mul(a, b, p: int) -> list[int]:
     return _trim(out)
 
 
-def _poly_divmod(a, b, p: int):
+def poly_divmod(a, b, p: int):
+    """(quotient, remainder) of a by b over F_p, coefficients low to high."""
     a = list(a)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -52,7 +53,7 @@ def _poly_divmod(a, b, p: int):
 def _poly_gcd(a, b, p: int) -> list[int]:
     a, b = _trim(list(a)), _trim(list(b))
     while b:
-        a, b = b, _poly_divmod(a, b, p)[1]
+        a, b = b, poly_divmod(a, b, p)[1]
     if a:
         inv = linalg.inv_mod(a[-1], p)
         a = [(v * inv) % p for v in a]
@@ -61,11 +62,11 @@ def _poly_gcd(a, b, p: int) -> list[int]:
 
 def _poly_powmod(base, e: int, mod, p: int) -> list[int]:
     result = [1]
-    base = _poly_divmod(base, mod, p)[1]
+    base = poly_divmod(base, mod, p)[1]
     while e > 0:
         if e & 1:
-            result = _poly_divmod(_poly_mul(result, base, p), mod, p)[1]
-        base = _poly_divmod(_poly_mul(base, base, p), mod, p)[1]
+            result = poly_divmod(_poly_mul(result, base, p), mod, p)[1]
+        base = poly_divmod(_poly_mul(base, base, p), mod, p)[1]
         e >>= 1
     return result
 
@@ -91,7 +92,7 @@ def is_irreducible_poly(coeffs, p: int) -> bool:
     m = len(f) - 1
     if m < 1 or f[-1] != 1:
         raise ValueError("polynomial must be monic of degree >= 1")
-    x_mod_f = _poly_divmod([0, 1], f, p)[1]
+    x_mod_f = poly_divmod([0, 1], f, p)[1]
     if _poly_powmod([0, 1], p**m, f, p) != x_mod_f:
         return False
     for q in prime_divisors(m):
@@ -127,38 +128,6 @@ def find_irreducible(p: int, m: int) -> tuple[int, ...]:
         if is_irreducible_poly(coeffs, p):
             return coeffs
     raise AssertionError("unreachable: irreducibles of every degree exist")
-
-
-@dataclass(frozen=True)
-class PrimeFieldElement:
-    """A residue in F_p."""
-
-    p: int
-    value: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def _check(self, other: "PrimeFieldElement"):
-        if self.p != other.p:
-            raise ValueError("mixed characteristics")
-
-    def __add__(self, other: "PrimeFieldElement") -> "PrimeFieldElement":
-        self._check(other)
-        return PrimeFieldElement(self.p, self.value + other.value)
-
-    def __mul__(self, other: "PrimeFieldElement") -> "PrimeFieldElement":
-        self._check(other)
-        return PrimeFieldElement(self.p, self.value * other.value)
-
-    def __neg__(self) -> "PrimeFieldElement":
-        return PrimeFieldElement(self.p, -self.value)
-
-    def inverse(self) -> "PrimeFieldElement":
-        return PrimeFieldElement(self.p, linalg.inv_mod(self.value, self.p))
 
 
 @dataclass(frozen=True)
@@ -282,7 +251,7 @@ def ext_mul(a: ExtFieldElement, b: ExtFieldElement) -> ExtFieldElement:
     _same_ctx(a, b)
     ctx = a.ctx
     prod = _poly_mul(list(a.coeffs), list(b.coeffs), ctx.p)
-    rem = _poly_divmod(prod, list(ctx.defining_poly), ctx.p)[1]
+    rem = poly_divmod(prod, list(ctx.defining_poly), ctx.p)[1]
     rem = rem + [0] * (ctx.m - len(rem))
     return ctx.element(tuple(rem))
 
@@ -296,7 +265,7 @@ def ext_inv(a: ExtFieldElement) -> ExtFieldElement:
     r0, r1 = list(ctx.defining_poly), _trim(list(a.coeffs))
     s0, s1 = [], [1]
     while r1:
-        q, r = _poly_divmod(r0, r1, p)
+        q, r = poly_divmod(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
     # r0 is a unit constant: scale s0 by its inverse

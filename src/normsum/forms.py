@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -85,13 +86,10 @@ class FormSpec:
         return dict(self.monomials)
 
 
-def eval_form(F: FormSpec, x) -> fc.PrimeFieldElement:
+def eval_form(F: FormSpec, x) -> int:
+    """F(x) as a residue in [0, p)."""
     if len(x) != F.n:
         raise ValueError(f"expected {F.n} coordinates, got {len(x)}")
-    return fc.PrimeFieldElement(F.p, _eval_int(F, x))
-
-
-def _eval_int(F: FormSpec, x) -> int:
     total = 0
     for exp, coef in F.monomials:
         term = coef
@@ -175,6 +173,9 @@ class NormFormDecomposition:
             blocks.append(U)
         object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(
+            self, "_factors", tuple(zip(self.blocks, map(fc.norm_kernel, self.ctxs)))
+        )
 
     @property
     def k(self) -> int:
@@ -194,10 +195,15 @@ class NormFormDecomposition:
         return self.ctxs[i].element(tuple(coords))
 
     def value(self, x) -> int:
+        """F(x) = prod_i N_i(U_i x) mod p, by each field's norm kernel.
+
+        The block coordinates go into the kernel as they are (it reduces
+        them), so no field element is built per point.
+        """
         total = 1
-        for i in range(self.s):
-            total = (total * fc.norm(self.lam(i, x))) % self.p
-        return total
+        for U, norm in self._factors:
+            total *= norm([sum(map(operator.mul, row, x)) for row in U])
+        return total % self.p
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +314,7 @@ def _factor_univariate(coeffs, p: int):
                 continue
             mult = 0
             while True:
-                q, r = fc._poly_divmod(rem, cand, p)
+                q, r = fc.poly_divmod(rem, cand, p)
                 if r:
                     break
                 rem = q if q else [1]
@@ -430,7 +436,7 @@ def _leading_change(F: FormSpec):
             M[0][a] = M[a][0] = 1
             return M
     for w in itertools.product(range(p), repeat=n):
-        if any(w) and _eval_int(F, w) != 0:
+        if any(w) and eval_form(F, w) != 0:
             cols = [list(w)]
             for j in range(n):
                 trial = cols + [list(_unit(n, j))]
@@ -658,7 +664,7 @@ def verify_decomposition(F: FormSpec, D: NormFormDecomposition, seed: int = 0) -
     else:
         rng = random.Random(seed)
         points = (tuple(rng.randrange(p) for _ in range(n)) for _ in range(POINTWISE_SAMPLES))
-    return all(_eval_int(F, x) == D.value(x) for x in points)
+    return all(eval_form(F, x) == D.value(x) for x in points)
 
 
 def synthesize_form(D: NormFormDecomposition) -> FormSpec:

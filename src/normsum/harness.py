@@ -24,19 +24,6 @@ from . import forms as fm
 from . import lattice as lat
 from . import linalg as la
 
-COMMANDS = (
-    "gen-form",
-    "decompose",
-    "charsum",
-    "energy",
-    "lattice",
-    "weil-check",
-    "moment",
-    "bound-table",
-    "energy-scan",
-    "identity-suite",
-)
-
 SCAN_COLUMNS = ("p", "n", "k", "H", "quantity", "value", "bound", "ratio")
 BOUND_COLUMNS = (
     "p",
@@ -339,8 +326,8 @@ def run_charsum(config: ExperimentConfig, form_path=None, decomp_path=None):
         box = fm.BoxSpec((0,) * config.n, (side,) * config.n)
         direct = cs.charsum_direct(chi, F, box)
         lifted = cs.charsum_lifted(D, chi, box)
-        assert direct.weights == lifted.weights, f"route mismatch at p={p}"
-        assert direct.zero_terms == lifted.zero_terms, f"route mismatch at p={p}"
+        if (direct.weights, direct.zero_terms) != (lifted.weights, lifted.zero_terms):
+            raise la.CheckFailed(f"route mismatch at p={p}")
         rows.extend(_charsum_rows((p, config.n, config.k), box, direct))
     return rows, skips
 
@@ -597,29 +584,8 @@ def run_energy_scan(config: ExperimentConfig):
 # identity suite
 
 
-def _point_indices(chi, F, D, x):
-    """Direct and lifted character index of one point; None marks a zero."""
-    direct = cc.char_index(chi, fm._eval_int(F, x))
-    order = max(1, chi.p - 1)
-    idx_sum = 0
-    for i, ctx in enumerate(D.ctxs):
-        idx = cc.lifted_index(cc.lift_character(chi, ctx), D.lam(i, x))
-        if idx is None:
-            return direct, None
-        idx_sum += idx
-    return direct, idx_sum % order
-
-
 def _weights_over(chi, F, pts):
-    weights = [0] * max(1, chi.p - 1)
-    zeros = 0
-    for x in pts:
-        idx = cc.char_index(chi, fm._eval_int(F, x))
-        if idx is None:
-            zeros += 1
-        else:
-            weights[idx] += 1
-    return tuple(weights), zeros
+    return cs.index_histogram(chi, (fm.eval_form(F, x) for x in pts))
 
 
 def run_identity_suite(config: ExperimentConfig):
@@ -755,7 +721,8 @@ def run_identity_suite(config: ExperimentConfig):
                 p, 1, D.partition, D.ctxs, (((bumped,),),)
             )
             for x in box.iter_points():
-                direct_idx, lifted_idx = _point_indices(chi, F, bad, x)
+                direct_idx = cc.char_index(chi, fm.eval_form(F, x))
+                lifted_idx = cc.char_index(chi, bad.value(x))
                 if direct_idx != lifted_idx:
                     detected = True
                     culprit = (delta, x)
@@ -771,3 +738,43 @@ def run_identity_suite(config: ExperimentConfig):
 
     failures = [r for r in results if r["status"] == "fail"]
     return results, failures
+
+
+# ---------------------------------------------------------------------------
+# command table
+
+
+@dataclass(frozen=True)
+class Command:
+    """One CLI command: its runner, its output, its seeding and default range.
+
+    run names the runner in this module; it is looked up when the command
+    runs, so a wrapper set on the module attribute is the one called.  With
+    columns None the runner returns one JSON object.  Otherwise it returns
+    (rows, notes), rendered under columns: the notes are skipped primes, or
+    with fails set the failed checks, which make the exit code 1.  inputs
+    names the stored-object flags passed to the runner after the config.
+    """
+
+    run: str
+    columns: tuple | None
+    seeded: bool = True
+    p_range: tuple = (3, 13)
+    inputs: tuple = ()
+    fails: bool = False
+
+
+COMMANDS = {
+    "gen-form": Command("run_gen_form", None),
+    "decompose": Command("run_decompose", None, inputs=("form",)),
+    "charsum": Command("run_charsum", SCAN_COLUMNS, inputs=("form", "decomp")),
+    "energy": Command("run_energy", SCAN_COLUMNS),
+    "lattice": Command("run_lattice", SCAN_COLUMNS),
+    "weil-check": Command("run_weil_check", SCAN_COLUMNS, seeded=False),
+    "moment": Command("run_moment", SCAN_COLUMNS, seeded=False),
+    "bound-table": Command("run_bound_table", BOUND_COLUMNS),
+    "energy-scan": Command("run_energy_scan", SCAN_COLUMNS),
+    "identity-suite": Command(
+        "run_identity_suite", IDENTITY_COLUMNS, p_range=(3, 7), fails=True
+    ),
+}

@@ -89,7 +89,7 @@ def test_decomposition_round_trip_exhaustive_verify():
                     D2 = fm.decompose(F, seed=7)
                     assert fm.verify_decomposition(F, D2, seed=7)
                     for x in period.iter_points():
-                        assert fm._eval_int(F, x) % p == D2.value(x)
+                        assert fm.eval_form(F, x) % p == D2.value(x)
                 classes += 1
     print(f"PASS round trip: {classes} (p, partition) classes x {per_class} instances")
 

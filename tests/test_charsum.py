@@ -1,9 +1,13 @@
 """Tests for short and complete character sums, moments, and bound shapes."""
 
+import ast
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from normsum import char_core as cc
 from normsum import charsum as cs
 from normsum import field_core as fc
 from normsum import forms as fm
+from normsum import linalg as la
 
 
 def box(N, H):
@@ -19,6 +24,48 @@ def box(N, H):
 
 X1 = fm.FormSpec(5, 1, 1, (((1,), 1),))
 SQUARES3 = fm.FormSpec(3, 2, 2, (((2, 0), 1), ((0, 2), 1)))
+
+
+def per_point_histogram(chi, residues):
+    """The per-point loop: one char_index call for each residue."""
+    weights = [0] * max(1, chi.p - 1)
+    zeros = 0
+    for a in residues:
+        idx = cc.char_index(chi, a)
+        if idx is None:
+            zeros += 1
+        else:
+            weights[idx] += 1
+    return tuple(weights), zeros
+
+
+class TestIndexHistogram:
+    def test_matches_per_point_loop(self):
+        rng = random.Random(3)
+        for p in (2, 3, 5, 101):
+            for idx in sorted({0, 1, (p - 1) // 2}):
+                chi = cc.DirichletChar(p, idx)
+                cases = [
+                    [rng.randrange(p) for _ in range(400)],
+                    [0] * 9,
+                    [rng.randrange(1, p) for _ in range(400)],
+                    [],
+                ]
+                for residues in cases:
+                    got = cs.index_histogram(chi, residues)
+                    assert got == per_point_histogram(chi, residues), (p, idx)
+
+    def test_all_zero_and_zero_free(self):
+        chi = cc.DirichletChar(5, 1)
+        assert cs.index_histogram(chi, [0, 0, 0]) == ((0, 0, 0, 0), 3)
+        # 1, 2, 4, 3 are g^0..g^3 for g = 2, so chi sends them to indices 0..3
+        assert cs.index_histogram(chi, [1, 2, 4, 3, 3]) == ((1, 1, 1, 2), 0)
+
+    def test_residue_outside_range_raises(self):
+        chi = cc.DirichletChar(5, 1)
+        for bad in (5, 7, -1):
+            with pytest.raises(ValueError, match="outside"):
+                cs.index_histogram(chi, [1, bad, 0])
 
 
 class TestDirect:
@@ -174,7 +221,7 @@ class TestLifted:
         r = cs.charsum_lifted(D, chi, B)
         assert r.term_count == 1
         (x,) = list(B.iter_points())
-        expected = cc.char_eval(chi, fm._eval_int(F, x))
+        expected = cc.char_eval(chi, fm.eval_form(F, x))
         assert abs(r.value - expected) < 1e-12
 
     def test_errors(self):
@@ -276,6 +323,21 @@ class TestWeil:
                             nonpower += 1
         assert nonpower > 0
 
+    def test_character_mod_p_is_its_lift_to_f_p(self):
+        for p in (3, 5, 7, 13):
+            ctx = fc.ext_field_ctx(p, 1)
+            for idx in range(p - 1):
+                chi = cc.DirichletChar(p, idx)
+                psi = cc.lift_character(chi, ctx)
+                for factors in (
+                    [(0, 1)],
+                    [(0, 1), (1, 1)],
+                    [(2, 3), (p + 1, 1)],
+                    [(1, p - 2), (3, 2), (-1, 1)],
+                ):
+                    direct = cs.weil_complete_sum(chi, factors)
+                    assert direct == cs.weil_complete_sum(psi, factors), (p, idx, factors)
+
     def test_errors(self):
         chi = cc.DirichletChar(5, 2)
         with pytest.raises(ValueError, match="empty"):
@@ -349,6 +411,13 @@ class TestMoment:
             cs.s2_moment((1,), [psi], 2, 0)
         with pytest.raises(ValueError, match="infeasible"):
             cs.s2_moment((1,), [psi], 10, 5)
+
+
+    def test_two_base_characters_raise(self):
+        ctx = fc.ext_field_ctx(5, 1)
+        psis = [cc.lift_character(cc.DirichletChar(5, idx), ctx) for idx in (1, 2)]
+        with pytest.raises(ValueError, match="same base character"):
+            cs.s2_moment((1, 1), psis, 2, 1)
 
 
 class TestBadTuples:
@@ -455,3 +524,34 @@ class TestBounds:
     def test_reference_envelope(self):
         ref = cs.complete_sum_reference(101, 2, 101**2)
         assert ref == pytest.approx(101 + 101 * math.log(101) ** 2)
+
+
+def test_charsum_has_no_assert_statements():
+    tree = ast.parse(Path(cs.__file__).read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+def test_result_invariants_raise_check_failed():
+    B = box((0,), (2,))
+    with pytest.raises(la.CheckFailed, match="add up"):
+        cs.CharSumResult(1 + 0j, 2, 5, B, "test", (1, 0, 0, 0), 0)
+    with pytest.raises(la.CheckFailed, match="exceeds the term count"):
+        cs.CharSumResult(3 + 0j, 2, 5, B, "test", (2, 0, 0, 0), 0)
+
+
+def test_result_invariant_fails_under_optimize():
+    script = (
+        "from normsum import charsum as cs, forms as fm, linalg as la\n"
+        "try:\n"
+        "    cs.CharSumResult(1j, 2, 5, fm.BoxSpec((0,), (2,)), 't', (1, 0, 0, 0), 0)\n"
+        "except la.CheckFailed as exc:\n"
+        "    print('CheckFailed:', exc)\n"
+    )
+    src = str(Path(cs.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("CheckFailed: weights and zero terms")

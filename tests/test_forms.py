@@ -1,6 +1,8 @@
 """Forms, factorization, norm-form decompositions, box splitting."""
 
+import itertools
 import json
+import math
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from normsum import field_core as fc
 from normsum import forms as fm
+from normsum import harness as hn
 
 
 def form(p, n, monos):
@@ -21,9 +24,9 @@ def form(p, n, monos):
 
 def test_eval_form_values():
     F = form(5, 2, {(1, 1): 1})
-    assert fm.eval_form(F, (2, 3)).value == 1
+    assert fm.eval_form(F, (2, 3)) == 1
     G = form(3, 2, {(2, 0): 1, (0, 2): 1})
-    assert fm.eval_form(G, (1, 1)).value == 2
+    assert fm.eval_form(G, (1, 1)) == 2
     with pytest.raises(ValueError):
         fm.eval_form(F, (1, 2, 3))
 
@@ -54,8 +57,8 @@ def test_eval_homogeneity(data):
     F = form(p, n, monos)
     c = data.draw(st.integers(0, p - 1))
     x = tuple(data.draw(st.integers(0, p - 1)) for _ in range(n))
-    lhs = fm.eval_form(F, tuple(c * v for v in x)).value
-    rhs = (pow(c, k, p) * fm.eval_form(F, x).value) % p
+    lhs = fm.eval_form(F, tuple(c * v for v in x))
+    rhs = (pow(c, k, p) * fm.eval_form(F, x)) % p
     assert lhs == rhs
 
 
@@ -109,8 +112,8 @@ def test_factor_products_agree_pointwise():
             x = tuple(rng.randrange(p) for _ in range(n))
             prod = 1
             for f in fs:
-                prod = (prod * fm.eval_form(f, x).value) % p
-            assert prod == fm.eval_form(F, x).value
+                prod = (prod * fm.eval_form(f, x)) % p
+            assert prod == fm.eval_form(F, x)
 
 
 # ---------------------------------------------------------------------------
@@ -299,3 +302,28 @@ def test_decomposition_json_round_trip(tmp_path):
     assert D2 == D
     fm.save_json(fm.decomposition_to_dict(D2), str(path) + ".again")
     assert path.read_bytes() == (tmp_path / "decomp.json.again").read_bytes()
+
+
+def test_value_is_the_product_of_conjugate_norms():
+    # D.value runs the norm kernels on unreduced block coordinates; the
+    # oracle builds lambda_i(x) as a field element and multiplies its
+    # Frobenius conjugates
+    rng = random.Random(13)
+    for p in (3, 5):
+        for n in (1, 2, 3):
+            for k in range(n, 2 * n):
+                for part in hn.square_partitions(k):
+                    ctxs = tuple(fc.ext_field_ctx(p, ki) for ki in part)
+                    blocks = tuple(
+                        tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(ki))
+                        for ki in part
+                    )
+                    D = fm.NormFormDecomposition(p, n, part, ctxs, blocks)
+                    shifted = [
+                        tuple(rng.randint(-3 * p, 3 * p) for _ in range(n)) for _ in range(5)
+                    ]
+                    for x in [*itertools.product(range(p), repeat=n), *shifted]:
+                        want = math.prod(
+                            fc.norm_via_conjugates(D.lam(i, x)) for i in range(D.s)
+                        ) % p
+                        assert D.value(x) == want, (p, part, blocks, x)

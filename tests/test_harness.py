@@ -270,6 +270,24 @@ class TestCli:
     def test_unknown_command_exits_2(self):
         assert run_cli(["frobnicate"]) == 2
 
+    def test_command_table_names_its_runners(self):
+        for name, command in hn.COMMANDS.items():
+            assert callable(getattr(hn, command.run)), name
+            assert set(command.inputs) <= {"form", "decomp"}, name
+
+    def test_unseeded_commands_run_without_seed(self):
+        assert run_cli(["weil-check", "--p", "5", "--k", "1", "--r", "1"]) == 0
+        assert run_cli(["moment", "--p", "5", "--k", "1", "--r", "1"]) == 0
+
+    def test_failed_identity_check_exits_1(self, monkeypatch, capsys):
+        row = {"check": "lifted_sum", "p": 3, "n": 1, "instance": "x",
+               "status": "fail", "lhs": 1, "rhs": 2}
+        monkeypatch.setattr(hn, "run_identity_suite", lambda config: ([row], [row]))
+        assert run_cli(["identity-suite", "--seed", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "fail: lifted_sum x\n"
+        assert ",fail," in captured.out
+
     def test_empty_range_exits_0(self, capsys):
         assert run_cli(["energy-scan", "--p-range", "20..22", "--seed", "1"]) == 0
         out = capsys.readouterr().out
