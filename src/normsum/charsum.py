@@ -135,32 +135,34 @@ def weil_complete_sum(
     m = len(merged)
     is_power = all(mult % d == 0 for mult in merged.values())
 
-    # psi(f(x)) = chi(prod_j N(x + s_j)^{m_j}); on raw coordinates the
-    # shift lands on coordinate 0
-    norm = fc.norm_kernel(psi.ctx)
-
-    def residue(x):
-        head, rest = x[0], x[1:]
-        total = 1
-        for shift, mult in merged.items():
-            total = total * pow(norm((head + shift,) + rest), mult, p) % p
-        return total
-
-    weights, _ = index_histogram(
-        psi.base, map(residue, itertools.product(range(p), repeat=psi.ctx.m))
-    )
+    # psi(f(x)) = chi(prod_j N(x + s_j)^{m_j}); the shift moves coordinate
+    # 0 of x, the lowest base-p digit of its code c, within c's row of p
+    norms, residues = fc.norm_table(psi.ctx), [1] * q
+    for s, mult in merged.items():
+        power = [pow(v, mult, p) for v in range(p)]
+        residues = [
+            a * power[norms[c - c % p + (c + s) % p]] % p for c, a in enumerate(residues)
+        ]
+    weights, _ = index_histogram(psi.base, residues)
     value = _histogram_value(weights, p)
     bound = float(q) if is_power else (m - 1) * math.sqrt(q)
     holds = abs(value) <= bound + 1e-9
     return value, bound, holds
 
 
-def _cyclic_correlate(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    return [sum(a[(j + e) % n] * b[j] for j in range(n)) for e in range(n)]
-
-
-def _cyclic_convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    return [sum(a[i] * b[(e - i) % n] for i in range(n)) for e in range(n)]
+def _modulus_power(weights: Sequence[int], r: int, order: int) -> Counter:
+    """Weights of |S|^{2r}, S = sum_e weights[e] zeta_order^e: the cyclic
+    autocorrelation |S|^2 of the nonzero weights, convolved r - 1 times."""
+    nonzero = [(e, w) for e, w in enumerate(weights) if w]
+    sq = Counter()
+    for (e1, w1), (e2, w2) in itertools.product(nonzero, repeat=2):
+        sq[(e1 - e2) % order] += w1 * w2
+    powed = sq
+    for _ in range(r - 1):
+        powed, prev = Counter(), powed
+        for (e1, w1), (e2, w2) in itertools.product(prev.items(), sq.items()):
+            powed[(e1 + e2) % order] += w1 * w2
+    return powed
 
 
 def s2_moment(
@@ -172,8 +174,10 @@ def s2_moment(
     """Exact 2r-th moment of the shifted product sum, fully enumerated.
 
     For each tuple z with one component per field, the inner sum runs over
-    t in (0, T]; |inner|^{2r} is accumulated as integer weights on
-    root-of-unity differences, so the reported value is exact.
+    t in (0, T].  The z's are counted by their inner weight tuple, and
+    |inner|^{2r} is taken once per tuple as integer weights on root-of-unity
+    differences, so the value is exact; their symmetry, which makes it
+    real, is checked.
     """
     partition = tuple(partition)
     if len(psis) != len(partition) or any(
@@ -190,28 +194,23 @@ def s2_moment(
     if p**k * T ** (2 * r) > MOMENT_CAP:
         raise ValueError("moment enumeration infeasible at this size")
     order = max(1, p - 1)
-    total = [0] * order
-    # z runs over the concatenated raw coordinates of all fields; field i
-    # owns z[a:b] and its shift by t lands on coordinate a
-    cuts = tuple(itertools.accumulate(partition, initial=0))
+    # N(z_i + t) at each code c of field i, shifted as in weil_complete_sum
+    shifts = range(1, T + 1)
     fields = [
-        (fc.norm_kernel(psi.ctx), a, b) for psi, a, b in zip(psis, cuts, cuts[1:])
+        [tuple(norms[c - c % p + (c + t) % p] for t in shifts) for c in range(len(norms))]
+        for norms in (fc.norm_table(psi.ctx) for psi in psis)
     ]
-    for z in itertools.product(range(p), repeat=k):
-        residues = [
-            math.prod(norm((z[a] + t,) + z[a + 1 : b]) for norm, a, b in fields) % p
-            for t in range(1, T + 1)
-        ]
-        inner, _ = index_histogram(chi, residues)
-        sq = _cyclic_correlate(inner, inner, order)
-        powed = sq
-        for _ in range(r - 1):
-            powed = _cyclic_convolve(powed, sq, order)
-        for e in range(order):
-            total[e] += powed[e]
+    classes = Counter()
+    for z in itertools.product(*fields):
+        residues = [math.prod(column) % p for column in zip(*z)]
+        classes[index_histogram(chi, residues)[0]] += 1
+    total = [0] * order
+    for inner, count in classes.items():
+        for e, w in _modulus_power(inner, r, order).items():
+            total[e] += count * w
+    if any(total[e] != total[-e % order] for e in range(order)):
+        raise la.CheckFailed("moment weights are not symmetric, so its value is not real")
     value = _histogram_value(total, p)
-    if not abs(value.imag) < 1e-6:
-        raise la.CheckFailed(f"moment has imaginary part {value.imag}")
     bound_terms = (T ** (2 * r) * p ** (k / 2), T**r * float(p**k))
     return {
         "value": value.real,
@@ -275,11 +274,6 @@ def bound_rhs(params: BoundParams, H_min: int, H_norm: int, p: int) -> float:
     return H_norm * H_min ** (-(2 * n - k) / r) * p**expo
 
 
-def complete_sum_reference(p: int, n: int, H_norm: int) -> float:
-    """Reference envelope for full-box sums; logged for comparison, never asserted."""
-    return H_norm * p ** (-n / 2) + p ** (n / 2) * math.log(p) ** n
-
-
 def delta_savings(n: int, r: float, kappa: float) -> float:
     """Power saving over the trivial bound at H_min = p^{1/4 + kappa}."""
     return (4 * n * r * kappa - n * n) / (2 * r * (n + 2 * r))
@@ -290,8 +284,3 @@ def optimal_moment_exponent(n: int, kappa: float) -> float:
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     return n * (1 + math.sqrt(1 + 2 * kappa)) / (4 * kappa)
-
-
-def peak_saving(kappa: float) -> float:
-    """Saving at the optimal exponent; behaves like kappa^2 for small kappa."""
-    return 4 * kappa**2 / (1 + math.sqrt(1 + 2 * kappa)) ** 2

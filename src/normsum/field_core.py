@@ -7,6 +7,7 @@ the class of X mod f. All arithmetic is exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -312,12 +313,6 @@ def norm_via_conjugates(a: ExtFieldElement) -> int:
     return prod.as_int()
 
 
-def is_normal_element(a: ExtFieldElement) -> bool:
-    """True iff the conjugates of a form an F_p-basis of F_{p^m}."""
-    rows = [list(frobenius(a, i).coeffs) for i in range(a.ctx.m)]
-    return linalg.mat_rank(rows, a.ctx.p) == a.ctx.m
-
-
 # ---------------------------------------------------------------------------
 # raw-coordinate kernels: functions on coefficient tuples, one per context
 
@@ -417,12 +412,13 @@ def mul_kernel(ctx: ExtFieldCtx):
     return kernel
 
 
-# a field's log table and fold hold about 5q references (some 100 MB at
-# q = 10^6), and a scan over a prime range builds them for new fields at
-# every prime, so only the most recently built are kept, up to this many
-# elements: room for F_p, F_{p^2}, ... of one prime up to the field cap
+# a field's log table, fold and norm table hold about 6q references (some
+# 120 MB at q = 10^6), and a scan over a prime range builds them for new
+# fields at every prime, so only the most recent fields are kept, up to this
+# many elements: room for F_p, F_{p^2}, ... of one prime up to the field cap
 LOG_CACHE_ELEMENTS = FIELD_SIZE_CAP
 _log_tables: dict = {}
+_norm_tables: dict = {}
 
 
 def log_table(ctx: ExtFieldCtx) -> list:
@@ -437,6 +433,31 @@ def log_table(ctx: ExtFieldCtx) -> list:
     repeated code raises rather than store a table that is not a bijection.
     """
     return _log_tables_of(ctx)[0]
+
+
+def norm_table(ctx: ExtFieldCtx):
+    """N(a) for every element a of F_q, indexed by element code as log_table.
+
+    N(g^j) = N(g)^j mod p (Lidl-Niederreiter, Finite Fields, Thm 2.28): one
+    lookup per log_table entry into the p - 1 powers of N(g); degree 1 is
+    range(p).  Built on first use, evicted with the field's log tables; it
+    raises linalg.CheckFailed unless its entry at g is norm_kernel(g), of
+    order p - 1.
+    """
+    p, q = ctx.p, ctx.order
+    if ctx.m == 1:
+        return range(p)
+    table = _norm_tables.get(ctx)
+    if table is None:
+        g = _primitive_element(ctx)
+        norm_g = norm_kernel(ctx)(g.coeffs)
+        cycle = [pow(norm_g, j, p) for j in range(p - 1)] * ((q - 1) // (p - 1))
+        table = [0] + [cycle[j] for j in itertools.islice(log_table(ctx), 1, None)]
+        code = sum(c * p**j for j, c in enumerate(g.coeffs))
+        if len(set(cycle[: p - 1])) != p - 1 or table[code] != norm_g:
+            raise linalg.CheckFailed(f"norm table of F_{p}^{ctx.m}: bad N(g) = {norm_g}")
+        _norm_tables[ctx] = table
+    return table
 
 
 def log_fold(ctx: ExtFieldCtx) -> list:
@@ -458,19 +479,15 @@ def _log_tables_of(ctx: ExtFieldCtx) -> tuple:
     while _log_tables and (
         sum(len(t) for t, _ in _log_tables.values()) + q > LOG_CACHE_ELEMENTS
     ):
+        _norm_tables.pop(next(iter(_log_tables)), None)
         del _log_tables[next(iter(_log_tables))]
     order = q - 1
     weights = [p**j for j in range(m)]
-    exponents = [order // r for r in prime_divisors(order)]
-    one = ctx.one()
-    for code in range(1, q):
-        g = ctx.element(tuple(code // w % p for w in weights))
-        if all(ext_pow(g, e) != one for e in exponents):
-            break
+    g = _primitive_element(ctx)
     mul = mul_kernel(ctx)
     logs = list(range(order))  # one int object per log, shared with the fold
     table = [None] * q
-    acc = one.coeffs
+    acc = ctx.one().coeffs
     for j in logs:
         code = sum(map(operator.mul, acc, weights))
         if code == 0 or table[code] is not None:
@@ -483,3 +500,14 @@ def _log_tables_of(ctx: ExtFieldCtx) -> tuple:
     fold = logs + logs[: order - 1] + [order] * (2 * order)
     tables = _log_tables[ctx] = (table, fold)
     return tables
+
+
+@functools.cache
+def _primitive_element(ctx: ExtFieldCtx) -> ExtFieldElement:
+    """The generator of F_q^* of smallest code: g^((q-1)/r) != 1 for r | q - 1
+    (for m > 1 the codes below p, the prime field, are passed over)."""
+    p, m, q = ctx.p, ctx.m, ctx.order
+    exponents = [(q - 1) // r for r in prime_divisors(q - 1)]
+    units = (ctx.element(code // p**j % p for j in range(m)) for code in range(1, q))
+    return next(g for g in itertools.islice(units, p - 1 if m > 1 else 0, None)
+                if all(ext_pow(g, e) != ctx.one() for e in exponents))

@@ -438,7 +438,10 @@ def run_weil_check(config: ExperimentConfig):
                 factors = [(t[j], 1) for j in range(r)]
                 factors += [(t[r + j], max(1, d - 1)) for j in range(r)]
                 value, bound, holds = cs.weil_complete_sum(psi, factors)
-                assert holds
+                if not holds:
+                    raise la.CheckFailed(
+                        f"p={p} chi{idx} {factors}: |sum| {abs(value)} > {bound}"
+                    )
                 if 0 < bound < float(ctx.order):
                     nonpower += 1
                     worst = max(worst, abs(value) / bound)

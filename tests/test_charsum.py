@@ -346,7 +346,80 @@ class TestWeil:
             cs.weil_complete_sum(chi, [(1, 0)])
 
 
+def dense_moment_weights(partition, psis, T, r):
+    """The literal moment oracle: norms by norm_kernel at every z and t, and
+    dense O((p-1)^2) cyclic loops for |inner|^{2r} at every z."""
+    chi = psis[0].base
+    p = chi.p
+    order = max(1, p - 1)
+
+    def correlate(a, b):
+        return [sum(a[(j + e) % order] * b[j] for j in range(order)) for e in range(order)]
+
+    def convolve(a, b):
+        return [sum(a[i] * b[(e - i) % order] for i in range(order)) for e in range(order)]
+
+    # z runs over the concatenated raw coordinates of all fields; field i
+    # owns z[a:b] and its shift by t lands on coordinate a
+    cuts = tuple(itertools.accumulate(partition, initial=0))
+    fields = [(fc.norm_kernel(psi.ctx), a, b) for psi, a, b in zip(psis, cuts, cuts[1:])]
+    total = [0] * order
+    for z in itertools.product(range(p), repeat=sum(partition)):
+        residues = [
+            math.prod(norm((z[a] + t,) + z[a + 1 : b]) for norm, a, b in fields) % p
+            for t in range(1, T + 1)
+        ]
+        inner, _ = per_point_histogram(chi, residues)
+        sq = correlate(inner, inner)
+        powed = sq
+        for _ in range(r - 1):
+            powed = convolve(powed, sq)
+        total = [x + y for x, y in zip(total, powed)]
+    return tuple(total)
+
+
+# (p, k, r) of the benchmark's moment ops, each run as `moment` runs it
+COMPLETE_MOMENT_GRID = (
+    (17, 2, 2), (19, 2, 2), (23, 2, 2), (29, 2, 2), (7, 3, 2), (5, 4, 2),
+    (3, 5, 3), (3, 6, 3),
+)
+
+
 class TestMoment:
+    @pytest.mark.parametrize("p,k,r", COMPLETE_MOMENT_GRID)
+    def test_matches_dense_oracle_on_moment_grid(self, p, k, r):
+        psi = cc.lift_character(cc.DirichletChar(p, (p - 1) // 2), fc.ext_field_ctx(p, k))
+        T = max(1, int(p ** (k / (2 * r))))
+        m = cs.s2_moment((k,), (psi,), T, r)
+        assert m["weights"] == dense_moment_weights((k,), (psi,), T, r)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("partition", [(1, 1), (2, 1), (1, 2), (2,)])
+    def test_matches_dense_oracle_on_partitions(self, p, partition):
+        for idx in sorted({1, (p - 1) // 2}):
+            chi = cc.DirichletChar(p, idx)
+            psis = [cc.lift_character(chi, fc.ext_field_ctx(p, ki)) for ki in partition]
+            for T, r in ((1, 1), (2, 2), (3, 1)):
+                m = cs.s2_moment(partition, psis, T, r)
+                assert m["weights"] == dense_moment_weights(partition, psis, T, r), (
+                    idx, T, r,
+                )
+
+    def test_asymmetric_weights_fail_closed(self, monkeypatch):
+        # one perturbed weight makes total[1] != total[-1]: the value would
+        # not be real, whatever its float imaginary part
+        power = cs._modulus_power
+
+        def perturbed(weights, r, order):
+            out = power(weights, r, order)
+            out[1] += 1
+            return out
+
+        monkeypatch.setattr(cs, "_modulus_power", perturbed)
+        psi = cc.lift_character(cc.DirichletChar(7, 3), fc.ext_field_ctx(7, 1))
+        with pytest.raises(la.CheckFailed, match="not symmetric"):
+            cs.s2_moment((1,), (psi,), 2, 1)
+
     def test_frozen_p5(self):
         chi = cc.DirichletChar(5, 2)
         psi = cc.lift_character(chi, fc.ext_field_ctx(5, 1))
@@ -458,6 +531,16 @@ class TestBadTuples:
             cs.bad_tuple_count(40, 3)
 
 
+def peak_saving(kappa: float) -> float:
+    """Saving at the optimal exponent; behaves like kappa^2 for small kappa."""
+    return 4 * kappa**2 / (1 + math.sqrt(1 + 2 * kappa)) ** 2
+
+
+def complete_sum_reference(p: int, n: int, H_norm: int) -> float:
+    """Reference envelope for full-box sums, for comparison only."""
+    return H_norm * p ** (-n / 2) + p ** (n / 2) * math.log(p) ** n
+
+
 class TestBounds:
     def test_params_validation(self):
         cs.BoundParams(1, 1, 2)
@@ -505,7 +588,7 @@ class TestBounds:
         for n in (1, 2, 3):
             for kappa in (0.05, 0.1, 0.3):
                 r_star = cs.optimal_moment_exponent(n, kappa)
-                peak = cs.peak_saving(kappa)
+                peak = peak_saving(kappa)
                 assert cs.delta_savings(n, r_star, kappa) == pytest.approx(
                     peak, abs=1e-12
                 )
@@ -517,12 +600,12 @@ class TestBounds:
 
     def test_peak_saving_small_kappa(self):
         for kappa in (1e-2, 1e-3):
-            assert abs(cs.peak_saving(kappa) / kappa**2 - 1) < 2 * kappa
+            assert abs(peak_saving(kappa) / kappa**2 - 1) < 2 * kappa
         with pytest.raises(ValueError, match="positive"):
             cs.optimal_moment_exponent(1, 0.0)
 
     def test_reference_envelope(self):
-        ref = cs.complete_sum_reference(101, 2, 101**2)
+        ref = complete_sum_reference(101, 2, 101**2)
         assert ref == pytest.approx(101 + 101 * math.log(101) ** 2)
 
 

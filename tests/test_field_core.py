@@ -8,10 +8,17 @@ import pytest
 from normsum import char_core as cc
 from normsum import charsum as cs
 from normsum import field_core as fc
+from normsum import linalg as la
 
 
 def F9():
     return fc.ext_field_ctx(3, 2)
+
+
+def is_normal_element(a):
+    """True iff the conjugates of a form an F_p-basis of F_{p^m}."""
+    rows = [list(fc.frobenius(a, i).coeffs) for i in range(a.ctx.m)]
+    return la.mat_rank(rows, a.ctx.p) == a.ctx.m
 
 
 def test_find_irreducible_canonical_choices():
@@ -68,17 +75,17 @@ def test_norm_F9_values():
 
 def test_normal_elements_F9():
     ctx = F9()
-    assert not fc.is_normal_element(ctx.zero())
-    assert not fc.is_normal_element(ctx.one())
-    assert fc.is_normal_element(ctx.element((1, 1)))
+    assert not is_normal_element(ctx.zero())
+    assert not is_normal_element(ctx.one())
+    assert is_normal_element(ctx.element((1, 1)))
 
 
 def test_prime_subfield_behavior_m1():
     ctx = fc.ext_field_ctx(7, 1)
     a = ctx.from_int(3)
     assert fc.norm(a) == 3
-    assert fc.is_normal_element(a)
-    assert not fc.is_normal_element(ctx.zero())
+    assert is_normal_element(a)
+    assert not is_normal_element(ctx.zero())
 
 
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (3, 4), (5, 2), (7, 2)])
@@ -136,7 +143,7 @@ def test_frobenius_is_field_automorphism_exhaustive(p, m):
 @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (3, 3), (5, 2), (7, 2)])
 def test_normal_element_exists(p, m):
     ctx = fc.ext_field_ctx(p, m)
-    assert any(fc.is_normal_element(a) for a in ctx.iter_elements())
+    assert any(is_normal_element(a) for a in ctx.iter_elements())
 
 
 def test_frobenius_composes_to_identity():
@@ -244,21 +251,20 @@ def test_weil_raw_route_matches_element_route(p, m):
      (5, (1, 1), 3, 2), (3, (2, 1), 2, 3), (3, (1, 2), 2, 2)],
 )
 def test_s2_moment_raw_route_matches_element_route(p, partition, T, r):
+    # |inner|^{2r} = inner^r conj(inner)^r, expanded over every 2r-tuple of
+    # shifts: the tuple adds zeta^(sum of r indices - sum of the other r)
     chi = cc.DirichletChar(p, (p - 1) // 2)
     psis = [cc.lift_character(chi, fc.ext_field_ctx(p, m)) for m in partition]
     order = p - 1
     total = [0] * order
     for z in itertools.product(*[list(psi.ctx.iter_elements()) for psi in psis]):
-        inner = [0] * order
+        live = []
         for t in range(1, T + 1):
             idx = [_element_route_index(psi, zi, t) for psi, zi in zip(psis, z)]
             if None not in idx:
-                inner[sum(idx) % order] += 1
-        sq = cs._cyclic_correlate(inner, inner, order)
-        powed = sq
-        for _ in range(r - 1):
-            powed = cs._cyclic_convolve(powed, sq, order)
-        total = [a + b for a, b in zip(total, powed)]
+                live.append(sum(idx))
+        for ts in itertools.product(live, repeat=2 * r):
+            total[(sum(ts[:r]) - sum(ts[r:])) % order] += 1
     assert cs.s2_moment(partition, psis, T, r)["weights"] == tuple(total)
 
 
@@ -325,6 +331,74 @@ def test_log_cache_is_bounded_by_elements(monkeypatch):
     fc.log_table(ctxs[4])
     fc.log_table(ctxs[5])
     assert list(fc._log_tables) == [ctxs[4], ctxs[5]]
+    # a norm table lives in its field's entry and leaves with it
+    monkeypatch.setattr(fc, "_norm_tables", {})
+    f4, f9, f25 = (fc.ext_field_ctx(p, 2) for p in (2, 3, 5))
+    n9 = fc.norm_table(f9)
+    n4 = fc.norm_table(f4)
+    assert list(fc._log_tables) == [ctxs[5], f9, f4]
+    assert list(fc._norm_tables) == [f9, f4]
+    fc.log_table(f25)
+    assert list(fc._log_tables) == [f4, f25]
+    assert list(fc._norm_tables) == [f4]
+    assert fc.norm_table(f4) is n4
+    rebuilt = fc.norm_table(f9)
+    assert rebuilt == n9 and rebuilt is not n9
+    assert list(fc._log_tables) == [f9]
+    assert list(fc._norm_tables) == [f9]
+
+
+NORM_TABLE_FIELDS = (
+    [(2, m, None) for m in range(1, 5)] + [(3, m, None) for m in range(1, 7)]
+    + [(5, m, None) for m in range(1, 5)] + [(7, 3, None), (29, 2, None)]
+)
+
+
+@pytest.mark.parametrize("p,m,poly", NORM_TABLE_FIELDS + NONCANONICAL_FIELDS)
+def test_norm_table_matches_norm_kernel(p, m, poly):
+    ctx = fc.ext_field_ctx(p, m, poly)
+    table = fc.norm_table(ctx)
+    kernel = fc.norm_kernel(ctx)
+    assert len(table) == ctx.order
+    for a in ctx.iter_elements():
+        assert table[_code(a)] == kernel(a.coeffs)
+        if ctx.order <= 125:
+            assert table[_code(a)] == fc.norm_via_conjugates(a)
+    assert fc.norm_table(ctx) is table or m == 1
+
+
+def test_norm_table_is_built_on_first_use(monkeypatch):
+    monkeypatch.setattr(fc, "_log_tables", {})
+    monkeypatch.setattr(fc, "_norm_tables", {})
+    ctx = fc.ext_field_ctx(5, 2)
+    fc.log_table(ctx)
+    fc.log_fold(ctx)
+    assert fc._norm_tables == {}
+    table = fc.norm_table(ctx)
+    assert list(fc._norm_tables) == [ctx]
+    assert fc.norm_table(ctx) is table
+    assert fc.norm_table(fc.ext_field_ctx(5, 1)) == range(5)
+    assert list(fc._norm_tables) == [ctx]
+
+
+def test_norm_table_fails_closed(monkeypatch):
+    ctx = fc.ext_field_ctx(5, 2)
+    g = fc._primitive_element(ctx)
+    # a norm kernel whose N(g) has order 1, not p - 1
+    monkeypatch.setattr(fc, "_norm_tables", {})
+    monkeypatch.setattr(fc, "norm_kernel", lambda ctx: lambda a: 1)
+    with pytest.raises(la.CheckFailed, match="norm table of F_5"):
+        fc.norm_table(ctx)
+    monkeypatch.undo()
+    # g^7 is primitive with N(g^7) of order 4, but the log walk is in powers
+    # of g, so the table's entry at g^7 is N(g^7)^7 = N(g) != N(g^7)
+    monkeypatch.setattr(fc, "_log_tables", {})
+    monkeypatch.setattr(fc, "_norm_tables", {})
+    fc.log_table(ctx)
+    monkeypatch.setattr(fc, "_primitive_element", lambda ctx: fc.ext_pow(g, 7))
+    with pytest.raises(la.CheckFailed, match="norm table of F_5"):
+        fc.norm_table(ctx)
+    assert fc._norm_tables == {}
 
 
 def test_prime_divisors():

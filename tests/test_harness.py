@@ -288,6 +288,17 @@ class TestCli:
         assert captured.err == "fail: lifted_sum x\n"
         assert ",fail," in captured.out
 
+    def test_weil_bound_failure_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            hn.cs, "weil_complete_sum", lambda psi, factors: (9.0, 1.0, False)
+        )
+        assert run_cli(["weil-check", "--p", "5", "--k", "1", "--r", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("check failed: p=5 chi1 [(1, 1), (1, 3)]:")
+        assert "|sum| 9.0 > 1.0" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_empty_range_exits_0(self, capsys):
         assert run_cli(["energy-scan", "--p-range", "20..22", "--seed", "1"]) == 0
         out = capsys.readouterr().out
