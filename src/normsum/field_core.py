@@ -235,15 +235,6 @@ def ext_add(a: ExtFieldElement, b: ExtFieldElement) -> ExtFieldElement:
     return a.ctx.element(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
 
-def ext_sub(a: ExtFieldElement, b: ExtFieldElement) -> ExtFieldElement:
-    _same_ctx(a, b)
-    return a.ctx.element(tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def ext_neg(a: ExtFieldElement) -> ExtFieldElement:
-    return a.ctx.element(tuple(-x for x in a.coeffs))
-
-
 def ext_scalar_mul(c: int, a: ExtFieldElement) -> ExtFieldElement:
     return a.ctx.element(tuple(c * x for x in a.coeffs))
 
@@ -412,6 +403,21 @@ def mul_kernel(ctx: ExtFieldCtx):
     return kernel
 
 
+def pow_coeffs(ctx: ExtFieldCtx, a, e: int) -> tuple:
+    """a^e for a coefficient tuple a and e >= 0, by squaring with mul_kernel."""
+    if e < 0:
+        raise ValueError(f"exponent must be >= 0, got {e}")
+    mul = mul_kernel(ctx)
+    result = (1,) + (0,) * (ctx.m - 1)
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        e >>= 1
+        if e:
+            a = mul(a, a)
+    return result
+
+
 # a field's log table, fold and norm table hold about 6q references (some
 # 120 MB at q = 10^6), and a scan over a prime range builds them for new
 # fields at every prime, so only the most recent fields are kept, up to this
@@ -449,7 +455,7 @@ def norm_table(ctx: ExtFieldCtx):
         return range(p)
     table = _norm_tables.get(ctx)
     if table is None:
-        g = _primitive_element(ctx)
+        g = primitive_element(ctx)
         norm_g = norm_kernel(ctx)(g.coeffs)
         cycle = [pow(norm_g, j, p) for j in range(p - 1)] * ((q - 1) // (p - 1))
         table = [0] + [cycle[j] for j in itertools.islice(log_table(ctx), 1, None)]
@@ -483,7 +489,7 @@ def _log_tables_of(ctx: ExtFieldCtx) -> tuple:
         del _log_tables[next(iter(_log_tables))]
     order = q - 1
     weights = [p**j for j in range(m)]
-    g = _primitive_element(ctx)
+    g = primitive_element(ctx)
     mul = mul_kernel(ctx)
     logs = list(range(order))  # one int object per log, shared with the fold
     table = [None] * q
@@ -503,11 +509,13 @@ def _log_tables_of(ctx: ExtFieldCtx) -> tuple:
 
 
 @functools.cache
-def _primitive_element(ctx: ExtFieldCtx) -> ExtFieldElement:
+def primitive_element(ctx: ExtFieldCtx) -> ExtFieldElement:
     """The generator of F_q^* of smallest code: g^((q-1)/r) != 1 for r | q - 1
     (for m > 1 the codes below p, the prime field, are passed over)."""
     p, m, q = ctx.p, ctx.m, ctx.order
     exponents = [(q - 1) // r for r in prime_divisors(q - 1)]
-    units = (ctx.element(code // p**j % p for j in range(m)) for code in range(1, q))
-    return next(g for g in itertools.islice(units, p - 1 if m > 1 else 0, None)
-                if all(ext_pow(g, e) != ctx.one() for e in exponents))
+    one = ctx.one().coeffs
+    units = (tuple(code // p**j % p for j in range(m)) for code in range(1, q))
+    g = next(g for g in itertools.islice(units, p - 1 if m > 1 else 0, None)
+             if all(pow_coeffs(ctx, g, e) != one for e in exponents))
+    return ctx.element(g)

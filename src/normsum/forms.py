@@ -17,6 +17,7 @@ factorization is into linear forms, really). Anything else fails loudly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -68,7 +69,12 @@ class FormSpec:
         cleaned = {e: c for e, c in cleaned.items() if c != 0}
         if not cleaned:
             raise ValueError("form has no nonzero monomials")
-        object.__setattr__(self, "monomials", tuple(sorted(cleaned.items())))
+        monomials = tuple(sorted(cleaned.items()))
+        object.__setattr__(self, "monomials", monomials)
+        # for eval_form: (coef, ((i, e), ...)) per monomial, zero exponents dropped
+        object.__setattr__(self, "_terms", tuple(
+            (c, tuple((i, e) for i, e in enumerate(exp) if e)) for exp, c in monomials
+        ))
 
     @classmethod
     def from_monomials(cls, p: int, n: int, monomials) -> "FormSpec":
@@ -87,17 +93,27 @@ class FormSpec:
 
 
 def eval_form(F: FormSpec, x) -> int:
-    """F(x) as a residue in [0, p)."""
+    """F(x) as a residue in [0, p).
+
+    Each coordinate gets one power list [1, x_i, ..., x_i^k] mod p, and the
+    compiled monomials read their factors from it.
+    """
     if len(x) != F.n:
         raise ValueError(f"expected {F.n} coordinates, got {len(x)}")
+    p = F.p
+    powers = []
+    for xi in x:
+        xi = int(xi) % p
+        row = [1, xi]
+        for _ in range(F.k - 1):
+            row.append(row[-1] * xi % p)
+        powers.append(row)
     total = 0
-    for exp, coef in F.monomials:
-        term = coef
-        for xi, e in zip(x, exp):
-            if e:
-                term = term * pow(int(xi) % F.p, e, F.p)
+    for term, factors in F._terms:
+        for i, e in factors:
+            term *= powers[i][e]
         total += term
-    return total % F.p
+    return total % p
 
 
 @dataclass(frozen=True)
@@ -246,23 +262,31 @@ def _unit(n: int, j: int) -> tuple:
     return tuple(1 if t == j else 0 for t in range(n))
 
 
-def _epoly_mul(a: dict, b: dict) -> dict:
+def _add(a, b, p: int) -> tuple:
+    return tuple((x + y) % p for x, y in zip(a, b))
+
+
+def _epoly_mul(a: dict, b: dict, ctx) -> dict:
+    """Product of two polynomials whose coefficients are ctx coefficient tuples."""
+    mul, p = fc.mul_kernel(ctx), ctx.p
     out: dict = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
+            e = tuple(map(operator.add, e1, e2))
             prev = out.get(e)
-            v = fc.ext_mul(c1, c2) if prev is None else fc.ext_add(prev, fc.ext_mul(c1, c2))
-            out[e] = v
-    return {e: c for e, c in out.items() if not c.is_zero()}
+            out[e] = mul(c1, c2) if prev is None else _add(prev, mul(c1, c2), p)
+    return {e: c for e, c in out.items() if any(c)}
 
 
 def _divide_by_linear(poly: dict, b, ctx, n: int):
     """Divide an n-variable polynomial over ctx by X_1 + b_2 X_2 + ... + b_n X_n.
 
-    poly maps exponent tuples to ctx elements. Returns the quotient dict, or
-    None when the division leaves a remainder. Exact long division in X_1.
+    poly maps exponent tuples to ctx coefficient tuples, and b holds
+    coefficient tuples. Returns the quotient dict, or None when the division
+    leaves a remainder. Exact long division in X_1.
     """
+    mul, p = fc.mul_kernel(ctx), ctx.p
+    zero = (0,) * ctx.m
     rem = dict(poly)
     quo: dict = {}
     while True:
@@ -274,12 +298,13 @@ def _divide_by_linear(poly: dict, b, ctx, n: int):
             quo[(d - 1,) + e[1:]] = c
             # subtract c * X1^(d-1) * (sum_j b_j X_j) from the remainder
             for j in range(1, n):
-                if not b[j].is_zero():
+                if any(b[j]):
                     se = (d - 1,) + e[1:j] + (e[j] + 1,) + e[j + 1 :]
-                    v = fc.ext_mul(c, b[j])
-                    rem[se] = fc.ext_sub(rem[se], v) if se in rem else fc.ext_neg(v)
-                    if rem[se].is_zero():
-                        del rem[se]
+                    v = tuple((x - y) % p for x, y in zip(rem.get(se, zero), mul(c, b[j])))
+                    if any(v):
+                        rem[se] = v
+                    else:
+                        rem.pop(se, None)
     if rem:
         return None
     return quo
@@ -292,11 +317,14 @@ def _divide_by_linear(poly: dict, b, ctx, n: int):
 def _factor_univariate(coeffs, p: int):
     """Monic irreducible factors of a monic univariate polynomial over F_p.
 
-    Trial division by monic irreducibles of increasing degree. Returns a list
-    of (factor coefficient tuple, multiplicity).
+    Trial division by all monic candidates of increasing degree: once every
+    factor of degree below d is divided out, a degree-d candidate divides
+    only if it is irreducible. Returns a list of (factor coefficient tuple,
+    multiplicity).
     """
     rem = [v % p for v in coeffs]
-    assert rem and rem[-1] == 1
+    if not rem or rem[-1] != 1:
+        raise ValueError(f"polynomial {tuple(coeffs)} is not monic over F_{p}")
     out = []
     deg = 1
     while len(rem) - 1 > 0:
@@ -310,8 +338,6 @@ def _factor_univariate(coeffs, p: int):
             )
         for tail in itertools.product(range(p), repeat=deg):
             cand = list(reversed(tail)) + [1]
-            if deg > 1 and not fc.is_irreducible_poly(cand, p):
-                continue
             mult = 0
             while True:
                 q, r = fc.poly_divmod(rem, cand, p)
@@ -327,11 +353,45 @@ def _factor_univariate(coeffs, p: int):
     return out
 
 
-def _eval_poly_ext(coeffs, x: fc.ExtFieldElement) -> fc.ExtFieldElement:
-    acc = x.ctx.zero()
-    for c in reversed(list(coeffs)):
-        acc = fc.ext_add(fc.ext_mul(acc, x), x.ctx.from_int(c))
-    return acc
+def _roots_in(coeffs, ctx: fc.ExtFieldCtx) -> list:
+    """The distinct roots in ctx of a monic polynomial over F_p, as coefficient
+    tuples sorted as ctx.iter_elements() lists them.
+
+    An F_p-irreducible factor h of degree d has roots in F_{p^K} only when
+    d | K, and then they are r, r^p, ..., r^(p^(d-1)) for any one root r, all
+    in the subfield F_{p^d} (Lidl-Niederreiter, Finite Fields, Thm 2.14).
+    So X + h_0 gives -h_0, and for d > 1 the nonzero elements of F_{p^d},
+    the powers of beta = g^((p^K - 1)/(p^d - 1)) for the primitive element
+    g, are tried by Horner's rule up to the first root, whose Frobenius orbit
+    gives the others.
+    """
+    p, K = ctx.p, ctx.m
+    mul = fc.mul_kernel(ctx)
+    one, zero = ctx.one().coeffs, ctx.zero().coeffs
+    roots = set()
+    for h, _ in _factor_univariate(coeffs, p):
+        d = len(h) - 1
+        if d == 1:
+            roots.add(((-h[0]) % p,) + zero[1:])
+            continue
+        if K % d:
+            continue
+        beta = fc.pow_coeffs(ctx, fc.primitive_element(ctx).coeffs, (p**K - 1) // (p**d - 1))
+        r = beta
+        for _ in range(p**d - 1):
+            value = one
+            for c in reversed(h[:-1]):
+                value = mul(value, r)
+                value = ((value[0] + c) % p,) + value[1:]
+            if value == zero:
+                break
+            r = mul(r, beta)
+        else:
+            raise linalg.CheckFailed(f"irreducible factor {h} has no root in F_{p}^{d}")
+        for _ in range(d):
+            roots.add(r)
+            r = fc.pow_coeffs(ctx, r, p)
+    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +423,8 @@ def _closure_split(F: FormSpec) -> ClosureSplitting:
     M = _leading_change(F)
     G = compose_form(F, M)
     c = G.coefficient((k,) + (0,) * (n - 1))
-    assert c != 0
+    if c == 0:
+        raise linalg.CheckFailed("change of variables left the X_1^k coefficient zero")
     G = FormSpec(p, n, k, tuple((e, (v * linalg.inv_mod(c, p)) % p) for e, v in G.monomials))
 
     restrictions = [_restriction(G, j) for j in range(1, n)]
@@ -372,17 +433,15 @@ def _closure_split(F: FormSpec) -> ClosureSplitting:
         for fac, _ in _factor_univariate(g, p):
             K = K * (len(fac) - 1) // math.gcd(K, len(fac) - 1)
     ctx = fc.ext_field_ctx(p, K)
+    one = ctx.one().coeffs
 
     # roots of each restriction in the splitting field, negated
-    candidates = []
-    for g in restrictions:
-        roots = [x for x in ctx.iter_elements() if _eval_poly_ext(g, x).is_zero()]
-        candidates.append([fc.ext_neg(r) for r in roots])
+    candidates = [[tuple(-v % p for v in r) for r in _roots_in(g, ctx)] for g in restrictions]
 
-    Ghat = {e: ctx.from_int(v) for e, v in G.monomials}
+    Ghat = {e: (v,) + one[1:] for e, v in G.monomials}
     divisors = []
     for tail in itertools.product(*candidates):
-        b = (ctx.one(),) + tuple(tail)
+        b = (one,) + tail
         if _hyperplane_vanishes(Ghat, b, ctx, n):
             divisors.append(b)
 
@@ -397,32 +456,28 @@ def _closure_split(F: FormSpec) -> ClosureSplitting:
             rem = q
             mult += 1
         mults.append(mult)
-    leftover_ok = rem == {(0,) * n: ctx.one()}
+    leftover_ok = rem == {(0,) * n: one}
     if sum(mults) != k or not leftover_ok:
         raise UnsupportedFormError(
             "factorization unsupported: form does not split into linear factors "
             f"over the splitting field of size {p**K} (matched degree {sum(mults)} of {k})"
         )
 
-    mult_of = {tuple(x.coeffs for x in b): m for b, m in zip(divisors, mults)}
+    mult_of = dict(zip(divisors, mults))
     orbits = []
     seen = set()
     for b in divisors:
-        key = tuple(x.coeffs for x in b)
-        if key in seen:
+        if b in seen:
             continue
         orbit = []
-        cur = b
-        while True:
-            ck = tuple(x.coeffs for x in cur)
-            if ck in seen:
-                break
-            seen.add(ck)
-            orbit.append(cur)
-            cur = tuple(fc.ext_pow(x, ctx.p) for x in cur)
-        orbit_mults = {mult_of[tuple(x.coeffs for x in ob)] for ob in orbit}
-        assert len(orbit_mults) == 1, "conjugate factors must share multiplicity"
-        orbits.append((tuple(tuple(x.coeffs for x in ob)[1:] for ob in orbit), orbit_mults.pop()))
+        while b not in seen:
+            seen.add(b)
+            orbit.append(b)
+            b = tuple(fc.pow_coeffs(ctx, x, p) for x in b)
+        orbit_mults = {mult_of.get(ob) for ob in orbit}
+        if len(orbit_mults) != 1:
+            raise linalg.CheckFailed("conjugate factors must share multiplicity")
+        orbits.append((tuple(ob[1:] for ob in orbit), orbit_mults.pop()))
     return ClosureSplitting(c, ctx, tuple(tuple(row) for row in M), tuple(orbits))
 
 
@@ -460,42 +515,49 @@ def _restriction(G: FormSpec, j: int):
 
 
 def _hyperplane_vanishes(poly: dict, b, ctx, n: int) -> bool:
-    """Exact test: substitute X_1 = -(b_2 X_2 + ... + b_n X_n) and compare to 0."""
-    sub = {}
-    for j in range(1, n):
-        if not b[j].is_zero():
-            sub[_unit(n - 1, j - 1)] = fc.ext_neg(b[j])
+    """Exact test: substitute X_1 = -(b_2 X_2 + ... + b_n X_n) and compare to 0.
+
+    poly and b hold ctx coefficient tuples; the powers of the substitution
+    are built once per degree in X_1.
+    """
+    mul, p = fc.mul_kernel(ctx), ctx.p
+    sub = {_unit(n - 1, j - 1): tuple(-v % p for v in b[j]) for j in range(1, n) if any(b[j])}
+    powers = [{(0,) * (n - 1): ctx.one().coeffs}]
     acc: dict = {}
     for exp, coef in poly.items():
-        term = {(0,) * (n - 1): coef}
-        if exp[0]:
-            if not sub:
-                continue
-            power = {(0,) * (n - 1): ctx.one()}
-            for _ in range(exp[0]):
-                power = _epoly_mul(power, sub)
-            term = _epoly_mul(term, power)
-        term = _epoly_mul(term, {tuple(exp[1:]): ctx.one()})
-        for e, v in term.items():
-            acc[e] = fc.ext_add(acc[e], v) if e in acc else v
-    return all(v.is_zero() for v in acc.values())
+        while len(powers) <= exp[0]:
+            powers.append(_epoly_mul(powers[-1], sub, ctx))
+        for e, v in powers[exp[0]].items():
+            e = tuple(map(operator.add, e, exp[1:]))
+            v = mul(coef, v)
+            acc[e] = _add(acc[e], v, p) if e in acc else v
+    return not any(any(v) for v in acc.values())
+
+
+def _prime_field_part(poly: dict, what: str) -> dict:
+    """A polynomial over F_{p^m} with every coefficient in F_p, as F_p ints.
+
+    Raises linalg.CheckFailed when a coefficient has a nonzero w-part.
+    """
+    for e, v in poly.items():
+        if any(v[1:]):
+            raise linalg.CheckFailed(f"{what} left the prime field: coefficient {v} at {e}")
+    return {e: v[0] for e, v in poly.items()}
 
 
 def _orbit_factor_form(orbit, split: ClosureSplitting, F: FormSpec) -> FormSpec:
     """One Frobenius orbit expanded into an F_p-irreducible factor of F."""
     n, p = F.n, F.p
     ctx = split.ctx
-    poly = {(0,) * n: ctx.one()}
+    one = ctx.one().coeffs
+    poly = {(0,) * n: one}
     for tail in orbit:
-        lin = {_unit(n, 0): ctx.one()}
+        lin = {_unit(n, 0): one}
         for j, coeffs in enumerate(tail, start=1):
-            el = ctx.element(coeffs)
-            if not el.is_zero():
-                lin[_unit(n, j)] = el
-        poly = _epoly_mul(poly, lin)
-    int_monos = {}
-    for e, v in poly.items():
-        int_monos[e] = v.as_int()  # raises if a coefficient escapes F_p
+            if any(coeffs):
+                lin[_unit(n, j)] = coeffs
+        poly = _epoly_mul(poly, lin, ctx)
+    int_monos = _prime_field_part(poly, "orbit product")
     factor = FormSpec(p, n, len(orbit), tuple(int_monos.items()))
     Minv = linalg.mat_inv([list(r) for r in split.change], p)
     return compose_form(factor, Minv)
@@ -504,30 +566,6 @@ def _orbit_factor_form(orbit, split: ClosureSplitting, F: FormSpec) -> FormSpec:
 def form_sort_key(F: FormSpec):
     """Ascending degree, then descending lexicographic leading monomial."""
     return (F.k, tuple((tuple(-e for e in exp), coef) for exp, coef in reversed(F.monomials)))
-
-
-def factor_form(F: FormSpec):
-    """Irreducible factors of F over F_p, with multiplicity, product equal to F.
-
-    The leading constant is folded into the first factor. Raises
-    UnsupportedFormError outside the supported classes.
-    """
-    split = _closure_split(F)
-    factors = []
-    for orbit, mult in split.orbits:
-        factor = _orbit_factor_form(orbit, split, F)
-        factors.extend([factor] * mult)
-    factors.sort(key=form_sort_key)
-    if split.c != 1:
-        first = factors[0]
-        factors[0] = FormSpec(
-            F.p, F.n, first.k, tuple((e, (v * split.c) % F.p) for e, v in first.monomials)
-        )
-    prod = {(0,) * F.n: 1}
-    for fac in factors:
-        prod = _ipoly_mul(prod, fac.as_dict(), F.p)
-    assert FormSpec(F.p, F.n, F.k, tuple(prod.items())) == F, "factor product mismatch"
-    return factors
 
 
 def decompose(F: FormSpec, seed: int = 0) -> NormFormDecomposition:
@@ -553,7 +591,7 @@ def decompose(F: FormSpec, seed: int = 0) -> NormFormDecomposition:
         ki = len(orbit)
         rep = min(orbit)
         ctx_i = fc.ext_field_ctx(p, ki)
-        cols = [_subfield_coords(split.ctx.element(coeffs), ctx_i, split.ctx) for coeffs in rep]
+        cols = [_subfield_coords(coeffs, ctx_i, split.ctx) for coeffs in rep]
         U = [[1 if r == 0 else 0] + [col[r] for col in cols] for r in range(ki)]
         U = linalg.mat_mul(U, Minv, p)
         factor = _orbit_factor_form(orbit, split, F)
@@ -568,11 +606,10 @@ def decompose(F: FormSpec, seed: int = 0) -> NormFormDecomposition:
 
     if split.c != 1:
         _, k1, ctx1, U1 = blocks[0]
-        gamma = next(a for a in ctx1.iter_elements() if fc.norm(a) == split.c)
-        cols = [
-            fc.ext_mul(gamma, ctx1.element(tuple(U1[r][j] for r in range(k1)))).coeffs
-            for j in range(n)
-        ]
+        # the element of smallest code with norm c scales lambda_1
+        norm, mul = fc.norm_kernel(ctx1), fc.mul_kernel(ctx1)
+        gamma = next(a for a in itertools.product(range(p), repeat=k1) if norm(a) == split.c)
+        cols = [mul(gamma, tuple(U1[r][j] for r in range(k1))) for j in range(n)]
         blocks[0] = (
             blocks[0][0],
             k1,
@@ -589,49 +626,42 @@ def decompose(F: FormSpec, seed: int = 0) -> NormFormDecomposition:
     )
     if F.n == F.k:
         _check_stacked_ranks(D)
-    assert verify_decomposition(F, D, seed=seed), "decomposition failed verification"
+    if not verify_decomposition(F, D, seed=seed):
+        raise linalg.CheckFailed("decomposition failed verification")
     return D
 
 
-def _embedding_powers(sub_ctx: fc.ExtFieldCtx, big_ctx: fc.ExtFieldCtx):
-    """Images of the sub_ctx power basis in big_ctx, via the canonical embedding.
+@functools.cache
+def _embedding_powers(sub_ctx: fc.ExtFieldCtx, big_ctx: fc.ExtFieldCtx) -> tuple:
+    """Images of the sub_ctx power basis in big_ctx, as coefficient tuples.
 
-    The embedding sends the subfield generator to the lexicographically
-    smallest root of its defining polynomial in the big field.
+    The canonical embedding sends the subfield generator to the smallest root
+    of its defining polynomial in the big field, in iter_elements order. The
+    powers depend only on the two (memoized) contexts, so each pair is
+    computed once.
     """
-    if sub_ctx.m == big_ctx.m and tuple(sub_ctx.defining_poly) == tuple(
-        big_ctx.defining_poly
-    ):
-        gamma = big_ctx.gen()
+    if sub_ctx == big_ctx:
+        gamma = big_ctx.gen().coeffs
     else:
-        gamma = _smallest_root(sub_ctx.defining_poly, big_ctx)
-    powers = [big_ctx.one()]
+        roots = _roots_in(sub_ctx.defining_poly, big_ctx)
+        if not roots:
+            raise linalg.CheckFailed("defining polynomial has no root in the splitting field")
+        gamma = roots[0]
+    mul = fc.mul_kernel(big_ctx)
+    powers = [big_ctx.one().coeffs]
     for _ in range(sub_ctx.m - 1):
-        powers.append(fc.ext_mul(powers[-1], gamma))
-    return powers
+        powers.append(mul(powers[-1], gamma))
+    return tuple(powers)
 
 
-def embed_element(a: fc.ExtFieldElement, powers, big_ctx: fc.ExtFieldCtx) -> fc.ExtFieldElement:
-    acc = big_ctx.zero()
-    for coef, pw in zip(a.coeffs, powers):
-        acc = fc.ext_add(acc, fc.ext_scalar_mul(coef, pw))
-    return acc
-
-
-def _subfield_coords(a: fc.ExtFieldElement, sub_ctx: fc.ExtFieldCtx, big_ctx: fc.ExtFieldCtx):
-    """Coordinates of a over the power basis of the subfield copy inside big_ctx."""
+def _subfield_coords(a, sub_ctx: fc.ExtFieldCtx, big_ctx: fc.ExtFieldCtx):
+    """Coordinates of the tuple a over the power basis of the subfield copy inside big_ctx."""
     powers = _embedding_powers(sub_ctx, big_ctx)
-    B = [[powers[c].coeffs[r] for c in range(sub_ctx.m)] for r in range(big_ctx.m)]
-    sol = linalg.solve_mod(B, list(a.coeffs), big_ctx.p)
-    assert sol is not None, "element does not lie in the expected subfield"
+    B = [[powers[c][r] for c in range(sub_ctx.m)] for r in range(big_ctx.m)]
+    sol = linalg.solve_mod(B, list(a), big_ctx.p)
+    if sol is None:
+        raise linalg.CheckFailed("element does not lie in the expected subfield")
     return sol
-
-
-def _smallest_root(poly, ctx: fc.ExtFieldCtx) -> fc.ExtFieldElement:
-    for x in ctx.iter_elements():
-        if _eval_poly_ext(poly, x).is_zero():
-            return x
-    raise AssertionError("defining polynomial has no root in the splitting field")
 
 
 def _check_stacked_ranks(D: NormFormDecomposition):
@@ -677,26 +707,16 @@ def synthesize_form(D: NormFormDecomposition) -> FormSpec:
     p, n = D.p, D.n
     total = {(0,) * n: 1}
     for i, (ki, ctx, U) in enumerate(zip(D.partition, D.ctxs, D.blocks)):
-        cols = [ctx.element(tuple(U[r][j] for r in range(ki))) for j in range(n)]
-        block_poly = {(0,) * n: ctx.one()}
+        cols = [tuple(U[r][j] for r in range(ki)) for j in range(n)]
+        block_poly = {(0,) * n: ctx.one().coeffs}
         for t in range(ki):
-            lin = {}
-            for j in range(n):
-                conj = fc.frobenius(cols[j], t) if ki > 1 else cols[j]
-                if not conj.is_zero():
-                    lin[_unit(n, j)] = conj
+            if t:
+                cols = [fc.pow_coeffs(ctx, c, p) for c in cols]
+            lin = {_unit(n, j): c for j, c in enumerate(cols) if any(c)}
             if not lin:
                 raise ValueError(f"block {i} defines the zero linear form")
-            block_poly = _epoly_mul(block_poly, lin)
-        int_block = {}
-        for e, v in block_poly.items():
-            try:
-                int_block[e] = v.as_int()
-            except ValueError as exc:
-                raise AssertionError(
-                    f"norm expansion of block {i} left the prime field: {exc}"
-                ) from exc
-        total = _ipoly_mul(total, int_block, p)
+            block_poly = _epoly_mul(block_poly, lin, ctx)
+        total = _ipoly_mul(total, _prime_field_part(block_poly, f"norm expansion of block {i}"), p)
     return FormSpec(p, n, D.k, tuple(total.items()))
 
 
@@ -739,23 +759,24 @@ def decomposition_in_class(D: NormFormDecomposition) -> bool:
     for ki in D.partition:
         L = L * ki // math.gcd(L, ki)
     big = fc.ext_field_ctx(D.p, L)
+    mul = fc.mul_kernel(big)
     seen = set()
-    for ki, ctx, U in zip(D.partition, D.ctxs, D.blocks):
+    for ctx, U in zip(D.ctxs, D.blocks):
         powers = _embedding_powers(ctx, big)
         cols = [
-            embed_element(ctx.element(tuple(U[r][j] for r in range(ki))), powers, big)
+            tuple(sum(row[j] * pw[t] for row, pw in zip(U, powers)) % D.p for t in range(L))
             for j in range(D.n)
         ]
-        for _ in range(ki):
-            lead = next((c for c in cols if not c.is_zero()), None)
+        for _ in range(ctx.m):
+            lead = next((c for c in cols if any(c)), None)
             if lead is None:
                 return False
-            inv = fc.ext_inv(lead)
-            key = tuple(fc.ext_mul(inv, c).coeffs for c in cols)
+            inv = fc.ext_inv(big.element(lead)).coeffs
+            key = tuple(mul(inv, c) for c in cols)
             if key in seen:
                 return False
             seen.add(key)
-            cols = [fc.ext_pow(c, big.p) for c in cols]
+            cols = [fc.pow_coeffs(big, c, big.p) for c in cols]
     return True
 
 

@@ -167,6 +167,19 @@ def test_ext_pow_matches_repeated_mul():
         acc = fc.ext_mul(acc, a)
 
 
+@pytest.mark.parametrize("p,m,poly", [(2, 5, None), (3, 4, None), (5, 2, None),
+                                      (7, 3, None), (3, 3, (2, 1, 1, 1))])
+def test_pow_coeffs_matches_ext_pow(p, m, poly):
+    ctx = fc.ext_field_ctx(p, m, poly)
+    rng = random.Random(p * 100 + m)
+    for _ in range(40):
+        a = ctx.element(tuple(rng.randrange(p) for _ in range(m)))
+        e = rng.choice([0, 1, 2, p, ctx.order - 1, rng.randrange(3 * ctx.order)])
+        assert fc.pow_coeffs(ctx, a.coeffs, e) == fc.ext_pow(a, e).coeffs
+    with pytest.raises(ValueError, match=">= 0"):
+        fc.pow_coeffs(ctx, a.coeffs, -1)
+
+
 def test_ext_field_ctx_memoized():
     assert fc.ext_field_ctx(3, 2) is fc.ext_field_ctx(3, 2)
     assert fc.ext_field_ctx(3, 2, [1, 0, 1]) is fc.ext_field_ctx(3, 2, (1, 0, 1))
@@ -383,7 +396,7 @@ def test_norm_table_is_built_on_first_use(monkeypatch):
 
 def test_norm_table_fails_closed(monkeypatch):
     ctx = fc.ext_field_ctx(5, 2)
-    g = fc._primitive_element(ctx)
+    g = fc.primitive_element(ctx)
     # a norm kernel whose N(g) has order 1, not p - 1
     monkeypatch.setattr(fc, "_norm_tables", {})
     monkeypatch.setattr(fc, "norm_kernel", lambda ctx: lambda a: 1)
@@ -395,7 +408,7 @@ def test_norm_table_fails_closed(monkeypatch):
     monkeypatch.setattr(fc, "_log_tables", {})
     monkeypatch.setattr(fc, "_norm_tables", {})
     fc.log_table(ctx)
-    monkeypatch.setattr(fc, "_primitive_element", lambda ctx: fc.ext_pow(g, 7))
+    monkeypatch.setattr(fc, "primitive_element", lambda ctx: fc.ext_pow(g, 7))
     with pytest.raises(la.CheckFailed, match="norm table of F_5"):
         fc.norm_table(ctx)
     assert fc._norm_tables == {}

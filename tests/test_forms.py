@@ -1,9 +1,11 @@
 """Forms, factorization, norm-form decompositions, box splitting."""
 
+import ast
 import itertools
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,10 @@ from hypothesis import strategies as st
 from normsum import field_core as fc
 from normsum import forms as fm
 from normsum import harness as hn
+from normsum import linalg as la
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+PARTS_BY_N = {2: [(2,), (1, 1)], 3: [(3,), (2, 1), (1, 1, 1)]}
 
 
 def form(p, n, monos):
@@ -62,22 +68,64 @@ def test_eval_homogeneity(data):
     assert lhs == rhs
 
 
+def test_eval_form_matches_one_pow_per_monomial_factor():
+    # the power lists against the literal sum of coef * prod x_i^e_i
+    rng = random.Random(17)
+    for _ in range(200):
+        p = rng.choice([2, 3, 5, 7, 101])
+        n = rng.randint(1, 4)
+        k = rng.randint(0, 6)
+        homogeneous = [e for e in itertools.product(range(k + 1), repeat=n) if sum(e) == k]
+        exps = {rng.choice(homogeneous) for _ in range(rng.randint(1, 5))}
+        F = form(p, n, {e: rng.randint(1, p - 1) for e in exps})
+        x = tuple(rng.randint(-3 * p, 3 * p) for _ in range(n))
+        want = sum(c * math.prod(pow(v % p, e, p) for v, e in zip(x, exp))
+                   for exp, c in F.monomials) % p
+        assert fm.eval_form(F, x) == want, (F, x)
+
+
 # ---------------------------------------------------------------------------
-# factor_form
+# factor_form: the F_p-irreducible factors, a test-side reading of the
+# closure splitting that decompose uses
+
+
+def factor_form(F):
+    """Irreducible factors of F over F_p, with multiplicity, product equal to F.
+
+    The leading constant is folded into the first factor. Raises
+    UnsupportedFormError outside the supported classes, and
+    linalg.CheckFailed when the factors do not multiply back to F.
+    """
+    split = fm._closure_split(F)
+    factors = []
+    for orbit, mult in split.orbits:
+        factors.extend([fm._orbit_factor_form(orbit, split, F)] * mult)
+    factors.sort(key=fm.form_sort_key)
+    if split.c != 1:
+        first = factors[0]
+        factors[0] = fm.FormSpec(
+            F.p, F.n, first.k, tuple((e, (v * split.c) % F.p) for e, v in first.monomials)
+        )
+    prod = {(0,) * F.n: 1}
+    for fac in factors:
+        prod = fm._ipoly_mul(prod, fac.as_dict(), F.p)
+    if fm.FormSpec(F.p, F.n, F.k, tuple(prod.items())) != F:
+        raise la.CheckFailed("factor product mismatch")
+    return factors
 
 
 def test_factor_X1X2():
-    fs = fm.factor_form(form(5, 2, {(1, 1): 1}))
+    fs = factor_form(form(5, 2, {(1, 1): 1}))
     assert [f.monomials for f in fs] == [(((1, 0), 1),), (((0, 1), 1),)]
 
 
 def test_factor_sum_of_squares_mod3_irreducible():
     F = form(3, 2, {(2, 0): 1, (0, 2): 1})
-    assert fm.factor_form(F) == [F]
+    assert factor_form(F) == [F]
 
 
 def test_factor_sum_of_squares_mod5_splits():
-    fs = fm.factor_form(form(5, 2, {(2, 0): 1, (0, 2): 1}))
+    fs = factor_form(form(5, 2, {(2, 0): 1, (0, 2): 1}))
     assert [f.monomials for f in fs] == [
         (((0, 1), 2), ((1, 0), 1)),  # X1 + 2 X2
         (((0, 1), 3), ((1, 0), 1)),  # X1 + 3 X2
@@ -85,7 +133,7 @@ def test_factor_sum_of_squares_mod5_splits():
 
 
 def test_factor_repeated_and_constant():
-    fs = fm.factor_form(form(3, 2, {(2, 1): 2}))
+    fs = factor_form(form(3, 2, {(2, 1): 2}))
     prod = {(0, 0): 1}
     for f in fs:
         prod = fm._ipoly_mul(prod, f.as_dict(), 3)
@@ -96,7 +144,7 @@ def test_factor_repeated_and_constant():
 def test_factor_unsupported_is_loud():
     F = form(7, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
     with pytest.raises(fm.UnsupportedFormError, match="factorization unsupported"):
-        fm.factor_form(F)
+        factor_form(F)
 
 
 def test_factor_products_agree_pointwise():
@@ -107,13 +155,99 @@ def test_factor_products_agree_pointwise():
         (11, 2, {(2, 0): 1, (0, 2): 1}),
     ]:
         F = form(p, n, monos)
-        fs = fm.factor_form(F)
+        fs = factor_form(F)
         for _ in range(50):
             x = tuple(rng.randrange(p) for _ in range(n))
             prod = 1
             for f in fs:
                 prod = (prod * fm.eval_form(f, x)) % p
             assert prod == fm.eval_form(F, x)
+
+
+# ---------------------------------------------------------------------------
+# roots in the splitting field: the whole-field scan is the oracle
+
+
+def eval_poly_ext(coeffs, x):
+    """The F_p polynomial coeffs (low to high) at x, by Horner on field elements."""
+    acc = x.ctx.zero()
+    for c in reversed(list(coeffs)):
+        acc = fc.ext_add(fc.ext_mul(acc, x), x.ctx.from_int(c))
+    return acc
+
+
+def scan_roots(coeffs, ctx):
+    """Every root of coeffs in ctx, evaluated at each element in iter_elements order."""
+    return [x.coeffs for x in ctx.iter_elements() if eval_poly_ext(coeffs, x).is_zero()]
+
+
+def test_roots_in_matches_scan_on_round_trip_restrictions(monkeypatch):
+    # every restriction that closure splitting meets in the round-trip
+    # classes, and every embedding root, checked against the scan
+    roots_in = fm._roots_in
+    seen = []
+
+    def checked(coeffs, ctx):
+        got = roots_in(coeffs, ctx)
+        assert got == scan_roots(coeffs, ctx), (coeffs, ctx)
+        seen.append(ctx.m)
+        return got
+
+    monkeypatch.setattr(fm, "_roots_in", checked)
+    fm._embedding_powers.cache_clear()
+    rng = random.Random(404)
+    for p in PRIMES:
+        for n in (2, 3):
+            for part in PARTS_BY_N[n]:
+                for _ in range(3):
+                    D = fm.random_decomposition(p, n, part, rng)
+                    F = fm.synthesize_form(D)
+                    assert fm.synthesize_form(fm.decompose(F)) == F
+    fm._embedding_powers.cache_clear()
+    assert len(seen) >= 120 and set(seen) == {1, 2, 3}
+
+
+def test_smallest_root_of_every_canonical_subfield_polynomial():
+    # the embedding of F_{p^d} into F_{p^K} sends w to the smallest root of
+    # its canonical polynomial; all d roots are there, and the first one is
+    # the scan's first hit
+    checked = 0
+    for p in PRIMES:
+        K = 1
+        while p**K <= 10**4:
+            big = fc.ext_field_ctx(p, K)
+            for d in (d for d in range(1, K + 1) if K % d == 0):
+                sub = fc.ext_field_ctx(p, d)
+                roots = fm._roots_in(sub.defining_poly, big)
+                first = next(x.coeffs for x in big.iter_elements()
+                             if eval_poly_ext(sub.defining_poly, x).is_zero())
+                assert len(roots) == d and roots[0] == first, (p, K, d)
+                if d > 1 and d < K:
+                    assert fm._embedding_powers(sub, big)[1] == first
+                checked += 1
+            K += 1
+    assert checked >= 40
+
+
+def test_roots_in_outside_the_splitting_field():
+    # X^2 + 1 is irreducible mod 3: no root in F_3 or F_27, both in F_9
+    assert fm._roots_in((1, 0, 1), fc.ext_field_ctx(3, 1)) == []
+    assert fm._roots_in((1, 0, 1), fc.ext_field_ctx(3, 3)) == []
+    F9 = fc.ext_field_ctx(3, 2)
+    assert fm._roots_in((1, 0, 1), F9) == scan_roots((1, 0, 1), F9)
+    # repeated factors give each root once
+    assert fm._roots_in((0, 0, 1), F9) == [(0, 0)]
+    with pytest.raises(ValueError, match="not monic"):
+        fm._roots_in((1, 2), F9)
+
+
+def test_embedding_is_computed_once_per_field_pair():
+    fm._embedding_powers.cache_clear()
+    rng = random.Random(8)
+    for _ in range(20):
+        fm.random_decomposition(5, 3, (2, 1), rng)
+    # (F_25, F_25) and (F_5, F_25), however many draws were rejected
+    assert fm._embedding_powers.cache_info().misses == 2
 
 
 # ---------------------------------------------------------------------------
@@ -327,3 +461,17 @@ def test_value_is_the_product_of_conjugate_norms():
                             fc.norm_via_conjugates(D.lam(i, x)) for i in range(D.s)
                         ) % p
                         assert D.value(x) == want, (p, part, blocks, x)
+
+
+# ---------------------------------------------------------------------------
+# checks survive python -O
+
+
+def test_forms_has_no_assert_statements():
+    tree = ast.parse(Path(fm.__file__).read_text())
+    asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    raised = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "AssertionError"
+    ]
+    assert asserts == [] and raised == []
