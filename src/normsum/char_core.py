@@ -1,53 +1,19 @@
 """Multiplicative characters mod p and their lifts through field norms.
 
 A character is pinned down by an index t against the canonical (smallest)
-primitive root g: it sends g^j to the root of unity of index t*j mod (p-1),
-and 0 to 0. Values are tracked as exact root-of-unity indices; complex
-floats appear only when a caller asks for the numeric value.
+primitive root g, which is fc.primitive_element of F_p: it sends g^j to the
+root of unity of index t*j mod (p-1), and 0 to 0. Values are tracked as
+exact root-of-unity indices; complex floats appear only when a caller asks
+for the numeric value.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import field_core as fc
-from . import linalg
-
-DLOG_CAP = 10**5
-
-_dlog_cache: dict[tuple[int, int], list] = {}
-
-
-def primitive_root(p: int) -> int:
-    """Smallest primitive root mod p."""
-    linalg.check_prime(p)
-    if p == 2:
-        return 1
-    order = p - 1
-    prime_factors = fc.prime_divisors(order)
-    for g in range(2, p):
-        if all(pow(g, order // q, p) != 1 for q in prime_factors):
-            return g
-    raise AssertionError("unreachable: primitive roots exist for every prime")
-
-
-def _dlog_table(p: int, g: int) -> list:
-    """dlog[a] = j with g^j = a mod p; dlog[0] = None."""
-    key = (p, g)
-    if key not in _dlog_cache:
-        if p > DLOG_CAP:
-            raise ValueError(f"discrete log table supports p <= {DLOG_CAP}")
-        table: list = [None] * p
-        acc = 1
-        for j in range(p - 1):
-            if table[acc] is not None:
-                raise ValueError(f"{g} is not a primitive root mod {p}")
-            table[acc] = j
-            acc = (acc * g) % p
-        _dlog_cache[key] = table
-    return _dlog_cache[key]
 
 
 def root_of_unity(index: int, order: int) -> complex:
@@ -66,18 +32,18 @@ def root_of_unity(index: int, order: int) -> complex:
 
 @dataclass(frozen=True)
 class DirichletChar:
-    """Multiplicative character mod p: index t against a fixed primitive root."""
+    """Multiplicative character mod p: index t against F_p's primitive element.
+
+    The character holds F_p's discrete-log table (fc.log_table at degree 1)
+    from construction, so chi(a) is one lookup.
+    """
 
     p: int
     index: int
-    generator: int = field(default=0)
 
     def __post_init__(self):
-        linalg.check_prime(self.p)
-        gen = self.generator or primitive_root(self.p)
-        object.__setattr__(self, "generator", gen)
         object.__setattr__(self, "index", self.index % max(1, self.p - 1))
-        _dlog_table(self.p, gen)  # validates the generator
+        object.__setattr__(self, "_logs", fc.log_table(fc.ext_field_ctx(self.p, 1)))
 
 
 def char_index(chi: DirichletChar, a: int):
@@ -85,8 +51,7 @@ def char_index(chi: DirichletChar, a: int):
     a %= chi.p
     if a == 0:
         return None
-    j = _dlog_table(chi.p, chi.generator)[a]
-    return (chi.index * j) % (chi.p - 1) if chi.p > 2 else 0
+    return chi.index * chi._logs[a] % (chi.p - 1)
 
 
 def char_eval(chi: DirichletChar, a: int) -> complex:

@@ -43,9 +43,8 @@ def index_histogram(chi: cc.DirichletChar, residues) -> tuple[tuple[int, ...], i
 
 def _histogram_value(weights: Sequence[int], p: int) -> complex:
     total = complex(0, 0)
-    for e, w in enumerate(weights):
-        if w:
-            total += w * cc.root_of_unity(e, max(1, p - 1))
+    for e in itertools.compress(range(len(weights)), weights):
+        total += weights[e] * cc.root_of_unity(e, max(1, p - 1))
     return total
 
 

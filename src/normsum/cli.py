@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from . import harness as hn
+from . import linalg as la
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,7 +96,7 @@ def main(argv=None) -> int:
     except hn.UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
+    except la.CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -187,8 +187,8 @@ def energy_bruteforce(inst: EnergyInstance, cross_check=None) -> int:
     quads = (inst.box_x.volume * inst.box_y.volume) ** 2
     if cross_check is None:
         cross_check = quads <= QUAD_CROSS_CHECK_CAP
-    if cross_check:
-        assert energy_quadruple_loop(inst) == value
+    if cross_check and energy_quadruple_loop(inst) != value:
+        raise la.CheckFailed("quadruple loop and pair histogram give different energies")
     return value
 
 
@@ -221,7 +221,7 @@ def eta_count(D: fm.NormFormDecomposition, z, box_x: fm.BoxSpec, box_y: fm.BoxSp
 def s1_identity_check(D: fm.NormFormDecomposition, box_x: fm.BoxSpec, box_y: fm.BoxSpec):
     """Ratio-histogram second moment against the all-nonzero quadruple count.
 
-    Returns (sum of eta^2, quadruple count, equal).  Also asserts the
+    Returns (sum of eta^2, quadruple count, equal).  Also checks the
     Cauchy-Schwarz bound against the two single-box energies.
     """
     table_x = _lam_table(D, box_x)
@@ -248,11 +248,13 @@ def s1_identity_check(D: fm.NormFormDecomposition, box_x: fm.BoxSpec, box_y: fm.
 
     if (len(table_x) * len(table_y)) ** 2 <= QUAD_CROSS_CHECK_CAP:
         literal = sum(1 for _ in _literal_quadruples(live_x, live_x, live_y, live_y))
-        assert literal == quads
+        if literal != quads:
+            raise la.CheckFailed(f"literal loop counts {literal}, histogram {quads}")
 
     e_x = energy_bruteforce(EnergyInstance(D, box_x, box_x), cross_check=False)
     e_y = energy_bruteforce(EnergyInstance(D, box_y, box_y), cross_check=False)
-    assert s1 * s1 <= e_x * e_y
+    if s1 * s1 > e_x * e_y:
+        raise la.CheckFailed(f"Cauchy-Schwarz fails: {s1}^2 > {e_x} * {e_y}")
     return s1, quads, s1 == quads
 
 
@@ -326,7 +328,8 @@ def energy_restricted(
             degenerate += c
         else:
             live += c
-    assert live + degenerate == total
+    if live + degenerate != total:
+        raise la.CheckFailed(f"live {live} + degenerate {degenerate} != {total}")
 
     quads = (box_x.volume * box_y.volume) ** 2
     if cross_check is None:
@@ -343,7 +346,8 @@ def energy_restricted(
                 lit_deg += 1
             else:
                 lit_live += 1
-        assert (lit_live, lit_deg) == (live, degenerate)
+        if (lit_live, lit_deg) != (live, degenerate):
+            raise la.CheckFailed(f"literal split {lit_live, lit_deg} != {live, degenerate}")
     return live, degenerate, total
 
 
@@ -403,7 +407,8 @@ def _extend_to_basis(A, p: int):
         candidate = cols + [unit]
         if la.mat_rank(tuple(zip(*candidate)), p) == len(candidate):
             cols.append(unit)
-    assert len(cols) == k
+    if len(cols) != k:
+        raise la.CheckFailed(f"{len(cols)} columns, not {k}, after extending to a basis")
     return tuple(tuple(row) for row in zip(*cols))
 
 
@@ -430,10 +435,11 @@ def embed_energy(inst: EnergyInstance, cross_check=None):
 
 
 def elementary_bounds_check(inst: EnergyInstance, cross_check=None) -> dict:
-    """Diagonal lower bound asserted; cube-scale upper ratio reported."""
+    """Diagonal lower bound checked; cube-scale upper ratio reported."""
     value = energy_bruteforce(inst, cross_check)
     lower = inst.box_x.volume * inst.box_y.volume
-    assert value >= lower
+    if value < lower:
+        raise la.CheckFailed(f"energy {value} below the diagonal count {lower}")
     n = inst.decomposition.n
     h_max = max(inst.box_x.H + inst.box_y.H)
     return {

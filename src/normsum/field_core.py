@@ -124,11 +124,12 @@ def find_irreducible(p: int, m: int) -> tuple[int, ...]:
         raise ValueError(f"extension degree must be >= 1, got {m}")
     if p**m > FIELD_SIZE_CAP:
         raise ValueError(f"field size {p}^{m} exceeds cap {FIELD_SIZE_CAP}")
-    for tail in itertools.product(range(p), repeat=m):
-        coeffs = tuple(reversed(tail)) + (1,)
+    # code sum_j c_j p^j ascending is that order, and builds no pool of p values
+    for code in range(p**m):
+        coeffs = tuple(code // p**j % p for j in range(m)) + (1,)
         if is_irreducible_poly(coeffs, p):
             return coeffs
-    raise AssertionError("unreachable: irreducibles of every degree exist")
+    raise linalg.CheckFailed("unreachable: irreducibles of every degree exist")
 
 
 @dataclass(frozen=True)
@@ -419,9 +420,10 @@ def pow_coeffs(ctx: ExtFieldCtx, a, e: int) -> tuple:
 
 
 # a field's log table, fold and norm table hold about 6q references (some
-# 120 MB at q = 10^6), and a scan over a prime range builds them for new
-# fields at every prime, so only the most recent fields are kept, up to this
-# many elements: room for F_p, F_{p^2}, ... of one prime up to the field cap
+# 120 MB at q = 10^6; 2q before the fold is built), and a scan over a prime
+# range builds them for new fields at every prime, so only the most recent
+# fields are kept, up to this many elements: room for F_p, F_{p^2}, ... of
+# one prime up to the field cap
 LOG_CACHE_ELEMENTS = FIELD_SIZE_CAP
 _log_tables: dict = {}
 _norm_tables: dict = {}
@@ -435,8 +437,11 @@ def log_table(ctx: ExtFieldCtx) -> list:
     element of smallest code (g^((q-1)/r) != 1 for every prime r | q - 1).
     The entry for 0 is the sentinel 2(q - 1) - 1, above every sum of two
     logs, so the sum of two entries shows whether either factor is zero.
-    The table is filled by stepping with mul_kernel and fails closed: a
-    repeated code raises rather than store a table that is not a bijection.
+    The table is filled by stepping with mul_kernel (at degree 1 a residue
+    is its own code, so with int products mod p) and fails closed: a
+    repeated code raises linalg.CheckFailed rather than store a table that
+    is not a bijection.  F_p's table is also the one that characters mod p
+    read.
     """
     return _log_tables_of(ctx)[0]
 
@@ -471,9 +476,18 @@ def log_fold(ctx: ExtFieldCtx) -> list:
 
     For a sum s = log[a] + log[b] of two entries (0 <= s <= 4(q - 1) - 2),
     fold[s] is log[ab] = s mod (q - 1) when a and b are nonzero, and the
-    marker q - 1, which is no log, when either is zero.
+    marker q - 1, which is no log, when either is zero.  It is built on first
+    use from the walk's list of logs, which it begins with, so its logs are
+    the table's int objects, not copies.
     """
-    return _log_tables_of(ctx)[1]
+    table, fold = _log_tables_of(ctx)
+    order = ctx.order - 1
+    if len(fold) == order:
+        fold = fold * 2  # logs, then logs again up to 2(q - 1) - 2, then the marker
+        fold.pop()
+        fold += itertools.repeat(order, 2 * order)
+        _log_tables[ctx] = (table, fold)
+    return fold
 
 
 def _log_tables_of(ctx: ExtFieldCtx) -> tuple:
@@ -488,24 +502,35 @@ def _log_tables_of(ctx: ExtFieldCtx) -> tuple:
         _norm_tables.pop(next(iter(_log_tables)), None)
         del _log_tables[next(iter(_log_tables))]
     order = q - 1
-    weights = [p**j for j in range(m)]
-    g = primitive_element(ctx)
-    mul = mul_kernel(ctx)
-    logs = list(range(order))  # one int object per log, shared with the fold
+    g = primitive_element(ctx).coeffs
+    logs = list(range(order))  # one int object per log, kept for log_fold
     table = [None] * q
-    acc = ctx.one().coeffs
-    for j in logs:
-        code = sum(map(operator.mul, acc, weights))
-        if code == 0 or table[code] is not None:
-            raise AssertionError(
-                f"log table of F_{p}^{m}: step {j} revisits code {code}"
-            )
-        table[code] = j
-        acc = mul(acc, g.coeffs)
-    table[0] = 2 * order - 1
-    fold = logs + logs[: order - 1] + [order] * (2 * order)
-    tables = _log_tables[ctx] = (table, fold)
+    table[0] = 2 * order - 1  # set first, so a step onto code 0 is a revisit
+    if m == 1:
+        # a residue is its own code, so the walk is int products mod p
+        code, step = 1, g[0]
+        for j in logs:
+            if table[code] is not None:
+                _revisit(ctx, j, code)
+            table[code] = j
+            code = code * step % p
+    else:
+        mul, weights = mul_kernel(ctx), [p**j for j in range(m)]
+        acc = ctx.one().coeffs
+        for j in logs:
+            code = sum(map(operator.mul, acc, weights))
+            if table[code] is not None:
+                _revisit(ctx, j, code)
+            table[code] = j
+            acc = mul(acc, g)
+    tables = _log_tables[ctx] = (table, logs)
     return tables
+
+
+def _revisit(ctx: ExtFieldCtx, j: int, code: int):
+    raise linalg.CheckFailed(
+        f"log table of F_{ctx.p}^{ctx.m}: step {j} revisits code {code}"
+    )
 
 
 @functools.cache

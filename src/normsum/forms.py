@@ -676,10 +676,8 @@ def _check_stacked_ranks(D: NormFormDecomposition):
                 )
 
 
-def verify_decomposition(F: FormSpec, D: NormFormDecomposition, seed: int = 0) -> bool:
-    """Pointwise identity F(x) = prod N_i(lambda_i(x)) plus the rank invariants."""
-    if F.p != D.p or F.n != D.n or F.k != D.k:
-        return False
+def _ranks_hold(D: NormFormDecomposition) -> bool:
+    """Each block U_i has rank min(k_i, n) and, when n = k, so does every stack."""
     for ki, U in zip(D.partition, D.blocks):
         if linalg.mat_rank([list(r) for r in U], D.p) != min(ki, D.n):
             return False
@@ -688,6 +686,13 @@ def verify_decomposition(F: FormSpec, D: NormFormDecomposition, seed: int = 0) -
             _check_stacked_ranks(D)
         except RankConditionError:
             return False
+    return True
+
+
+def verify_decomposition(F: FormSpec, D: NormFormDecomposition, seed: int = 0) -> bool:
+    """Pointwise identity F(x) = prod N_i(lambda_i(x)) plus the rank invariants."""
+    if F.p != D.p or F.n != D.n or F.k != D.k or not _ranks_hold(D):
+        return False
     p, n = F.p, F.n
     if p**n <= POINTWISE_EXHAUSTIVE_CAP:
         points = itertools.product(range(p), repeat=n)
@@ -747,14 +752,8 @@ def decomposition_in_class(D: NormFormDecomposition) -> bool:
     Frobenius conjugates, are proportional; this is the class to which the
     factorization machinery is total.
     """
-    for ki, U in zip(D.partition, D.blocks):
-        if linalg.mat_rank([list(r) for r in U], D.p) != min(ki, D.n):
-            return False
-    if D.n == D.k:
-        try:
-            _check_stacked_ranks(D)
-        except RankConditionError:
-            return False
+    if not _ranks_hold(D):
+        return False
     L = 1
     for ki in D.partition:
         L = L * ki // math.gcd(L, ki)

@@ -243,7 +243,8 @@ def run_gen_form(config: ExperimentConfig) -> dict:
     rng = random.Random(_derived_seed(config.seed, p, config.n, config.k))
     D = fm.random_decomposition(p, config.n, canonical_partition(config.n, config.k), rng)
     F = fm.synthesize_form(D)
-    assert fm.verify_decomposition(F, D, seed=config.seed)
+    if not fm.verify_decomposition(F, D, seed=config.seed):
+        raise la.CheckFailed("synthesized form failed verification")
     return {"form": fm.form_to_dict(F), "decomposition": fm.decomposition_to_dict(D)}
 
 
@@ -273,9 +274,8 @@ def run_decompose(config: ExperimentConfig, form_path: str | None) -> dict:
     if not form_path:
         raise UsageError("decompose needs --form FILE")
     F = _load_form(form_path)
-    D = fm.decompose(F, seed=config.seed)
-    assert fm.verify_decomposition(F, D, seed=config.seed)
-    return fm.decomposition_to_dict(D)
+    # decompose ends with verify_decomposition(F, D, seed) and raises on failure
+    return fm.decomposition_to_dict(fm.decompose(F, seed=config.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -391,18 +391,16 @@ def run_lattice(config: ExperimentConfig):
             L = lat.build_lattice(D1.A, D2.A, z)
             det = L.det()
             rows.append(scan_row(p, n, n, (0,) * n, "lattice_det", det, float(p**n)))
-            dual = lat.dual_lattice(L)
-            lat.dual_pairing_check(L, dual)
-            rows.append(scan_row(p, n, n, (0,) * n, "dual_pairing", 1, 1.0))
             H = (max(1, math.isqrt(p)),) * (2 * n)
+            # builds the dual, whose last step is the pairing check, and the box minima
+            mahler = lat.mahler_check(L, H)
+            rows.append(scan_row(p, n, n, (0,) * n, "dual_pairing", 1, 1.0))
             count = lat.points_in_box(L, H, cross_check=False)[0]
             rows.append(scan_row(p, n, n, H, "box_count", count, float(det)))
-            rep = lat.successive_minima(L, H)
-            prod = math.prod(rep.minima, start=Fraction(1))
+            prod = math.prod(mahler["minima"], start=Fraction(1))
             rows.append(
                 ScanRow(p, n, n, H, "minima_product", prod, det, float(prod / det))
             )
-            mahler = lat.mahler_check(L, H)
             for i, pr in enumerate(mahler["products"]):
                 rows.append(
                     ScanRow(
@@ -527,9 +525,10 @@ def run_bound_table(config: ExperimentConfig):
                 range(2, 101),
                 key=lambda rr: cs.delta_savings(n, float(rr), config.kappa),
             )
-            assert abs(r_opt - r_brute) <= 1, (
-                f"optimal exponent mismatch: formula {r_opt}, brute {r_brute}"
-            )
+            if abs(r_opt - r_brute) > 1:
+                raise la.CheckFailed(
+                    f"optimal exponent mismatch: formula {r_opt}, brute {r_brute}"
+                )
         else:
             r_opt = r_brute = None
         for r in range(k + 1, k + 7):

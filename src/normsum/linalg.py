@@ -55,7 +55,8 @@ def identity(n: int) -> list[list[int]]:
 
 def mat_mul(A, B, p: int) -> list[list[int]]:
     rows, inner, cols = len(A), len(B), len(B[0])
-    assert len(A[0]) == inner
+    if len(A[0]) != inner:
+        raise ValueError(f"cannot multiply a {rows} x {len(A[0])} by a {inner} x {cols} matrix")
     return [
         [sum(A[i][t] * B[t][j] for t in range(inner)) % p for j in range(cols)]
         for i in range(rows)
@@ -63,7 +64,8 @@ def mat_mul(A, B, p: int) -> list[list[int]]:
 
 
 def mat_vec(A, x, p: int) -> list[int]:
-    assert len(A[0]) == len(x)
+    if len(A[0]) != len(x):
+        raise ValueError(f"matrix has {len(A[0])} columns, vector has {len(x)} entries")
     return [sum(row[j] * x[j] for j in range(len(x))) % p for row in A]
 
 

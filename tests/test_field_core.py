@@ -308,11 +308,87 @@ def test_log_table_inverts_ext_pow(p, m, poly):
 
 def test_log_table_fails_closed(monkeypatch):
     # a multiply that never moves revisits the code of 1 at the first step
+    # (g is found first: its search needs the real multiply)
+    ctx = fc.ext_field_ctx(5, 2)
+    fc.primitive_element(ctx)
     monkeypatch.setattr(fc, "_log_tables", {})
     monkeypatch.setattr(fc, "mul_kernel", lambda ctx: lambda a, b: a)
-    with pytest.raises(AssertionError, match="revisits code 1"):
-        fc.log_table(fc.ext_field_ctx(5, 2))
+    with pytest.raises(la.CheckFailed, match="revisits code 1"):
+        fc.log_table(ctx)
     assert fc._log_tables == {}
+
+
+def test_prime_field_log_walk_fails_closed(monkeypatch):
+    # 4 has order 2 mod 5: the int walk 1, 4, 1 revisits the code of 1
+    monkeypatch.setattr(fc, "_log_tables", {})
+    monkeypatch.setattr(fc, "primitive_element", lambda ctx: ctx.from_int(4))
+    with pytest.raises(la.CheckFailed, match="step 2 revisits code 1"):
+        fc.log_table(fc.ext_field_ctx(5, 1))
+    assert fc._log_tables == {}
+
+
+# the prime-field discrete logs that characters mod p read before they read
+# log_table: the smallest primitive root and a walk of its powers mod p
+
+
+def primitive_root(p):
+    """Smallest primitive root mod p."""
+    if p == 2:
+        return 1
+    prime_factors = fc.prime_divisors(p - 1)
+    return next(g for g in range(2, p)
+                if all(pow(g, (p - 1) // r, p) != 1 for r in prime_factors))
+
+
+def dlog_table(p, g):
+    """dlog[a] = j with g^j = a mod p; dlog[0] = None."""
+    table = [None] * p
+    acc = 1
+    for j in range(p - 1):
+        if table[acc] is not None:
+            raise ValueError(f"{g} is not a primitive root mod {p}")
+        table[acc] = j
+        acc = (acc * g) % p
+    return table
+
+
+ORACLE_PRIMES = [p for p in range(2, 3000) if la.is_prime(p)] + [99991, 100003, 999983]
+
+
+def test_prime_field_logs_match_the_primitive_root_oracle(monkeypatch):
+    monkeypatch.setattr(fc, "_log_tables", {})
+    for p in ORACLE_PRIMES:
+        ctx = fc.ext_field_ctx(p, 1)
+        g = primitive_root(p)
+        assert fc.primitive_element(ctx).coeffs == (g,), p
+        oracle = dlog_table(p, g)
+        table = fc.log_table(ctx)
+        assert table[0] == 2 * (p - 1) - 1
+        assert table[1:] == oracle[1:], p
+        if p < 3000:
+            for t in sorted({1, (p - 1) // 2}):
+                chi = cc.DirichletChar(p, t)
+                assert [cc.char_index(chi, a) for a in range(p)] == (
+                    [None] + [t * j % (p - 1) for j in oracle[1:]]
+                ), (p, t)
+        del oracle, table
+        fc._log_tables.clear()
+
+
+def test_character_holds_the_prime_field_log_table(monkeypatch):
+    monkeypatch.setattr(fc, "_log_tables", {})
+    ctx = fc.ext_field_ctx(7, 1)
+    chi = cc.DirichletChar(7, 2)
+    assert list(fc._log_tables) == [ctx]
+    assert chi == cc.DirichletChar(7, 8) and repr(chi) == "DirichletChar(p=7, index=2)"
+    # an evicted table is still the character's: no rebuild per lookup
+    fc._log_tables.clear()
+    assert [cc.char_index(chi, a) for a in range(7)] == [None, 0, 4, 2, 2, 4, 0]
+    assert fc._log_tables == {}
+    with pytest.raises(ValueError, match="modulus must be prime"):
+        cc.DirichletChar(9, 1)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        cc.DirichletChar(1000003, 1)
 
 
 @pytest.mark.parametrize("p,m,poly", [(2, 1, None), (2, 3, None), (7, 1, None),
@@ -419,4 +495,4 @@ def test_prime_divisors():
     assert fc.prime_divisors(2) == [2]
     assert fc.prime_divisors(360) == [2, 3, 5]
     assert fc.prime_divisors(97 * 97) == [97]
-    assert cc.primitive_root(41) == 6
+    assert fc.primitive_element(fc.ext_field_ctx(41, 1)).coeffs == (6,)

@@ -3,7 +3,10 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -298,6 +301,29 @@ class TestCli:
         assert "|sum| 9.0 > 1.0" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["charsum", "bound-table"])
+    def test_characters_run_past_ten_to_the_five(self, command, capsys):
+        assert run_cli([command, "--p", "100003", "--n", "1", "--k", "1", "--seed", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[1].startswith("100003,")
+
+    def test_energy_cross_check_mismatch_exits_1_under_optimize(self):
+        # a literal quadruple loop that finds nothing disagrees with the histogram
+        script = (
+            "import sys\n"
+            "from normsum import cli, energy as en\n"
+            "en._literal_quadruples = lambda *tables: iter(())\n"
+            "sys.exit(cli.main(['identity-suite', '--p-range', '5..5', '--seed', '1']))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+            timeout=120, env={"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        )
+        assert out.returncode == 1, out.stderr
+        assert out.stderr.startswith("check failed: literal loop counts 0, histogram")
+        assert "Traceback" not in out.stderr
 
     def test_empty_range_exits_0(self, capsys):
         assert run_cli(["energy-scan", "--p-range", "20..22", "--seed", "1"]) == 0

@@ -1,9 +1,11 @@
 """Exact linear algebra: the integer echelon and the nullspace mod p."""
 
+import ast
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -76,3 +78,29 @@ def test_nullspace_mod():
 
 def test_check_failed_is_an_assertion_error():
     assert issubclass(la.CheckFailed, AssertionError)
+
+
+def _raises_assertion_error(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_src_has_no_check_that_python_O_strips():
+    # every check raises CheckFailed (or ValueError) explicitly
+    found = []
+    for path in sorted(Path(la.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert) or (
+                isinstance(node, ast.Raise) and node.exc is not None
+                and _raises_assertion_error(node)
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    assert len(list(Path(la.__file__).parent.glob("*.py"))) >= 9
+
+
+def test_shape_mismatch_is_value_error():
+    with pytest.raises(ValueError, match="cannot multiply a 1 x 2 by a 1 x 1"):
+        la.mat_mul([[1, 2]], [[1]], 5)
+    with pytest.raises(ValueError, match="2 columns, vector has 3"):
+        la.mat_vec([[1, 2]], [1, 2, 3], 5)
