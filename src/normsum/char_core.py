@@ -54,21 +54,10 @@ def char_index(chi: DirichletChar, a: int):
     return chi.index * chi._logs[a] % (chi.p - 1)
 
 
-def char_eval(chi: DirichletChar, a: int) -> complex:
-    idx = char_index(chi, a)
-    if idx is None:
-        return complex(0, 0)
-    return root_of_unity(idx, chi.p - 1)
-
-
 def char_order(chi: DirichletChar) -> int:
     if chi.p == 2:
         return 1
     return (chi.p - 1) // math.gcd(chi.index, chi.p - 1)
-
-
-def is_principal(chi: DirichletChar) -> bool:
-    return chi.index == 0 or chi.p == 2
 
 
 @dataclass(frozen=True)
@@ -94,13 +83,6 @@ def lifted_index(psi: LiftedCharacter, a: fc.ExtFieldElement):
     if a.is_zero():
         return None
     return char_index(psi.base, fc.norm(a))
-
-
-def lifted_eval(psi: LiftedCharacter, a: fc.ExtFieldElement) -> complex:
-    idx = lifted_index(psi, a)
-    if idx is None:
-        return complex(0, 0)
-    return root_of_unity(idx, psi.base.p - 1)
 
 
 def lifted_order(psi: LiftedCharacter) -> int:

@@ -77,14 +77,20 @@ def _box_sum(chi, B: fm.BoxSpec, residues, source: str) -> CharSumResult:
 
 
 def charsum_direct(chi: cc.DirichletChar, F: fm.FormSpec, B: fm.BoxSpec) -> CharSumResult:
-    """Sum chi(F(x)) over the box, zero arguments contributing zero."""
+    """Sum chi(F(x)) over the box, zero arguments contributing zero.
+
+    The values stream line by line from fm.form_values over pieces of the
+    box with sides of at most fm.PIECE_SIDE, so memory holds one short line
+    and the power rows of one piece, whatever the shape of the box.
+    """
     if chi.p != F.p:
         raise ValueError("character modulus and form modulus differ")
     if B.dim != F.n:
         raise ValueError("box dimension and form arity differ")
     if B.volume > BOX_CAP:
         raise ValueError(f"box volume {B.volume} over cap {BOX_CAP}")
-    residues = (fm.eval_form(F, x) for x in B.iter_points())
+    lines = (line for piece in B.pieces(fm.PIECE_SIDE) for line in fm.form_values(F, piece))
+    residues = itertools.chain.from_iterable(lines)
     return _box_sum(chi, B, residues, f"direct deg-{F.k} form in {F.n} vars")
 
 
@@ -93,7 +99,9 @@ def charsum_lifted(
 ) -> CharSumResult:
     """Sum the product of norm-pulled-back character values over the box.
 
-    prod_i psi_i(lambda_i(x)) = chi(prod_i N_i(U_i x)) = chi(D.value(x)).
+    prod_i psi_i(lambda_i(x)) = chi(prod_i N_i(U_i x)) = chi(D.value(x)),
+    streamed line by line from D.values over the same pieces as the direct
+    route.
     """
     if chi.p != D.p:
         raise ValueError("character modulus and decomposition modulus differ")
@@ -101,7 +109,8 @@ def charsum_lifted(
         raise ValueError("box dimension and decomposition arity differ")
     if B.volume > BOX_CAP:
         raise ValueError(f"box volume {B.volume} over cap {BOX_CAP}")
-    residues = map(D.value, B.iter_points())
+    lines = (line for piece in B.pieces(fm.PIECE_SIDE) for line in D.values(piece))
+    residues = itertools.chain.from_iterable(lines)
     return _box_sum(chi, B, residues, f"lifted product of {D.s} norm factors")
 
 

@@ -10,7 +10,6 @@ stay separated rather than being skipped.
 from __future__ import annotations
 
 import operator
-import random
 from collections import Counter
 from dataclasses import dataclass
 
@@ -198,26 +197,6 @@ def energy_symmetric(D: fm.NormFormDecomposition, H, cross_check=None) -> int:
     return energy_bruteforce(EnergyInstance(D, box, box), cross_check)
 
 
-def eta_count(D: fm.NormFormDecomposition, z, box_x: fm.BoxSpec, box_y: fm.BoxSpec) -> int:
-    """Pairs (x, y) with lambda_i(x) = z_i lambda_i(y), all factors nonzero."""
-    z = tuple(z)
-    if len(z) != D.s:
-        raise ValueError("one ratio component per field factor")
-    if any(zi.is_zero() for zi in z):
-        raise ValueError("ratio components must be nonzero")
-    hist_x: dict = {}
-    for lx in _lam_table(D, box_x):
-        key = tuple(e.coeffs for e in lx)
-        hist_x[key] = hist_x.get(key, 0) + 1
-    count = 0
-    for ly in _lam_table(D, box_y):
-        if any(e.is_zero() for e in ly):
-            continue
-        target = tuple(fc.ext_mul(zi, e).coeffs for zi, e in zip(z, ly))
-        count += hist_x.get(target, 0)
-    return count
-
-
 def s1_identity_check(D: fm.NormFormDecomposition, box_x: fm.BoxSpec, box_y: fm.BoxSpec):
     """Ratio-histogram second moment against the all-nonzero quadruple count.
 
@@ -349,51 +328,6 @@ def energy_restricted(
         if (lit_live, lit_deg) != (live, degenerate):
             raise la.CheckFailed(f"literal split {lit_live, lit_deg} != {live, degenerate}")
     return live, degenerate, total
-
-
-def derived_quadruples(matrices):
-    """The two Cauchy-Schwarz companion quadruples of a matrix quadruple."""
-    a1, a2, a3, a4 = matrices
-    return (a1, a1, a2, a2), (a3, a3, a4, a4)
-
-
-def _random_nonsingular(rng: random.Random, n: int, p: int):
-    while True:
-        M = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
-        if la.mat_rank(M, p) == n:
-            return M
-
-
-def sampled_quadruple_family(
-    D: fm.NormFormDecomposition, seed=0, count=100, extra=()
-):
-    """All-identity plus seeded random nonsingular quadruples plus extras."""
-    rng = random.Random(seed)
-    ident = tuple(tuple(row) for row in la.identity(D.n))
-    family = [(ident, ident, ident, ident)]
-    for _ in range(count):
-        family.append(
-            tuple(_random_nonsingular(rng, D.n, D.p) for _ in range(4))
-        )
-    family.extend(tuple(tuple(tuple(row) for row in M) for M in q) for q in extra)
-    seen = set()
-    unique = []
-    for q in family:
-        if q not in seen:
-            seen.add(q)
-            unique.append(q)
-    return tuple(unique)
-
-
-def c_sampled(D: fm.NormFormDecomposition, box: fm.BoxSpec, family, cross_check=False) -> int:
-    """Family maximum of the same-box restricted energy."""
-    best = 0
-    for mats in family:
-        live, _, _ = energy_restricted(
-            GeneralizedEnergyInstance(D, mats, box, box), cross_check=cross_check
-        )
-        best = max(best, live)
-    return best
 
 
 def _extend_to_basis(A, p: int):

@@ -30,6 +30,7 @@ from . import linalg
 
 POINTWISE_EXHAUSTIVE_CAP = 10**5
 POINTWISE_SAMPLES = 10**4
+PIECE_SIDE = 4096  # longest side of a box evaluated line by line at once
 
 
 class UnsupportedFormError(ValueError):
@@ -71,7 +72,8 @@ class FormSpec:
             raise ValueError("form has no nonzero monomials")
         monomials = tuple(sorted(cleaned.items()))
         object.__setattr__(self, "monomials", monomials)
-        # for eval_form: (coef, ((i, e), ...)) per monomial, zero exponents dropped
+        # for eval_form and form_values: (coef, ((i, e), ...)) per monomial,
+        # zero exponents dropped
         object.__setattr__(self, "_terms", tuple(
             (c, tuple((i, e) for i, e in enumerate(exp) if e)) for exp, c in monomials
         ))
@@ -90,6 +92,15 @@ class FormSpec:
 
     def as_dict(self) -> dict:
         return dict(self.monomials)
+
+
+def _power_row(v: int, k: int, p: int) -> list:
+    """[1, v, ..., v^k] mod p."""
+    v %= p
+    row = [1]
+    for _ in range(k):
+        row.append(row[-1] * v % p)
+    return row
 
 
 def eval_form(F: FormSpec, x) -> int:
@@ -114,6 +125,33 @@ def eval_form(F: FormSpec, x) -> int:
             term *= powers[i][e]
         total += term
     return total % p
+
+
+def form_values(F: FormSpec, B: BoxSpec):
+    """F at every point of B: one list of residues per line of B along its
+    last coordinate, the lines and their points in B.iter_points() order.
+
+    On a line, F is a polynomial of degree k in x_n.  Its k + 1 coefficients
+    are collected once per line from the compiled monomials, and each point
+    is one dot product with the power row [1, t, ..., t^k] of its x_n = t,
+    built once per box.
+    """
+    if B.dim != F.n:
+        raise ValueError("box dimension and form arity differ")
+    p, k, last = F.p, F.k, F.n - 1
+    *axes, rows = [[_power_row(v, k, p) for v in axis] for axis in B.axes()]
+    for powers in itertools.product(*axes):
+        coeffs = [0] * (k + 1)
+        for term, factors in F._terms:
+            j = 0
+            for i, e in factors:
+                if i == last:
+                    j = e
+                else:
+                    term *= powers[i][e]
+            coeffs[j] += term
+        coeffs = [c % p for c in coeffs]
+        yield [sum(map(operator.mul, coeffs, row)) % p for row in rows]
 
 
 @dataclass(frozen=True)
@@ -144,11 +182,21 @@ class BoxSpec:
     def contains(self, x) -> bool:
         return all(n < v <= n + h for v, n, h in zip(x, self.N, self.H))
 
+    def axes(self) -> list:
+        """The coordinate range of each axis."""
+        return [range(n + 1, n + h + 1) for n, h in zip(self.N, self.H)]
+
     def iter_points(self):
-        for x in itertools.product(
-            *[range(n + 1, n + h + 1) for n, h in zip(self.N, self.H)]
-        ):
-            yield x
+        yield from itertools.product(*self.axes())
+
+    def pieces(self, side: int):
+        """The box cut into boxes with every side at most `side`."""
+        cuts = [
+            [(s, min(side, n + h - s)) for s in range(n, n + h, side)]
+            for n, h in zip(self.N, self.H)
+        ]
+        for piece in itertools.product(*cuts):
+            yield BoxSpec(*zip(*piece))
 
     @classmethod
     def symmetric(cls, H) -> "BoxSpec":
@@ -220,6 +268,34 @@ class NormFormDecomposition:
         for U, norm in self._factors:
             total *= norm([sum(map(operator.mul, row, x)) for row in U])
         return total % self.p
+
+    def values(self, B: BoxSpec):
+        """value(x) at every point of B: one list of residues per line of B
+        along its last coordinate, in B.iter_points() order.
+
+        On a line x = (x', t), the block coordinate (U_i x)_r is
+        U_i[r][:-1] x' + U_i[r][-1] t, an arithmetic progression in t, so no
+        dot product is taken per point; each point's coordinate tuple still
+        goes through its field's norm kernel.
+        """
+        if B.dim != self.n:
+            raise ValueError("box dimension and decomposition arity differ")
+        p = self.p
+        *axes, line = B.axes()
+        side = len(line)
+        for prefix in itertools.product(*axes):
+            total = None
+            for U, norm in self._factors:
+                coords = []
+                for row in U:
+                    step = row[-1]
+                    a = sum(map(operator.mul, row, prefix)) + step * line.start
+                    coords.append(
+                        range(a, a + step * side, step) if step else itertools.repeat(a, side)
+                    )
+                norms = map(norm, zip(*coords))
+                total = list(norms) if total is None else [x * y % p for x, y in zip(total, norms)]
+            yield total
 
 
 # ---------------------------------------------------------------------------
@@ -695,10 +771,12 @@ def verify_decomposition(F: FormSpec, D: NormFormDecomposition, seed: int = 0) -
         return False
     p, n = F.p, F.n
     if p**n <= POINTWISE_EXHAUSTIVE_CAP:
-        points = itertools.product(range(p), repeat=n)
-    else:
-        rng = random.Random(seed)
-        points = (tuple(rng.randrange(p) for _ in range(n)) for _ in range(POINTWISE_SAMPLES))
+        return all(
+            all(map(operator.eq, form_values(F, piece), D.values(piece)))
+            for piece in BoxSpec((-1,) * n, (p,) * n).pieces(PIECE_SIDE)
+        )
+    rng = random.Random(seed)
+    points = (tuple(rng.randrange(p) for _ in range(n)) for _ in range(POINTWISE_SAMPLES))
     return all(eval_form(F, x) == D.value(x) for x in points)
 
 

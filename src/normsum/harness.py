@@ -121,7 +121,8 @@ def scan_row(p, n, k, H, quantity, value, bound) -> ScanRow:
 
 
 def encode_cell(v):
-    """One cell in both formats: int, 15-digit float, or exact string."""
+    """One cell in both formats: int, 15-digit float, or exact string; a
+    tuple or list of ints is one string of comma-separated entries."""
     if v is None:
         return ""
     if isinstance(v, bool):
@@ -133,7 +134,8 @@ def encode_cell(v):
     if isinstance(v, float):
         return float(f"{v:.15g}")
     if isinstance(v, (tuple, list)):
-        return ",".join(str(int(x)) for x in v)
+        # int.__repr__ prints a bool entry as 1 or 0, as str(int(x)) did
+        return ",".join(map(int.__repr__, v))
     return str(v)
 
 

@@ -23,6 +23,7 @@ from normsum import forms as fm
 from normsum import harness as hn
 from normsum import lattice as lat
 from normsum import linalg as la
+from test_energy import sampled_quadruple_family
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -123,7 +124,7 @@ def test_energy_oracle_equivalence():
             tuple(rng.randint(-p, p) for _ in range(n)),
             tuple(rng.randint(1, 3) for _ in range(n)),
         )
-        family = en.sampled_quadruple_family(D, seed=rng.randrange(2**32), count=1)
+        family = sampled_quadruple_family(D, seed=rng.randrange(2**32), count=1)
         mats = family[-1]
         inst = en.GeneralizedEnergyInstance(D, mats, box, box)
         live, degenerate, total = en.energy_restricted(inst, cross_check=True)

@@ -22,6 +22,28 @@ def box(N, H):
     return fm.BoxSpec(tuple(N), tuple(H))
 
 
+# ---------------------------------------------------------------------------
+# pointwise character values: test-side oracles, no caller in src
+
+
+def char_eval(chi: cc.DirichletChar, a: int) -> complex:
+    idx = cc.char_index(chi, a)
+    if idx is None:
+        return complex(0, 0)
+    return cc.root_of_unity(idx, chi.p - 1)
+
+
+def is_principal(chi: cc.DirichletChar) -> bool:
+    return chi.index == 0 or chi.p == 2
+
+
+def lifted_eval(psi: cc.LiftedCharacter, a: fc.ExtFieldElement) -> complex:
+    idx = cc.lifted_index(psi, a)
+    if idx is None:
+        return complex(0, 0)
+    return cc.root_of_unity(idx, psi.base.p - 1)
+
+
 X1 = fm.FormSpec(5, 1, 1, (((1,), 1),))
 SQUARES3 = fm.FormSpec(3, 2, 2, (((2, 0), 1), ((0, 2), 1)))
 
@@ -82,7 +104,7 @@ class TestDirect:
             F = fm.FormSpec(p, 1, 1, (((1,), 1),))
             for idx in (1, 2, 3):
                 chi = cc.DirichletChar(p, idx)
-                if cc.is_principal(chi):
+                if is_principal(chi):
                     continue
                 r = cs.charsum_direct(chi, F, box((0,), (p,)))
                 assert abs(r.value) < 1e-9
@@ -213,6 +235,22 @@ class TestLifted:
                 assert a.weights == b.weights
                 assert a.zero_terms == b.zero_terms
 
+    @pytest.mark.parametrize("side", [1, 2, 3, fm.PIECE_SIDE])
+    def test_boxes_cut_into_pieces_match_the_per_point_loop(self, monkeypatch, side):
+        # with small pieces every box below is cut, unevenly on some axes;
+        # both routes must still count each point once
+        monkeypatch.setattr(fm, "PIECE_SIDE", side)
+        rng = random.Random(41)
+        for p, n, partition in ((7, 1, (1,)), (11, 2, (2,)), (13, 2, (1, 1)), (5, 3, (2, 1))):
+            D = fm.random_decomposition(p, n, partition, rng)
+            F = fm.synthesize_form(D)
+            chi = cc.DirichletChar(p, 1)
+            for H in ((7,) * n, tuple(rng.randint(1, 8) for _ in range(n))):
+                B = box([rng.randint(-p, p) for _ in range(n)], H)
+                want = per_point_histogram(chi, (fm.eval_form(F, x) for x in B.iter_points()))
+                for res in (cs.charsum_direct(chi, F, B), cs.charsum_lifted(D, chi, B)):
+                    assert (res.weights, res.zero_terms) == want, (p, partition, B, side)
+
     def test_volume_one_box(self):
         F = fm.FormSpec(5, 2, 2, (((1, 1), 1),))
         D = fm.decompose(F)
@@ -221,7 +259,7 @@ class TestLifted:
         r = cs.charsum_lifted(D, chi, B)
         assert r.term_count == 1
         (x,) = list(B.iter_points())
-        expected = cc.char_eval(chi, fm.eval_form(F, x))
+        expected = char_eval(chi, fm.eval_form(F, x))
         assert abs(r.value - expected) < 1e-12
 
     def test_errors(self):
@@ -282,7 +320,7 @@ class TestWeil:
                         fx = 1
                         for shift, mult in factors:
                             fx = fx * pow(x + shift, mult, p) % p
-                        acc += cc.char_eval(chi, fx)
+                        acc += char_eval(chi, fx)
                     assert abs(value - acc) < 1e-9
 
     def test_lifted_matches_literal_evaluation(self):
@@ -296,7 +334,7 @@ class TestWeil:
             fx = ctx.from_int(1)
             for shift, mult in factors:
                 fx = fc.ext_mul(fx, fc.ext_pow(fc.ext_add(x, ctx.from_int(shift)), mult))
-            acc += cc.lifted_eval(psi, fx)
+            acc += lifted_eval(psi, fx)
         assert abs(value - acc) < 1e-9
 
     def test_sweep_shift_products(self):
@@ -463,7 +501,7 @@ class TestMoment:
                 for t in range(1, T + 1):
                     term = complex(1, 0)
                     for psi, zi in zip(psis, z):
-                        term *= cc.lifted_eval(
+                        term *= lifted_eval(
                             psi, fc.ext_add(zi, psi.ctx.from_int(t))
                         )
                     inner += term

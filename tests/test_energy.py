@@ -9,6 +9,7 @@ from normsum import energy as en
 from normsum import field_core as fc
 from normsum import forms as fm
 from normsum import harness as hn
+from normsum import linalg as la
 
 
 def line_decomp(p):
@@ -21,6 +22,75 @@ def box(N, H):
 
 LINE5 = line_decomp(5)
 BOX2 = box((0,), (2,))
+
+
+# ---------------------------------------------------------------------------
+# ratio counts and sampled matrix families: test-side helpers, no caller in src
+
+
+def eta_count(D: fm.NormFormDecomposition, z, box_x: fm.BoxSpec, box_y: fm.BoxSpec) -> int:
+    """Pairs (x, y) with lambda_i(x) = z_i lambda_i(y), all factors nonzero."""
+    z = tuple(z)
+    if len(z) != D.s:
+        raise ValueError("one ratio component per field factor")
+    if any(zi.is_zero() for zi in z):
+        raise ValueError("ratio components must be nonzero")
+    hist_x: dict = {}
+    for lx in en._lam_table(D, box_x):
+        key = tuple(e.coeffs for e in lx)
+        hist_x[key] = hist_x.get(key, 0) + 1
+    count = 0
+    for ly in en._lam_table(D, box_y):
+        if any(e.is_zero() for e in ly):
+            continue
+        target = tuple(fc.ext_mul(zi, e).coeffs for zi, e in zip(z, ly))
+        count += hist_x.get(target, 0)
+    return count
+
+
+def derived_quadruples(matrices):
+    """The two Cauchy-Schwarz companion quadruples of a matrix quadruple."""
+    a1, a2, a3, a4 = matrices
+    return (a1, a1, a2, a2), (a3, a3, a4, a4)
+
+
+def _random_nonsingular(rng: random.Random, n: int, p: int):
+    while True:
+        M = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
+        if la.mat_rank(M, p) == n:
+            return M
+
+
+def sampled_quadruple_family(
+    D: fm.NormFormDecomposition, seed=0, count=100, extra=()
+):
+    """All-identity plus seeded random nonsingular quadruples plus extras."""
+    rng = random.Random(seed)
+    ident = tuple(tuple(row) for row in la.identity(D.n))
+    family = [(ident, ident, ident, ident)]
+    for _ in range(count):
+        family.append(
+            tuple(_random_nonsingular(rng, D.n, D.p) for _ in range(4))
+        )
+    family.extend(tuple(tuple(tuple(row) for row in M) for M in q) for q in extra)
+    seen = set()
+    unique = []
+    for q in family:
+        if q not in seen:
+            seen.add(q)
+            unique.append(q)
+    return tuple(unique)
+
+
+def c_sampled(D: fm.NormFormDecomposition, box: fm.BoxSpec, family, cross_check=False) -> int:
+    """Family maximum of the same-box restricted energy."""
+    best = 0
+    for mats in family:
+        live, _, _ = en.energy_restricted(
+            en.GeneralizedEnergyInstance(D, mats, box, box), cross_check=cross_check
+        )
+        best = max(best, live)
+    return best
 
 
 class TestBruteforce:
@@ -150,13 +220,13 @@ class TestSymmetric:
 class TestEta:
     def test_frozen(self):
         ctx = LINE5.ctxs[0]
-        assert en.eta_count(LINE5, (ctx.from_int(3),), BOX2, BOX2) == 1
+        assert eta_count(LINE5, (ctx.from_int(3),), BOX2, BOX2) == 1
 
     def test_total_mass(self):
         # summing over every nonzero ratio tuple counts the nonvanishing pairs
         ctx = LINE5.ctxs[0]
         total = sum(
-            en.eta_count(LINE5, (ctx.from_int(z),), BOX2, BOX2) for z in range(1, 5)
+            eta_count(LINE5, (ctx.from_int(z),), BOX2, BOX2) for z in range(1, 5)
         )
         assert total == 4
         assert total <= BOX2.volume * BOX2.volume
@@ -171,14 +241,14 @@ class TestEta:
             for x in b.iter_points()
             if not any(D.lam(i, x).is_zero() for i in range(D.s))
         )
-        assert en.eta_count(D, z, b, b) == live
+        assert eta_count(D, z, b, b) == live
 
     def test_errors(self):
         ctx = LINE5.ctxs[0]
         with pytest.raises(ValueError, match="nonzero"):
-            en.eta_count(LINE5, (ctx.zero(),), BOX2, BOX2)
+            eta_count(LINE5, (ctx.zero(),), BOX2, BOX2)
         with pytest.raises(ValueError, match="per field"):
-            en.eta_count(LINE5, (ctx.one(), ctx.one()), BOX2, BOX2)
+            eta_count(LINE5, (ctx.one(), ctx.one()), BOX2, BOX2)
 
 
 class TestS1Identity:
@@ -244,7 +314,7 @@ class TestRestricted:
     def test_symmetric_variant_equal(self):
         rng = random.Random(37)
         D = fm.random_decomposition(5, 2, (1, 1), rng)
-        mats = tuple(en._random_nonsingular(rng, 2, 5) for _ in range(4))
+        mats = tuple(_random_nonsingular(rng, 2, 5) for _ in range(4))
         bx = box((-1, 0), (2, 2))
         by = box((0, -2), (2, 2))
         gi = en.GeneralizedEnergyInstance(D, mats, bx, by)
@@ -283,7 +353,7 @@ class TestRestricted:
             D = fm.random_decomposition(p, n, partition, rng)
             for _ in range(4):
                 mats = tuple(
-                    en._random_nonsingular(rng, n, p) for _ in range(4)
+                    _random_nonsingular(rng, n, p) for _ in range(4)
                 )
                 bh = box(
                     [rng.randint(-p, p) for _ in range(n)],
@@ -297,7 +367,7 @@ class TestRestricted:
                     en.GeneralizedEnergyInstance(D, mats, bh, bk),
                     cross_check=False,
                 )
-                q1, q2 = en.derived_quadruples(mats)
+                q1, q2 = derived_quadruples(mats)
                 c1, _, _ = en.energy_restricted(
                     en.GeneralizedEnergyInstance(D, q1, bh, bh),
                     cross_check=False,
@@ -311,27 +381,27 @@ class TestRestricted:
     def test_family_max_dominates(self):
         rng = random.Random(43)
         D = fm.random_decomposition(5, 2, (1, 1), rng)
-        mats = tuple(en._random_nonsingular(rng, 2, 5) for _ in range(4))
+        mats = tuple(_random_nonsingular(rng, 2, 5) for _ in range(4))
         bh = box((0, 0), (2, 2))
         bk = box((-1, 1), (2, 2))
-        family = en.sampled_quadruple_family(
-            D, seed=1, count=20, extra=en.derived_quadruples(mats)
+        family = sampled_quadruple_family(
+            D, seed=1, count=20, extra=derived_quadruples(mats)
         )
         live, _, _ = en.energy_restricted(
             en.GeneralizedEnergyInstance(D, mats, bh, bk), cross_check=False
         )
-        c_h = en.c_sampled(D, bh, family, cross_check=False)
-        c_k = en.c_sampled(D, bk, family, cross_check=False)
+        c_h = c_sampled(D, bh, family, cross_check=False)
+        c_k = c_sampled(D, bk, family, cross_check=False)
         assert live * live <= c_h * c_k
 
     def test_sampled_family_shape(self):
-        family = en.sampled_quadruple_family(LINE5, seed=0, count=5)
+        family = sampled_quadruple_family(LINE5, seed=0, count=5)
         ident = (((1,),),) * 4
         assert family[0] == ident
         assert len(family) == len(set(family))
         assert len(family) <= 6
-        extra = en.derived_quadruples((((2,),), ((3,),), ((1,),), ((4,),)))
-        extended = en.sampled_quadruple_family(LINE5, seed=0, count=5, extra=extra)
+        extra = derived_quadruples((((2,),), ((3,),), ((1,),), ((4,),)))
+        extended = sampled_quadruple_family(LINE5, seed=0, count=5, extra=extra)
         assert set(extra) <= set(extended)
 
 
@@ -509,7 +579,7 @@ class TestLogDomain:
         side = 2 if n < 3 else 1
         degenerate_seen = False
         for _ in range(3):
-            mats = tuple(en._random_nonsingular(rng, n, p) for _ in range(4))
+            mats = tuple(_random_nonsingular(rng, n, p) for _ in range(4))
             bx = box([rng.randint(-2, 0) for _ in range(n)], (side + 1,) * n)
             by = box([rng.randint(-2, 0) for _ in range(n)], (side,) * n)
             gi = en.GeneralizedEnergyInstance(D, mats, bx, by)

@@ -464,6 +464,108 @@ def test_value_is_the_product_of_conjugate_norms():
 
 
 # ---------------------------------------------------------------------------
+# whole-box evaluation, one list per line along the last coordinate
+
+LINE_PARTITIONS = ((2, 1), (1, 1), (2, 1, 1), (3, 1, 1))
+
+
+def literal_form_value(F, x):
+    return sum(c * math.prod(v**e for v, e in zip(x, exp)) for exp, c in F.monomials) % F.p
+
+
+def line_test_boxes(n, rng):
+    """A box with negative starts, one with a side of 1 on the last axis and,
+    for n > 1, one with a side of 1 on the first axis."""
+    sides = [rng.randint(2, 4) for _ in range(n)]
+    boxes = [
+        fm.BoxSpec(tuple(rng.randint(-90, -1) for _ in range(n)), sides),
+        fm.BoxSpec(tuple(rng.randint(-40, 40) for _ in range(n)), sides[:-1] + [1]),
+    ]
+    if n > 1:
+        boxes.append(fm.BoxSpec(tuple(rng.randint(-40, 40) for _ in range(n)), [1] + sides[1:]))
+    return boxes
+
+
+def check_line_shape(lines, B):
+    assert len(lines) == math.prod(B.H[:-1])
+    assert all(len(line) == B.H[-1] for line in lines)
+
+
+def test_form_values_match_the_literal_monomial_sum():
+    rng = random.Random(29)
+    for p, n, part in itertools.product((2, 3, 5, 37), (1, 2, 3), LINE_PARTITIONS):
+        k = sum(part)
+        exps = [e for e in itertools.product(range(k + 1), repeat=n) if sum(e) == k]
+        forms = [
+            form(p, n, {e: rng.randint(1, p - 1) for e in rng.sample(exps, min(len(exps), 3))}),
+            form(p, n, {e: rng.randint(1, p - 1) for e in exps}),
+        ]
+        for F, B in itertools.product(forms, line_test_boxes(n, rng)):
+            lines = list(fm.form_values(F, B))
+            check_line_shape(lines, B)
+            want = [literal_form_value(F, x) for x in B.iter_points()]
+            assert list(itertools.chain.from_iterable(lines)) == want, (F, B)
+    with pytest.raises(ValueError, match="arity"):
+        next(fm.form_values(forms[0], fm.BoxSpec((0,), (2,))))
+
+
+def test_decomposition_values_match_value_point_by_point():
+    rng = random.Random(31)
+    for p, n, part in itertools.product((2, 3, 5, 37), (1, 2, 3), LINE_PARTITIONS):
+        ctxs = tuple(fc.ext_field_ctx(p, ki) for ki in part)
+        blocks = tuple(
+            tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(ki)) for ki in part
+        )
+        D = fm.NormFormDecomposition(p, n, part, ctxs, blocks)
+        for B in line_test_boxes(n, rng):
+            lines = list(D.values(B))
+            check_line_shape(lines, B)
+            want = [D.value(x) for x in B.iter_points()]
+            assert list(itertools.chain.from_iterable(lines)) == want, (p, part, blocks, B)
+    with pytest.raises(ValueError, match="arity"):
+        next(D.values(fm.BoxSpec((0,), (2,))))
+
+
+def test_pieces_cover_the_box_once():
+    B = fm.BoxSpec((-3, 0, 5), (7, 1, 4))
+    for side in (1, 2, 3, 7, 100):
+        pieces = list(B.pieces(side))
+        assert all(max(P.H) <= side for P in pieces)
+        assert sorted(x for P in pieces for x in P.iter_points()) == list(B.iter_points())
+
+
+@pytest.mark.parametrize("side", [2, fm.PIECE_SIDE])
+def test_exhaustive_verify_rejects_one_corrupted_block_entry(monkeypatch, side):
+    # every single-entry corruption that keeps the ranks and changes some
+    # value (found by the pointwise oracle) is caught by the line-by-line
+    # walk, over whole lines and over lines cut into pieces
+    monkeypatch.setattr(fm, "PIECE_SIDE", side)
+    rng = random.Random(37)
+    rejected = 0
+    for p, n, part in ((5, 2, (2,)), (7, 2, (1, 1)), (37, 2, (2,)), (3, 3, (2, 1)),
+                       (5, 3, (2, 1, 1)), (3, 3, (3, 1, 1))):
+        assert p**n <= fm.POINTWISE_EXHAUSTIVE_CAP
+        D = fm.random_decomposition(p, n, part, rng)
+        F = fm.synthesize_form(D)
+        assert fm.verify_decomposition(F, D)
+        for i, ki in enumerate(part):
+            for r, j in itertools.product(range(ki), range(n)):
+                U = [list(row) for row in D.blocks[i]]
+                U[r][j] += 1
+                blocks = D.blocks[:i] + (U,) + D.blocks[i + 1:]
+                bad = fm.NormFormDecomposition(p, n, part, D.ctxs, blocks)
+                if not fm._ranks_hold(bad):
+                    continue
+                differs = any(
+                    fm.eval_form(F, x) != bad.value(x)
+                    for x in itertools.product(range(p), repeat=n)
+                )
+                assert fm.verify_decomposition(F, bad) is not differs, (p, part, i, r, j)
+                rejected += differs
+    assert rejected >= 6
+
+
+# ---------------------------------------------------------------------------
 # checks survive python -O
 
 

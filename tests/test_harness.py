@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -65,6 +66,22 @@ class TestSerialization:
         assert hn.encode_cell(Fraction(10, 4)) == "5/2"
         assert hn.encode_cell((3, 4)) == "3,4"
         assert hn.encode_cell("x") == "x"
+
+    def test_encode_tuple_cell_pinned_to_per_entry_str(self):
+        # byte for byte the per-entry encoding: bools print 0 and 1
+        def per_entry(v):
+            return ",".join(str(int(x)) for x in v)
+
+        rng = random.Random(9)
+        cells = [
+            (True, 0, False, -3, 7),
+            [False],
+            (),
+            tuple(rng.randrange(-10**6, 10**6) for _ in range(10**5)),
+        ]
+        for v in cells:
+            assert hn.encode_cell(v) == per_entry(v)
+        assert hn.encode_cell((True, 0, False, -3, 7)) == "1,0,0,-3,7"
 
     def test_encode_cell_float_15_digits(self):
         v = hn.encode_cell(2 / 3)

@@ -99,6 +99,45 @@ def test_src_has_no_check_that_python_O_strips():
     assert len(list(Path(la.__file__).parent.glob("*.py"))) >= 9
 
 
+def _private_module_access(source: str, modules) -> list:
+    """Line numbers of alias._name, where alias is an imported normsum module."""
+    tree = ast.parse(source)
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            (node.level and node.module is None) or node.module == "normsum"
+        ):
+            aliases.update(a.asname or a.name for a in node.names if a.name in modules)
+        elif isinstance(node, ast.Import):
+            aliases.update(
+                a.asname for a in node.names
+                if a.asname and a.name.partition(".")[::2] in {("normsum", m) for m in modules}
+            )
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in aliases
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+    ]
+
+
+def test_src_calls_no_private_helper_of_another_module():
+    paths = sorted(Path(la.__file__).parent.glob("*.py"))
+    modules = {path.stem for path in paths}
+    found = [
+        f"{path.name}:{line}"
+        for path in paths for line in _private_module_access(path.read_text(), modules)
+    ]
+    assert found == []
+    # the walk sees each import form, and leaves instance attributes alone
+    probe = (
+        "from . import field_core as fc\nfrom normsum import forms\n"
+        "import normsum.linalg as la\nfc._log_tables_of(1)\nforms._roots_in(1, 2)\n"
+        "la._row_reduce(1)\nchi._logs\nfc.__name__\nfc.log_table(1)\n"
+    )
+    assert _private_module_access(probe, modules) == [4, 5, 6]
+
+
 def test_shape_mismatch_is_value_error():
     with pytest.raises(ValueError, match="cannot multiply a 1 x 2 by a 1 x 1"):
         la.mat_mul([[1, 2]], [[1]], 5)
