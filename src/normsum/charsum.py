@@ -52,9 +52,6 @@ def _histogram_value(weights: Sequence[int], p: int) -> complex:
 class CharSumResult:
     value: complex
     term_count: int
-    p: int
-    box: fm.BoxSpec
-    source: str
     weights: tuple[int, ...]
     zero_terms: int
 
@@ -69,11 +66,9 @@ class CharSumResult:
             )
 
 
-def _box_sum(chi, B: fm.BoxSpec, residues, source: str) -> CharSumResult:
+def _box_sum(chi, B: fm.BoxSpec, residues) -> CharSumResult:
     weights, zeros = index_histogram(chi, residues)
-    return CharSumResult(
-        _histogram_value(weights, chi.p), B.volume, chi.p, B, source, weights, zeros
-    )
+    return CharSumResult(_histogram_value(weights, chi.p), B.volume, weights, zeros)
 
 
 def charsum_direct(chi: cc.DirichletChar, F: fm.FormSpec, B: fm.BoxSpec) -> CharSumResult:
@@ -91,7 +86,7 @@ def charsum_direct(chi: cc.DirichletChar, F: fm.FormSpec, B: fm.BoxSpec) -> Char
         raise ValueError(f"box volume {B.volume} over cap {BOX_CAP}")
     lines = (line for piece in B.pieces(fm.PIECE_SIDE) for line in fm.form_values(F, piece))
     residues = itertools.chain.from_iterable(lines)
-    return _box_sum(chi, B, residues, f"direct deg-{F.k} form in {F.n} vars")
+    return _box_sum(chi, B, residues)
 
 
 def charsum_lifted(
@@ -111,7 +106,7 @@ def charsum_lifted(
         raise ValueError(f"box volume {B.volume} over cap {BOX_CAP}")
     lines = (line for piece in B.pieces(fm.PIECE_SIDE) for line in D.values(piece))
     residues = itertools.chain.from_iterable(lines)
-    return _box_sum(chi, B, residues, f"lifted product of {D.s} norm factors")
+    return _box_sum(chi, B, residues)
 
 
 def weil_complete_sum(

@@ -646,7 +646,7 @@ def run_identity_suite(config: ExperimentConfig):
                 whole = cs.charsum_direct(chi, F, B)
                 merged = [0] * len(whole.weights)
                 zeros = 0
-                for piece in fm.split_box(B, 2):
+                for piece in B.pieces(2):
                     piece_res = cs.charsum_direct(chi, F, piece)
                     zeros += piece_res.zero_terms
                     for i, c in enumerate(piece_res.weights):

@@ -158,7 +158,7 @@ class TestDirect:
         whole = cs.charsum_direct(chi, F, B)
         weights = [0] * 6
         zeros = 0
-        for part in fm.split_box(B, 2):
+        for part in B.pieces(2):
             piece = cs.charsum_direct(chi, F, part)
             zeros += piece.zero_terms
             for e, w in enumerate(piece.weights):
@@ -653,18 +653,17 @@ def test_charsum_has_no_assert_statements():
 
 
 def test_result_invariants_raise_check_failed():
-    B = box((0,), (2,))
     with pytest.raises(la.CheckFailed, match="add up"):
-        cs.CharSumResult(1 + 0j, 2, 5, B, "test", (1, 0, 0, 0), 0)
+        cs.CharSumResult(1 + 0j, 2, (1, 0, 0, 0), 0)
     with pytest.raises(la.CheckFailed, match="exceeds the term count"):
-        cs.CharSumResult(3 + 0j, 2, 5, B, "test", (2, 0, 0, 0), 0)
+        cs.CharSumResult(3 + 0j, 2, (2, 0, 0, 0), 0)
 
 
 def test_result_invariant_fails_under_optimize():
     script = (
         "from normsum import charsum as cs, forms as fm, linalg as la\n"
         "try:\n"
-        "    cs.CharSumResult(1j, 2, 5, fm.BoxSpec((0,), (2,)), 't', (1, 0, 0, 0), 0)\n"
+        "    cs.CharSumResult(1j, 2, (1, 0, 0, 0), 0)\n"
         "except la.CheckFailed as exc:\n"
         "    print('CheckFailed:', exc)\n"
     )

@@ -168,7 +168,7 @@ class TestBruteforce:
         codes_y = en._log_codes(D, by)
         whole = en._pair_histogram(D, en._log_codes(D, bx), codes_y)
         merged = {}
-        for part in fm.split_box(bx, 2):
+        for part in bx.pieces(2):
             for key, c in en._pair_histogram(D, en._log_codes(D, part), codes_y).items():
                 merged[key] = merged.get(key, 0) + c
         assert merged == whole

@@ -1,4 +1,4 @@
-"""Forms, factorization, norm-form decompositions, box splitting."""
+"""Forms, factorization, norm-form decompositions, boxes cut into pieces."""
 
 import ast
 import itertools
@@ -8,7 +8,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normsum import field_core as fc
@@ -21,7 +21,16 @@ PARTS_BY_N = {2: [(2,), (1, 1)], 3: [(3,), (2, 1), (1, 1, 1)]}
 
 
 def form(p, n, monos):
-    return fm.FormSpec.from_monomials(p, n, monos)
+    """The form with monomials {exponent vector: coefficient}; k is read off
+    the first exponent vector."""
+    items = [(tuple(e), c) for e, c in monos.items()]
+    return fm.FormSpec(p, n, sum(items[0][0]), tuple(items))
+
+
+def save_json(obj: dict, path: str):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +98,24 @@ def test_eval_form_matches_one_pow_per_monomial_factor():
 # closure splitting that decompose uses
 
 
+def orbit_factor_form(orbit, split, F):
+    """One Frobenius orbit expanded into an F_p-irreducible factor of F."""
+    n, p = F.n, F.p
+    ctx = split.ctx
+    one = ctx.one().coeffs
+    poly = {(0,) * n: one}
+    for tail in orbit:
+        lin = {fm._unit(n, 0): one}
+        for j, coeffs in enumerate(tail, start=1):
+            if any(coeffs):
+                lin[fm._unit(n, j)] = coeffs
+        poly = fm._epoly_mul(poly, lin, ctx)
+    int_monos = fm._prime_field_part(poly, "orbit product")
+    factor = fm.FormSpec(p, n, len(orbit), tuple(int_monos.items()))
+    Minv = la.mat_inv([list(r) for r in split.change], p)
+    return fm.compose_form(factor, Minv)
+
+
 def factor_form(F):
     """Irreducible factors of F over F_p, with multiplicity, product equal to F.
 
@@ -99,7 +126,7 @@ def factor_form(F):
     split = fm._closure_split(F)
     factors = []
     for orbit, mult in split.orbits:
-        factors.extend([fm._orbit_factor_form(orbit, split, F)] * mult)
+        factors.extend([orbit_factor_form(orbit, split, F)] * mult)
     factors.sort(key=fm.form_sort_key)
     if split.c != 1:
         first = factors[0]
@@ -108,7 +135,7 @@ def factor_form(F):
         )
     prod = {(0,) * F.n: 1}
     for fac in factors:
-        prod = fm._ipoly_mul(prod, fac.as_dict(), F.p)
+        prod = fm._ipoly_mul(prod, dict(fac.monomials), F.p)
     if fm.FormSpec(F.p, F.n, F.k, tuple(prod.items())) != F:
         raise la.CheckFailed("factor product mismatch")
     return factors
@@ -136,7 +163,7 @@ def test_factor_repeated_and_constant():
     fs = factor_form(form(3, 2, {(2, 1): 2}))
     prod = {(0, 0): 1}
     for f in fs:
-        prod = fm._ipoly_mul(prod, f.as_dict(), 3)
+        prod = fm._ipoly_mul(prod, dict(f.monomials), 3)
     assert fm.FormSpec(3, 2, 3, tuple(prod.items())) == form(3, 2, {(2, 1): 2})
     assert len(fs) == 3
 
@@ -181,15 +208,27 @@ def scan_roots(coeffs, ctx):
     return [x.coeffs for x in ctx.iter_elements() if eval_poly_ext(coeffs, x).is_zero()]
 
 
+def product_of(factors, p):
+    """The F_p polynomial prod h^mult of a factor list, low to high."""
+    out = [1]
+    for h, mult in factors:
+        for _ in range(mult):
+            out = [
+                sum(out[i] * h[t - i] for i in range(len(out)) if 0 <= t - i < len(h)) % p
+                for t in range(len(out) + len(h) - 1)
+            ]
+    return out
+
+
 def test_roots_in_matches_scan_on_round_trip_restrictions(monkeypatch):
     # every restriction that closure splitting meets in the round-trip
     # classes, and every embedding root, checked against the scan
     roots_in = fm._roots_in
     seen = []
 
-    def checked(coeffs, ctx):
-        got = roots_in(coeffs, ctx)
-        assert got == scan_roots(coeffs, ctx), (coeffs, ctx)
+    def checked(factors, ctx):
+        got = roots_in(factors, ctx)
+        assert got == scan_roots(product_of(factors, ctx.p), ctx), (factors, ctx)
         seen.append(ctx.m)
         return got
 
@@ -218,7 +257,7 @@ def test_smallest_root_of_every_canonical_subfield_polynomial():
             big = fc.ext_field_ctx(p, K)
             for d in (d for d in range(1, K + 1) if K % d == 0):
                 sub = fc.ext_field_ctx(p, d)
-                roots = fm._roots_in(sub.defining_poly, big)
+                roots = fm._roots_in([(sub.defining_poly, 1)], big)
                 first = next(x.coeffs for x in big.iter_elements()
                              if eval_poly_ext(sub.defining_poly, x).is_zero())
                 assert len(roots) == d and roots[0] == first, (p, K, d)
@@ -231,14 +270,20 @@ def test_smallest_root_of_every_canonical_subfield_polynomial():
 
 def test_roots_in_outside_the_splitting_field():
     # X^2 + 1 is irreducible mod 3: no root in F_3 or F_27, both in F_9
-    assert fm._roots_in((1, 0, 1), fc.ext_field_ctx(3, 1)) == []
-    assert fm._roots_in((1, 0, 1), fc.ext_field_ctx(3, 3)) == []
+    irreducible = fm._factor_univariate((1, 0, 1), 3)
+    assert irreducible == [((1, 0, 1), 1)]
+    assert fm._roots_in(irreducible, fc.ext_field_ctx(3, 1)) == []
+    assert fm._roots_in(irreducible, fc.ext_field_ctx(3, 3)) == []
     F9 = fc.ext_field_ctx(3, 2)
-    assert fm._roots_in((1, 0, 1), F9) == scan_roots((1, 0, 1), F9)
+    assert fm._roots_in(irreducible, F9) == scan_roots((1, 0, 1), F9)
     # repeated factors give each root once
-    assert fm._roots_in((0, 0, 1), F9) == [(0, 0)]
+    assert fm._roots_in(fm._factor_univariate((0, 0, 1), 3), F9) == [(0, 0)]
+    # (X + 1)(X^2 + 1)^2 = X^5 + X^4 + 2X^3 + 2X^2 + X + 1 mod 3
+    mixed = fm._factor_univariate((1, 1, 2, 2, 1, 1), 3)
+    assert mixed == [((1, 1), 1), ((1, 0, 1), 2)]
+    assert fm._roots_in(mixed, F9) == scan_roots((1, 1, 2, 2, 1, 1), F9)
     with pytest.raises(ValueError, match="not monic"):
-        fm._roots_in((1, 2), F9)
+        fm._factor_univariate((1, 2), 3)
 
 
 def test_embedding_is_computed_once_per_field_pair():
@@ -327,6 +372,117 @@ def test_decompose_absorbs_leading_constant():
     assert fm.verify_decomposition(F2, D2)
 
 
+def test_closure_split_factors_each_restriction_once(monkeypatch):
+    # one _factor_univariate call per restriction, and none for an embedding:
+    # ExtFieldCtx has already proved its defining polynomial irreducible
+    factor_univariate = fm._factor_univariate
+    calls = []
+
+    def counted(coeffs, p):
+        calls.append(tuple(coeffs))
+        return factor_univariate(coeffs, p)
+
+    monkeypatch.setattr(fm, "_factor_univariate", counted)
+    rng = random.Random(41)
+    for p, n, part in ((5, 1, (1,)), (3, 2, (2,)), (7, 2, (2, 1)), (5, 3, (3,)),
+                       (3, 3, (2, 1)), (5, 3, (2, 1, 1))):
+        F = fm.synthesize_form(fm.random_decomposition(p, n, part, rng))
+        calls.clear()
+        fm._closure_split(F)
+        assert len(calls) == n - 1, (p, n, part)
+    fm._embedding_powers.cache_clear()
+    calls.clear()
+    for p in (2, 3, 5):
+        for K, d in ((2, 1), (2, 2), (4, 2), (6, 3)):
+            fm._embedding_powers(fc.ext_field_ctx(p, d), fc.ext_field_ctx(p, K))
+    fm._embedding_powers.cache_clear()
+    assert calls == []
+
+
+def test_closure_split_of_one_variable():
+    # c X^k splits into one orbit, the empty tail, of multiplicity k over F_p
+    for p in (2, 3, 5, 7):
+        for k in (1, 2, 3):
+            for c in range(1, p):
+                split = fm._closure_split(form(p, 1, {(k,): c}))
+                want = fm.ClosureSplitting(c, fc.ext_field_ctx(p, 1), ((1,),), ((((),), k),))
+                assert split == want, (p, k, c)
+
+
+def check_stacked_ranks(D):
+    """The all-subsets oracle: every stack of blocks has rank min(sum k_i, n)."""
+    for size in range(1, D.s + 1):
+        for subset in itertools.combinations(range(D.s), size):
+            rows = [list(row) for i in subset for row in D.blocks[i]]
+            want = min(sum(D.partition[i] for i in subset), D.n)
+            if la.mat_rank(rows, D.p) != want:
+                raise fm.RankConditionError(f"stacked blocks {subset} have rank below {want}")
+
+
+def oracle_ranks_hold(D):
+    """Each block has rank min(k_i, n) and, when n = k, so does every stack."""
+    if any(la.mat_rank(U, D.p) != min(ki, D.n) for ki, U in zip(D.partition, D.blocks)):
+        return False
+    if D.n == D.k:
+        try:
+            check_stacked_ranks(D)
+        except fm.RankConditionError:
+            return False
+    return True
+
+
+def test_ranks_hold_matches_the_all_subsets_oracle():
+    rng = random.Random(43)
+    held = failed = 0
+    for p in (2, 3, 5):
+        for n in (1, 2, 3, 4):
+            for k in range(n, 2 * n):
+                for part in hn.square_partitions(k):
+                    ctxs = tuple(fc.ext_field_ctx(p, ki) for ki in part)
+                    for _ in range(4):
+                        blocks = tuple(
+                            tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(ki))
+                            for ki in part
+                        )
+                        D = fm.NormFormDecomposition(p, n, part, ctxs, blocks)
+                        want = oracle_ranks_hold(D)
+                        assert fm._ranks_hold(D) is want, (p, part, blocks)
+                        held += want
+                        failed += not want
+    assert held >= 50 and failed >= 50
+
+
+def test_dependent_stack_fails_the_rank_rule():
+    # X1, X2 and X1 + X2: each block has rank 1, the stack only rank 2 < n = 3
+    ctx = fc.ext_field_ctx(5, 1)
+    blocks = (((1, 0, 0),), ((0, 1, 0),), ((1, 1, 0),))
+    D = fm.NormFormDecomposition(5, 3, (1, 1, 1), (ctx,) * 3, blocks)
+    assert not fm._ranks_hold(D)
+    with pytest.raises(fm.RankConditionError, match="rank below 3"):
+        check_stacked_ranks(D)
+    F = fm.synthesize_form(D)
+    assert F == form(5, 3, {(2, 1, 0): 1, (1, 2, 0): 1})
+    with pytest.raises(fm.RankConditionError, match=r"stacked blocks \(0, 1, 2\) have rank below 3"):
+        fm.decompose(F)
+
+
+def test_ranks_hold_takes_one_rank_per_block_and_one_for_the_stack(monkeypatch):
+    s = 20
+    ctx = fc.ext_field_ctx(3, 1)
+    blocks = tuple((tuple(int(j == i) for j in range(s)),) for i in range(s))
+    D = fm.NormFormDecomposition(3, s, (1,) * s, (ctx,) * s, blocks)
+    mat_rank = la.mat_rank
+    calls = []
+
+    def counted(A, p):
+        calls.append(len(A))
+        return mat_rank(A, p)
+
+    monkeypatch.setattr(la, "mat_rank", counted)
+    assert fm._ranks_hold(D)
+    assert len(calls) <= s + 1
+
+
 def test_lambda_linearity_and_kernel():
     rng = random.Random(31)
     for p, part in [(5, (2, 1)), (7, (3,)), (3, (1, 1))]:
@@ -355,62 +511,6 @@ def test_lambda_vanishing_iff_zero_when_square():
 
 
 # ---------------------------------------------------------------------------
-# split_box
-
-
-def test_split_box_identity():
-    B = fm.BoxSpec((0, 0), (4, 4))
-    assert fm.split_box(B, 4) == [B]
-
-
-def test_split_box_remainder_absorbed():
-    B = fm.BoxSpec((0,), (5,))
-    parts = fm.split_box(B, 2)
-    assert [(b.N, b.H) for b in parts] == [((0,), (2,)), ((2,), (3,))]
-
-
-def test_split_box_2d():
-    B = fm.BoxSpec((1, -2), (5, 3))
-    parts = fm.split_box(B, 2)
-    assert len(parts) == 2
-    seen = set()
-    for b in parts:
-        assert all(2 <= h < 4 for h in b.H)
-        for x in b.iter_points():
-            assert x not in seen
-            seen.add(x)
-    assert seen == set(B.iter_points())
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.data())
-def test_split_box_partitions_exactly(data):
-    dim = data.draw(st.integers(1, 3))
-    N = tuple(data.draw(st.integers(-5, 5)) for _ in range(dim))
-    H = tuple(data.draw(st.integers(1, 9)) for _ in range(dim))
-    B = fm.BoxSpec(N, H)
-    side = data.draw(st.integers(1, min(H)))
-    parts = fm.split_box(B, side)
-    assert sum(b.volume for b in parts) == B.volume
-    import math
-
-    assert len(parts) == math.prod(h // side for h in H)
-    pts = [x for b in parts for x in b.iter_points()]
-    assert len(pts) == len(set(pts)) == B.volume
-    assert set(pts) == set(B.iter_points())
-    for b in parts:
-        assert all(side <= h < 2 * side for h in b.H)
-
-
-def test_split_box_errors():
-    B = fm.BoxSpec((0, 0), (4, 2))
-    with pytest.raises(ValueError):
-        fm.split_box(B, 3)
-    with pytest.raises(ValueError):
-        fm.split_box(B, 0)
-
-
-# ---------------------------------------------------------------------------
 # JSON round trips
 
 
@@ -418,10 +518,10 @@ def test_form_json_round_trip(tmp_path):
     F = form(7, 3, {(2, 1, 0): 3, (0, 1, 2): 6})
     d = fm.form_to_dict(F)
     path = tmp_path / "form.json"
-    fm.save_json(d, str(path))
+    save_json(d, str(path))
     loaded = fm.load_json(str(path))
     assert fm.form_from_dict(loaded) == F
-    fm.save_json(loaded, str(path) + ".again")
+    save_json(loaded, str(path) + ".again")
     assert path.read_bytes() == (tmp_path / "form.json.again").read_bytes()
     assert json.loads(path.read_text())["p"] == 7
 
@@ -431,10 +531,10 @@ def test_decomposition_json_round_trip(tmp_path):
     D = fm.random_decomposition(5, 3, (2, 1), rng)
     d = fm.decomposition_to_dict(D)
     path = tmp_path / "decomp.json"
-    fm.save_json(d, str(path))
+    save_json(d, str(path))
     D2 = fm.decomposition_from_dict(fm.load_json(str(path)))
     assert D2 == D
-    fm.save_json(fm.decomposition_to_dict(D2), str(path) + ".again")
+    save_json(fm.decomposition_to_dict(D2), str(path) + ".again")
     assert path.read_bytes() == (tmp_path / "decomp.json.again").read_bytes()
 
 
@@ -526,12 +626,26 @@ def test_decomposition_values_match_value_point_by_point():
         next(D.values(fm.BoxSpec((0,), (2,))))
 
 
-def test_pieces_cover_the_box_once():
-    B = fm.BoxSpec((-3, 0, 5), (7, 1, 4))
-    for side in (1, 2, 3, 7, 100):
+BOX_SHAPES = st.integers(1, 3).flatmap(
+    lambda dim: st.tuples(
+        st.tuples(*[st.integers(-5, 5)] * dim), st.tuples(*[st.integers(1, 9)] * dim)
+    )
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(BOX_SHAPES)
+@example(((-3, 0, 5), (7, 1, 4)))
+@example(((1, -2), (5, 3)))
+@example(((0, 0), (4, 4)))
+def test_pieces_cover_the_box_once(shape):
+    B = fm.BoxSpec(*shape)
+    for side in range(1, max(B.H) + 2):
         pieces = list(B.pieces(side))
         assert all(max(P.H) <= side for P in pieces)
+        assert len(pieces) == math.prod(-(-h // side) for h in B.H)
         assert sorted(x for P in pieces for x in P.iter_points()) == list(B.iter_points())
+    assert pieces == [B]
 
 
 @pytest.mark.parametrize("side", [2, fm.PIECE_SIDE])

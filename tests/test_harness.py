@@ -6,6 +6,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -401,6 +402,16 @@ class TestCli:
         assert run_cli(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "kappa" in err
+
+    @pytest.mark.parametrize("command", ["charsum", "gen-form"])
+    def test_oversized_expansion_is_refused_at_once(self, command, capsys):
+        # C(25, 13) = 5,200,300 possible monomials at n = k = 13
+        start = time.perf_counter()
+        assert run_cli([command, "--p", "5", "--n", "13", "--k", "13", "--seed", "1"]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "5200300 monomials" in err
+        assert "Traceback" not in err
 
     def test_form_without_n_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "form.json"

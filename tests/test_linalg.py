@@ -4,6 +4,7 @@ import ast
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -136,6 +137,79 @@ def test_src_calls_no_private_helper_of_another_module():
         "la._row_reduce(1)\nchi._logs\nfc.__name__\nfc.log_table(1)\n"
     )
     assert _private_module_access(probe, modules) == [4, 5, 6]
+
+
+# public functions of src that nothing in src, bench/*.py or BENCHMARK.json
+# calls, each with the reason it stays
+UNREFERENCED_PUBLIC = {
+    "field_core.ext_add": "field addition, the arithmetic of the tests' root and linearity oracles",
+    "field_core.ext_scalar_mul": "F_p-scaling of field elements, checked by the linearity test",
+    "field_core.norm_via_conjugates": "oracle route for norm_kernel, the product of conjugates",
+    "lattice.mult_matrix_via_columns": "oracle route for the multiplication matrix, by columns",
+    "energy.energy_restricted": "paper quantity: the energy split by vanishing of lambda^1",
+    "charsum.bad_tuple_count": "paper quantity: tuples whose entries all repeat, with its bound",
+}
+
+
+def _referenced_names(text: str) -> set:
+    """Every Name, attribute, imported name and identifier inside a string
+    constant (getattr tables, traced dotted paths) of a module."""
+    found = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return found
+
+
+def _public_definitions(text: str) -> list:
+    """(name, qualified name) of each public module function and class method."""
+    out = []
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.FunctionDef):
+            out.append((node.name, node.name))
+        elif isinstance(node, ast.ClassDef):
+            out.extend(
+                (m.name, f"{node.name}.{m.name}")
+                for m in node.body if isinstance(m, ast.FunctionDef)
+            )
+    return [(name, qual) for name, qual in out if not name.startswith("_")]
+
+
+def test_every_public_function_is_referenced_or_listed():
+    src = sorted(Path(la.__file__).parent.glob("*.py"))
+    repo = Path(la.__file__).resolve().parents[2]
+    referenced = set()
+    for path in src + sorted((repo / "bench").glob("*.py")):
+        referenced |= _referenced_names(path.read_text())
+    referenced |= set(re.findall(r"[A-Za-z_]\w*", (repo / "BENCHMARK.json").read_text()))
+    unreferenced = {
+        f"{path.stem}.{qual}"
+        for path in src for name, qual in _public_definitions(path.read_text())
+        if name not in referenced
+    }
+    # a listed name that gains a caller, or is deleted, leaves the list too
+    assert unreferenced == set(UNREFERENCED_PUBLIC)
+
+
+def test_reference_walk_sees_each_kind_of_use():
+    probe = (
+        "from .forms import decompose\nimport json\nfc.norm_table(1)\nrun(x)\n"
+        "getattr(hn, 'run_lattice')\nTRACED = ['forms.verify_decomposition']\n"
+    )
+    assert {"decompose", "norm_table", "run", "run_lattice", "verify_decomposition"} <= (
+        _referenced_names(probe)
+    )
+    defs = _public_definitions(
+        "def f(): pass\ndef _g(): pass\nclass C:\n    def m(self): pass\n"
+        "    def __init__(self): pass\n    def _h(self): pass\n"
+    )
+    assert defs == [("f", "f"), ("m", "C.m")]
 
 
 def test_shape_mismatch_is_value_error():
