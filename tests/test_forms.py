@@ -633,19 +633,53 @@ BOX_SHAPES = st.integers(1, 3).flatmap(
 )
 
 
+def assert_pieces_cover(B, side):
+    pieces = list(B.pieces(side))
+    assert all(max(P.H) <= side for P in pieces)
+    assert len(pieces) == math.prod(-(-h // side) for h in B.H)
+    assert sum(P.volume for P in pieces) == B.volume
+    assert sorted(x for P in pieces for x in P.iter_points()) == list(B.iter_points())
+    return pieces
+
+
 @settings(max_examples=50, deadline=None)
 @given(BOX_SHAPES)
 @example(((-3, 0, 5), (7, 1, 4)))
-@example(((1, -2), (5, 3)))
-@example(((0, 0), (4, 4)))
 def test_pieces_cover_the_box_once(shape):
     B = fm.BoxSpec(*shape)
     for side in range(1, max(B.H) + 2):
-        pieces = list(B.pieces(side))
-        assert all(max(P.H) <= side for P in pieces)
-        assert len(pieces) == math.prod(-(-h // side) for h in B.H)
-        assert sorted(x for P in pieces for x in P.iter_points()) == list(B.iter_points())
+        pieces = assert_pieces_cover(B, side)
     assert pieces == [B]
+
+
+def test_split_box_identity():
+    B = fm.BoxSpec((0, 0), (4, 4))
+    assert list(B.pieces(4)) == [B]
+    assert list(B.pieces(5)) == [B]
+
+
+def test_split_box_2d():
+    B = fm.BoxSpec((1, -2), (5, 3))
+    pieces = assert_pieces_cover(B, 2)
+    assert [(P.N, P.H) for P in pieces] == [
+        ((1, -2), (2, 2)),
+        ((1, 0), (2, 1)),
+        ((3, -2), (2, 2)),
+        ((3, 0), (2, 1)),
+        ((5, -2), (1, 2)),
+        ((5, 0), (1, 1)),
+    ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_split_box_partitions_exactly(data):
+    # only the last piece along each axis is cut short
+    B = fm.BoxSpec(*data.draw(BOX_SHAPES))
+    side = data.draw(st.integers(1, min(B.H)))
+    for P in assert_pieces_cover(B, side):
+        for n, h, pn, ph in zip(B.N, B.H, P.N, P.H):
+            assert ph == (side if pn + side < n + h else n + h - pn)
 
 
 @pytest.mark.parametrize("side", [2, fm.PIECE_SIDE])
