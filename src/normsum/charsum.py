@@ -6,6 +6,7 @@ complex number once at the end, so no float error accrues over the box.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -21,6 +22,22 @@ from . import linalg as la
 BOX_CAP = 10**8
 MOMENT_CAP = 10**7
 BAD_TUPLE_CAP = 10**7
+
+
+def box_fits(volume: int) -> bool:
+    """Whether a box sum over this many points is within BOX_CAP."""
+    return volume <= BOX_CAP
+
+
+def moment_cost(p: int, k: int, T: int, r: int) -> int:
+    """p^k T^(2r): the z's of s2_moment's degree-k fields, times the 2r-tuples
+    of its T shifts."""
+    return p**k * T ** (2 * r)
+
+
+def moment_fits(p: int, k: int, T: int, r: int) -> bool:
+    """Whether s2_moment at these sizes is within MOMENT_CAP."""
+    return moment_cost(p, k, T, r) <= MOMENT_CAP
 
 
 def index_histogram(chi: cc.DirichletChar, residues) -> tuple[tuple[int, ...], int]:
@@ -66,8 +83,12 @@ class CharSumResult:
             )
 
 
-def _box_sum(chi, B: fm.BoxSpec, residues) -> CharSumResult:
-    weights, zeros = index_histogram(chi, residues)
+def _box_sum(chi, B: fm.BoxSpec, values) -> CharSumResult:
+    """The sum of chi over values(piece), line by line, for each piece of B."""
+    if not box_fits(B.volume):
+        raise ValueError(f"box volume {B.volume} over cap {BOX_CAP}")
+    lines = (line for piece in B.pieces(fm.PIECE_SIDE) for line in values(piece))
+    weights, zeros = index_histogram(chi, itertools.chain.from_iterable(lines))
     return CharSumResult(_histogram_value(weights, chi.p), B.volume, weights, zeros)
 
 
@@ -82,11 +103,7 @@ def charsum_direct(chi: cc.DirichletChar, F: fm.FormSpec, B: fm.BoxSpec) -> Char
         raise ValueError("character modulus and form modulus differ")
     if B.dim != F.n:
         raise ValueError("box dimension and form arity differ")
-    if B.volume > BOX_CAP:
-        raise ValueError(f"box volume {B.volume} over cap {BOX_CAP}")
-    lines = (line for piece in B.pieces(fm.PIECE_SIDE) for line in fm.form_values(F, piece))
-    residues = itertools.chain.from_iterable(lines)
-    return _box_sum(chi, B, residues)
+    return _box_sum(chi, B, functools.partial(fm.form_values, F))
 
 
 def charsum_lifted(
@@ -102,11 +119,7 @@ def charsum_lifted(
         raise ValueError("character modulus and decomposition modulus differ")
     if B.dim != D.n:
         raise ValueError("box dimension and decomposition arity differ")
-    if B.volume > BOX_CAP:
-        raise ValueError(f"box volume {B.volume} over cap {BOX_CAP}")
-    lines = (line for piece in B.pieces(fm.PIECE_SIDE) for line in D.values(piece))
-    residues = itertools.chain.from_iterable(lines)
-    return _box_sum(chi, B, residues)
+    return _box_sum(chi, B, D.values)
 
 
 def weil_complete_sum(
@@ -126,7 +139,7 @@ def weil_complete_sum(
         psi = cc.lift_character(psi, fc.ext_field_ctx(psi.p, 1))
     p, q = psi.base.p, psi.ctx.order
     d = cc.lifted_order(psi)
-    if q > fc.FIELD_SIZE_CAP:
+    if not fc.field_fits(p, psi.ctx.m):
         raise ValueError(f"field size {q} over cap {fc.FIELD_SIZE_CAP}")
     merged: dict[int, int] = {}
     for shift, mult in factors:
@@ -194,7 +207,7 @@ def s2_moment(
         raise ValueError("window and exponent must be positive")
     p = chi.p
     k = sum(partition)
-    if p**k * T ** (2 * r) > MOMENT_CAP:
+    if not moment_fits(p, k, T, r):
         raise ValueError("moment enumeration infeasible at this size")
     order = max(1, p - 1)
     # N(z_i + t) at each code c of field i, shifted as in weil_complete_sum

@@ -25,6 +25,34 @@ QUAD_SCAN_CAP = 10**9
 RAW_FLUSH = 2**18
 
 
+def pair_cost(vol_x: int, vol_y: int) -> int:
+    """The pairs a histogram over boxes of these volumes enumerates."""
+    return vol_x * vol_y
+
+
+def pairs_fit(vol_x: int, vol_y: int) -> bool:
+    """Whether a pair histogram over boxes of these volumes is within PAIR_CAP."""
+    return pair_cost(vol_x, vol_y) <= PAIR_CAP
+
+
+def quadruple_cost(vol_x: int, vol_y: int) -> int:
+    """The quadruples the literal loop tests over boxes of these volumes."""
+    return pair_cost(vol_x, vol_y) ** 2
+
+
+def _require_pairs(box_x: fm.BoxSpec, box_y: fm.BoxSpec):
+    if not pairs_fit(box_x.volume, box_y.volume):
+        raise ValueError("pair enumeration infeasible at this size")
+
+
+def _cross_checks(box_x: fm.BoxSpec, box_y: fm.BoxSpec, cross_check) -> bool:
+    """cross_check, or when it is None whether the literal loop over the
+    boxes is within QUAD_CROSS_CHECK_CAP."""
+    if cross_check is None:
+        return quadruple_cost(box_x.volume, box_y.volume) <= QUAD_CROSS_CHECK_CAP
+    return cross_check
+
+
 @dataclass(frozen=True)
 class EnergyInstance:
     decomposition: fm.NormFormDecomposition
@@ -42,15 +70,14 @@ class EnergyInstance:
 
 
 def _lam_table(D: fm.NormFormDecomposition, box: fm.BoxSpec, blocks=None) -> list:
-    """lambda(x) per point as field elements, for the literal oracle loops.
+    """lambda(x) per point as coefficient tuples, for the literal oracle loops.
 
     The restricted energies pass the partition slices of a coefficient
     matrix as blocks in place of D's own.
     """
     blocks = D.blocks if blocks is None else blocks
     return [
-        tuple(ctx.element(la.mat_vec(U, x, D.p)) for U, ctx in zip(blocks, D.ctxs))
-        for x in box.iter_points()
+        tuple(tuple(la.mat_vec(U, x, D.p)) for U in blocks) for x in box.iter_points()
     ]
 
 
@@ -145,48 +172,48 @@ def energy_histogram(inst: EnergyInstance) -> int:
     tuple, zeros included.
     """
     D = inst.decomposition
-    if inst.box_x.volume * inst.box_y.volume > PAIR_CAP:
-        raise ValueError("pair enumeration infeasible at this size")
+    _require_pairs(inst.box_x, inst.box_y)
     codes_x = _log_codes(D, inst.box_x)
     codes_y = codes_x if inst.box_y == inst.box_x else _log_codes(D, inst.box_y)
     hist = _pair_histogram(D, codes_x, codes_y)
     return sum(c * c for c in hist.values())
 
 
-def _literal_quadruples(t1, t2, t3, t4):
+def _literal_quadruples(D: fm.NormFormDecomposition, t1, t2, t3, t4):
     """Each (l1, l2, l3, l4) of the four lambda tables with l1_i l4_i = l2_i l3_i.
 
     The literal oracle: the equation is tested in every field, quadruple by
-    quadruple.
+    quadruple, on products taken with fc.mul_kernel, each pair's once.
     """
-    for l1 in t1:
-        for l2 in t2:
-            for l3 in t3:
-                for l4 in t4:
-                    if all(
-                        fc.ext_mul(a, d) == fc.ext_mul(b, c)
-                        for a, b, c, d in zip(l1, l2, l3, l4)
-                    ):
-                        yield l1, l2, l3, l4
+    muls = [fc.mul_kernel(ctx) for ctx in D.ctxs]
+
+    def products(ta, tb):
+        return [
+            (a, b, tuple(mul(u, v) for mul, u, v in zip(muls, a, b))) for a in ta for b in tb
+        ]
+
+    right = products(t2, t3)
+    for l1, l4, left in products(t1, t4):
+        for l2, l3, prod in right:
+            if prod == left:
+                yield l1, l2, l3, l4
 
 
 def energy_quadruple_loop(inst: EnergyInstance) -> int:
     """Literal definition: test the per-field equation on each quadruple."""
     D = inst.decomposition
+    if quadruple_cost(inst.box_x.volume, inst.box_y.volume) > QUAD_SCAN_CAP:
+        raise ValueError("quadruple enumeration infeasible at this size")
     table_x = _lam_table(D, inst.box_x)
     table_y = _lam_table(D, inst.box_y)
-    if (len(table_x) * len(table_y)) ** 2 > QUAD_SCAN_CAP:
-        raise ValueError("quadruple enumeration infeasible at this size")
-    return sum(1 for _ in _literal_quadruples(table_x, table_x, table_y, table_y))
+    return sum(1 for _ in _literal_quadruples(D, table_x, table_x, table_y, table_y))
 
 
 def energy_bruteforce(inst: EnergyInstance, cross_check=None) -> int:
     """Exact energy count; both routes must agree whenever both run."""
     value = energy_histogram(inst)
-    quads = (inst.box_x.volume * inst.box_y.volume) ** 2
-    if cross_check is None:
-        cross_check = quads <= QUAD_CROSS_CHECK_CAP
-    if cross_check and energy_quadruple_loop(inst) != value:
+    checks = _cross_checks(inst.box_x, inst.box_y, cross_check)
+    if checks and energy_quadruple_loop(inst) != value:
         raise la.CheckFailed("quadruple loop and pair histogram give different energies")
     return value
 
@@ -203,20 +230,19 @@ def s1_identity_check(D: fm.NormFormDecomposition, box_x: fm.BoxSpec, box_y: fm.
     Returns (sum of eta^2, quadruple count, equal).  Also checks the
     Cauchy-Schwarz bound against the two single-box energies.
     """
-    table_x = _lam_table(D, box_x)
-    table_y = _lam_table(D, box_y)
-    if len(table_x) * len(table_y) > PAIR_CAP:
-        raise ValueError("pair enumeration infeasible at this size")
-    live_x = [lx for lx in table_x if not any(e.is_zero() for e in lx)]
-    live_y = [ly for ly in table_y if not any(e.is_zero() for e in ly)]
+    _require_pairs(box_x, box_y)
+    live_x = [lx for lx in _lam_table(D, box_x) if all(map(any, lx))]
+    live_y = [ly for ly in _lam_table(D, box_y) if all(map(any, ly))]
 
-    ratio_hist: dict = {}
-    for lx in live_x:
-        for ly in live_y:
-            key = tuple(
-                fc.ext_mul(a, fc.ext_inv(b)).coeffs for a, b in zip(lx, ly)
-            )
-            ratio_hist[key] = ratio_hist.get(key, 0) + 1
+    # lambda(x)/lambda(y), with one inverse b^(q-2) per live y
+    muls = [fc.mul_kernel(ctx) for ctx in D.ctxs]
+    inverses = [
+        tuple(fc.pow_coeffs(ctx, b, ctx.order - 2) for ctx, b in zip(D.ctxs, ly))
+        for ly in live_y
+    ]
+    ratio_hist = Counter(
+        tuple(mul(a, b) for mul, a, b in zip(muls, lx, iy)) for lx in live_x for iy in inverses
+    )
     s1 = sum(c * c for c in ratio_hist.values())
 
     # a pair has no zero factor exactly when both its points are live
@@ -225,8 +251,8 @@ def s1_identity_check(D: fm.NormFormDecomposition, box_x: fm.BoxSpec, box_y: fm.
         c * c for key, c in prod_hist.items() if not _has_zero_factor(D, key)
     )
 
-    if (len(table_x) * len(table_y)) ** 2 <= QUAD_CROSS_CHECK_CAP:
-        literal = sum(1 for _ in _literal_quadruples(live_x, live_x, live_y, live_y))
+    if _cross_checks(box_x, box_y, None):
+        literal = sum(1 for _ in _literal_quadruples(D, live_x, live_x, live_y, live_y))
         if literal != quads:
             raise la.CheckFailed(f"literal loop counts {literal}, histogram {quads}")
 
@@ -285,8 +311,7 @@ def energy_restricted(
     """
     D = inst.decomposition
     box_x, box_y = inst.box_x, inst.box_y
-    if box_x.volume * box_y.volume > PAIR_CAP:
-        raise ValueError("pair enumeration infeasible at this size")
+    _require_pairs(box_x, box_y)
     # lambda^j(x): the rows of a_j sliced by the partition, in the power bases
     blocks = [
         tuple(M[a:b] for a, b in _block_slices(D.partition)) for M in inst.matrices
@@ -310,18 +335,14 @@ def energy_restricted(
     if live + degenerate != total:
         raise la.CheckFailed(f"live {live} + degenerate {degenerate} != {total}")
 
-    quads = (box_x.volume * box_y.volume) ** 2
-    if cross_check is None:
-        cross_check = quads <= QUAD_CROSS_CHECK_CAP
-    if cross_check:
-        t1, t2, t3, t4 = (
-            _lam_table(D, box, U)
-            for box, U in zip((box_x, box_x, box_y, box_y), blocks)
+    if _cross_checks(box_x, box_y, cross_check):
+        tables = (
+            _lam_table(D, box, U) for box, U in zip((box_x, box_x, box_y, box_y), blocks)
         )
         lit_live = lit_deg = 0
-        for quad in _literal_quadruples(t1, t2, t3, t4):
+        for quad in _literal_quadruples(D, *tables):
             tested = quad if symmetric_variant else (quad[0], quad[3])
-            if any(e.is_zero() for l in tested for e in l):
+            if not all(any(e) for l in tested for e in l):
                 lit_deg += 1
             else:
                 lit_live += 1

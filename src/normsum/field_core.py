@@ -17,6 +17,16 @@ from . import linalg
 FIELD_SIZE_CAP = 10**6
 
 
+def field_size(p: int, m: int) -> int:
+    """p^m, the elements an enumeration of F_{p^m} walks."""
+    return p**m
+
+
+def field_fits(p: int, m: int) -> bool:
+    """Whether F_{p^m} is within FIELD_SIZE_CAP: every field-size refusal asks here."""
+    return field_size(p, m) <= FIELD_SIZE_CAP
+
+
 def _trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
@@ -122,7 +132,7 @@ def find_irreducible(p: int, m: int) -> tuple[int, ...]:
     linalg.check_prime(p)
     if m < 1:
         raise ValueError(f"extension degree must be >= 1, got {m}")
-    if p**m > FIELD_SIZE_CAP:
+    if not field_fits(p, m):
         raise ValueError(f"field size {p}^{m} exceeds cap {FIELD_SIZE_CAP}")
     # code sum_j c_j p^j ascending is that order, and builds no pool of p values
     for code in range(p**m):
@@ -219,25 +229,10 @@ class ExtFieldElement:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.coeffs)
 
-    def as_int(self) -> int:
-        """The value of a prime-subfield element as a plain residue."""
-        if any(self.coeffs[1:]):
-            raise ValueError(f"{self.coeffs} is not in the prime subfield")
-        return self.coeffs[0]
-
 
 def _same_ctx(a: ExtFieldElement, b: ExtFieldElement):
     if a.ctx != b.ctx:
         raise ValueError("elements live in different field presentations")
-
-
-def ext_add(a: ExtFieldElement, b: ExtFieldElement) -> ExtFieldElement:
-    _same_ctx(a, b)
-    return a.ctx.element(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def ext_scalar_mul(c: int, a: ExtFieldElement) -> ExtFieldElement:
-    return a.ctx.element(tuple(c * x for x in a.coeffs))
 
 
 def ext_mul(a: ExtFieldElement, b: ExtFieldElement) -> ExtFieldElement:
@@ -281,28 +276,9 @@ def ext_pow(a: ExtFieldElement, e: int) -> ExtFieldElement:
     return result
 
 
-def frobenius(a: ExtFieldElement, i: int) -> ExtFieldElement:
-    """The automorphism x -> x^(p^i); requires 0 <= i < m."""
-    if not 0 <= i < a.ctx.m:
-        raise ValueError(f"frobenius power must satisfy 0 <= i < {a.ctx.m}")
-    return ext_pow(a, a.ctx.p**i)
-
-
 def norm(a: ExtFieldElement) -> int:
     """Field norm down to F_p, by the context's raw kernel; norm(0) = 0."""
     return norm_kernel(a.ctx)(a.coeffs)
-
-
-def norm_via_conjugates(a: ExtFieldElement) -> int:
-    """Oracle route: the product of all Frobenius conjugates of a.
-
-    The exponent route ext_pow(a, (p^m - 1)/(p - 1)) is the other oracle;
-    the tests hold both against norm_kernel.
-    """
-    prod = a.ctx.one()
-    for i in range(a.ctx.m):
-        prod = ext_mul(prod, frobenius(a, i))
-    return prod.as_int()
 
 
 # ---------------------------------------------------------------------------

@@ -399,7 +399,7 @@ def _factor_univariate(coeffs, p: int):
             # whatever is left has no factor of degree < its own: irreducible
             out.append((tuple(rem), 1))
             break
-        if p**deg > fc.FIELD_SIZE_CAP:
+        if not fc.field_fits(p, deg):
             raise UnsupportedFormError(
                 f"factorization unsupported: univariate trial division needs p^{deg} candidates"
             )
@@ -626,8 +626,9 @@ def decompose(F: FormSpec, seed: int = 0) -> NormFormDecomposition:
         blocks[0] = (k1, ctx1, [[cols[j][r] for j in range(n)] for r in range(k1)])
 
     D = NormFormDecomposition(p, n, *zip(*blocks))
-    _check_ranks(D)
     if not verify_decomposition(F, D, seed=seed):
+        # the ranks are verified first, and a rank failure has its own error
+        _check_ranks(D)
         raise linalg.CheckFailed("decomposition failed verification")
     return D
 

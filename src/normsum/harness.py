@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import random
@@ -44,6 +45,10 @@ IDENTITY_COLUMNS = ("check", "p", "n", "instance", "status", "lhs", "rhs")
 
 SCAN_SAMPLES = 2
 SEED_CAP = 2**64
+# the most a command may cost, summed over its primes in the units of the
+# modules' cost functions (pairs, box points, moment terms, tuple-elements):
+# at 0.1 to 1 us a unit, a command at the cap runs about 40 s at most
+COMMAND_CAP = 4 * 10**7
 
 
 class UsageError(ValueError):
@@ -78,8 +83,8 @@ class ExperimentConfig:
         if self.eps < 0 or self.kappa < 0:
             raise UsageError("eps and kappa must be nonnegative")
         # every command builds F_{p^m} with m >= 1, so no prime above the
-        # field cap can run; refuse before primes_in walks the range
-        if self.p_hi > fc.FIELD_SIZE_CAP:
+        # field cap can run; refuse before the range is walked
+        if not fc.field_fits(self.p_hi, 1):
             raise UsageError(
                 f"prime range ends at {self.p_hi}, above the field size cap "
                 f"{fc.FIELD_SIZE_CAP}"
@@ -191,6 +196,49 @@ def primes_in(lo: int, hi: int) -> list:
     return [p for p in range(max(2, lo), hi + 1) if la.is_prime(p)]
 
 
+def _walk(config: ExperimentConfig, cost, skips: list, characters: bool = True):
+    """The primes of the range that run, ascending; each other prime's skip
+    line goes to skips as the walk passes it.
+
+    cost(p) is p's cost in the units of COMMAND_CAP, or its skip line; with
+    characters set, p = 2 is skipped.  The costs are summed before the first
+    prime is handed out, so a command is refused before any row is computed,
+    at the first prime that takes the sum past COMMAND_CAP.
+    """
+    plan, total = [], 0
+    for p in range(max(2, config.p_lo), config.p_hi + 1):
+        if not la.is_prime(p):
+            continue
+        c = "p=2: no nonprincipal character, skipped" if characters and p == 2 else cost(p)
+        if not isinstance(c, str):
+            total += c
+            if total > COMMAND_CAP:
+                raise UsageError(
+                    f"{config.command} costs {total} units by p={p}, over the command "
+                    f"cap {COMMAND_CAP}; narrow the prime range or the sizes"
+                )
+        plan.append((p, c))
+    for p, c in plan:
+        if isinstance(c, str):
+            skips.append(c)
+        else:
+            yield p
+
+
+def _short_box(p: int, n: int, kappa: float) -> fm.BoxSpec:
+    """The box (0, p^(1/4 + kappa)]^n of the short-sum bounds."""
+    side = max(1, int(p ** (0.25 + kappa)))
+    return fm.BoxSpec((0,) * n, (side,) * n)
+
+
+def _window_cost(p: int, n: int, energies: int):
+    """The pair cost of `energies` energies on [-sqrt(p), sqrt(p)]^n, or the skip line."""
+    vol = fm.BoxSpec.symmetric((math.isqrt(p),) * n).volume
+    if not en.pairs_fit(vol, vol):
+        return f"p={p}: pair table {vol}^2 exceeds cap, skipped"
+    return energies * en.pair_cost(vol, vol)
+
+
 def square_partitions(n: int) -> tuple:
     """Partitions of n in nonincreasing order, largest part first."""
     out = []
@@ -293,27 +341,23 @@ def run_charsum(config: ExperimentConfig, form_path=None, decomp_path=None):
     """
     rows, skips = [], []
     if decomp_path or form_path:
+        # a decomposition and a form both carry p, n and k
+        obj = _load_decomposition(decomp_path) if decomp_path else _load_form(form_path)
+        chi = _nonprincipal_char(obj.p)
+        box = _short_box(obj.p, obj.n, config.kappa)
         if decomp_path:
-            D = _load_decomposition(decomp_path)
-            chi = _nonprincipal_char(D.p)
-            side = max(1, int(D.p ** (0.25 + config.kappa)))
-            box = fm.BoxSpec((0,) * D.n, (side,) * D.n)
-            res = cs.charsum_lifted(D, chi, box)
-            meta = (D.p, D.n, D.k)
+            res = cs.charsum_lifted(obj, chi, box)
         else:
-            F = _load_form(form_path)
-            chi = _nonprincipal_char(F.p)
-            side = max(1, int(F.p ** (0.25 + config.kappa)))
-            box = fm.BoxSpec((0,) * F.n, (side,) * F.n)
-            res = cs.charsum_direct(chi, F, box)
-            meta = (F.p, F.n, F.k)
-        rows.extend(_charsum_rows(meta, box, res))
-        return rows, skips
+            res = cs.charsum_direct(chi, obj, box)
+        return _charsum_rows((obj.p, obj.n, obj.k), box, res), skips
 
-    for p in primes_in(config.p_lo, config.p_hi):
-        if p == 2:
-            skips.append("p=2: no nonprincipal character, skipped")
-            continue
+    def cost(p):
+        # both routes sum the box; a box past the box cap costs nothing,
+        # as the routes refuse it before they evaluate a point
+        volume = _short_box(p, config.n, config.kappa).volume
+        return 2 * volume if cs.box_fits(volume) else 0
+
+    for p in _walk(config, cost, skips):
         rng = random.Random(_derived_seed(config.seed, p, config.n, config.k))
         try:
             D = fm.random_decomposition(
@@ -324,8 +368,7 @@ def run_charsum(config: ExperimentConfig, form_path=None, decomp_path=None):
             continue
         F = fm.synthesize_form(D)
         chi = _nonprincipal_char(p)
-        side = max(1, int(p ** (0.25 + config.kappa)))
-        box = fm.BoxSpec((0,) * config.n, (side,) * config.n)
+        box = _short_box(p, config.n, config.kappa)
         direct = cs.charsum_direct(chi, F, box)
         lifted = cs.charsum_lifted(D, chi, box)
         if (direct.weights, direct.zero_terms) != (lifted.weights, lifted.zero_terms):
@@ -347,30 +390,17 @@ def run_energy(config: ExperimentConfig):
     """Window energy per prime against its diagonal lower bound."""
     rows, skips = [], []
     n = config.n
-    for p in primes_in(config.p_lo, config.p_hi):
+    for p in _walk(config, lambda p: _window_cost(p, n, 1), skips, characters=False):
         H = math.isqrt(p)
-        vol = (2 * H + 1) ** n
-        if vol * vol > en.PAIR_CAP:
-            skips.append(f"p={p}: pair table {vol}^2 exceeds cap, skipped")
-            continue
         rng = random.Random(_derived_seed(config.seed, p, n))
         D = fm.random_decomposition(p, n, square_partitions(n)[0], rng)
         box = fm.BoxSpec.symmetric((H,) * n)
-        report = en.elementary_bounds_check(
-            en.EnergyInstance(D, box, box), cross_check=False
-        )
-        rows.append(
-            scan_row(
-                p, n, n, (H,) * n, "energy", report["energy"],
-                float(report["diagonal_lower"]),
-            )
-        )
-        rows.append(
-            ScanRow(
-                p, n, n, (H,) * n, "energy_upper_ratio",
-                report["upper_ratio"], None, None,
-            )
-        )
+        report = en.elementary_bounds_check(en.EnergyInstance(D, box, box), cross_check=False)
+        lower, ratio = float(report["diagonal_lower"]), report["upper_ratio"]
+        rows += [
+            scan_row(p, n, n, (H,) * n, "energy", report["energy"], lower),
+            ScanRow(p, n, n, (H,) * n, "energy_upper_ratio", ratio, None, None),
+        ]
     return rows, skips
 
 
@@ -378,7 +408,7 @@ def run_lattice(config: ExperimentConfig):
     """Congruence-lattice battery: determinant, duality, minima, counts."""
     rows, skips = [], []
     n = config.n
-    if 2 * n > lat.MINIMA_DIM_CAP:
+    if not lat.minima_fit(2 * n):
         raise UsageError(f"lattice dimension 2n = {2 * n} over the minima cap")
     for p in primes_in(config.p_lo, config.p_hi):
         for part in square_partitions(n):
@@ -417,16 +447,15 @@ def run_lattice(config: ExperimentConfig):
 def run_weil_check(config: ExperimentConfig):
     """Complete-sum magnitudes against the square-root bound, worst case."""
     rows, skips = [], []
-    m = config.k
-    r = config.r
-    T = 3
-    for p in primes_in(config.p_lo, config.p_hi):
-        if p == 2:
-            skips.append("p=2: no nonprincipal character, skipped")
-            continue
-        if p**m > fc.FIELD_SIZE_CAP:
-            skips.append(f"p={p}: field size {p**m} exceeds cap, skipped")
-            continue
+    m, r, T = config.k, config.r, 3
+
+    def cost(p):
+        if not fc.field_fits(p, m):
+            return f"p={p}: field size {fc.field_size(p, m)} exceeds cap, skipped"
+        # each character sums over the field once per window tuple
+        return len({1, (p - 1) // 2}) * T ** (2 * r) * fc.field_size(p, m)
+
+    for p in _walk(config, cost, skips):
         ctx = fc.ext_field_ctx(p, m)
         for idx in sorted({1, (p - 1) // 2}):
             chi = cc.DirichletChar(p, idx)
@@ -434,7 +463,7 @@ def run_weil_check(config: ExperimentConfig):
             d = cc.char_order(chi)
             worst = 0.0
             nonpower = 0
-            for t in _tuples_in_window(T, 2 * r):
+            for t in itertools.product(range(1, T + 1), repeat=2 * r):
                 factors = [(t[j], 1) for j in range(r)]
                 factors += [(t[r + j], max(1, d - 1)) for j in range(r)]
                 value, bound, holds = cs.weil_complete_sum(psi, factors)
@@ -445,39 +474,29 @@ def run_weil_check(config: ExperimentConfig):
                 if 0 < bound < float(ctx.order):
                     nonpower += 1
                     worst = max(worst, abs(value) / bound)
-            rows.append(
-                scan_row(p, config.n, m, (T,), f"weil_max_ratio_chi{idx}", worst, 1.0)
-            )
-            rows.append(
-                ScanRow(
-                    p, config.n, m, (T,), f"weil_nonpower_count_chi{idx}",
-                    nonpower, None, None,
-                )
-            )
+            meta = (p, config.n, m, (T,))
+            rows += [
+                scan_row(*meta, f"weil_max_ratio_chi{idx}", worst, 1.0),
+                ScanRow(*meta, f"weil_nonpower_count_chi{idx}", nonpower, None, None),
+            ]
     return rows, skips
-
-
-def _tuples_in_window(T: int, length: int):
-    if length == 0:
-        yield ()
-        return
-    for head in range(1, T + 1):
-        for tail in _tuples_in_window(T, length - 1):
-            yield (head,) + tail
 
 
 def run_moment(config: ExperimentConfig):
     """Even moments of the twisted interval sum over a degree-k field."""
     rows, skips = [], []
     k, r = config.k, config.r
-    for p in primes_in(config.p_lo, config.p_hi):
-        if p == 2:
-            skips.append("p=2: no nonprincipal character, skipped")
-            continue
-        T = max(1, int(p ** (k / (2 * r))))
-        if p**k * T ** (2 * r) > cs.MOMENT_CAP:
-            skips.append(f"p={p}: moment enumeration over cap, skipped")
-            continue
+
+    def window(p):
+        return max(1, int(p ** (k / (2 * r))))
+
+    def cost(p):
+        if not cs.moment_fits(p, k, window(p), r):
+            return f"p={p}: moment enumeration over cap, skipped"
+        return cs.moment_cost(p, k, window(p), r)
+
+    for p in _walk(config, cost, skips):
+        T = window(p)
         ctx = fc.ext_field_ctx(p, k)
         chi = cc.DirichletChar(p, (p - 1) // 2)
         psi = cc.lift_character(chi, ctx)
@@ -502,15 +521,15 @@ def run_bound_table(config: ExperimentConfig):
     if not 1 <= n <= k < 2 * n:
         raise UsageError(f"need 1 <= n <= k < 2n, got n={n}, k={k}")
     rows, skips = [], []
-    for p in primes_in(config.p_lo, config.p_hi):
-        if p == 2:
-            skips.append("p=2: no nonprincipal character, skipped")
-            continue
-        side = max(1, int(p ** (0.25 + config.kappa)))
-        box = fm.BoxSpec((0,) * n, (side,) * n)
-        if box.volume > cs.BOX_CAP:
-            skips.append(f"p={p}: box volume {box.volume} exceeds cap, skipped")
-            continue
+
+    def cost(p):
+        volume = _short_box(p, n, config.kappa).volume
+        if not cs.box_fits(volume):
+            return f"p={p}: box volume {volume} exceeds cap, skipped"
+        return volume
+
+    for p in _walk(config, cost, skips):
+        box = _short_box(p, n, config.kappa)
         rng = random.Random(_derived_seed(config.seed, p, n, k))
         try:
             D = fm.random_decomposition(p, n, canonical_partition(n, k), rng)
@@ -535,24 +554,11 @@ def run_bound_table(config: ExperimentConfig):
             r_opt = r_brute = None
         for r in range(k + 1, k + 7):
             params = cs.BoundParams(n, k, r, config.eps, config.kappa)
-            rhs = cs.bound_rhs(params, side, box.volume, p)
-            rows.append(
-                {
-                    "p": p,
-                    "n": n,
-                    "k": k,
-                    "H": box.H,
-                    "r": r,
-                    "S_abs": s_abs,
-                    "weights": res.weights,
-                    "trivial": box.volume,
-                    "rhs": rhs,
-                    "ratio": s_abs / rhs if rhs > 0 else None,
-                    "delta": cs.delta_savings(n, float(r), config.kappa),
-                    "r_opt": r_opt,
-                    "r_brute": r_brute,
-                }
-            )
+            rhs = cs.bound_rhs(params, box.H[0], box.volume, p)
+            ratio = s_abs / rhs if rhs > 0 else None
+            delta = cs.delta_savings(n, float(r), config.kappa)
+            cells = (p, n, k, box.H, r, s_abs, res.weights, box.volume, rhs, ratio, delta)
+            rows.append(dict(zip(BOUND_COLUMNS, cells + (r_opt, r_brute))))
     return rows, skips
 
 
@@ -565,12 +571,9 @@ def run_energy_scan(config: ExperimentConfig):
     """
     n = config.n
     rows, skips = [], []
-    for p in primes_in(config.p_lo, config.p_hi):
+    energies = len(square_partitions(n)) * SCAN_SAMPLES
+    for p in _walk(config, lambda p: _window_cost(p, n, energies), skips, characters=False):
         H = math.isqrt(p)
-        vol = (2 * H + 1) ** n
-        if vol * vol > en.PAIR_CAP:
-            skips.append(f"p={p}: pair table {vol}^2 exceeds cap, skipped")
-            continue
         rng = random.Random(_derived_seed(config.seed, p, n))
         best = None
         for part in square_partitions(n):
@@ -602,17 +605,8 @@ def run_identity_suite(config: ExperimentConfig):
     results = []
 
     def record(check, p, n, instance, ok, lhs, rhs):
-        results.append(
-            {
-                "check": check,
-                "p": p,
-                "n": n,
-                "instance": instance,
-                "status": "pass" if ok else "fail",
-                "lhs": lhs,
-                "rhs": rhs,
-            }
-        )
+        status = "pass" if ok else "fail"
+        results.append(dict(zip(IDENTITY_COLUMNS, (check, p, n, instance, status, lhs, rhs))))
 
     for p in primes_in(config.p_lo, config.p_hi):
         if p == 2:

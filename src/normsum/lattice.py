@@ -25,6 +25,11 @@ CROSS_CHECK_CAP = 2 * 10**4
 SYMMETRIZER_TRY_CAP = 10**5
 
 
+def minima_fit(dim: int) -> bool:
+    """Whether successive minima in this lattice dimension are within MINIMA_DIM_CAP."""
+    return dim <= MINIMA_DIM_CAP
+
+
 def companion_matrix(ctx: fc.ExtFieldCtx) -> list[list[int]]:
     """Matrix of multiplication by the power-basis generator, acting on coords."""
     p, m = ctx.p, ctx.m
@@ -59,17 +64,6 @@ def mult_matrix(a: fc.ExtFieldElement) -> MultiplicationMatrix:
             ]
         power = la.mat_mul(power, comp, p)
     return MultiplicationMatrix(m, tuple(tuple(r) for r in acc), ctx, a)
-
-
-def mult_matrix_via_columns(a: fc.ExtFieldElement) -> tuple[tuple[int, ...], ...]:
-    """Same matrix assembled column by column from field multiplication."""
-    ctx = a.ctx
-    m = ctx.m
-    cols = []
-    for j in range(m):
-        basis = ctx.element(tuple(1 if t == j else 0 for t in range(m)))
-        cols.append(fc.ext_mul(a, basis).coeffs)
-    return tuple(tuple(cols[j][i] for j in range(m)) for i in range(m))
 
 
 def block_mult_matrix(z: Sequence[fc.ExtFieldElement]) -> list[list[int]]:
@@ -458,7 +452,7 @@ def successive_minima(
     Minkowski's second theorem (explicit classical constants) on every call.
     """
     d = L.dim
-    if d > MINIMA_DIM_CAP:
+    if not minima_fit(d):
         raise ValueError(f"successive minima supported up to dimension {MINIMA_DIM_CAP}")
     H = tuple(int(h) for h in H)
     if len(H) != d or any(h <= 0 for h in H):

@@ -37,13 +37,12 @@ def eta_count(D: fm.NormFormDecomposition, z, box_x: fm.BoxSpec, box_y: fm.BoxSp
         raise ValueError("ratio components must be nonzero")
     hist_x: dict = {}
     for lx in en._lam_table(D, box_x):
-        key = tuple(e.coeffs for e in lx)
-        hist_x[key] = hist_x.get(key, 0) + 1
+        hist_x[lx] = hist_x.get(lx, 0) + 1
     count = 0
     for ly in en._lam_table(D, box_y):
-        if any(e.is_zero() for e in ly):
+        if not all(map(any, ly)):
             continue
-        target = tuple(fc.ext_mul(zi, e).coeffs for zi, e in zip(z, ly))
+        target = tuple(fc.ext_mul(zi, zi.ctx.element(e)).coeffs for zi, e in zip(z, ly))
         count += hist_x.get(target, 0)
     return count
 

@@ -15,6 +15,7 @@ from normsum import field_core as fc
 from normsum import forms as fm
 from normsum import harness as hn
 from normsum import linalg as la
+from test_field_core import ext_add, ext_scalar_mul, norm_via_conjugates
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 PARTS_BY_N = {2: [(2,), (1, 1)], 3: [(3,), (2, 1), (1, 1, 1)]}
@@ -199,7 +200,7 @@ def eval_poly_ext(coeffs, x):
     """The F_p polynomial coeffs (low to high) at x, by Horner on field elements."""
     acc = x.ctx.zero()
     for c in reversed(list(coeffs)):
-        acc = fc.ext_add(fc.ext_mul(acc, x), x.ctx.from_int(c))
+        acc = ext_add(fc.ext_mul(acc, x), x.ctx.from_int(c))
     return acc
 
 
@@ -483,6 +484,13 @@ def test_ranks_hold_takes_one_rank_per_block_and_one_for_the_stack(monkeypatch):
     assert len(calls) <= s + 1
 
 
+def test_decompose_checks_ranks_once(monkeypatch):
+    check, calls = fm._check_ranks, []
+    monkeypatch.setattr(fm, "_check_ranks", lambda D: calls.append(D) or check(D))
+    D = fm.decompose(form(5, 2, {(2, 0): 1, (1, 1): 1, (0, 2): 1}))
+    assert calls == [D]
+
+
 def test_lambda_linearity_and_kernel():
     rng = random.Random(31)
     for p, part in [(5, (2, 1)), (7, (3,)), (3, (1, 1))]:
@@ -494,8 +502,8 @@ def test_lambda_linearity_and_kernel():
             c = rng.randrange(p)
             for i in range(D.s):
                 lx, ly = D.lam(i, x), D.lam(i, y)
-                assert D.lam(i, [(a + b) % p for a, b in zip(x, y)]) == fc.ext_add(lx, ly)
-                assert D.lam(i, [(c * a) % p for a in x]) == fc.ext_scalar_mul(c, lx)
+                assert D.lam(i, [(a + b) % p for a, b in zip(x, y)]) == ext_add(lx, ly)
+                assert D.lam(i, [(c * a) % p for a in x]) == ext_scalar_mul(c, lx)
 
 
 def test_lambda_vanishing_iff_zero_when_square():
@@ -558,7 +566,7 @@ def test_value_is_the_product_of_conjugate_norms():
                     ]
                     for x in [*itertools.product(range(p), repeat=n), *shifted]:
                         want = math.prod(
-                            fc.norm_via_conjugates(D.lam(i, x)) for i in range(D.s)
+                            norm_via_conjugates(D.lam(i, x)) for i in range(D.s)
                         ) % p
                         assert D.value(x) == want, (p, part, blocks, x)
 

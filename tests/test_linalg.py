@@ -1,6 +1,7 @@
 """Exact linear algebra: the integer echelon and the nullspace mod p."""
 
 import ast
+import collections
 import itertools
 import math
 import random
@@ -139,13 +140,57 @@ def test_src_calls_no_private_helper_of_another_module():
     assert _private_module_access(probe, modules) == [4, 5, 6]
 
 
+def _cap_reads(source: str) -> list:
+    """Line numbers of alias.NAME_CAP reads, other than a cap quoted in an f-string."""
+    tree = ast.parse(source)
+    quoted = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.FormattedValue)}
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.attr.endswith("_CAP") and id(node) not in quoted
+    ]
+
+
+def test_harness_compares_and_computes_with_no_cap_of_another_module():
+    # the harness asks each module's fits predicate and cost function instead
+    assert _cap_reads((Path(la.__file__).parent / "harness.py").read_text()) == []
+    probe = (
+        "if p**m > fc.FIELD_SIZE_CAP:\n    pass\nx = 2 * en.PAIR_CAP\n"
+        "y = f'cap {fc.FIELD_SIZE_CAP}'\nCOMMAND_CAP\n"
+    )
+    assert _cap_reads(probe) == [1, 3]
+
+
+def _cap_comparisons(source: str) -> list:
+    """The NAME_CAP names inside each comparison of the source, one per use."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            for sub in ast.walk(node):
+                name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+                if isinstance(sub, (ast.Name, ast.Attribute)) and name.endswith("_CAP"):
+                    found.append(name)
+    return found
+
+
+def test_each_capped_quantity_is_compared_with_its_cap_at_one_site():
+    caps = (
+        "PAIR_CAP", "QUAD_CROSS_CHECK_CAP", "QUAD_SCAN_CAP", "MOMENT_CAP", "BOX_CAP",
+        "FIELD_SIZE_CAP", "MINIMA_DIM_CAP",
+    )
+    found = collections.Counter(
+        name for path in sorted(Path(la.__file__).parent.glob("*.py"))
+        for name in _cap_comparisons(path.read_text())
+    )
+    assert {cap: found[cap] for cap in caps} == dict.fromkeys(caps, 1)
+    assert _cap_comparisons("if a > en.PAIR_CAP and b <= BOX_CAP:\n    pass\n") == [
+        "PAIR_CAP", "BOX_CAP"
+    ]
+
+
 # public functions of src that nothing in src, bench/*.py or BENCHMARK.json
 # calls, each with the reason it stays
 UNREFERENCED_PUBLIC = {
-    "field_core.ext_add": "field addition, the arithmetic of the tests' root and linearity oracles",
-    "field_core.ext_scalar_mul": "F_p-scaling of field elements, checked by the linearity test",
-    "field_core.norm_via_conjugates": "oracle route for norm_kernel, the product of conjugates",
-    "lattice.mult_matrix_via_columns": "oracle route for the multiplication matrix, by columns",
     "energy.energy_restricted": "paper quantity: the energy split by vanishing of lambda^1",
     "charsum.bad_tuple_count": "paper quantity: tuples whose entries all repeat, with its bound",
 }
