@@ -22,6 +22,13 @@ from . import linalg as la
 BOX_CAP = 10**8
 MOMENT_CAP = 10**7
 BAD_TUPLE_CAP = 10**7
+# the fastest measured times of one unit of each cost below, in ns (on a
+# 2-vCPU virtual machine): the weights of these costs in a command's cost.
+# A box point of one route took 900 to 1,150, a moment term 60 to 100, a
+# term of weil_complete_sum 640 to 860
+BOX_POINT_NS = 900
+MOMENT_TERM_NS = 60
+WEIL_TERM_NS = 640
 
 
 def box_fits(volume: int) -> bool:
@@ -120,6 +127,15 @@ def charsum_lifted(
     if B.dim != D.n:
         raise ValueError("box dimension and decomposition arity differ")
     return _box_sum(chi, B, D.values)
+
+
+def weil_cost(p: int, m: int, T: int, r: int) -> int:
+    """p^m T^(2r): the terms weil_complete_sum walks over F_{p^m}, once for
+    each 2r-tuple of shifts in [1, T].  At T > 1 and 2r >= 64 that is past
+    any cap, and 2^64 is returned without computing T^(2r)."""
+    if T > 1 and 2 * r >= 64:
+        return 2**64
+    return fc.field_size(p, m) * T ** (2 * r)
 
 
 def weil_complete_sum(

@@ -93,11 +93,16 @@ def main(argv=None) -> int:
             fmt=ns.fmt,
         )
         text, code = _dispatch(config, ns)
+    except hn.UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except la.CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
-        # hn.UsageError is a ValueError
+    except OSError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -229,10 +229,25 @@ class ExtFieldElement:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.coeffs)
 
+    def as_int(self) -> int:
+        """The value of a prime-subfield element as a plain residue."""
+        if any(self.coeffs[1:]):
+            raise ValueError(f"{self.coeffs} is not in the prime subfield")
+        return self.coeffs[0]
+
 
 def _same_ctx(a: ExtFieldElement, b: ExtFieldElement):
     if a.ctx != b.ctx:
         raise ValueError("elements live in different field presentations")
+
+
+def ext_add(a: ExtFieldElement, b: ExtFieldElement) -> ExtFieldElement:
+    _same_ctx(a, b)
+    return a.ctx.element(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def ext_scalar_mul(c: int, a: ExtFieldElement) -> ExtFieldElement:
+    return a.ctx.element(tuple(c * x for x in a.coeffs))
 
 
 def ext_mul(a: ExtFieldElement, b: ExtFieldElement) -> ExtFieldElement:
@@ -276,9 +291,28 @@ def ext_pow(a: ExtFieldElement, e: int) -> ExtFieldElement:
     return result
 
 
+def frobenius(a: ExtFieldElement, i: int) -> ExtFieldElement:
+    """The automorphism x -> x^(p^i); requires 0 <= i < m."""
+    if not 0 <= i < a.ctx.m:
+        raise ValueError(f"frobenius power must satisfy 0 <= i < {a.ctx.m}")
+    return ext_pow(a, a.ctx.p**i)
+
+
 def norm(a: ExtFieldElement) -> int:
     """Field norm down to F_p, by the context's raw kernel; norm(0) = 0."""
     return norm_kernel(a.ctx)(a.coeffs)
+
+
+def norm_via_conjugates(a: ExtFieldElement) -> int:
+    """Oracle route: the product of all Frobenius conjugates of a.
+
+    The exponent route ext_pow(a, (p^m - 1)/(p - 1)) is the other oracle;
+    the tests hold both against norm_kernel.
+    """
+    prod = a.ctx.one()
+    for i in range(a.ctx.m):
+        prod = ext_mul(prod, frobenius(a, i))
+    return prod.as_int()
 
 
 # ---------------------------------------------------------------------------

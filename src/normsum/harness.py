@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import random
@@ -45,10 +44,9 @@ IDENTITY_COLUMNS = ("check", "p", "n", "instance", "status", "lhs", "rhs")
 
 SCAN_SAMPLES = 2
 SEED_CAP = 2**64
-# the most a command may cost, summed over its primes in the units of the
-# modules' cost functions (pairs, box points, moment terms, tuple-elements):
-# at 0.1 to 1 us a unit, a command at the cap runs about 40 s at most
-COMMAND_CAP = 4 * 10**7
+# the most a command may cost, in ns: the modules' costs, each times its
+# measured time per unit, summed over the primes the command walks
+COMMAND_CAP = 25 * 10**9
 
 
 class UsageError(ValueError):
@@ -200,7 +198,7 @@ def _walk(config: ExperimentConfig, cost, skips: list, characters: bool = True):
     """The primes of the range that run, ascending; each other prime's skip
     line goes to skips as the walk passes it.
 
-    cost(p) is p's cost in the units of COMMAND_CAP, or its skip line; with
+    cost(p) is p's cost in ns, as COMMAND_CAP, or its skip line; with
     characters set, p = 2 is skipped.  The costs are summed before the first
     prime is handed out, so a command is refused before any row is computed,
     at the first prime that takes the sum past COMMAND_CAP.
@@ -214,8 +212,8 @@ def _walk(config: ExperimentConfig, cost, skips: list, characters: bool = True):
             total += c
             if total > COMMAND_CAP:
                 raise UsageError(
-                    f"{config.command} costs {total} units by p={p}, over the command "
-                    f"cap {COMMAND_CAP}; narrow the prime range or the sizes"
+                    f"{config.command} would run over {COMMAND_CAP // 10**9} s by p={p}, "
+                    f"past the command cap; narrow the prime range or the sizes"
                 )
         plan.append((p, c))
     for p, c in plan:
@@ -232,11 +230,11 @@ def _short_box(p: int, n: int, kappa: float) -> fm.BoxSpec:
 
 
 def _window_cost(p: int, n: int, energies: int):
-    """The pair cost of `energies` energies on [-sqrt(p), sqrt(p)]^n, or the skip line."""
+    """The cost of `energies` energies on [-sqrt(p), sqrt(p)]^n, or the skip line."""
     vol = fm.BoxSpec.symmetric((math.isqrt(p),) * n).volume
     if not en.pairs_fit(vol, vol):
         return f"p={p}: pair table {vol}^2 exceeds cap, skipped"
-    return energies * en.pair_cost(vol, vol)
+    return energies * en.pair_cost(vol, vol) * en.PAIR_NS
 
 
 def square_partitions(n: int) -> tuple:
@@ -341,21 +339,26 @@ def run_charsum(config: ExperimentConfig, form_path=None, decomp_path=None):
     """
     rows, skips = [], []
     if decomp_path or form_path:
-        # a decomposition and a form both carry p, n and k
-        obj = _load_decomposition(decomp_path) if decomp_path else _load_form(form_path)
-        chi = _nonprincipal_char(obj.p)
-        box = _short_box(obj.p, obj.n, config.kappa)
         if decomp_path:
-            res = cs.charsum_lifted(obj, chi, box)
+            D = _load_decomposition(decomp_path)
+            chi = _nonprincipal_char(D.p)
+            box = _short_box(D.p, D.n, config.kappa)
+            res = cs.charsum_lifted(D, chi, box)
+            meta = (D.p, D.n, D.k)
         else:
-            res = cs.charsum_direct(chi, obj, box)
-        return _charsum_rows((obj.p, obj.n, obj.k), box, res), skips
+            F = _load_form(form_path)
+            chi = _nonprincipal_char(F.p)
+            box = _short_box(F.p, F.n, config.kappa)
+            res = cs.charsum_direct(chi, F, box)
+            meta = (F.p, F.n, F.k)
+        rows.extend(_charsum_rows(meta, box, res))
+        return rows, skips
 
     def cost(p):
         # both routes sum the box; a box past the box cap costs nothing,
         # as the routes refuse it before they evaluate a point
         volume = _short_box(p, config.n, config.kappa).volume
-        return 2 * volume if cs.box_fits(volume) else 0
+        return 2 * volume * cs.BOX_POINT_NS if cs.box_fits(volume) else 0
 
     for p in _walk(config, cost, skips):
         rng = random.Random(_derived_seed(config.seed, p, config.n, config.k))
@@ -395,12 +398,21 @@ def run_energy(config: ExperimentConfig):
         rng = random.Random(_derived_seed(config.seed, p, n))
         D = fm.random_decomposition(p, n, square_partitions(n)[0], rng)
         box = fm.BoxSpec.symmetric((H,) * n)
-        report = en.elementary_bounds_check(en.EnergyInstance(D, box, box), cross_check=False)
-        lower, ratio = float(report["diagonal_lower"]), report["upper_ratio"]
-        rows += [
-            scan_row(p, n, n, (H,) * n, "energy", report["energy"], lower),
-            ScanRow(p, n, n, (H,) * n, "energy_upper_ratio", ratio, None, None),
-        ]
+        report = en.elementary_bounds_check(
+            en.EnergyInstance(D, box, box), cross_check=False
+        )
+        rows.append(
+            scan_row(
+                p, n, n, (H,) * n, "energy", report["energy"],
+                float(report["diagonal_lower"]),
+            )
+        )
+        rows.append(
+            ScanRow(
+                p, n, n, (H,) * n, "energy_upper_ratio",
+                report["upper_ratio"], None, None,
+            )
+        )
     return rows, skips
 
 
@@ -447,13 +459,14 @@ def run_lattice(config: ExperimentConfig):
 def run_weil_check(config: ExperimentConfig):
     """Complete-sum magnitudes against the square-root bound, worst case."""
     rows, skips = [], []
-    m, r, T = config.k, config.r, 3
+    m = config.k
+    r = config.r
+    T = 3
 
     def cost(p):
         if not fc.field_fits(p, m):
             return f"p={p}: field size {fc.field_size(p, m)} exceeds cap, skipped"
-        # each character sums over the field once per window tuple
-        return len({1, (p - 1) // 2}) * T ** (2 * r) * fc.field_size(p, m)
+        return len({1, (p - 1) // 2}) * cs.weil_cost(p, m, T, r) * cs.WEIL_TERM_NS
 
     for p in _walk(config, cost, skips):
         ctx = fc.ext_field_ctx(p, m)
@@ -463,7 +476,7 @@ def run_weil_check(config: ExperimentConfig):
             d = cc.char_order(chi)
             worst = 0.0
             nonpower = 0
-            for t in itertools.product(range(1, T + 1), repeat=2 * r):
+            for t in _tuples_in_window(T, 2 * r):
                 factors = [(t[j], 1) for j in range(r)]
                 factors += [(t[r + j], max(1, d - 1)) for j in range(r)]
                 value, bound, holds = cs.weil_complete_sum(psi, factors)
@@ -474,12 +487,25 @@ def run_weil_check(config: ExperimentConfig):
                 if 0 < bound < float(ctx.order):
                     nonpower += 1
                     worst = max(worst, abs(value) / bound)
-            meta = (p, config.n, m, (T,))
-            rows += [
-                scan_row(*meta, f"weil_max_ratio_chi{idx}", worst, 1.0),
-                ScanRow(*meta, f"weil_nonpower_count_chi{idx}", nonpower, None, None),
-            ]
+            rows.append(
+                scan_row(p, config.n, m, (T,), f"weil_max_ratio_chi{idx}", worst, 1.0)
+            )
+            rows.append(
+                ScanRow(
+                    p, config.n, m, (T,), f"weil_nonpower_count_chi{idx}",
+                    nonpower, None, None,
+                )
+            )
     return rows, skips
+
+
+def _tuples_in_window(T: int, length: int):
+    if length == 0:
+        yield ()
+        return
+    for head in range(1, T + 1):
+        for tail in _tuples_in_window(T, length - 1):
+            yield (head,) + tail
 
 
 def run_moment(config: ExperimentConfig):
@@ -493,7 +519,7 @@ def run_moment(config: ExperimentConfig):
     def cost(p):
         if not cs.moment_fits(p, k, window(p), r):
             return f"p={p}: moment enumeration over cap, skipped"
-        return cs.moment_cost(p, k, window(p), r)
+        return cs.moment_cost(p, k, window(p), r) * cs.MOMENT_TERM_NS
 
     for p in _walk(config, cost, skips):
         T = window(p)
@@ -526,7 +552,7 @@ def run_bound_table(config: ExperimentConfig):
         volume = _short_box(p, n, config.kappa).volume
         if not cs.box_fits(volume):
             return f"p={p}: box volume {volume} exceeds cap, skipped"
-        return volume
+        return volume * cs.BOX_POINT_NS
 
     for p in _walk(config, cost, skips):
         box = _short_box(p, n, config.kappa)
@@ -555,10 +581,23 @@ def run_bound_table(config: ExperimentConfig):
         for r in range(k + 1, k + 7):
             params = cs.BoundParams(n, k, r, config.eps, config.kappa)
             rhs = cs.bound_rhs(params, box.H[0], box.volume, p)
-            ratio = s_abs / rhs if rhs > 0 else None
-            delta = cs.delta_savings(n, float(r), config.kappa)
-            cells = (p, n, k, box.H, r, s_abs, res.weights, box.volume, rhs, ratio, delta)
-            rows.append(dict(zip(BOUND_COLUMNS, cells + (r_opt, r_brute))))
+            rows.append(
+                {
+                    "p": p,
+                    "n": n,
+                    "k": k,
+                    "H": box.H,
+                    "r": r,
+                    "S_abs": s_abs,
+                    "weights": res.weights,
+                    "trivial": box.volume,
+                    "rhs": rhs,
+                    "ratio": s_abs / rhs if rhs > 0 else None,
+                    "delta": cs.delta_savings(n, float(r), config.kappa),
+                    "r_opt": r_opt,
+                    "r_brute": r_brute,
+                }
+            )
     return rows, skips
 
 
@@ -605,8 +644,17 @@ def run_identity_suite(config: ExperimentConfig):
     results = []
 
     def record(check, p, n, instance, ok, lhs, rhs):
-        status = "pass" if ok else "fail"
-        results.append(dict(zip(IDENTITY_COLUMNS, (check, p, n, instance, status, lhs, rhs))))
+        results.append(
+            {
+                "check": check,
+                "p": p,
+                "n": n,
+                "instance": instance,
+                "status": "pass" if ok else "fail",
+                "lhs": lhs,
+                "rhs": rhs,
+            }
+        )
 
     for p in primes_in(config.p_lo, config.p_hi):
         if p == 2:

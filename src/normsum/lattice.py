@@ -66,6 +66,17 @@ def mult_matrix(a: fc.ExtFieldElement) -> MultiplicationMatrix:
     return MultiplicationMatrix(m, tuple(tuple(r) for r in acc), ctx, a)
 
 
+def mult_matrix_via_columns(a: fc.ExtFieldElement) -> tuple[tuple[int, ...], ...]:
+    """Same matrix assembled column by column from field multiplication."""
+    ctx = a.ctx
+    m = ctx.m
+    cols = []
+    for j in range(m):
+        basis = ctx.element(tuple(1 if t == j else 0 for t in range(m)))
+        cols.append(fc.ext_mul(a, basis).coeffs)
+    return tuple(tuple(cols[j][i] for j in range(m)) for i in range(m))
+
+
 def block_mult_matrix(z: Sequence[fc.ExtFieldElement]) -> list[list[int]]:
     """Block-diagonal multiplication matrix, one block per component of z."""
     if not z:

@@ -32,6 +32,11 @@ def test_each_cap_admits_its_own_size_and_refuses_the_next():
     assert en.quadruple_cost(10, 100) == en.QUAD_CROSS_CHECK_CAP
     assert cs.box_fits(cs.BOX_CAP) and not cs.box_fits(cs.BOX_CAP + 1)
     assert cs.moment_cost(5, 2, 2, 3) == 25 * 64
+    assert cs.weil_cost(3, 12, 3, 2) == 3**12 * 81
+    # at 2r >= 64 the count stops at 2^64, so a huge r costs no huge power
+    assert cs.weil_cost(3, 1, 3, 31) == 3**63
+    assert cs.weil_cost(3, 1, 3, 32) == cs.weil_cost(3, 1, 3, 10**8) == 2**64
+    assert cs.weil_cost(3, 1, 1, 10**8) == 3
     assert fc.field_size(3, 12) == 3**12
     assert fc.field_fits(fc.FIELD_SIZE_CAP, 1) and not fc.field_fits(fc.FIELD_SIZE_CAP + 1, 1)
     assert lat.minima_fit(lat.MINIMA_DIM_CAP) and not lat.minima_fit(lat.MINIMA_DIM_CAP + 1)
@@ -159,41 +164,59 @@ def test_field_cap_is_one_decision(monkeypatch):
 
 class TestCommandCap:
     @pytest.mark.parametrize(
-        "argv, cost",
+        "argv, prime",
         [
-            (["weil-check", "--p", "3", "--k", "12"], "43046721 units by p=3"),
-            (["energy-scan", "--p-range", "3..999983", "--n", "1", "--seed", "1"], "by p=9319"),
+            (["weil-check", "--p", "3", "--k", "12"], 3),
+            (["weil-check", "--p", "3", "--k", "1", "--r", "100000000"], 3),
+            (["energy-scan", "--p-range", "3..999983", "--n", "1", "--seed", "1"], 17027),
         ],
     )
-    def test_runaway_commands_exit_2_at_once(self, argv, cost, capsys):
+    def test_runaway_commands_exit_2_at_once(self, argv, prime, capsys):
         start = time.perf_counter()
         assert cli.main(argv) == 2
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("usage error:") and cost in captured.err
-        assert "over the command cap" in captured.err and "Traceback" not in captured.err
+        assert captured.err == (
+            f"usage error: {argv[0]} would run over 25 s by p={prime}, past the command "
+            "cap; narrow the prime range or the sizes\n"
+        )
         assert elapsed < 1.0
 
-    def test_runs_at_the_cap_and_computes_nothing_one_unit_below(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 12 to 14 s before the command cap, and the largest range that the
+            # tests, the README and the benchmark run
+            ["energy-scan", "--p-range", "3..223", "--n", "2", "--seed", "11"],
+            ["energy-scan", "--p-range", "3..199", "--n", "2", "--seed", "11"],
+        ],
+    )
+    def test_commands_that_ran_within_25_s_still_run(self, argv, monkeypatch, capsys):
+        # the cap is decided before any energy, so the energies are stubbed out
+        monkeypatch.setattr(en, "energy_symmetric", lambda *args, **kw: 1)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_runs_at_the_cap_and_computes_nothing_one_ns_below(self, monkeypatch):
         config = hn.ExperimentConfig("energy-scan", 3, 7, seed=1)
         # one partition of 1, SCAN_SAMPLES energies per prime over 3, 5 and 5 points
-        total = sum(hn.SCAN_SAMPLES * en.pair_cost(v, v) for v in (3, 5, 5))
+        total = sum(hn.SCAN_SAMPLES * en.pair_cost(v, v) * en.PAIR_NS for v in (3, 5, 5))
         monkeypatch.setattr(hn, "COMMAND_CAP", total)
         assert len(hn.run_energy_scan(config)[0]) == 3
         monkeypatch.setattr(hn, "COMMAND_CAP", total - 1)
         computed = []
         monkeypatch.setattr(en, "energy_symmetric", lambda *args, **kw: computed.append(args))
-        with pytest.raises(hn.UsageError, match=f"costs {total} units by p=7"):
+        with pytest.raises(hn.UsageError, match="by p=7, past the command cap"):
             hn.run_energy_scan(config)
         assert computed == []
 
     def test_the_walk_stops_at_the_first_prime_past_the_cap(self, monkeypatch):
         is_prime, tested = la.is_prime, []
         monkeypatch.setattr(la, "is_prime", lambda p: tested.append(p) or is_prime(p))
-        with pytest.raises(hn.UsageError, match="by p=9319"):
+        with pytest.raises(hn.UsageError, match="by p=17027,"):
             hn.run_energy_scan(hn.ExperimentConfig("energy-scan", 3, 999983, seed=1))
-        assert max(tested) == 9319
+        assert max(tested) == 17027
 
     def test_skipped_primes_cost_nothing(self, monkeypatch):
         monkeypatch.setattr(hn, "COMMAND_CAP", 0)

@@ -16,7 +16,6 @@ from normsum import charsum as cs
 from normsum import field_core as fc
 from normsum import forms as fm
 from normsum import linalg as la
-from test_field_core import ext_add
 
 
 def box(N, H):
@@ -334,7 +333,7 @@ class TestWeil:
         for x in ctx.iter_elements():
             fx = ctx.from_int(1)
             for shift, mult in factors:
-                fx = fc.ext_mul(fx, fc.ext_pow(ext_add(x, ctx.from_int(shift)), mult))
+                fx = fc.ext_mul(fx, fc.ext_pow(fc.ext_add(x, ctx.from_int(shift)), mult))
             acc += lifted_eval(psi, fx)
         assert abs(value - acc) < 1e-9
 
@@ -503,7 +502,7 @@ class TestMoment:
                     term = complex(1, 0)
                     for psi, zi in zip(psis, z):
                         term *= lifted_eval(
-                            psi, ext_add(zi, psi.ctx.from_int(t))
+                            psi, fc.ext_add(zi, psi.ctx.from_int(t))
                         )
                     inner += term
                 brute += abs(inner) ** (2 * r)

@@ -15,7 +15,6 @@ from normsum import field_core as fc
 from normsum import forms as fm
 from normsum import harness as hn
 from normsum import linalg as la
-from test_field_core import ext_add, ext_scalar_mul, norm_via_conjugates
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 PARTS_BY_N = {2: [(2,), (1, 1)], 3: [(3,), (2, 1), (1, 1, 1)]}
@@ -200,7 +199,7 @@ def eval_poly_ext(coeffs, x):
     """The F_p polynomial coeffs (low to high) at x, by Horner on field elements."""
     acc = x.ctx.zero()
     for c in reversed(list(coeffs)):
-        acc = ext_add(fc.ext_mul(acc, x), x.ctx.from_int(c))
+        acc = fc.ext_add(fc.ext_mul(acc, x), x.ctx.from_int(c))
     return acc
 
 
@@ -502,8 +501,8 @@ def test_lambda_linearity_and_kernel():
             c = rng.randrange(p)
             for i in range(D.s):
                 lx, ly = D.lam(i, x), D.lam(i, y)
-                assert D.lam(i, [(a + b) % p for a, b in zip(x, y)]) == ext_add(lx, ly)
-                assert D.lam(i, [(c * a) % p for a in x]) == ext_scalar_mul(c, lx)
+                assert D.lam(i, [(a + b) % p for a, b in zip(x, y)]) == fc.ext_add(lx, ly)
+                assert D.lam(i, [(c * a) % p for a in x]) == fc.ext_scalar_mul(c, lx)
 
 
 def test_lambda_vanishing_iff_zero_when_square():
@@ -566,7 +565,7 @@ def test_value_is_the_product_of_conjugate_norms():
                     ]
                     for x in [*itertools.product(range(p), repeat=n), *shifted]:
                         want = math.prod(
-                            norm_via_conjugates(D.lam(i, x)) for i in range(D.s)
+                            fc.norm_via_conjugates(D.lam(i, x)) for i in range(D.s)
                         ) % p
                         assert D.value(x) == want, (p, part, blocks, x)
 

@@ -191,6 +191,10 @@ def test_each_capped_quantity_is_compared_with_its_cap_at_one_site():
 # public functions of src that nothing in src, bench/*.py or BENCHMARK.json
 # calls, each with the reason it stays
 UNREFERENCED_PUBLIC = {
+    "field_core.ext_add": "field addition, the arithmetic of the tests' root and linearity oracles",
+    "field_core.ext_scalar_mul": "F_p-scaling of field elements, checked by the linearity test",
+    "field_core.norm_via_conjugates": "oracle route for norm_kernel, the product of conjugates",
+    "lattice.mult_matrix_via_columns": "oracle route for the multiplication matrix, by columns",
     "energy.energy_restricted": "paper quantity: the energy split by vanishing of lambda^1",
     "charsum.bad_tuple_count": "paper quantity: tuples whose entries all repeat, with its bound",
 }
