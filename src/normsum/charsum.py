@@ -38,8 +38,8 @@ def box_fits(volume: int) -> bool:
 
 def moment_cost(p: int, k: int, T: int, r: int) -> int:
     """p^k T^(2r): the z's of s2_moment's degree-k fields, times the 2r-tuples
-    of its T shifts."""
-    return p**k * T ** (2 * r)
+    of its T shifts.  Each factor stops at fc.SIZE_CEILING, past every cap."""
+    return fc.capped_power(p, k) * fc.capped_power(T, 2 * r)
 
 
 def moment_fits(p: int, k: int, T: int, r: int) -> bool:

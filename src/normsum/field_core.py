@@ -15,11 +15,21 @@ from dataclasses import dataclass
 from . import linalg
 
 FIELD_SIZE_CAP = 10**6
+# past every cap, yet printable in decimal: sizes and costs stop here
+SIZE_CEILING = 2**4096
+
+
+def capped_power(base: int, exp: int) -> int:
+    """min(base^exp, SIZE_CEILING) for base >= 0.  base^exp >= 2^(exp
+    floor(log2 base)), so a huge exponent is decided without computing it."""
+    if exp * (base.bit_length() - 1) >= SIZE_CEILING.bit_length() - 1:
+        return SIZE_CEILING
+    return min(base**exp, SIZE_CEILING)
 
 
 def field_size(p: int, m: int) -> int:
-    """p^m, the elements an enumeration of F_{p^m} walks."""
-    return p**m
+    """p^m, the elements an enumeration of F_{p^m} walks, up to SIZE_CEILING."""
+    return capped_power(p, m)
 
 
 def field_fits(p: int, m: int) -> bool:

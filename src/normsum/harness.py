@@ -190,8 +190,9 @@ def render_object(obj: dict) -> str:
 # shared helpers
 
 
-def primes_in(lo: int, hi: int) -> list:
-    return [p for p in range(max(2, lo), hi + 1) if la.is_prime(p)]
+def primes_in(lo: int, hi: int):
+    """The primes of [lo, hi] ascending, each tested only when reached."""
+    return (p for p in range(max(2, lo), hi + 1) if la.is_prime(p))
 
 
 def _walk(config: ExperimentConfig, cost, skips: list, characters: bool = True):
@@ -204,9 +205,7 @@ def _walk(config: ExperimentConfig, cost, skips: list, characters: bool = True):
     at the first prime that takes the sum past COMMAND_CAP.
     """
     plan, total = [], 0
-    for p in range(max(2, config.p_lo), config.p_hi + 1):
-        if not la.is_prime(p):
-            continue
+    for p in primes_in(config.p_lo, config.p_hi):
         c = "p=2: no nonprincipal character, skipped" if characters and p == 2 else cost(p)
         if not isinstance(c, str):
             total += c
@@ -284,10 +283,9 @@ def _nonprincipal_char(p: int) -> cc.DirichletChar:
 
 def run_gen_form(config: ExperimentConfig) -> dict:
     """Seeded decomposition with its synthesized form, as one JSON object."""
-    primes = primes_in(config.p_lo, config.p_hi)
-    if not primes:
+    p = next(primes_in(config.p_lo, config.p_hi), None)
+    if p is None:
         raise UsageError("no prime in the requested range")
-    p = primes[0]
     rng = random.Random(_derived_seed(config.seed, p, config.n, config.k))
     D = fm.random_decomposition(p, config.n, canonical_partition(config.n, config.k), rng)
     F = fm.synthesize_form(D)
@@ -465,7 +463,9 @@ def run_weil_check(config: ExperimentConfig):
 
     def cost(p):
         if not fc.field_fits(p, m):
-            return f"p={p}: field size {fc.field_size(p, m)} exceeds cap, skipped"
+            size = fc.field_size(p, m)
+            shown = size if size < fc.SIZE_CEILING else f"{p}^{m}"
+            return f"p={p}: field size {shown} exceeds cap, skipped"
         return len({1, (p - 1) // 2}) * cs.weil_cost(p, m, T, r) * cs.WEIL_TERM_NS
 
     for p in _walk(config, cost, skips):
@@ -514,7 +514,11 @@ def run_moment(config: ExperimentConfig):
     k, r = config.k, config.r
 
     def window(p):
-        return max(1, int(p ** (k / (2 * r))))
+        # T^(2r) is about p^k, so past a float's range it is past every cap
+        try:
+            return max(1, int(p ** (k / (2 * r))))
+        except OverflowError:
+            return fc.SIZE_CEILING
 
     def cost(p):
         if not cs.moment_fits(p, k, window(p), r):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -22,7 +21,6 @@ from . import linalg as la
 MINIMA_DIM_CAP = 6
 SCAN_CAP = 10**8
 CROSS_CHECK_CAP = 2 * 10**4
-SYMMETRIZER_TRY_CAP = 10**5
 
 
 def minima_fit(dim: int) -> bool:
@@ -41,15 +39,7 @@ def companion_matrix(ctx: fc.ExtFieldCtx) -> list[list[int]]:
     return M
 
 
-@dataclass(frozen=True)
-class MultiplicationMatrix:
-    m: int
-    entries: tuple[tuple[int, ...], ...]
-    ctx: fc.ExtFieldCtx
-    a: fc.ExtFieldElement
-
-
-def mult_matrix(a: fc.ExtFieldElement) -> MultiplicationMatrix:
+def mult_matrix(a: fc.ExtFieldElement) -> tuple[tuple[int, ...], ...]:
     """Matrix acting on power-basis coordinates as multiplication by `a`."""
     ctx = a.ctx
     p, m = ctx.p, ctx.m
@@ -63,7 +53,7 @@ def mult_matrix(a: fc.ExtFieldElement) -> MultiplicationMatrix:
                 for i in range(m)
             ]
         power = la.mat_mul(power, comp, p)
-    return MultiplicationMatrix(m, tuple(tuple(r) for r in acc), ctx, a)
+    return tuple(tuple(r) for r in acc)
 
 
 def mult_matrix_via_columns(a: fc.ExtFieldElement) -> tuple[tuple[int, ...], ...]:
@@ -77,23 +67,47 @@ def mult_matrix_via_columns(a: fc.ExtFieldElement) -> tuple[tuple[int, ...], ...
     return tuple(tuple(cols[j][i] for j in range(m)) for i in range(m))
 
 
+def _block_diagonal(blocks) -> list[list[int]]:
+    n = sum(len(blk) for blk in blocks)
+    M = [[0] * n for _ in range(n)]
+    off = 0
+    for blk in blocks:
+        for i, row in enumerate(blk):
+            M[off + i][off : off + len(row)] = row
+        off += len(blk)
+    return M
+
+
 def block_mult_matrix(z: Sequence[fc.ExtFieldElement]) -> list[list[int]]:
     """Block-diagonal multiplication matrix, one block per component of z."""
     if not z:
         raise ValueError("multiplier tuple is empty")
-    p = z[0].ctx.p
-    n = sum(a.ctx.m for a in z)
-    M = [[0] * n for _ in range(n)]
-    off = 0
-    for a in z:
-        if a.ctx.p != p:
-            raise ValueError("multiplier components live over different primes")
-        blk = mult_matrix(a).entries
-        for i in range(a.ctx.m):
-            for j in range(a.ctx.m):
-                M[off + i][off + j] = blk[i][j]
-        off += a.ctx.m
-    return M
+    if any(a.ctx.p != z[0].ctx.p for a in z):
+        raise ValueError("multiplier components live over different primes")
+    return _block_diagonal([mult_matrix(a) for a in z])
+
+
+def symmetrizer(ctx: fc.ExtFieldCtx) -> list[list[int]]:
+    """Symmetric nonsingular C with M_a C = C M_a^T mod p for every a in F_{p^m}.
+
+    C is the inverse of the trace form's Gram matrix G_ij = Tr(w^(i+j)) on
+    the power basis, w the generator.  Multiplication by a is self-adjoint
+    for Tr(xy), so M_a^T G = G M_a, which is M_a C = C M_a^T.  G is
+    nonsingular because F_{p^m} is separable over F_p.
+    """
+    p, m = ctx.p, ctx.m
+    comp = companion_matrix(ctx)
+    traces = []
+    power = la.identity(m)
+    for _ in range(2 * m - 1):
+        traces.append(sum(power[i][i] for i in range(m)) % p)
+        power = la.mat_mul(power, comp, p)
+    return la.mat_inv([[traces[i + j] for j in range(m)] for i in range(m)], p)
+
+
+def block_symmetrizer(ctxs: Sequence[fc.ExtFieldCtx]) -> list[list[int]]:
+    """Direct sum of the fields' symmetrizers, one block per context."""
+    return _block_diagonal([symmetrizer(ctx) for ctx in ctxs])
 
 
 @dataclass(frozen=True)
@@ -125,16 +139,24 @@ class BlockData:
 
 @dataclass(frozen=True)
 class IntegerLattice:
+    """A full-rank lattice in Z^dim with a lower-triangular basis, positive
+    pivots on the diagonal: the shape `congruence_lattice`'s HNF gives."""
+
     dim: int
     basis: tuple[tuple[int, ...], ...]  # rows; the basis vectors are the columns
     form: Optional[CongruenceForm] = None
     block: Optional[BlockData] = None
 
     def __post_init__(self):
-        if len(self.basis) != self.dim or any(len(r) != self.dim for r in self.basis):
+        d = self.dim
+        if len(self.basis) != d or any(len(r) != d for r in self.basis):
             raise ValueError("basis must be a square matrix of size dim")
         if la.det_int(self.basis) == 0:
             raise ValueError("basis is singular")
+        if any(self.basis[i][j] for j in range(d) for i in range(j)) or any(
+            self.basis[j][j] < 0 for j in range(d)
+        ):
+            raise ValueError("basis must be lower-triangular with positive pivots")
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.basis[i][j] for i in range(self.dim))
@@ -143,30 +165,23 @@ class IntegerLattice:
         return [self.column(j) for j in range(self.dim)]
 
     def det(self) -> int:
-        return abs(la.det_int(self.basis))
+        return math.prod(self.basis[j][j] for j in range(self.dim))
 
     def contains(self, vec: Sequence[int]) -> bool:
-        """Exact membership: does some integer combination of columns give vec."""
+        """Exact membership: does some integer combination of columns give vec.
+
+        The basis is triangular, so back-substitution fixes each coefficient.
+        """
         d = self.dim
-        if all(self.basis[i][j] == 0 for j in range(d) for i in range(j)):
-            v = list(vec)
-            for j in range(d):
-                piv = self.basis[j][j]
-                if v[j] % piv:
-                    return False
-                c = v[j] // piv
-                for i in range(j, d):
-                    v[i] -= c * self.basis[i][j]
-            return all(t == 0 for t in v)
-        det = la.det_int(self.basis)
+        v = list(vec)
         for j in range(d):
-            col_swapped = [
-                [vec[i] if t == j else self.basis[i][t] for t in range(d)]
-                for i in range(d)
-            ]
-            if la.det_int(col_swapped) % det:
+            piv = self.basis[j][j]
+            if v[j] % piv:
                 return False
-        return True
+            c = v[j] // piv
+            for i in range(j, d):
+                v[i] -= c * self.basis[i][j]
+        return all(t == 0 for t in v)
 
 
 def congruence_lattice(p: int, P, Q) -> IntegerLattice:
@@ -219,83 +234,6 @@ def build_lattice(A, A_prime, z: Sequence[fc.ExtFieldElement]) -> IntegerLattice
     return IntegerLattice(lat.dim, lat.basis, form=lat.form, block=block)
 
 
-def symmetrizer(M, p: int, seed: int = 0) -> list[list[int]]:
-    """Symmetric nonsingular C with M C = C M^T mod p.
-
-    Every square matrix is similar to its transpose through such a C, so one
-    always exists.  The solution space of the linear constraints is swept
-    deterministically first, then sampled with a seeded generator; the first
-    nonsingular member wins.
-    """
-    m = len(M)
-    Mm = [[v % p for v in row] for row in M]
-    if Mm == la.transpose(Mm):
-        return la.identity(m)
-    unknowns = [(a, b) for a in range(m) for b in range(a, m)]
-    index = {ab: t for t, ab in enumerate(unknowns)}
-
-    def to_matrix(vec):
-        C = [[0] * m for _ in range(m)]
-        for (a, b), t in index.items():
-            C[a][b] = C[b][a] = vec[t] % p
-        return C
-
-    rows = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            # constraint: (M C) symmetric, entry (a,b) minus entry (b,a)
-            row = [0] * len(unknowns)
-            for t in range(m):
-                row[index[(min(t, b), max(t, b))]] += Mm[a][t]
-                row[index[(min(t, a), max(t, a))]] -= Mm[b][t]
-            rows.append([v % p for v in row])
-    basis = la.nullspace_mod(rows, len(unknowns), p)
-
-    def check(coeffs):
-        vec = [
-            sum(c * basis[t][u] for t, c in enumerate(coeffs)) % p
-            for u in range(len(unknowns))
-        ]
-        C = to_matrix(vec)
-        if la.mat_det(C, p) == 0:
-            return None
-        if la.mat_mul(Mm, C, p) != la.mat_mul(C, la.transpose(Mm), p):
-            raise la.CheckFailed("symmetrizer C does not satisfy M C = C M^T mod p")
-        return C
-
-    tried = 0
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        if tried >= SYMMETRIZER_TRY_CAP:
-            break
-        tried += 1
-        if not any(coeffs):
-            continue
-        C = check(coeffs)
-        if C is not None:
-            return C
-    rng = random.Random(seed)
-    for _ in range(SYMMETRIZER_TRY_CAP):
-        C = check([rng.randrange(p) for _ in range(len(basis))])
-        if C is not None:
-            return C
-    raise la.CheckFailed("no nonsingular symmetrizer found; similarity to the transpose guarantees one")
-
-
-def block_symmetrizer(z: Sequence[fc.ExtFieldElement], seed: int = 0) -> list[list[int]]:
-    """Direct sum of per-block symmetrizers for the block multiplier of z."""
-    p = z[0].ctx.p
-    n = sum(a.ctx.m for a in z)
-    C = [[0] * n for _ in range(n)]
-    off = 0
-    for a in z:
-        blk = symmetrizer(mult_matrix(a).entries, p, seed=seed)
-        for i in range(a.ctx.m):
-            for j in range(a.ctx.m):
-                C[off + i][off + j] = blk[i][j]
-        off += a.ctx.m
-    return C
-
-
 def dual_pairing_check(L: IntegerLattice, dual: IntegerLattice) -> None:
     """Every dual basis column pairs to 0 mod p with every basis column."""
     p = L.form.p
@@ -305,7 +243,7 @@ def dual_pairing_check(L: IntegerLattice, dual: IntegerLattice) -> None:
                 raise la.CheckFailed(f"dual column {u} pairs nonzero mod {p} with column {x}")
 
 
-def dual_lattice(L: IntegerLattice, report: bool = False):
+def dual_lattice(L: IntegerLattice) -> IntegerLattice:
     """The dual lattice scaled by p, again as an integer congruence lattice.
 
     Computed from the transposed coupling relation.  When block provenance is
@@ -320,7 +258,6 @@ def dual_lattice(L: IntegerLattice, report: bool = False):
     R = la.mat_mul(la.mat_inv(L.form.P, p), L.form.Q, p)
     neg_id = [[(p - 1) if i == j else 0 for j in range(n)] for i in range(n)]
     dual = congruence_lattice(p, la.transpose(R), neg_id)
-    info: dict = {"raw": (dual.form.P, dual.form.Q)}
     if L.block is not None:
         A, A_prime, z = L.block.A, L.block.A_prime, L.block.z
         M = block_mult_matrix(z)
@@ -330,7 +267,7 @@ def dual_lattice(L: IntegerLattice, report: bool = False):
         alt = congruence_lattice(p, P0, Q0)
         if alt.basis != dual.basis:
             raise la.CheckFailed("inverse-transpose dual route gives a different basis")
-        C = block_symmetrizer(z)
+        C = block_symmetrizer([a.ctx for a in z])
         A2 = la.mat_neg(
             la.transpose(la.mat_inv(la.mat_mul(la.mat_inv(C, p), A_prime, p), p)), p
         )
@@ -338,25 +275,12 @@ def dual_lattice(L: IntegerLattice, report: bool = False):
         structured = congruence_lattice(p, la.mat_mul(M, A3, p), A2)
         if structured.basis != dual.basis:
             raise la.CheckFailed("structured dual route gives a different basis")
-        info["structured"] = (A2, A3, C)
     dual_pairing_check(L, dual)
-    if report:
-        return dual, info
     return dual
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
-
-
-def _triangular_columns(L: IntegerLattice) -> list[tuple[int, ...]]:
-    cols = L.columns()
-    d = L.dim
-    if all(cols[j][j] > 0 for j in range(d)) and all(
-        cols[j][i] == 0 for j in range(d) for i in range(j)
-    ):
-        return cols
-    return la.hnf_columns(cols, d)
 
 
 def _box_gauge(H: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -433,7 +357,7 @@ def points_in_box(L: IntegerLattice, H: Sequence[int], cross_check: bool | None 
         raise ValueError("box bounds must be one nonnegative integer per dimension")
     vol = math.prod(2 * h + 1 for h in H)
     scale, w = _box_gauge(H)
-    pts = sorted(v for _, v in _gauge_ball(_triangular_columns(L), w, scale, False))
+    pts = sorted(v for _, v in _gauge_ball(L.columns(), w, scale, False))
     if cross_check is None:
         cross_check = vol <= CROSS_CHECK_CAP
     if cross_check:
@@ -474,7 +398,7 @@ def successive_minima(
     # |v| = g(v) / scale with an integer gauge g; sorting on (g, v) is
     # sorting on (|v|, v).
     scale, w = _box_gauge(H) if gauge == "box" else (1, H)
-    cols = _triangular_columns(L)
+    cols = L.columns()
     radius = 1
     while True:
         cand = sorted(_gauge_ball(cols, w, radius * scale, gauge == "polar"))

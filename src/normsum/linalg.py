@@ -102,21 +102,6 @@ def _row_reduce(A, p: int):
     return M, pivots
 
 
-def nullspace_mod(rows, cols: int, p: int) -> list[list[int]]:
-    """A basis of the solutions x of rows . x = 0 mod p, one list per vector."""
-    if not rows:
-        return [[1 if u == t else 0 for u in range(cols)] for t in range(cols)]
-    red, pivots = _row_reduce(rows, p)
-    basis = []
-    for f in (c for c in range(cols) if c not in pivots):
-        vec = [0] * cols
-        vec[f] = 1
-        for r, c in enumerate(pivots):
-            vec[c] = (-red[r][f]) % p
-        basis.append(vec)
-    return basis
-
-
 def mat_rank(A, p: int) -> int:
     if not A:
         return 0

@@ -42,6 +42,42 @@ def test_each_cap_admits_its_own_size_and_refuses_the_next():
     assert lat.minima_fit(lat.MINIMA_DIM_CAP) and not lat.minima_fit(lat.MINIMA_DIM_CAP + 1)
 
 
+def test_sizes_stop_at_the_ceiling_without_computing_a_huge_power():
+    assert fc.capped_power(3, 70) == fc.field_size(3, 70) == 3**70
+    assert fc.capped_power(2, 4095) == 2**4095
+    assert fc.capped_power(2, 4096) == fc.SIZE_CEILING == 2**4096
+    # below the bit-length test p^m is computed, and then stops at the ceiling
+    assert fc.capped_power(3, 4095) == fc.SIZE_CEILING
+    # 3^(3 x 10^7) alone takes tens of seconds to compute
+    start = time.perf_counter()
+    assert fc.field_size(3, 3 * 10**7) == fc.field_size(999983, 10**6) == fc.SIZE_CEILING
+    assert fc.capped_power(1, 10**18) == 1 and fc.capped_power(0, 10**18) == 0
+    assert cs.moment_cost(3, 3 * 10**7, fc.SIZE_CEILING, 1) == fc.SIZE_CEILING**2
+    assert not fc.field_fits(3, 3 * 10**7) and not cs.moment_fits(3, 3 * 10**7, 1, 1)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize(
+    "argv, skip",
+    [
+        # a window p^(k/2r) past a float's range
+        (["moment", "--p", "3", "--k", "1300", "--r", "1"], "moment enumeration over cap"),
+        (["moment", "--p", "3", "--k", "1200", "--r", "1"], "moment enumeration over cap"),
+        # a field size with more digits than a str of an int may have
+        (["weil-check", "--p", "3", "--k", "30000000"], "field size 3^30000000 exceeds cap"),
+        (["weil-check", "--p", "3", "--k", "70"], f"field size {3**70} exceeds cap"),
+    ],
+)
+def test_a_huge_k_skips_its_prime_at_once(argv, skip, capsys):
+    start = time.perf_counter()
+    assert cli.main(argv) == 0
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert captured.out == "p,n,k,H,quantity,value,bound,ratio\n"
+    assert captured.err == f"skip: p=3: {skip}, skipped\n"
+    assert elapsed < 1.0
+
+
 class TestPairCap:
     def test_histogram_runs_at_the_cap_and_refuses_one_pair_more(self):
         D = decomposition(3, 1)

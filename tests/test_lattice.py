@@ -1,4 +1,4 @@
-"""Congruence lattices: duals, symmetrizers, point counts, minima."""
+"""Congruence lattices: duals, trace-form symmetrizers, point counts, minima."""
 
 import ast
 import itertools
@@ -70,10 +70,10 @@ def test_companion_satisfies_defining_poly():
 def test_mult_matrix_one_and_generator():
     for p, m in [(3, 2), (5, 3)]:
         ctx = fc.ext_field_ctx(p, m)
-        assert lt.mult_matrix(ctx.one()).entries == tuple(
+        assert lt.mult_matrix(ctx.one()) == tuple(
             tuple(r) for r in la.identity(m)
         )
-        assert lt.mult_matrix(ctx.gen()).entries == tuple(
+        assert lt.mult_matrix(ctx.gen()) == tuple(
             tuple(r) for r in lt.companion_matrix(ctx)
         )
 
@@ -81,7 +81,7 @@ def test_mult_matrix_one_and_generator():
 def test_mult_matrix_F9_closed_form():
     ctx = fc.ext_field_ctx(3, 2)
     for a0, a1 in itertools.product(range(3), repeat=2):
-        M = lt.mult_matrix(ctx.element((a0, a1))).entries
+        M = lt.mult_matrix(ctx.element((a0, a1)))
         assert M == ((a0, (2 * a1) % 3), (a1, a0))
         assert la.mat_det(M, 3) == (a0 * a0 + a1 * a1) % 3
         assert (la.mat_det(M, 3) == 0) == (a0 == a1 == 0)
@@ -91,7 +91,7 @@ def test_mult_matrix_matches_field_multiplication():
     for p, m in [(2, 3), (3, 2), (5, 2), (5, 4)]:
         ctx = fc.ext_field_ctx(p, m)
         for a in ctx.iter_elements():
-            assert lt.mult_matrix(a).entries == lt.mult_matrix_via_columns(a)
+            assert lt.mult_matrix(a) == lt.mult_matrix_via_columns(a)
 
 
 def test_mult_matrix_acts_on_coordinates():
@@ -101,14 +101,14 @@ def test_mult_matrix_acts_on_coordinates():
         for _ in range(30):
             a = ctx.element(tuple(rng.randrange(p) for _ in range(m)))
             b = ctx.element(tuple(rng.randrange(p) for _ in range(m)))
-            M = lt.mult_matrix(a).entries
+            M = lt.mult_matrix(a)
             assert tuple(la.mat_vec(M, list(b.coeffs), p)) == fc.ext_mul(a, b).coeffs
 
 
 def test_mult_matrix_homomorphism_exhaustive():
     for p, m in [(2, 3), (3, 4)]:
         ctx = fc.ext_field_ctx(p, m)
-        mats = {a: lt.mult_matrix(a).entries for a in ctx.iter_elements()}
+        mats = {a: lt.mult_matrix(a) for a in ctx.iter_elements()}
         for a in ctx.iter_elements():
             for b in ctx.iter_elements():
                 lhs = la.mat_mul(mats[a], mats[b], p)
@@ -199,42 +199,54 @@ def test_lattice_type_errors():
         lt.IntegerLattice(2, ((1, 0),))
 
 
+def test_lattice_rejects_a_non_triangular_basis():
+    for basis in [((1, 1), (0, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, 1)), ((1, 0), (3, -5))]:
+        with pytest.raises(ValueError, match="lower-triangular with positive pivots"):
+            lt.IntegerLattice(2, basis)
+    assert lt.IntegerLattice(2, ((2, 0), (-3, 5))).det() == 10
+
+
 # ---------------------------------------------------------------------------
 # symmetrizers and duals
 
 
-def test_symmetrizer_symmetric_input():
-    M = [[1, 2], [2, 0]]
-    assert lt.symmetrizer(M, 5) == la.identity(2)
-
-
 def test_symmetrizer_frozen_F9_block():
-    assert lt.symmetrizer([[0, 2], [1, 0]], 3) == [[2, 0], [0, 1]]
+    assert lt.symmetrizer(fc.ext_field_ctx(3, 2)) == [[2, 0], [0, 1]]
 
 
-def test_symmetrizer_property_random():
-    rng = random.Random(23)
-    for p in (3, 5, 7):
-        for n in (2, 3):
-            for _ in range(10):
-                M = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-                C = lt.symmetrizer(M, p)
-                assert C == la.transpose(C)
-                assert la.mat_det(C, p) != 0
-                assert la.mat_mul(M, C, p) == la.mat_mul(C, la.transpose(M), p)
+def _fields_up_to(q_max):
+    for p in range(2, q_max + 1):
+        if la.is_prime(p):
+            m = 1
+            while p**m <= q_max:
+                yield fc.ext_field_ctx(p, m)
+                m += 1
+
+
+def test_symmetrizer_trace_form_every_field():
+    fields = 0
+    for ctx in _fields_up_to(625):
+        p, m = ctx.p, ctx.m
+        C = lt.symmetrizer(ctx)
+        assert C == la.transpose(C)
+        assert la.mat_det(C, p) != 0
+        for a in ctx.iter_elements():
+            M = lt.mult_matrix(a)
+            assert la.mat_mul(M, C, p) == la.mat_mul(C, la.transpose(M), p)
+        fields += 1
+    assert fields == 136  # 114 prime fields and 22 proper extensions
 
 
 def test_block_symmetrizer_direct_sum():
     ctx = fc.ext_field_ctx(3, 2)
-    z = (ctx.gen(), scalar(3, 2))
-    C = lt.block_symmetrizer(z)
+    C = lt.block_symmetrizer((ctx, fc.ext_field_ctx(3, 1)))
     assert C == [[2, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_dual_frozen_scalar():
     L = lt.build_lattice([[1]], [[1]], (scalar(5, 3),))
-    D, info = lt.dual_lattice(L, report=True)
-    assert info["raw"] == (((3,),), ((4,),))  # 3u = -v mod 5
+    D = lt.dual_lattice(L)
+    assert (D.form.P, D.form.Q) == (((3,),), ((4,),))  # 3u = -v mod 5
     for u in range(-5, 6):
         for v in range(-5, 6):
             assert D.contains((u, v)) == ((3 * u + v) % 5 == 0)
@@ -244,16 +256,15 @@ def test_dual_diagonal_multiplier_uses_identity_symmetrizer():
     L = lt.build_lattice(
         la.identity(2), la.identity(2), (scalar(5, 2), scalar(5, 3))
     )
-    _, info = lt.dual_lattice(L, report=True)
-    A2, A3, C = info["structured"]
-    assert C == la.identity(2)
+    lt.dual_lattice(L)
+    assert lt.block_symmetrizer([a.ctx for a in L.block.z]) == la.identity(2)
 
 
 def test_dual_structured_F9():
     ctx = fc.ext_field_ctx(3, 2)
     L = lt.build_lattice(la.identity(2), la.identity(2), (ctx.gen(),))
-    _, info = lt.dual_lattice(L, report=True)
-    assert info["structured"][2] == [[2, 0], [0, 1]]
+    lt.dual_lattice(L)
+    assert lt.block_symmetrizer([ctx]) == [[2, 0], [0, 1]]
 
 
 def test_dual_pairing_and_double_dual():
@@ -391,7 +402,7 @@ def test_minkowski_and_mahler_on_instances():
 
 def _reference_coeff_points(L, W):
     """All lattice vectors v with |v_i| <= W_i, by bounded column coefficients."""
-    cols = lt._triangular_columns(L)
+    cols = L.columns()
     d = L.dim
     out = []
     v = [0] * d
@@ -518,7 +529,7 @@ def test_minima_match_reference(seed, p, partition, sides):
 ])
 def test_polar_ball_matches_filtered_scan(seed, p, partition, H):
     L = seeded_lattice(seed, p, partition)
-    cols = lt._triangular_columns(L)
+    cols = L.columns()
     r_max = 10
     scan = [
         (sum(h * abs(a) for a, h in zip(v, H)), v)

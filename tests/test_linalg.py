@@ -1,8 +1,7 @@
-"""Exact linear algebra: the integer echelon and the nullspace mod p."""
+"""Exact linear algebra (the integer echelon), and AST rules over all of src."""
 
 import ast
 import collections
-import itertools
 import math
 import random
 import re
@@ -62,20 +61,6 @@ def test_echelon_keeps_rows_primitive():
     assert not ech.add((0, 0, 0))
     assert ech.add((3, 2, 4))
     assert ech.rows[1] == (2, [0, 0, 1])
-
-
-def test_nullspace_mod():
-    rng = random.Random(5)
-    for p in (2, 3, 7):
-        for rows_n, cols in itertools.product((1, 2, 3), (2, 3, 5)):
-            rows = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows_n)]
-            basis = la.nullspace_mod(rows, cols, p)
-            assert len(basis) == cols - la.mat_rank(rows, p)
-            for x in basis:
-                assert la.mat_vec(rows, x, p) == [0] * rows_n
-            if basis:
-                assert la.mat_rank(basis, p) == len(basis)
-    assert la.nullspace_mod([], 2, 5) == [[1, 0], [0, 1]]
 
 
 def test_check_failed_is_an_assertion_error():
