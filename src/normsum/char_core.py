@@ -76,13 +76,13 @@ def lift_character(chi: DirichletChar, ctx: fc.ExtFieldCtx) -> LiftedCharacter:
     return LiftedCharacter(chi, ctx)
 
 
-def lifted_index(psi: LiftedCharacter, a: fc.ExtFieldElement):
-    """Root-of-unity index of psi(a) mod (p-1), or None when a = 0."""
-    if a.ctx != psi.ctx:
-        raise ValueError("element does not live in the lift's field")
-    if a.is_zero():
-        return None
-    return char_index(psi.base, fc.norm(a))
+def lifted_index(psi: LiftedCharacter, a):
+    """Root-of-unity index of psi(a) mod (p-1) for a coefficient tuple a of
+    the lift's field, or None when a = 0 (whose norm is 0)."""
+    ctx = psi.ctx
+    if len(a) != ctx.m:
+        raise ValueError(f"element of length {len(a)} for a field of degree {ctx.m}")
+    return char_index(psi.base, fc.norm(ctx, a))
 
 
 def lifted_order(psi: LiftedCharacter) -> int:

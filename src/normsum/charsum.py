@@ -182,18 +182,27 @@ def weil_complete_sum(
     return value, bound, holds
 
 
+def _convolve(a, b, order: int) -> Counter:
+    """Weights of the product of sum_e a[e] zeta^e and sum_e b[e] zeta^e, zeta of this order."""
+    out = Counter()
+    for (e1, w1), (e2, w2) in itertools.product(a.items(), b.items()):
+        out[(e1 + e2) % order] += w1 * w2
+    return out
+
+
 def _modulus_power(weights: Sequence[int], r: int, order: int) -> Counter:
     """Weights of |S|^{2r}, S = sum_e weights[e] zeta_order^e: the cyclic
-    autocorrelation |S|^2 of the nonzero weights, convolved r - 1 times."""
-    nonzero = [(e, w) for e, w in enumerate(weights) if w]
-    sq = Counter()
-    for (e1, w1), (e2, w2) in itertools.product(nonzero, repeat=2):
-        sq[(e1 - e2) % order] += w1 * w2
-    powed = sq
-    for _ in range(r - 1):
-        powed, prev = Counter(), powed
-        for (e1, w1), (e2, w2) in itertools.product(prev.items(), sq.items()):
-            powed[(e1 + e2) % order] += w1 * w2
+    autocorrelation |S|^2 of the nonzero weights, raised to the r-th power by
+    repeated squaring, so in about 2 log2 r convolutions."""
+    S = {e: w for e, w in enumerate(weights) if w}
+    sq = _convolve(S, {-e % order: w for e, w in S.items()}, order)
+    powed = Counter({0: 1})
+    while r:
+        if r & 1:
+            powed = _convolve(powed, sq, order)
+        r >>= 1
+        if r:
+            sq = _convolve(sq, sq, order)
     return powed
 
 

@@ -1,8 +1,9 @@
 """Prime fields F_p and their extensions F_{p^m} in a fixed power basis.
 
-Elements of F_{p^m} are coefficient tuples over the power basis
-1, w, ..., w^(m-1) of a monic irreducible defining polynomial f, where w is
-the class of X mod f. All arithmetic is exact.
+An element of F_{p^m} is a tuple of m residues in [0, p): its coefficients
+over the power basis 1, w, ..., w^(m-1) of a monic irreducible defining
+polynomial f, where w is the class of X mod f.  Every function takes the
+field's ExtFieldCtx beside the tuples.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -179,28 +180,19 @@ class ExtFieldCtx:
     def order(self) -> int:
         return self.p**self.m
 
-    def element(self, coeffs) -> "ExtFieldElement":
-        return ExtFieldElement(self, tuple(coeffs))
+    def from_int(self, c: int) -> tuple:
+        """The prime-field element c as a coefficient tuple."""
+        return (c % self.p,) + (0,) * (self.m - 1)
 
-    def from_int(self, c: int) -> "ExtFieldElement":
-        return self.element((c,) + (0,) * (self.m - 1))
-
-    def zero(self) -> "ExtFieldElement":
-        return self.from_int(0)
-
-    def one(self) -> "ExtFieldElement":
-        return self.from_int(1)
-
-    def gen(self) -> "ExtFieldElement":
+    def gen(self) -> tuple:
         """The class of X mod f (the power-basis generator w)."""
         if self.m == 1:
             return self.from_int(-self.defining_poly[0])
-        return self.element((0, 1) + (0,) * (self.m - 2))
+        return (0, 1) + (0,) * (self.m - 2)
 
     def iter_elements(self):
         """All p^m elements, lexicographic in the coefficient tuple."""
-        for coeffs in itertools.product(range(self.p), repeat=self.m):
-            yield self.element(coeffs)
+        yield from itertools.product(range(self.p), repeat=self.m)
 
 
 _ctx_cache: dict = {}
@@ -220,109 +212,59 @@ def ext_field_ctx(p: int, m: int, defining_poly=None) -> ExtFieldCtx:
     return ctx
 
 
-@dataclass(frozen=True)
-class ExtFieldElement:
-    """An element of F_{p^m}: coefficients over the power basis, length m."""
-
-    ctx: ExtFieldCtx
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.ctx.m:
-            raise ValueError(
-                f"expected {self.ctx.m} coefficients, got {len(self.coeffs)}"
-            )
-        object.__setattr__(
-            self, "coeffs", tuple(v % self.ctx.p for v in self.coeffs)
-        )
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.coeffs)
-
-    def as_int(self) -> int:
-        """The value of a prime-subfield element as a plain residue."""
-        if any(self.coeffs[1:]):
-            raise ValueError(f"{self.coeffs} is not in the prime subfield")
-        return self.coeffs[0]
+def ext_add(ctx: ExtFieldCtx, a, b) -> tuple:
+    return tuple((x + y) % ctx.p for x, y in zip(a, b))
 
 
-def _same_ctx(a: ExtFieldElement, b: ExtFieldElement):
-    if a.ctx != b.ctx:
-        raise ValueError("elements live in different field presentations")
+def ext_scalar_mul(ctx: ExtFieldCtx, c: int, a) -> tuple:
+    return tuple(c * x % ctx.p for x in a)
 
 
-def ext_add(a: ExtFieldElement, b: ExtFieldElement) -> ExtFieldElement:
-    _same_ctx(a, b)
-    return a.ctx.element(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+def ext_mul(ctx: ExtFieldCtx, a, b) -> tuple:
+    """Oracle of mul_kernel: the list product of a and b, reduced by poly_divmod."""
+    prod = _poly_mul(a, b, ctx.p)
+    rem = poly_divmod(prod, ctx.defining_poly, ctx.p)[1]
+    return tuple(rem) + (0,) * (ctx.m - len(rem))
 
 
-def ext_scalar_mul(c: int, a: ExtFieldElement) -> ExtFieldElement:
-    return a.ctx.element(tuple(c * x for x in a.coeffs))
-
-
-def ext_mul(a: ExtFieldElement, b: ExtFieldElement) -> ExtFieldElement:
-    _same_ctx(a, b)
-    ctx = a.ctx
-    prod = _poly_mul(list(a.coeffs), list(b.coeffs), ctx.p)
-    rem = poly_divmod(prod, list(ctx.defining_poly), ctx.p)[1]
-    rem = rem + [0] * (ctx.m - len(rem))
-    return ctx.element(tuple(rem))
-
-
-def ext_inv(a: ExtFieldElement) -> ExtFieldElement:
-    """Multiplicative inverse via the extended Euclidean algorithm."""
-    if a.is_zero():
-        raise ZeroDivisionError("inverse of 0 in F_{p^m}")
-    ctx = a.ctx
-    p = ctx.p
-    r0, r1 = list(ctx.defining_poly), _trim(list(a.coeffs))
-    s0, s1 = [], [1]
-    while r1:
-        q, r = poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
-    # r0 is a unit constant: scale s0 by its inverse
-    inv = linalg.inv_mod(r0[0], p)
-    s0 = [(v * inv) % p for v in s0]
-    s0 = s0 + [0] * (ctx.m - len(s0))
-    return ctx.element(tuple(s0))
-
-
-def ext_pow(a: ExtFieldElement, e: int) -> ExtFieldElement:
+def ext_pow(ctx: ExtFieldCtx, a, e: int) -> tuple:
+    """Oracle of pow_coeffs: a^e for e >= 0 by squaring with ext_mul."""
     if e < 0:
-        return ext_pow(ext_inv(a), -e)
-    result = a.ctx.one()
-    base = a
+        raise ValueError(f"exponent must be >= 0, got {e}")
+    result = ctx.from_int(1)
     while e > 0:
         if e & 1:
-            result = ext_mul(result, base)
-        base = ext_mul(base, base)
+            result = ext_mul(ctx, result, a)
+        a = ext_mul(ctx, a, a)
         e >>= 1
     return result
 
 
-def frobenius(a: ExtFieldElement, i: int) -> ExtFieldElement:
+def frobenius(ctx: ExtFieldCtx, a, i: int) -> tuple:
     """The automorphism x -> x^(p^i); requires 0 <= i < m."""
-    if not 0 <= i < a.ctx.m:
-        raise ValueError(f"frobenius power must satisfy 0 <= i < {a.ctx.m}")
-    return ext_pow(a, a.ctx.p**i)
+    if not 0 <= i < ctx.m:
+        raise ValueError(f"frobenius power must satisfy 0 <= i < {ctx.m}")
+    return ext_pow(ctx, a, ctx.p**i)
 
 
-def norm(a: ExtFieldElement) -> int:
+def norm(ctx: ExtFieldCtx, a) -> int:
     """Field norm down to F_p, by the context's raw kernel; norm(0) = 0."""
-    return norm_kernel(a.ctx)(a.coeffs)
+    return norm_kernel(ctx)(a)
 
 
-def norm_via_conjugates(a: ExtFieldElement) -> int:
+def norm_via_conjugates(ctx: ExtFieldCtx, a) -> int:
     """Oracle route: the product of all Frobenius conjugates of a.
 
-    The exponent route ext_pow(a, (p^m - 1)/(p - 1)) is the other oracle;
-    the tests hold both against norm_kernel.
+    The exponent route ext_pow(ctx, a, (p^m - 1)/(p - 1)) is the other
+    oracle; the tests hold both against norm_kernel.  Raises
+    linalg.CheckFailed if the product leaves F_p.
     """
-    prod = a.ctx.one()
-    for i in range(a.ctx.m):
-        prod = ext_mul(prod, frobenius(a, i))
-    return prod.as_int()
+    prod = ctx.from_int(1)
+    for i in range(ctx.m):
+        prod = ext_mul(ctx, prod, frobenius(ctx, a, i))
+    if any(prod[1:]):
+        raise linalg.CheckFailed(f"product of conjugates {prod} is not in the prime subfield")
+    return prod[0]
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +423,10 @@ def norm_table(ctx: ExtFieldCtx):
     table = _norm_tables.get(ctx)
     if table is None:
         g = primitive_element(ctx)
-        norm_g = norm_kernel(ctx)(g.coeffs)
+        norm_g = norm_kernel(ctx)(g)
         cycle = [pow(norm_g, j, p) for j in range(p - 1)] * ((q - 1) // (p - 1))
         table = [0] + [cycle[j] for j in itertools.islice(log_table(ctx), 1, None)]
-        code = sum(c * p**j for j, c in enumerate(g.coeffs))
+        code = sum(c * p**j for j, c in enumerate(g))
         if len(set(cycle[: p - 1])) != p - 1 or table[code] != norm_g:
             raise linalg.CheckFailed(f"norm table of F_{p}^{ctx.m}: bad N(g) = {norm_g}")
         _norm_tables[ctx] = table
@@ -522,7 +464,7 @@ def _log_tables_of(ctx: ExtFieldCtx) -> tuple:
         _norm_tables.pop(next(iter(_log_tables)), None)
         del _log_tables[next(iter(_log_tables))]
     order = q - 1
-    g = primitive_element(ctx).coeffs
+    g = primitive_element(ctx)
     logs = list(range(order))  # one int object per log, kept for log_fold
     table = [None] * q
     table[0] = 2 * order - 1  # set first, so a step onto code 0 is a revisit
@@ -536,7 +478,7 @@ def _log_tables_of(ctx: ExtFieldCtx) -> tuple:
             code = code * step % p
     else:
         mul, weights = mul_kernel(ctx), [p**j for j in range(m)]
-        acc = ctx.one().coeffs
+        acc = ctx.from_int(1)
         for j in logs:
             code = sum(map(operator.mul, acc, weights))
             if table[code] is not None:
@@ -554,13 +496,12 @@ def _revisit(ctx: ExtFieldCtx, j: int, code: int):
 
 
 @functools.cache
-def primitive_element(ctx: ExtFieldCtx) -> ExtFieldElement:
+def primitive_element(ctx: ExtFieldCtx) -> tuple:
     """The generator of F_q^* of smallest code: g^((q-1)/r) != 1 for r | q - 1
     (for m > 1 the codes below p, the prime field, are passed over)."""
     p, m, q = ctx.p, ctx.m, ctx.order
     exponents = [(q - 1) // r for r in prime_divisors(q - 1)]
-    one = ctx.one().coeffs
+    one = ctx.from_int(1)
     units = (tuple(code // p**j % p for j in range(m)) for code in range(1, q))
-    g = next(g for g in itertools.islice(units, p - 1 if m > 1 else 0, None)
-             if all(pow_coeffs(ctx, g, e) != one for e in exponents))
-    return ctx.element(g)
+    return next(g for g in itertools.islice(units, p - 1 if m > 1 else 0, None)
+                if all(pow_coeffs(ctx, g, e) != one for e in exponents))

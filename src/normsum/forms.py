@@ -245,9 +245,9 @@ class NormFormDecomposition:
         """The stacked k x n matrix of all row blocks."""
         return tuple(row for U in self.blocks for row in U)
 
-    def lam(self, i: int, x) -> fc.ExtFieldElement:
-        coords = linalg.mat_vec(self.blocks[i], [int(v) for v in x], self.p)
-        return self.ctxs[i].element(tuple(coords))
+    def lam(self, i: int, x) -> tuple:
+        """lambda_i(x) = U_i x, a coefficient tuple of the i-th field."""
+        return tuple(linalg.mat_vec(self.blocks[i], [int(v) for v in x], self.p))
 
     def value(self, x) -> int:
         """F(x) = prod_i N_i(U_i x) mod p, by each field's norm kernel.
@@ -435,7 +435,7 @@ def _roots_in(factors, ctx: fc.ExtFieldCtx) -> list:
     """
     p, K = ctx.p, ctx.m
     mul = fc.mul_kernel(ctx)
-    one, zero = ctx.one().coeffs, ctx.zero().coeffs
+    one, zero = ctx.from_int(1), ctx.from_int(0)
     roots = set()
     for h, _ in factors:
         d = len(h) - 1
@@ -444,7 +444,7 @@ def _roots_in(factors, ctx: fc.ExtFieldCtx) -> list:
             continue
         if K % d:
             continue
-        beta = fc.pow_coeffs(ctx, fc.primitive_element(ctx).coeffs, (p**K - 1) // (p**d - 1))
+        beta = fc.pow_coeffs(ctx, fc.primitive_element(ctx), (p**K - 1) // (p**d - 1))
         r = beta
         for _ in range(p**d - 1):
             value = one
@@ -493,7 +493,7 @@ def _closure_split(F: FormSpec) -> ClosureSplitting:
     factorizations = [_factor_univariate(_restriction(G, j), p) for j in range(1, n)]
     K = math.lcm(*(len(h) - 1 for factors in factorizations for h, _ in factors))
     ctx = fc.ext_field_ctx(p, K)
-    one = ctx.one().coeffs
+    one = ctx.from_int(1)
 
     # roots of each restriction in the splitting field, negated
     candidates = [
@@ -643,7 +643,7 @@ def _embedding_powers(sub_ctx: fc.ExtFieldCtx, big_ctx: fc.ExtFieldCtx) -> tuple
     computed once.
     """
     if sub_ctx == big_ctx:
-        gamma = big_ctx.gen().coeffs
+        gamma = big_ctx.gen()
     else:
         # ExtFieldCtx has proved the defining polynomial irreducible
         roots = _roots_in([(sub_ctx.defining_poly, 1)], big_ctx)
@@ -651,7 +651,7 @@ def _embedding_powers(sub_ctx: fc.ExtFieldCtx, big_ctx: fc.ExtFieldCtx) -> tuple
             raise linalg.CheckFailed("defining polynomial has no root in the splitting field")
         gamma = roots[0]
     mul = fc.mul_kernel(big_ctx)
-    powers = [big_ctx.one().coeffs]
+    powers = [big_ctx.from_int(1)]
     for _ in range(sub_ctx.m - 1):
         powers.append(mul(powers[-1], gamma))
     return tuple(powers)
@@ -726,7 +726,7 @@ def synthesize_form(D: NormFormDecomposition) -> FormSpec:
     total = {(0,) * n: 1}
     for i, (ki, ctx, U) in enumerate(zip(D.partition, D.ctxs, D.blocks)):
         cols = [tuple(U[r][j] for r in range(ki)) for j in range(n)]
-        block_poly = {(0,) * n: ctx.one().coeffs}
+        block_poly = {(0,) * n: ctx.from_int(1)}
         for t in range(ki):
             if t:
                 cols = [fc.pow_coeffs(ctx, c, p) for c in cols]
@@ -763,7 +763,7 @@ def decomposition_in_class(D: NormFormDecomposition) -> bool:
             lead = next((c for c in cols if any(c)), None)
             if lead is None:
                 return False
-            inv = fc.ext_inv(big.element(lead)).coeffs
+            inv = fc.pow_coeffs(big, lead, big.order - 2)
             key = tuple(mul(inv, c) for c in cols)
             if key in seen:
                 return False

@@ -266,8 +266,8 @@ def _derived_seed(seed: int, *tags: int) -> int:
 
 def _random_unit(ctx, rng: random.Random):
     while True:
-        e = ctx.element(tuple(rng.randrange(ctx.p) for _ in range(ctx.m)))
-        if not e.is_zero():
+        e = tuple(rng.randrange(ctx.p) for _ in range(ctx.m))
+        if any(e):
             return e
 
 
@@ -430,7 +430,7 @@ def run_lattice(config: ExperimentConfig):
                 skips.append(f"p={p} partition={part}: {exc}")
                 continue
             z = tuple(_random_unit(ctx, rng) for ctx in D1.ctxs)
-            L = lat.build_lattice(D1.A, D2.A, z)
+            L = lat.build_lattice(D1.A, D2.A, D1.ctxs, z)
             det = L.det()
             rows.append(scan_row(p, n, n, (0,) * n, "lattice_det", det, float(p**n)))
             H = (max(1, math.isqrt(p)),) * (2 * n)

@@ -39,31 +39,22 @@ def companion_matrix(ctx: fc.ExtFieldCtx) -> list[list[int]]:
     return M
 
 
-def mult_matrix(a: fc.ExtFieldElement) -> tuple[tuple[int, ...], ...]:
-    """Matrix acting on power-basis coordinates as multiplication by `a`."""
-    ctx = a.ctx
+def mult_matrix(ctx: fc.ExtFieldCtx, a) -> tuple[tuple[int, ...], ...]:
+    """Matrix acting on power-basis coordinates as multiplication by the tuple `a`."""
     p, m = ctx.p, ctx.m
     comp = companion_matrix(ctx)
     acc = [[0] * m for _ in range(m)]
     power = la.identity(m)
-    for coeff in a.coeffs:
-        if coeff:
-            acc = [
-                [(acc[i][j] + coeff * power[i][j]) % p for j in range(m)]
-                for i in range(m)
-            ]
+    for coeff in a:
+        acc = [[(x + coeff * y) % p for x, y in zip(row, prow)] for row, prow in zip(acc, power)]
         power = la.mat_mul(power, comp, p)
     return tuple(tuple(r) for r in acc)
 
 
-def mult_matrix_via_columns(a: fc.ExtFieldElement) -> tuple[tuple[int, ...], ...]:
+def mult_matrix_via_columns(ctx: fc.ExtFieldCtx, a) -> tuple[tuple[int, ...], ...]:
     """Same matrix assembled column by column from field multiplication."""
-    ctx = a.ctx
     m = ctx.m
-    cols = []
-    for j in range(m):
-        basis = ctx.element(tuple(1 if t == j else 0 for t in range(m)))
-        cols.append(fc.ext_mul(a, basis).coeffs)
+    cols = [fc.ext_mul(ctx, a, tuple(1 if t == j else 0 for t in range(m))) for j in range(m)]
     return tuple(tuple(cols[j][i] for j in range(m)) for i in range(m))
 
 
@@ -78,13 +69,24 @@ def _block_diagonal(blocks) -> list[list[int]]:
     return M
 
 
-def block_mult_matrix(z: Sequence[fc.ExtFieldElement]) -> list[list[int]]:
-    """Block-diagonal multiplication matrix, one block per component of z."""
+def block_mult_matrix(ctxs: Sequence[fc.ExtFieldCtx], z) -> list[list[int]]:
+    """Block-diagonal multiplication matrix, one block per component of z.
+
+    Raises ValueError unless z holds one nonzero coefficient tuple per
+    context, of that field's degree, and the fields share one prime.
+    """
     if not z:
         raise ValueError("multiplier tuple is empty")
-    if any(a.ctx.p != z[0].ctx.p for a in z):
+    if len(z) != len(ctxs):
+        raise ValueError(f"{len(z)} multiplier components for {len(ctxs)} fields")
+    if any(ctx.p != ctxs[0].p for ctx in ctxs):
         raise ValueError("multiplier components live over different primes")
-    return _block_diagonal([mult_matrix(a) for a in z])
+    for ctx, a in zip(ctxs, z):
+        if len(a) != ctx.m:
+            raise ValueError(f"component of length {len(a)} for a field of degree {ctx.m}")
+        if not any(v % ctx.p for v in a):
+            raise ValueError("multiplier components must be nonzero")
+    return _block_diagonal([mult_matrix(ctx, a) for ctx, a in zip(ctxs, z)])
 
 
 def symmetrizer(ctx: fc.ExtFieldCtx) -> list[list[int]]:
@@ -134,7 +136,8 @@ class BlockData:
 
     A: tuple[tuple[int, ...], ...]
     A_prime: tuple[tuple[int, ...], ...]
-    z: tuple[fc.ExtFieldElement, ...]
+    ctxs: tuple[fc.ExtFieldCtx, ...]
+    z: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -213,15 +216,13 @@ def congruence_lattice(p: int, P, Q) -> IntegerLattice:
     return lat
 
 
-def build_lattice(A, A_prime, z: Sequence[fc.ExtFieldElement]) -> IntegerLattice:
-    """Lattice of (x, y) with A x = M A' y mod p, M the block multiplier of z."""
-    z = tuple(z)
-    if not z:
-        raise ValueError("multiplier tuple is empty")
-    if any(a.is_zero() for a in z):
-        raise ValueError("multiplier components must be nonzero")
-    p = z[0].ctx.p
-    M = block_mult_matrix(z)
+def build_lattice(A, A_prime, ctxs: Sequence[fc.ExtFieldCtx], z) -> IntegerLattice:
+    """Lattice of (x, y) with A x = M A' y mod p, M the block multiplier of
+    the coefficient tuples z, one per field of ctxs (checked as
+    block_mult_matrix checks them)."""
+    ctxs, z = tuple(ctxs), tuple(tuple(a) for a in z)
+    M = block_mult_matrix(ctxs, z)
+    p = ctxs[0].p
     n = len(M)
     if len(A) != n or len(A_prime) != n:
         raise ValueError("coordinate maps must match the multiplier dimension")
@@ -229,6 +230,7 @@ def build_lattice(A, A_prime, z: Sequence[fc.ExtFieldElement]) -> IntegerLattice
     block = BlockData(
         tuple(tuple(v % p for v in row) for row in A),
         tuple(tuple(v % p for v in row) for row in A_prime),
+        ctxs,
         z,
     )
     return IntegerLattice(lat.dim, lat.basis, form=lat.form, block=block)
@@ -259,15 +261,15 @@ def dual_lattice(L: IntegerLattice) -> IntegerLattice:
     neg_id = [[(p - 1) if i == j else 0 for j in range(n)] for i in range(n)]
     dual = congruence_lattice(p, la.transpose(R), neg_id)
     if L.block is not None:
-        A, A_prime, z = L.block.A, L.block.A_prime, L.block.z
-        M = block_mult_matrix(z)
+        A, A_prime, ctxs = L.block.A, L.block.A_prime, L.block.ctxs
+        M = block_mult_matrix(ctxs, L.block.z)
         inv_t = la.transpose(la.mat_inv(A, p))
         P0 = la.mat_mul(la.transpose(M), inv_t, p)
         Q0 = la.mat_neg(la.transpose(la.mat_inv(A_prime, p)), p)
         alt = congruence_lattice(p, P0, Q0)
         if alt.basis != dual.basis:
             raise la.CheckFailed("inverse-transpose dual route gives a different basis")
-        C = block_symmetrizer([a.ctx for a in z])
+        C = block_symmetrizer(ctxs)
         A2 = la.mat_neg(
             la.transpose(la.mat_inv(la.mat_mul(la.mat_inv(C, p), A_prime, p), p)), p
         )

@@ -2,8 +2,10 @@
 which the capped function and the harness both read; and the cap on a
 whole command's summed cost."""
 
+import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -76,6 +78,41 @@ def test_a_huge_k_skips_its_prime_at_once(argv, skip, capsys):
     assert captured.out == "p,n,k,H,quantity,value,bound,ratio\n"
     assert captured.err == f"skip: p=3: {skip}, skipped\n"
     assert elapsed < 1.0
+
+
+def literal_modulus_power(weights, r, order):
+    """|S|^2 convolved with itself r - 1 times, one convolution per step."""
+    sq = Counter()
+    for (e1, w1), (e2, w2) in itertools.product(enumerate(weights), repeat=2):
+        sq[(e1 - e2) % order] += w1 * w2
+    powed = sq
+    for _ in range(r - 1):
+        powed, prev = Counter(), powed
+        for (e1, w1), (e2, w2) in itertools.product(prev.items(), sq.items()):
+            powed[(e1 + e2) % order] += w1 * w2
+    return powed
+
+
+@pytest.mark.parametrize("weights", [[0, 0, 0, 0], [1, 0, 0, 0], [2, 0, 1, 3], [0, 5, 0, 1, 1, 4]])
+def test_modulus_power_by_squaring_matches_the_literal_convolutions(weights):
+    for r in range(1, 10):
+        assert cs._modulus_power(weights, r, len(weights)) == literal_modulus_power(
+            weights, r, len(weights)
+        ), (weights, r)
+
+
+def test_a_huge_r_takes_logarithmically_many_convolutions(monkeypatch, capsys):
+    powers, convolutions = [], []
+    modulus_power, convolve = cs._modulus_power, cs._convolve
+    monkeypatch.setattr(cs, "_modulus_power", lambda *a: powers.append(1) or modulus_power(*a))
+    monkeypatch.setattr(cs, "_convolve", lambda *a: convolutions.append(1) or convolve(*a))
+    start = time.perf_counter()
+    assert cli.main(["moment", "--p", "3", "--k", "3", "--r", "100000000"]) == 0
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "3,1,3,1,s2_moment,26.0," in captured.out
+    # per inner-weight tuple: |S|^2, then at most two per bit of r (27 bits)
+    assert powers and len(convolutions) <= len(powers) * (1 + 2 * (10**8).bit_length())
 
 
 class TestPairCap:

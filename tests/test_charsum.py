@@ -37,7 +37,7 @@ def is_principal(chi: cc.DirichletChar) -> bool:
     return chi.index == 0 or chi.p == 2
 
 
-def lifted_eval(psi: cc.LiftedCharacter, a: fc.ExtFieldElement) -> complex:
+def lifted_eval(psi: cc.LiftedCharacter, a: tuple) -> complex:
     idx = cc.lifted_index(psi, a)
     if idx is None:
         return complex(0, 0)
@@ -333,7 +333,8 @@ class TestWeil:
         for x in ctx.iter_elements():
             fx = ctx.from_int(1)
             for shift, mult in factors:
-                fx = fc.ext_mul(fx, fc.ext_pow(fc.ext_add(x, ctx.from_int(shift)), mult))
+                shifted = fc.ext_add(ctx, x, ctx.from_int(shift))
+                fx = fc.ext_mul(ctx, fx, fc.ext_pow(ctx, shifted, mult))
             acc += lifted_eval(psi, fx)
         assert abs(value - acc) < 1e-9
 
@@ -502,7 +503,7 @@ class TestMoment:
                     term = complex(1, 0)
                     for psi, zi in zip(psis, z):
                         term *= lifted_eval(
-                            psi, fc.ext_add(zi, psi.ctx.from_int(t))
+                            psi, fc.ext_add(psi.ctx, zi, psi.ctx.from_int(t))
                         )
                     inner += term
                 brute += abs(inner) ** (2 * r)

@@ -15,10 +15,10 @@ def F9():
     return fc.ext_field_ctx(3, 2)
 
 
-def is_normal_element(a):
+def is_normal_element(ctx, a):
     """True iff the conjugates of a form an F_p-basis of F_{p^m}."""
-    rows = [list(fc.frobenius(a, i).coeffs) for i in range(a.ctx.m)]
-    return la.mat_rank(rows, a.ctx.p) == a.ctx.m
+    rows = [list(fc.frobenius(ctx, a, i)) for i in range(ctx.m)]
+    return la.mat_rank(rows, ctx.p) == ctx.m
 
 
 def test_find_irreducible_canonical_choices():
@@ -39,53 +39,99 @@ def test_ctx_rejects_reducible_poly():
         fc.ext_field_ctx(5, 2, (1, 0, 1))  # X^2+1 = (X+2)(X+3) mod 5
 
 
+def test_elements_are_coefficient_tuples():
+    ctx = F9()
+    assert ctx.gen() == (0, 1)
+    assert ctx.from_int(1) == (1, 0) and ctx.from_int(-1) == (2, 0)
+    assert fc.ext_field_ctx(7, 1).gen() == (0,)  # the root of X
+    assert fc.primitive_element(ctx) == (1, 1)
+    assert list(ctx.iter_elements())[:4] == [(0, 0), (0, 1), (0, 2), (1, 0)]
+    assert len(list(ctx.iter_elements())) == 9
+    assert fc.ext_add(ctx, (1, 2), (2, 2)) == (0, 1)
+    assert fc.ext_scalar_mul(ctx, 2, (1, 2)) == (2, 1)
+
+
 def test_ext_mul_F9():
     ctx = F9()
     w = ctx.gen()
-    assert fc.ext_mul(w, w).coeffs == (2, 0)
-    one_plus = ctx.element((1, 1))
-    one_minus = ctx.element((1, 2))
-    assert fc.ext_mul(one_plus, one_minus).coeffs == (2, 0)
+    assert fc.ext_mul(ctx, w, w) == (2, 0)
+    assert fc.ext_mul(ctx, (1, 1), (1, 2)) == (2, 0)
 
 
-def test_ext_inv_F9():
+def test_inverse_by_power_F9():
     ctx = F9()
     w = ctx.gen()
-    assert fc.ext_inv(w).coeffs == (0, 2)
-    with pytest.raises(ZeroDivisionError):
-        fc.ext_inv(ctx.zero())
+    assert fc.pow_coeffs(ctx, w, ctx.order - 2) == (0, 2)
+    assert fc.ext_pow(ctx, w, ctx.order - 2) == (0, 2)
+
+
+def _fields_up_to(q_max):
+    for p in range(2, q_max + 1):
+        if la.is_prime(p):
+            m = 1
+            while p**m <= q_max:
+                yield fc.ext_field_ctx(p, m)
+                m += 1
+
+
+def test_inverse_by_power_every_field():
+    """a a^(q-2) = 1 for every nonzero a of every field with q <= 625: the
+    inverse that decomposition_in_class takes, checked by the oracle multiply."""
+    fields = 0
+    for ctx in _fields_up_to(625):
+        one, e = ctx.from_int(1), ctx.order - 2
+        for a in itertools.islice(ctx.iter_elements(), 1, None):
+            assert fc.ext_mul(ctx, a, fc.pow_coeffs(ctx, a, e)) == one, (ctx, a)
+        fields += 1
+    assert fields == 136
+
+
+def test_ext_pow_refuses_negative_exponents():
+    ctx = F9()
+    assert fc.ext_pow(ctx, ctx.gen(), 0) == (1, 0)
+    with pytest.raises(ValueError, match=">= 0"):
+        fc.ext_pow(ctx, ctx.gen(), -1)
 
 
 def test_frobenius_F9():
     ctx = F9()
     w = ctx.gen()
-    assert fc.frobenius(w, 1).coeffs == (0, 2)
-    assert fc.frobenius(w, 0) == w
+    assert fc.frobenius(ctx, w, 1) == (0, 2)
+    assert fc.frobenius(ctx, w, 0) == w
     with pytest.raises(ValueError):
-        fc.frobenius(w, 2)
+        fc.frobenius(ctx, w, 2)
 
 
 def test_norm_F9_values():
     ctx = F9()
     w = ctx.gen()
-    assert fc.norm(w) == 1
-    assert fc.norm(ctx.element((1, 1))) == 2
-    assert fc.norm(ctx.zero()) == 0
+    assert fc.norm(ctx, w) == 1
+    assert fc.norm(ctx, (1, 1)) == 2
+    assert fc.norm(ctx, ctx.from_int(0)) == 0
+
+
+def test_norm_via_conjugates_fails_closed(monkeypatch):
+    # a Frobenius that returns its argument makes the product (1 + w)^2 = 2w
+    # at F_9 = F_3[w]/(w^2 + 1), which is not in F_3
+    ctx = F9()
+    monkeypatch.setattr(fc, "frobenius", lambda ctx, a, i: a)
+    with pytest.raises(la.CheckFailed, match="not in the prime subfield"):
+        fc.norm_via_conjugates(ctx, (1, 1))
 
 
 def test_normal_elements_F9():
     ctx = F9()
-    assert not is_normal_element(ctx.zero())
-    assert not is_normal_element(ctx.one())
-    assert is_normal_element(ctx.element((1, 1)))
+    assert not is_normal_element(ctx, ctx.from_int(0))
+    assert not is_normal_element(ctx, ctx.from_int(1))
+    assert is_normal_element(ctx, (1, 1))
 
 
 def test_prime_subfield_behavior_m1():
     ctx = fc.ext_field_ctx(7, 1)
     a = ctx.from_int(3)
-    assert fc.norm(a) == 3
-    assert is_normal_element(a)
-    assert not is_normal_element(ctx.zero())
+    assert fc.norm(ctx, a) == 3
+    assert is_normal_element(ctx, a)
+    assert not is_normal_element(ctx, ctx.from_int(0))
 
 
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (3, 4), (5, 2), (7, 2)])
@@ -96,32 +142,34 @@ def test_field_axioms_sampled(p, m):
     elems = list(ctx.iter_elements())
     for _ in range(80):
         a, b, c = (rng.choice(elems) for _ in range(3))
-        assert fc.ext_add(a, b) == fc.ext_add(b, a)
-        assert fc.ext_mul(a, b) == fc.ext_mul(b, a)
-        assert fc.ext_mul(a, fc.ext_mul(b, c)) == fc.ext_mul(fc.ext_mul(a, b), c)
-        assert fc.ext_mul(a, fc.ext_add(b, c)) == fc.ext_add(
-            fc.ext_mul(a, b), fc.ext_mul(a, c)
+        assert fc.ext_add(ctx, a, b) == fc.ext_add(ctx, b, a)
+        assert fc.ext_mul(ctx, a, b) == fc.ext_mul(ctx, b, a)
+        assert fc.ext_mul(ctx, a, fc.ext_mul(ctx, b, c)) == fc.ext_mul(
+            ctx, fc.ext_mul(ctx, a, b), c
         )
-        if not a.is_zero():
-            assert fc.ext_mul(a, fc.ext_inv(a)) == ctx.one()
+        assert fc.ext_mul(ctx, a, fc.ext_add(ctx, b, c)) == fc.ext_add(
+            ctx, fc.ext_mul(ctx, a, b), fc.ext_mul(ctx, a, c)
+        )
+        if any(a):
+            inv = fc.ext_pow(ctx, a, ctx.order - 2)
+            assert fc.ext_mul(ctx, a, inv) == ctx.from_int(1)
 
 
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 2), (3, 4), (5, 4)])
 def test_norm_multiplicative_exhaustive(p, m):
     ctx = fc.ext_field_ctx(p, m)
     elems = list(ctx.iter_elements())
-    norms = {a.coeffs: fc.norm(a) for a in elems}
+    norms = {a: fc.norm(ctx, a) for a in elems}
     for a in elems:
         for b in elems:
-            ab = fc.ext_mul(a, b)
-            assert norms[ab.coeffs] == (norms[a.coeffs] * norms[b.coeffs]) % p
+            assert norms[fc.ext_mul(ctx, a, b)] == (norms[a] * norms[b]) % p
 
 
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 2), (3, 4), (5, 4)])
 def test_norm_routes_agree_exhaustive(p, m):
     ctx = fc.ext_field_ctx(p, m)
     for a in ctx.iter_elements():
-        assert fc.norm(a) == fc.norm_via_conjugates(a)
+        assert fc.norm(ctx, a) == fc.norm_via_conjugates(ctx, a)
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (3, 4), (2, 4)])
@@ -129,21 +177,19 @@ def test_frobenius_is_field_automorphism_exhaustive(p, m):
     """x -> x^p respects + and * and fixes exactly the prime subfield."""
     ctx = fc.ext_field_ctx(p, m)
     elems = list(ctx.iter_elements())
-    frob = {a.coeffs: fc.frobenius(a, 1) for a in elems}
+    frob = {a: fc.frobenius(ctx, a, 1) for a in elems}
     for a in elems:
         for b in elems:
-            assert frob[fc.ext_add(a, b).coeffs] == fc.ext_add(frob[a.coeffs], frob[b.coeffs])
-            assert frob[fc.ext_mul(a, b).coeffs] == fc.ext_mul(frob[a.coeffs], frob[b.coeffs])
-    fixed = [a for a in elems if frob[a.coeffs] == a]
-    assert sorted(a.coeffs for a in fixed) == sorted(
-        ctx.from_int(c).coeffs for c in range(p)
-    )
+            assert frob[fc.ext_add(ctx, a, b)] == fc.ext_add(ctx, frob[a], frob[b])
+            assert frob[fc.ext_mul(ctx, a, b)] == fc.ext_mul(ctx, frob[a], frob[b])
+    fixed = [a for a in elems if frob[a] == a]
+    assert sorted(fixed) == sorted(ctx.from_int(c) for c in range(p))
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (3, 3), (5, 2), (7, 2)])
 def test_normal_element_exists(p, m):
     ctx = fc.ext_field_ctx(p, m)
-    assert any(is_normal_element(a) for a in ctx.iter_elements())
+    assert any(is_normal_element(ctx, a) for a in ctx.iter_elements())
 
 
 def test_frobenius_composes_to_identity():
@@ -154,17 +200,17 @@ def test_frobenius_composes_to_identity():
         a = rng.choice(elems)
         b = a
         for _ in range(ctx.m):
-            b = fc.frobenius(b, 1)
+            b = fc.frobenius(ctx, b, 1)
         assert b == a
 
 
 def test_ext_pow_matches_repeated_mul():
     ctx = fc.ext_field_ctx(5, 2)
-    a = ctx.element((2, 3))
-    acc = ctx.one()
+    a = (2, 3)
+    acc = ctx.from_int(1)
     for e in range(12):
-        assert fc.ext_pow(a, e) == acc
-        acc = fc.ext_mul(acc, a)
+        assert fc.ext_pow(ctx, a, e) == acc
+        acc = fc.ext_mul(ctx, acc, a)
 
 
 @pytest.mark.parametrize("p,m,poly", [(2, 5, None), (3, 4, None), (5, 2, None),
@@ -173,11 +219,11 @@ def test_pow_coeffs_matches_ext_pow(p, m, poly):
     ctx = fc.ext_field_ctx(p, m, poly)
     rng = random.Random(p * 100 + m)
     for _ in range(40):
-        a = ctx.element(tuple(rng.randrange(p) for _ in range(m)))
+        a = tuple(rng.randrange(p) for _ in range(m))
         e = rng.choice([0, 1, 2, p, ctx.order - 1, rng.randrange(3 * ctx.order)])
-        assert fc.pow_coeffs(ctx, a.coeffs, e) == fc.ext_pow(a, e).coeffs
+        assert fc.pow_coeffs(ctx, a, e) == fc.ext_pow(ctx, a, e)
     with pytest.raises(ValueError, match=">= 0"):
-        fc.pow_coeffs(ctx, a.coeffs, -1)
+        fc.pow_coeffs(ctx, a, -1)
 
 
 def test_ext_field_ctx_memoized():
@@ -206,10 +252,10 @@ def test_norm_kernel_matches_exponent_and_conjugate_routes(p, m, poly):
     kernel = fc.norm_kernel(ctx)
     e = (ctx.order - 1) // (p - 1)
     for a in ctx.iter_elements():
-        value = kernel(a.coeffs)
-        assert value == fc.ext_pow(a, e).as_int()
-        assert value == fc.norm_via_conjugates(a)
-        assert fc.norm(a) == value
+        value = kernel(a)
+        assert fc.ext_pow(ctx, a, e) == ctx.from_int(value)
+        assert value == fc.norm_via_conjugates(ctx, a)
+        assert fc.norm(ctx, a) == value
 
 
 @pytest.mark.parametrize("p,m", [(5, 1), (7, 2), (3, 3), (2, 4), (3, 5)])
@@ -218,15 +264,15 @@ def test_norm_kernel_accepts_unreduced_coordinates(p, m):
     kernel = fc.norm_kernel(ctx)
     rng = random.Random(p * 10 + m)
     for a in ctx.iter_elements():
-        lifted = tuple(c + p * rng.randint(-3, 3) for c in a.coeffs)
-        assert kernel(lifted) == kernel(a.coeffs)
+        lifted = tuple(c + p * rng.randint(-3, 3) for c in a)
+        assert kernel(lifted) == kernel(a)
     assert fc.norm_kernel(ctx) is kernel
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (3, 4)])
 def test_lifted_index_matches_conjugate_norm(p, m):
     ctx = fc.ext_field_ctx(p, m)
-    norms = [(a, fc.norm_via_conjugates(a)) for a in ctx.iter_elements()]
+    norms = [(a, fc.norm_via_conjugates(ctx, a)) for a in ctx.iter_elements()]
     for t in range(p - 1):
         chi = cc.DirichletChar(p, t)
         psi = cc.lift_character(chi, ctx)
@@ -234,9 +280,18 @@ def test_lifted_index_matches_conjugate_norm(p, m):
             assert cc.lifted_index(psi, a) == cc.char_index(chi, value)
 
 
+def test_lifted_index_rejects_tuples_of_another_degree():
+    psi = cc.lift_character(cc.DirichletChar(5, 1), fc.ext_field_ctx(5, 2))
+    assert cc.lifted_index(psi, (0, 0)) is None
+    assert cc.lifted_index(psi, (2, 0)) == 2  # N(2) = 4 = g^2, g = 2
+    for a in [(), (1,), (1, 0, 0)]:
+        with pytest.raises(ValueError, match="degree 2"):
+            cc.lifted_index(psi, a)
+
+
 def _element_route_index(psi, x, shift):
     """Lifted index of x + shift through field elements, the pre-kernel route."""
-    return cc.lifted_index(psi, fc.ext_add(x, psi.ctx.from_int(shift)))
+    return cc.lifted_index(psi, fc.ext_add(psi.ctx, x, psi.ctx.from_int(shift)))
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (7, 2), (11, 2), (3, 3), (5, 3), (3, 4)])
@@ -281,8 +336,8 @@ def test_s2_moment_raw_route_matches_element_route(p, partition, T, r):
     assert cs.s2_moment(partition, psis, T, r)["weights"] == tuple(total)
 
 
-def _code(a):
-    return sum(c * a.ctx.p**j for j, c in enumerate(a.coeffs))
+def _code(ctx, a):
+    return sum(c * ctx.p**j for j, c in enumerate(a))
 
 
 @pytest.mark.parametrize("p,m,poly", KERNEL_FIELDS + NONCANONICAL_FIELDS)
@@ -294,15 +349,16 @@ def test_log_table_inverts_ext_pow(p, m, poly):
     assert table[0] == 2 * (q - 1) - 1
     assert sorted(table[1:]) == list(range(q - 1))
     elems = list(ctx.iter_elements())
-    g = next(a for a in elems if table[_code(a)] == 1) if q > 2 else ctx.one()
+    one = ctx.from_int(1)
+    g = next(a for a in elems if table[_code(ctx, a)] == 1) if q > 2 else one
     # g is the primitive element of smallest code
     exponents = [(q - 1) // r for r in fc.prime_divisors(q - 1)]
     for a in elems:
-        if 0 < _code(a) < _code(g):
-            assert any(fc.ext_pow(a, e) == ctx.one() for e in exponents)
+        if 0 < _code(ctx, a) < _code(ctx, g):
+            assert any(fc.ext_pow(ctx, a, e) == one for e in exponents)
     for a in elems:
-        if not a.is_zero():
-            assert fc.ext_pow(g, table[_code(a)]) == a
+        if any(a):
+            assert fc.ext_pow(ctx, g, table[_code(ctx, a)]) == a
     assert fc.log_table(ctx) is table
 
 
@@ -360,7 +416,7 @@ def test_prime_field_logs_match_the_primitive_root_oracle(monkeypatch):
     for p in ORACLE_PRIMES:
         ctx = fc.ext_field_ctx(p, 1)
         g = primitive_root(p)
-        assert fc.primitive_element(ctx).coeffs == (g,), p
+        assert fc.primitive_element(ctx) == (g,), p
         oracle = dlog_table(p, g)
         table = fc.log_table(ctx)
         assert table[0] == 2 * (p - 1) - 1
@@ -401,9 +457,9 @@ def test_log_fold_gives_the_log_of_the_product(p, m, poly):
     elems = list(ctx.iter_elements())
     for a in elems:
         for b in elems:
-            folded = fold[table[_code(a)] + table[_code(b)]]
-            ab = fc.ext_mul(a, b)
-            assert folded == (q - 1 if ab.is_zero() else table[_code(ab)])
+            folded = fold[table[_code(ctx, a)] + table[_code(ctx, b)]]
+            ab = fc.ext_mul(ctx, a, b)
+            assert folded == (table[_code(ctx, ab)] if any(ab) else q - 1)
 
 
 def test_log_cache_is_bounded_by_elements(monkeypatch):
@@ -450,9 +506,9 @@ def test_norm_table_matches_norm_kernel(p, m, poly):
     kernel = fc.norm_kernel(ctx)
     assert len(table) == ctx.order
     for a in ctx.iter_elements():
-        assert table[_code(a)] == kernel(a.coeffs)
+        assert table[_code(ctx, a)] == kernel(a)
         if ctx.order <= 125:
-            assert table[_code(a)] == fc.norm_via_conjugates(a)
+            assert table[_code(ctx, a)] == fc.norm_via_conjugates(ctx, a)
     assert fc.norm_table(ctx) is table or m == 1
 
 
@@ -484,7 +540,7 @@ def test_norm_table_fails_closed(monkeypatch):
     monkeypatch.setattr(fc, "_log_tables", {})
     monkeypatch.setattr(fc, "_norm_tables", {})
     fc.log_table(ctx)
-    monkeypatch.setattr(fc, "primitive_element", lambda ctx: fc.ext_pow(g, 7))
+    monkeypatch.setattr(fc, "primitive_element", lambda ctx: fc.ext_pow(ctx, g, 7))
     with pytest.raises(la.CheckFailed, match="norm table of F_5"):
         fc.norm_table(ctx)
     assert fc._norm_tables == {}
@@ -495,4 +551,4 @@ def test_prime_divisors():
     assert fc.prime_divisors(2) == [2]
     assert fc.prime_divisors(360) == [2, 3, 5]
     assert fc.prime_divisors(97 * 97) == [97]
-    assert fc.primitive_element(fc.ext_field_ctx(41, 1)).coeffs == (6,)
+    assert fc.primitive_element(fc.ext_field_ctx(41, 1)) == (6,)

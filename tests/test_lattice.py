@@ -16,8 +16,10 @@ from normsum import lattice as lt
 from normsum import linalg as la
 
 
-def scalar(p, c):
-    return fc.ext_field_ctx(p, 1).from_int(c)
+def scalars(p, *cs):
+    """(contexts, multipliers) for prime-field multipliers c mod p."""
+    ctx = fc.ext_field_ctx(p, 1)
+    return (ctx,) * len(cs), tuple(ctx.from_int(c) for c in cs)
 
 
 def random_nonsingular(rng, n, p):
@@ -28,15 +30,15 @@ def random_nonsingular(rng, n, p):
 
 
 def random_multiplier(rng, p, partition):
-    z = []
+    """(contexts, nonzero coefficient tuples), one per part of the partition."""
+    ctxs, z = tuple(fc.ext_field_ctx(p, m) for m in partition), []
     for m in partition:
-        ctx = fc.ext_field_ctx(p, m)
         while True:
-            a = ctx.element(tuple(rng.randrange(p) for _ in range(m)))
-            if not a.is_zero():
+            a = tuple(rng.randrange(p) for _ in range(m))
+            if any(a):
                 z.append(a)
                 break
-    return tuple(z)
+    return ctxs, tuple(z)
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +72,10 @@ def test_companion_satisfies_defining_poly():
 def test_mult_matrix_one_and_generator():
     for p, m in [(3, 2), (5, 3)]:
         ctx = fc.ext_field_ctx(p, m)
-        assert lt.mult_matrix(ctx.one()) == tuple(
+        assert lt.mult_matrix(ctx, ctx.from_int(1)) == tuple(
             tuple(r) for r in la.identity(m)
         )
-        assert lt.mult_matrix(ctx.gen()) == tuple(
+        assert lt.mult_matrix(ctx, ctx.gen()) == tuple(
             tuple(r) for r in lt.companion_matrix(ctx)
         )
 
@@ -81,7 +83,7 @@ def test_mult_matrix_one_and_generator():
 def test_mult_matrix_F9_closed_form():
     ctx = fc.ext_field_ctx(3, 2)
     for a0, a1 in itertools.product(range(3), repeat=2):
-        M = lt.mult_matrix(ctx.element((a0, a1)))
+        M = lt.mult_matrix(ctx, (a0, a1))
         assert M == ((a0, (2 * a1) % 3), (a1, a0))
         assert la.mat_det(M, 3) == (a0 * a0 + a1 * a1) % 3
         assert (la.mat_det(M, 3) == 0) == (a0 == a1 == 0)
@@ -91,7 +93,7 @@ def test_mult_matrix_matches_field_multiplication():
     for p, m in [(2, 3), (3, 2), (5, 2), (5, 4)]:
         ctx = fc.ext_field_ctx(p, m)
         for a in ctx.iter_elements():
-            assert lt.mult_matrix(a) == lt.mult_matrix_via_columns(a)
+            assert lt.mult_matrix(ctx, a) == lt.mult_matrix_via_columns(ctx, a)
 
 
 def test_mult_matrix_acts_on_coordinates():
@@ -99,25 +101,24 @@ def test_mult_matrix_acts_on_coordinates():
     for p, m in [(3, 3), (7, 2)]:
         ctx = fc.ext_field_ctx(p, m)
         for _ in range(30):
-            a = ctx.element(tuple(rng.randrange(p) for _ in range(m)))
-            b = ctx.element(tuple(rng.randrange(p) for _ in range(m)))
-            M = lt.mult_matrix(a)
-            assert tuple(la.mat_vec(M, list(b.coeffs), p)) == fc.ext_mul(a, b).coeffs
+            a = tuple(rng.randrange(p) for _ in range(m))
+            b = tuple(rng.randrange(p) for _ in range(m))
+            M = lt.mult_matrix(ctx, a)
+            assert tuple(la.mat_vec(M, list(b), p)) == fc.ext_mul(ctx, a, b)
 
 
 def test_mult_matrix_homomorphism_exhaustive():
     for p, m in [(2, 3), (3, 4)]:
         ctx = fc.ext_field_ctx(p, m)
-        mats = {a: lt.mult_matrix(a) for a in ctx.iter_elements()}
+        mats = {a: lt.mult_matrix(ctx, a) for a in ctx.iter_elements()}
         for a in ctx.iter_elements():
             for b in ctx.iter_elements():
                 lhs = la.mat_mul(mats[a], mats[b], p)
-                assert tuple(tuple(r) for r in lhs) == mats[fc.ext_mul(a, b)]
+                assert tuple(tuple(r) for r in lhs) == mats[fc.ext_mul(ctx, a, b)]
 
 
 def test_block_mult_matrix_split_case():
-    z = (scalar(5, 2), scalar(5, 4))
-    assert lt.block_mult_matrix(z) == [[2, 0], [0, 4]]
+    assert lt.block_mult_matrix(*scalars(5, 2, 4)) == [[2, 0], [0, 4]]
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +126,13 @@ def test_block_mult_matrix_split_case():
 
 
 def test_build_frozen_basis():
-    L = lt.build_lattice([[1]], [[1]], (scalar(5, 1),))
+    L = lt.build_lattice([[1]], [[1]], *scalars(5, 1))
     assert L.columns() == [(1, 1), (0, 5)]
     assert L.det() == 5
 
 
 def test_build_membership_scalar():
-    L = lt.build_lattice([[1]], [[1]], (scalar(5, 3),))
+    L = lt.build_lattice([[1]], [[1]], *scalars(5, 3))
     for x in range(-5, 6):
         for y in range(-5, 6):
             assert L.contains((x, y)) == ((x - 3 * y) % 5 == 0)
@@ -144,9 +145,9 @@ def test_build_matches_generic_congruence():
         n = sum(partition)
         A = random_nonsingular(rng, n, p)
         Ap = random_nonsingular(rng, n, p)
-        z = random_multiplier(rng, p, partition)
-        L = lt.build_lattice(A, Ap, z)
-        M = lt.block_mult_matrix(z)
+        ctxs, z = random_multiplier(rng, p, partition)
+        L = lt.build_lattice(A, Ap, ctxs, z)
+        M = lt.block_mult_matrix(ctxs, z)
         G = lt.congruence_lattice(p, A, la.mat_mul(M, Ap, p))
         assert L.basis == G.basis
 
@@ -158,7 +159,7 @@ def test_membership_agreement_random():
         L = lt.build_lattice(
             random_nonsingular(rng, n, p),
             random_nonsingular(rng, n, p),
-            random_multiplier(rng, p, partition),
+            *random_multiplier(rng, p, partition),
         )
         for _ in range(1000):
             v = tuple(rng.randrange(-2 * p, 2 * p + 1) for _ in range(2 * n))
@@ -175,7 +176,7 @@ def test_determinant_invariant():
         L = lt.build_lattice(
             random_nonsingular(rng, n, p),
             random_nonsingular(rng, n, p),
-            random_multiplier(rng, p, partition),
+            *random_multiplier(rng, p, partition),
         )
         assert L.det() == p**n
         done += 1
@@ -183,13 +184,31 @@ def test_determinant_invariant():
 
 def test_build_errors():
     with pytest.raises(ValueError, match="nonzero"):
-        lt.build_lattice([[1]], [[1]], (fc.ext_field_ctx(5, 1).zero(),))
+        lt.build_lattice([[1]], [[1]], *scalars(5, 0))
     with pytest.raises(ValueError, match="singular"):
-        lt.build_lattice([[0]], [[1]], (scalar(5, 1),))
+        lt.build_lattice([[0]], [[1]], *scalars(5, 1))
     with pytest.raises(ValueError, match="empty"):
-        lt.build_lattice([], [], ())
+        lt.build_lattice([], [], (), ())
     with pytest.raises(ValueError):
         lt.congruence_lattice(5, [[1, 0], [0, 1]], [[1]])
+
+
+@pytest.mark.parametrize("fields,z,match", [
+    ([(5, 1)], ((1,), (2,)), "2 multiplier components for 1 fields"),
+    ([(5, 1), (5, 1)], ((1,),), "1 multiplier components for 2 fields"),
+    ([(5, 1)], ((1, 0),), "length 2 for a field of degree 1"),
+    ([(5, 2)], ((1,),), "length 1 for a field of degree 2"),
+    ([(5, 2)], ((0, 0),), "nonzero"),
+    ([(5, 1), (5, 2)], ((3,), (5, 0)), "nonzero"),
+    ([(5, 1), (7, 1)], ((1,), (1,)), "different primes"),
+])
+def test_multiplier_checks_at_the_tuple_entry_points(fields, z, match):
+    ctxs = tuple(fc.ext_field_ctx(p, m) for p, m in fields)
+    n = sum(m for _, m in fields)
+    with pytest.raises(ValueError, match=match):
+        lt.block_mult_matrix(ctxs, z)
+    with pytest.raises(ValueError, match=match):
+        lt.build_lattice(la.identity(n), la.identity(n), ctxs, z)
 
 
 def test_lattice_type_errors():
@@ -231,7 +250,7 @@ def test_symmetrizer_trace_form_every_field():
         assert C == la.transpose(C)
         assert la.mat_det(C, p) != 0
         for a in ctx.iter_elements():
-            M = lt.mult_matrix(a)
+            M = lt.mult_matrix(ctx, a)
             assert la.mat_mul(M, C, p) == la.mat_mul(C, la.transpose(M), p)
         fields += 1
     assert fields == 136  # 114 prime fields and 22 proper extensions
@@ -244,7 +263,7 @@ def test_block_symmetrizer_direct_sum():
 
 
 def test_dual_frozen_scalar():
-    L = lt.build_lattice([[1]], [[1]], (scalar(5, 3),))
+    L = lt.build_lattice([[1]], [[1]], *scalars(5, 3))
     D = lt.dual_lattice(L)
     assert (D.form.P, D.form.Q) == (((3,),), ((4,),))  # 3u = -v mod 5
     for u in range(-5, 6):
@@ -253,16 +272,14 @@ def test_dual_frozen_scalar():
 
 
 def test_dual_diagonal_multiplier_uses_identity_symmetrizer():
-    L = lt.build_lattice(
-        la.identity(2), la.identity(2), (scalar(5, 2), scalar(5, 3))
-    )
+    L = lt.build_lattice(la.identity(2), la.identity(2), *scalars(5, 2, 3))
     lt.dual_lattice(L)
-    assert lt.block_symmetrizer([a.ctx for a in L.block.z]) == la.identity(2)
+    assert lt.block_symmetrizer(L.block.ctxs) == la.identity(2)
 
 
 def test_dual_structured_F9():
     ctx = fc.ext_field_ctx(3, 2)
-    L = lt.build_lattice(la.identity(2), la.identity(2), (ctx.gen(),))
+    L = lt.build_lattice(la.identity(2), la.identity(2), (ctx,), (ctx.gen(),))
     lt.dual_lattice(L)
     assert lt.block_symmetrizer([ctx]) == [[2, 0], [0, 1]]
 
@@ -274,7 +291,7 @@ def test_dual_pairing_and_double_dual():
         L = lt.build_lattice(
             random_nonsingular(rng, n, p),
             random_nonsingular(rng, n, p),
-            random_multiplier(rng, p, partition),
+            *random_multiplier(rng, p, partition),
         )
         D = lt.dual_lattice(L)
         lt.dual_pairing_check(L, D)
@@ -293,7 +310,7 @@ def test_dual_requires_provenance():
 
 
 def test_points_frozen():
-    L = lt.build_lattice([[1]], [[1]], (scalar(5, 1),))
+    L = lt.build_lattice([[1]], [[1]], *scalars(5, 1))
     assert lt.points_in_box(L, (0, 0)) == (1, ((0, 0),))
     count, pts = lt.points_in_box(L, (1, 1))
     assert count == 3
@@ -307,7 +324,7 @@ def test_points_count_odd_by_symmetry():
         L = lt.build_lattice(
             random_nonsingular(rng, n, p),
             random_nonsingular(rng, n, p),
-            random_multiplier(rng, p, partition),
+            *random_multiplier(rng, p, partition),
         )
         for H in [(1, 1, 2, 2), (3, 3, 3, 3), (2, 5, 2, 5)]:
             count, pts = lt.points_in_box(L, H)
@@ -320,7 +337,7 @@ def test_points_two_routes_agree():
     L = lt.build_lattice(
         random_nonsingular(rng, 2, 7),
         random_nonsingular(rng, 2, 7),
-        random_multiplier(rng, 7, (2,)),
+        *random_multiplier(rng, 7, (2,)),
     )
     for H in [(2, 2, 2, 2), (4, 1, 3, 2)]:
         coeff = list(lt.points_in_box(L, H, cross_check=False)[1])
@@ -339,7 +356,7 @@ def test_points_identity_lattice():
 
 
 def test_minima_frozen_scalar_lattice():
-    L = lt.build_lattice([[1]], [[1]], (scalar(5, 1),))
+    L = lt.build_lattice([[1]], [[1]], *scalars(5, 1))
     rep = lt.successive_minima(L, (1, 1))
     assert rep.minima == (Fraction(1), Fraction(3))
     assert rep.s == 1
@@ -356,7 +373,7 @@ def test_minima_integer_lattice():
 
 
 def test_minima_scaling():
-    L = lt.build_lattice([[1]], [[1]], (scalar(5, 3),))
+    L = lt.build_lattice([[1]], [[1]], *scalars(5, 3))
     base = lt.successive_minima(L, (2, 2))
     for c in (2, 3):
         scaled = lt.successive_minima(L, (2 * c, 2 * c))
@@ -387,7 +404,7 @@ def test_minkowski_and_mahler_on_instances():
         L = lt.build_lattice(
             random_nonsingular(rng, n, p),
             random_nonsingular(rng, n, p),
-            random_multiplier(rng, p, partition),
+            *random_multiplier(rng, p, partition),
         )
         report = lt.mahler_check(L, H)
         d = 2 * n
@@ -492,7 +509,7 @@ def seeded_lattice(seed, p, partition):
     return lt.build_lattice(
         random_nonsingular(rng, n, p),
         random_nonsingular(rng, n, p),
-        random_multiplier(rng, p, partition),
+        *random_multiplier(rng, p, partition),
     )
 
 
@@ -573,7 +590,7 @@ def box_count_ratio(L, H, H_small) -> dict:
 
 
 def test_box_count_ratio():
-    L = lt.build_lattice([[1]], [[1]], (scalar(11, 4),))
+    L = lt.build_lattice([[1]], [[1]], *scalars(11, 4))
     report = box_count_ratio(L, (8, 8), (2, 2))
     assert report["count_small"] <= report["count_large"]
     assert report["kappa"] > 0
@@ -674,7 +691,8 @@ def test_lattice_has_no_assert_statements():
 def test_pairing_check_fails_under_optimize():
     script = (
         "from normsum import field_core as fc, lattice as lt, linalg as la\n"
-        "L = lt.build_lattice([[1]], [[1]], (fc.ext_field_ctx(5, 1).from_int(1),))\n"
+        "ctx = fc.ext_field_ctx(5, 1)\n"
+        "L = lt.build_lattice([[1]], [[1]], (ctx,), (ctx.from_int(1),))\n"
         "try:\n"
         "    lt.dual_pairing_check(L, L)\n"
         "except la.CheckFailed as exc:\n"

@@ -2,6 +2,9 @@
 
 import ast
 import collections
+import importlib
+import inspect
+import json
 import math
 import random
 import re
@@ -244,6 +247,27 @@ def test_reference_walk_sees_each_kind_of_use():
         "    def __init__(self): pass\n    def _h(self): pass\n"
     )
     assert defs == [("f", "f"), ("m", "C.m")]
+
+
+def test_traced_names_resolve_to_src_callables():
+    """Each per-layer metric of BENCHMARK.json ending in .calls or .s names
+    a public function or method that its src module defines, and the element
+    count reads the yields of a generator method, so a renamed or deleted
+    traced name fails here, not as a KeyError in a traced benchmark run."""
+    repo = Path(la.__file__).resolve().parents[2]
+    metrics = json.loads((repo / "BENCHMARK.json").read_text())["per_layer"]
+    traced = [m["name"].rpartition(".")[0] for m in metrics
+              if m["name"].endswith((".calls", ".s"))]
+    assert len(traced) >= 30
+    for dotted in traced:
+        module, *path = dotted.split(".")
+        mod = obj = importlib.import_module(f"normsum.{module}")
+        for attr in path:
+            obj = vars(obj)[attr]
+        assert inspect.isfunction(obj) and obj.__module__ == mod.__name__, dotted
+        assert not path[-1].startswith("_"), dotted
+    ctx_class = importlib.import_module("normsum.field_core").ExtFieldCtx
+    assert inspect.isgeneratorfunction(vars(ctx_class)["iter_elements"])
 
 
 def test_shape_mismatch_is_value_error():
