@@ -25,10 +25,11 @@ BAD_TUPLE_CAP = 10**7
 # the fastest measured times of one unit of each cost below, in ns (on a
 # 2-vCPU virtual machine): the weights of these costs in a command's cost.
 # A box point of one route took 900 to 1,150, a moment term 60 to 100, a
-# term of weil_complete_sum 640 to 860
+# term of weil_complete_sum 640 to 860, a unit of s2_moment's set-up 31 to 48
 BOX_POINT_NS = 900
 MOMENT_TERM_NS = 60
 WEIL_TERM_NS = 640
+MOMENT_SETUP_NS = 30
 
 
 def box_fits(volume: int) -> bool:
@@ -40,6 +41,12 @@ def moment_cost(p: int, k: int, T: int, r: int) -> int:
     """p^k T^(2r): the z's of s2_moment's degree-k fields, times the 2r-tuples
     of its T shifts.  Each factor stops at fc.SIZE_CEILING, past every cap."""
     return fc.capped_power(p, k) * fc.capped_power(T, 2 * r)
+
+
+def moment_setup_cost(p: int, k: int) -> int:
+    """p^k (p + 150): s2_moment's set-up outside its terms, a weight tuple of
+    p - 1 entries for each of its p^k z's plus other work worth 150 entries."""
+    return fc.capped_power(p, k) * (p + 150)
 
 
 def moment_fits(p: int, k: int, T: int, r: int) -> bool:

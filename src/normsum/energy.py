@@ -9,6 +9,7 @@ stay separated rather than being skipped.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -20,9 +21,10 @@ from . import linalg as la
 PAIR_CAP = 4 * 10**6
 QUAD_CROSS_CHECK_CAP = 10**6
 QUAD_SCAN_CAP = 10**9
-# the fastest measured time of one pair of a window energy, in ns (200 to
-# 290 on a 2-vCPU virtual machine): the weight of pair_cost in a command's cost
-PAIR_NS = 200
+# the fastest measured time of one pair of a window energy, in ns (60 for
+# one cubic field at n = 3 to 340 at n = 1 near the field cap, on a 2-vCPU
+# virtual machine): the weight of pair_cost in a command's cost
+PAIR_NS = 60
 # distinct raw pair sums held before they are folded into classes: near
 # the field cap one histogram meets millions, which would all be held at once
 RAW_FLUSH = 2**18
@@ -73,11 +75,8 @@ class EnergyInstance:
 
 
 def _lam_table(D: fm.NormFormDecomposition, box: fm.BoxSpec, blocks=None) -> list:
-    """lambda(x) per point as coefficient tuples, for the literal oracle loops.
-
-    The restricted energies pass the partition slices of a coefficient
-    matrix as blocks in place of D's own.
-    """
+    """lambda(x) per point as coefficient tuples, for the literal oracle loops;
+    the restricted energies pass a matrix's partition blocks for D's own."""
     blocks = D.blocks if blocks is None else blocks
     return [
         tuple(tuple(la.mat_vec(U, x, D.p)) for U in blocks) for x in box.iter_points()
@@ -97,65 +96,104 @@ def _lam_table(D: fm.NormFormDecomposition, box: fm.BoxSpec, blocks=None) -> lis
 
 
 def _log_codes(D: fm.NormFormDecomposition, box: fm.BoxSpec, blocks=None) -> list:
-    """The log code of lambda(x) for each point x of the box, in box order."""
+    """The log code of lambda(x) for each point x of the box, in box order.
+
+    Each row's residues u.x mod p are built over the whole box from its
+    steps u_j t along each axis, in iter_points order; the base-p index, the
+    log lookup and the digit of each field are then taken list-wide.
+    """
     p = D.p
     blocks = D.blocks if blocks is None else blocks
-    fields = []
-    scale = 1
+    codes, scale = [0] * box.volume, 1
     for U, ctx in zip(blocks, D.ctxs):
-        # coordinates U x mod p index the table by their base-p code
-        weighted = [(p**j, row) for j, row in enumerate(U)]
-        fields.append((weighted, fc.log_table(ctx), scale))
+        idx = itertools.repeat(0)
+        for j, row in enumerate(U):
+            steps = ([u * t for t in axis] for u, axis in zip(row, box.axes()))
+            residues = map(operator.mod, map(sum, itertools.product(*steps)), itertools.repeat(p))
+            idx = map(operator.add, idx, map(operator.mul, residues, itertools.repeat(p**j)))
+        logs = map(fc.log_table(ctx).__getitem__, idx)
+        codes = list(map(operator.add, codes, map(operator.mul, logs, itertools.repeat(scale))))
         scale *= 4 * (ctx.order - 1) - 1
-    codes = []
-    for x in box.iter_points():
-        code = 0
-        for weighted, logs, scale in fields:
-            idx = sum(
-                w * (sum(u * v for u, v in zip(row, x)) % p) for w, row in weighted
-            )
-            code += logs[idx] * scale
-        codes.append(code)
     return codes
 
 
-def _pair_histogram(D: fm.NormFormDecomposition, codes_u, codes_v) -> dict:
-    """Pair counts per product class over all pairs (u, v).
+def _class_histogram(D: fm.NormFormDecomposition, groups) -> dict:
+    """Pair counts per product class from groups (weight, rows of raw sums).
 
-    Pairs are counted on raw code sums, one C-level Counter update per u;
-    the distinct sums are folded to class keys digit by digit through
-    fc.log_fold, whenever about RAW_FLUSH of them have piled up.  A class
-    key has digit t_i in base q_i: the log of the product, or the zero
-    marker q_i - 1 (_has_zero_factor).  Passing the same list twice counts
-    each unordered pair once and weighs it twice.
+    Each row of code sums is counted by one C-level Counter update, and
+    every sum counts weight times; the distinct sums are folded to class
+    keys digit by digit through fc.log_fold, whenever about RAW_FLUSH of
+    them have piled up.  A class key has digit t_i in base q_i: the log of
+    the product, or the zero marker q_i - 1 (_has_zero_factor).
     """
     digits = [(4 * (ctx.order - 1) - 1, fc.log_fold(ctx), ctx.order) for ctx in D.ctxs]
     hist: dict = {}
     get = hist.get
 
     def fold_into(raw: Counter, weight: int):
-        rest = list(raw)
-        keys = [0] * len(rest)
-        scale = 1
+        rest, keys, scale = list(raw), itertools.repeat(0), 1
         for base, fold, q in digits:
-            classes = map(fold.__getitem__, map(base.__rmod__, rest))
-            keys = list(map(operator.add, keys, map(scale.__mul__, classes)))
-            rest = list(map(base.__rfloordiv__, rest))
+            classes = map(fold.__getitem__, map(operator.mod, rest, itertools.repeat(base)))
+            scaled = map(operator.mul, classes, itertools.repeat(scale))
+            keys = list(map(operator.add, keys, scaled))
+            rest = list(map(operator.floordiv, rest, itertools.repeat(base)))
             scale *= q
-        for key, c in zip(keys, raw.values()):
-            hist[key] = get(key, 0) + weight * c
+        for key, c in zip(keys, map(operator.mul, raw.values(), itertools.repeat(weight))):
+            hist[key] = get(key, 0) + c
 
-    same = codes_u is codes_v
-    raw: Counter = Counter()
-    for i, a in enumerate(codes_u):
-        raw.update(map(a.__add__, codes_v[i + 1:] if same else codes_v))
-        if len(raw) >= RAW_FLUSH:
-            fold_into(raw, 2 if same else 1)
-            raw.clear()
-    fold_into(raw, 2 if same else 1)
-    if same:
-        fold_into(Counter(map(operator.add, codes_u, codes_u)), 1)
+    for weight, rows in groups:
+        raw: Counter = Counter()
+        for sums in rows:
+            raw.update(sums)
+            if len(raw) >= RAW_FLUSH:
+                fold_into(raw, weight)
+                raw.clear()
+        fold_into(raw, weight)
     return hist
+
+
+def _pair_histogram(D: fm.NormFormDecomposition, codes_u, codes_v) -> dict:
+    """Pair counts per product class over all pairs (u, v); passing the same
+    list twice counts each unordered pair once and weighs it twice."""
+    if codes_u is not codes_v:
+        return _class_histogram(D, [(1, (map(a.__add__, codes_v) for a in codes_u))])
+    unordered = (map(a.__add__, codes_u[i + 1:]) for i, a in enumerate(codes_u))
+    return _class_histogram(D, [(2, unordered), (1, [map(operator.add, codes_u, codes_u)])])
+
+
+def _orbit_histogram(D: fm.NormFormDecomposition, codes) -> dict:
+    """_pair_histogram(D, codes, codes) for the codes of a symmetric box.
+
+    Each lambda_i is F_p-linear, so (x, y) -> (y, x) and (x, y) -> (-x, -y)
+    keep a pair's class; one pair per orbit is counted, weighted by the
+    orbit's size.  Point i's negative is point vol - 1 - i.  With x in the
+    positive half: (x, +-z) for each z after x weighs 4, (x, x) and (x, -x)
+    weigh 2, the origin's pairs 2 and (0, 0) itself 1.
+    """
+    h = len(codes) // 2
+    pos, origin, neg = codes[:h], codes[h], codes[:h:-1]
+    # z and -z in turn, so each x's partners are one slice
+    both = [c for pair in zip(pos, neg) for c in pair]
+    fours = (map(a.__add__, both[2 * i + 2:]) for i, a in enumerate(pos))
+    twos = [map(operator.add, pos, pos), map(operator.add, pos, neg)]
+    twos.append(map(origin.__add__, pos + neg))
+    return _class_histogram(D, [(4, fours), (2, twos), (1, [[origin + origin]])])
+
+
+def _inverse_codes(D: fm.NormFormDecomposition, codes) -> list:
+    """The codes of lambda(x)^-1: each log L becomes -L mod (q_i - 1), and
+    a zero sentinel stays, so a ratio's class shows a zero factor as a
+    product's does."""
+    out = []
+    for code in codes:
+        inverse, scale = 0, 1
+        for ctx in D.ctxs:
+            base, order = 4 * (ctx.order - 1) - 1, ctx.order - 1
+            code, log = divmod(code, base)
+            inverse += (-log % order if log < order else log) * scale
+            scale *= base
+        out.append(inverse)
+    return out
 
 
 def _has_zero_factor(D: fm.NormFormDecomposition, key: int) -> bool:
@@ -176,10 +214,15 @@ def energy_histogram(inst: EnergyInstance) -> int:
     """
     D = inst.decomposition
     _require_pairs(inst.box_x, inst.box_y)
-    codes_x = _log_codes(D, inst.box_x)
-    codes_y = codes_x if inst.box_y == inst.box_x else _log_codes(D, inst.box_y)
-    hist = _pair_histogram(D, codes_x, codes_y)
-    return sum(c * c for c in hist.values())
+    box = inst.box_x
+    codes = _log_codes(D, box)
+    if inst.box_y != box:
+        hist = _pair_histogram(D, codes, _log_codes(D, inst.box_y))
+    elif all(2 * n + h == -1 for n, h in zip(box.N, box.H)):  # box == -box
+        hist = _orbit_histogram(D, codes)
+    else:
+        hist = _pair_histogram(D, codes, codes)
+    return sum(map(operator.mul, hist.values(), hist.values()))
 
 
 def _literal_quadruples(D: fm.NormFormDecomposition, t1, t2, t3, t4):
@@ -234,28 +277,18 @@ def s1_identity_check(D: fm.NormFormDecomposition, box_x: fm.BoxSpec, box_y: fm.
     Cauchy-Schwarz bound against the two single-box energies.
     """
     _require_pairs(box_x, box_y)
-    live_x = [lx for lx in _lam_table(D, box_x) if all(map(any, lx))]
-    live_y = [ly for ly in _lam_table(D, box_y) if all(map(any, ly))]
-
-    # lambda(x)/lambda(y), with one inverse b^(q-2) per live y
-    muls = [fc.mul_kernel(ctx) for ctx in D.ctxs]
-    inverses = [
-        tuple(fc.pow_coeffs(ctx, b, ctx.order - 2) for ctx, b in zip(D.ctxs, ly))
-        for ly in live_y
-    ]
-    ratio_hist = Counter(
-        tuple(mul(a, b) for mul, a, b in zip(muls, lx, iy)) for lx in live_x for iy in inverses
-    )
-    s1 = sum(c * c for c in ratio_hist.values())
-
-    # a pair has no zero factor exactly when both its points are live
-    prod_hist = _pair_histogram(D, _log_codes(D, box_x), _log_codes(D, box_y))
-    quads = sum(
-        c * c for key, c in prod_hist.items() if not _has_zero_factor(D, key)
+    codes_x, codes_y = _log_codes(D, box_x), _log_codes(D, box_y)
+    # lambda(x)/lambda(y) and lambda(x)lambda(y), counted over the pairs
+    # with no zero factor: those whose points are both live
+    s1, quads = (
+        sum(c * c for key, c in _pair_histogram(D, codes_x, codes).items()
+            if not _has_zero_factor(D, key))
+        for codes in (_inverse_codes(D, codes_y), codes_y)
     )
 
     if _cross_checks(box_x, box_y, None):
-        literal = sum(1 for _ in _literal_quadruples(D, live_x, live_x, live_y, live_y))
+        lx, ly = ([l for l in _lam_table(D, b) if all(map(any, l))] for b in (box_x, box_y))
+        literal = sum(1 for _ in _literal_quadruples(D, lx, lx, ly, ly))
         if literal != quads:
             raise la.CheckFailed(f"literal loop counts {literal}, histogram {quads}")
 
@@ -292,13 +325,10 @@ class GeneralizedEnergyInstance:
             raise ValueError("box dimension and system arity differ")
 
 
-def _block_slices(partition):
-    slices = []
-    r0 = 0
-    for ki in partition:
-        slices.append((r0, r0 + ki))
-        r0 += ki
-    return slices
+def _split_rows(M, partition) -> tuple:
+    """The rows of M cut into blocks of the partition's sizes."""
+    ends = list(itertools.accumulate(partition))
+    return tuple(M[a:b] for a, b in zip([0] + ends, ends))
 
 
 def energy_restricted(
@@ -316,18 +346,12 @@ def energy_restricted(
     box_x, box_y = inst.box_x, inst.box_y
     _require_pairs(box_x, box_y)
     # lambda^j(x): the rows of a_j sliced by the partition, in the power bases
-    blocks = [
-        tuple(M[a:b] for a, b in _block_slices(D.partition)) for M in inst.matrices
-    ]
-    h14 = _pair_histogram(
-        D, _log_codes(D, box_x, blocks[0]), _log_codes(D, box_y, blocks[3])
+    blocks = [_split_rows(M, D.partition) for M in inst.matrices]
+    h14, h23 = (
+        _pair_histogram(D, _log_codes(D, box_x, blocks[i]), _log_codes(D, box_y, blocks[j]))
+        for i, j in ((0, 3), (1, 2))
     )
-    h23 = _pair_histogram(
-        D, _log_codes(D, box_x, blocks[1]), _log_codes(D, box_y, blocks[2])
-    )
-    total = 0
-    live = 0
-    degenerate = 0
+    total = live = degenerate = 0
     for key, c14 in h14.items():
         c = c14 * h23.get(key, 0)
         total += c
@@ -380,9 +404,7 @@ def embed_energy(inst: EnergyInstance, cross_check=None):
     D = inst.decomposition
     n, k, p = D.n, D.k, D.p
     A_big = _extend_to_basis(D.A, p)
-    slices = _block_slices(D.partition)
-    blocks = tuple(A_big[a:b] for a, b in slices)
-    D_big = fm.NormFormDecomposition(p, k, D.partition, D.ctxs, blocks)
+    D_big = fm.NormFormDecomposition(p, k, D.partition, D.ctxs, _split_rows(A_big, D.partition))
     pad_n = (-1,) * (k - n)
     pad_h = (1,) * (k - n)
     big_x = fm.BoxSpec(inst.box_x.N + pad_n, inst.box_x.H + pad_h)

@@ -523,7 +523,8 @@ def run_moment(config: ExperimentConfig):
     def cost(p):
         if not cs.moment_fits(p, k, window(p), r):
             return f"p={p}: moment enumeration over cap, skipped"
-        return cs.moment_cost(p, k, window(p), r) * cs.MOMENT_TERM_NS
+        return (cs.moment_cost(p, k, window(p), r) * cs.MOMENT_TERM_NS
+                + cs.moment_setup_cost(p, k) * cs.MOMENT_SETUP_NS)
 
     for p in _walk(config, cost, skips):
         T = window(p)

@@ -241,7 +241,9 @@ class TestCommandCap:
         [
             (["weil-check", "--p", "3", "--k", "12"], 3),
             (["weil-check", "--p", "3", "--k", "1", "--r", "100000000"], 3),
-            (["energy-scan", "--p-range", "3..999983", "--n", "1", "--seed", "1"], 17027),
+            (["energy-scan", "--p-range", "3..999983", "--n", "1", "--seed", "1"], 32183),
+            # each prime's set-up, not its one-term moment, is the cost here
+            (["moment", "--p-range", "3..999983", "--k", "1", "--r", "6"], 2617),
         ],
     )
     def test_runaway_commands_exit_2_at_once(self, argv, prime, capsys):
@@ -287,9 +289,26 @@ class TestCommandCap:
     def test_the_walk_stops_at_the_first_prime_past_the_cap(self, monkeypatch):
         is_prime, tested = la.is_prime, []
         monkeypatch.setattr(la, "is_prime", lambda p: tested.append(p) or is_prime(p))
-        with pytest.raises(hn.UsageError, match="by p=17027,"):
+        with pytest.raises(hn.UsageError, match="by p=32183,"):
             hn.run_energy_scan(hn.ExperimentConfig("energy-scan", 3, 999983, seed=1))
-        assert max(tested) == 17027
+        assert max(tested) == 32183
+
+    def test_a_moment_prime_costs_its_set_up_beside_its_terms(self, monkeypatch):
+        # at T = 1 a prime's moment has p terms, and s2_moment's set-up
+        # (p weight tuples of p - 1 entries) is most of its time
+        config = hn.ExperimentConfig("moment", 3, 1500, k=1, r=6)
+        primes = list(hn.primes_in(3, 1500))
+        terms = sum(cs.moment_cost(p, 1, 1, 6) * cs.MOMENT_TERM_NS for p in primes)
+        set_up = sum(cs.moment_setup_cost(p, 1) * cs.MOMENT_SETUP_NS for p in primes)
+        assert cs.moment_setup_cost(1499, 1) == 1499 * (1499 + 150)
+        assert set_up > 100 * terms
+        monkeypatch.setattr(hn, "COMMAND_CAP", terms + set_up)
+        monkeypatch.setattr(cs, "s2_moment", lambda *args: {"value": 1.0, "weights": (1,),
+                                                            "bound_terms": (1.0, 1.0)})
+        assert len(hn.run_moment(config)[0]) == 2 * len(primes)
+        monkeypatch.setattr(hn, "COMMAND_CAP", terms + set_up - 1)
+        with pytest.raises(hn.UsageError, match="by p=1499, past the command cap"):
+            hn.run_moment(config)
 
     def test_skipped_primes_cost_nothing(self, monkeypatch):
         monkeypatch.setattr(hn, "COMMAND_CAP", 0)

@@ -1,5 +1,6 @@
 """Tests for exact multiplicative-energy counting."""
 
+import collections
 import itertools
 import random
 
@@ -90,6 +91,53 @@ def c_sampled(D: fm.NormFormDecomposition, box: fm.BoxSpec, family, cross_check=
         )
         best = max(best, live)
     return best
+
+
+def log_codes_per_point(D: fm.NormFormDecomposition, box: fm.BoxSpec, blocks=None) -> list:
+    """The oracle of en._log_codes: per point, the dot products of each
+    block row, their base-p index, its log and the point's mixed-radix code."""
+    p = D.p
+    blocks = D.blocks if blocks is None else blocks
+    fields = []
+    scale = 1
+    for U, ctx in zip(blocks, D.ctxs):
+        weighted = [(p**j, row) for j, row in enumerate(U)]
+        fields.append((weighted, fc.log_table(ctx), scale))
+        scale *= 4 * (ctx.order - 1) - 1
+    codes = []
+    for x in box.iter_points():
+        code = 0
+        for weighted, logs, scale in fields:
+            idx = sum(
+                w * (sum(u * v for u, v in zip(row, x)) % p) for w, row in weighted
+            )
+            code += logs[idx] * scale
+        codes.append(code)
+    return codes
+
+
+def ratio_histogram(D: fm.NormFormDecomposition, box_x: fm.BoxSpec, box_y: fm.BoxSpec) -> dict:
+    """The oracle of s1_identity_check's ratio histogram: lambda(x)/lambda(y)
+    over the live points, with one inverse b^(q-2) per live y and one
+    mul_kernel product per pair, keyed as en._pair_histogram keys a class."""
+    live_x = [lx for lx in en._lam_table(D, box_x) if all(map(any, lx))]
+    live_y = [ly for ly in en._lam_table(D, box_y) if all(map(any, ly))]
+    muls = [fc.mul_kernel(ctx) for ctx in D.ctxs]
+    inverses = [
+        tuple(fc.pow_coeffs(ctx, b, ctx.order - 2) for ctx, b in zip(D.ctxs, ly))
+        for ly in live_y
+    ]
+    ratio_hist = collections.Counter(
+        tuple(mul(a, b) for mul, a, b in zip(muls, lx, iy)) for lx in live_x for iy in inverses
+    )
+    hist = {}
+    for ratio, c in ratio_hist.items():
+        key, scale = 0, 1
+        for ctx, z in zip(D.ctxs, ratio):
+            key += fc.log_table(ctx)[sum(v * D.p**j for j, v in enumerate(z))] * scale
+            scale *= ctx.order
+        hist[key] = c
+    return hist
 
 
 class TestBruteforce:
@@ -277,6 +325,29 @@ class TestS1Identity:
             )
             s1, quads, equal = en.s1_identity_check(D, bx, by)
             assert equal, (p, partition, bx, by, s1, quads)
+
+
+    def test_ratio_histogram_matches_inverse_product_route(self):
+        # the log-domain ratio histogram against inverses and products, on
+        # boxes that straddle zeros of the factors and on one-point boxes
+        rng = random.Random(19)
+        for _ in range(40):
+            p = rng.choice((2, 3, 5, 7, 11))
+            n = rng.choice((1, 2, 3))
+            partition = rng.choice(hn.square_partitions(n))
+            D = fm.random_decomposition(p, n, partition, rng)
+            bx, by = (
+                box([rng.randint(-p, p) for _ in range(n)],
+                    [rng.randint(1, 3 if n < 3 else 2) for _ in range(n)])
+                for _ in range(2)
+            )
+            oracle = ratio_histogram(D, bx, by)
+            codes_x, codes_y = en._log_codes(D, bx), en._log_codes(D, by)
+            ratios = en._pair_histogram(D, codes_x, en._inverse_codes(D, codes_y))
+            live = {k: c for k, c in ratios.items() if not en._has_zero_factor(D, k)}
+            assert live == oracle, (p, partition, bx, by)
+            s1, quads, equal = en.s1_identity_check(D, bx, by)
+            assert s1 == sum(c * c for c in oracle.values()) and equal
 
 
 class TestRestricted:
@@ -588,3 +659,80 @@ class TestLogDomain:
             assert plain == variant
             degenerate_seen = degenerate_seen or plain[1] > 0
         assert degenerate_seen
+
+
+# symmetric windows of half-width 0, 1 and 2 on every instance of the grid,
+# and windows with H >= p, where distinct points are congruent mod p
+ORBIT_CASES = [case + (H,) for case in LOG_DOMAIN_CASES for H in (0, 1, 2)] + [
+    (2, 1, (1,), 5), (2, 2, (1, 1), 3), (3, 1, (1,), 4), (3, 2, (2,), 3), (5, 1, (1,), 7),
+]
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("flush", [en.RAW_FLUSH, 5], ids=["flush_default", "flush_5"])
+    @pytest.mark.parametrize("p,n,partition,H", ORBIT_CASES)
+    def test_orbit_route_matches_one_box_and_two_list_routes(
+        self, p, n, partition, H, flush, monkeypatch
+    ):
+        D = fm.random_decomposition(p, n, partition, random.Random(p * 100 + n * 10 + H))
+        codes = en._log_codes(D, fm.BoxSpec.symmetric((H,) * n))
+        monkeypatch.setattr(en, "RAW_FLUSH", flush)
+        orbit = en._orbit_histogram(D, codes)
+        assert orbit == en._pair_histogram(D, codes, codes)
+        assert orbit == en._pair_histogram(D, codes, list(codes))
+        assert sum(orbit.values()) == len(codes) ** 2
+
+    def test_negatives_are_the_reversed_box(self):
+        # the orbit route reads point i's negative at index vol - 1 - i
+        for H in [(0,), (2,), (1, 0), (2, 1), (1, 2, 1)]:
+            points = list(fm.BoxSpec.symmetric(H).iter_points())
+            assert [tuple(-v for v in x) for x in points] == points[::-1]
+
+    def test_only_symmetric_one_box_windows_take_the_orbit_route(self, monkeypatch):
+        D = fm.random_decomposition(7, 2, (1, 1), random.Random(4))
+        orbit_calls = []
+        orbit = en._orbit_histogram
+        monkeypatch.setattr(
+            en, "_orbit_histogram", lambda *args: orbit_calls.append(args) or orbit(*args)
+        )
+        symmetric = fm.BoxSpec.symmetric((2, 1))
+        for bx, by, route in [
+            (symmetric, symmetric, 1),
+            (fm.BoxSpec.symmetric((0, 0)), fm.BoxSpec.symmetric((0, 0)), 1),
+            (box((-3, -2), (5, 4)), box((-3, -2), (5, 4)), 0),  # [-2, 2] x [-1, 2]
+            (box((-2, -1), (5, 3)), box((-2, -1), (5, 3)), 0),  # [-1, 3] x [0, 2]
+            (symmetric, fm.BoxSpec.symmetric((1, 1)), 0),
+        ]:
+            del orbit_calls[:]
+            inst = en.EnergyInstance(D, bx, by)
+            assert en.energy_histogram(inst) == en.energy_quadruple_loop(inst)
+            assert len(orbit_calls) == route, (bx, by)
+
+    @pytest.mark.parametrize("p,n,partition", [
+        (2, 1, (1,)), (2, 2, (1, 1)), (3, 2, (2,)), (7, 2, (1, 1)), (5, 3, (2, 1)),
+        (3, 3, (1, 1, 1)), (7, 3, (3,)),
+    ])
+    def test_whole_box_codes_match_the_per_point_oracle(self, p, n, partition):
+        D = fm.random_decomposition(p, n, partition, random.Random(p + 10 * n))
+        rng = random.Random(p * n)
+        boxes = [
+            fm.BoxSpec.symmetric((2,) * n),
+            fm.BoxSpec.symmetric((0,) * n),
+            box([rng.randint(-2 * p, 2 * p) for _ in range(n)],
+                [rng.randint(1, 4) for _ in range(n)]),
+            box([p] * n, [1] * n),
+            box([-1] * n, [1] + [3] * (n - 1)),
+        ]
+        for b in boxes:
+            assert en._log_codes(D, b) == log_codes_per_point(D, b), b
+
+    @pytest.mark.parametrize("p,n,partition", [
+        (3, 2, (1, 1)), (5, 2, (2,)), (7, 1, (1,)), (3, 3, (2, 1)), (2, 3, (1, 1, 1)),
+    ])
+    def test_whole_box_codes_match_the_oracle_on_restricted_blocks(self, p, n, partition):
+        rng = random.Random(p + 3 * n)
+        D = fm.random_decomposition(p, n, partition, rng)
+        for _ in range(4):
+            blocks = en._split_rows(_random_nonsingular(rng, n, p), D.partition)
+            b = box([rng.randint(-3, 3) for _ in range(n)], [rng.randint(1, 3) for _ in range(n)])
+            assert en._log_codes(D, b, blocks) == log_codes_per_point(D, b, blocks)
