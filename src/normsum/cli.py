@@ -60,10 +60,7 @@ def _dispatch(config: hn.ExperimentConfig, ns):
         return hn.render_object(out), 0
     rows, notes = out
     for note in notes:
-        if command.fails:
-            print(f"fail: {note['check']} {note['instance']}", file=sys.stderr)
-        else:
-            print(f"skip: {note}", file=sys.stderr)
+        print(f"{'fail' if command.fails else 'skip'}: {note}", file=sys.stderr)
     code = 1 if command.fails and notes else 0
     return hn.render(command.columns, rows, config.fmt), code
 

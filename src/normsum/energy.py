@@ -21,10 +21,12 @@ from . import linalg as la
 PAIR_CAP = 4 * 10**6
 QUAD_CROSS_CHECK_CAP = 10**6
 QUAD_SCAN_CAP = 10**9
-# the fastest measured time of one pair of a window energy, in ns (60 for
-# one cubic field at n = 3 to 340 at n = 1 near the field cap, on a 2-vCPU
-# virtual machine): the weight of pair_cost in a command's cost
-PAIR_NS = 60
+# the fastest measured time of one pair of a window energy, in ns, at n = 1,
+# n = 2 and n >= 3 (on a 2-vCPU virtual machine, field tables built: 175 to
+# 400 at n = 1, slowest near the field cap; 95 to 240 at n = 2; 40 to 280 at
+# n >= 3, slowest with one field per variable): the weight of pair_cost in a
+# command's cost
+PAIR_NS = (175, 95, 40)
 # distinct raw pair sums held before they are folded into classes: near
 # the field cap one histogram meets millions, which would all be held at once
 RAW_FLUSH = 2**18
@@ -33,6 +35,11 @@ RAW_FLUSH = 2**18
 def pair_cost(vol_x: int, vol_y: int) -> int:
     """The pairs a histogram over boxes of these volumes enumerates."""
     return vol_x * vol_y
+
+
+def pair_ns(n: int) -> int:
+    """PAIR_NS's weight of one pair of a window energy in n variables."""
+    return PAIR_NS[min(n, 3) - 1]
 
 
 def pairs_fit(vol_x: int, vol_y: int) -> bool:
@@ -153,12 +160,8 @@ def _class_histogram(D: fm.NormFormDecomposition, groups) -> dict:
 
 
 def _pair_histogram(D: fm.NormFormDecomposition, codes_u, codes_v) -> dict:
-    """Pair counts per product class over all pairs (u, v); passing the same
-    list twice counts each unordered pair once and weighs it twice."""
-    if codes_u is not codes_v:
-        return _class_histogram(D, [(1, (map(a.__add__, codes_v) for a in codes_u))])
-    unordered = (map(a.__add__, codes_u[i + 1:]) for i, a in enumerate(codes_u))
-    return _class_histogram(D, [(2, unordered), (1, [map(operator.add, codes_u, codes_u)])])
+    """Pair counts per product class over all pairs (u, v)."""
+    return _class_histogram(D, [(1, (map(a.__add__, codes_v) for a in codes_u))])
 
 
 def _orbit_histogram(D: fm.NormFormDecomposition, codes) -> dict:
@@ -216,12 +219,11 @@ def energy_histogram(inst: EnergyInstance) -> int:
     _require_pairs(inst.box_x, inst.box_y)
     box = inst.box_x
     codes = _log_codes(D, box)
-    if inst.box_y != box:
-        hist = _pair_histogram(D, codes, _log_codes(D, inst.box_y))
-    elif all(2 * n + h == -1 for n, h in zip(box.N, box.H)):  # box == -box
+    # one box in both slots, with box == -box
+    if inst.box_y == box and all(2 * n + h == -1 for n, h in zip(box.N, box.H)):
         hist = _orbit_histogram(D, codes)
     else:
-        hist = _pair_histogram(D, codes, codes)
+        hist = _pair_histogram(D, codes, _log_codes(D, inst.box_y))
     return sum(map(operator.mul, hist.values(), hist.values()))
 
 

@@ -387,6 +387,10 @@ def pow_coeffs(ctx: ExtFieldCtx, a, e: int) -> tuple:
 # fields are kept, up to this many elements: room for F_p, F_{p^2}, ... of
 # one prime up to the field cap
 LOG_CACHE_ELEMENTS = FIELD_SIZE_CAP
+# the fastest measured time of one log_table entry of F_p, in ns (130 to 520
+# on a 2-vCPU virtual machine, slowest from p = 10^5 up): the weight of the
+# p entries of the table that a character mod p reads, in a command's cost
+LOG_ENTRY_NS = 130
 _log_tables: dict = {}
 _norm_tables: dict = {}
 

@@ -85,13 +85,16 @@ class FormSpec:
         return dict(self.monomials).get(tuple(exp), 0)
 
 
-def _power_row(v: int, k: int, p: int) -> list:
-    """[1, v, ..., v^k] mod p."""
-    v %= p
-    row = [1]
-    for _ in range(k):
-        row.append(row[-1] * v % p)
-    return row
+def _power_rows(values, k: int, p: int) -> list:
+    """The power row [1, v, ..., v^k] mod p of each integer v of values, k >= 1."""
+    rows = []
+    for v in values:
+        v = int(v) % p
+        row = [1, v]
+        for _ in range(k - 1):
+            row.append(row[-1] * v % p)
+        rows.append(row)
+    return rows
 
 
 def eval_form(F: FormSpec, x) -> int:
@@ -102,20 +105,13 @@ def eval_form(F: FormSpec, x) -> int:
     """
     if len(x) != F.n:
         raise ValueError(f"expected {F.n} coordinates, got {len(x)}")
-    p = F.p
-    powers = []
-    for xi in x:
-        xi = int(xi) % p
-        row = [1, xi]
-        for _ in range(F.k - 1):
-            row.append(row[-1] * xi % p)
-        powers.append(row)
+    powers = _power_rows(x, F.k, F.p)
     total = 0
     for term, factors in F._terms:
         for i, e in factors:
             term *= powers[i][e]
         total += term
-    return total % p
+    return total % F.p
 
 
 def form_values(F: FormSpec, B: BoxSpec):
@@ -130,7 +126,7 @@ def form_values(F: FormSpec, B: BoxSpec):
     if B.dim != F.n:
         raise ValueError("box dimension and form arity differ")
     p, k, last = F.p, F.k, F.n - 1
-    *axes, rows = [[_power_row(v, k, p) for v in axis] for axis in B.axes()]
+    *axes, rows = [_power_rows(axis, k, p) for axis in B.axes()]
     for powers in itertools.product(*axes):
         coeffs = [0] * (k + 1)
         for term, factors in F._terms:

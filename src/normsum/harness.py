@@ -8,8 +8,10 @@ are floats, and those are rounded to 15 significant digits.
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
+import itertools
 import json
 import math
 import random
@@ -41,8 +43,14 @@ BOUND_COLUMNS = (
     "r_brute",
 )
 IDENTITY_COLUMNS = ("check", "p", "n", "instance", "status", "lhs", "rhs")
+# one row type per table: every runner's rows are these tuples, cell by column
+ScanRow = collections.namedtuple("ScanRow", SCAN_COLUMNS)
+BoundRow = collections.namedtuple("BoundRow", BOUND_COLUMNS)
+IdentityRow = collections.namedtuple("IdentityRow", IDENTITY_COLUMNS)
 
 SCAN_SAMPLES = 2
+# bound-table's rows per prime, one per r in k+1..k+BOUND_SWEEP
+BOUND_SWEEP = 6
 SEED_CAP = 2**64
 # the most a command may cost, in ns: the modules' costs, each times its
 # measured time per unit, summed over the primes the command walks
@@ -97,21 +105,6 @@ class ExperimentConfig:
             ) from None
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    p: int
-    n: int
-    k: int
-    H: tuple
-    quantity: str
-    value: object
-    bound: object
-    ratio: object
-
-    def cells(self) -> tuple:
-        return tuple(getattr(self, c) for c in SCAN_COLUMNS)
-
-
 def scan_row(p, n, k, H, quantity, value, bound) -> ScanRow:
     ratio = None
     if bound is not None and bound > 0:
@@ -121,6 +114,11 @@ def scan_row(p, n, k, H, quantity, value, bound) -> ScanRow:
 
 # ---------------------------------------------------------------------------
 # serialization
+
+# the fastest measured time of one entry of a weight cell, rendered in either
+# format, in ns (190 to 300 on a 2-vCPU virtual machine): the weight of the
+# p - 1 entries that each weight histogram prints, in a command's cost
+CELL_ENTRY_NS = 190
 
 
 def encode_cell(v):
@@ -144,16 +142,10 @@ def encode_cell(v):
 
 def _encoded_rows(columns, rows) -> list:
     out = []
-    for row in rows:
-        if isinstance(row, dict):
-            cells = tuple(row[c] for c in columns)
-        elif hasattr(row, "cells"):
-            cells = row.cells()
-        else:
-            cells = tuple(row)
+    for cells in rows:
         if len(cells) != len(columns):
             raise ValueError("row width and column count differ")
-        out.append(tuple(encode_cell(c) for c in cells))
+        out.append(tuple(map(encode_cell, cells)))
     return out
 
 
@@ -175,11 +167,8 @@ def render_json(columns, rows) -> str:
 
 
 def render(columns, rows, fmt: str) -> str:
-    if fmt == "csv":
-        return render_csv(columns, rows)
-    if fmt == "json":
-        return render_json(columns, rows)
-    raise UsageError(f"format must be csv or json, got {fmt!r}")
+    """The table in fmt, which ExperimentConfig has checked is csv or json."""
+    return render_json(columns, rows) if fmt == "json" else render_csv(columns, rows)
 
 
 def render_object(obj: dict) -> str:
@@ -233,7 +222,13 @@ def _window_cost(p: int, n: int, energies: int):
     vol = fm.BoxSpec.symmetric((math.isqrt(p),) * n).volume
     if not en.pairs_fit(vol, vol):
         return f"p={p}: pair table {vol}^2 exceeds cap, skipped"
-    return energies * en.pair_cost(vol, vol) * en.PAIR_NS
+    return energies * en.pair_cost(vol, vol) * en.pair_ns(n)
+
+
+def _character_cost(p: int, weight_rows: int) -> int:
+    """In ns, the F_p log table that a character mod p reads and the weight
+    cells of p - 1 entries that weight_rows rows print."""
+    return fc.field_size(p, 1) * fc.LOG_ENTRY_NS + weight_rows * (p - 1) * CELL_ENTRY_NS
 
 
 def square_partitions(n: int) -> tuple:
@@ -262,6 +257,19 @@ def _derived_seed(seed: int, *tags: int) -> int:
     for t in tags:
         x = (x * 1000003 + t + 1) % SEED_CAP
     return x
+
+
+def _seeded_decomposition(config: ExperimentConfig, p: int, skips: list):
+    """The seeded decomposition of shape (n, k) at p for charsum and
+    bound-table, or None with p's skip line added to skips."""
+    rng = random.Random(_derived_seed(config.seed, p, config.n, config.k))
+    try:
+        return fm.random_decomposition(
+            p, config.n, canonical_partition(config.n, config.k), rng
+        )
+    except ValueError as exc:
+        skips.append(f"p={p}: {exc}")
+        return None
 
 
 def _random_unit(ctx, rng: random.Random):
@@ -335,37 +343,28 @@ def run_charsum(config: ExperimentConfig, form_path=None, decomp_path=None):
     modulus; otherwise seeded instances are built per prime and both
     summation routes are run and must agree.
     """
-    rows, skips = [], []
     if decomp_path or form_path:
+        # a FormSpec and a NormFormDecomposition both carry p, n and k
+        obj = _load_decomposition(decomp_path) if decomp_path else _load_form(form_path)
+        chi = _nonprincipal_char(obj.p)
+        box = _short_box(obj.p, obj.n, config.kappa)
         if decomp_path:
-            D = _load_decomposition(decomp_path)
-            chi = _nonprincipal_char(D.p)
-            box = _short_box(D.p, D.n, config.kappa)
-            res = cs.charsum_lifted(D, chi, box)
-            meta = (D.p, D.n, D.k)
+            res = cs.charsum_lifted(obj, chi, box)
         else:
-            F = _load_form(form_path)
-            chi = _nonprincipal_char(F.p)
-            box = _short_box(F.p, F.n, config.kappa)
-            res = cs.charsum_direct(chi, F, box)
-            meta = (F.p, F.n, F.k)
-        rows.extend(_charsum_rows(meta, box, res))
-        return rows, skips
+            res = cs.charsum_direct(chi, obj, box)
+        return _charsum_rows(obj.p, obj.n, obj.k, box, res), []
+    rows, skips = [], []
 
     def cost(p):
         # both routes sum the box; a box past the box cap costs nothing,
         # as the routes refuse it before they evaluate a point
         volume = _short_box(p, config.n, config.kappa).volume
-        return 2 * volume * cs.BOX_POINT_NS if cs.box_fits(volume) else 0
+        sums = 2 * volume * cs.BOX_POINT_NS if cs.box_fits(volume) else 0
+        return sums + _character_cost(p, 1)
 
     for p in _walk(config, cost, skips):
-        rng = random.Random(_derived_seed(config.seed, p, config.n, config.k))
-        try:
-            D = fm.random_decomposition(
-                p, config.n, canonical_partition(config.n, config.k), rng
-            )
-        except ValueError as exc:
-            skips.append(f"p={p}: {exc}")
+        D = _seeded_decomposition(config, p, skips)
+        if D is None:
             continue
         F = fm.synthesize_form(D)
         chi = _nonprincipal_char(p)
@@ -374,16 +373,15 @@ def run_charsum(config: ExperimentConfig, form_path=None, decomp_path=None):
         lifted = cs.charsum_lifted(D, chi, box)
         if (direct.weights, direct.zero_terms) != (lifted.weights, lifted.zero_terms):
             raise la.CheckFailed(f"route mismatch at p={p}")
-        rows.extend(_charsum_rows((p, config.n, config.k), box, direct))
+        rows.extend(_charsum_rows(p, config.n, config.k, box, direct))
     return rows, skips
 
 
-def _charsum_rows(meta, box, res):
-    p, n, k = meta
+def _charsum_rows(p, n, k, box, res):
     return [
         scan_row(p, n, k, box.H, "charsum_abs", abs(res.value), float(box.volume)),
-        ScanRow(p, n, k, box.H, "charsum_weights", res.weights, None, None),
-        ScanRow(p, n, k, box.H, "charsum_zero_terms", res.zero_terms, None, None),
+        scan_row(p, n, k, box.H, "charsum_weights", res.weights, None),
+        scan_row(p, n, k, box.H, "charsum_zero_terms", res.zero_terms, None),
     ]
 
 
@@ -406,10 +404,7 @@ def run_energy(config: ExperimentConfig):
             )
         )
         rows.append(
-            ScanRow(
-                p, n, n, (H,) * n, "energy_upper_ratio",
-                report["upper_ratio"], None, None,
-            )
+            scan_row(p, n, n, (H,) * n, "energy_upper_ratio", report["upper_ratio"], None)
         )
     return rows, skips
 
@@ -476,7 +471,7 @@ def run_weil_check(config: ExperimentConfig):
             d = cc.char_order(chi)
             worst = 0.0
             nonpower = 0
-            for t in _tuples_in_window(T, 2 * r):
+            for t in itertools.product(range(1, T + 1), repeat=2 * r):
                 factors = [(t[j], 1) for j in range(r)]
                 factors += [(t[r + j], max(1, d - 1)) for j in range(r)]
                 value, bound, holds = cs.weil_complete_sum(psi, factors)
@@ -491,21 +486,9 @@ def run_weil_check(config: ExperimentConfig):
                 scan_row(p, config.n, m, (T,), f"weil_max_ratio_chi{idx}", worst, 1.0)
             )
             rows.append(
-                ScanRow(
-                    p, config.n, m, (T,), f"weil_nonpower_count_chi{idx}",
-                    nonpower, None, None,
-                )
+                scan_row(p, config.n, m, (T,), f"weil_nonpower_count_chi{idx}", nonpower, None)
             )
     return rows, skips
-
-
-def _tuples_in_window(T: int, length: int):
-    if length == 0:
-        yield ()
-        return
-    for head in range(1, T + 1):
-        for tail in _tuples_in_window(T, length - 1):
-            yield (head,) + tail
 
 
 def run_moment(config: ExperimentConfig):
@@ -535,9 +518,7 @@ def run_moment(config: ExperimentConfig):
         rows.append(
             scan_row(p, config.n, k, (T,), "s2_moment", res["value"], res["bound_terms"][0])
         )
-        rows.append(
-            ScanRow(p, config.n, k, (T,), "s2_moment_weights", res["weights"], None, None)
-        )
+        rows.append(scan_row(p, config.n, k, (T,), "s2_moment_weights", res["weights"], None))
     return rows, skips
 
 
@@ -549,24 +530,20 @@ def run_bound_table(config: ExperimentConfig):
     against brute maximization over r in [2, 100] on every row group.
     """
     n, k = config.n, config.k
-    if not 1 <= n <= k < 2 * n:
-        raise UsageError(f"need 1 <= n <= k < 2n, got n={n}, k={k}")
+    canonical_partition(n, k)  # a bad shape is a usage error before the walk
     rows, skips = [], []
 
     def cost(p):
         volume = _short_box(p, n, config.kappa).volume
         if not cs.box_fits(volume):
             return f"p={p}: box volume {volume} exceeds cap, skipped"
-        return volume * cs.BOX_POINT_NS
+        return volume * cs.BOX_POINT_NS + _character_cost(p, BOUND_SWEEP)
 
     for p in _walk(config, cost, skips):
-        box = _short_box(p, n, config.kappa)
-        rng = random.Random(_derived_seed(config.seed, p, n, k))
-        try:
-            D = fm.random_decomposition(p, n, canonical_partition(n, k), rng)
-        except ValueError as exc:
-            skips.append(f"p={p}: {exc}")
+        D = _seeded_decomposition(config, p, skips)
+        if D is None:
             continue
+        box = _short_box(p, n, config.kappa)
         chi = _nonprincipal_char(p)
         res = cs.charsum_lifted(D, chi, box)
         s_abs = abs(res.value)
@@ -583,25 +560,15 @@ def run_bound_table(config: ExperimentConfig):
                 )
         else:
             r_opt = r_brute = None
-        for r in range(k + 1, k + 7):
+        for r in range(k + 1, k + 1 + BOUND_SWEEP):
             params = cs.BoundParams(n, k, r, config.eps, config.kappa)
             rhs = cs.bound_rhs(params, box.H[0], box.volume, p)
             rows.append(
-                {
-                    "p": p,
-                    "n": n,
-                    "k": k,
-                    "H": box.H,
-                    "r": r,
-                    "S_abs": s_abs,
-                    "weights": res.weights,
-                    "trivial": box.volume,
-                    "rhs": rhs,
-                    "ratio": s_abs / rhs if rhs > 0 else None,
-                    "delta": cs.delta_savings(n, float(r), config.kappa),
-                    "r_opt": r_opt,
-                    "r_brute": r_brute,
-                }
+                BoundRow(
+                    p, n, k, box.H, r, s_abs, res.weights, box.volume, rhs,
+                    s_abs / rhs if rhs > 0 else None,
+                    cs.delta_savings(n, float(r), config.kappa), r_opt, r_brute,
+                )
             )
     return rows, skips
 
@@ -640,26 +607,17 @@ def _weights_over(chi, F, pts):
 
 
 def run_identity_suite(config: ExperimentConfig):
-    """Identity battery on a small grid; returns (results, failures).
+    """Identity battery on a small grid; returns (rows, failures).
 
-    Failing rows name the instance and carry both sides.  The battery ends
-    with a negative control per prime: one corrupted block entry in a
-    decomposition must break the lifted-sum identity pointwise.
+    Failing rows name the instance and carry both sides; each failure is
+    the note "check instance".  The battery ends with a negative control
+    per prime: one corrupted block entry in a decomposition must break the
+    lifted-sum identity pointwise.
     """
     results = []
 
     def record(check, p, n, instance, ok, lhs, rhs):
-        results.append(
-            {
-                "check": check,
-                "p": p,
-                "n": n,
-                "instance": instance,
-                "status": "pass" if ok else "fail",
-                "lhs": lhs,
-                "rhs": rhs,
-            }
-        )
+        results.append(IdentityRow(check, p, n, instance, "pass" if ok else "fail", lhs, rhs))
 
     for p in primes_in(config.p_lo, config.p_hi):
         if p == 2:
@@ -787,7 +745,7 @@ def run_identity_suite(config: ExperimentConfig):
             str(sides[0]) if sides else "", str(sides[1]) if sides else "",
         )
 
-    failures = [r for r in results if r["status"] == "fail"]
+    failures = [f"{r.check} {r.instance}" for r in results if r.status == "fail"]
     return results, failures
 
 
@@ -802,9 +760,10 @@ class Command:
     run names the runner in this module; it is looked up when the command
     runs, so a wrapper set on the module attribute is the one called.  With
     columns None the runner returns one JSON object.  Otherwise it returns
-    (rows, notes), rendered under columns: the notes are skipped primes, or
-    with fails set the failed checks, which make the exit code 1.  inputs
-    names the stored-object flags passed to the runner after the config.
+    (rows, notes): rows of the namedtuple over columns, and note strings,
+    each a skipped prime, or with fails set a failed check, which makes the
+    exit code 1.  inputs names the stored-object flags passed to the runner
+    after the config.
     """
 
     run: str

@@ -304,7 +304,7 @@ def test_identity_suite_zero_failures():
     elapsed = time.monotonic() - start
     assert failures == []
     assert elapsed < 600
-    checks = collections.Counter(r["check"] for r in results)
+    checks = collections.Counter(r.check for r in results)
     assert set(checks) == {
         "lifted_sum",
         "box_partition",
@@ -314,8 +314,8 @@ def test_identity_suite_zero_failures():
         "embedding_inequality",
         "negative_control",
     }
-    controls = [r for r in results if r["check"] == "negative_control"]
-    assert controls and all(r["status"] == "pass" for r in controls)
+    controls = [r for r in results if r.check == "negative_control"]
+    assert controls and all(r.status == "pass" for r in controls)
     print(
         f"PASS identity suite: {len(results)} checks, 0 failures in {elapsed:.1f}s "
         f"({dict(checks)})"

@@ -241,7 +241,12 @@ class TestCommandCap:
         [
             (["weil-check", "--p", "3", "--k", "12"], 3),
             (["weil-check", "--p", "3", "--k", "1", "--r", "100000000"], 3),
-            (["energy-scan", "--p-range", "3..999983", "--n", "1", "--seed", "1"], 32183),
+            (["energy-scan", "--p-range", "3..999983", "--n", "1", "--seed", "1"], 18229),
+            # each prime's F_p log table and printed weight cells, not its box
+            (["bound-table", "--p-range", "3..20000", "--n", "1", "--k", "1", "--seed", "1"],
+             19273),
+            (["charsum", "--p-range", "3..999983", "--n", "1", "--k", "1", "--seed", "1"],
+             39671),
             # each prime's set-up, not its one-term moment, is the cost here
             (["moment", "--p-range", "3..999983", "--k", "1", "--r", "6"], 2617),
         ],
@@ -276,7 +281,7 @@ class TestCommandCap:
     def test_runs_at_the_cap_and_computes_nothing_one_ns_below(self, monkeypatch):
         config = hn.ExperimentConfig("energy-scan", 3, 7, seed=1)
         # one partition of 1, SCAN_SAMPLES energies per prime over 3, 5 and 5 points
-        total = sum(hn.SCAN_SAMPLES * en.pair_cost(v, v) * en.PAIR_NS for v in (3, 5, 5))
+        total = sum(hn.SCAN_SAMPLES * en.pair_cost(v, v) * en.pair_ns(1) for v in (3, 5, 5))
         monkeypatch.setattr(hn, "COMMAND_CAP", total)
         assert len(hn.run_energy_scan(config)[0]) == 3
         monkeypatch.setattr(hn, "COMMAND_CAP", total - 1)
@@ -289,9 +294,42 @@ class TestCommandCap:
     def test_the_walk_stops_at_the_first_prime_past_the_cap(self, monkeypatch):
         is_prime, tested = la.is_prime, []
         monkeypatch.setattr(la, "is_prime", lambda p: tested.append(p) or is_prime(p))
-        with pytest.raises(hn.UsageError, match="by p=32183,"):
+        with pytest.raises(hn.UsageError, match="by p=18229,"):
             hn.run_energy_scan(hn.ExperimentConfig("energy-scan", 3, 999983, seed=1))
-        assert max(tested) == 32183
+        assert max(tested) == 18229
+
+    def test_each_arity_has_its_own_pair_weight(self, monkeypatch):
+        assert [en.pair_ns(n) for n in (1, 2, 3, 4, 9)] == list(en.PAIR_NS) + [en.PAIR_NS[2]] * 2
+        # two partitions of 2, SCAN_SAMPLES energies each, over 3 x 3 points at p = 3
+        config = hn.ExperimentConfig("energy-scan", 3, 3, n=2, seed=1)
+        total = 2 * hn.SCAN_SAMPLES * en.pair_cost(9, 9) * en.PAIR_NS[1]
+        monkeypatch.setattr(hn, "COMMAND_CAP", total)
+        assert len(hn.run_energy_scan(config)[0]) == 1
+        monkeypatch.setattr(hn, "COMMAND_CAP", total - 1)
+        with pytest.raises(hn.UsageError, match="by p=3, past the command cap"):
+            hn.run_energy_scan(config)
+
+    @pytest.mark.parametrize("command, rows", [("charsum", 1), ("bound-table", hn.BOUND_SWEEP)])
+    def test_a_character_prime_costs_its_table_and_weight_cells(
+        self, command, rows, monkeypatch
+    ):
+        # the F_p log table (p entries) that chi reads, and the weight cells
+        # (p - 1 entries each) that the prime's rows print, beside its box
+        config = hn.ExperimentConfig(command, 3, 13, n=1, k=1, seed=1)
+        sums = 2 if command == "charsum" else 1
+        primes = list(hn.primes_in(3, 13))
+        total = sum(
+            sums * hn._short_box(p, 1, 0.0).volume * cs.BOX_POINT_NS
+            + fc.field_size(p, 1) * fc.LOG_ENTRY_NS
+            + rows * (p - 1) * hn.CELL_ENTRY_NS
+            for p in primes
+        )
+        run = hn.run_charsum if command == "charsum" else hn.run_bound_table
+        monkeypatch.setattr(hn, "COMMAND_CAP", total)
+        assert run(config)[1] == []
+        monkeypatch.setattr(hn, "COMMAND_CAP", total - 1)
+        with pytest.raises(hn.UsageError, match="by p=13, past the command cap"):
+            run(config)
 
     def test_a_moment_prime_costs_its_set_up_beside_its_terms(self, monkeypatch):
         # at T = 1 a prime's moment has p terms, and s2_moment's set-up

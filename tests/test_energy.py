@@ -140,6 +140,26 @@ def ratio_histogram(D: fm.NormFormDecomposition, box_x: fm.BoxSpec, box_y: fm.Bo
     return hist
 
 
+def product_histogram(D: fm.NormFormDecomposition, box_x: fm.BoxSpec, box_y: fm.BoxSpec) -> dict:
+    """The oracle of en._pair_histogram: lambda(x)lambda(y) over every pair,
+    one mul_kernel product per field, keyed by the log of each product or
+    the zero marker q_i - 1 when either factor is zero."""
+    muls = [fc.mul_kernel(ctx) for ctx in D.ctxs]
+    hist = collections.Counter()
+    for lx in en._lam_table(D, box_x):
+        for ly in en._lam_table(D, box_y):
+            key, scale = 0, 1
+            for ctx, mul, a, b in zip(D.ctxs, muls, lx, ly):
+                ab = mul(a, b)
+                digit = ctx.order - 1
+                if any(a) and any(b):
+                    digit = fc.log_table(ctx)[sum(v * D.p**j for j, v in enumerate(ab))]
+                key += digit * scale
+                scale *= ctx.order
+            hist[key] += 1
+    return dict(hist)
+
+
 class TestBruteforce:
     def test_single_point_boxes(self):
         b = box((0,), (1,))
@@ -620,12 +640,16 @@ class TestLogDomain:
         (2, 2, (1, 1)), (3, 2, (2,)), (7, 3, (2, 1)), (5, 3, (1, 1, 1)),
     ])
     def test_one_box_counts_each_unordered_pair_once(self, p, n, partition):
-        # the same code list on both sides takes the unordered-pair route
+        # one box that is not symmetric takes the two-list route in both slots,
+        # whether it gets one list twice or a copy; its pairs are counted as
+        # the per-pair product oracle counts them
         D = fm.random_decomposition(p, n, partition, random.Random(p + n))
-        codes = en._log_codes(D, box((-2,) * n, (3,) * n))
+        b = box((-2,) * n, (3,) * n)
+        codes = en._log_codes(D, b)
         assert en._pair_histogram(D, codes, codes) == en._pair_histogram(
             D, codes, list(codes)
         )
+        assert en._pair_histogram(D, codes, codes) == product_histogram(D, b, b)
 
     def test_batched_fold_matches_single_fold(self, monkeypatch):
         D = fm.random_decomposition(7, 2, (1, 1), random.Random(3))

@@ -1,0 +1,161 @@
+"""Golden CLI output: sha256 digests of stdout and stderr, and the exit code.
+
+Each reference command runs in-process through `cli.main`.  A change to the
+bytes any of them prints, or to its exit code, fails here; a deliberate
+output change must update DIGESTS and say why.  Stored inputs come from
+`gen-form` and `decompose` run into a temporary directory, so the commands
+that read them depend only on the pinned seeds.
+"""
+
+import hashlib
+
+import pytest
+
+from normsum import cli
+from normsum import energy as en
+
+# name -> argv; "{form}" and "{decomp}" stand for the stored inputs
+CASES = {
+    "gen-form": ["gen-form", "--p", "7", "--n", "2", "--k", "3", "--seed", "5"],
+    "decompose": ["decompose", "--form", "{form}", "--seed", "0"],
+    "charsum-csv": ["charsum", "--p-range", "3..13", "--n", "2", "--k", "2", "--seed", "1"],
+    "charsum-json": ["charsum", "--p-range", "3..13", "--n", "2", "--k", "2", "--seed", "1",
+                     "--format", "json"],
+    "charsum-form": ["charsum", "--form", "{form}", "--seed", "0"],
+    "charsum-decomp": ["charsum", "--decomp", "{decomp}", "--seed", "0", "--kappa", "0.2"],
+    "energy": ["energy", "--p-range", "3..31", "--n", "2", "--seed", "1"],
+    "lattice": ["lattice", "--p-range", "3..7", "--n", "1", "--seed", "1", "--format", "json"],
+    "weil-check": ["weil-check", "--p-range", "3..7", "--k", "2", "--r", "1"],
+    "moment-skips": ["moment", "--p-range", "3..13", "--k", "3", "--r", "4"],
+    "bound-table-skip-p2": ["bound-table", "--p-range", "2..13", "--n", "1", "--k", "1",
+                            "--kappa", "0.1", "--seed", "1"],
+    "bound-table-json": ["bound-table", "--p-range", "3..7", "--n", "2", "--k", "3",
+                         "--kappa", "0.1", "--seed", "1", "--format", "json"],
+    "energy-scan": ["energy-scan", "--p-range", "3..50", "--n", "2", "--seed", "2"],
+    "identity-suite": ["identity-suite", "--p-range", "3..5", "--seed", "5"],
+    "usage-missing-seed": ["charsum", "--p-range", "3..7"],
+    "usage-bound-table-shape": ["bound-table", "--p", "5", "--n", "2", "--k", "1", "--seed", "1"],
+}
+
+# name -> (sha256 of stdout, sha256 of stderr, exit code)
+DIGESTS = {
+    "bound-table-json": (
+        "0f4abdea6838d0f590e5c24e4515980d6ed7cd04332cffee0bc1e621463b0dd9",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "bound-table-skip-p2": (
+        "d8fc9d8645f8ea216c177bceddcd38f0c664b7716825deafd3373aa7d0fb7539",
+        "7be082ec74de247512abf056a0e46557bc38620672069323dd3fe8d1c6713093",
+        0,
+    ),
+    "charsum-csv": (
+        "b2040c7cedc382be112dd6cbc778b1e8ecf49f94ddd66a7ee8a479130e805695",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "charsum-decomp": (
+        "a3c86646a871a4d675f0133a5ee4fd779d03377f6303ed7158a479ed6b83c6b1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "charsum-form": (
+        "a902f9cc66d98a634a1016f389b9b7c4a2980ee78d3c970d88985ffc78bec537",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "charsum-json": (
+        "d030e31d81c43c87cfd9d6ecc2a689e5ada8ffa7664eb5c6f132fc4ce3fd5ff8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "decompose": (
+        "ded4939689c9092dcca4f66b22fb9e0a2c8bd9c5855622c15a44b33cdd6620d1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "energy": (
+        "ff5592d2de2a80d38bd2033e4bb11897ef8cc41e1ceb5e4467a64a62ce8eb8c1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "energy-scan": (
+        "e84ca4faf97d590690e41e208c8cc875a0767ef2b0e993fe84b2d6409968f8bb",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "gen-form": (
+        "8b8ec9255b71c71fc7ef1560209de6f21d4ca2eedb0d9513deae8524798f1361",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "identity-suite": (
+        "de2692d8d704883abf06c57bdc07708d5d1dec58471764ab7660e514bc0210f9",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "lattice": (
+        "5c29a108fb05f92ba74d435bdc2c224011358705cbd513ab8066d64fd55d1d89",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "moment-skips": (
+        "6ec78f5fcbd05b1c9c84ad1cba097af4dc22147c84f81d7842bcdf1f04322a03",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "usage-bound-table-shape": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ce3e22b9555f5d34fe0f9cc527d3db0aebb9bab4e343dea6e2eea983ab2d948b",
+        2,
+    ),
+    "usage-missing-seed": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "5e851de467e9b1fb9e613c5d8edcfd6bd5cf5d1c9106431e6dae6b9b2e529b92",
+        2,
+    ),
+    "weil-check": (
+        "996682c82a7ad718e89ad82b4058aed1b66aacefb6b8a2088b31122ef3eb8cae",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "identity-suite-failures": (
+        "ecac45a8e4536b425cd0c1894018f017d155c5657f8dc2b7b24cb5feca7ea557",
+        "47123fb0008951f0f3de53fd2e7b11811adf9a379afa4d4fdd83ae5f48af6d8f",
+        1,
+    ),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    paths = {"form": str(d / "form.json"), "decomp": str(d / "decomp.json")}
+    assert cli.main(CASES["gen-form"] + ["--out", paths["form"]]) == 0
+    assert cli.main(["decompose", "--form", paths["form"], "--seed", "0",
+                     "--out", paths["decomp"]]) == 0
+    return paths
+
+
+def _digest(argv, capsys):
+    capsys.readouterr()
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return _sha(captured.out), _sha(captured.err), code
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_reference_command_output_pinned(name, inputs, capsys):
+    argv = [a.format(**inputs) for a in CASES[name]]
+    assert _digest(argv, capsys) == DIGESTS[name]
+
+
+def test_identity_failure_lines_pinned(monkeypatch, capsys):
+    # an s1 check that reports inequality fails every s1_cauchy_schwarz row
+    monkeypatch.setattr(en, "s1_identity_check", lambda D, bx, by: (1, 2, False))
+    argv = ["identity-suite", "--p-range", "3..5", "--seed", "5"]
+    assert _digest(argv, capsys) == DIGESTS["identity-suite-failures"]

@@ -160,23 +160,23 @@ class TestBoundTable:
         assert skips == []
         assert len(rows) == 5 * 6
         for row in rows:
-            assert set(row) == set(hn.BOUND_COLUMNS)
-            assert row["k"] + 1 <= row["r"] <= row["k"] + 6
-            assert row["trivial"] >= 1
-            assert row["ratio"] == row["S_abs"] / row["rhs"]
+            assert isinstance(row, hn.BoundRow) and row._fields == hn.BOUND_COLUMNS
+            assert row.k + 1 <= row.r <= row.k + 6
+            assert row.trivial >= 1
+            assert row.ratio == row.S_abs / row.rhs
 
     def test_optimal_exponent_cross_checked(self):
         cfg = hn.ExperimentConfig("bound-table", 7, 7, n=2, k=3, kappa=0.2, seed=1)
         rows, _ = hn.run_bound_table(cfg)
         row = rows[0]
-        assert abs(row["r_opt"] - row["r_brute"]) <= 1
-        best = max(range(2, 101), key=lambda r: row["delta"] if r == row["r"] else -1e9)
+        assert abs(row.r_opt - row.r_brute) <= 1
+        best = max(range(2, 101), key=lambda r: row.delta if r == row.r else -1e9)
         assert isinstance(best, int)
 
     def test_kappa_zero_blanks_optimum(self):
         cfg = hn.ExperimentConfig("bound-table", 5, 5, n=1, k=1, seed=2)
         rows, _ = hn.run_bound_table(cfg)
-        assert rows[0]["r_opt"] is None and rows[0]["r_brute"] is None
+        assert rows[0].r_opt is None and rows[0].r_brute is None
 
     def test_bad_shape_is_usage_error(self):
         with pytest.raises(hn.UsageError, match="2n"):
@@ -188,7 +188,7 @@ class TestIdentitySuite:
         cfg = hn.ExperimentConfig("identity-suite", 3, 7, seed=3)
         results, failures = hn.run_identity_suite(cfg)
         assert failures == []
-        checks = {r["check"] for r in results}
+        checks = {r.check for r in results}
         assert checks == {
             "lifted_sum",
             "box_partition",
@@ -202,10 +202,10 @@ class TestIdentitySuite:
     def test_negative_control_detects_corruption(self):
         cfg = hn.ExperimentConfig("identity-suite", 5, 5, seed=3)
         results, _ = hn.run_identity_suite(cfg)
-        controls = [r for r in results if r["check"] == "negative_control"]
+        controls = [r for r in results if r.check == "negative_control"]
         assert len(controls) == 1
-        assert controls[0]["status"] == "pass"
-        assert "bump=" in controls[0]["instance"]
+        assert controls[0].status == "pass"
+        assert "bump=" in controls[0].instance
 
     def test_zero_shift_rows_present(self):
         cfg = hn.ExperimentConfig("identity-suite", 3, 3, seed=0)
@@ -213,18 +213,18 @@ class TestIdentitySuite:
         zero_rows = [
             r
             for r in results
-            if r["check"] == "shift_identity" and "shift=(0," in r["instance"]
+            if r.check == "shift_identity" and "shift=(0," in r.instance
         ]
         assert zero_rows
         for r in zero_rows:
-            assert all(v == 0 for v in r["lhs"])
+            assert all(v == 0 for v in r.lhs)
 
     def test_failures_carry_both_sides(self):
         cfg = hn.ExperimentConfig("identity-suite", 3, 3, seed=0)
         results, _ = hn.run_identity_suite(cfg)
         for r in results:
-            assert set(r) == set(hn.IDENTITY_COLUMNS)
-            assert r["instance"]
+            assert isinstance(r, hn.IdentityRow) and r._fields == hn.IDENTITY_COLUMNS
+            assert r.instance
 
     def test_deterministic(self):
         cfg = hn.ExperimentConfig("identity-suite", 3, 7, seed=9)
@@ -301,9 +301,10 @@ class TestCli:
         assert run_cli(["moment", "--p", "5", "--k", "1", "--r", "1"]) == 0
 
     def test_failed_identity_check_exits_1(self, monkeypatch, capsys):
-        row = {"check": "lifted_sum", "p": 3, "n": 1, "instance": "x",
-               "status": "fail", "lhs": 1, "rhs": 2}
-        monkeypatch.setattr(hn, "run_identity_suite", lambda config: ([row], [row]))
+        row = hn.IdentityRow("lifted_sum", 3, 1, "x", "fail", 1, 2)
+        monkeypatch.setattr(
+            hn, "run_identity_suite", lambda config: ([row], ["lifted_sum x"])
+        )
         assert run_cli(["identity-suite", "--seed", "0"]) == 1
         captured = capsys.readouterr()
         assert captured.err == "fail: lifted_sum x\n"
