@@ -13,6 +13,7 @@ import pytest
 
 from normsum import cli
 from normsum import energy as en
+from normsum import harness as hn
 
 # name -> argv; "{form}" and "{decomp}" stand for the stored inputs
 CASES = {
@@ -26,6 +27,7 @@ CASES = {
     "energy": ["energy", "--p-range", "3..31", "--n", "2", "--seed", "1"],
     "lattice": ["lattice", "--p-range", "3..7", "--n", "1", "--seed", "1", "--format", "json"],
     "weil-check": ["weil-check", "--p-range", "3..7", "--k", "2", "--r", "1"],
+    "moment": ["moment", "--p-range", "3..13", "--k", "2", "--r", "2"],
     "moment-skips": ["moment", "--p-range", "3..13", "--k", "3", "--r", "4"],
     "bound-table-skip-p2": ["bound-table", "--p-range", "2..13", "--n", "1", "--k", "1",
                             "--kappa", "0.1", "--seed", "1"],
@@ -99,6 +101,11 @@ DIGESTS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),
+    "moment": (
+        "ab57f5eaf690448cad2a7bc69d7ddd2aae97e647206f719a01c276432475de77",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
     "moment-skips": (
         "6ec78f5fcbd05b1c9c84ad1cba097af4dc22147c84f81d7842bcdf1f04322a03",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -152,6 +159,18 @@ def _digest(argv, capsys):
 def test_reference_command_output_pinned(name, inputs, capsys):
     argv = [a.format(**inputs) for a in CASES[name]]
     assert _digest(argv, capsys) == DIGESTS[name]
+
+
+def test_every_command_has_a_pinned_run_that_prints_a_row():
+    # a pinned stdout that is neither empty nor a bare table holds an object
+    # or at least one row of the command's own output
+    for command, spec in hn.COMMANDS.items():
+        empty = {_sha("")} | {_sha(hn.render(spec.columns or (), [], fmt))
+                              for fmt in ("csv", "json")}
+        assert any(
+            argv[0] == command and DIGESTS[name][0] not in empty and DIGESTS[name][2] == 0
+            for name, argv in CASES.items()
+        ), command
 
 
 def test_identity_failure_lines_pinned(monkeypatch, capsys):
