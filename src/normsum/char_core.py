@@ -1,19 +1,24 @@
-"""Multiplicative characters mod p and their lifts through field norms.
+"""Multiplicative characters mod p, their lifts through field norms, and
+the weight vectors that hold their sums.
 
 A character is pinned down by an index t against the canonical (smallest)
 primitive root g, which is fc.primitive_element of F_p: it sends g^j to the
 root of unity of index t*j mod (p-1), and 0 to 0. Values are tracked as
-exact root-of-unity indices; complex floats appear only when a caller asks
-for the numeric value.
+exact root-of-unity indices: a sum is the int tuple w of length N = max(1,
+p - 1) standing for sum_e w[e] zeta_N^e, whose loops skip zero entries.
+Complex floats appear only when a caller asks for the numeric value.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from . import field_core as fc
+from . import linalg as la
 
 
 def root_of_unity(index: int, order: int) -> complex:
@@ -88,3 +93,73 @@ def lifted_index(psi: LiftedCharacter, a):
 def lifted_order(psi: LiftedCharacter) -> int:
     """Order of the lift; the norm is onto, so it equals the base order."""
     return char_order(psi.base)
+
+
+def index_histogram(chi: DirichletChar, residues) -> tuple[tuple[int, ...], int]:
+    """Weight vector of chi over the residues, and the zero count.
+
+    Every sum is chi at one residue per term: a product of lifted values
+    psi_i(lambda_i) is chi at the product of the norms.  Each distinct
+    residue reads the log table once; one outside [0, p) raises.
+    """
+    counts = Counter(residues)
+    zeros = counts.pop(0, 0)
+    N = max(1, chi.p - 1)
+    weights = [0] * N
+    logs, t = chi._logs, chi.index
+    for a, c in counts.items():
+        if not 0 < a < chi.p:
+            raise ValueError(f"residue {a} outside [0, {chi.p})")
+        weights[t * logs[a] % N] += c
+    return tuple(weights), zeros
+
+
+def weights_value(w) -> complex:
+    """sum_e w[e] zeta_N^e as a complex float, summed by ascending e."""
+    N = len(w)
+    total = complex(0, 0)
+    for e in itertools.compress(range(N), w):
+        total += w[e] * root_of_unity(e, N)
+    return total
+
+
+def convolve(a, b) -> tuple[int, ...]:
+    """Weight vector of the product of the sums that a and b stand for."""
+    N = len(a)
+    if len(b) != N:
+        raise ValueError(f"weight vectors of lengths {N} and {len(b)}")
+    out = [0] * N
+    b_terms = [(e, b[e]) for e in itertools.compress(range(N), b)]
+    for e1 in itertools.compress(range(N), a):
+        w1 = a[e1]
+        for e2, w2 in b_terms:
+            out[(e1 + e2) % N] += w1 * w2
+    return tuple(out)
+
+
+def modulus(w) -> tuple[int, ...]:
+    """|S|^2 = S conj(S): the cyclic autocorrelation of w."""
+    N = len(w)
+    return convolve(w, tuple(w[-e % N] for e in range(N)))
+
+
+def power(w, r: int) -> tuple[int, ...]:
+    """S^r by repeated squaring, in about 2 log2 r convolutions."""
+    if r < 0:
+        raise ValueError("exponent must be nonnegative")
+    powed = (1,) + (0,) * (len(w) - 1)
+    while r:
+        if r & 1:
+            powed = convolve(powed, w)
+        r >>= 1
+        if r:
+            w = convolve(w, w)
+    return powed
+
+
+def real_value(w) -> float:
+    """The value of w, real because conjugation fixes w: w[e] == w[-e mod N]."""
+    N = len(w)
+    if any(w[e] != w[-e % N] for e in range(N)):
+        raise la.CheckFailed("weights are not symmetric, so their value is not real")
+    return weights_value(w).real

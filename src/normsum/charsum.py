@@ -1,7 +1,7 @@
 """Short character sums, complete-sum checks, moments, bound calculators.
 
-Sums accumulate exact root-of-unity index histograms and convert to a
-complex number once at the end, so no float error accrues over the box.
+Sums accumulate exact char_core weight vectors and convert to a complex
+number once at the end, so no float error accrues over the box.
 """
 
 from __future__ import annotations
@@ -54,31 +54,6 @@ def moment_fits(p: int, k: int, T: int, r: int) -> bool:
     return moment_cost(p, k, T, r) <= MOMENT_CAP
 
 
-def index_histogram(chi: cc.DirichletChar, residues) -> tuple[tuple[int, ...], int]:
-    """Root-of-unity index weights of chi over the residues, and the zero count.
-
-    Every sum in this module is chi at one residue per term: chi is
-    multiplicative, so a product of lifted values psi_i(lambda_i) is chi at
-    the product of the norms.  The residues are counted once and chi is
-    looked up once per distinct residue; a residue outside [0, p) raises.
-    """
-    counts = Counter(residues)
-    zeros = counts.pop(0, 0)
-    weights = [0] * max(1, chi.p - 1)
-    for a, c in counts.items():
-        if not 0 < a < chi.p:
-            raise ValueError(f"residue {a} outside [0, {chi.p})")
-        weights[cc.char_index(chi, a)] += c
-    return tuple(weights), zeros
-
-
-def _histogram_value(weights: Sequence[int], p: int) -> complex:
-    total = complex(0, 0)
-    for e in itertools.compress(range(len(weights)), weights):
-        total += weights[e] * cc.root_of_unity(e, max(1, p - 1))
-    return total
-
-
 @dataclass(frozen=True)
 class CharSumResult:
     value: complex
@@ -87,10 +62,9 @@ class CharSumResult:
     zero_terms: int
 
     def __post_init__(self):
-        if not abs(self.value) <= self.term_count + 1e-9:
-            raise la.CheckFailed(
-                f"|sum| = {abs(self.value)} exceeds the term count {self.term_count}"
-            )
+        # with no negative count, |sum| <= sum(weights) <= term_count exactly
+        if self.zero_terms < 0 or any(w < 0 for w in self.weights):
+            raise la.CheckFailed("a weight or the zero count is negative")
         if sum(self.weights) + self.zero_terms != self.term_count:
             raise la.CheckFailed(
                 f"weights and zero terms do not add up to {self.term_count} terms"
@@ -102,8 +76,8 @@ def _box_sum(chi, B: fm.BoxSpec, values) -> CharSumResult:
     if not box_fits(B.volume):
         raise ValueError(f"box volume {B.volume} over cap {BOX_CAP}")
     lines = (line for piece in B.pieces(fm.PIECE_SIDE) for line in values(piece))
-    weights, zeros = index_histogram(chi, itertools.chain.from_iterable(lines))
-    return CharSumResult(_histogram_value(weights, chi.p), B.volume, weights, zeros)
+    weights, zeros = cc.index_histogram(chi, itertools.chain.from_iterable(lines))
+    return CharSumResult(cc.weights_value(weights), B.volume, weights, zeros)
 
 
 def charsum_direct(chi: cc.DirichletChar, F: fm.FormSpec, B: fm.BoxSpec) -> CharSumResult:
@@ -182,35 +156,9 @@ def weil_complete_sum(
         residues = [
             a * power[norms[c - c % p + (c + s) % p]] % p for c, a in enumerate(residues)
         ]
-    weights, _ = index_histogram(psi.base, residues)
-    value = _histogram_value(weights, p)
+    value = cc.weights_value(cc.index_histogram(psi.base, residues)[0])
     bound = float(q) if is_power else (m - 1) * math.sqrt(q)
-    holds = abs(value) <= bound + 1e-9
-    return value, bound, holds
-
-
-def _convolve(a, b, order: int) -> Counter:
-    """Weights of the product of sum_e a[e] zeta^e and sum_e b[e] zeta^e, zeta of this order."""
-    out = Counter()
-    for (e1, w1), (e2, w2) in itertools.product(a.items(), b.items()):
-        out[(e1 + e2) % order] += w1 * w2
-    return out
-
-
-def _modulus_power(weights: Sequence[int], r: int, order: int) -> Counter:
-    """Weights of |S|^{2r}, S = sum_e weights[e] zeta_order^e: the cyclic
-    autocorrelation |S|^2 of the nonzero weights, raised to the r-th power by
-    repeated squaring, so in about 2 log2 r convolutions."""
-    S = {e: w for e, w in enumerate(weights) if w}
-    sq = _convolve(S, {-e % order: w for e, w in S.items()}, order)
-    powed = Counter({0: 1})
-    while r:
-        if r & 1:
-            powed = _convolve(powed, sq, order)
-        r >>= 1
-        if r:
-            sq = _convolve(sq, sq, order)
-    return powed
+    return value, bound, abs(value) <= bound + 1e-9
 
 
 def s2_moment(
@@ -241,7 +189,6 @@ def s2_moment(
     k = sum(partition)
     if not moment_fits(p, k, T, r):
         raise ValueError("moment enumeration infeasible at this size")
-    order = max(1, p - 1)
     # N(z_i + t) at each code c of field i, shifted as in weil_complete_sum
     shifts = range(1, T + 1)
     fields = [
@@ -251,20 +198,17 @@ def s2_moment(
     classes = Counter()
     for z in itertools.product(*fields):
         residues = [math.prod(column) % p for column in zip(*z)]
-        classes[index_histogram(chi, residues)[0]] += 1
-    total = [0] * order
+        classes[cc.index_histogram(chi, residues)[0]] += 1
+    total = (0,) * max(1, p - 1)
     for inner, count in classes.items():
-        for e, w in _modulus_power(inner, r, order).items():
-            total[e] += count * w
-    if any(total[e] != total[-e % order] for e in range(order)):
-        raise la.CheckFailed("moment weights are not symmetric, so its value is not real")
-    value = _histogram_value(total, p)
+        total = tuple(t + count * w for t, w in zip(total, cc.power(cc.modulus(inner), r)))
+    value = cc.real_value(total)
     bound_terms = (T ** (2 * r) * p ** (k / 2), T**r * float(p**k))
     return {
-        "value": value.real,
-        "weights": tuple(total),
+        "value": value,
+        "weights": total,
         "bound_terms": bound_terms,
-        "ratio": value.real / (bound_terms[0] + bound_terms[1]),
+        "ratio": value / (bound_terms[0] + bound_terms[1]),
     }
 
 

@@ -353,6 +353,7 @@ def run_charsum(config: ExperimentConfig, form_path=None, decomp_path=None):
         else:
             res = cs.charsum_direct(chi, obj, box)
         return _charsum_rows(obj.p, obj.n, obj.k, box, res), []
+    canonical_partition(config.n, config.k)  # a bad shape is a usage error before the walk
     rows, skips = [], []
 
     def cost(p):
@@ -435,17 +436,12 @@ def run_lattice(config: ExperimentConfig):
             count = lat.points_in_box(L, H, cross_check=False)[0]
             rows.append(scan_row(p, n, n, H, "box_count", count, float(det)))
             prod = math.prod(mahler["minima"], start=Fraction(1))
-            rows.append(
-                ScanRow(p, n, n, H, "minima_product", prod, det, float(prod / det))
+            rows.append(ScanRow(p, n, n, H, "minima_product", prod, det, float(prod / det)))
+            bound = Fraction(math.factorial(2 * n) ** 2)
+            rows.extend(
+                ScanRow(p, n, n, H, f"transference_product_{i}", pr, bound, float(pr / bound))
+                for i, pr in enumerate(mahler["products"])
             )
-            for i, pr in enumerate(mahler["products"]):
-                rows.append(
-                    ScanRow(
-                        p, n, n, H, f"transference_product_{i}",
-                        pr, Fraction(math.factorial(2 * n) ** 2),
-                        float(pr / math.factorial(2 * n) ** 2),
-                    )
-                )
     return rows, skips
 
 
@@ -602,10 +598,6 @@ def run_energy_scan(config: ExperimentConfig):
 # identity suite
 
 
-def _weights_over(chi, F, pts):
-    return cs.index_histogram(chi, (fm.eval_form(F, x) for x in pts))
-
-
 def run_identity_suite(config: ExperimentConfig):
     """Identity battery on a small grid; returns (rows, failures).
 
@@ -614,6 +606,10 @@ def run_identity_suite(config: ExperimentConfig):
     per prime: one corrupted block entry in a decomposition must break the
     lifted-sum identity pointwise.
     """
+    # every prime builds F_{p^2}, so the largest prime decides whether all fit
+    top = next((p for p in range(config.p_hi, max(1, config.p_lo - 1), -1) if la.is_prime(p)), 2)
+    if not fc.field_fits(top, 2):
+        raise UsageError(f"field size {top}^2 exceeds cap {fc.FIELD_SIZE_CAP}")
     results = []
 
     def record(check, p, n, instance, ok, lhs, rhs):
@@ -638,9 +634,8 @@ def run_identity_suite(config: ExperimentConfig):
                 for B in boxes:
                     direct = cs.charsum_direct(chi, F, B)
                     lifted = cs.charsum_lifted(D, chi, B)
-                    ok = (
-                        direct.weights == lifted.weights
-                        and direct.zero_terms == lifted.zero_terms
+                    ok = (direct.weights, direct.zero_terms) == (
+                        lifted.weights, lifted.zero_terms
                     )
                     record(
                         "lifted_sum", p, n, f"{tag} N={B.N} H={B.H}", ok,
@@ -649,17 +644,12 @@ def run_identity_suite(config: ExperimentConfig):
 
                 B = fm.BoxSpec((-1,) * n, (4,) * n)
                 whole = cs.charsum_direct(chi, F, B)
-                merged = [0] * len(whole.weights)
-                zeros = 0
-                for piece in B.pieces(2):
-                    piece_res = cs.charsum_direct(chi, F, piece)
-                    zeros += piece_res.zero_terms
-                    for i, c in enumerate(piece_res.weights):
-                        merged[i] += c
-                ok = tuple(merged) == whole.weights and zeros == whole.zero_terms
+                pieces = [cs.charsum_direct(chi, F, piece) for piece in B.pieces(2)]
+                merged = tuple(map(sum, zip(*(res.weights for res in pieces))))
+                zeros = sum(res.zero_terms for res in pieces)
+                ok = merged == whole.weights and zeros == whole.zero_terms
                 record(
-                    "box_partition", p, n, f"{tag} N={B.N} H={B.H}", ok,
-                    whole.weights, tuple(merged),
+                    "box_partition", p, n, f"{tag} N={B.N} H={B.H}", ok, whole.weights, merged
                 )
 
                 base = fm.BoxSpec((0,) * n, (3,) * n)
@@ -669,14 +659,13 @@ def run_identity_suite(config: ExperimentConfig):
                     )
                     pts_base = set(base.iter_points())
                     pts_moved = set(moved.iter_points())
-                    w_moved, z_moved = _weights_over(chi, F, sorted(pts_moved))
-                    w_base, z_base = _weights_over(chi, F, sorted(pts_base))
-                    w_in, z_in = _weights_over(chi, F, sorted(pts_moved - pts_base))
-                    w_out, z_out = _weights_over(chi, F, sorted(pts_base - pts_moved))
-                    lhs = tuple(a - b for a, b in zip(w_moved, w_base))
-                    lhs += (z_moved - z_base,)
-                    rhs = tuple(a - b for a, b in zip(w_in, w_out))
-                    rhs += (z_in - z_out,)
+                    (w_moved, z_moved), (w_base, z_base), (w_in, z_in), (w_out, z_out) = (
+                        cc.index_histogram(chi, (fm.eval_form(F, x) for x in pts))
+                        for pts in (pts_moved, pts_base, pts_moved - pts_base,
+                                    pts_base - pts_moved)
+                    )
+                    lhs = tuple(a - b for a, b in zip(w_moved + (z_moved,), w_base + (z_base,)))
+                    rhs = tuple(a - b for a, b in zip(w_in + (z_in,), w_out + (z_out,)))
                     ok = lhs == rhs
                     if not any(shift):
                         ok = ok and all(v == 0 for v in lhs)
@@ -684,7 +673,6 @@ def run_identity_suite(config: ExperimentConfig):
 
                 Hvec = (2,) * n
                 centered = en.energy_symmetric(D, Hvec, cross_check=False)
-                all_below = True
                 worst = None
                 for _ in range(5):
                     N = tuple(rng.randint(-p, p) for _ in range(n))
@@ -694,10 +682,10 @@ def run_identity_suite(config: ExperimentConfig):
                     )
                     if worst is None or e > worst[0]:
                         worst = (e, N)
-                    all_below = all_below and e <= centered
+                # every sampled energy is within the centered one when the largest is
                 record(
                     "shift_inequality", p, n, f"{tag} H={Hvec} worst_N={worst[1]}",
-                    all_below, worst[0], centered,
+                    worst[0] <= centered, worst[0], centered,
                 )
 
                 bx = fm.BoxSpec((1,) * n, (2,) * n)
@@ -721,28 +709,20 @@ def run_identity_suite(config: ExperimentConfig):
         D = fm.random_decomposition(p, 1, (1,), rng_c)
         F = fm.synthesize_form(D)
         box = fm.BoxSpec((0,), (min(3, p - 1),))
-        detected = False
-        culprit = None
-        sides = None
+        # hit: the first (bump, x, direct index, lifted index) where they differ
+        hit = None
         for delta in range(1, p):
-            bumped = (D.blocks[0][0][0] + delta) % p
-            bad = fm.NormFormDecomposition(
-                p, 1, D.partition, D.ctxs, (((bumped,),),)
-            )
-            for x in box.iter_points():
-                direct_idx = cc.char_index(chi, fm.eval_form(F, x))
-                lifted_idx = cc.char_index(chi, bad.value(x))
-                if direct_idx != lifted_idx:
-                    detected = True
-                    culprit = (delta, x)
-                    sides = (direct_idx, lifted_idx)
-                    break
-            if detected:
+            entry = (D.blocks[0][0][0] + delta) % p
+            bad = fm.NormFormDecomposition(p, 1, D.partition, D.ctxs, (((entry,),),))
+            sides = ((x, cc.char_index(chi, fm.eval_form(F, x)), cc.char_index(chi, bad.value(x)))
+                     for x in box.iter_points())
+            hit = next(((delta, x, a, b) for x, a, b in sides if a != b), None)
+            if hit:
                 break
         record(
             "negative_control", p, 1,
-            f"p={p} corrupted block entry, bump={culprit}", detected,
-            str(sides[0]) if sides else "", str(sides[1]) if sides else "",
+            f"p={p} corrupted block entry, bump={hit and hit[:2]}", hit is not None,
+            str(hit[2]) if hit else "", str(hit[3]) if hit else "",
         )
 
     failures = [f"{r.check} {r.instance}" for r in results if r.status == "fail"]

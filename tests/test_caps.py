@@ -95,17 +95,19 @@ def literal_modulus_power(weights, r, order):
 
 @pytest.mark.parametrize("weights", [[0, 0, 0, 0], [1, 0, 0, 0], [2, 0, 1, 3], [0, 5, 0, 1, 1, 4]])
 def test_modulus_power_by_squaring_matches_the_literal_convolutions(weights):
+    N = len(weights)
     for r in range(1, 10):
-        assert cs._modulus_power(weights, r, len(weights)) == literal_modulus_power(
-            weights, r, len(weights)
-        ), (weights, r)
+        literal = literal_modulus_power(weights, r, N)
+        assert cc.power(cc.modulus(weights), r) == tuple(literal[e] for e in range(N)), (
+            weights, r,
+        )
 
 
 def test_a_huge_r_takes_logarithmically_many_convolutions(monkeypatch, capsys):
     powers, convolutions = [], []
-    modulus_power, convolve = cs._modulus_power, cs._convolve
-    monkeypatch.setattr(cs, "_modulus_power", lambda *a: powers.append(1) or modulus_power(*a))
-    monkeypatch.setattr(cs, "_convolve", lambda *a: convolutions.append(1) or convolve(*a))
+    power, convolve = cc.power, cc.convolve
+    monkeypatch.setattr(cc, "power", lambda *a: powers.append(1) or power(*a))
+    monkeypatch.setattr(cc, "convolve", lambda *a: convolutions.append(1) or convolve(*a))
     start = time.perf_counter()
     assert cli.main(["moment", "--p", "3", "--k", "3", "--r", "100000000"]) == 0
     assert time.perf_counter() - start < 2.0

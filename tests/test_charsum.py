@@ -74,20 +74,68 @@ class TestIndexHistogram:
                     [],
                 ]
                 for residues in cases:
-                    got = cs.index_histogram(chi, residues)
+                    got = cc.index_histogram(chi, residues)
                     assert got == per_point_histogram(chi, residues), (p, idx)
 
     def test_all_zero_and_zero_free(self):
         chi = cc.DirichletChar(5, 1)
-        assert cs.index_histogram(chi, [0, 0, 0]) == ((0, 0, 0, 0), 3)
+        assert cc.index_histogram(chi, [0, 0, 0]) == ((0, 0, 0, 0), 3)
         # 1, 2, 4, 3 are g^0..g^3 for g = 2, so chi sends them to indices 0..3
-        assert cs.index_histogram(chi, [1, 2, 4, 3, 3]) == ((1, 1, 1, 2), 0)
+        assert cc.index_histogram(chi, [1, 2, 4, 3, 3]) == ((1, 1, 1, 2), 0)
 
     def test_residue_outside_range_raises(self):
         chi = cc.DirichletChar(5, 1)
         for bad in (5, 7, -1):
             with pytest.raises(ValueError, match="outside"):
-                cs.index_histogram(chi, [1, bad, 0])
+                cc.index_histogram(chi, [1, bad, 0])
+
+
+def literal_product(a, b):
+    """Every pair of entries, zeros included: the weights of a times b."""
+    N = len(a)
+    out = [0] * N
+    for (e1, w1), (e2, w2) in itertools.product(enumerate(a), enumerate(b)):
+        out[(e1 + e2) % N] += w1 * w2
+    return tuple(out)
+
+
+class TestWeightVectors:
+    VECTORS = [(1,), (0, 3), (2, 0, 1), (1, 2, 0, 5), (0, 0, 4, 0, 0, 1), (3, 0, 0, 0, 0, 0, 2)]
+
+    def test_convolve_matches_every_pair_and_the_float_product(self):
+        rng = random.Random(5)
+        for a in self.VECTORS:
+            b = tuple(rng.randrange(3) for _ in a)
+            assert cc.convolve(a, b) == literal_product(a, b), (a, b)
+            product = cc.weights_value(a) * cc.weights_value(b)
+            assert abs(cc.weights_value(cc.convolve(a, b)) - product) < 1e-9
+
+    def test_convolve_refuses_vectors_of_two_lengths(self):
+        with pytest.raises(ValueError, match="lengths 2 and 3"):
+            cc.convolve((1, 0), (1, 0, 0))
+
+    def test_power_matches_repeated_products(self):
+        for w in self.VECTORS:
+            literal = (1,) + (0,) * (len(w) - 1)
+            for r in range(12):
+                assert cc.power(w, r) == literal, (w, r)
+                literal = literal_product(literal, w)
+        with pytest.raises(ValueError, match="nonnegative"):
+            cc.power((1, 0), -1)
+
+    def test_modulus_is_the_squared_absolute_value(self):
+        for w in self.VECTORS:
+            sq = cc.modulus(w)
+            assert sq == literal_product(w, tuple(w[-e % len(w)] for e in range(len(w))))
+            assert cc.real_value(sq) == pytest.approx(abs(cc.weights_value(w)) ** 2)
+
+    def test_real_value_needs_mirror_symmetric_weights(self):
+        # w[e] == w[-e mod N]: zeta + zeta^-1 at N = 5 is 2 cos(2 pi / 5)
+        assert cc.real_value((0, 1, 0, 0, 1)) == pytest.approx(2 * math.cos(2 * math.pi / 5))
+        assert cc.real_value((4, 0, 7, 0)) == -3.0
+        for w in ((0, 1, 0, 0), (1, 1, 0), (0, 1, 0, 0, 2), (1, 0, 0, 0, 1)):
+            with pytest.raises(la.CheckFailed, match="not symmetric"):
+                cc.real_value(w)
 
 
 class TestDirect:
@@ -447,14 +495,14 @@ class TestMoment:
     def test_asymmetric_weights_fail_closed(self, monkeypatch):
         # one perturbed weight makes total[1] != total[-1]: the value would
         # not be real, whatever its float imaginary part
-        power = cs._modulus_power
+        power = cc.power
 
-        def perturbed(weights, r, order):
-            out = power(weights, r, order)
+        def perturbed(w, r):
+            out = list(power(w, r))
             out[1] += 1
-            return out
+            return tuple(out)
 
-        monkeypatch.setattr(cs, "_modulus_power", perturbed)
+        monkeypatch.setattr(cc, "power", perturbed)
         psi = cc.lift_character(cc.DirichletChar(7, 3), fc.ext_field_ctx(7, 1))
         with pytest.raises(la.CheckFailed, match="not symmetric"):
             cs.s2_moment((1,), (psi,), 2, 1)
@@ -656,8 +704,12 @@ def test_charsum_has_no_assert_statements():
 def test_result_invariants_raise_check_failed():
     with pytest.raises(la.CheckFailed, match="add up"):
         cs.CharSumResult(1 + 0j, 2, (1, 0, 0, 0), 0)
-    with pytest.raises(la.CheckFailed, match="exceeds the term count"):
-        cs.CharSumResult(3 + 0j, 2, (2, 0, 0, 0), 0)
+    # the counts add up, but a negative weight would let |sum| pass the term
+    # count: (3, 0, -1, 0) at N = 4 is 3 - (-1) = 4 > 2
+    with pytest.raises(la.CheckFailed, match="negative"):
+        cs.CharSumResult(4 + 0j, 2, (3, 0, -1, 0), 0)
+    with pytest.raises(la.CheckFailed, match="negative"):
+        cs.CharSumResult(0j, 2, (3, 0, 0, 0), -1)
 
 
 def test_result_invariant_fails_under_optimize():

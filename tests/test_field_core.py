@@ -310,7 +310,7 @@ def test_weil_raw_route_matches_element_route(p, m):
                     total = sum(mult * i for mult, i in zip(merged.values(), idx))
                     weights[total % (p - 1)] += 1
             value = cs.weil_complete_sum(psi, factors)[0]
-            assert value == cs._histogram_value(weights, p)
+            assert value == cc.weights_value(weights)
 
 
 @pytest.mark.parametrize(

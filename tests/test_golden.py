@@ -36,6 +36,7 @@ CASES = {
     "energy-scan": ["energy-scan", "--p-range", "3..50", "--n", "2", "--seed", "2"],
     "identity-suite": ["identity-suite", "--p-range", "3..5", "--seed", "5"],
     "usage-missing-seed": ["charsum", "--p-range", "3..7"],
+    "usage-charsum-shape": ["charsum", "--p-range", "3..7", "--n", "2", "--k", "1", "--seed", "1"],
     "usage-bound-table-shape": ["bound-table", "--p", "5", "--n", "2", "--k", "1", "--seed", "1"],
 }
 
@@ -112,6 +113,12 @@ DIGESTS = {
         0,
     ),
     "usage-bound-table-shape": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ce3e22b9555f5d34fe0f9cc527d3db0aebb9bab4e343dea6e2eea983ab2d948b",
+        2,
+    ),
+    # the bound-table message: a bad shape is refused before the walk by both
+    "usage-charsum-shape": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "ce3e22b9555f5d34fe0f9cc527d3db0aebb9bab4e343dea6e2eea983ab2d948b",
         2,

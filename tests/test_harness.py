@@ -184,6 +184,31 @@ class TestBoundTable:
 
 
 class TestIdentitySuite:
+    def test_field_cap_refuses_before_any_prime(self, capsys):
+        start = time.perf_counter()
+        assert cli.main(["identity-suite", "--p-range", "999900..999983", "--seed", "5"]) == 2
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: field size 999983^2 exceeds cap 1000000\n"
+
+    def test_field_cap_reads_the_largest_prime_not_the_range_end(self, monkeypatch):
+        # 1009 is past 1008, so 997 is the largest prime and 997^2 fits; the
+        # first prime's character is where the suite starts its work
+        reached = []
+
+        def first_prime(p):
+            reached.append(p)
+            raise hn.UsageError("stop")
+
+        monkeypatch.setattr(hn, "_nonprincipal_char", first_prime)
+        with pytest.raises(hn.UsageError, match="stop"):
+            hn.run_identity_suite(hn.ExperimentConfig("identity-suite", 990, 1008, seed=5))
+        assert reached == [991]
+        with pytest.raises(hn.UsageError, match="field size 1009\\^2 exceeds cap"):
+            hn.run_identity_suite(hn.ExperimentConfig("identity-suite", 990, 1009, seed=5))
+        assert reached == [991]
+
     def test_default_grid_all_pass(self):
         cfg = hn.ExperimentConfig("identity-suite", 3, 7, seed=3)
         results, failures = hn.run_identity_suite(cfg)
@@ -239,6 +264,11 @@ class TestOtherDrivers:
         assert skips == []
         quantities = {r.quantity for r in rows}
         assert quantities == {"charsum_abs", "charsum_weights", "charsum_zero_terms"}
+
+    def test_charsum_bad_shape_is_usage_error(self):
+        # refused before the walk, as bound-table refuses it, not skipped per prime
+        with pytest.raises(hn.UsageError, match="2n"):
+            hn.run_charsum(hn.ExperimentConfig("charsum", 3, 7, n=2, k=1, seed=1))
 
     def test_energy_reports_diagonal_bound(self):
         rows, _ = hn.run_energy(hn.ExperimentConfig("energy", 5, 5, n=1, seed=6))

@@ -128,6 +128,35 @@ def test_src_calls_no_private_helper_of_another_module():
     assert _private_module_access(probe, modules) == [4, 5, 6]
 
 
+def _complex_root_lines(source: str) -> list:
+    """Line numbers that import cmath or name root_of_unity."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        named = {getattr(node, field, None) for field in ("id", "attr", "name")}
+        if "root_of_unity" in named or (
+            isinstance(node, ast.ImportFrom) and node.module == "cmath"
+        ) or (isinstance(node, ast.alias) and node.name.partition(".")[0] == "cmath"):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_char_core_turns_weights_into_complex_numbers():
+    # weight vectors become complex floats only through char_core
+    src = Path(la.__file__).parent
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(src.glob("*.py")) if path.stem != "char_core"
+        for line in _complex_root_lines(path.read_text())
+    ]
+    assert found == []
+    assert _complex_root_lines((src / "char_core.py").read_text())
+    probe = (
+        "import cmath as cm\nfrom cmath import exp\nz = cc.root_of_unity(1, 4)\n"
+        "from .char_core import root_of_unity\ndef root_of_unity(): pass\nroot = 1\n"
+    )
+    assert _complex_root_lines(probe) == [1, 2, 3, 4, 5]
+
+
 def _cap_reads(source: str) -> list:
     """Line numbers of alias.NAME_CAP reads, other than a cap quoted in an f-string."""
     tree = ast.parse(source)
