@@ -56,10 +56,14 @@ def moment_fits(p: int, k: int, T: int, r: int) -> bool:
 
 @dataclass(frozen=True)
 class CharSumResult:
-    value: complex
     term_count: int
     weights: tuple[int, ...]
     zero_terms: int
+
+    @property
+    def value(self) -> complex:
+        """The sum as a complex float, taken from the weights."""
+        return cc.weights_value(self.weights)
 
     def __post_init__(self):
         # with no negative count, |sum| <= sum(weights) <= term_count exactly
@@ -77,7 +81,7 @@ def _box_sum(chi, B: fm.BoxSpec, values) -> CharSumResult:
         raise ValueError(f"box volume {B.volume} over cap {BOX_CAP}")
     lines = (line for piece in B.pieces(fm.PIECE_SIDE) for line in values(piece))
     weights, zeros = cc.index_histogram(chi, itertools.chain.from_iterable(lines))
-    return CharSumResult(cc.weights_value(weights), B.volume, weights, zeros)
+    return CharSumResult(B.volume, weights, zeros)
 
 
 def charsum_direct(chi: cc.DirichletChar, F: fm.FormSpec, B: fm.BoxSpec) -> CharSumResult:

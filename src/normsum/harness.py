@@ -259,14 +259,12 @@ def _derived_seed(seed: int, *tags: int) -> int:
     return x
 
 
-def _seeded_decomposition(config: ExperimentConfig, p: int, skips: list):
+def _seeded_decomposition(config: ExperimentConfig, p: int, partition: tuple, skips: list):
     """The seeded decomposition of shape (n, k) at p for charsum and
     bound-table, or None with p's skip line added to skips."""
     rng = random.Random(_derived_seed(config.seed, p, config.n, config.k))
     try:
-        return fm.random_decomposition(
-            p, config.n, canonical_partition(config.n, config.k), rng
-        )
+        return fm.random_decomposition(p, config.n, partition, rng)
     except ValueError as exc:
         skips.append(f"p={p}: {exc}")
         return None
@@ -353,7 +351,7 @@ def run_charsum(config: ExperimentConfig, form_path=None, decomp_path=None):
         else:
             res = cs.charsum_direct(chi, obj, box)
         return _charsum_rows(obj.p, obj.n, obj.k, box, res), []
-    canonical_partition(config.n, config.k)  # a bad shape is a usage error before the walk
+    partition = canonical_partition(config.n, config.k)  # a bad shape: exit 2 before the walk
     rows, skips = [], []
 
     def cost(p):
@@ -364,7 +362,7 @@ def run_charsum(config: ExperimentConfig, form_path=None, decomp_path=None):
         return sums + _character_cost(p, 1)
 
     for p in _walk(config, cost, skips):
-        D = _seeded_decomposition(config, p, skips)
+        D = _seeded_decomposition(config, p, partition, skips)
         if D is None:
             continue
         F = fm.synthesize_form(D)
@@ -526,7 +524,7 @@ def run_bound_table(config: ExperimentConfig):
     against brute maximization over r in [2, 100] on every row group.
     """
     n, k = config.n, config.k
-    canonical_partition(n, k)  # a bad shape is a usage error before the walk
+    partition = canonical_partition(n, k)  # a bad shape: exit 2 before the walk
     rows, skips = [], []
 
     def cost(p):
@@ -536,7 +534,7 @@ def run_bound_table(config: ExperimentConfig):
         return volume * cs.BOX_POINT_NS + _character_cost(p, BOUND_SWEEP)
 
     for p in _walk(config, cost, skips):
-        D = _seeded_decomposition(config, p, skips)
+        D = _seeded_decomposition(config, p, partition, skips)
         if D is None:
             continue
         box = _short_box(p, n, config.kappa)
@@ -615,9 +613,8 @@ def run_identity_suite(config: ExperimentConfig):
     def record(check, p, n, instance, ok, lhs, rhs):
         results.append(IdentityRow(check, p, n, instance, "pass" if ok else "fail", lhs, rhs))
 
-    for p in primes_in(config.p_lo, config.p_hi):
-        if p == 2:
-            continue
+    # p = 2 has no nonprincipal character
+    for p in primes_in(max(3, config.p_lo), config.p_hi):
         chi = _nonprincipal_char(p)
         for n in (1, 2):
             rng = random.Random(_derived_seed(config.seed, p, n))
@@ -634,8 +631,9 @@ def run_identity_suite(config: ExperimentConfig):
                 for B in boxes:
                     direct = cs.charsum_direct(chi, F, B)
                     lifted = cs.charsum_lifted(D, chi, B)
-                    ok = (direct.weights, direct.zero_terms) == (
-                        lifted.weights, lifted.zero_terms
+                    ok = (
+                        direct.weights == lifted.weights
+                        and direct.zero_terms == lifted.zero_terms
                     )
                     record(
                         "lifted_sum", p, n, f"{tag} N={B.N} H={B.H}", ok,
@@ -666,9 +664,7 @@ def run_identity_suite(config: ExperimentConfig):
                     )
                     lhs = tuple(a - b for a, b in zip(w_moved + (z_moved,), w_base + (z_base,)))
                     rhs = tuple(a - b for a, b in zip(w_in + (z_in,), w_out + (z_out,)))
-                    ok = lhs == rhs
-                    if not any(shift):
-                        ok = ok and all(v == 0 for v in lhs)
+                    ok = lhs == rhs and (any(shift) or not any(lhs))
                     record("shift_identity", p, n, f"{tag} shift={shift}", ok, lhs, rhs)
 
                 Hvec = (2,) * n

@@ -703,20 +703,21 @@ def test_charsum_has_no_assert_statements():
 
 def test_result_invariants_raise_check_failed():
     with pytest.raises(la.CheckFailed, match="add up"):
-        cs.CharSumResult(1 + 0j, 2, (1, 0, 0, 0), 0)
+        cs.CharSumResult(2, (1, 0, 0, 0), 0)
     # the counts add up, but a negative weight would let |sum| pass the term
     # count: (3, 0, -1, 0) at N = 4 is 3 - (-1) = 4 > 2
     with pytest.raises(la.CheckFailed, match="negative"):
-        cs.CharSumResult(4 + 0j, 2, (3, 0, -1, 0), 0)
+        cs.CharSumResult(2, (3, 0, -1, 0), 0)
     with pytest.raises(la.CheckFailed, match="negative"):
-        cs.CharSumResult(0j, 2, (3, 0, 0, 0), -1)
+        cs.CharSumResult(2, (3, 0, 0, 0), -1)
+    assert cs.CharSumResult(2, (1, 0, 1, 0), 0).value == 0
 
 
 def test_result_invariant_fails_under_optimize():
     script = (
         "from normsum import charsum as cs, forms as fm, linalg as la\n"
         "try:\n"
-        "    cs.CharSumResult(1j, 2, (1, 0, 0, 0), 0)\n"
+        "    cs.CharSumResult(2, (1, 0, 0, 0), 0)\n"
         "except la.CheckFailed as exc:\n"
         "    print('CheckFailed:', exc)\n"
     )
