@@ -38,8 +38,8 @@ def box_fits(volume: int) -> bool:
 
 
 def moment_cost(p: int, k: int, T: int, r: int) -> int:
-    """p^k T^(2r): the z's of s2_moment's degree-k fields, times the 2r-tuples
-    of its T shifts.  Each factor stops at fc.SIZE_CEILING, past every cap."""
+    """p^k T^(2r): s2_moment's z's, or weil_complete_sum's terms over F_{p^k},
+    times the 2r-tuples of T shifts.  Each factor stops at fc.SIZE_CEILING."""
     return fc.capped_power(p, k) * fc.capped_power(T, 2 * r)
 
 
@@ -112,15 +112,6 @@ def charsum_lifted(
     if B.dim != D.n:
         raise ValueError("box dimension and decomposition arity differ")
     return _box_sum(chi, B, D.values)
-
-
-def weil_cost(p: int, m: int, T: int, r: int) -> int:
-    """p^m T^(2r): the terms weil_complete_sum walks over F_{p^m}, once for
-    each 2r-tuple of shifts in [1, T].  At T > 1 and 2r >= 64 that is past
-    any cap, and 2^64 is returned without computing T^(2r)."""
-    if T > 1 and 2 * r >= 64:
-        return 2**64
-    return fc.field_size(p, m) * T ** (2 * r)
 
 
 def weil_complete_sum(

@@ -51,6 +51,9 @@ IdentityRow = collections.namedtuple("IdentityRow", IDENTITY_COLUMNS)
 SCAN_SAMPLES = 2
 # bound-table's rows per prime, one per r in k+1..k+BOUND_SWEEP
 BOUND_SWEEP = 6
+# the fastest measured time of an identity-suite prime per element of the F_{p^2}
+# whose log table and fold it builds, in ns (1,000 to 1,730 at p = 307..997, 2 vCPUs)
+IDENTITY_ELEMENT_NS = 1_000
 SEED_CAP = 2**64
 # the most a command may cost, in ns: the modules' costs, each times its
 # measured time per unit, summed over the primes the command walks
@@ -108,7 +111,7 @@ class ExperimentConfig:
 def scan_row(p, n, k, H, quantity, value, bound) -> ScanRow:
     ratio = None
     if bound is not None and bound > 0:
-        ratio = float(value) / float(bound)
+        ratio = float(value / bound)
     return ScanRow(p, n, k, tuple(H), quantity, value, bound, ratio)
 
 
@@ -414,7 +417,13 @@ def run_lattice(config: ExperimentConfig):
     n = config.n
     if not lat.minima_fit(2 * n):
         raise UsageError(f"lattice dimension 2n = {2 * n} over the minima cap")
-    for p in primes_in(config.p_lo, config.p_hi):
+
+    def cost(p):
+        # a partition past the field cap is skipped before any work
+        lattices = sum(fc.field_fits(p, part[0]) for part in square_partitions(n))
+        return lattices * lat.minima_cost(p, n) * lat.MINIMA_PREFIX_NS
+
+    for p in _walk(config, cost, skips, characters=False):
         for part in square_partitions(n):
             rng = random.Random(_derived_seed(config.seed, p, n, *part))
             try:
@@ -434,10 +443,10 @@ def run_lattice(config: ExperimentConfig):
             count = lat.points_in_box(L, H, cross_check=False)[0]
             rows.append(scan_row(p, n, n, H, "box_count", count, float(det)))
             prod = math.prod(mahler["minima"], start=Fraction(1))
-            rows.append(ScanRow(p, n, n, H, "minima_product", prod, det, float(prod / det)))
+            rows.append(scan_row(p, n, n, H, "minima_product", prod, det))
             bound = Fraction(math.factorial(2 * n) ** 2)
             rows.extend(
-                ScanRow(p, n, n, H, f"transference_product_{i}", pr, bound, float(pr / bound))
+                scan_row(p, n, n, H, f"transference_product_{i}", pr, bound)
                 for i, pr in enumerate(mahler["products"])
             )
     return rows, skips
@@ -455,7 +464,7 @@ def run_weil_check(config: ExperimentConfig):
             size = fc.field_size(p, m)
             shown = size if size < fc.SIZE_CEILING else f"{p}^{m}"
             return f"p={p}: field size {shown} exceeds cap, skipped"
-        return len({1, (p - 1) // 2}) * cs.weil_cost(p, m, T, r) * cs.WEIL_TERM_NS
+        return len({1, (p - 1) // 2}) * cs.moment_cost(p, m, T, r) * cs.WEIL_TERM_NS
 
     for p in _walk(config, cost, skips):
         ctx = fc.ext_field_ctx(p, m)
@@ -613,8 +622,8 @@ def run_identity_suite(config: ExperimentConfig):
     def record(check, p, n, instance, ok, lhs, rhs):
         results.append(IdentityRow(check, p, n, instance, "pass" if ok else "fail", lhs, rhs))
 
-    # p = 2 has no nonprincipal character
-    for p in primes_in(max(3, config.p_lo), config.p_hi):
+    # p = 2 has no nonprincipal character; its skip line is no failure
+    for p in _walk(config, lambda p: fc.field_size(p, 2) * IDENTITY_ELEMENT_NS, []):
         chi = _nonprincipal_char(p)
         for n in (1, 2):
             rng = random.Random(_derived_seed(config.seed, p, n))

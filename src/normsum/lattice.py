@@ -296,6 +296,16 @@ def _box_gauge(H: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(scale // h if h else scale + 1 for h in H)
 
 
+# the fastest measured time of a whole `harness.run_lattice` lattice per prefix, in ns
+# (8,700 to 38,000 at p >= 1009, n <= 2, 2 vCPUs; to 77,000 at n = 3, 240,000 at p <= 7)
+MINIMA_PREFIX_NS = 8_700
+
+
+def minima_cost(p: int, n: int) -> int:
+    """The prefixes (x_1..x_n) _gauge_ball walks in [-isqrt p, isqrt p]^2n: n pivots are 1."""
+    return (2 * max(1, math.isqrt(p)) + 1) ** n
+
+
 def _gauge_ball(
     cols, w: Sequence[int], budget: int, additive: bool
 ) -> list[tuple[int, tuple[int, ...]]]:

@@ -34,11 +34,15 @@ def test_each_cap_admits_its_own_size_and_refuses_the_next():
     assert en.quadruple_cost(10, 100) == en.QUAD_CROSS_CHECK_CAP
     assert cs.box_fits(cs.BOX_CAP) and not cs.box_fits(cs.BOX_CAP + 1)
     assert cs.moment_cost(5, 2, 2, 3) == 25 * 64
-    assert cs.weil_cost(3, 12, 3, 2) == 3**12 * 81
-    # at 2r >= 64 the count stops at 2^64, so a huge r costs no huge power
-    assert cs.weil_cost(3, 1, 3, 31) == 3**63
-    assert cs.weil_cost(3, 1, 3, 32) == cs.weil_cost(3, 1, 3, 10**8) == 2**64
-    assert cs.weil_cost(3, 1, 1, 10**8) == 3
+    # weil-check prices its complete sums with the same count
+    assert cs.moment_cost(3, 12, 3, 2) == 3**12 * 81
+    # T^(2r) stops at the ceiling, so a huge r costs no huge power
+    assert cs.moment_cost(3, 1, 3, 31) == 3**63
+    start = time.perf_counter()
+    huge = cs.moment_cost(3, 1, 3, 10**8), cs.moment_cost(3, 1, 3, 2**40)
+    assert huge == (3 * fc.SIZE_CEILING,) * 2
+    assert time.perf_counter() - start < 0.1
+    assert cs.moment_cost(3, 1, 1, 10**8) == 3
     assert fc.field_size(3, 12) == 3**12
     assert fc.field_fits(fc.FIELD_SIZE_CAP, 1) and not fc.field_fits(fc.FIELD_SIZE_CAP + 1, 1)
     assert lat.minima_fit(lat.MINIMA_DIM_CAP) and not lat.minima_fit(lat.MINIMA_DIM_CAP + 1)
@@ -251,6 +255,9 @@ class TestCommandCap:
              39671),
             # each prime's set-up, not its one-term moment, is the cost here
             (["moment", "--p-range", "3..999983", "--k", "1", "--r", "6"], 2617),
+            # the minima prefixes of each lattice, and each prime's F_{p^2}
+            (["lattice", "--p-range", "3..999983", "--n", "2", "--seed", "1"], 3137),
+            (["identity-suite", "--p-range", "3..997", "--seed", "5"], 787),
         ],
     )
     def test_runaway_commands_exit_2_at_once(self, argv, prime, capsys):
@@ -349,6 +356,47 @@ class TestCommandCap:
         monkeypatch.setattr(hn, "COMMAND_CAP", terms + set_up - 1)
         with pytest.raises(hn.UsageError, match="by p=1499, past the command cap"):
             hn.run_moment(config)
+
+    def test_a_lattice_prime_costs_only_the_partitions_that_fit(self, monkeypatch):
+        # past p = 1000 the partition (2) of 2 is skipped before any work
+        config = hn.ExperimentConfig("lattice", 1009, 1009, n=2, seed=1)
+        total = lat.minima_cost(1009, 2) * lat.MINIMA_PREFIX_NS
+        assert lat.minima_cost(1009, 2) == (2 * 31 + 1) ** 2
+        monkeypatch.setattr(hn, "COMMAND_CAP", total)
+        rows, skips = hn.run_lattice(config)
+        assert {row.p for row in rows} == {1009}
+        assert skips == ["p=1009 partition=(2,): field size 1009^2 exceeds cap 1000000"]
+        monkeypatch.setattr(hn, "COMMAND_CAP", total - 1)
+        with pytest.raises(hn.UsageError, match="by p=1009, past the command cap"):
+            hn.run_lattice(config)
+
+    def test_an_identity_prime_costs_its_quadratic_field(self, monkeypatch):
+        # p = 2 is left out without a failure note, and costs nothing
+        config = hn.ExperimentConfig("identity-suite", 2, 5, seed=5)
+        total = (9 + 25) * hn.IDENTITY_ELEMENT_NS
+        monkeypatch.setattr(hn, "COMMAND_CAP", total)
+        results, failures = hn.run_identity_suite(config)
+        assert {row.p for row in results} == {3, 5} and failures == []
+        monkeypatch.setattr(hn, "COMMAND_CAP", total - 1)
+        with pytest.raises(hn.UsageError, match="by p=5, past the command cap"):
+            hn.run_identity_suite(config)
+
+    @pytest.mark.parametrize(
+        "command", sorted(name for name, spec in hn.COMMANDS.items() if spec.columns)
+    )
+    def test_no_table_command_walks_outside_the_pre_flight(self, command, monkeypatch):
+        # at a cap of 0 the first priced prime refuses the command, so a runner
+        # that reached its primes any other way would build a row first
+        def no_row(*cells):
+            raise AssertionError(f"{command} built a row before its pre-flight")
+
+        for row_type in ("ScanRow", "BoundRow", "IdentityRow"):
+            monkeypatch.setattr(hn, row_type, no_row)
+        monkeypatch.setattr(hn, "COMMAND_CAP", 0)
+        spec = hn.COMMANDS[command]
+        config = hn.ExperimentConfig(command, 3, 7, n=1, k=1, r=1, seed=1)
+        with pytest.raises(hn.UsageError, match="by p=3, past the command cap"):
+            getattr(hn, spec.run)(config, *(None for _ in spec.inputs))
 
     def test_skipped_primes_cost_nothing(self, monkeypatch):
         monkeypatch.setattr(hn, "COMMAND_CAP", 0)

@@ -26,15 +26,19 @@ CASES = {
     "charsum-decomp": ["charsum", "--decomp", "{decomp}", "--seed", "0", "--kappa", "0.2"],
     "energy": ["energy", "--p-range", "3..31", "--n", "2", "--seed", "1"],
     "lattice": ["lattice", "--p-range", "3..7", "--n", "1", "--seed", "1", "--format", "json"],
+    "lattice-n2": ["lattice", "--p-range", "3..50", "--n", "2", "--seed", "1"],
+    "lattice-refused": ["lattice", "--p-range", "3..999983", "--n", "2", "--seed", "1"],
     "weil-check": ["weil-check", "--p-range", "3..7", "--k", "2", "--r", "1"],
     "moment": ["moment", "--p-range", "3..13", "--k", "2", "--r", "2"],
     "moment-skips": ["moment", "--p-range", "3..13", "--k", "3", "--r", "4"],
+    "moment-skip-line": ["moment", "--p", "101", "--k", "2", "--r", "3"],
     "bound-table-skip-p2": ["bound-table", "--p-range", "2..13", "--n", "1", "--k", "1",
                             "--kappa", "0.1", "--seed", "1"],
     "bound-table-json": ["bound-table", "--p-range", "3..7", "--n", "2", "--k", "3",
                          "--kappa", "0.1", "--seed", "1", "--format", "json"],
     "energy-scan": ["energy-scan", "--p-range", "3..50", "--n", "2", "--seed", "2"],
     "identity-suite": ["identity-suite", "--p-range", "3..5", "--seed", "5"],
+    "identity-suite-refused": ["identity-suite", "--p-range", "3..997", "--seed", "5"],
     "usage-missing-seed": ["charsum", "--p-range", "3..7"],
     "usage-charsum-shape": ["charsum", "--p-range", "3..7", "--n", "2", "--k", "1", "--seed", "1"],
     "usage-bound-table-shape": ["bound-table", "--p", "5", "--n", "2", "--k", "1", "--seed", "1"],
@@ -97,14 +101,38 @@ DIGESTS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),
+    # refused at p=787 by the command cap, before any prime's checks
+    "identity-suite-refused": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "48ed465e71406e2cabc1a97190770dcf18170c55e2788358ac9c2294b79892dc",
+        2,
+    ),
     "lattice": (
         "5c29a108fb05f92ba74d435bdc2c224011358705cbd513ab8066d64fd55d1d89",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),
+    # exact Fraction minima products and their ratios, at values up to 47^2
+    "lattice-n2": (
+        "83f1ca5dff1e916fe91d1e2ac1ef4d598a241a3ea6bfcfa82af55554bdd00f0e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    # refused at p=3137 by the command cap, before any lattice
+    "lattice-refused": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "f9f18099c5dc04220e170536922cfe0b2e5501c1c9fc0e0a318348ad7f663a4d",
+        2,
+    ),
     "moment": (
         "ab57f5eaf690448cad2a7bc69d7ddd2aae97e647206f719a01c276432475de77",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    # the skip line "p=101: moment enumeration over cap, skipped" and a bare table
+    "moment-skip-line": (
+        "3c6dcd2bd93e2330f5894dfaee7286ba0ef20b3fcdda32ff6d705d0e304f806d",
+        "b4bc5fdcf30e2c5a68ff68dbfbb45ebbdbda9302b2f8b2f95ff5a019562edb0b",
         0,
     ),
     "moment-skips": (
