@@ -3,7 +3,9 @@ the weight vectors that hold their sums.
 
 A character is pinned down by an index t against the canonical (smallest)
 primitive root g, which is fc.primitive_element of F_p: it sends g^j to the
-root of unity of index t*j mod (p-1), and 0 to 0. Values are tracked as
+root of unity of index t*j mod (p-1), and 0 to 0. Its lift psi = chi o N
+to F_{p^m} is no object of its own: callers pass chi beside the field's
+ctx, and the norm is onto, so psi has chi's order. Values are tracked as
 exact root-of-unity indices: a sum is the int tuple w of length N = max(1,
 p - 1) standing for sum_e w[e] zeta_N^e, whose loops skip zero entries.
 Complex floats appear only when a caller asks for the numeric value.
@@ -65,34 +67,14 @@ def char_order(chi: DirichletChar) -> int:
     return (chi.p - 1) // math.gcd(chi.index, chi.p - 1)
 
 
-@dataclass(frozen=True)
-class LiftedCharacter:
-    """psi = chi o N: the norm pullback of chi to an extension field."""
-
-    base: DirichletChar
-    ctx: fc.ExtFieldCtx
-
-    def __post_init__(self):
-        if self.base.p != self.ctx.p:
-            raise ValueError("character modulus and field characteristic differ")
-
-
-def lift_character(chi: DirichletChar, ctx: fc.ExtFieldCtx) -> LiftedCharacter:
-    return LiftedCharacter(chi, ctx)
-
-
-def lifted_index(psi: LiftedCharacter, a):
-    """Root-of-unity index of psi(a) mod (p-1) for a coefficient tuple a of
-    the lift's field, or None when a = 0 (whose norm is 0)."""
-    ctx = psi.ctx
+def lifted_index(chi: DirichletChar, ctx: fc.ExtFieldCtx, a):
+    """Root-of-unity index of chi(N(a)) mod (p-1) for a coefficient tuple a of
+    F_{p^m}, the lift of chi through the norm, or None when a = 0."""
+    if ctx.p != chi.p:
+        raise ValueError("character modulus and field characteristic differ")
     if len(a) != ctx.m:
         raise ValueError(f"element of length {len(a)} for a field of degree {ctx.m}")
-    return char_index(psi.base, fc.norm(ctx, a))
-
-
-def lifted_order(psi: LiftedCharacter) -> int:
-    """Order of the lift; the norm is onto, so it equals the base order."""
-    return char_order(psi.base)
+    return char_index(chi, fc.norm(ctx, a))
 
 
 def index_histogram(chi: DirichletChar, residues) -> tuple[tuple[int, ...], int]:

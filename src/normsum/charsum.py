@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from . import char_core as cc
 from . import field_core as fc
@@ -115,23 +115,23 @@ def charsum_lifted(
 
 
 def weil_complete_sum(
-    psi: Union[cc.DirichletChar, cc.LiftedCharacter],
-    factors: Sequence[tuple[int, int]],
+    chi: cc.DirichletChar, ctx: fc.ExtFieldCtx, factors: Sequence[tuple[int, int]]
 ):
-    """Complete sum of psi at a monic product of integer-shift linear factors.
+    """Complete sum of psi = chi o N over F_q = ctx at a monic product of
+    integer-shift linear factors.
 
     `factors` lists (shift, multiplicity) pairs for f(X) = prod (X+shift)^mult.
     Returns (value, bound, holds): the exact sum over the whole field, the
     square-root bound (m-1) sqrt(q) when f is not a d-th power for d the
     character order, the trivial bound q when it is, and whether |value|
-    stays within that bound.  A character mod p is summed as its lift to
-    F_p itself, where the norm is the identity.
+    stays within that bound.  At degree 1 the norm is the identity, so psi
+    is chi.
     """
-    if not isinstance(psi, cc.LiftedCharacter):
-        psi = cc.lift_character(psi, fc.ext_field_ctx(psi.p, 1))
-    p, q = psi.base.p, psi.ctx.order
-    d = cc.lifted_order(psi)
-    if not fc.field_fits(p, psi.ctx.m):
+    if ctx.p != chi.p:
+        raise ValueError("character modulus and field characteristic differ")
+    p, q = chi.p, ctx.order
+    d = cc.char_order(chi)
+    if not fc.field_fits(p, ctx.m):
         raise ValueError(f"field size {q} over cap {fc.FIELD_SIZE_CAP}")
     merged: dict[int, int] = {}
     for shift, mult in factors:
@@ -143,26 +143,21 @@ def weil_complete_sum(
     m = len(merged)
     is_power = all(mult % d == 0 for mult in merged.values())
 
-    # psi(f(x)) = chi(prod_j N(x + s_j)^{m_j}); the shift moves coordinate
-    # 0 of x, the lowest base-p digit of its code c, within c's row of p
-    norms, residues = fc.norm_table(psi.ctx), [1] * q
+    # psi(f(x)) = chi(prod_j N(x + s_j)^{m_j})
+    residues = [1] * q
     for s, mult in merged.items():
         power = [pow(v, mult, p) for v in range(p)]
-        residues = [
-            a * power[norms[c - c % p + (c + s) % p]] % p for c, a in enumerate(residues)
-        ]
-    value = cc.weights_value(cc.index_histogram(psi.base, residues)[0])
+        residues = [a * power[n] % p for a, n in zip(residues, fc.shifted_norms(ctx, s))]
+    value = cc.weights_value(cc.index_histogram(chi, residues)[0])
     bound = float(q) if is_power else (m - 1) * math.sqrt(q)
     return value, bound, abs(value) <= bound + 1e-9
 
 
 def s2_moment(
-    partition: Sequence[int],
-    psis: Sequence[cc.LiftedCharacter],
-    T: int,
-    r: int,
+    chi: cc.DirichletChar, ctxs: Sequence[fc.ExtFieldCtx], T: int, r: int
 ) -> dict:
-    """Exact 2r-th moment of the shifted product sum, fully enumerated.
+    """Exact 2r-th moment of the shifted product sum over the fields ctxs,
+    each carrying the lift of chi through its norm, fully enumerated.
 
     For each tuple z with one component per field, the inner sum runs over
     t in (0, T].  The z's are counted by their inner weight tuple, and
@@ -170,25 +165,19 @@ def s2_moment(
     differences, so the value is exact; their symmetry, which makes it
     real, is checked.
     """
-    partition = tuple(partition)
-    if len(psis) != len(partition) or any(
-        psi.ctx.m != ki for psi, ki in zip(psis, partition)
-    ):
-        raise ValueError("need one character per field, degrees matching the partition")
-    chi = psis[0].base
-    if any(psi.base != chi for psi in psis):
-        raise ValueError("every character must lift the same base character")
+    p = chi.p
+    if not ctxs:
+        raise ValueError("need at least one field")
+    if any(ctx.p != p for ctx in ctxs):
+        raise ValueError("character modulus and field characteristic differ")
     if T < 1 or r < 1:
         raise ValueError("window and exponent must be positive")
-    p = chi.p
-    k = sum(partition)
+    k = sum(ctx.m for ctx in ctxs)
     if not moment_fits(p, k, T, r):
         raise ValueError("moment enumeration infeasible at this size")
-    # N(z_i + t) at each code c of field i, shifted as in weil_complete_sum
-    shifts = range(1, T + 1)
+    # N(z_i + t) for t in (0, T] at each element code of field i
     fields = [
-        [tuple(norms[c - c % p + (c + t) % p] for t in shifts) for c in range(len(norms))]
-        for norms in (fc.norm_table(psi.ctx) for psi in psis)
+        list(zip(*(fc.shifted_norms(ctx, t) for t in range(1, T + 1)))) for ctx in ctxs
     ]
     classes = Counter()
     for z in itertools.product(*fields):

@@ -380,22 +380,6 @@ def energy_restricted(
     return live, degenerate, total
 
 
-def _extend_to_basis(A, p: int):
-    """Append standard basis vectors until the columns span F_p^k."""
-    k = len(A)
-    cols = [list(col) for col in zip(*A)]
-    for j in range(k):
-        if len(cols) == k:
-            break
-        unit = [1 if i == j else 0 for i in range(k)]
-        candidate = cols + [unit]
-        if la.mat_rank(tuple(zip(*candidate)), p) == len(candidate):
-            cols.append(unit)
-    if len(cols) != k:
-        raise la.CheckFailed(f"{len(cols)} columns, not {k}, after extending to a basis")
-    return tuple(tuple(row) for row in zip(*cols))
-
-
 def embed_energy(inst: EnergyInstance, cross_check=None):
     """Compare a rectangular-system count with its square-system embedding.
 
@@ -405,7 +389,7 @@ def embed_energy(inst: EnergyInstance, cross_check=None):
     """
     D = inst.decomposition
     n, k, p = D.n, D.k, D.p
-    A_big = _extend_to_basis(D.A, p)
+    A_big = tuple(zip(*la.extend_to_basis(zip(*D.A), p)))
     D_big = fm.NormFormDecomposition(p, k, D.partition, D.ctxs, _split_rows(A_big, D.partition))
     pad_n = (-1,) * (k - n)
     pad_h = (1,) * (k - n)

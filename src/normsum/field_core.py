@@ -437,6 +437,19 @@ def norm_table(ctx: ExtFieldCtx):
     return table
 
 
+def shifted_norms(ctx: ExtFieldCtx, s: int) -> list:
+    """N(a + s) for every element a of F_q, indexed by element code as
+    norm_table.  Adding s in F_p moves only coordinate 0, the lowest base-p
+    digit of the code: the code moves by s, or by s - p where that digit
+    wraps past p - 1.  So the table is norm_table rotated by s, with the
+    codes whose digit wraps read again by one strided slice per digit."""
+    p, norms, s = ctx.p, norm_table(ctx), s % ctx.p
+    out = list(norms[s:]) + list(norms[:s])
+    for digit in range(p - s, p):
+        out[digit::p] = norms[digit + s - p :: p]
+    return out
+
+
 def log_fold(ctx: ExtFieldCtx) -> list:
     """The log of a product from the sum of its factors' log_table entries.
 

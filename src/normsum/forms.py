@@ -325,19 +325,15 @@ def _unit(n: int, j: int) -> tuple:
     return tuple(1 if t == j else 0 for t in range(n))
 
 
-def _add(a, b, p: int) -> tuple:
-    return tuple((x + y) % p for x, y in zip(a, b))
-
-
 def _epoly_mul(a: dict, b: dict, ctx) -> dict:
     """Product of two polynomials whose coefficients are ctx coefficient tuples."""
-    mul, p = fc.mul_kernel(ctx), ctx.p
+    mul = fc.mul_kernel(ctx)
     out: dict = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = tuple(map(operator.add, e1, e2))
             prev = out.get(e)
-            out[e] = mul(c1, c2) if prev is None else _add(prev, mul(c1, c2), p)
+            out[e] = mul(c1, c2) if prev is None else fc.ext_add(ctx, prev, mul(c1, c2))
     return {e: c for e, c in out.items() if any(c)}
 
 
@@ -543,14 +539,7 @@ def _leading_change(F: FormSpec):
             return M
     for w in itertools.product(range(p), repeat=n):
         if any(w) and eval_form(F, w) != 0:
-            cols = [list(w)]
-            for j in range(n):
-                trial = cols + [list(_unit(n, j))]
-                if linalg.mat_rank(trial, p) > len(cols):
-                    cols.append(list(_unit(n, j)))
-                if len(cols) == n:
-                    break
-            return linalg.transpose(cols)
+            return linalg.transpose(linalg.extend_to_basis([w], p))
     raise UnsupportedFormError(
         "factorization unsupported: form vanishes on all of F_p^n"
     )
@@ -743,9 +732,7 @@ def decomposition_in_class(D: NormFormDecomposition) -> bool:
     """
     if not _ranks_hold(D):
         return False
-    L = 1
-    for ki in D.partition:
-        L = L * ki // math.gcd(L, ki)
+    L = math.lcm(*D.partition)
     big = fc.ext_field_ctx(D.p, L)
     mul = fc.mul_kernel(big)
     seen = set()

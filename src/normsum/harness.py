@@ -470,14 +470,13 @@ def run_weil_check(config: ExperimentConfig):
         ctx = fc.ext_field_ctx(p, m)
         for idx in sorted({1, (p - 1) // 2}):
             chi = cc.DirichletChar(p, idx)
-            psi = cc.lift_character(chi, ctx)
             d = cc.char_order(chi)
             worst = 0.0
             nonpower = 0
             for t in itertools.product(range(1, T + 1), repeat=2 * r):
                 factors = [(t[j], 1) for j in range(r)]
                 factors += [(t[r + j], max(1, d - 1)) for j in range(r)]
-                value, bound, holds = cs.weil_complete_sum(psi, factors)
+                value, bound, holds = cs.weil_complete_sum(chi, ctx, factors)
                 if not holds:
                     raise la.CheckFailed(
                         f"p={p} chi{idx} {factors}: |sum| {abs(value)} > {bound}"
@@ -514,10 +513,8 @@ def run_moment(config: ExperimentConfig):
 
     for p in _walk(config, cost, skips):
         T = window(p)
-        ctx = fc.ext_field_ctx(p, k)
         chi = cc.DirichletChar(p, (p - 1) // 2)
-        psi = cc.lift_character(chi, ctx)
-        res = cs.s2_moment((k,), (psi,), T, r)
+        res = cs.s2_moment(chi, (fc.ext_field_ctx(p, k),), T, r)
         rows.append(
             scan_row(p, config.n, k, (T,), "s2_moment", res["value"], res["bound_terms"][0])
         )

@@ -108,6 +108,22 @@ def mat_rank(A, p: int) -> int:
     return len(_row_reduce(A, p)[1])
 
 
+def extend_to_basis(cols, p: int) -> list[tuple[int, ...]]:
+    """The columns, then each unit vector e_1, e_2, ... that raises their
+    rank, appended until they span F_p^k; raises CheckFailed if they do not."""
+    cols = [tuple(col) for col in cols]
+    k = len(cols[0])
+    for j in range(k):
+        if len(cols) == k:
+            break
+        unit = tuple(1 if i == j else 0 for i in range(k))
+        if mat_rank(cols + [unit], p) == len(cols) + 1:
+            cols.append(unit)
+    if len(cols) != k:
+        raise CheckFailed(f"{len(cols)} columns, not {k}, after extending to a basis")
+    return cols
+
+
 def mat_det(A, p: int) -> int:
     return det_int(A) % p
 

@@ -193,14 +193,14 @@ class TestQuadrupleCaps:
 
 def test_moment_cap_is_one_decision(monkeypatch):
     # at p = 17, k = 1, r = 1 the window is T = 4: 17 * 4^2 = 272 terms
-    psi = cc.lift_character(cc.DirichletChar(17, 8), fc.ext_field_ctx(17, 1))
+    chi, ctxs = cc.DirichletChar(17, 8), (fc.ext_field_ctx(17, 1),)
     config = hn.ExperimentConfig("moment", 17, 17, k=1, r=1)
     monkeypatch.setattr(cs, "MOMENT_CAP", cs.moment_cost(17, 1, 4, 1))
-    cs.s2_moment((1,), (psi,), 4, 1)
+    cs.s2_moment(chi, ctxs, 4, 1)
     assert len(hn.run_moment(config)[0]) == 2
     monkeypatch.setattr(cs, "MOMENT_CAP", 271)
     with pytest.raises(ValueError, match="moment enumeration infeasible"):
-        cs.s2_moment((1,), (psi,), 4, 1)
+        cs.s2_moment(chi, ctxs, 4, 1)
     assert hn.run_moment(config) == ([], ["p=17: moment enumeration over cap, skipped"])
 
 
@@ -225,15 +225,15 @@ def test_box_cap_is_one_decision(monkeypatch):
 
 
 def test_field_cap_is_one_decision(monkeypatch):
-    psi = cc.lift_character(cc.DirichletChar(5, 2), fc.ext_field_ctx(5, 2))
+    chi, ctx = cc.DirichletChar(5, 2), fc.ext_field_ctx(5, 2)
     config = hn.ExperimentConfig("weil-check", 5, 5, k=2, r=1)
     monkeypatch.setattr(fc, "FIELD_SIZE_CAP", 25)
-    cs.weil_complete_sum(psi, [(1, 1)])
+    cs.weil_complete_sum(chi, ctx, [(1, 1)])
     assert len(hn.run_weil_check(config)[0]) == 4
     hn.ExperimentConfig("weil-check", 3, 25)
     monkeypatch.setattr(fc, "FIELD_SIZE_CAP", 24)
     with pytest.raises(ValueError, match="field size 25 over cap 24"):
-        cs.weil_complete_sum(psi, [(1, 1)])
+        cs.weil_complete_sum(chi, ctx, [(1, 1)])
     with pytest.raises(ValueError, match=r"field size 5\^2 exceeds cap 24"):
         fc.find_irreducible(5, 2)
     assert hn.run_weil_check(config) == ([], ["p=5: field size 25 exceeds cap, skipped"])

@@ -37,13 +37,15 @@ def is_principal(chi: cc.DirichletChar) -> bool:
     return chi.index == 0 or chi.p == 2
 
 
-def lifted_eval(psi: cc.LiftedCharacter, a: tuple) -> complex:
-    idx = cc.lifted_index(psi, a)
+def lifted_eval(chi: cc.DirichletChar, ctx: fc.ExtFieldCtx, a: tuple) -> complex:
+    idx = cc.lifted_index(chi, ctx, a)
     if idx is None:
         return complex(0, 0)
-    return cc.root_of_unity(idx, psi.base.p - 1)
+    return cc.root_of_unity(idx, chi.p - 1)
 
 
+F5 = fc.ext_field_ctx(5, 1)
+F9 = fc.ext_field_ctx(3, 2)
 X1 = fm.FormSpec(5, 1, 1, (((1,), 1),))
 SQUARES3 = fm.FormSpec(3, 2, 2, (((2, 0), 1), ((0, 2), 1)))
 
@@ -321,14 +323,14 @@ class TestLifted:
 class TestWeil:
     def test_quadratic_frozen(self):
         chi = cc.DirichletChar(5, 2)
-        value, bound, holds = cs.weil_complete_sum(chi, [(0, 1), (1, 1)])
+        value, bound, holds = cs.weil_complete_sum(chi, F5, [(0, 1), (1, 1)])
         assert value == -1
         assert bound == pytest.approx(math.sqrt(5))
         assert holds
 
     def test_power_branch(self):
         chi = cc.DirichletChar(5, 2)
-        value, bound, holds = cs.weil_complete_sum(chi, [(1, 2)])
+        value, bound, holds = cs.weil_complete_sum(chi, F5, [(1, 2)])
         assert value == 4
         assert bound == 5.0
         assert holds
@@ -337,23 +339,22 @@ class TestWeil:
         # f = (X+1)^2 with a quartic character: psi^2 is the quadratic
         # character, so the sum is a complete nonprincipal sum
         chi = cc.DirichletChar(5, 1)
-        value, bound, holds = cs.weil_complete_sum(chi, [(1, 2)])
+        value, bound, holds = cs.weil_complete_sum(chi, F5, [(1, 2)])
         assert abs(value) < 1e-12
         assert bound == 0.0
         assert holds
 
     def test_lifted_f9_frozen(self):
         chi = cc.DirichletChar(3, 1)
-        psi = cc.lift_character(chi, fc.ext_field_ctx(3, 2))
-        value, bound, holds = cs.weil_complete_sum(psi, [(0, 1), (1, 1)])
+        value, bound, holds = cs.weil_complete_sum(chi, F9, [(0, 1), (1, 1)])
         assert value == -1
         assert bound == 3.0
         assert holds
 
     def test_shift_merging(self):
         chi = cc.DirichletChar(5, 2)
-        merged = cs.weil_complete_sum(chi, [(1, 1), (6, 1)])
-        direct = cs.weil_complete_sum(chi, [(1, 2)])
+        merged = cs.weil_complete_sum(chi, F5, [(1, 1), (6, 1)])
+        direct = cs.weil_complete_sum(chi, F5, [(1, 2)])
         assert merged == direct
         assert merged[1] == 5.0
 
@@ -362,7 +363,7 @@ class TestWeil:
             for idx in (1, 2):
                 chi = cc.DirichletChar(p, idx)
                 for factors in ([(0, 1), (1, 1)], [(2, 3)], [(0, 1), (1, 1), (3, 2)]):
-                    value, _, _ = cs.weil_complete_sum(chi, factors)
+                    value, _, _ = cs.weil_complete_sum(chi, fc.ext_field_ctx(p, 1), factors)
                     acc = complex(0, 0)
                     for x in range(p):
                         fx = 1
@@ -374,16 +375,15 @@ class TestWeil:
     def test_lifted_matches_literal_evaluation(self):
         chi = cc.DirichletChar(3, 1)
         ctx = fc.ext_field_ctx(3, 2)
-        psi = cc.lift_character(chi, ctx)
         factors = [(0, 1), (1, 1), (2, 2)]
-        value, _, _ = cs.weil_complete_sum(psi, factors)
+        value, _, _ = cs.weil_complete_sum(chi, ctx, factors)
         acc = complex(0, 0)
         for x in ctx.iter_elements():
             fx = ctx.from_int(1)
             for shift, mult in factors:
                 shifted = fc.ext_add(ctx, x, ctx.from_int(shift))
                 fx = fc.ext_mul(ctx, fx, fc.ext_pow(ctx, shifted, mult))
-            acc += lifted_eval(psi, fx)
+            acc += lifted_eval(chi, ctx, fx)
         assert abs(value - acc) < 1e-9
 
     def test_sweep_shift_products(self):
@@ -393,50 +393,30 @@ class TestWeil:
         for p, k in [(5, 1), (5, 2), (7, 1), (13, 1), (13, 2)]:
             for idx in (1, (p - 1) // 2):
                 chi = cc.DirichletChar(p, idx)
-                if k > 1:
-                    psi = cc.lift_character(chi, fc.ext_field_ctx(p, k))
-                    d = cc.lifted_order(psi)
-                else:
-                    psi = chi
-                    d = cc.char_order(chi)
+                ctx = fc.ext_field_ctx(p, k)
+                d = cc.char_order(chi)
                 for r in (1, 2):
                     for t in itertools.product(range(1, 4), repeat=2 * r):
                         factors = [(t[j], 1) for j in range(r)] + [
                             (t[r + j], d - 1) for j in range(r) if d > 1
                         ]
-                        value, bound, holds = cs.weil_complete_sum(psi, factors)
+                        value, bound, holds = cs.weil_complete_sum(chi, ctx, factors)
                         assert holds, (p, k, idx, r, t, value, bound)
                         if bound < p**k - 0.5:
                             nonpower += 1
         assert nonpower > 0
 
-    def test_character_mod_p_is_its_lift_to_f_p(self):
-        for p in (3, 5, 7, 13):
-            ctx = fc.ext_field_ctx(p, 1)
-            for idx in range(p - 1):
-                chi = cc.DirichletChar(p, idx)
-                psi = cc.lift_character(chi, ctx)
-                for factors in (
-                    [(0, 1)],
-                    [(0, 1), (1, 1)],
-                    [(2, 3), (p + 1, 1)],
-                    [(1, p - 2), (3, 2), (-1, 1)],
-                ):
-                    direct = cs.weil_complete_sum(chi, factors)
-                    assert direct == cs.weil_complete_sum(psi, factors), (p, idx, factors)
-
     def test_errors(self):
         chi = cc.DirichletChar(5, 2)
         with pytest.raises(ValueError, match="empty"):
-            cs.weil_complete_sum(chi, [])
+            cs.weil_complete_sum(chi, F5, [])
         with pytest.raises(ValueError, match="positive"):
-            cs.weil_complete_sum(chi, [(1, 0)])
+            cs.weil_complete_sum(chi, F5, [(1, 0)])
 
 
-def dense_moment_weights(partition, psis, T, r):
+def dense_moment_weights(chi, ctxs, T, r):
     """The literal moment oracle: norms by norm_kernel at every z and t, and
     dense O((p-1)^2) cyclic loops for |inner|^{2r} at every z."""
-    chi = psis[0].base
     p = chi.p
     order = max(1, p - 1)
 
@@ -448,10 +428,10 @@ def dense_moment_weights(partition, psis, T, r):
 
     # z runs over the concatenated raw coordinates of all fields; field i
     # owns z[a:b] and its shift by t lands on coordinate a
-    cuts = tuple(itertools.accumulate(partition, initial=0))
-    fields = [(fc.norm_kernel(psi.ctx), a, b) for psi, a, b in zip(psis, cuts, cuts[1:])]
+    cuts = tuple(itertools.accumulate((ctx.m for ctx in ctxs), initial=0))
+    fields = [(fc.norm_kernel(ctx), a, b) for ctx, a, b in zip(ctxs, cuts, cuts[1:])]
     total = [0] * order
-    for z in itertools.product(range(p), repeat=sum(partition)):
+    for z in itertools.product(range(p), repeat=cuts[-1]):
         residues = [
             math.prod(norm((z[a] + t,) + z[a + 1 : b]) for norm, a, b in fields) % p
             for t in range(1, T + 1)
@@ -475,20 +455,20 @@ COMPLETE_MOMENT_GRID = (
 class TestMoment:
     @pytest.mark.parametrize("p,k,r", COMPLETE_MOMENT_GRID)
     def test_matches_dense_oracle_on_moment_grid(self, p, k, r):
-        psi = cc.lift_character(cc.DirichletChar(p, (p - 1) // 2), fc.ext_field_ctx(p, k))
+        chi, ctxs = cc.DirichletChar(p, (p - 1) // 2), (fc.ext_field_ctx(p, k),)
         T = max(1, int(p ** (k / (2 * r))))
-        m = cs.s2_moment((k,), (psi,), T, r)
-        assert m["weights"] == dense_moment_weights((k,), (psi,), T, r)
+        m = cs.s2_moment(chi, ctxs, T, r)
+        assert m["weights"] == dense_moment_weights(chi, ctxs, T, r)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("partition", [(1, 1), (2, 1), (1, 2), (2,)])
     def test_matches_dense_oracle_on_partitions(self, p, partition):
         for idx in sorted({1, (p - 1) // 2}):
             chi = cc.DirichletChar(p, idx)
-            psis = [cc.lift_character(chi, fc.ext_field_ctx(p, ki)) for ki in partition]
+            ctxs = [fc.ext_field_ctx(p, ki) for ki in partition]
             for T, r in ((1, 1), (2, 2), (3, 1)):
-                m = cs.s2_moment(partition, psis, T, r)
-                assert m["weights"] == dense_moment_weights(partition, psis, T, r), (
+                m = cs.s2_moment(chi, ctxs, T, r)
+                assert m["weights"] == dense_moment_weights(chi, ctxs, T, r), (
                     idx, T, r,
                 )
 
@@ -503,31 +483,23 @@ class TestMoment:
             return tuple(out)
 
         monkeypatch.setattr(cc, "power", perturbed)
-        psi = cc.lift_character(cc.DirichletChar(7, 3), fc.ext_field_ctx(7, 1))
         with pytest.raises(la.CheckFailed, match="not symmetric"):
-            cs.s2_moment((1,), (psi,), 2, 1)
+            cs.s2_moment(cc.DirichletChar(7, 3), (fc.ext_field_ctx(7, 1),), 2, 1)
 
     def test_frozen_p5(self):
-        chi = cc.DirichletChar(5, 2)
-        psi = cc.lift_character(chi, fc.ext_field_ctx(5, 1))
-        m = cs.s2_moment((1,), [psi], 2, 1)
+        m = cs.s2_moment(cc.DirichletChar(5, 2), [F5], 2, 1)
         assert m["value"] == pytest.approx(6.0)
         assert sum(m["weights"]) == 14
         assert m["bound_terms"] == (4 * math.sqrt(5), 10.0)
         assert m["ratio"] == pytest.approx(6.0 / (4 * math.sqrt(5) + 10.0))
 
     def test_single_shift_counts_nonzero(self):
-        chi = cc.DirichletChar(5, 2)
-        psi = cc.lift_character(chi, fc.ext_field_ctx(5, 1))
-        assert cs.s2_moment((1,), [psi], 1, 2)["value"] == pytest.approx(4.0)
-        chi3 = cc.DirichletChar(3, 1)
-        psis = [cc.lift_character(chi3, fc.ext_field_ctx(3, 1)) for _ in range(2)]
-        assert cs.s2_moment((1, 1), psis, 1, 1)["value"] == pytest.approx(4.0)
+        assert cs.s2_moment(cc.DirichletChar(5, 2), [F5], 1, 2)["value"] == pytest.approx(4.0)
+        F3 = fc.ext_field_ctx(3, 1)
+        assert cs.s2_moment(cc.DirichletChar(3, 1), [F3, F3], 1, 1)["value"] == pytest.approx(4.0)
 
     def test_principal_counts_surviving_shifts(self):
-        chi = cc.DirichletChar(5, 0)
-        psi = cc.lift_character(chi, fc.ext_field_ctx(5, 1))
-        m = cs.s2_moment((1,), [psi], 2, 1)
+        m = cs.s2_moment(cc.DirichletChar(5, 0), [F5], 2, 1)
         expected = sum(
             sum(1 for t in (1, 2) if (t + z) % 5 != 0) ** 2 for z in range(5)
         )
@@ -542,42 +514,29 @@ class TestMoment:
         ]
         for p, partition, idx, T, r in cases:
             chi = cc.DirichletChar(p, idx)
-            psis = [cc.lift_character(chi, fc.ext_field_ctx(p, ki)) for ki in partition]
-            m = cs.s2_moment(partition, psis, T, r)
+            ctxs = [fc.ext_field_ctx(p, ki) for ki in partition]
+            m = cs.s2_moment(chi, ctxs, T, r)
             brute = 0.0
-            for z in itertools.product(*[psi.ctx.iter_elements() for psi in psis]):
+            for z in itertools.product(*[ctx.iter_elements() for ctx in ctxs]):
                 inner = complex(0, 0)
                 for t in range(1, T + 1):
                     term = complex(1, 0)
-                    for psi, zi in zip(psis, z):
-                        term *= lifted_eval(
-                            psi, fc.ext_add(psi.ctx, zi, psi.ctx.from_int(t))
-                        )
+                    for ctx, zi in zip(ctxs, z):
+                        term *= lifted_eval(chi, ctx, fc.ext_add(ctx, zi, ctx.from_int(t)))
                     inner += term
                 brute += abs(inner) ** (2 * r)
             assert m["value"] == pytest.approx(brute, abs=1e-6)
 
     def test_errors(self):
         chi = cc.DirichletChar(5, 2)
-        psi = cc.lift_character(chi, fc.ext_field_ctx(5, 1))
-        psi2 = cc.lift_character(chi, fc.ext_field_ctx(5, 2))
-        with pytest.raises(ValueError, match="partition"):
-            cs.s2_moment((1, 1), [psi], 2, 1)
-        with pytest.raises(ValueError, match="partition"):
-            cs.s2_moment((1,), [psi2], 2, 1)
+        with pytest.raises(ValueError, match="at least one field"):
+            cs.s2_moment(chi, [], 2, 1)
         with pytest.raises(ValueError, match="positive"):
-            cs.s2_moment((1,), [psi], 0, 1)
+            cs.s2_moment(chi, [F5], 0, 1)
         with pytest.raises(ValueError, match="positive"):
-            cs.s2_moment((1,), [psi], 2, 0)
+            cs.s2_moment(chi, [F5], 2, 0)
         with pytest.raises(ValueError, match="infeasible"):
-            cs.s2_moment((1,), [psi], 10, 5)
-
-
-    def test_two_base_characters_raise(self):
-        ctx = fc.ext_field_ctx(5, 1)
-        psis = [cc.lift_character(cc.DirichletChar(5, idx), ctx) for idx in (1, 2)]
-        with pytest.raises(ValueError, match="same base character"):
-            cs.s2_moment((1, 1), psis, 2, 1)
+            cs.s2_moment(chi, [F5], 10, 5)
 
 
 class TestBadTuples:

@@ -528,15 +528,6 @@ class TestEmbed:
         e_wide = en.energy_bruteforce(en.EnergyInstance(ident, wide, wide))
         assert e_small == e_big <= e_wide
 
-    def test_extend_to_basis(self):
-        A = ((1,), (2,))
-        big = en._extend_to_basis(A, 5)
-        assert len(big) == 2 and len(big[0]) == 2
-        from normsum import linalg as la
-
-        assert la.mat_rank(big, 5) == 2
-        assert tuple(row[0] for row in big) == (1, 2)
-
 
 class TestMulKernel:
     @pytest.mark.parametrize(

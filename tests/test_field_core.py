@@ -275,41 +275,53 @@ def test_lifted_index_matches_conjugate_norm(p, m):
     norms = [(a, fc.norm_via_conjugates(ctx, a)) for a in ctx.iter_elements()]
     for t in range(p - 1):
         chi = cc.DirichletChar(p, t)
-        psi = cc.lift_character(chi, ctx)
         for a, value in norms:
-            assert cc.lifted_index(psi, a) == cc.char_index(chi, value)
+            assert cc.lifted_index(chi, ctx, a) == cc.char_index(chi, value)
 
 
 def test_lifted_index_rejects_tuples_of_another_degree():
-    psi = cc.lift_character(cc.DirichletChar(5, 1), fc.ext_field_ctx(5, 2))
-    assert cc.lifted_index(psi, (0, 0)) is None
-    assert cc.lifted_index(psi, (2, 0)) == 2  # N(2) = 4 = g^2, g = 2
+    chi, ctx = cc.DirichletChar(5, 1), fc.ext_field_ctx(5, 2)
+    assert cc.lifted_index(chi, ctx, (0, 0)) is None
+    assert cc.lifted_index(chi, ctx, (2, 0)) == 2  # N(2) = 4 = g^2, g = 2
     for a in [(), (1,), (1, 0, 0)]:
         with pytest.raises(ValueError, match="degree 2"):
-            cc.lifted_index(psi, a)
+            cc.lifted_index(chi, ctx, a)
 
 
-def _element_route_index(psi, x, shift):
+def test_a_field_of_another_characteristic_raises():
+    chi = cc.DirichletChar(5, 2)
+    for ctx in (fc.ext_field_ctx(3, 2), fc.ext_field_ctx(7, 1)):
+        with pytest.raises(ValueError, match="characteristic"):
+            cc.lifted_index(chi, ctx, ctx.from_int(1))
+        with pytest.raises(ValueError, match="characteristic"):
+            cs.weil_complete_sum(chi, ctx, [(1, 1)])
+        with pytest.raises(ValueError, match="characteristic"):
+            cs.s2_moment(chi, (ctx,), 2, 1)
+        with pytest.raises(ValueError, match="characteristic"):
+            cs.s2_moment(chi, (fc.ext_field_ctx(5, 1), ctx), 2, 1)
+
+
+def _element_route_index(chi, ctx, x, shift):
     """Lifted index of x + shift through field elements, the pre-kernel route."""
-    return cc.lifted_index(psi, fc.ext_add(psi.ctx, x, psi.ctx.from_int(shift)))
+    return cc.lifted_index(chi, ctx, fc.ext_add(ctx, x, ctx.from_int(shift)))
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (7, 2), (11, 2), (3, 3), (5, 3), (3, 4)])
 def test_weil_raw_route_matches_element_route(p, m):
     ctx = fc.ext_field_ctx(p, m)
     for t in sorted({1, (p - 1) // 2}):
-        psi = cc.lift_character(cc.DirichletChar(p, t), ctx)
+        chi = cc.DirichletChar(p, t)
         for factors in ([(1, 1)], [(0, 1), (2, 2)], [(1, 1), (p - 1, 3), (p + 1, 1)]):
             merged = {}
             for shift, mult in factors:
                 merged[shift % p] = merged.get(shift % p, 0) + mult
             weights = [0] * (p - 1)
             for x in ctx.iter_elements():
-                idx = [_element_route_index(psi, x, s) for s in merged]
+                idx = [_element_route_index(chi, ctx, x, s) for s in merged]
                 if None not in idx:
                     total = sum(mult * i for mult, i in zip(merged.values(), idx))
                     weights[total % (p - 1)] += 1
-            value = cs.weil_complete_sum(psi, factors)[0]
+            value = cs.weil_complete_sum(chi, ctx, factors)[0]
             assert value == cc.weights_value(weights)
 
 
@@ -322,18 +334,18 @@ def test_s2_moment_raw_route_matches_element_route(p, partition, T, r):
     # |inner|^{2r} = inner^r conj(inner)^r, expanded over every 2r-tuple of
     # shifts: the tuple adds zeta^(sum of r indices - sum of the other r)
     chi = cc.DirichletChar(p, (p - 1) // 2)
-    psis = [cc.lift_character(chi, fc.ext_field_ctx(p, m)) for m in partition]
+    ctxs = [fc.ext_field_ctx(p, m) for m in partition]
     order = p - 1
     total = [0] * order
-    for z in itertools.product(*[list(psi.ctx.iter_elements()) for psi in psis]):
+    for z in itertools.product(*[list(ctx.iter_elements()) for ctx in ctxs]):
         live = []
         for t in range(1, T + 1):
-            idx = [_element_route_index(psi, zi, t) for psi, zi in zip(psis, z)]
+            idx = [_element_route_index(chi, ctx, zi, t) for ctx, zi in zip(ctxs, z)]
             if None not in idx:
                 live.append(sum(idx))
         for ts in itertools.product(live, repeat=2 * r):
             total[(sum(ts[:r]) - sum(ts[r:])) % order] += 1
-    assert cs.s2_moment(partition, psis, T, r)["weights"] == tuple(total)
+    assert cs.s2_moment(chi, ctxs, T, r)["weights"] == tuple(total)
 
 
 def _code(ctx, a):
@@ -510,6 +522,19 @@ def test_norm_table_matches_norm_kernel(p, m, poly):
         if ctx.order <= 125:
             assert table[_code(ctx, a)] == fc.norm_via_conjugates(ctx, a)
     assert fc.norm_table(ctx) is table or m == 1
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (2, 4)])
+def test_shifted_norms_is_the_norm_at_each_shifted_element(p, m):
+    ctx = fc.ext_field_ctx(p, m)
+    kernel = fc.norm_kernel(ctx)
+    for s in range(p):
+        shifted = fc.shifted_norms(ctx, s)
+        assert len(shifted) == ctx.order
+        for a in ctx.iter_elements():
+            assert shifted[_code(ctx, a)] == kernel(fc.ext_add(ctx, a, ctx.from_int(s)))
+    assert fc.shifted_norms(ctx, p + 1) == fc.shifted_norms(ctx, 1)
+    assert fc.shifted_norms(ctx, 0) == list(fc.norm_table(ctx))
 
 
 def test_norm_table_is_built_on_first_use(monkeypatch):

@@ -342,7 +342,7 @@ class TestCli:
 
     def test_weil_bound_failure_exits_1(self, monkeypatch, capsys):
         monkeypatch.setattr(
-            hn.cs, "weil_complete_sum", lambda psi, factors: (9.0, 1.0, False)
+            hn.cs, "weil_complete_sum", lambda chi, ctx, factors: (9.0, 1.0, False)
         )
         assert run_cli(["weil-check", "--p", "5", "--k", "1", "--r", "1"]) == 1
         captured = capsys.readouterr()

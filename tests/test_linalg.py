@@ -66,6 +66,17 @@ def test_echelon_keeps_rows_primitive():
     assert ech.rows[1] == (2, [0, 0, 1])
 
 
+def test_extend_to_basis():
+    big = la.extend_to_basis([(1, 2)], 5)
+    assert len(big) == 2 and la.mat_rank(big, 5) == 2
+    assert big[0] == (1, 2)
+    # each unit that raises the rank, in order: e_2 lies in the span of
+    # (1, 1, 0) and e_1, so e_3 comes next
+    assert la.extend_to_basis([(1, 1, 0)], 3) == [(1, 1, 0), (1, 0, 0), (0, 0, 1)]
+    with pytest.raises(la.CheckFailed, match="1 columns, not 2"):
+        la.extend_to_basis([(0, 0)], 5)
+
+
 def test_check_failed_is_an_assertion_error():
     assert issubclass(la.CheckFailed, AssertionError)
 
@@ -208,7 +219,6 @@ def test_each_capped_quantity_is_compared_with_its_cap_at_one_site():
 # public functions of src that nothing in src, bench/*.py or BENCHMARK.json
 # calls, each with the reason it stays
 UNREFERENCED_PUBLIC = {
-    "field_core.ext_add": "field addition, the arithmetic of the tests' root and linearity oracles",
     "field_core.ext_scalar_mul": "F_p-scaling of field elements, checked by the linearity test",
     "field_core.norm_via_conjugates": "oracle route for norm_kernel, the product of conjugates",
     "lattice.mult_matrix_via_columns": "oracle route for the multiplication matrix, by columns",
