@@ -2,13 +2,14 @@
 
 Every count is an integer, and each is produced by two independent
 algorithms where feasible: a literal quadruple loop and a histogram over
-per-field pair products, taken as sums of discrete logs.  The histogram
-key's zero pattern carries the vanishing index set, so degenerate classes
-stay separated rather than being skipped.
+per-field pair products, taken as sums of discrete logs and counted by the
+class keys they fold to.  The histogram key's zero pattern carries the
+vanishing index set, so degenerate classes stay separated, not skipped.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections import Counter
@@ -21,15 +22,12 @@ from . import linalg as la
 PAIR_CAP = 4 * 10**6
 QUAD_CROSS_CHECK_CAP = 10**6
 QUAD_SCAN_CAP = 10**9
-# the fastest measured time of one pair of a window energy, in ns, at n = 1,
-# n = 2 and n >= 3 (on a 2-vCPU virtual machine, field tables built: 175 to
-# 400 at n = 1, slowest near the field cap; 95 to 240 at n = 2; 40 to 280 at
-# n >= 3, slowest with one field per variable): the weight of pair_cost in a
-# command's cost
+# the weight of pair_cost in a command's cost: ns per pair of a window energy
+# at n = 1, n = 2 and n >= 3.  With field tables built, a pair took 72 to 254
+# at n = 1, 33 to 116 at n = 2 and 29 to 241 at n >= 3 (2-vCPU virtual
+# machine, slowest on the smallest windows); the weights stay above most of
+# these, as no cost prices each prime's fixed work
 PAIR_NS = (175, 95, 40)
-# distinct raw pair sums held before they are folded into classes: near
-# the field cap one histogram meets millions, which would all be held at once
-RAW_FLUSH = 2**18
 
 
 def pair_cost(vol_x: int, vol_y: int) -> int:
@@ -99,7 +97,8 @@ def _lam_table(D: fm.NormFormDecomposition, box: fm.BoxSpec, blocks=None) -> lis
 # lambda_i(x) or the zero sentinel Z_i = 2(q_i - 1) - 1 of fc.log_table,
 # in the mixed radix S_{i+1} = S_i (4(q_i - 1) - 1).  Adding two codes
 # adds digit-wise without carries (a digit sum is at most 2 Z_i), and a
-# digit sum is below Z_i exactly when both factors are nonzero.
+# digit sum is below Z_i exactly when both factors are nonzero.  Each row
+# of sums is folded to class keys by C-level maps as it is counted.
 
 
 def _log_codes(D: fm.NormFormDecomposition, box: fm.BoxSpec, blocks=None) -> list:
@@ -124,63 +123,61 @@ def _log_codes(D: fm.NormFormDecomposition, box: fm.BoxSpec, blocks=None) -> lis
     return codes
 
 
-def _class_histogram(D: fm.NormFormDecomposition, groups) -> dict:
-    """Pair counts per product class from groups (weight, rows of raw sums).
+def _class_keys(D: fm.NormFormDecomposition):
+    """The map from a row of raw code sums to their class keys.  A class key
+    has digit t_i in base q_i: the log of the product, or the zero marker
+    q_i - 1 (_has_zero_factor).  Each lower digit of a sum is taken by mod
+    and floordiv by its base 4(q_i - 1) - 1, the top digit is what the
+    floordivs leave, and each is read from its fc.log_fold, pre-scaled by
+    the product of the lower q's."""
+    folds, scale = [], 1
+    for ctx in D.ctxs:
+        fold = fc.log_fold(ctx) if scale == 1 else [t * scale for t in fc.log_fold(ctx)]
+        folds.append((itertools.repeat(4 * (ctx.order - 1) - 1), fold.__getitem__))
+        scale *= ctx.order
+    *lower, (_, top) = folds
 
-    Each row of code sums is counted by one C-level Counter update, and
-    every sum counts weight times; the distinct sums are folded to class
-    keys digit by digit through fc.log_fold, whenever about RAW_FLUSH of
-    them have piled up.  A class key has digit t_i in base q_i: the log of
-    the product, or the zero marker q_i - 1 (_has_zero_factor).
-    """
-    digits = [(4 * (ctx.order - 1) - 1, fc.log_fold(ctx), ctx.order) for ctx in D.ctxs]
-    hist: dict = {}
-    get = hist.get
+    def keys(row):
+        rest, digits = list(row) if lower else row, []
+        for base, read in lower:
+            digits.append(map(read, map(operator.mod, rest, base)))
+            rest = list(map(operator.floordiv, rest, base))
+        return functools.reduce(functools.partial(map, operator.add), digits, map(top, rest))
 
-    def fold_into(raw: Counter, weight: int):
-        rest, keys, scale = list(raw), itertools.repeat(0), 1
-        for base, fold, q in digits:
-            classes = map(fold.__getitem__, map(operator.mod, rest, itertools.repeat(base)))
-            scaled = map(operator.mul, classes, itertools.repeat(scale))
-            keys = list(map(operator.add, keys, scaled))
-            rest = list(map(operator.floordiv, rest, itertools.repeat(base)))
-            scale *= q
-        for key, c in zip(keys, map(operator.mul, raw.values(), itertools.repeat(weight))):
-            hist[key] = get(key, 0) + c
+    return keys
 
-    for weight, rows in groups:
-        raw: Counter = Counter()
-        for sums in rows:
-            raw.update(sums)
-            if len(raw) >= RAW_FLUSH:
-                fold_into(raw, weight)
-                raw.clear()
-        fold_into(raw, weight)
+
+def _pair_histogram(D: fm.NormFormDecomposition, codes_u, codes_v) -> Counter:
+    """Pair counts per product class over all pairs (u, v): each u's row of
+    sums is mapped to class keys and counted by one Counter update."""
+    keys, hist = _class_keys(D), Counter()
+    for a in codes_u:
+        hist.update(keys(map(a.__add__, codes_v)))
     return hist
 
 
-def _pair_histogram(D: fm.NormFormDecomposition, codes_u, codes_v) -> dict:
-    """Pair counts per product class over all pairs (u, v)."""
-    return _class_histogram(D, [(1, (map(a.__add__, codes_v) for a in codes_u))])
-
-
-def _orbit_histogram(D: fm.NormFormDecomposition, codes) -> dict:
-    """_pair_histogram(D, codes, codes) for the codes of a symmetric box.
+def _orbit_energy(D: fm.NormFormDecomposition, codes) -> int:
+    """The energy sum c^2 over _pair_histogram(D, codes, codes), for a symmetric box.
 
     Each lambda_i is F_p-linear, so (x, y) -> (y, x) and (x, y) -> (-x, -y)
     keep a pair's class; one pair per orbit is counted, weighted by the
     orbit's size.  Point i's negative is point vol - 1 - i.  With x in the
     positive half: (x, +-z) for each z after x weighs 4, (x, x) and (x, -x)
-    weigh 2, the origin's pairs 2 and (0, 0) itself 1.
+    weigh 2, the origin's pairs 2 and (0, 0) itself 1.  A class of c
+    weight-4 pairs and e from the rest has size 4c + e, and e is nonzero
+    at few classes: E is 16 sum c^2 plus e(8c + e) at each of those.
     """
     h = len(codes) // 2
     pos, origin, neg = codes[:h], codes[h], codes[:h:-1]
     # z and -z in turn, so each x's partners are one slice
     both = [c for pair in zip(pos, neg) for c in pair]
-    fours = (map(a.__add__, both[2 * i + 2:]) for i, a in enumerate(pos))
-    twos = [map(operator.add, pos, pos), map(operator.add, pos, neg)]
-    twos.append(map(origin.__add__, pos + neg))
-    return _class_histogram(D, [(4, fours), (2, twos), (1, [[origin + origin]])])
+    keys, fours = _class_keys(D), Counter()
+    for i, a in enumerate(pos):
+        fours.update(keys(map(a.__add__, both[2 * i + 2:])))
+    twos = [a + b for a, b in zip(pos + pos, pos + neg)] + [origin + c for c in pos + neg]
+    rest = Counter(keys(twos * 2 + [origin + origin]))
+    energy = 16 * sum(map(operator.mul, fours.values(), fours.values()))
+    return energy + sum(e * (8 * fours[key] + e) for key, e in rest.items())
 
 
 def _inverse_codes(D: fm.NormFormDecomposition, codes) -> list:
@@ -221,9 +218,8 @@ def energy_histogram(inst: EnergyInstance) -> int:
     codes = _log_codes(D, box)
     # one box in both slots, with box == -box
     if inst.box_y == box and all(2 * n + h == -1 for n, h in zip(box.N, box.H)):
-        hist = _orbit_histogram(D, codes)
-    else:
-        hist = _pair_histogram(D, codes, _log_codes(D, inst.box_y))
+        return _orbit_energy(D, codes)
+    hist = _pair_histogram(D, codes, _log_codes(D, inst.box_y))
     return sum(map(operator.mul, hist.values(), hist.values()))
 
 

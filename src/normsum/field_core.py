@@ -403,11 +403,11 @@ def log_table(ctx: ExtFieldCtx) -> list:
     element of smallest code (g^((q-1)/r) != 1 for every prime r | q - 1).
     The entry for 0 is the sentinel 2(q - 1) - 1, above every sum of two
     logs, so the sum of two entries shows whether either factor is zero.
-    The table is filled by stepping with mul_kernel (at degree 1 a residue
-    is its own code, so with int products mod p) and fails closed: a
-    repeated code raises linalg.CheckFailed rather than store a table that
-    is not a bijection.  F_p's table is also the one that characters mod p
-    read.
+    The table is filled by a walk from code to code, multiplying by g (at
+    degree 1 with int products mod p, at degree m >= 2 through a table of g
+    times every element), and fails closed: a repeated code raises
+    linalg.CheckFailed rather than store a table that is not a bijection.
+    F_p's table is also the one that characters mod p read.
     """
     return _log_tables_of(ctx)[0]
 
@@ -480,30 +480,50 @@ def _log_tables_of(ctx: ExtFieldCtx) -> tuple:
     ):
         _norm_tables.pop(next(iter(_log_tables)), None)
         del _log_tables[next(iter(_log_tables))]
-    order = q - 1
-    g = primitive_element(ctx)
+    order, g = q - 1, primitive_element(ctx)
     logs = list(range(order))  # one int object per log, kept for log_fold
     table = [None] * q
     table[0] = 2 * order - 1  # set first, so a step onto code 0 is a revisit
+    code, step = 1, g[0] if m == 1 else _times_code_table(ctx, g)
     if m == 1:
         # a residue is its own code, so the walk is int products mod p
-        code, step = 1, g[0]
         for j in logs:
             if table[code] is not None:
                 _revisit(ctx, j, code)
             table[code] = j
             code = code * step % p
     else:
-        mul, weights = mul_kernel(ctx), [p**j for j in range(m)]
-        acc = ctx.from_int(1)
         for j in logs:
-            code = sum(map(operator.mul, acc, weights))
             if table[code] is not None:
                 _revisit(ctx, j, code)
             table[code] = j
-            acc = mul(acc, g)
+            code = step[code]
     tables = _log_tables[ctx] = (table, logs)
     return tables
+
+
+def _times_code_table(ctx: ExtFieldCtx, g) -> list:
+    """step[c], the code of g times the element of code c, for every code c.
+
+    Multiplication by g is F_p-linear, with columns w^k g = mul_kernel(w^k, g).
+    Along the lowest digit c_0 the codes come in rows of p, and coordinate j
+    of g times a row is (c_0 g_j + s_j) mod p: the share at s_j = 0 rotated
+    by s_j / g_j, one slice, or constant where g_j = 0.  Every row's s_j is
+    built from the steps c_k (w^k g)_j along the higher digits with
+    itertools.product, as _log_codes builds a box's residues.
+    """
+    p, m = ctx.p, ctx.m
+    cols = [mul_kernel(ctx)(tuple(int(i == k) for i in range(m)), g) for k in range(m)]
+    shares = []
+    for j, a in enumerate(cols[0]):
+        w, inv = p**j, pow(a, -1, p) if a else 1
+        digits = ([c * col[j] * inv for c in range(p)] for col in reversed(cols[1:]))
+        ts = list(map(operator.mod, map(sum, itertools.product(*digits)), itertools.repeat(p)))
+        low = [c * a % p * w for c in range(p)] * 2
+        shares.append(map(low.__getitem__, map(slice, ts, [t + p for t in ts])) if a
+                      else map(itertools.repeat, [t * w for t in ts], itertools.repeat(p)))
+    add_shares = functools.partial(functools.reduce, functools.partial(map, operator.add))
+    return list(itertools.chain.from_iterable(map(add_shares, zip(*shares))))
 
 
 def _revisit(ctx: ExtFieldCtx, j: int, code: int):

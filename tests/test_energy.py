@@ -140,24 +140,27 @@ def ratio_histogram(D: fm.NormFormDecomposition, box_x: fm.BoxSpec, box_y: fm.Bo
     return hist
 
 
+def product_key(D: fm.NormFormDecomposition, lx, ly) -> int:
+    """The oracle of a class key: the product lambda(x)lambda(y), one
+    mul_kernel product per field, keyed by the log of each product or the
+    zero marker q_i - 1 when either factor is zero."""
+    key, scale = 0, 1
+    for ctx, a, b in zip(D.ctxs, lx, ly):
+        digit = ctx.order - 1
+        if any(a) and any(b):
+            ab = fc.mul_kernel(ctx)(a, b)
+            digit = fc.log_table(ctx)[sum(v * D.p**j for j, v in enumerate(ab))]
+        key += digit * scale
+        scale *= ctx.order
+    return key
+
+
 def product_histogram(D: fm.NormFormDecomposition, box_x: fm.BoxSpec, box_y: fm.BoxSpec) -> dict:
-    """The oracle of en._pair_histogram: lambda(x)lambda(y) over every pair,
-    one mul_kernel product per field, keyed by the log of each product or
-    the zero marker q_i - 1 when either factor is zero."""
-    muls = [fc.mul_kernel(ctx) for ctx in D.ctxs]
-    hist = collections.Counter()
-    for lx in en._lam_table(D, box_x):
-        for ly in en._lam_table(D, box_y):
-            key, scale = 0, 1
-            for ctx, mul, a, b in zip(D.ctxs, muls, lx, ly):
-                ab = mul(a, b)
-                digit = ctx.order - 1
-                if any(a) and any(b):
-                    digit = fc.log_table(ctx)[sum(v * D.p**j for j, v in enumerate(ab))]
-                key += digit * scale
-                scale *= ctx.order
-            hist[key] += 1
-    return dict(hist)
+    """The oracle of en._pair_histogram: product_key over every pair."""
+    table_y = en._lam_table(D, box_y)
+    return dict(collections.Counter(
+        product_key(D, lx, ly) for lx in en._lam_table(D, box_x) for ly in table_y
+    ))
 
 
 class TestBruteforce:
@@ -642,18 +645,20 @@ class TestLogDomain:
         )
         assert en._pair_histogram(D, codes, codes) == product_histogram(D, b, b)
 
-    def test_batched_fold_matches_single_fold(self, monkeypatch):
-        D = fm.random_decomposition(7, 2, (1, 1), random.Random(3))
-        bx = box((-2, -2), (4, 4))
-        by = box((0, -1), (3, 4))
-        codes_x, codes_y = en._log_codes(D, bx), en._log_codes(D, by)
-        whole = [
-            en._pair_histogram(D, codes_x, codes_x),
-            en._pair_histogram(D, codes_x, codes_y),
-        ]
-        monkeypatch.setattr(en, "RAW_FLUSH", 5)
-        assert en._pair_histogram(D, codes_x, codes_x) == whole[0]
-        assert en._pair_histogram(D, codes_x, codes_y) == whole[1]
+    @pytest.mark.parametrize("p,n,partition", LOG_DOMAIN_CASES)
+    def test_class_keys_match_the_product_oracle_row_by_row(self, p, n, partition):
+        # each row's keys, in box order, on a box around the origin (zero
+        # factors) and on a box whose first side is longer than p, where
+        # distinct points are congruent mod p
+        D = fm.random_decomposition(p, n, partition, random.Random(p * 10 + n + len(partition)))
+        keys = en._class_keys(D)
+        for b in (fm.BoxSpec.symmetric((1,) * n), box((-1,) * n, (p + 2,) + (2,) * (n - 1))):
+            codes, table = en._log_codes(D, b), en._lam_table(D, b)
+            for a, lx in zip(codes, table):
+                assert list(keys(map(a.__add__, codes))) == [
+                    product_key(D, lx, ly) for ly in table
+                ]
+            assert en._pair_histogram(D, codes, codes) == product_histogram(D, b, b)
 
     @pytest.mark.parametrize("p,n,partition", [
         (3, 2, (1, 1)), (5, 2, (2,)), (5, 2, (1, 1)), (7, 1, (1,)), (3, 3, (2, 1)),
@@ -684,18 +689,17 @@ ORBIT_CASES = [case + (H,) for case in LOG_DOMAIN_CASES for H in (0, 1, 2)] + [
 
 
 class TestOrbits:
-    @pytest.mark.parametrize("flush", [en.RAW_FLUSH, 5], ids=["flush_default", "flush_5"])
     @pytest.mark.parametrize("p,n,partition,H", ORBIT_CASES)
-    def test_orbit_route_matches_one_box_and_two_list_routes(
-        self, p, n, partition, H, flush, monkeypatch
-    ):
+    def test_orbit_route_matches_one_box_and_two_list_routes(self, p, n, partition, H):
         D = fm.random_decomposition(p, n, partition, random.Random(p * 100 + n * 10 + H))
-        codes = en._log_codes(D, fm.BoxSpec.symmetric((H,) * n))
-        monkeypatch.setattr(en, "RAW_FLUSH", flush)
-        orbit = en._orbit_histogram(D, codes)
-        assert orbit == en._pair_histogram(D, codes, codes)
-        assert orbit == en._pair_histogram(D, codes, list(codes))
-        assert sum(orbit.values()) == len(codes) ** 2
+        b = fm.BoxSpec.symmetric((H,) * n)
+        codes = en._log_codes(D, b)
+        orbit = en._orbit_energy(D, codes)
+        for hist in (en._pair_histogram(D, codes, codes), en._pair_histogram(D, codes, list(codes))):
+            assert sum(hist.values()) == len(codes) ** 2
+            assert orbit == sum(c * c for c in hist.values())
+        if en.quadruple_cost(b.volume, b.volume) <= en.QUAD_CROSS_CHECK_CAP:
+            assert orbit == en.energy_quadruple_loop(en.EnergyInstance(D, b, b))
 
     def test_negatives_are_the_reversed_box(self):
         # the orbit route reads point i's negative at index vol - 1 - i
@@ -706,9 +710,9 @@ class TestOrbits:
     def test_only_symmetric_one_box_windows_take_the_orbit_route(self, monkeypatch):
         D = fm.random_decomposition(7, 2, (1, 1), random.Random(4))
         orbit_calls = []
-        orbit = en._orbit_histogram
+        orbit = en._orbit_energy
         monkeypatch.setattr(
-            en, "_orbit_histogram", lambda *args: orbit_calls.append(args) or orbit(*args)
+            en, "_orbit_energy", lambda *args: orbit_calls.append(args) or orbit(*args)
         )
         symmetric = fm.BoxSpec.symmetric((2, 1))
         for bx, by, route in [

@@ -395,6 +395,36 @@ def test_prime_field_log_walk_fails_closed(monkeypatch):
     assert fc._log_tables == {}
 
 
+# every field up to F_{2^12}, F_{3^7}, F_{5^4}, F_{7^3} and F_{53^2}
+WALKED_FIELDS = [(p, m) for p, top in [(2, 12), (3, 7), (5, 4), (7, 3), (53, 2)]
+                 for m in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("p,m", WALKED_FIELDS)
+def test_walked_log_table_is_the_log_of_each_power(p, m):
+    # the walk through the table of g times every element lands where
+    # squaring with mul_kernel does, at every exponent
+    ctx = fc.ext_field_ctx(p, m)
+    g, table = fc.primitive_element(ctx), fc.log_table(ctx)
+    assert [table[_code(ctx, fc.pow_coeffs(ctx, g, j))] for j in range(ctx.order - 1)] == list(
+        range(ctx.order - 1)
+    )
+
+
+@pytest.mark.parametrize("p,m", [(5, 2), (3, 3), (2, 4)])
+def test_extension_log_walk_fails_closed(monkeypatch, p, m):
+    # g^2 has order (q - 1) / 2 in F_q^* (q odd) or g^3 order (q - 1) / 3
+    # (q = 16): the walk comes back to the code of 1 at that step
+    ctx = fc.ext_field_ctx(p, m)
+    e = 2 if p > 2 else 3
+    h = fc.pow_coeffs(ctx, fc.primitive_element(ctx), e)
+    monkeypatch.setattr(fc, "_log_tables", {})
+    monkeypatch.setattr(fc, "primitive_element", lambda ctx: h)
+    with pytest.raises(la.CheckFailed, match=f"step {(ctx.order - 1) // e} revisits code 1"):
+        fc.log_table(ctx)
+    assert fc._log_tables == {}
+
+
 # the prime-field discrete logs that characters mod p read before they read
 # log_table: the smallest primitive root and a walk of its powers mod p
 
