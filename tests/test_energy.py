@@ -689,10 +689,13 @@ ORBIT_CASES = [case + (H,) for case in LOG_DOMAIN_CASES for H in (0, 1, 2)] + [
 
 
 class TestOrbits:
+    @pytest.mark.parametrize("shape", ["cube", "ragged"])
     @pytest.mark.parametrize("p,n,partition,H", ORBIT_CASES)
-    def test_orbit_route_matches_one_box_and_two_list_routes(self, p, n, partition, H):
+    def test_orbit_route_matches_one_box_and_two_list_routes(self, p, n, partition, H, shape):
+        # a ragged box widens its last side by one, so the orbit route's
+        # negatives (index vol - 1 - i) are read off a box with unequal sides
         D = fm.random_decomposition(p, n, partition, random.Random(p * 100 + n * 10 + H))
-        b = fm.BoxSpec.symmetric((H,) * n)
+        b = fm.BoxSpec.symmetric((H,) * (n - 1) + (H + (shape == "ragged"),))
         codes = en._log_codes(D, b)
         orbit = en._orbit_energy(D, codes)
         for hist in (en._pair_histogram(D, codes, codes), en._pair_histogram(D, codes, list(codes))):
