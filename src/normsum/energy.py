@@ -23,10 +23,13 @@ PAIR_CAP = 4 * 10**6
 QUAD_CROSS_CHECK_CAP = 10**6
 QUAD_SCAN_CAP = 10**9
 # the weight of pair_cost in a command's cost: ns per pair of a window energy
-# at n = 1, n = 2 and n >= 3.  With field tables built, a pair took 72 to 254
-# at n = 1, 33 to 116 at n = 2 and 29 to 241 at n >= 3 (2-vCPU virtual
-# machine, slowest on the smallest windows); the weights stay above most of
-# these, as no cost prices each prime's fixed work
+# at n = 1, n = 2 and n >= 3.  With field tables built (best of 10, 2-vCPU
+# virtual machine, slowest on the smallest windows), a pair took 77 to 322 at
+# n = 1 (p = 101 to 999,983); 58 to 299 with one field and 103 to 278 with
+# two at n = 2 (p = 5 to 479); and 38 to 206 with one field, 81 to 379 with
+# two and 108 to 326 with three at n = 3 (p = 3 to 31).  The weights are
+# kept; at n >= 2 each is below the floor with several fields, so those
+# windows, and each prime's fixed work, are priced below their time
 PAIR_NS = (175, 95, 40)
 
 
@@ -93,71 +96,49 @@ def _lam_table(D: fm.NormFormDecomposition, box: fm.BoxSpec, blocks=None) -> lis
 #
 # Each F_{q_i}^* is cyclic, so a product class of lambda_i values is the
 # sum of their discrete logs mod q_i - 1, with zero a class of its own.  A
-# point is coded as one int, sum_i L_i S_i, where L_i is the log of
-# lambda_i(x) or the zero sentinel Z_i = 2(q_i - 1) - 1 of fc.log_table,
-# in the mixed radix S_{i+1} = S_i (4(q_i - 1) - 1).  Adding two codes
-# adds digit-wise without carries (a digit sum is at most 2 Z_i), and a
-# digit sum is below Z_i exactly when both factors are nonzero.  Each row
-# of sums is folded to class keys by C-level maps as it is counted.
+# box is held as one list per field (fc.linear_logs): the discrete log of
+# lambda_i(x) at each point, in box order, or for zero a sentinel above
+# every sum of two logs.  A pair's sums are taken field by field, and
+# each row of sums is folded to class keys by C-level maps as it is counted.
 
 
-def _log_codes(D: fm.NormFormDecomposition, box: fm.BoxSpec, blocks=None) -> list:
-    """The log code of lambda(x) for each point x of the box, in box order.
-
-    Each row's residues u.x mod p are built over the whole box from its
-    steps u_j t along each axis, in iter_points order; the base-p index, the
-    log lookup and the digit of each field are then taken list-wide.
-    """
-    p = D.p
+def _box_logs(D: fm.NormFormDecomposition, box: fm.BoxSpec, blocks=None) -> list:
+    """The log list of each lambda_i over the box (fc.linear_logs); the
+    restricted energies pass a matrix's partition blocks for D's own."""
     blocks = D.blocks if blocks is None else blocks
-    codes, scale = [0] * box.volume, 1
-    for U, ctx in zip(blocks, D.ctxs):
-        idx = itertools.repeat(0)
-        for j, row in enumerate(U):
-            steps = ([u * t for t in axis] for u, axis in zip(row, box.axes()))
-            residues = map(operator.mod, map(sum, itertools.product(*steps)), itertools.repeat(p))
-            idx = map(operator.add, idx, map(operator.mul, residues, itertools.repeat(p**j)))
-        logs = map(fc.log_table(ctx).__getitem__, idx)
-        codes = list(map(operator.add, codes, map(operator.mul, logs, itertools.repeat(scale))))
-        scale *= 4 * (ctx.order - 1) - 1
-    return codes
+    return [fc.linear_logs(ctx, U, box.axes()) for U, ctx in zip(blocks, D.ctxs)]
 
 
 def _class_keys(D: fm.NormFormDecomposition):
-    """The map from a row of raw code sums to their class keys.  A class key
-    has digit t_i in base q_i: the log of the product, or the zero marker
-    q_i - 1 (_has_zero_factor).  Each lower digit of a sum is taken by mod
-    and floordiv by its base 4(q_i - 1) - 1, the top digit is what the
-    floordivs leave, and each is read from its fc.log_fold, pre-scaled by
-    the product of the lower q's."""
-    folds, scale = [], 1
+    """The map from per-field rows of log sums to their class keys.  A class
+    key has digit t_i in base q_i: the log of the product, or the zero marker
+    q_i - 1 (_has_zero_factor).  Each field's sums are read from its
+    fc.log_fold, pre-scaled by the product of the lower q's, and the reads
+    are added."""
+    reads, scale = [], 1
     for ctx in D.ctxs:
         fold = fc.log_fold(ctx) if scale == 1 else [t * scale for t in fc.log_fold(ctx)]
-        folds.append((itertools.repeat(4 * (ctx.order - 1) - 1), fold.__getitem__))
+        reads.append(fold.__getitem__)
         scale *= ctx.order
-    *lower, (_, top) = folds
 
-    def keys(row):
-        rest, digits = list(row) if lower else row, []
-        for base, read in lower:
-            digits.append(map(read, map(operator.mod, rest, base)))
-            rest = list(map(operator.floordiv, rest, base))
-        return functools.reduce(functools.partial(map, operator.add), digits, map(top, rest))
+    def keys(sums):
+        return functools.reduce(functools.partial(map, operator.add), map(map, reads, sums))
 
     return keys
 
 
-def _pair_histogram(D: fm.NormFormDecomposition, codes_u, codes_v) -> Counter:
-    """Pair counts per product class over all pairs (u, v): each u's row of
-    sums is mapped to class keys and counted by one Counter update."""
+def _pair_histogram(D: fm.NormFormDecomposition, logs_u, logs_v) -> Counter:
+    """Pair counts per product class over all pairs (u, v): each u's entries
+    are added to the partner lists of their fields, and the row's class keys
+    are counted by one Counter update."""
     keys, hist = _class_keys(D), Counter()
-    for a in codes_u:
-        hist.update(keys(map(a.__add__, codes_v)))
+    for adds in zip(*([a.__add__ for a in logs] for logs in logs_u)):
+        hist.update(keys(map(map, adds, logs_v)))
     return hist
 
 
-def _orbit_energy(D: fm.NormFormDecomposition, codes) -> int:
-    """The energy sum c^2 over _pair_histogram(D, codes, codes), for a symmetric box.
+def _orbit_energy(D: fm.NormFormDecomposition, logs) -> int:
+    """The energy sum c^2 over _pair_histogram(D, logs, logs), for a symmetric box.
 
     Each lambda_i is F_p-linear, so (x, y) -> (y, x) and (x, y) -> (-x, -y)
     keep a pair's class; one pair per orbit is counted, weighted by the
@@ -167,33 +148,28 @@ def _orbit_energy(D: fm.NormFormDecomposition, codes) -> int:
     weight-4 pairs and e from the rest has size 4c + e, and e is nonzero
     at few classes: E is 16 sum c^2 plus e(8c + e) at each of those.
     """
-    h = len(codes) // 2
-    pos, origin, neg = codes[:h], codes[h], codes[:h:-1]
-    # z and -z in turn, so each x's partners are one slice
-    both = [c for pair in zip(pos, neg) for c in pair]
+    h = len(logs[0]) // 2
+    # per field: the positive half, the origin and the negatives of the half
+    parts = [(field[:h], field[h], field[:h:-1]) for field in logs]
+    # z and -z in turn, so each x's partners are one slice of each field's list
+    both = [[c for pair in zip(pos, neg) for c in pair] for pos, _, neg in parts]
     keys, fours = _class_keys(D), Counter()
-    for i, a in enumerate(pos):
-        fours.update(keys(map(a.__add__, both[2 * i + 2:])))
-    twos = [a + b for a, b in zip(pos + pos, pos + neg)] + [origin + c for c in pos + neg]
-    rest = Counter(keys(twos * 2 + [origin + origin]))
+    for i, adds in enumerate(zip(*([a.__add__ for a in pos] for pos, _, _ in parts))):
+        fours.update(keys(map(map, adds, [partners[2 * i + 2:] for partners in both])))
+    rest = Counter(keys(
+        ([a + b for a, b in zip(pos + pos, pos + neg)] + [o + c for c in pos + neg]) * 2 + [o + o]
+        for pos, o, neg in parts
+    ))
     energy = 16 * sum(map(operator.mul, fours.values(), fours.values()))
     return energy + sum(e * (8 * fours[key] + e) for key, e in rest.items())
 
 
-def _inverse_codes(D: fm.NormFormDecomposition, codes) -> list:
-    """The codes of lambda(x)^-1: each log L becomes -L mod (q_i - 1), and
-    a zero sentinel stays, so a ratio's class shows a zero factor as a
+def _inverse_logs(D: fm.NormFormDecomposition, logs) -> list:
+    """The log lists of lambda(x)^-1: each log L becomes -L mod (q_i - 1),
+    and a zero sentinel stays, so a ratio's class shows a zero factor as a
     product's does."""
-    out = []
-    for code in codes:
-        inverse, scale = 0, 1
-        for ctx in D.ctxs:
-            base, order = 4 * (ctx.order - 1) - 1, ctx.order - 1
-            code, log = divmod(code, base)
-            inverse += (-log % order if log < order else log) * scale
-            scale *= base
-        out.append(inverse)
-    return out
+    return [[-t % (ctx.order - 1) if t < ctx.order - 1 else t for t in field]
+            for ctx, field in zip(D.ctxs, logs)]
 
 
 def _has_zero_factor(D: fm.NormFormDecomposition, key: int) -> bool:
@@ -215,11 +191,11 @@ def energy_histogram(inst: EnergyInstance) -> int:
     D = inst.decomposition
     _require_pairs(inst.box_x, inst.box_y)
     box = inst.box_x
-    codes = _log_codes(D, box)
+    logs = _box_logs(D, box)
     # one box in both slots, with box == -box
     if inst.box_y == box and all(2 * n + h == -1 for n, h in zip(box.N, box.H)):
-        return _orbit_energy(D, codes)
-    hist = _pair_histogram(D, codes, _log_codes(D, inst.box_y))
+        return _orbit_energy(D, logs)
+    hist = _pair_histogram(D, logs, _box_logs(D, inst.box_y))
     return sum(map(operator.mul, hist.values(), hist.values()))
 
 
@@ -275,13 +251,13 @@ def s1_identity_check(D: fm.NormFormDecomposition, box_x: fm.BoxSpec, box_y: fm.
     Cauchy-Schwarz bound against the two single-box energies.
     """
     _require_pairs(box_x, box_y)
-    codes_x, codes_y = _log_codes(D, box_x), _log_codes(D, box_y)
+    logs_x, logs_y = _box_logs(D, box_x), _box_logs(D, box_y)
     # lambda(x)/lambda(y) and lambda(x)lambda(y), counted over the pairs
     # with no zero factor: those whose points are both live
     s1, quads = (
-        sum(c * c for key, c in _pair_histogram(D, codes_x, codes).items()
+        sum(c * c for key, c in _pair_histogram(D, logs_x, logs).items()
             if not _has_zero_factor(D, key))
-        for codes in (_inverse_codes(D, codes_y), codes_y)
+        for logs in (_inverse_logs(D, logs_y), logs_y)
     )
 
     if _cross_checks(box_x, box_y, None):
@@ -346,7 +322,7 @@ def energy_restricted(
     # lambda^j(x): the rows of a_j sliced by the partition, in the power bases
     blocks = [_split_rows(M, D.partition) for M in inst.matrices]
     h14, h23 = (
-        _pair_histogram(D, _log_codes(D, box_x, blocks[i]), _log_codes(D, box_y, blocks[j]))
+        _pair_histogram(D, _box_logs(D, box_x, blocks[i]), _box_logs(D, box_y, blocks[j]))
         for i, j in ((0, 3), (1, 2))
     )
     total = live = degenerate = 0

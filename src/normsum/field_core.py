@@ -450,6 +450,19 @@ def shifted_norms(ctx: ExtFieldCtx, s: int) -> list:
     return out
 
 
+def linear_logs(ctx: ExtFieldCtx, U, axes) -> list:
+    """The log_table entry of U x for each x in itertools.product(*axes), in
+    that order, for an m x n matrix U over F_p.  Each row's residues u.x mod p
+    are built over the whole product from its steps u_j t along each axis, and
+    the base-p code and the lookup are taken list-wide."""
+    p, idx = ctx.p, itertools.repeat(0)
+    for j, row in enumerate(U):
+        steps = ([u * t for t in axis] for u, axis in zip(row, axes))
+        residues = map(operator.mod, map(sum, itertools.product(*steps)), itertools.repeat(p))
+        idx = map(operator.add, idx, map(operator.mul, residues, itertools.repeat(p**j)))
+    return list(map(log_table(ctx).__getitem__, idx))
+
+
 def log_fold(ctx: ExtFieldCtx) -> list:
     """The log of a product from the sum of its factors' log_table entries.
 
@@ -510,7 +523,7 @@ def _times_code_table(ctx: ExtFieldCtx, g) -> list:
     of g times a row is (c_0 g_j + s_j) mod p: the share at s_j = 0 rotated
     by s_j / g_j, one slice, or constant where g_j = 0.  Every row's s_j is
     built from the steps c_k (w^k g)_j along the higher digits with
-    itertools.product, as _log_codes builds a box's residues.
+    itertools.product, as linear_logs builds a box's residues.
     """
     p, m = ctx.p, ctx.m
     cols = [mul_kernel(ctx)(tuple(int(i == k) for i in range(m)), g) for k in range(m)]

@@ -220,12 +220,12 @@ def _short_box(p: int, n: int, kappa: float) -> fm.BoxSpec:
     return fm.BoxSpec((0,) * n, (side,) * n)
 
 
-def _window_cost(p: int, n: int, energies: int):
-    """The cost of `energies` energies on [-sqrt(p), sqrt(p)]^n, or the skip line."""
+def _window_cost(p: int, n: int):
+    """The cost of one energy on [-sqrt(p), sqrt(p)]^n, or the skip line."""
     vol = fm.BoxSpec.symmetric((math.isqrt(p),) * n).volume
     if not en.pairs_fit(vol, vol):
         return f"p={p}: pair table {vol}^2 exceeds cap, skipped"
-    return energies * en.pair_cost(vol, vol) * en.pair_ns(n)
+    return en.pair_cost(vol, vol) * en.pair_ns(n)
 
 
 def _character_cost(p: int, weight_rows: int) -> int:
@@ -391,7 +391,7 @@ def run_energy(config: ExperimentConfig):
     """Window energy per prime against its diagonal lower bound."""
     rows, skips = [], []
     n = config.n
-    for p in _walk(config, lambda p: _window_cost(p, n, 1), skips, characters=False):
+    for p in _walk(config, lambda p: _window_cost(p, n), skips, characters=False):
         H = math.isqrt(p)
         rng = random.Random(_derived_seed(config.seed, p, n))
         D = fm.random_decomposition(p, n, square_partitions(n)[0], rng)
@@ -582,8 +582,14 @@ def run_energy_scan(config: ExperimentConfig):
     """
     n = config.n
     rows, skips = [], []
-    energies = len(square_partitions(n)) * SCAN_SAMPLES
-    for p in _walk(config, lambda p: _window_cost(p, n, energies), skips, characters=False):
+
+    # the partitions, some 10^8 at n = 100, are listed only for a window that fits
+    def cost(p):
+        window = _window_cost(p, n)
+        return window if isinstance(window, str) else (
+            window * len(square_partitions(n)) * SCAN_SAMPLES)
+
+    for p in _walk(config, cost, skips, characters=False):
         H = math.isqrt(p)
         rng = random.Random(_derived_seed(config.seed, p, n))
         best = None

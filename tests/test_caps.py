@@ -318,6 +318,22 @@ class TestCommandCap:
         with pytest.raises(hn.UsageError, match="by p=3, past the command cap"):
             hn.run_energy_scan(config)
 
+    def test_partitions_are_listed_only_for_a_window_within_the_pair_cap(
+        self, monkeypatch, capsys
+    ):
+        # every window at n = 80 is past the pair cap, so none of the 1.6 x 10^7
+        # partitions of 80 is listed: the run prints a bare table and skip lines
+        listed, partitions = [], hn.square_partitions
+        monkeypatch.setattr(hn, "square_partitions", lambda n: listed.append(n) or partitions(n))
+        assert cli.main(["energy-scan", "--p-range", "2..50", "--n", "80", "--seed", "1"]) == 0
+        captured = capsys.readouterr()
+        assert listed == []
+        assert captured.out == hn.render(hn.SCAN_COLUMNS, [], "csv")
+        skips = captured.err.splitlines()
+        assert len(skips) == len(list(hn.primes_in(2, 50)))
+        assert all(line.startswith("skip: p=") and line.endswith("^2 exceeds cap, skipped")
+                   for line in skips)
+
     @pytest.mark.parametrize("command, rows", [("charsum", 1), ("bound-table", hn.BOUND_SWEEP)])
     def test_a_character_prime_costs_its_table_and_weight_cells(
         self, command, rows, monkeypatch

@@ -93,27 +93,20 @@ def c_sampled(D: fm.NormFormDecomposition, box: fm.BoxSpec, family, cross_check=
     return best
 
 
-def log_codes_per_point(D: fm.NormFormDecomposition, box: fm.BoxSpec, blocks=None) -> list:
-    """The oracle of en._log_codes: per point, the dot products of each
-    block row, their base-p index, its log and the point's mixed-radix code."""
+def logs_per_point(D: fm.NormFormDecomposition, box: fm.BoxSpec, blocks=None) -> list:
+    """The oracle of en._box_logs: per field and point, the dot products of
+    each block row, their base-p index and its log_table entry."""
     p = D.p
     blocks = D.blocks if blocks is None else blocks
-    fields = []
-    scale = 1
-    for U, ctx in zip(blocks, D.ctxs):
-        weighted = [(p**j, row) for j, row in enumerate(U)]
-        fields.append((weighted, fc.log_table(ctx), scale))
-        scale *= 4 * (ctx.order - 1) - 1
-    codes = []
-    for x in box.iter_points():
-        code = 0
-        for weighted, logs, scale in fields:
-            idx = sum(
-                w * (sum(u * v for u, v in zip(row, x)) % p) for w, row in weighted
-            )
-            code += logs[idx] * scale
-        codes.append(code)
-    return codes
+    return [
+        [
+            fc.log_table(ctx)[sum(
+                p**j * (sum(u * v for u, v in zip(row, x)) % p) for j, row in enumerate(U)
+            )]
+            for x in box.iter_points()
+        ]
+        for U, ctx in zip(blocks, D.ctxs)
+    ]
 
 
 def ratio_histogram(D: fm.NormFormDecomposition, box_x: fm.BoxSpec, box_y: fm.BoxSpec) -> dict:
@@ -235,11 +228,11 @@ class TestBruteforce:
         D = fm.random_decomposition(5, 2, (2,), rng)
         bx = box((0, 0), (4, 4))
         by = box((-1, 2), (3, 3))
-        codes_y = en._log_codes(D, by)
-        whole = en._pair_histogram(D, en._log_codes(D, bx), codes_y)
+        logs_y = en._box_logs(D, by)
+        whole = en._pair_histogram(D, en._box_logs(D, bx), logs_y)
         merged = {}
         for part in bx.pieces(2):
-            for key, c in en._pair_histogram(D, en._log_codes(D, part), codes_y).items():
+            for key, c in en._pair_histogram(D, en._box_logs(D, part), logs_y).items():
                 merged[key] = merged.get(key, 0) + c
         assert merged == whole
 
@@ -365,8 +358,8 @@ class TestS1Identity:
                 for _ in range(2)
             )
             oracle = ratio_histogram(D, bx, by)
-            codes_x, codes_y = en._log_codes(D, bx), en._log_codes(D, by)
-            ratios = en._pair_histogram(D, codes_x, en._inverse_codes(D, codes_y))
+            logs_x, logs_y = en._box_logs(D, bx), en._box_logs(D, by)
+            ratios = en._pair_histogram(D, logs_x, en._inverse_logs(D, logs_y))
             live = {k: c for k, c in ratios.items() if not en._has_zero_factor(D, k)}
             assert live == oracle, (p, partition, bx, by)
             s1, quads, equal = en.s1_identity_check(D, bx, by)
@@ -585,6 +578,8 @@ LOG_DOMAIN_CASES = [
     for k in ((n,) if n != 2 else (2, 3))
     for part in hn.square_partitions(k)
 ]
+# past the grid's p <= 7: F_{13^2} beside F_13, and three fields of 31 elements
+LARGER_FIELD_CASES = [(13, 3, (2, 1)), (31, 3, (1, 1, 1))]
 
 
 class TestLogDomain:
@@ -613,12 +608,12 @@ class TestLogDomain:
         rng = random.Random(p)
         D = fm.random_decomposition(p, 2, (1, 1), rng)
         b = box((-1, -1), (2, 2))
-        codes = en._log_codes(D, b)
-        hist = en._pair_histogram(D, codes, codes)
+        logs = en._box_logs(D, b)
+        hist = en._pair_histogram(D, logs, logs)
         assert sum(hist.values()) == b.volume**2
         all_zero = (p - 1) + (p - 1) * p
         origin = list(b.iter_points()).index((0, 0))
-        alone = en._pair_histogram(D, [codes[origin]], codes)
+        alone = en._pair_histogram(D, [[field[origin]] for field in logs], logs)
         assert alone == {all_zero: b.volume}
         assert en._has_zero_factor(D, all_zero)
         for key in hist:
@@ -639,13 +634,13 @@ class TestLogDomain:
         # the per-pair product oracle counts them
         D = fm.random_decomposition(p, n, partition, random.Random(p + n))
         b = box((-2,) * n, (3,) * n)
-        codes = en._log_codes(D, b)
-        assert en._pair_histogram(D, codes, codes) == en._pair_histogram(
-            D, codes, list(codes)
+        logs = en._box_logs(D, b)
+        assert en._pair_histogram(D, logs, logs) == en._pair_histogram(
+            D, logs, [list(field) for field in logs]
         )
-        assert en._pair_histogram(D, codes, codes) == product_histogram(D, b, b)
+        assert en._pair_histogram(D, logs, logs) == product_histogram(D, b, b)
 
-    @pytest.mark.parametrize("p,n,partition", LOG_DOMAIN_CASES)
+    @pytest.mark.parametrize("p,n,partition", LOG_DOMAIN_CASES + LARGER_FIELD_CASES)
     def test_class_keys_match_the_product_oracle_row_by_row(self, p, n, partition):
         # each row's keys, in box order, on a box around the origin (zero
         # factors) and on a box whose first side is longer than p, where
@@ -653,12 +648,13 @@ class TestLogDomain:
         D = fm.random_decomposition(p, n, partition, random.Random(p * 10 + n + len(partition)))
         keys = en._class_keys(D)
         for b in (fm.BoxSpec.symmetric((1,) * n), box((-1,) * n, (p + 2,) + (2,) * (n - 1))):
-            codes, table = en._log_codes(D, b), en._lam_table(D, b)
-            for a, lx in zip(codes, table):
-                assert list(keys(map(a.__add__, codes))) == [
+            logs, table = en._box_logs(D, b), en._lam_table(D, b)
+            for point, lx in zip(zip(*logs), table):
+                sums = [[a + t for t in field] for a, field in zip(point, logs)]
+                assert list(keys(sums)) == [
                     product_key(D, lx, ly) for ly in table
                 ]
-            assert en._pair_histogram(D, codes, codes) == product_histogram(D, b, b)
+            assert en._pair_histogram(D, logs, logs) == product_histogram(D, b, b)
 
     @pytest.mark.parametrize("p,n,partition", [
         (3, 2, (1, 1)), (5, 2, (2,)), (5, 2, (1, 1)), (7, 1, (1,)), (3, 3, (2, 1)),
@@ -682,10 +678,11 @@ class TestLogDomain:
 
 
 # symmetric windows of half-width 0, 1 and 2 on every instance of the grid,
-# and windows with H >= p, where distinct points are congruent mod p
+# windows with H >= p, where distinct points are congruent mod p, and the
+# larger fields at H = 1
 ORBIT_CASES = [case + (H,) for case in LOG_DOMAIN_CASES for H in (0, 1, 2)] + [
     (2, 1, (1,), 5), (2, 2, (1, 1), 3), (3, 1, (1,), 4), (3, 2, (2,), 3), (5, 1, (1,), 7),
-]
+] + [case + (1,) for case in LARGER_FIELD_CASES]
 
 
 class TestOrbits:
@@ -696,10 +693,11 @@ class TestOrbits:
         # negatives (index vol - 1 - i) are read off a box with unequal sides
         D = fm.random_decomposition(p, n, partition, random.Random(p * 100 + n * 10 + H))
         b = fm.BoxSpec.symmetric((H,) * (n - 1) + (H + (shape == "ragged"),))
-        codes = en._log_codes(D, b)
-        orbit = en._orbit_energy(D, codes)
-        for hist in (en._pair_histogram(D, codes, codes), en._pair_histogram(D, codes, list(codes))):
-            assert sum(hist.values()) == len(codes) ** 2
+        logs = en._box_logs(D, b)
+        orbit = en._orbit_energy(D, logs)
+        copy = [list(field) for field in logs]
+        for hist in (en._pair_histogram(D, logs, logs), en._pair_histogram(D, logs, copy)):
+            assert sum(hist.values()) == b.volume**2
             assert orbit == sum(c * c for c in hist.values())
         if en.quadruple_cost(b.volume, b.volume) <= en.QUAD_CROSS_CHECK_CAP:
             assert orbit == en.energy_quadruple_loop(en.EnergyInstance(D, b, b))
@@ -734,7 +732,7 @@ class TestOrbits:
         (2, 1, (1,)), (2, 2, (1, 1)), (3, 2, (2,)), (7, 2, (1, 1)), (5, 3, (2, 1)),
         (3, 3, (1, 1, 1)), (7, 3, (3,)),
     ])
-    def test_whole_box_codes_match_the_per_point_oracle(self, p, n, partition):
+    def test_whole_box_logs_match_the_per_point_oracle(self, p, n, partition):
         D = fm.random_decomposition(p, n, partition, random.Random(p + 10 * n))
         rng = random.Random(p * n)
         boxes = [
@@ -746,15 +744,15 @@ class TestOrbits:
             box([-1] * n, [1] + [3] * (n - 1)),
         ]
         for b in boxes:
-            assert en._log_codes(D, b) == log_codes_per_point(D, b), b
+            assert en._box_logs(D, b) == logs_per_point(D, b), b
 
     @pytest.mark.parametrize("p,n,partition", [
         (3, 2, (1, 1)), (5, 2, (2,)), (7, 1, (1,)), (3, 3, (2, 1)), (2, 3, (1, 1, 1)),
     ])
-    def test_whole_box_codes_match_the_oracle_on_restricted_blocks(self, p, n, partition):
+    def test_whole_box_logs_match_the_oracle_on_restricted_blocks(self, p, n, partition):
         rng = random.Random(p + 3 * n)
         D = fm.random_decomposition(p, n, partition, rng)
         for _ in range(4):
             blocks = en._split_rows(_random_nonsingular(rng, n, p), D.partition)
             b = box([rng.randint(-3, 3) for _ in range(n)], [rng.randint(1, 3) for _ in range(n)])
-            assert en._log_codes(D, b, blocks) == log_codes_per_point(D, b, blocks)
+            assert en._box_logs(D, b, blocks) == logs_per_point(D, b, blocks)

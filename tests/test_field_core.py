@@ -489,6 +489,20 @@ def test_character_holds_the_prime_field_log_table(monkeypatch):
         cc.DirichletChar(1000003, 1)
 
 
+@pytest.mark.parametrize("p,m,n", [(2, 1, 1), (5, 1, 2), (3, 2, 2), (2, 3, 3), (7, 2, 3)])
+def test_linear_logs_is_the_log_of_each_image(p, m, n):
+    # U x for every x of the axes' product, in its order, with unreduced
+    # entries of U, negative coordinates and axes of one value
+    ctx, rng = fc.ext_field_ctx(p, m), random.Random(p * m + n)
+    table = fc.log_table(ctx)
+    for _ in range(4):
+        U = [[rng.randint(-2 * p, 2 * p) for _ in range(n)] for _ in range(m)]
+        axes = [range(a, a + rng.randint(1, 4)) for a in (rng.randint(-p, p) for _ in range(n))]
+        images = ([sum(u * v for u, v in zip(row, x)) % p for row in U]
+                  for x in itertools.product(*axes))
+        assert fc.linear_logs(ctx, U, axes) == [table[_code(ctx, y)] for y in images]
+
+
 @pytest.mark.parametrize("p,m,poly", [(2, 1, None), (2, 3, None), (7, 1, None),
                                         (3, 3, None), (5, 2, (1, 1, 1))])
 def test_log_fold_gives_the_log_of_the_product(p, m, poly):

@@ -37,6 +37,7 @@ CASES = {
     "bound-table-json": ["bound-table", "--p-range", "3..7", "--n", "2", "--k", "3",
                          "--kappa", "0.1", "--seed", "1", "--format", "json"],
     "energy-scan": ["energy-scan", "--p-range", "3..50", "--n", "2", "--seed", "2"],
+    "energy-scan-n3": ["energy-scan", "--p-range", "3..13", "--n", "3", "--seed", "3"],
     "identity-suite": ["identity-suite", "--p-range", "3..5", "--seed", "5"],
     "identity-suite-refused": ["identity-suite", "--p-range", "3..997", "--seed", "5"],
     "usage-missing-seed": ["charsum", "--p-range", "3..7"],
@@ -88,6 +89,12 @@ DIGESTS = {
     ),
     "energy-scan": (
         "e84ca4faf97d590690e41e208c8cc875a0767ef2b0e993fe84b2d6409968f8bb",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    # every partition of 3, so one, two and three fields per prime
+    "energy-scan-n3": (
+        "df7248c531ebccde770c709dda3ffa721c9c5a52c34bca1c66a9d2650847bf11",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),

@@ -168,6 +168,33 @@ def test_only_char_core_turns_weights_into_complex_numbers():
     assert _complex_root_lines(probe) == [1, 2, 3, 4, 5]
 
 
+def _log_table_lines(source: str) -> list:
+    """Line numbers that name log_table, as a name, attribute or import."""
+    return sorted({
+        node.lineno for node in ast.walk(ast.parse(source))
+        if "log_table" in {getattr(node, field, None) for field in ("id", "attr", "name")}
+    })
+
+
+def test_only_char_core_reads_element_codes_outside_field_core():
+    # a log table is indexed by element code; F_p's codes are the residues
+    # that characters mod p read, and every other module gets its logs from
+    # field_core (linear_logs, log_fold), so no other module computes a code
+    src = Path(la.__file__).parent
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(src.glob("*.py")) if path.stem not in ("field_core", "char_core")
+        for line in _log_table_lines(path.read_text())
+    ]
+    assert found == []
+    assert _log_table_lines((src / "char_core.py").read_text())
+    probe = (
+        "t = fc.log_table(ctx)\nfrom .field_core import log_table\nlog_table\n"
+        "# log_table\nfc.log_fold(ctx)\nx = 'log_table'\n"
+    )
+    assert _log_table_lines(probe) == [1, 2, 3]
+
+
 def _cap_reads(source: str) -> list:
     """Line numbers of alias.NAME_CAP reads, other than a cap quoted in an f-string."""
     tree = ast.parse(source)
