@@ -2,6 +2,11 @@
 
 Sums accumulate exact char_core weight vectors and convert to a complex
 number once at the end, so no float error accrues over the box.
+
+The bound family has one exponent of p, p_exponent, the repository's
+reading of the abstract's bound on boxes of side p^(1/4 + kappa); saving,
+its optimal r by closed form and the same r by exact search all derive
+from it in Fractions.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -250,13 +255,49 @@ def bound_rhs(params: BoundParams, H_min: int, H_norm: int, p: int) -> float:
     return H_norm * H_min ** (-(2 * n - k) / r) * p**expo
 
 
-def delta_savings(n: int, r: float, kappa: float) -> float:
-    """Power saving over the trivial bound at H_min = p^{1/4 + kappa}."""
-    return (4 * n * r * kappa - n * n) / (2 * r * (n + 2 * r))
+def saving(params: BoundParams) -> Fraction:
+    """The power of p by which bound_rhs beats the trivial bound H_norm at
+    H_min = p^(1/4 + kappa), kappa and eps read exactly as the decimals given."""
+    kappa, eps = Fraction(str(params.kappa)), Fraction(str(params.eps))
+    gain = (Fraction(1, 4) + kappa) * (2 * params.n - params.k) / params.r
+    return gain - p_exponent(params) - eps
 
 
-def optimal_moment_exponent(n: int, kappa: float) -> float:
-    """Real-valued maximizer of the saving, to be rounded to an integer."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    return n * (1 + math.sqrt(1 + 2 * kappa)) / (4 * kappa)
+def optimal_exponent(params: BoundParams) -> int | None:
+    """The r > k of the largest saving, the least on a tie, or None if none.
+
+    The saving is a/r - b/r^2 - eps, with a = (n - k)/2 + (2n - k) kappa and
+    b = k(2n - k)/4: for a > 0 it peaks at r = 2b/a, so the answer is its
+    floor or its ceiling; for a <= 0 it rises toward -eps with no maximum.
+    """
+    n, k = params.n, params.k
+    a = Fraction(n - k, 2) + (2 * n - k) * Fraction(str(params.kappa))
+    b = Fraction(k * (2 * n - k), 4)
+    if a <= 0:
+        return None
+    near = sorted({max(k + 1, f(2 * b / a)) for f in (math.floor, math.ceil)})
+    return max(near, key=lambda r: saving(replace(params, r=r)))
+
+
+def search_exponent(params: BoundParams) -> int | None:
+    """optimal_exponent by exact search on saving alone, in no window.
+
+    r^2 (saving + eps) = a r - b, so two values give a.  For a > 0 the sign
+    of saving(r + 1) - saving(r) changes once, from + to -: doubling finds an
+    r past the change, and bisection the least such r.
+    """
+    eps, lo = Fraction(str(params.eps)), params.k + 1
+
+    def at(r):
+        return saving(replace(params, r=r)) + eps
+
+    if (lo + 1) ** 2 * at(lo + 1) - lo**2 * at(lo) <= 0:
+        return None
+    hi = lo
+    while at(hi + 1) > at(hi):
+        lo, hi = hi, 2 * hi
+    # unless hi = lo, the saving rises at lo and not at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if at(mid + 1) > at(mid) else (lo, mid)
+    return hi

@@ -537,12 +537,36 @@ def _leading_change(F: FormSpec):
             M[0][0] = M[a][a] = 0
             M[0][a] = M[a][0] = 1
             return M
-    for w in itertools.product(range(p), repeat=n):
-        if any(w) and eval_form(F, w) != 0:
-            return linalg.transpose(linalg.extend_to_basis([w], p))
-    raise UnsupportedFormError(
-        "factorization unsupported: form vanishes on all of F_p^n"
-    )
+    return linalg.transpose(linalg.extend_to_basis([_first_nonvanishing_point(F)], p))
+
+
+def _first_nonvanishing_point(F: FormSpec) -> list:
+    """The first w of F_p^n in lexicographic order with F(w) != 0.
+
+    Reduced mod x^p = x, F keeps its values on F_p^n and has exponents below
+    p, so it vanishes there only when it is zero; each w_i is the least value
+    that leaves a nonzero polynomial in the remaining variables.
+    """
+    p = F.p
+    rest = {}
+    for exp, coef in F.monomials:
+        key = tuple(e and 1 + (e - 1) % (p - 1) for e in exp)
+        rest[key] = (rest.get(key, 0) + coef) % p
+    w = []
+    for _ in range(F.n):
+        for v in range(p):
+            left = {}
+            for exp, coef in rest.items():
+                left[exp[1:]] = (left.get(exp[1:], 0) + coef * pow(v, exp[0], p)) % p
+            if any(left.values()):
+                w.append(v)
+                rest = left
+                break
+        else:
+            raise UnsupportedFormError(
+                "factorization unsupported: form vanishes on all of F_p^n"
+            )
+    return w
 
 
 def _restriction(G: FormSpec, j: int):

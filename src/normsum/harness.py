@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import collections
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -349,6 +350,12 @@ def run_charsum(config: ExperimentConfig, form_path=None, decomp_path=None):
         obj = _load_decomposition(decomp_path) if decomp_path else _load_form(form_path)
         chi = _nonprincipal_char(obj.p)
         box = _short_box(obj.p, obj.n, config.kappa)
+        # one route's box, refused past the command cap as a walk over obj.p alone
+        # (chi has refused p = 2); a box past the box cap costs nothing, as the
+        # route refuses it unsummed
+        sums = box.volume * cs.BOX_POINT_NS if cs.box_fits(box.volume) else 0
+        alone = dataclasses.replace(config, p_lo=obj.p, p_hi=obj.p)
+        next(_walk(alone, lambda p: sums + _character_cost(p, 1), [], characters=False))
         if decomp_path:
             res = cs.charsum_lifted(obj, chi, box)
         else:
@@ -525,13 +532,17 @@ def run_moment(config: ExperimentConfig):
 def run_bound_table(config: ExperimentConfig):
     """Burgess-shape table: sum magnitude against the r-indexed bound family.
 
-    One deterministic decomposition per prime; r sweeps k+1..k+6.  The
-    savings-optimal exponent from the closed formula is cross-checked
-    against brute maximization over r in [2, 100] on every row group.
+    One deterministic decomposition per prime; r sweeps k+1..k+6.  delta is
+    the exact saving of each r, and its optimal r by closed form must equal
+    the one an exact search finds; both are blank where no r peaks.
     """
     n, k = config.n, config.k
     partition = canonical_partition(n, k)  # a bad shape: exit 2 before the walk
     rows, skips = [], []
+    params = cs.BoundParams(n, k, k + 1, config.eps, config.kappa)
+    r_opt, r_brute = cs.optimal_exponent(params), cs.search_exponent(params)
+    if r_opt != r_brute:
+        raise la.CheckFailed(f"optimal exponent mismatch: formula {r_opt}, search {r_brute}")
 
     def cost(p):
         volume = _short_box(p, n, config.kappa).volume
@@ -547,19 +558,6 @@ def run_bound_table(config: ExperimentConfig):
         chi = _nonprincipal_char(p)
         res = cs.charsum_lifted(D, chi, box)
         s_abs = abs(res.value)
-        if config.kappa > 0:
-            target = cs.optimal_moment_exponent(n, config.kappa)
-            r_opt = int(math.floor(target + 0.5))
-            r_brute = max(
-                range(2, 101),
-                key=lambda rr: cs.delta_savings(n, float(rr), config.kappa),
-            )
-            if abs(r_opt - r_brute) > 1:
-                raise la.CheckFailed(
-                    f"optimal exponent mismatch: formula {r_opt}, brute {r_brute}"
-                )
-        else:
-            r_opt = r_brute = None
         for r in range(k + 1, k + 1 + BOUND_SWEEP):
             params = cs.BoundParams(n, k, r, config.eps, config.kappa)
             rhs = cs.bound_rhs(params, box.H[0], box.volume, p)
@@ -567,7 +565,7 @@ def run_bound_table(config: ExperimentConfig):
                 BoundRow(
                     p, n, k, box.H, r, s_abs, res.weights, box.volume, rhs,
                     s_abs / rhs if rhs > 0 else None,
-                    cs.delta_savings(n, float(r), config.kappa), r_opt, r_brute,
+                    float(cs.saving(params)), r_opt, r_brute,
                 )
             )
     return rows, skips

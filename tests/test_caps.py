@@ -356,6 +356,56 @@ class TestCommandCap:
         with pytest.raises(hn.UsageError, match="by p=13, past the command cap"):
             run(config)
 
+    @pytest.fixture
+    def stored(self, tmp_path):
+        """A stored form and its decomposition at p = 101, n = k = 2."""
+        paths = {"form": str(tmp_path / "form.json"), "decomp": str(tmp_path / "decomp.json")}
+        assert cli.main(["gen-form", "--p", "101", "--n", "2", "--k", "2", "--seed", "1",
+                         "--out", paths["form"]]) == 0
+        assert cli.main(["decompose", "--form", paths["form"], "--seed", "0",
+                         "--out", paths["decomp"]]) == 0
+        return paths
+
+    @pytest.mark.parametrize("flag", ["--form", "--decomp"])
+    def test_a_stored_object_past_the_cap_exits_2_at_once(self, flag, stored, capsys):
+        # a box of 8,100^2 = 65.6 M points, about 59 s at BOX_POINT_NS
+        capsys.readouterr()
+        start = time.perf_counter()
+        key = flag.lstrip("-")
+        assert cli.main(["charsum", flag, stored[key], "--seed", "0", "--kappa", "1.7"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "usage error: charsum would run over 25 s by p=101, past the command "
+            "cap; narrow the prime range or the sizes\n"
+        )
+
+    def test_a_stored_form_mod_2_still_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "form2.json"
+        path.write_text('{"p": 2, "n": 1, "k": 1, "monomials": [{"exp": [1], "coef": 1}]}')
+        assert cli.main(["charsum", "--form", str(path), "--seed", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: no nonprincipal character mod 2\n"
+
+    @pytest.mark.parametrize("flag", ["--form", "--decomp"])
+    def test_a_stored_object_costs_one_route_and_its_character(self, flag, stored, monkeypatch):
+        # one route sums the box, beside the F_p log table and one weight row
+        key = flag.lstrip("-")
+        config = hn.ExperimentConfig("charsum", seed=0, kappa=0.2)
+        paths = {"form_path": stored[key]} if key == "form" else {"decomp_path": stored[key]}
+        total = (hn._short_box(101, 2, 0.2).volume * cs.BOX_POINT_NS
+                 + fc.field_size(101, 1) * fc.LOG_ENTRY_NS + 100 * hn.CELL_ENTRY_NS)
+        monkeypatch.setattr(hn, "COMMAND_CAP", total)
+        assert len(hn.run_charsum(config, **paths)[0]) == 3
+        monkeypatch.setattr(hn, "COMMAND_CAP", total - 1)
+        summed = []
+        monkeypatch.setattr(cs, "_box_sum", lambda *args: summed.append(args))
+        with pytest.raises(hn.UsageError, match="by p=101, past the command cap"):
+            hn.run_charsum(config, **paths)
+        assert summed == []
+
     def test_a_moment_prime_costs_its_set_up_beside_its_terms(self, monkeypatch):
         # at T = 1 a prime's moment has p terms, and s2_moment's set-up
         # (p weight tuples of p - 1 entries) is most of its time

@@ -6,6 +6,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -577,9 +578,19 @@ class TestBadTuples:
             cs.bad_tuple_count(40, 3)
 
 
-def peak_saving(kappa: float) -> float:
-    """Saving at the optimal exponent; behaves like kappa^2 for small kappa."""
-    return 4 * kappa**2 / (1 + math.sqrt(1 + 2 * kappa)) ** 2
+# the shapes 1 <= n <= k < 2n up to n = 3, and the kappas of the grid
+SHAPES = [(n, k) for n in (1, 2, 3) for k in range(n, 2 * n)]
+KAPPAS = (0.001, 0.01, 0.1, 0.25, 0.5, 1.0, 3.0)
+
+
+def saving_terms(n: int, k: int, kappa: float) -> tuple:
+    """(a, b) with saving = a/r - b/r^2 - eps, written out by hand."""
+    a = Fraction(n - k, 2) + (2 * n - k) * Fraction(str(kappa))
+    return a, Fraction(k * (2 * n - k), 4)
+
+
+def saving_at(params, r: int) -> Fraction:
+    return cs.saving(cs.BoundParams(params.n, params.k, r, params.eps, params.kappa))
 
 
 def complete_sum_reference(p: int, n: int, H_norm: int) -> float:
@@ -628,27 +639,97 @@ class TestBounds:
         weak = cs.bound_rhs(cs.BoundParams(1, 1, 2), H, H, p)
         strong = cs.bound_rhs(cs.BoundParams(1, 1, 6), H, H, p)
         assert strong < H < weak
-        assert cs.delta_savings(1, 6, 0.05) > 0 > cs.delta_savings(1, 2, 0.05)
+        assert cs.saving(cs.BoundParams(1, 1, 6, kappa=0.05)) > 0
+        assert cs.saving(cs.BoundParams(1, 1, 2, kappa=0.05)) < 0
 
-    def test_delta_peak_consistency(self):
-        for n in (1, 2, 3):
-            for kappa in (0.05, 0.1, 0.3):
-                r_star = cs.optimal_moment_exponent(n, kappa)
-                peak = peak_saving(kappa)
-                assert cs.delta_savings(n, r_star, kappa) == pytest.approx(
-                    peak, abs=1e-12
+    @pytest.mark.parametrize("p, H_min", [(16, 4), (81, 9)])
+    def test_saving_is_the_power_of_p_that_rhs_saves(self, p, H_min):
+        # p^(1/4 + 1/4) = H_min is an integer, so bound_rhs meets the box exactly
+        for n, k, eps in [(1, 1, 0.0), (2, 2, 0.0), (2, 3, 0.01), (3, 4, 0.0), (3, 5, 0.2)]:
+            for r in range(k + 1, k + 8):
+                params = cs.BoundParams(n, k, r, eps=eps, kappa=0.25)
+                rhs = cs.bound_rhs(params, H_min, H_min**n, p)
+                assert isinstance(cs.saving(params), Fraction)
+                assert float(cs.saving(params)) == pytest.approx(
+                    -math.log(rhs / H_min**n, p), rel=1e-12, abs=1e-12
                 )
-                best_r = max(
-                    range(2, 401), key=lambda r: cs.delta_savings(n, r, kappa)
-                )
-                assert cs.delta_savings(n, best_r, kappa) <= peak + 1e-12
-                assert abs(best_r - r_star) <= 1.0
 
-    def test_peak_saving_small_kappa(self):
-        for kappa in (1e-2, 1e-3):
-            assert abs(peak_saving(kappa) / kappa**2 - 1) < 2 * kappa
-        with pytest.raises(ValueError, match="positive"):
-            cs.optimal_moment_exponent(1, 0.0)
+    def test_saving_reads_kappa_and_eps_as_the_decimals_given(self):
+        params = cs.BoundParams(1, 1, 2, eps=0.1, kappa=0.1)
+        # (1/4 + 1/10) / 2 - 3/16 - 1/10
+        assert cs.saving(params) == Fraction(7, 40) - Fraction(3, 16) - Fraction(1, 10)
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_closed_form_search_and_scan_agree(self, kappa):
+        for n, k in SHAPES:
+            params = cs.BoundParams(n, k, k + 1, kappa=kappa)
+            a, b = saving_terms(n, k, kappa)
+            r_opt = cs.optimal_exponent(params)
+            assert r_opt == cs.search_exponent(params)
+            if a <= 0:
+                assert r_opt is None
+                continue
+            if 2 * b / a < k + 200:
+                # the first maximum of a plain scan is the least r on a tie
+                scan = max(range(k + 1, k + 201), key=lambda r: saving_at(params, r))
+                assert r_opt == scan, (n, k, kappa)
+
+    def test_saving_is_a_over_r_minus_b_over_r_squared(self):
+        for kappa in KAPPAS:
+            for n, k in SHAPES:
+                a, b = saving_terms(n, k, kappa)
+                params = cs.BoundParams(n, k, k + 1, eps=0.01, kappa=kappa)
+                for r in range(k + 1, k + 20):
+                    assert saving_at(params, r) == a / r - b / r**2 - Fraction(1, 100)
+
+    @pytest.mark.parametrize("n, kappa", [(1, 0.1125), (2, 0.225)])
+    def test_a_tie_goes_to_the_smaller_r(self, n, kappa):
+        # saving(4) = saving(5) when a = b (2r + 1) / (r (r + 1)) at r = 4
+        params = cs.BoundParams(n, n, n + 1, kappa=kappa)
+        assert saving_at(params, 4) == saving_at(params, 5) > saving_at(params, 3)
+        assert cs.optimal_exponent(params) == cs.search_exponent(params) == 4
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_some_r_saves_at_k_equal_n_for_every_kappa(self, n):
+        for kappa in KAPPAS:
+            params = cs.BoundParams(n, n, n + 1, kappa=kappa)
+            least = next(r for r in itertools.count(n + 1) if saving_at(params, r) > 0)
+            quarter = Fraction(n) / (4 * Fraction(str(kappa)))
+            assert least == math.floor(max(n, quarter)) + 1, (n, kappa)
+
+    # (6, 7): its threshold 1/10 is no binary float, so a float kappa would
+    # make a > 0 and put a peak near r = 10^18
+    @pytest.mark.parametrize("n, k", [(2, 3), (3, 4), (3, 5), (6, 7)])
+    def test_past_k_equal_n_a_saving_needs_kappa_past_its_threshold(self, n, k):
+        # a = (n - k)/2 + (2n - k) kappa is 0 at kappa = (k - n) / (2(2n - k))
+        threshold = Fraction(k - n, 2 * (2 * n - k))
+        at = cs.BoundParams(n, k, k + 1, kappa=float(threshold))
+        assert Fraction(str(at.kappa)) == threshold
+        assert cs.optimal_exponent(at) is None and cs.search_exponent(at) is None
+        # at a = 0 the saving is -b/r^2 < 0 for every r
+        b = Fraction(k * (2 * n - k), 4)
+        assert all(saving_at(at, r) == -b / r**2 for r in range(k + 1, k + 200))
+        above = cs.BoundParams(n, k, k + 1, kappa=float(threshold) + 0.001)
+        r = cs.optimal_exponent(above)
+        assert r == cs.search_exponent(above) and saving_at(above, r) > 0
+
+    def test_no_maximum_without_a_positive_a(self):
+        # kappa = 0 at k = n, and every kappa below the threshold past it
+        for n, k, kappa in [(1, 1, 0.0), (3, 3, 0.0), (2, 3, 0.1), (3, 5, 0.9)]:
+            params = cs.BoundParams(n, k, k + 1, kappa=kappa)
+            assert cs.optimal_exponent(params) is None
+            assert cs.search_exponent(params) is None
+            rising = [saving_at(params, r) for r in range(k + 1, k + 50)]
+            assert rising == sorted(set(rising))
+
+    def test_the_search_has_no_window(self):
+        # 5 x 10^19 is past a C ssize_t, so no range object can hold the search
+        start = time.perf_counter()
+        for kappa, want in [(0.001, 500), (1e-6, 500_000), (1e-9, 500_000_000),
+                            (1e-20, 5 * 10**19)]:
+            params = cs.BoundParams(1, 1, 2, kappa=kappa)
+            assert cs.optimal_exponent(params) == cs.search_exponent(params) == want
+        assert time.perf_counter() - start < 1
 
     def test_reference_envelope(self):
         ref = complete_sum_reference(101, 2, 101**2)

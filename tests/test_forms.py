@@ -174,6 +174,55 @@ def test_factor_unsupported_is_loud():
         factor_form(F)
 
 
+def first_nonvanishing_by_scan(F):
+    """The lexicographic scan of F_p^n that the coordinate search replaced."""
+    for w in itertools.product(range(F.p), repeat=F.n):
+        if any(w) and fm.eval_form(F, w) != 0:
+            return list(w)
+    return None
+
+
+def test_point_search_matches_the_lexicographic_scan():
+    rng = random.Random(21)
+    checked = 0
+    while checked < 300:
+        p, n = rng.choice((2, 3, 5, 7)), rng.randint(1, 3)
+        k = rng.randint(1, 2 * p + 1)  # exponents reach p and past it
+        monos = {}
+        for _ in range(rng.randint(1, 5)):
+            cut = sorted(rng.randint(0, k) for _ in range(n - 1))
+            exp = tuple(b - a for a, b in zip([0] + cut, cut + [k]))
+            monos[exp] = monos.get(exp, 0) + rng.randrange(1, p)
+        if all(c % p == 0 for c in monos.values()):
+            continue
+        F = form(p, n, monos)
+        want = first_nonvanishing_by_scan(F)
+        if want is None:
+            with pytest.raises(fm.UnsupportedFormError, match="vanishes on all of F_p"):
+                fm._first_nonvanishing_point(F)
+        else:
+            assert fm._first_nonvanishing_point(F) == want, (p, n, F.monomials)
+        checked += 1
+
+
+def test_point_search_on_forms_that_vanish_or_nearly_vanish():
+    # x^p y - x y^p vanishes on all of F_p^2, and adding y^(p+1) leaves
+    # only the points with y != 0
+    for p in (2, 3, 5, 7):
+        F = form(p, 2, {(p, 1): 1, (1, p): p - 1})
+        assert first_nonvanishing_by_scan(F) is None
+        with pytest.raises(fm.UnsupportedFormError, match="vanishes on all of F_p"):
+            fm._first_nonvanishing_point(F)
+        G = form(p, 2, {(p, 1): 1, (1, p): p - 1, (0, p + 1): 1})
+        assert fm._first_nonvanishing_point(G) == first_nonvanishing_by_scan(G) == [0, 1]
+
+
+def test_point_search_on_the_product_form():
+    # x_1 ... x_7 over F_7: the scan's first hit is point number (7^7 - 1)/6
+    F = form(7, 7, {(1,) * 7: 1})
+    assert fm._first_nonvanishing_point(F) == first_nonvanishing_by_scan(F) == [1] * 7
+
+
 def test_factor_products_agree_pointwise():
     rng = random.Random(5)
     for p, n, monos in [

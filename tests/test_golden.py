@@ -36,6 +36,8 @@ CASES = {
                             "--kappa", "0.1", "--seed", "1"],
     "bound-table-json": ["bound-table", "--p-range", "3..7", "--n", "2", "--k", "3",
                          "--kappa", "0.1", "--seed", "1", "--format", "json"],
+    "bound-table-n3": ["bound-table", "--p", "101", "--n", "3", "--k", "3", "--kappa", "0.25",
+                       "--seed", "1"],
     "energy-scan": ["energy-scan", "--p-range", "3..50", "--n", "2", "--seed", "2"],
     "energy-scan-n3": ["energy-scan", "--p-range", "3..13", "--n", "3", "--seed", "3"],
     "identity-suite": ["identity-suite", "--p-range", "3..5", "--seed", "5"],
@@ -47,13 +49,22 @@ CASES = {
 
 # name -> (sha256 of stdout, sha256 of stderr, exit code)
 DIGESTS = {
+    # kappa = 0.1 is below n = 2, k = 3's threshold 1/2: every delta is
+    # negative, and r_opt and r_brute are blank
     "bound-table-json": (
-        "0f4abdea6838d0f590e5c24e4515980d6ed7cd04332cffee0bc1e621463b0dd9",
+        "55b8a7da5c834ea868a6c73ae22153ba7c2056bf32c6c5621e1712878fc73d30",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),
+    # r_opt = r_brute = 6, the r of the least rhs
+    "bound-table-n3": (
+        "9c1e6b32d410d2caf5152089f749fd52f22fc567aadb0acf2ebaa20e5268c444",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    # delta is the exact saving from p_exponent; r_opt = r_brute = 5
     "bound-table-skip-p2": (
-        "d8fc9d8645f8ea216c177bceddcd38f0c664b7716825deafd3373aa7d0fb7539",
+        "784ed71e845a4931bcb0467a3902d0ccf2ec571382fd31aed1d80b87273d2aa5",
         "7be082ec74de247512abf056a0e46557bc38620672069323dd3fe8d1c6713093",
         0,
     ),

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from normsum import charsum as cs
 from normsum import cli
 from normsum import harness as hn
 
@@ -166,12 +167,46 @@ class TestBoundTable:
             assert row.ratio == row.S_abs / row.rhs
 
     def test_optimal_exponent_cross_checked(self):
-        cfg = hn.ExperimentConfig("bound-table", 7, 7, n=2, k=3, kappa=0.2, seed=1)
+        # r_opt = 5 lies inside the sweep 2..7, at the row of the largest delta
+        cfg = hn.ExperimentConfig("bound-table", 7, 7, n=1, k=1, kappa=0.1, seed=1)
         rows, _ = hn.run_bound_table(cfg)
-        row = rows[0]
-        assert abs(row.r_opt - row.r_brute) <= 1
-        best = max(range(2, 101), key=lambda r: row.delta if r == row.r else -1e9)
-        assert isinstance(best, int)
+        assert {(row.r_opt, row.r_brute) for row in rows} == {(5, 5)}
+        assert max(rows, key=lambda row: row.delta).r == 5
+        assert [row.delta for row in rows] == [
+            float(cs.saving(cs.BoundParams(1, 1, row.r, kappa=0.1))) for row in rows
+        ]
+
+    def test_optimal_exponent_is_the_r_of_the_least_rhs(self):
+        cfg = hn.ExperimentConfig("bound-table", 101, 101, n=3, k=3, kappa=0.25, seed=1)
+        rows, _ = hn.run_bound_table(cfg)
+        assert {(row.r_opt, row.r_brute) for row in rows} == {(6, 6)}
+        assert min(rows, key=lambda row: row.rhs).r == 6
+
+    def test_no_r_peaks_below_the_threshold(self):
+        # n = 2, k = 3 needs kappa > 1/2 for any saving
+        cfg = hn.ExperimentConfig("bound-table", 3, 7, n=2, k=3, kappa=0.1, seed=1)
+        rows, _ = hn.run_bound_table(cfg)
+        assert all(row.r_opt is None and row.r_brute is None for row in rows)
+        assert all(row.delta < 0 for row in rows)
+        assert all(row.rhs > row.trivial for row in rows)
+
+    @pytest.mark.parametrize("kappa, want", [("0.001", "500"), ("1e-9", "500000000")])
+    def test_a_peak_far_past_the_sweep_is_found_at_once(self, kappa, want, capsys):
+        start = time.perf_counter()
+        args = ["bound-table", "--p", "5", "--n", "1", "--k", "1", "--kappa", kappa, "--seed", "1"]
+        assert run_cli(args) == 0
+        assert time.perf_counter() - start < 1
+        lines = capsys.readouterr().out.splitlines()
+        assert all(line.endswith(f",{want},{want}") for line in lines[1:])
+
+    def test_a_search_off_by_one_exits_1(self, monkeypatch, capsys):
+        search = cs.search_exponent
+        monkeypatch.setattr(cs, "search_exponent", lambda params: search(params) + 1)
+        args = ["bound-table", "--p", "5", "--n", "1", "--k", "1", "--kappa", "0.1", "--seed", "1"]
+        assert run_cli(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "check failed: optimal exponent mismatch: formula 5, search 6\n"
+        assert captured.out == ""
 
     def test_kappa_zero_blanks_optimum(self):
         cfg = hn.ExperimentConfig("bound-table", 5, 5, n=1, k=1, seed=2)
