@@ -1,10 +1,11 @@
 """Exact multiplicative-energy counting for norm-form systems.
 
-Every count is an integer, and each is produced by two independent
-algorithms where feasible: a literal quadruple loop and a histogram over
-per-field pair products, taken as sums of discrete logs and counted by the
-class keys they fold to.  The histogram key's zero pattern carries the
-vanishing index set, so degenerate classes stay separated, not skipped.
+Every count is an integer, taken by a histogram over per-field pair
+products: sums of discrete logs, counted by the class keys they fold to.
+The histogram key's zero pattern carries the vanishing index set, so
+degenerate classes stay separated, not skipped.  The literal quadruple loop
+is the oracle: the ratio-moment and restricted-split counts run it on every
+box pair within QUAD_CROSS_CHECK_CAP, and no caller can turn it off.
 """
 
 from __future__ import annotations
@@ -23,14 +24,16 @@ PAIR_CAP = 4 * 10**6
 QUAD_CROSS_CHECK_CAP = 10**6
 QUAD_SCAN_CAP = 10**9
 # the weight of pair_cost in a command's cost: ns per pair of a window energy
-# at n = 1, n = 2 and n >= 3.  With field tables built (best of 10, 2-vCPU
-# virtual machine, slowest on the smallest windows), a pair took 77 to 322 at
-# n = 1 (p = 101 to 999,983); 58 to 299 with one field and 103 to 278 with
-# two at n = 2 (p = 5 to 479); and 38 to 206 with one field, 81 to 379 with
-# two and 108 to 326 with three at n = 3 (p = 3 to 31).  The weights are
-# kept; at n >= 2 each is below the floor with several fields, so those
-# windows, and each prime's fixed work, are priced below their time
-PAIR_NS = (175, 95, 40)
+# at n = 1, n = 2, and at n >= 3 over one field, two, and three or more.  With
+# field tables built (best of 10, 2-vCPU virtual machine, slowest on the
+# smallest windows), a pair took 77 to 322 at n = 1 (p = 101 to 999,983); 58
+# to 299 with one field and 103 to 278 with two at n = 2 (p = 5 to 479); and
+# 38 to 206 with one field, 81 to 379 with two and 108 to 326 with three at
+# n = 3 (p = 3 to 31).  The n <= 2 weights are kept, and at n >= 3 each is
+# its field count's floor; at n = 2 the one weight is below the two-field
+# floor, so those windows, and each prime's fixed work, are priced below
+# their time
+PAIR_NS = (175, 95, 40, 81, 108)
 
 
 def pair_cost(vol_x: int, vol_y: int) -> int:
@@ -38,9 +41,10 @@ def pair_cost(vol_x: int, vol_y: int) -> int:
     return vol_x * vol_y
 
 
-def pair_ns(n: int) -> int:
-    """PAIR_NS's weight of one pair of a window energy in n variables."""
-    return PAIR_NS[min(n, 3) - 1]
+def pair_ns(n: int, fields: int = 1) -> int:
+    """PAIR_NS's weight of one pair of a window energy in n variables over
+    this many fields, which it reads only at n >= 3."""
+    return PAIR_NS[n - 1] if n < 3 else PAIR_NS[min(fields, 3) + 1]
 
 
 def pairs_fit(vol_x: int, vol_y: int) -> bool:
@@ -58,12 +62,10 @@ def _require_pairs(box_x: fm.BoxSpec, box_y: fm.BoxSpec):
         raise ValueError("pair enumeration infeasible at this size")
 
 
-def _cross_checks(box_x: fm.BoxSpec, box_y: fm.BoxSpec, cross_check) -> bool:
-    """cross_check, or when it is None whether the literal loop over the
-    boxes is within QUAD_CROSS_CHECK_CAP."""
-    if cross_check is None:
-        return quadruple_cost(box_x.volume, box_y.volume) <= QUAD_CROSS_CHECK_CAP
-    return cross_check
+def _literal_loop_fits(box_x: fm.BoxSpec, box_y: fm.BoxSpec) -> bool:
+    """Whether the literal loop over the boxes is within QUAD_CROSS_CHECK_CAP:
+    the entry points that run it beside the histogram run it exactly then."""
+    return quadruple_cost(box_x.volume, box_y.volume) <= QUAD_CROSS_CHECK_CAP
 
 
 @dataclass(frozen=True)
@@ -82,12 +84,10 @@ class EnergyInstance:
             )
 
 
-def _lam_table(D: fm.NormFormDecomposition, box: fm.BoxSpec, blocks=None) -> list:
-    """lambda(x) per point as coefficient tuples, for the literal oracle loops;
-    the restricted energies pass a matrix's partition blocks for D's own."""
-    blocks = D.blocks if blocks is None else blocks
+def _lam_table(D: fm.NormFormDecomposition, box: fm.BoxSpec) -> list:
+    """lambda(x) per point as coefficient tuples, for the literal oracle loops."""
     return [
-        tuple(tuple(la.mat_vec(U, x, D.p)) for U in blocks) for x in box.iter_points()
+        tuple(tuple(la.mat_vec(U, x, D.p)) for U in D.blocks) for x in box.iter_points()
     ]
 
 
@@ -102,11 +102,9 @@ def _lam_table(D: fm.NormFormDecomposition, box: fm.BoxSpec, blocks=None) -> lis
 # each row of sums is folded to class keys by C-level maps as it is counted.
 
 
-def _box_logs(D: fm.NormFormDecomposition, box: fm.BoxSpec, blocks=None) -> list:
-    """The log list of each lambda_i over the box (fc.linear_logs); the
-    restricted energies pass a matrix's partition blocks for D's own."""
-    blocks = D.blocks if blocks is None else blocks
-    return [fc.linear_logs(ctx, U, box.axes()) for U, ctx in zip(blocks, D.ctxs)]
+def _box_logs(D: fm.NormFormDecomposition, box: fm.BoxSpec) -> list:
+    """The log list of each lambda_i over the box (fc.linear_logs)."""
+    return [fc.linear_logs(ctx, U, box.axes()) for U, ctx in zip(D.blocks, D.ctxs)]
 
 
 def _class_keys(D: fm.NormFormDecomposition):
@@ -229,19 +227,10 @@ def energy_quadruple_loop(inst: EnergyInstance) -> int:
     return sum(1 for _ in _literal_quadruples(D, table_x, table_x, table_y, table_y))
 
 
-def energy_bruteforce(inst: EnergyInstance, cross_check=None) -> int:
-    """Exact energy count; both routes must agree whenever both run."""
-    value = energy_histogram(inst)
-    checks = _cross_checks(inst.box_x, inst.box_y, cross_check)
-    if checks and energy_quadruple_loop(inst) != value:
-        raise la.CheckFailed("quadruple loop and pair histogram give different energies")
-    return value
-
-
-def energy_symmetric(D: fm.NormFormDecomposition, H, cross_check=None) -> int:
+def energy_symmetric(D: fm.NormFormDecomposition, H) -> int:
     """Energy over the centered window [-H, H] in both slots."""
     box = fm.BoxSpec.symmetric(H)
-    return energy_bruteforce(EnergyInstance(D, box, box), cross_check)
+    return energy_histogram(EnergyInstance(D, box, box))
 
 
 def s1_identity_check(D: fm.NormFormDecomposition, box_x: fm.BoxSpec, box_y: fm.BoxSpec):
@@ -260,14 +249,14 @@ def s1_identity_check(D: fm.NormFormDecomposition, box_x: fm.BoxSpec, box_y: fm.
         for logs in (_inverse_logs(D, logs_y), logs_y)
     )
 
-    if _cross_checks(box_x, box_y, None):
+    if _literal_loop_fits(box_x, box_y):
         lx, ly = ([l for l in _lam_table(D, b) if all(map(any, l))] for b in (box_x, box_y))
         literal = sum(1 for _ in _literal_quadruples(D, lx, lx, ly, ly))
         if literal != quads:
             raise la.CheckFailed(f"literal loop counts {literal}, histogram {quads}")
 
-    e_x = energy_bruteforce(EnergyInstance(D, box_x, box_x), cross_check=False)
-    e_y = energy_bruteforce(EnergyInstance(D, box_y, box_y), cross_check=False)
+    e_x = energy_histogram(EnergyInstance(D, box_x, box_x))
+    e_y = energy_histogram(EnergyInstance(D, box_y, box_y))
     if s1 * s1 > e_x * e_y:
         raise la.CheckFailed(f"Cauchy-Schwarz fails: {s1}^2 > {e_x} * {e_y}")
     return s1, quads, s1 == quads
@@ -305,24 +294,23 @@ def _split_rows(M, partition) -> tuple:
     return tuple(M[a:b] for a, b in zip([0] + ends, ends))
 
 
-def energy_restricted(
-    inst: GeneralizedEnergyInstance, symmetric_variant=False, cross_check=None
-):
+def energy_restricted(inst: GeneralizedEnergyInstance):
     """Split the four-matrix energy by vanishing of lambda^1(x) lambda^4(y').
 
     Returns (E_live, E_degenerate, total) with the first component counting
     quadruples whose tested products are all nonzero.  The defining
-    equations force the two sides to vanish together, so the variant that
-    tests all four factors counts the same quadruples; the literal loop
-    checks that when symmetric_variant is set.
+    equations force the two sides to vanish together, so testing all four
+    factors splits the same way; where _literal_loop_fits, the literal loop
+    checks both splits in one pass.
     """
     D = inst.decomposition
     box_x, box_y = inst.box_x, inst.box_y
     _require_pairs(box_x, box_y)
     # lambda^j(x): the rows of a_j sliced by the partition, in the power bases
-    blocks = [_split_rows(M, D.partition) for M in inst.matrices]
+    Ds = [fm.NormFormDecomposition(D.p, D.n, D.partition, D.ctxs, _split_rows(M, D.partition))
+          for M in inst.matrices]
     h14, h23 = (
-        _pair_histogram(D, _box_logs(D, box_x, blocks[i]), _box_logs(D, box_y, blocks[j]))
+        _pair_histogram(D, _box_logs(Ds[i], box_x), _box_logs(Ds[j], box_y))
         for i, j in ((0, 3), (1, 2))
     )
     total = live = degenerate = 0
@@ -336,23 +324,23 @@ def energy_restricted(
     if live + degenerate != total:
         raise la.CheckFailed(f"live {live} + degenerate {degenerate} != {total}")
 
-    if _cross_checks(box_x, box_y, cross_check):
-        tables = (
-            _lam_table(D, box, U) for box, U in zip((box_x, box_x, box_y, box_y), blocks)
-        )
-        lit_live = lit_deg = 0
-        for quad in _literal_quadruples(D, *tables):
-            tested = quad if symmetric_variant else (quad[0], quad[3])
-            if not all(any(e) for l in tested for e in l):
-                lit_deg += 1
-            else:
-                lit_live += 1
-        if (lit_live, lit_deg) != (live, degenerate):
-            raise la.CheckFailed(f"literal split {lit_live, lit_deg} != {live, degenerate}")
+    if _literal_loop_fits(box_x, box_y):
+        tables = (_lam_table(Dj, box) for Dj, box in zip(Ds, (box_x, box_x, box_y, box_y)))
+        count = two = four = 0
+        for l1, l2, l3, l4 in _literal_quadruples(D, *tables):
+            count += 1
+            two += all(map(any, l1 + l4))
+            four += all(map(any, l1 + l2 + l3 + l4))
+        for factors, lit_live in ((2, two), (4, four)):
+            if (lit_live, count - lit_live) != (live, degenerate):
+                raise la.CheckFailed(
+                    f"literal split testing {factors} factors "
+                    f"{lit_live, count - lit_live} != {live, degenerate}"
+                )
     return live, degenerate, total
 
 
-def embed_energy(inst: EnergyInstance, cross_check=None):
+def embed_energy(inst: EnergyInstance):
     """Compare a rectangular-system count with its square-system embedding.
 
     Extends the stacked matrix's columns to a basis and pins the appended
@@ -367,14 +355,14 @@ def embed_energy(inst: EnergyInstance, cross_check=None):
     pad_h = (1,) * (k - n)
     big_x = fm.BoxSpec(inst.box_x.N + pad_n, inst.box_x.H + pad_h)
     big_y = fm.BoxSpec(inst.box_y.N + pad_n, inst.box_y.H + pad_h)
-    e_small = energy_bruteforce(inst, cross_check)
-    e_big = energy_bruteforce(EnergyInstance(D_big, big_x, big_y), cross_check)
+    e_small = energy_histogram(inst)
+    e_big = energy_histogram(EnergyInstance(D_big, big_x, big_y))
     return e_small, e_big, e_small <= e_big
 
 
-def elementary_bounds_check(inst: EnergyInstance, cross_check=None) -> dict:
+def elementary_bounds_check(inst: EnergyInstance) -> dict:
     """Diagonal lower bound checked; cube-scale upper ratio reported."""
-    value = energy_bruteforce(inst, cross_check)
+    value = energy_histogram(inst)
     lower = inst.box_x.volume * inst.box_y.volume
     if value < lower:
         raise la.CheckFailed(f"energy {value} below the diagonal count {lower}")

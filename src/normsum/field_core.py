@@ -8,6 +8,7 @@ field's ExtFieldCtx beside the tuples.  All arithmetic is exact.
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import operator
@@ -515,7 +516,7 @@ def _log_tables_of(ctx: ExtFieldCtx) -> tuple:
     return tables
 
 
-def _times_code_table(ctx: ExtFieldCtx, g) -> list:
+def _times_code_table(ctx: ExtFieldCtx, g) -> array.array:
     """step[c], the code of g times the element of code c, for every code c.
 
     Multiplication by g is F_p-linear, with columns w^k g = mul_kernel(w^k, g).
@@ -536,7 +537,7 @@ def _times_code_table(ctx: ExtFieldCtx, g) -> list:
         shares.append(map(low.__getitem__, map(slice, ts, [t + p for t in ts])) if a
                       else map(itertools.repeat, [t * w for t in ts], itertools.repeat(p)))
     add_shares = functools.partial(functools.reduce, functools.partial(map, operator.add))
-    return list(itertools.chain.from_iterable(map(add_shares, zip(*shares))))
+    return array.array("l", itertools.chain.from_iterable(map(add_shares, zip(*shares))))
 
 
 def _revisit(ctx: ExtFieldCtx, j: int, code: int):

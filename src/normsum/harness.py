@@ -221,12 +221,13 @@ def _short_box(p: int, n: int, kappa: float) -> fm.BoxSpec:
     return fm.BoxSpec((0,) * n, (side,) * n)
 
 
-def _window_cost(p: int, n: int):
-    """The cost of one energy on [-sqrt(p), sqrt(p)]^n, or the skip line."""
+def _window_cost(p: int, n: int, fields: int = 1):
+    """The cost of one energy on [-sqrt(p), sqrt(p)]^n over this many
+    fields, or the skip line."""
     vol = fm.BoxSpec.symmetric((math.isqrt(p),) * n).volume
     if not en.pairs_fit(vol, vol):
         return f"p={p}: pair table {vol}^2 exceeds cap, skipped"
-    return en.pair_cost(vol, vol) * en.pair_ns(n)
+    return en.pair_cost(vol, vol) * en.pair_ns(n, fields)
 
 
 def _character_cost(p: int, weight_rows: int) -> int:
@@ -403,9 +404,7 @@ def run_energy(config: ExperimentConfig):
         rng = random.Random(_derived_seed(config.seed, p, n))
         D = fm.random_decomposition(p, n, square_partitions(n)[0], rng)
         box = fm.BoxSpec.symmetric((H,) * n)
-        report = en.elementary_bounds_check(
-            en.EnergyInstance(D, box, box), cross_check=False
-        )
+        report = en.elementary_bounds_check(en.EnergyInstance(D, box, box))
         rows.append(
             scan_row(
                 p, n, n, (H,) * n, "energy", report["energy"],
@@ -428,7 +427,7 @@ def run_lattice(config: ExperimentConfig):
     def cost(p):
         # a partition past the field cap is skipped before any work
         lattices = sum(fc.field_fits(p, part[0]) for part in square_partitions(n))
-        return lattices * lat.minima_cost(p, n) * lat.MINIMA_PREFIX_NS
+        return lattices * (lat.LATTICE_NS + lat.minima_cost(p, n) * lat.MINIMA_PREFIX_NS[n - 1])
 
     for p in _walk(config, cost, skips, characters=False):
         for part in square_partitions(n):
@@ -447,7 +446,7 @@ def run_lattice(config: ExperimentConfig):
             # builds the dual, whose last step is the pairing check, and the box minima
             mahler = lat.mahler_check(L, H)
             rows.append(scan_row(p, n, n, (0,) * n, "dual_pairing", 1, 1.0))
-            count = lat.points_in_box(L, H, cross_check=False)[0]
+            count = lat.points_in_box(L, H)[0]
             rows.append(scan_row(p, n, n, H, "box_count", count, float(det)))
             prod = math.prod(mahler["minima"], start=Fraction(1))
             rows.append(scan_row(p, n, n, H, "minima_product", prod, det))
@@ -584,8 +583,8 @@ def run_energy_scan(config: ExperimentConfig):
     # the partitions, some 10^8 at n = 100, are listed only for a window that fits
     def cost(p):
         window = _window_cost(p, n)
-        return window if isinstance(window, str) else (
-            window * len(square_partitions(n)) * SCAN_SAMPLES)
+        return window if isinstance(window, str) else SCAN_SAMPLES * sum(
+            _window_cost(p, n, len(part)) for part in square_partitions(n))
 
     for p in _walk(config, cost, skips, characters=False):
         H = math.isqrt(p)
@@ -594,7 +593,7 @@ def run_energy_scan(config: ExperimentConfig):
         for part in square_partitions(n):
             for _ in range(SCAN_SAMPLES):
                 D = fm.random_decomposition(p, n, part, rng)
-                e = en.energy_symmetric(D, (H,) * n, cross_check=False)
+                e = en.energy_symmetric(D, (H,) * n)
                 if best is None or e > best:
                     best = e
         bound = float(H ** (2 * n)) * math.sqrt(p)
@@ -678,14 +677,12 @@ def run_identity_suite(config: ExperimentConfig):
                     record("shift_identity", p, n, f"{tag} shift={shift}", ok, lhs, rhs)
 
                 Hvec = (2,) * n
-                centered = en.energy_symmetric(D, Hvec, cross_check=False)
+                centered = en.energy_symmetric(D, Hvec)
                 worst = None
                 for _ in range(5):
                     N = tuple(rng.randint(-p, p) for _ in range(n))
                     Bn = fm.BoxSpec(N, Hvec)
-                    e = en.energy_bruteforce(
-                        en.EnergyInstance(D, Bn, Bn), cross_check=False
-                    )
+                    e = en.energy_histogram(en.EnergyInstance(D, Bn, Bn))
                     if worst is None or e > worst[0]:
                         worst = (e, N)
                 # every sampled energy is within the centered one when the largest is
@@ -705,7 +702,7 @@ def run_identity_suite(config: ExperimentConfig):
                 inst = en.EnergyInstance(
                     D_rect, fm.BoxSpec((0, 0), (2, 2)), fm.BoxSpec((0, 0), (2, 2))
                 )
-                e_small, e_big, ok = en.embed_energy(inst, cross_check=False)
+                e_small, e_big, ok = en.embed_energy(inst)
                 record(
                     "embedding_inequality", p, 2, f"p={p} partition=(2, 1)",
                     ok, e_small, e_big,

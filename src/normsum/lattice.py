@@ -20,7 +20,6 @@ from . import linalg as la
 
 MINIMA_DIM_CAP = 6
 SCAN_CAP = 10**8
-CROSS_CHECK_CAP = 2 * 10**4
 
 
 def minima_fit(dim: int) -> bool:
@@ -296,9 +295,17 @@ def _box_gauge(H: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(scale // h if h else scale + 1 for h in H)
 
 
-# the fastest measured time of a whole `harness.run_lattice` lattice per prefix, in ns
-# (8,700 to 38,000 at p >= 1009, n <= 2, 2 vCPUs; to 77,000 at n = 3, 240,000 at p <= 7)
-MINIMA_PREFIX_NS = 8_700
+# the weights of a whole `harness.run_lattice` lattice, in ns: LATTICE_NS, plus
+# MINIMA_PREFIX_NS[n - 1] per minima_cost prefix.  Timed prime by prime (seed 1,
+# 2-vCPU virtual machine), a lattice took 1.6 to 19 ms at p <= 7, most of it the
+# decompositions, HNF and three dual routes.  Less 2 ms, it took per prefix (lower
+# to upper quartile) 5,900 to 17,000 at n = 1 (p = 101 to 3,119), 27,000 to 47,000
+# at n = 2 (p = 101 to 997) and 48,000 to 78,000 at n = 3 (p = 13 to 97); single
+# lattices run up to 10x slower as the seed moves their minima.  The weights are
+# about the medians, so a range is priced a little under its time: 4.8 s against
+# 4.7 to 5.6 s at p = 3..400, n = 2, and 3.9 s against 5.0 s at p = 3..60, n = 3
+LATTICE_NS = 2_000_000
+MINIMA_PREFIX_NS = (10_000, 40_000, 60_000)
 
 
 def minima_cost(p: int, n: int) -> int:
@@ -350,6 +357,11 @@ def _gauge_ball(
 
 
 def _scan_points(L: IntegerLattice, H: Sequence[int]) -> list[tuple[int, ...]]:
+    """The box's lattice vectors by a membership test at every point: the
+    oracle of points_in_box, refused past SCAN_CAP points."""
+    vol = math.prod(2 * h + 1 for h in H)
+    if vol > SCAN_CAP:
+        raise ValueError(f"scan infeasible: box volume {vol} over cap {SCAN_CAP}")
     member = L.form.holds if L.form is not None else L.contains
     return [
         v
@@ -358,25 +370,17 @@ def _scan_points(L: IntegerLattice, H: Sequence[int]) -> list[tuple[int, ...]]:
     ]
 
 
-def points_in_box(L: IntegerLattice, H: Sequence[int], cross_check: bool | None = None):
+def points_in_box(L: IntegerLattice, H: Sequence[int]):
     """Count and list the lattice vectors v with |v_i| <= H_i for all i.
 
-    Counting runs over bounded basis coefficients; on small boxes the direct
-    scan with the membership test is run as well and must agree.
+    The vectors are the ball of the box gauge at radius 1, walked over
+    bounded basis coefficients (_gauge_ball), in sorted order.
     """
     H = tuple(int(h) for h in H)
     if len(H) != L.dim or any(h < 0 for h in H):
         raise ValueError("box bounds must be one nonnegative integer per dimension")
-    vol = math.prod(2 * h + 1 for h in H)
     scale, w = _box_gauge(H)
     pts = sorted(v for _, v in _gauge_ball(L.columns(), w, scale, False))
-    if cross_check is None:
-        cross_check = vol <= CROSS_CHECK_CAP
-    if cross_check:
-        if vol > SCAN_CAP:
-            raise ValueError(f"scan infeasible: box volume {vol} over cap {SCAN_CAP}")
-        if sorted(_scan_points(L, H)) != pts:
-            raise la.CheckFailed("box enumeration and membership scan disagree")
     return len(pts), tuple(pts)
 
 

@@ -127,12 +127,12 @@ def test_energy_oracle_equivalence():
         family = sampled_quadruple_family(D, seed=rng.randrange(2**32), count=1)
         mats = family[-1]
         inst = en.GeneralizedEnergyInstance(D, mats, box, box)
-        live, degenerate, total = en.energy_restricted(inst, cross_check=True)
+        live, degenerate, total = en.energy_restricted(inst)
         assert live + degenerate == total
 
         inst_own = en.GeneralizedEnergyInstance(D, (D.A,) * 4, box, box)
-        _, _, total_own = en.energy_restricted(inst_own, cross_check=False)
-        plain = en.energy_bruteforce(en.EnergyInstance(D, box, box), cross_check=False)
+        _, _, total_own = en.energy_restricted(inst_own)
+        plain = en.energy_histogram(en.EnergyInstance(D, box, box))
         assert total_own == plain
         gen_done += 1
     print(f"PASS energy oracles: {done} dual-route instances, {gen_done} split instances")
@@ -150,9 +150,7 @@ def test_energy_elementary_bounds():
         H = tuple(rng.randint(1, 4) for _ in range(n))
         N = tuple(rng.randint(-p, p) for _ in range(n))
         box = fm.BoxSpec(N, H)
-        report = en.elementary_bounds_check(
-            en.EnergyInstance(D, box, box), cross_check=False
-        )
+        report = en.elementary_bounds_check(en.EnergyInstance(D, box, box))
         assert report["energy"] >= math.prod(H) ** 2
         worst = max(worst, report["upper_ratio"])
     print(f"PASS elementary bounds: 60 instances; max E / H_max^(3n) = {worst:.3f}")

@@ -155,14 +155,19 @@ class TestPairCap:
 
 
 class TestQuadrupleCaps:
-    def test_cross_check_runs_at_the_cap_and_not_one_size_above(self, monkeypatch):
+    def test_restricted_literal_loop_runs_at_the_cap_and_not_one_size_above(
+        self, monkeypatch
+    ):
         D = decomposition(5, 1)
-        loop, runs = en.energy_quadruple_loop, []
-        monkeypatch.setattr(en, "energy_quadruple_loop", lambda inst: runs.append(1) or loop(inst))
-        en.energy_bruteforce(en.EnergyInstance(D, line(0, 10), line(0, 100)))
+        mats = (((1,),),) * 4
+        literal, runs = en._literal_quadruples, []
+        monkeypatch.setattr(
+            en, "_literal_quadruples", lambda *tables: runs.append(1) or literal(*tables)
+        )
+        en.energy_restricted(en.GeneralizedEnergyInstance(D, mats, line(0, 10), line(0, 100)))
         assert runs == [1]
         # 7 x 143 = 1001 pairs, the next size past 1000^2 quadruples
-        en.energy_bruteforce(en.EnergyInstance(D, line(0, 7), line(0, 143)))
+        en.energy_restricted(en.GeneralizedEnergyInstance(D, mats, line(0, 7), line(0, 143)))
         assert runs == [1]
 
     def test_s1_cross_check_reads_the_same_cap(self, monkeypatch):
@@ -255,8 +260,9 @@ class TestCommandCap:
              39671),
             # each prime's set-up, not its one-term moment, is the cost here
             (["moment", "--p-range", "3..999983", "--k", "1", "--r", "6"], 2617),
-            # the minima prefixes of each lattice, and each prime's F_{p^2}
-            (["lattice", "--p-range", "3..999983", "--n", "2", "--seed", "1"], 3137),
+            # each lattice's fixed work and minima prefixes; the second range ran 120 s
+            (["lattice", "--p-range", "3..999983", "--n", "2", "--seed", "1"], 997),
+            (["lattice", "--p-range", "3..3121", "--n", "2", "--seed", "1"], 997),
             (["identity-suite", "--p-range", "3..997", "--seed", "5"], 787),
         ],
     )
@@ -308,7 +314,11 @@ class TestCommandCap:
         assert max(tested) == 18229
 
     def test_each_arity_has_its_own_pair_weight(self, monkeypatch):
-        assert [en.pair_ns(n) for n in (1, 2, 3, 4, 9)] == list(en.PAIR_NS) + [en.PAIR_NS[2]] * 2
+        weights = [en.pair_ns(n) for n in (1, 2, 3, 4, 9)]
+        assert weights == list(en.PAIR_NS[:3]) + [en.PAIR_NS[2]] * 2
+        # the field count is read only at n >= 3
+        assert [en.pair_ns(n, 2) for n in (1, 2)] == list(en.PAIR_NS[:2])
+        assert [en.pair_ns(4, f) for f in (1, 2, 3, 4)] == list(en.PAIR_NS[2:]) + [en.PAIR_NS[4]]
         # two partitions of 2, SCAN_SAMPLES energies each, over 3 x 3 points at p = 3
         config = hn.ExperimentConfig("energy-scan", 3, 3, n=2, seed=1)
         total = 2 * hn.SCAN_SAMPLES * en.pair_cost(9, 9) * en.PAIR_NS[1]
@@ -317,6 +327,20 @@ class TestCommandCap:
         monkeypatch.setattr(hn, "COMMAND_CAP", total - 1)
         with pytest.raises(hn.UsageError, match="by p=3, past the command cap"):
             hn.run_energy_scan(config)
+
+    def test_an_n3_window_is_priced_by_its_partitions_field_count(self, monkeypatch):
+        # the partitions (3), (2, 1) and (1, 1, 1) of 3, over 27 x 27 pairs at p = 3
+        config = hn.ExperimentConfig("energy-scan", 3, 3, n=3, seed=1)
+        total = hn.SCAN_SAMPLES * en.pair_cost(27, 27) * sum(en.PAIR_NS[2:])
+        monkeypatch.setattr(hn, "COMMAND_CAP", total)
+        assert len(hn.run_energy_scan(config)[0]) == 1
+        monkeypatch.setattr(hn, "COMMAND_CAP", total - 1)
+        with pytest.raises(hn.UsageError, match="by p=3, past the command cap"):
+            hn.run_energy_scan(config)
+        # energy's one window, over one field, keeps the one-field weight
+        energy = hn.ExperimentConfig("energy", 3, 3, n=3, seed=1)
+        monkeypatch.setattr(hn, "COMMAND_CAP", en.pair_cost(27, 27) * en.PAIR_NS[2])
+        assert len(hn.run_energy(energy)[0]) == 2
 
     def test_partitions_are_listed_only_for_a_window_within_the_pair_cap(
         self, monkeypatch, capsys
@@ -426,7 +450,7 @@ class TestCommandCap:
     def test_a_lattice_prime_costs_only_the_partitions_that_fit(self, monkeypatch):
         # past p = 1000 the partition (2) of 2 is skipped before any work
         config = hn.ExperimentConfig("lattice", 1009, 1009, n=2, seed=1)
-        total = lat.minima_cost(1009, 2) * lat.MINIMA_PREFIX_NS
+        total = lat.LATTICE_NS + lat.minima_cost(1009, 2) * lat.MINIMA_PREFIX_NS[1]
         assert lat.minima_cost(1009, 2) == (2 * 31 + 1) ** 2
         monkeypatch.setattr(hn, "COMMAND_CAP", total)
         rows, skips = hn.run_lattice(config)

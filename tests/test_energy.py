@@ -82,22 +82,36 @@ def sampled_quadruple_family(
     return tuple(unique)
 
 
-def c_sampled(D: fm.NormFormDecomposition, box: fm.BoxSpec, family, cross_check=False) -> int:
+def c_sampled(D: fm.NormFormDecomposition, box: fm.BoxSpec, family) -> int:
     """Family maximum of the same-box restricted energy."""
     best = 0
     for mats in family:
-        live, _, _ = en.energy_restricted(
-            en.GeneralizedEnergyInstance(D, mats, box, box), cross_check=cross_check
-        )
+        live, _, _ = en.energy_restricted(en.GeneralizedEnergyInstance(D, mats, box, box))
         best = max(best, live)
     return best
 
 
-def logs_per_point(D: fm.NormFormDecomposition, box: fm.BoxSpec, blocks=None) -> list:
+@pytest.fixture
+def literal_checked(monkeypatch):
+    """en.energy_histogram compared with the literal loop on every call, so an
+    entry point that reaches the histogram is checked on the instances it
+    builds itself; returns the list of instances checked."""
+    histogram, checked = en.energy_histogram, []
+
+    def both(inst):
+        value = histogram(inst)
+        assert value == en.energy_quadruple_loop(inst), inst
+        checked.append(inst)
+        return value
+
+    monkeypatch.setattr(en, "energy_histogram", both)
+    return checked
+
+
+def logs_per_point(D: fm.NormFormDecomposition, box: fm.BoxSpec) -> list:
     """The oracle of en._box_logs: per field and point, the dot products of
     each block row, their base-p index and its log_table entry."""
     p = D.p
-    blocks = D.blocks if blocks is None else blocks
     return [
         [
             fc.log_table(ctx)[sum(
@@ -105,7 +119,7 @@ def logs_per_point(D: fm.NormFormDecomposition, box: fm.BoxSpec, blocks=None) ->
             )]
             for x in box.iter_points()
         ]
-        for U, ctx in zip(blocks, D.ctxs)
+        for U, ctx in zip(D.blocks, D.ctxs)
     ]
 
 
@@ -159,11 +173,12 @@ def product_histogram(D: fm.NormFormDecomposition, box_x: fm.BoxSpec, box_y: fm.
 class TestBruteforce:
     def test_single_point_boxes(self):
         b = box((0,), (1,))
-        assert en.energy_bruteforce(en.EnergyInstance(LINE5, b, b)) == 1
+        inst = en.EnergyInstance(LINE5, b, b)
+        assert en.energy_histogram(inst) == en.energy_quadruple_loop(inst) == 1
 
     def test_line_frozen(self):
         inst = en.EnergyInstance(LINE5, BOX2, BOX2)
-        assert en.energy_bruteforce(inst) == 6
+        assert en.energy_histogram(inst) == en.energy_quadruple_loop(inst) == 6
 
     def test_routes_agree_random(self):
         rng = random.Random(5)
@@ -199,28 +214,32 @@ class TestBruteforce:
                     [rng.randint(-p, p) for _ in range(n)],
                     [rng.randint(1, 3) for _ in range(n)],
                 )
-                report = en.elementary_bounds_check(en.EnergyInstance(D, bx, bx))
+                inst = en.EnergyInstance(D, bx, bx)
+                report = en.elementary_bounds_check(inst)
+                assert report["energy"] == en.energy_quadruple_loop(inst)
                 assert report["energy"] >= report["diagonal_lower"]
                 assert report["diagonal_lower"] == bx.volume**2
 
-    def test_elementary_frozen(self):
+    def test_elementary_frozen(self, literal_checked):
         report = en.elementary_bounds_check(en.EnergyInstance(LINE5, BOX2, BOX2))
         assert report == {"energy": 6, "diagonal_lower": 4, "upper_ratio": 0.75}
+        assert len(literal_checked) == 1
 
-    def test_monotone_in_nested_boxes(self):
+    def test_monotone_in_nested_boxes(self, literal_checked):
         line7 = line_decomp(7)
         values = []
         for h in range(1, 5):
             b = box((0,), (h,))
-            values.append(en.energy_bruteforce(en.EnergyInstance(line7, b, b)))
+            values.append(en.energy_histogram(en.EnergyInstance(line7, b, b)))
         assert values == sorted(values)
         rng = random.Random(2)
         D = fm.random_decomposition(7, 2, (1, 1), rng)
         small = box((0, 0), (1, 1))
         big = box((0, 0), (2, 2))
-        e_small = en.energy_bruteforce(en.EnergyInstance(D, small, small))
-        e_big = en.energy_bruteforce(en.EnergyInstance(D, big, big))
+        e_small = en.energy_histogram(en.EnergyInstance(D, small, small))
+        e_big = en.energy_histogram(en.EnergyInstance(D, big, big))
         assert e_small <= e_big
+        assert len(literal_checked) == 6
 
     def test_histogram_merge_independence(self):
         # building the pair histogram from box pieces merges to the whole
@@ -254,12 +273,14 @@ class TestBruteforce:
 
 
 class TestSymmetric:
-    def test_zero_window(self):
+    def test_zero_window(self, literal_checked):
         assert en.energy_symmetric(LINE5, (0,)) == 1
+        assert len(literal_checked) == 1
 
-    def test_window_one_frozen(self):
+    def test_window_one_frozen(self, literal_checked):
         # D_1 = {-1, 0, 1}: pair products 0 (five ways), 1 (two), -1 (two)
         assert en.energy_symmetric(LINE5, (1,)) == 33
+        assert len(literal_checked) == 1
 
     def test_shift_inequality(self):
         rng = random.Random(13)
@@ -271,12 +292,10 @@ class TestSymmetric:
         ]
         for D, H in cases:
             p = D.p
-            centered = en.energy_symmetric(D, H, cross_check=False)
+            centered = en.energy_symmetric(D, H)
             for _ in range(20):
                 N = tuple(rng.randint(-p, p) for _ in range(D.n))
-                shifted = en.energy_bruteforce(
-                    en.EnergyInstance(D, box(N, H), box(N, H)), cross_check=False
-                )
+                shifted = en.energy_histogram(en.EnergyInstance(D, box(N, H), box(N, H)))
                 assert shifted <= centered
 
 
@@ -395,18 +414,42 @@ class TestRestricted:
             )
             gi = en.GeneralizedEnergyInstance(D, (D.A,) * 4, bx, by)
             _, _, total = en.energy_restricted(gi)
-            assert total == en.energy_bruteforce(en.EnergyInstance(D, bx, by))
+            inst = en.EnergyInstance(D, bx, by)
+            assert total == en.energy_histogram(inst) == en.energy_quadruple_loop(inst)
 
-    def test_symmetric_variant_equal(self):
+    @pytest.mark.parametrize("factors", [2, 4])
+    def test_literal_loop_checks_both_splits(self, factors, monkeypatch):
+        # a box around the origin in both slots, so that both splits have
+        # live and degenerate quadruples
         rng = random.Random(37)
         D = fm.random_decomposition(5, 2, (1, 1), rng)
         mats = tuple(_random_nonsingular(rng, 2, 5) for _ in range(4))
-        bx = box((-1, 0), (2, 2))
-        by = box((0, -2), (2, 2))
-        gi = en.GeneralizedEnergyInstance(D, mats, bx, by)
-        plain = en.energy_restricted(gi, cross_check=True)
-        variant = en.energy_restricted(gi, symmetric_variant=True, cross_check=True)
-        assert plain == variant
+        b = box((-1, -1), (3, 3))
+        gi = en.GeneralizedEnergyInstance(D, mats, b, b)
+        live, degenerate, total = en.energy_restricted(gi)
+        assert live > 0 and degenerate > 0 and live + degenerate == total
+        literal = en._literal_quadruples
+        zero = tuple((0,) * m for m in D.partition)
+        unit = tuple((1,) + (0,) * (m - 1) for m in D.partition)
+
+        def altered(*tables):
+            # one quadruple changed so that only the split testing `factors`
+            # factors moves: a live one with lambda^2(x') zeroed, or a
+            # degenerate one with lambda^1(x) and lambda^4(y') made units
+            quads = literal(*tables)
+            for l1, l2, l3, l4 in quads:
+                if factors == 4 and all(map(any, l1 + l2 + l3 + l4)):
+                    yield l1, zero, l3, l4
+                    break
+                if factors == 2 and not all(map(any, l1 + l4)):
+                    yield unit, l2, l3, unit
+                    break
+                yield l1, l2, l3, l4
+            yield from quads
+
+        monkeypatch.setattr(en, "_literal_quadruples", altered)
+        with pytest.raises(la.CheckFailed, match=f"testing {factors} factors"):
+            en.energy_restricted(gi)
 
     def test_single_point_second_box(self):
         ident = ((1,),)
@@ -449,19 +492,10 @@ class TestRestricted:
                     [rng.randint(-p, p) for _ in range(n)],
                     [rng.randint(1, 3) for _ in range(n)],
                 )
-                live, _, _ = en.energy_restricted(
-                    en.GeneralizedEnergyInstance(D, mats, bh, bk),
-                    cross_check=False,
-                )
+                live, _, _ = en.energy_restricted(en.GeneralizedEnergyInstance(D, mats, bh, bk))
                 q1, q2 = derived_quadruples(mats)
-                c1, _, _ = en.energy_restricted(
-                    en.GeneralizedEnergyInstance(D, q1, bh, bh),
-                    cross_check=False,
-                )
-                c2, _, _ = en.energy_restricted(
-                    en.GeneralizedEnergyInstance(D, q2, bk, bk),
-                    cross_check=False,
-                )
+                c1, _, _ = en.energy_restricted(en.GeneralizedEnergyInstance(D, q1, bh, bh))
+                c2, _, _ = en.energy_restricted(en.GeneralizedEnergyInstance(D, q2, bk, bk))
                 assert live * live <= c1 * c2
 
     def test_family_max_dominates(self):
@@ -473,11 +507,9 @@ class TestRestricted:
         family = sampled_quadruple_family(
             D, seed=1, count=20, extra=derived_quadruples(mats)
         )
-        live, _, _ = en.energy_restricted(
-            en.GeneralizedEnergyInstance(D, mats, bh, bk), cross_check=False
-        )
-        c_h = c_sampled(D, bh, family, cross_check=False)
-        c_k = c_sampled(D, bk, family, cross_check=False)
+        live, _, _ = en.energy_restricted(en.GeneralizedEnergyInstance(D, mats, bh, bk))
+        c_h = c_sampled(D, bh, family)
+        c_k = c_sampled(D, bk, family)
         assert live * live <= c_h * c_k
 
     def test_sampled_family_shape(self):
@@ -492,15 +524,16 @@ class TestRestricted:
 
 
 class TestEmbed:
-    def test_square_system_identical(self):
+    def test_square_system_identical(self, literal_checked):
         rng = random.Random(47)
         D = fm.random_decomposition(5, 2, (2,), rng)
         b = box((0, 1), (2, 2))
         e_small, e_big, holds = en.embed_energy(en.EnergyInstance(D, b, b))
         assert e_small == e_big
         assert holds
+        assert len(literal_checked) == 2
 
-    def test_rectangular_frozen(self):
+    def test_rectangular_frozen(self, literal_checked):
         ctx = fc.ext_field_ctx(5, 1)
         D = fm.NormFormDecomposition(
             5, 1, (1, 1), (ctx, ctx), (((1,),), ((0,),))
@@ -510,8 +543,10 @@ class TestEmbed:
             5, 1, (2,), (fc.ext_field_ctx(5, 2),), (((1,), (0,)),)
         )
         assert en.embed_energy(en.EnergyInstance(D25, BOX2, BOX2)) == (6, 6, True)
+        # the small and the embedded instance of each
+        assert len(literal_checked) == 4
 
-    def test_wider_padding_dominates(self):
+    def test_wider_padding_dominates(self, literal_checked):
         # letting the appended coordinate range over {0, 1} can only add
         D25 = fm.NormFormDecomposition(
             5, 1, (2,), (fc.ext_field_ctx(5, 2),), (((1,), (0,)),)
@@ -521,8 +556,9 @@ class TestEmbed:
             5, 2, (2,), (fc.ext_field_ctx(5, 2),), (((1, 0), (0, 1)),)
         )
         wide = box((0, -1), (2, 2))
-        e_wide = en.energy_bruteforce(en.EnergyInstance(ident, wide, wide))
+        e_wide = en.energy_histogram(en.EnergyInstance(ident, wide, wide))
         assert e_small == e_big <= e_wide
+        assert len(literal_checked) == 3
 
 
 class TestMulKernel:
@@ -659,7 +695,11 @@ class TestLogDomain:
     @pytest.mark.parametrize("p,n,partition", [
         (3, 2, (1, 1)), (5, 2, (2,)), (5, 2, (1, 1)), (7, 1, (1,)), (3, 3, (2, 1)),
     ])
-    def test_restricted_split_matches_literal_loop(self, p, n, partition):
+    def test_restricted_split_matches_literal_loop(self, p, n, partition, monkeypatch):
+        literal, runs = en._literal_quadruples, []
+        monkeypatch.setattr(
+            en, "_literal_quadruples", lambda *tables: runs.append(1) or literal(*tables)
+        )
         rng = random.Random(p + 7 * n)
         D = fm.random_decomposition(p, n, partition, rng)
         side = 2 if n < 3 else 1
@@ -669,12 +709,11 @@ class TestLogDomain:
             bx = box([rng.randint(-2, 0) for _ in range(n)], (side + 1,) * n)
             by = box([rng.randint(-2, 0) for _ in range(n)], (side,) * n)
             gi = en.GeneralizedEnergyInstance(D, mats, bx, by)
-            # cross_check=True runs the literal loop and asserts the split
-            plain = en.energy_restricted(gi, cross_check=True)
-            variant = en.energy_restricted(gi, symmetric_variant=True, cross_check=True)
-            assert plain == variant
-            degenerate_seen = degenerate_seen or plain[1] > 0
-        assert degenerate_seen
+            # within the cap the literal loop runs and checks both splits
+            live, degenerate, total = en.energy_restricted(gi)
+            assert live + degenerate == total
+            degenerate_seen = degenerate_seen or degenerate > 0
+        assert degenerate_seen and runs == [1] * 3
 
 
 # symmetric windows of half-width 0, 1 and 2 on every instance of the grid,
@@ -750,9 +789,12 @@ class TestOrbits:
         (3, 2, (1, 1)), (5, 2, (2,)), (7, 1, (1,)), (3, 3, (2, 1)), (2, 3, (1, 1, 1)),
     ])
     def test_whole_box_logs_match_the_oracle_on_restricted_blocks(self, p, n, partition):
+        # energy_restricted's per-matrix decomposition: a matrix's rows cut
+        # into the partition's blocks, over D's fields
         rng = random.Random(p + 3 * n)
         D = fm.random_decomposition(p, n, partition, rng)
         for _ in range(4):
             blocks = en._split_rows(_random_nonsingular(rng, n, p), D.partition)
+            Dm = fm.NormFormDecomposition(p, n, D.partition, D.ctxs, blocks)
             b = box([rng.randint(-3, 3) for _ in range(n)], [rng.randint(1, 3) for _ in range(n)])
-            assert en._box_logs(D, b, blocks) == logs_per_point(D, b, blocks)
+            assert en._box_logs(Dm, b) == logs_per_point(Dm, b)

@@ -1,5 +1,6 @@
 """Extension field arithmetic against hand-checked values and field axioms."""
 
+import array
 import itertools
 import random
 
@@ -409,6 +410,22 @@ def test_walked_log_table_is_the_log_of_each_power(p, m):
     assert [table[_code(ctx, fc.pow_coeffs(ctx, g, j))] for j in range(ctx.order - 1)] == list(
         range(ctx.order - 1)
     )
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5, 7) for m in (1, 2, 3)])
+def test_times_code_table_is_the_code_of_each_product(p, m):
+    # step[c] is the code of g times the element of code c, on every element,
+    # for the generator the walk uses and for units with some zero coordinates
+    ctx = fc.ext_field_ctx(p, m)
+    mul = fc.mul_kernel(ctx)
+    units = {fc.primitive_element(ctx), ctx.from_int(1), ctx.from_int(p - 1)}
+    units |= {tuple(int(i == j) for i in range(m)) for j in range(m)}
+    units.add(tuple(range(1, m + 1)) if p > m else ctx.from_int(1))
+    for g in units:
+        step = fc._times_code_table(ctx, g)
+        assert isinstance(step, array.array) and len(step) == ctx.order
+        for a in ctx.iter_elements():
+            assert step[_code(ctx, a)] == _code(ctx, mul(g, a)), (g, a)
 
 
 @pytest.mark.parametrize("p,m", [(5, 2), (3, 3), (2, 4)])

@@ -136,10 +136,10 @@ DIGESTS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),
-    # refused at p=3137 by the command cap, before any lattice
+    # refused at p=997 by the command cap, before any lattice
     "lattice-refused": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "f9f18099c5dc04220e170536922cfe0b2e5501c1c9fc0e0a318348ad7f663a4d",
+        "dbe0650de95a4c26a2a972b390ad7c87076178a30f531d33ce18243878c4c975",
         2,
     ),
     "moment": (

@@ -311,10 +311,11 @@ def test_dual_requires_provenance():
 
 def test_points_frozen():
     L = lt.build_lattice([[1]], [[1]], *scalars(5, 1))
-    assert lt.points_in_box(L, (0, 0)) == (1, ((0, 0),))
+    assert lt.points_in_box(L, (0, 0)) == (1, ((0, 0),)) == (1, tuple(lt._scan_points(L, (0, 0))))
     count, pts = lt.points_in_box(L, (1, 1))
     assert count == 3
     assert set(pts) == {(0, 0), (1, 1), (-1, -1)}
+    assert list(pts) == sorted(lt._scan_points(L, (1, 1)))
 
 
 def test_points_count_odd_by_symmetry():
@@ -328,6 +329,7 @@ def test_points_count_odd_by_symmetry():
         )
         for H in [(1, 1, 2, 2), (3, 3, 3, 3), (2, 5, 2, 5)]:
             count, pts = lt.points_in_box(L, H)
+            assert list(pts) == sorted(lt._scan_points(L, H))
             assert count % 2 == 1
             assert set(pts) == {tuple(-v for v in x) for x in pts}
 
@@ -340,15 +342,26 @@ def test_points_two_routes_agree():
         *random_multiplier(rng, 7, (2,)),
     )
     for H in [(2, 2, 2, 2), (4, 1, 3, 2)]:
-        coeff = list(lt.points_in_box(L, H, cross_check=False)[1])
+        coeff = list(lt.points_in_box(L, H)[1])
         scan = sorted(lt._scan_points(L, H))
         assert coeff == scan
+
+
+def test_scan_refuses_past_its_cap(monkeypatch):
+    L = lt.IntegerLattice(2, ((1, 0), (0, 1)))
+    monkeypatch.setattr(lt, "SCAN_CAP", 5 * 7)
+    assert len(lt._scan_points(L, (2, 3))) == 5 * 7
+    monkeypatch.setattr(lt, "SCAN_CAP", 5 * 7 - 1)
+    with pytest.raises(ValueError, match="scan infeasible: box volume 35 over cap 34"):
+        lt._scan_points(L, (2, 3))
 
 
 def test_points_identity_lattice():
     Z2 = lt.IntegerLattice(2, ((1, 0), (0, 1)))
     count, pts = lt.points_in_box(Z2, (2, 3))
     assert count == 5 * 7
+    # a lattice without a congruence form is scanned by basis membership
+    assert list(pts) == sorted(lt._scan_points(Z2, (2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +606,8 @@ def test_box_count_ratio():
     L = lt.build_lattice([[1]], [[1]], *scalars(11, 4))
     report = box_count_ratio(L, (8, 8), (2, 2))
     assert report["count_small"] <= report["count_large"]
+    for H in ((8, 8), (2, 2)):
+        assert list(lt.points_in_box(L, H)[1]) == sorted(lt._scan_points(L, H))
     assert report["kappa"] > 0
     with pytest.raises(ValueError, match="nested"):
         box_count_ratio(L, (2, 2), (4, 4))
