@@ -77,6 +77,24 @@ def lifted_index(chi: DirichletChar, ctx: fc.ExtFieldCtx, a):
     return char_index(chi, fc.norm(ctx, a))
 
 
+def index_list(chi: DirichletChar) -> list[int]:
+    """chi's root-of-unity index of each residue a in [0, p), read from the
+    log table chi holds; at a = 0 the zero marker N = max(1, p - 1), which
+    lies outside the indices [0, N)."""
+    N, t = max(1, chi.p - 1), chi.index
+    return [N] + [t * e % N for e in chi._logs[1 : chi.p]]
+
+
+def index_weights(N: int, counts) -> tuple[tuple[int, ...], int]:
+    """The weight vector of length N holding each (index, count) pair of
+    counts, and the count at the zero marker N."""
+    weights = [0] * (N + 1)
+    for e, c in counts:
+        weights[e] += c
+    zeros = weights.pop()
+    return tuple(weights), zeros
+
+
 def index_histogram(chi: DirichletChar, residues) -> tuple[tuple[int, ...], int]:
     """Weight vector of chi over the residues, and the zero count.
 
@@ -85,15 +103,12 @@ def index_histogram(chi: DirichletChar, residues) -> tuple[tuple[int, ...], int]
     residue reads the log table once; one outside [0, p) raises.
     """
     counts = Counter(residues)
-    zeros = counts.pop(0, 0)
     N = max(1, chi.p - 1)
-    weights = [0] * N
     logs, t = chi._logs, chi.index
-    for a, c in counts.items():
-        if not 0 < a < chi.p:
+    for a in counts:
+        if not 0 <= a < chi.p:
             raise ValueError(f"residue {a} outside [0, {chi.p})")
-        weights[t * logs[a] % N] += c
-    return tuple(weights), zeros
+    return index_weights(N, ((t * logs[a] % N if a else N, c) for a, c in counts.items()))
 
 
 def weights_value(w) -> complex:
@@ -121,8 +136,7 @@ def convolve(a, b) -> tuple[int, ...]:
 
 def modulus(w) -> tuple[int, ...]:
     """|S|^2 = S conj(S): the cyclic autocorrelation of w."""
-    N = len(w)
-    return convolve(w, tuple(w[-e % N] for e in range(N)))
+    return convolve(w, w[:1] + w[:0:-1])
 
 
 def power(w, r: int) -> tuple[int, ...]:
@@ -141,7 +155,6 @@ def power(w, r: int) -> tuple[int, ...]:
 
 def real_value(w) -> float:
     """The value of w, real because conjugation fixes w: w[e] == w[-e mod N]."""
-    N = len(w)
-    if any(w[e] != w[-e % N] for e in range(N)):
+    if w[1:] != w[:0:-1]:
         raise la.CheckFailed("weights are not symmetric, so their value is not real")
     return weights_value(w).real

@@ -29,12 +29,13 @@ MOMENT_CAP = 10**7
 BAD_TUPLE_CAP = 10**7
 # the fastest measured times of one unit of each cost below, in ns (on a
 # 2-vCPU virtual machine): the weights of these costs in a command's cost.
-# A box point of one route took 900 to 1,150, a moment term 60 to 100, a
-# term of weil_complete_sum 640 to 860, a unit of s2_moment's set-up 31 to 48
+# A box point of one route took 900 to 1,150 and a term of
+# weil_complete_sum 640 to 860.  s2_moment's two units are fitted instead,
+# as its time per unit moves with T and r (see moment_work)
 BOX_POINT_NS = 900
-MOMENT_TERM_NS = 60
 WEIL_TERM_NS = 640
-MOMENT_SETUP_NS = 30
+MOMENT_READ_NS = 330
+MOMENT_ENTRY_NS = 110
 
 
 def box_fits(volume: int) -> bool:
@@ -48,10 +49,19 @@ def moment_cost(p: int, k: int, T: int, r: int) -> int:
     return fc.capped_power(p, k) * fc.capped_power(T, 2 * r)
 
 
-def moment_setup_cost(p: int, k: int) -> int:
-    """p^k (p + 150): s2_moment's set-up outside its terms, a weight tuple of
-    p - 1 entries for each of its p^k z's plus other work worth 150 entries."""
-    return fc.capped_power(p, k) * (p + 150)
+def moment_work(p: int, k: int, T: int, r: int, d: int) -> tuple[int, int]:
+    """s2_moment's units over one field F_{p^k} with a character of order d:
+    the p^k T index reads that key its z's, and the p - 1 entries that each
+    inner weight class passes over in |inner|^2 and the r-th power, once per
+    convolution.  The classes are at most the z's, and at most the multisets
+    of T - j values among d, where j <= ceil(T/p) shifts z + t vanish."""
+    zeros = -(-T // p)
+    classes = sum(math.comb(T - j + d - 1, d - 1) for j in range(zeros + 1))
+    # |inner|^2, then a squaring per bit of r past the first and a product
+    # per set bit
+    convolutions = r.bit_length() + bin(r).count("1")
+    q = fc.capped_power(p, k)
+    return q * T, min(q, classes) * (p - 1) * convolutions
 
 
 def moment_fits(p: int, k: int, T: int, r: int) -> bool:
@@ -165,10 +175,11 @@ def s2_moment(
     each carrying the lift of chi through its norm, fully enumerated.
 
     For each tuple z with one component per field, the inner sum runs over
-    t in (0, T].  The z's are counted by their inner weight tuple, and
-    |inner|^{2r} is taken once per tuple as integer weights on root-of-unity
-    differences, so the value is exact; their symmetry, which makes it
-    real, is checked.
+    t in (0, T].  The z's are counted by the sorted tuple of their T
+    character indices, each distinct tuple becomes its inner weight tuple
+    once, and |inner|^{2r} is taken once per weight tuple as integer weights
+    on root-of-unity differences, so the value is exact; their symmetry,
+    which makes it real, is checked.
     """
     p = chi.p
     if not ctxs:
@@ -180,17 +191,30 @@ def s2_moment(
     k = sum(ctx.m for ctx in ctxs)
     if not moment_fits(p, k, T, r):
         raise ValueError("moment enumeration infeasible at this size")
-    # N(z_i + t) for t in (0, T] at each element code of field i
+    # chi's index of N(z_i + t) for t in (0, T] at each element code of
+    # field i, N marking a zero norm; over several fields the index of a
+    # product is the sum of the indices mod N, and a zero anywhere is zero
+    N, index = max(1, p - 1), cc.index_list(chi)
     fields = [
-        list(zip(*(fc.shifted_norms(ctx, t) for t in range(1, T + 1)))) for ctx in ctxs
+        zip(*(map(index.__getitem__, fc.shifted_norms(ctx, t)) for t in range(1, T + 1)))
+        for ctx in ctxs
     ]
+    rows = fields[0]
+    if len(fields) > 1:
+        rows = (
+            tuple(N if N in column else sum(column) % N for column in zip(*z))
+            for z in itertools.product(*fields)
+        )
+    # each z is keyed by its sorted indices; keys of equal weights merge
     classes = Counter()
-    for z in itertools.product(*fields):
-        residues = [math.prod(column) % p for column in zip(*z)]
-        classes[cc.index_histogram(chi, residues)[0]] += 1
-    total = (0,) * max(1, p - 1)
+    for key, count in Counter(map(tuple, map(sorted, rows))).items():
+        classes[cc.index_weights(N, Counter(key).items())[0]] += count
+    total = [0] * N
     for inner, count in classes.items():
-        total = tuple(t + count * w for t, w in zip(total, cc.power(cc.modulus(inner), r)))
+        powed = cc.power(cc.modulus(inner), r)
+        for e in itertools.compress(range(N), powed):
+            total[e] += count * powed[e]
+    total = tuple(total)
     value = cc.real_value(total)
     bound_terms = (T ** (2 * r) * p ** (k / 2), T**r * float(p**k))
     return {

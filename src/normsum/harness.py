@@ -514,8 +514,10 @@ def run_moment(config: ExperimentConfig):
     def cost(p):
         if not cs.moment_fits(p, k, window(p), r):
             return f"p={p}: moment enumeration over cap, skipped"
-        return (cs.moment_cost(p, k, window(p), r) * cs.MOMENT_TERM_NS
-                + cs.moment_setup_cost(p, k) * cs.MOMENT_SETUP_NS)
+        # the quadratic character: its indices take two values
+        reads, entries = cs.moment_work(p, k, window(p), r, 2)
+        return (reads * cs.MOMENT_READ_NS + entries * cs.MOMENT_ENTRY_NS
+                + _character_cost(p, 1))
 
     for p in _walk(config, cost, skips):
         T = window(p)

@@ -258,8 +258,8 @@ class TestCommandCap:
              19273),
             (["charsum", "--p-range", "3..999983", "--n", "1", "--k", "1", "--seed", "1"],
              39671),
-            # each prime's set-up, not its one-term moment, is the cost here
-            (["moment", "--p-range", "3..999983", "--k", "1", "--r", "6"], 2617),
+            # at T = 1 every prime to the field cap: its index reads and classes
+            (["moment", "--p-range", "3..999983", "--k", "1", "--r", "12"], 13063),
             # each lattice's fixed work and minima prefixes; the second range ran 120 s
             (["lattice", "--p-range", "3..999983", "--n", "2", "--seed", "1"], 997),
             (["lattice", "--p-range", "3..3121", "--n", "2", "--seed", "1"], 997),
@@ -430,22 +430,35 @@ class TestCommandCap:
             hn.run_charsum(config, **paths)
         assert summed == []
 
-    def test_a_moment_prime_costs_its_set_up_beside_its_terms(self, monkeypatch):
-        # at T = 1 a prime's moment has p terms, and s2_moment's set-up
-        # (p weight tuples of p - 1 entries) is most of its time
+    def test_a_moment_prime_costs_its_index_reads_and_classes(self, monkeypatch):
+        # at T = 1 a prime's moment reads p indices and powers at most three
+        # classes (index 0, index (p - 1)/2 and zero) over p - 1 entries,
+        # beside the F_p log table and the weight row it prints
         config = hn.ExperimentConfig("moment", 3, 1500, k=1, r=6)
         primes = list(hn.primes_in(3, 1500))
-        terms = sum(cs.moment_cost(p, 1, 1, 6) * cs.MOMENT_TERM_NS for p in primes)
-        set_up = sum(cs.moment_setup_cost(p, 1) * cs.MOMENT_SETUP_NS for p in primes)
-        assert cs.moment_setup_cost(1499, 1) == 1499 * (1499 + 150)
-        assert set_up > 100 * terms
-        monkeypatch.setattr(hn, "COMMAND_CAP", terms + set_up)
+        # r = 6: |S|^2, two squarings and two products
+        assert cs.moment_work(1499, 1, 1, 6, 2) == (1499, 3 * 1498 * 5)
+        total = sum(
+            p * cs.MOMENT_READ_NS + 3 * (p - 1) * 5 * cs.MOMENT_ENTRY_NS
+            + p * fc.LOG_ENTRY_NS + (p - 1) * hn.CELL_ENTRY_NS
+            for p in primes
+        )
+        monkeypatch.setattr(hn, "COMMAND_CAP", total)
         monkeypatch.setattr(cs, "s2_moment", lambda *args: {"value": 1.0, "weights": (1,),
                                                             "bound_terms": (1.0, 1.0)})
         assert len(hn.run_moment(config)[0]) == 2 * len(primes)
-        monkeypatch.setattr(hn, "COMMAND_CAP", terms + set_up - 1)
+        monkeypatch.setattr(hn, "COMMAND_CAP", total - 1)
         with pytest.raises(hn.UsageError, match="by p=1499, past the command cap"):
             hn.run_moment(config)
+
+    def test_moment_classes_are_bounded_by_the_zero_shifts(self):
+        # one field, T < p: at most one shift vanishes, so the quadratic
+        # classes number (T + 1) + T; the z's bound them at a small field
+        for T in range(1, 8):
+            assert cs.moment_work(101, 1, T, 1, 2) == (101 * T, (2 * T + 1) * 100 * 2)
+        assert cs.moment_work(3, 1, 4, 1, 2)[1] == 3 * 2 * 2
+        # T = 7 over p = 5: up to two shifts vanish, classes 8 + 7 + 6
+        assert cs.moment_work(5, 3, 7, 2, 2)[1] == 21 * 4 * 3
 
     def test_a_lattice_prime_costs_only_the_partitions_that_fit(self, monkeypatch):
         # past p = 1000 the partition (2) of 2 is skipped before any work

@@ -92,6 +92,18 @@ class TestIndexHistogram:
             with pytest.raises(ValueError, match="outside"):
                 cc.index_histogram(chi, [1, bad, 0])
 
+    def test_index_list_matches_char_index(self):
+        for p in (2, 3, 5, 13, 101):
+            for idx in sorted({0, 1, (p - 1) // 2}):
+                chi = cc.DirichletChar(p, idx)
+                N = max(1, p - 1)
+                expected = [N] + [cc.char_index(chi, a) for a in range(1, p)]
+                assert cc.index_list(chi) == expected, (p, idx)
+
+    def test_index_weights_sets_the_zero_marker_apart(self):
+        assert cc.index_weights(4, [(0, 2), (3, 1), (4, 5), (0, 1)]) == ((3, 0, 0, 1), 5)
+        assert cc.index_weights(1, []) == ((0,), 0)
+
 
 def literal_product(a, b):
     """Every pair of entries, zeros included: the weights of a times b."""
@@ -461,17 +473,31 @@ class TestMoment:
         m = cs.s2_moment(chi, ctxs, T, r)
         assert m["weights"] == dense_moment_weights(chi, ctxs, T, r)
 
-    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     @pytest.mark.parametrize("partition", [(1, 1), (2, 1), (1, 2), (2,)])
     def test_matches_dense_oracle_on_partitions(self, p, partition):
+        # index 1 is the character of order p - 1, (p - 1)/2 the quadratic one;
+        # at p = 3 a window of 3 or 4 shifts meets zero more than once
         for idx in sorted({1, (p - 1) // 2}):
             chi = cc.DirichletChar(p, idx)
             ctxs = [fc.ext_field_ctx(p, ki) for ki in partition]
-            for T, r in ((1, 1), (2, 2), (3, 1)):
+            for T, r in ((1, 1), (2, 2), (3, 1), (4, 2)):
                 m = cs.s2_moment(chi, ctxs, T, r)
                 assert m["weights"] == dense_moment_weights(chi, ctxs, T, r), (
                     idx, T, r,
                 )
+
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    def test_weights_are_built_once_per_distinct_key(self, T, monkeypatch):
+        # the quadratic character keys each z by a sorted tuple of T indices
+        # among 0 and (p - 1)/2, with at most one zero marker as T < p: at
+        # most 2T + 1 keys for the 997 z's, where unsorted tuples give more
+        calls = []
+        index_weights = cc.index_weights
+        monkeypatch.setattr(cc, "index_weights", lambda *a: calls.append(1) or index_weights(*a))
+        chi, ctxs = cc.DirichletChar(997, 498), (fc.ext_field_ctx(997, 1),)
+        cs.s2_moment(chi, ctxs, T, 1)
+        assert 0 < len(calls) <= 2 * T + 1
 
     def test_asymmetric_weights_fail_closed(self, monkeypatch):
         # one perturbed weight makes total[1] != total[-1]: the value would

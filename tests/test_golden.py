@@ -32,6 +32,7 @@ CASES = {
     "moment": ["moment", "--p-range", "3..13", "--k", "2", "--r", "2"],
     "moment-skips": ["moment", "--p-range", "3..13", "--k", "3", "--r", "4"],
     "moment-skip-line": ["moment", "--p", "101", "--k", "2", "--r", "3"],
+    "moment-t1": ["moment", "--p-range", "1400..1500", "--k", "1", "--r", "6"],
     "bound-table-skip-p2": ["bound-table", "--p-range", "2..13", "--n", "1", "--k", "1",
                             "--kappa", "0.1", "--seed", "1"],
     "bound-table-json": ["bound-table", "--p-range", "3..7", "--n", "2", "--k", "3",
@@ -155,6 +156,13 @@ DIGESTS = {
     ),
     "moment-skips": (
         "6ec78f5fcbd05b1c9c84ad1cba097af4dc22147c84f81d7842bcdf1f04322a03",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    # one shift per z (T = 1) at 17 primes, each weight row p - 1 entries
+    # long; pinned from the dense per-z route before the sorted-index keys
+    "moment-t1": (
+        "69f6a6b7d8b607296f56037a3f54d352d98ee88f8ba90da402e743b248b860ae",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),

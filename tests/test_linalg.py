@@ -256,9 +256,18 @@ UNREFERENCED_PUBLIC = {
 
 def _referenced_names(text: str) -> set:
     """Every Name, attribute, imported name and identifier inside a string
-    constant (getattr tables, traced dotted paths) of a module."""
+    constant (getattr tables, traced dotted paths) of a module; the
+    docstrings of the module, its classes and its functions name no use."""
+    tree = ast.parse(text)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
     found = set()
-    for node in ast.walk(ast.parse(text)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -266,7 +275,8 @@ def _referenced_names(text: str) -> set:
         elif isinstance(node, ast.ImportFrom):
             found.update(a.name for a in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            found.update(re.findall(r"[A-Za-z_]\w*", node.value))
+            if id(node) not in docstrings:
+                found.update(re.findall(r"[A-Za-z_]\w*", node.value))
     return found
 
 
@@ -308,6 +318,17 @@ def test_reference_walk_sees_each_kind_of_use():
     assert {"decompose", "norm_table", "run", "run_lattice", "verify_decomposition"} <= (
         _referenced_names(probe)
     )
+    # a name that only docstrings mention is not used
+    documented = (
+        '"""Module text naming mod_only."""\n'
+        'class C:\n    """Class text naming class_only."""\n'
+        '    def m(self):\n        """Method text naming method_only."""\n'
+        '        return "kept_constant"\n'
+        'def f():\n    """Function text naming function_only."""\n'
+    )
+    names = _referenced_names(documented)
+    assert "kept_constant" in names
+    assert not {"mod_only", "class_only", "method_only", "function_only"} & names
     defs = _public_definitions(
         "def f(): pass\ndef _g(): pass\nclass C:\n    def m(self): pass\n"
         "    def __init__(self): pass\n    def _h(self): pass\n"
