@@ -280,16 +280,35 @@ def _det3(M, p: int) -> int:
     return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
 
 
+def mult_columns(ctx: ExtFieldCtx, a) -> list:
+    """The columns a, w a, ..., w^(m-1) a of the matrix of multiplication by a
+    on the power basis, w the generator: each is the one before shifted up a
+    degree, with X^m = -(f_0 + ... + f_{m-1} X^{m-1}) put back.  Entries are
+    not reduced mod p, nor need a's coordinates be."""
+    m, tail = ctx.m, ctx.defining_poly
+    col = list(a)
+    cols = [col]
+    for _ in range(m - 1):
+        top = col[-1]
+        col = [-top * tail[0]] + [col[i - 1] - top * tail[i] for i in range(1, m)]
+        cols.append(col)
+    return cols
+
+
+def trace(ctx: ExtFieldCtx, a) -> int:
+    """Tr(a) in F_p: the trace of multiplication by a, the sum of the diagonal
+    of mult_columns (Lidl-Niederreiter, Finite Fields, ch. 2)."""
+    return sum(col[j] for j, col in enumerate(mult_columns(ctx, a))) % ctx.p
+
+
 def norm_kernel(ctx: ExtFieldCtx):
     """N(a) in F_p from the coefficient tuple of a, cached per context.
 
     The norm is the determinant of multiplication by a (Lidl-Niederreiter,
     Finite Fields, ch. 2).  Degree 1 is the coordinate itself and degree 2
     the quadratic a0^2 - f1 a0 a1 + f0 a1^2 for f = X^2 + f1 X + f0.  For
-    degree m >= 3 that matrix is sum_k a_k C^k, C the companion matrix of f;
-    its columns a, w a, ..., w^(m-1) a come from m - 1 shifts reduced by f,
-    and its determinant is expanded in closed form at m = 3.  Coordinates
-    need not be reduced mod p.
+    degree m >= 3 it is the determinant of mult_columns, expanded in closed
+    form at m = 3.  Coordinates need not be reduced mod p.
     """
     kernel = _norm_kernels.get(ctx)
     if kernel is not None:
@@ -305,18 +324,10 @@ def norm_kernel(ctx: ExtFieldCtx):
             a0, a1 = a
             return (a0 * (a0 - f1 * a1) + f0 * a1 * a1) % p
     else:
-        tail = ctx.defining_poly[:m]
         det = _det3 if m == 3 else linalg.mat_det
 
         def kernel(a):
-            # columns a, w a, ..., w^(m-1) a: the matrix sum_k a_k C^k
-            col = a
-            cols = [col]
-            for _ in range(m - 1):
-                top = col[-1]
-                col = [-top * tail[0]] + [col[i - 1] - top * tail[i] for i in range(1, m)]
-                cols.append(col)
-            return det(cols, p)
+            return det(mult_columns(ctx, a), p)
 
     _norm_kernels[ctx] = kernel
     return kernel
@@ -519,15 +530,15 @@ def _log_tables_of(ctx: ExtFieldCtx) -> tuple:
 def _times_code_table(ctx: ExtFieldCtx, g) -> array.array:
     """step[c], the code of g times the element of code c, for every code c.
 
-    Multiplication by g is F_p-linear, with columns w^k g = mul_kernel(w^k, g).
+    Multiplication by g is F_p-linear, with columns w^k g from mult_columns.
     Along the lowest digit c_0 the codes come in rows of p, and coordinate j
     of g times a row is (c_0 g_j + s_j) mod p: the share at s_j = 0 rotated
     by s_j / g_j, one slice, or constant where g_j = 0.  Every row's s_j is
     built from the steps c_k (w^k g)_j along the higher digits with
     itertools.product, as linear_logs builds a box's residues.
     """
-    p, m = ctx.p, ctx.m
-    cols = [mul_kernel(ctx)(tuple(int(i == k) for i in range(m)), g) for k in range(m)]
+    p = ctx.p
+    cols = [[v % p for v in col] for col in mult_columns(ctx, g)]
     shares = []
     for j, a in enumerate(cols[0]):
         w, inv = p**j, pow(a, -1, p) if a else 1

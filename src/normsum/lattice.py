@@ -27,27 +27,10 @@ def minima_fit(dim: int) -> bool:
     return dim <= MINIMA_DIM_CAP
 
 
-def companion_matrix(ctx: fc.ExtFieldCtx) -> list[list[int]]:
-    """Matrix of multiplication by the power-basis generator, acting on coords."""
-    p, m = ctx.p, ctx.m
-    M = [[0] * m for _ in range(m)]
-    for i in range(m):
-        M[i][m - 1] = (-ctx.defining_poly[i]) % p
-    for j in range(m - 1):
-        M[j + 1][j] = 1
-    return M
-
-
 def mult_matrix(ctx: fc.ExtFieldCtx, a) -> tuple[tuple[int, ...], ...]:
     """Matrix acting on power-basis coordinates as multiplication by the tuple `a`."""
-    p, m = ctx.p, ctx.m
-    comp = companion_matrix(ctx)
-    acc = [[0] * m for _ in range(m)]
-    power = la.identity(m)
-    for coeff in a:
-        acc = [[(x + coeff * y) % p for x, y in zip(row, prow)] for row, prow in zip(acc, power)]
-        power = la.mat_mul(power, comp, p)
-    return tuple(tuple(r) for r in acc)
+    cols = fc.mult_columns(ctx, a)
+    return tuple(tuple(col[i] % ctx.p for col in cols) for i in range(ctx.m))
 
 
 def mult_matrix_via_columns(ctx: fc.ExtFieldCtx, a) -> tuple[tuple[int, ...], ...]:
@@ -96,13 +79,8 @@ def symmetrizer(ctx: fc.ExtFieldCtx) -> list[list[int]]:
     for Tr(xy), so M_a^T G = G M_a, which is M_a C = C M_a^T.  G is
     nonsingular because F_{p^m} is separable over F_p.
     """
-    p, m = ctx.p, ctx.m
-    comp = companion_matrix(ctx)
-    traces = []
-    power = la.identity(m)
-    for _ in range(2 * m - 1):
-        traces.append(sum(power[i][i] for i in range(m)) % p)
-        power = la.mat_mul(power, comp, p)
+    p, m, w = ctx.p, ctx.m, ctx.gen()
+    traces = [fc.trace(ctx, fc.pow_coeffs(ctx, w, k)) for k in range(2 * m - 1)]
     return la.mat_inv([[traces[i + j] for j in range(m)] for i in range(m)], p)
 
 
@@ -153,10 +131,8 @@ class IntegerLattice:
         d = self.dim
         if len(self.basis) != d or any(len(r) != d for r in self.basis):
             raise ValueError("basis must be a square matrix of size dim")
-        if la.det_int(self.basis) == 0:
-            raise ValueError("basis is singular")
         if any(self.basis[i][j] for j in range(d) for i in range(j)) or any(
-            self.basis[j][j] < 0 for j in range(d)
+            self.basis[j][j] <= 0 for j in range(d)
         ):
             raise ValueError("basis must be lower-triangular with positive pivots")
 

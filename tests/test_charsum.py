@@ -16,6 +16,7 @@ from normsum import char_core as cc
 from normsum import charsum as cs
 from normsum import field_core as fc
 from normsum import forms as fm
+from normsum import harness as hn
 from normsum import linalg as la
 
 
@@ -564,6 +565,35 @@ class TestMoment:
             cs.s2_moment(chi, [F5], 2, 0)
         with pytest.raises(ValueError, match="infeasible"):
             cs.s2_moment(chi, [F5], 10, 5)
+
+
+class TestWeilCheckSumsToMoment:
+    """|sum_t psi(z + t)|^(2r) over t in (0, T] expands into the products
+    psi(z + t_1) ... psi(z + t_r) conj psi(z + t_(r+1)) ... conj psi(z + t_2r),
+    and conj psi = psi^(d - 1) for psi of order d, zero at zero either way.
+    So the complete sums that weil-check takes at its T^(2r) factor lists,
+    (t_j, 1) then (t_(r+j), d - 1), add up to the moment at the same T."""
+
+    @pytest.mark.parametrize("p,m,r", [
+        (3, 2, 1), (5, 2, 1), (7, 1, 2), (3, 3, 1), (5, 1, 2), (7, 2, 1), (3, 2, 2),
+    ])
+    def test_complete_sums_add_up_to_the_moment(self, p, m, r, monkeypatch):
+        values = {}
+        weil = cs.weil_complete_sum
+
+        def spy(chi, ctx, factors):
+            out = weil(chi, ctx, factors)
+            values.setdefault(chi.index, []).append(out[0])
+            return out
+
+        monkeypatch.setattr(cs, "weil_complete_sum", spy)
+        hn.run_weil_check(hn.ExperimentConfig("weil-check", p, p, k=m, r=r))
+        T, ctx = 3, fc.ext_field_ctx(p, m)
+        assert sorted(values) == sorted({1, (p - 1) // 2})
+        for idx, sums in values.items():
+            assert len(sums) == T ** (2 * r)
+            moment = cs.s2_moment(cc.DirichletChar(p, idx), (ctx,), T, r)["value"]
+            assert abs(sum(sums) - moment) <= 1e-9 * max(1.0, abs(moment)), (idx, moment)
 
 
 class TestBadTuples:

@@ -259,6 +259,17 @@ def test_norm_kernel_matches_exponent_and_conjugate_routes(p, m, poly):
         assert fc.norm(ctx, a) == value
 
 
+@pytest.mark.parametrize("p,m,poly", KERNEL_FIELDS + NONCANONICAL_FIELDS)
+def test_trace_is_the_sum_of_the_conjugates(p, m, poly):
+    # the oracle: a + a^p + ... + a^(p^(m-1)) lies in F_p and is Tr(a)
+    ctx = fc.ext_field_ctx(p, m, poly)
+    for a in ctx.iter_elements():
+        total = ctx.from_int(0)
+        for i in range(m):
+            total = fc.ext_add(ctx, total, fc.frobenius(ctx, a, i))
+        assert total == ctx.from_int(fc.trace(ctx, a)), (ctx, a)
+
+
 @pytest.mark.parametrize("p,m", [(5, 1), (7, 2), (3, 3), (2, 4), (3, 5)])
 def test_norm_kernel_accepts_unreduced_coordinates(p, m):
     ctx = fc.ext_field_ctx(p, m)
@@ -376,12 +387,15 @@ def test_log_table_inverts_ext_pow(p, m, poly):
 
 
 def test_log_table_fails_closed(monkeypatch):
-    # a multiply that never moves revisits the code of 1 at the first step
-    # (g is found first: its search needs the real multiply)
+    # multiplication by g given the identity's columns never moves, so the
+    # walk revisits the code of 1 at the first step (g is found first: its
+    # search multiplies by mul_kernel, not by these columns)
     ctx = fc.ext_field_ctx(5, 2)
     fc.primitive_element(ctx)
     monkeypatch.setattr(fc, "_log_tables", {})
-    monkeypatch.setattr(fc, "mul_kernel", lambda ctx: lambda a, b: a)
+    monkeypatch.setattr(
+        fc, "mult_columns", lambda ctx, a: [[int(i == k) for i in range(ctx.m)] for k in range(ctx.m)]
+    )
     with pytest.raises(la.CheckFailed, match="revisits code 1"):
         fc.log_table(ctx)
     assert fc._log_tables == {}

@@ -46,18 +46,22 @@ def random_multiplier(rng, p, partition):
 
 
 def test_companion_degree_one():
-    assert lt.companion_matrix(fc.ext_field_ctx(5, 1, (3, 1))) == [[2]]
-    assert lt.companion_matrix(fc.ext_field_ctx(5, 1)) == [[0]]
+    ctx = fc.ext_field_ctx(5, 1, (3, 1))
+    assert lt.mult_matrix(ctx, ctx.gen()) == ((2,),)
+    ctx = fc.ext_field_ctx(5, 1)
+    assert lt.mult_matrix(ctx, ctx.gen()) == ((0,),)
 
 
 def test_companion_F9():
-    assert lt.companion_matrix(fc.ext_field_ctx(3, 2)) == [[0, 2], [1, 0]]
+    ctx = fc.ext_field_ctx(3, 2)
+    assert lt.mult_matrix(ctx, ctx.gen()) == ((0, 2), (1, 0))
 
 
 def test_companion_satisfies_defining_poly():
+    # f(M_w) = 0 for the matrix M_w of multiplication by the generator
     for p, m in [(3, 2), (5, 2), (2, 4), (7, 1), (3, 3)]:
         ctx = fc.ext_field_ctx(p, m)
-        comp = lt.companion_matrix(ctx)
+        comp = lt.mult_matrix(ctx, ctx.gen())
         acc = [[0] * m for _ in range(m)]
         power = la.identity(m)
         for coeff in ctx.defining_poly:
@@ -70,13 +74,16 @@ def test_companion_satisfies_defining_poly():
 
 
 def test_mult_matrix_one_and_generator():
+    # the generator's matrix is f's companion: ones below the diagonal and
+    # -f_0, ..., -f_{m-1} down the last column
     for p, m in [(3, 2), (5, 3)]:
         ctx = fc.ext_field_ctx(p, m)
         assert lt.mult_matrix(ctx, ctx.from_int(1)) == tuple(
             tuple(r) for r in la.identity(m)
         )
         assert lt.mult_matrix(ctx, ctx.gen()) == tuple(
-            tuple(r) for r in lt.companion_matrix(ctx)
+            tuple(int(i == j + 1) for j in range(m - 1)) + (-ctx.defining_poly[i] % p,)
+            for i in range(m)
         )
 
 
@@ -212,14 +219,15 @@ def test_multiplier_checks_at_the_tuple_entry_points(fields, z, match):
 
 
 def test_lattice_type_errors():
-    with pytest.raises(ValueError, match="singular"):
+    with pytest.raises(ValueError, match="lower-triangular with positive pivots"):
         lt.IntegerLattice(2, ((1, 2), (2, 4)))
     with pytest.raises(ValueError, match="square"):
         lt.IntegerLattice(2, ((1, 0),))
 
 
 def test_lattice_rejects_a_non_triangular_basis():
-    for basis in [((1, 1), (0, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, 1)), ((1, 0), (3, -5))]:
+    for basis in [((1, 1), (0, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, 1)), ((1, 0), (3, -5)),
+                  ((1, 0), (3, 0))]:
         with pytest.raises(ValueError, match="lower-triangular with positive pivots"):
             lt.IntegerLattice(2, basis)
     assert lt.IntegerLattice(2, ((2, 0), (-3, 5))).det() == 10

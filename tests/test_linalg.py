@@ -195,6 +195,33 @@ def test_only_char_core_reads_element_codes_outside_field_core():
     assert _log_table_lines(probe) == [1, 2, 3]
 
 
+def _defining_poly_subscripts(source: str) -> list:
+    """Line numbers that subscript an attribute named defining_poly."""
+    return sorted({
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "defining_poly"
+    })
+
+
+def test_only_field_core_reads_the_defining_polynomials_coefficients():
+    # f's coefficients enter arithmetic only in field_core (its kernels and
+    # mult_columns); other modules pass f whole, to a root search or to JSON
+    src = Path(la.__file__).parent
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(src.glob("*.py")) if path.stem != "field_core"
+        for line in _defining_poly_subscripts(path.read_text())
+    ]
+    assert found == []
+    assert _defining_poly_subscripts((src / "field_core.py").read_text())
+    probe = (
+        "f0 = ctx.defining_poly[0]\ntail = c.defining_poly[:m]\nf = ctx.defining_poly\n"
+        "roots([(ctx.defining_poly, 1)])\nx = 'ctx.defining_poly[0]'\nlist(c.defining_poly)\n"
+    )
+    assert _defining_poly_subscripts(probe) == [1, 2]
+
+
 def _cap_reads(source: str) -> list:
     """Line numbers of alias.NAME_CAP reads, other than a cap quoted in an f-string."""
     tree = ast.parse(source)
