@@ -39,6 +39,11 @@ def field_fits(p: int, m: int) -> bool:
     return field_size(p, m) <= FIELD_SIZE_CAP
 
 
+def _check_fits(p: int, m: int):
+    if not field_fits(p, m):
+        raise ValueError(f"field size {p}^{m} exceeds cap {FIELD_SIZE_CAP}")
+
+
 def _trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
@@ -56,7 +61,7 @@ def _poly_mul(a, b, p: int) -> list[int]:
     return _trim(out)
 
 
-def poly_divmod(a, b, p: int):
+def _poly_divmod(a, b, p: int):
     """(quotient, remainder) of a by b over F_p, coefficients low to high."""
     a = list(a)
     if not b:
@@ -76,7 +81,7 @@ def poly_divmod(a, b, p: int):
 def _poly_gcd(a, b, p: int) -> list[int]:
     a, b = _trim(list(a)), _trim(list(b))
     while b:
-        a, b = b, poly_divmod(a, b, p)[1]
+        a, b = b, _poly_divmod(a, b, p)[1]
     if a:
         inv = linalg.inv_mod(a[-1], p)
         a = [(v * inv) % p for v in a]
@@ -85,11 +90,11 @@ def _poly_gcd(a, b, p: int) -> list[int]:
 
 def _poly_powmod(base, e: int, mod, p: int) -> list[int]:
     result = [1]
-    base = poly_divmod(base, mod, p)[1]
+    base = _poly_divmod(base, mod, p)[1]
     while e > 0:
         if e & 1:
-            result = poly_divmod(_poly_mul(result, base, p), mod, p)[1]
-        base = poly_divmod(_poly_mul(base, base, p), mod, p)[1]
+            result = _poly_divmod(_poly_mul(result, base, p), mod, p)[1]
+        base = _poly_divmod(_poly_mul(base, base, p), mod, p)[1]
         e >>= 1
     return result
 
@@ -109,22 +114,6 @@ def prime_divisors(n: int) -> list[int]:
     return out
 
 
-def is_irreducible_poly(coeffs, p: int) -> bool:
-    """Irreducibility of a monic polynomial over F_p (Rabin's criterion)."""
-    f = list(coeffs)
-    m = len(f) - 1
-    if m < 1 or f[-1] != 1:
-        raise ValueError("polynomial must be monic of degree >= 1")
-    x_mod_f = poly_divmod([0, 1], f, p)[1]
-    if _poly_powmod([0, 1], p**m, f, p) != x_mod_f:
-        return False
-    for q in prime_divisors(m):
-        h = _poly_sub(_poly_powmod([0, 1], p ** (m // q), f, p), x_mod_f, p)
-        if len(_poly_gcd(h, f, p)) != 1:
-            return False
-    return True
-
-
 def _poly_sub(a, b, p: int) -> list[int]:
     out = [0] * max(len(a), len(b))
     for i, v in enumerate(a):
@@ -132,6 +121,44 @@ def _poly_sub(a, b, p: int) -> list[int]:
     for i, v in enumerate(b):
         out[i] = (out[i] - v) % p
     return _trim(out)
+
+
+def degree_parts(f, p: int):
+    """Yield (d, h) for each degree d of the F_p-irreducible factors of the
+    monic f, lowest d first: h is the product of f's distinct monic
+    irreducible factors of degree d, as a coefficient tuple.
+
+    Distinct-degree split (Ben-Or; Lidl-Niederreiter, Finite Fields, ch. 4):
+    X^(p^d) - X is the product of the monic irreducibles of degree dividing
+    d, so h = gcd(X^(p^d) - X, rem) once the factors of lower degree are
+    divided out of rem with all their powers.  A remainder of degree below
+    2d has no factor of degree below its own, so it is irreducible.
+    """
+    rem = [v % p for v in f]
+    if len(rem) < 2 or rem[-1] != 1:
+        raise ValueError(f"polynomial {tuple(f)} is not monic of degree >= 1 over F_{p}")
+    d, x_power = 1, [0, 1]
+    while len(rem) > 1:
+        if len(rem) - 1 < 2 * d:
+            yield len(rem) - 1, tuple(rem)
+            return
+        x_power = _poly_powmod(x_power, p, rem, p)
+        h = _poly_gcd(_poly_sub(x_power, [0, 1], p), rem, p)
+        if len(h) > 1:
+            # one power of each factor still in rem per pass
+            g = h
+            while len(g) > 1:
+                rem = _poly_divmod(rem, g, p)[0]
+                g = _poly_gcd(rem, g, p)
+            x_power = _poly_divmod(x_power, rem, p)[1]
+            yield d, tuple(h)
+        d += 1
+
+
+def is_irreducible_poly(coeffs, p: int) -> bool:
+    """Irreducibility of a monic polynomial over F_p: its first degree part
+    is the whole polynomial."""
+    return next(degree_parts(coeffs, p))[0] == len(coeffs) - 1
 
 
 def find_irreducible(p: int, m: int) -> tuple[int, ...]:
@@ -144,8 +171,7 @@ def find_irreducible(p: int, m: int) -> tuple[int, ...]:
     linalg.check_prime(p)
     if m < 1:
         raise ValueError(f"extension degree must be >= 1, got {m}")
-    if not field_fits(p, m):
-        raise ValueError(f"field size {p}^{m} exceeds cap {FIELD_SIZE_CAP}")
+    _check_fits(p, m)
     # code sum_j c_j p^j ascending is that order, and builds no pool of p values
     for code in range(p**m):
         coeffs = tuple(code // p**j % p for j in range(m)) + (1,)
@@ -173,6 +199,7 @@ class ExtFieldCtx:
         f = tuple(v % self.p for v in self.defining_poly)
         if len(f) != self.m + 1 or f[-1] != 1:
             raise ValueError("defining polynomial must be monic of degree m")
+        _check_fits(self.p, self.m)  # before the irreducibility test, which grows with m
         if not is_irreducible_poly(f, self.p):
             raise ValueError(f"defining polynomial {f} is reducible mod {self.p}")
         object.__setattr__(self, "defining_poly", f)
@@ -203,7 +230,7 @@ def ext_field_ctx(p: int, m: int, defining_poly=None) -> ExtFieldCtx:
     """F_{p^m}; the canonical defining polynomial unless one is given.
 
     Contexts are memoized on (p, m, poly), so the irreducibility search and
-    Rabin's test run once per field.
+    the distinct-degree test of is_irreducible_poly run once per field.
     """
     key = (p, m, None if defining_poly is None else tuple(defining_poly))
     ctx = _ctx_cache.get(key)
@@ -222,9 +249,9 @@ def ext_scalar_mul(ctx: ExtFieldCtx, c: int, a) -> tuple:
 
 
 def ext_mul(ctx: ExtFieldCtx, a, b) -> tuple:
-    """Oracle of mul_kernel: the list product of a and b, reduced by poly_divmod."""
+    """Oracle of mul_kernel: the list product of a and b, reduced by _poly_divmod."""
     prod = _poly_mul(a, b, ctx.p)
-    rem = poly_divmod(prod, ctx.defining_poly, ctx.p)[1]
+    rem = _poly_divmod(prod, ctx.defining_poly, ctx.p)[1]
     return tuple(rem) + (0,) * (ctx.m - len(rem))
 
 

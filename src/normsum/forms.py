@@ -370,87 +370,54 @@ def _divide_by_linear(poly: dict, b, ctx, n: int):
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers over F_p (coefficient lists, low to high)
+# roots of univariate polynomials over F_p (coefficient lists, low to high)
 
 
-def _factor_univariate(coeffs, p: int):
-    """Monic irreducible factors of a monic univariate polynomial over F_p.
-
-    Trial division by all monic candidates of increasing degree: once every
-    factor of degree below d is divided out, a degree-d candidate divides
-    only if it is irreducible. Returns a list of (factor coefficient tuple,
-    multiplicity).
-    """
-    rem = [v % p for v in coeffs]
-    if not rem or rem[-1] != 1:
-        raise ValueError(f"polynomial {tuple(coeffs)} is not monic over F_{p}")
-    out = []
-    deg = 1
-    while len(rem) - 1 > 0:
-        if len(rem) - 1 < 2 * deg:
-            # whatever is left has no factor of degree < its own: irreducible
-            out.append((tuple(rem), 1))
-            break
-        if not fc.field_fits(p, deg):
-            raise UnsupportedFormError(
-                f"factorization unsupported: univariate trial division needs p^{deg} candidates"
-            )
-        for tail in itertools.product(range(p), repeat=deg):
-            cand = list(reversed(tail)) + [1]
-            mult = 0
-            while True:
-                q, r = fc.poly_divmod(rem, cand, p)
-                if r:
-                    break
-                rem = q if q else [1]
-                mult += 1
-            if mult:
-                out.append((tuple(cand), mult))
-            if len(rem) - 1 == 0:
-                break
-        deg += 1
-    return out
-
-
-def _roots_in(factors, ctx: fc.ExtFieldCtx) -> list:
+def _roots_in(parts, ctx: fc.ExtFieldCtx) -> list:
     """The distinct roots in ctx of a monic polynomial over F_p, given as its
-    list of (F_p-irreducible factor, multiplicity) from _factor_univariate,
-    as coefficient tuples sorted as ctx.iter_elements() lists them.
+    (d, h) parts from field_core.degree_parts, as coefficient tuples sorted
+    as ctx.iter_elements() lists them.
 
-    An F_p-irreducible factor h of degree d has roots in F_{p^K} only when
-    d | K, and then they are r, r^p, ..., r^(p^(d-1)) for any one root r, all
-    in the subfield F_{p^d} (Lidl-Niederreiter, Finite Fields, Thm 2.14).
-    So X + h_0 gives -h_0, and for d > 1 the nonzero elements of F_{p^d},
-    the powers of beta = g^((p^K - 1)/(p^d - 1)) for the primitive element
-    g, are tried by Horner's rule up to the first root, whose Frobenius orbit
-    gives the others.
+    The roots of h, a product of distinct irreducibles of degree d, lie in
+    F_{p^K} only when d | K, and then in the subfield F_{p^d}, in Frobenius
+    orbits r, r^p, ..., r^(p^(d-1)) (Lidl-Niederreiter, Finite Fields, Thm
+    2.14).  At d = 1 every residue is tried; for d > 1 the powers of beta =
+    g^((p^K - 1)/(p^d - 1)) for the primitive element g, the nonzero
+    elements of F_{p^d}, until deg h roots are found.
     """
     p, K = ctx.p, ctx.m
     mul = fc.mul_kernel(ctx)
     one, zero = ctx.from_int(1), ctx.from_int(0)
     roots = set()
-    for h, _ in factors:
-        d = len(h) - 1
+    for d, h in parts:
         if d == 1:
-            roots.add(((-h[0]) % p,) + zero[1:])
+            for x in range(p):
+                value = 0
+                for c in reversed(h):
+                    value = (value * x + c) % p
+                if value == 0:
+                    roots.add((x,) + zero[1:])
             continue
         if K % d:
             continue
         beta = fc.pow_coeffs(ctx, fc.primitive_element(ctx), (p**K - 1) // (p**d - 1))
-        r = beta
+        found, r = set(), beta
         for _ in range(p**d - 1):
             value = one
             for c in reversed(h[:-1]):
                 value = mul(value, r)
                 value = ((value[0] + c) % p,) + value[1:]
-            if value == zero:
-                break
+            if value == zero and r not in found:
+                # the orbit of r, ending at r^(p^d) = r, where the walk goes on
+                for _ in range(d):
+                    found.add(r)
+                    r = fc.pow_coeffs(ctx, r, p)
+                if len(found) == len(h) - 1:
+                    break
             r = mul(r, beta)
         else:
-            raise linalg.CheckFailed(f"irreducible factor {h} has no root in F_{p}^{d}")
-        for _ in range(d):
-            roots.add(r)
-            r = fc.pow_coeffs(ctx, r, p)
+            raise linalg.CheckFailed(f"part {h} has fewer than {len(h) - 1} roots in F_{p}^{d}")
+        roots |= found
     return sorted(roots)
 
 
@@ -482,15 +449,17 @@ def _closure_split(F: FormSpec) -> ClosureSplitting:
         raise linalg.CheckFailed("change of variables left the X_1^k coefficient zero")
     G = FormSpec(p, n, k, tuple((e, (v * linalg.inv_mod(c, p)) % p) for e, v in G.monomials))
 
-    factorizations = [_factor_univariate(_restriction(G, j), p) for j in range(1, n)]
-    K = math.lcm(*(len(h) - 1 for factors in factorizations for h, _ in factors))
+    parts = [list(fc.degree_parts(_restriction(G, j), p)) for j in range(1, n)]
+    K = math.lcm(*(d for restriction in parts for d, _ in restriction))
+    if not fc.field_fits(p, K):
+        raise UnsupportedFormError(
+            f"factorization unsupported: splitting field {p}^{K} exceeds cap {fc.FIELD_SIZE_CAP}"
+        )
     ctx = fc.ext_field_ctx(p, K)
     one = ctx.from_int(1)
 
     # roots of each restriction in the splitting field, negated
-    candidates = [
-        [tuple(-v % p for v in r) for r in _roots_in(factors, ctx)] for factors in factorizations
-    ]
+    candidates = [[tuple(-v % p for v in r) for r in _roots_in(rp, ctx)] for rp in parts]
 
     # distinct monic linear forms are coprime, so a candidate divides G exactly
     # when it divides what the earlier candidates left of G
@@ -655,7 +624,7 @@ def _embedding_powers(sub_ctx: fc.ExtFieldCtx, big_ctx: fc.ExtFieldCtx) -> tuple
         gamma = big_ctx.gen()
     else:
         # ExtFieldCtx has proved the defining polynomial irreducible
-        roots = _roots_in([(sub_ctx.defining_poly, 1)], big_ctx)
+        roots = _roots_in([(sub_ctx.m, sub_ctx.defining_poly)], big_ctx)
         if not roots:
             raise linalg.CheckFailed("defining polynomial has no root in the splitting field")
         gamma = roots[0]

@@ -3,6 +3,7 @@ which the capped function and the harness both read; and the cap on a
 whole command's summed cost."""
 
 import itertools
+import json
 import random
 import time
 from collections import Counter
@@ -244,6 +245,43 @@ def test_field_cap_is_one_decision(monkeypatch):
     assert hn.run_weil_check(config) == ([], ["p=5: field size 25 exceeds cap, skipped"])
     with pytest.raises(hn.UsageError, match="prime range ends at 25, above the field size cap 24"):
         hn.ExperimentConfig("weil-check", 3, 25)
+
+
+def test_a_stored_field_past_the_cap_is_refused_before_its_irreducibility_test(
+    tmp_path, monkeypatch, capsys
+):
+    # the irreducibility test of a degree-m polynomial grows with m; this one,
+    # X^600 - 1, is reducible, so a test run first would end with that instead
+    path = tmp_path / "decomp.json"
+    path.write_text(json.dumps({
+        "p": 3, "n": 1, "partition": [600], "blocks": [[[1]] * 600],
+        "ctxs": [{"p": 3, "m": 600, "defining_poly": [2] + [0] * 599 + [1]}],
+    }))
+    splits = []
+    monkeypatch.setattr(fc, "degree_parts", lambda *args: splits.append(args))
+    assert cli.main(["charsum", "--decomp", str(path), "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: field size 3^600 exceeds cap 1000000\n"
+    assert splits == []
+
+
+def test_a_form_whose_splitting_field_is_past_the_cap_is_refused(tmp_path, monkeypatch, capsys):
+    # X^40 + X Y^39 + 2 Y^40 over F_3: its restriction's factor degrees give
+    # a splitting field F_{3^40}, refused before any root is sought in it
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"p": 3, "n": 2, "k": 40, "monomials": [
+        {"exp": [40, 0], "coef": 1}, {"exp": [1, 39], "coef": 1}, {"exp": [0, 40], "coef": 2},
+    ]}))
+    searched = []
+    monkeypatch.setattr(fm, "_roots_in", lambda *args: searched.append(args))
+    assert cli.main(["decompose", "--form", str(path), "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "usage error: factorization unsupported: splitting field 3^40 exceeds cap 1000000\n"
+    )
+    assert searched == []
 
 
 class TestCommandCap:

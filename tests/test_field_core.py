@@ -40,6 +40,69 @@ def test_ctx_rejects_reducible_poly():
         fc.ext_field_ctx(5, 2, (1, 0, 1))  # X^2+1 = (X+2)(X+3) mod 5
 
 
+def monic_polys(p, degree):
+    """Every monic polynomial of the degree over F_p, low to high."""
+    for tail in itertools.product(range(p), repeat=degree):
+        yield tail + (1,)
+
+
+def divide_exactly(f, g, p):
+    """f / g over F_p for a monic g, or None when g does not divide f."""
+    f, q = list(f), [0] * (len(f) - len(g) + 1)
+    for shift in range(len(q) - 1, -1, -1):
+        q[shift] = c = f[shift + len(g) - 1]
+        for i, gi in enumerate(g):
+            f[shift + i] = (f[shift + i] - c * gi) % p
+    return q if q and not any(f) else None
+
+
+def parts_by_trial_division(f, p):
+    """(d, product of the distinct degree-d irreducible factors), ascending d:
+    every monic candidate of degree 1, 2, ... is divided out with all its
+    powers, so the candidates that divide are the irreducible factors."""
+    parts, rem, d = {}, list(f), 1
+    while len(rem) > 1:
+        for g in monic_polys(p, d):
+            if (q := divide_exactly(rem, g, p)) is not None:
+                while q is not None:
+                    rem, q = q, divide_exactly(q, g, p)
+                h = parts.get(d, [1])
+                parts[d] = [sum(h[i] * g[t - i] for i in range(len(h)) if 0 <= t - i < len(g)) % p
+                            for t in range(len(h) + len(g) - 1)]
+        d += 1
+    return [(d, tuple(h)) for d, h in sorted(parts.items())]
+
+
+def test_degree_parts_match_trial_division_on_every_small_polynomial():
+    # every monic polynomial of small degree, the factor X and repeated
+    # factors included: 1,796 of them
+    checked = 0
+    for p, top in ((2, 7), (3, 5), (5, 4), (7, 3)):
+        for degree in range(1, top + 1):
+            for f in monic_polys(p, degree):
+                assert list(fc.degree_parts(f, p)) == parts_by_trial_division(f, p), (p, f)
+                checked += 1
+    assert checked == 1796
+    assert list(fc.degree_parts((0, 0, 0, 1), 5)) == [(1, (0, 1))]  # X^3
+    with pytest.raises(ValueError, match="not monic"):
+        next(fc.degree_parts((1, 2), 3))
+    with pytest.raises(ValueError, match="not monic"):
+        next(fc.degree_parts((1,), 3))
+
+
+def mobius(n):
+    return 0 if any(n % (r * r) == 0 for r in fc.prime_divisors(n)) else (
+        (-1) ** len(fc.prime_divisors(n)))
+
+
+@pytest.mark.parametrize("p,top", [(2, 8), (3, 5), (5, 4), (7, 3)])
+def test_irreducible_count_is_the_necklace_count(p, top):
+    # (1/m) sum_{d | m} mu(d) p^(m/d) monic irreducibles of degree m
+    for m in range(1, top + 1):
+        necklaces = sum(mobius(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
+        assert sum(fc.is_irreducible_poly(f, p) for f in monic_polys(p, m)) == necklaces, m
+
+
 def test_elements_are_coefficient_tuples():
     ctx = F9()
     assert ctx.gen() == (0, 1)

@@ -257,15 +257,15 @@ def scan_roots(coeffs, ctx):
     return [x for x in ctx.iter_elements() if not any(eval_poly_ext(ctx, coeffs, x))]
 
 
-def product_of(factors, p):
-    """The F_p polynomial prod h^mult of a factor list, low to high."""
+def product_of(parts, p):
+    """The F_p polynomial prod h over the (d, h) parts of degree_parts, low
+    to high: it has the distinct roots of the polynomial split into parts."""
     out = [1]
-    for h, mult in factors:
-        for _ in range(mult):
-            out = [
-                sum(out[i] * h[t - i] for i in range(len(out)) if 0 <= t - i < len(h)) % p
-                for t in range(len(out) + len(h) - 1)
-            ]
+    for _, h in parts:
+        out = [
+            sum(out[i] * h[t - i] for i in range(len(out)) if 0 <= t - i < len(h)) % p
+            for t in range(len(out) + len(h) - 1)
+        ]
     return out
 
 
@@ -275,9 +275,9 @@ def test_roots_in_matches_scan_on_round_trip_restrictions(monkeypatch):
     roots_in = fm._roots_in
     seen = []
 
-    def checked(factors, ctx):
-        got = roots_in(factors, ctx)
-        assert got == scan_roots(product_of(factors, ctx.p), ctx), (factors, ctx)
+    def checked(parts, ctx):
+        got = roots_in(parts, ctx)
+        assert got == scan_roots(product_of(parts, ctx.p), ctx), (parts, ctx)
         seen.append(ctx.m)
         return got
 
@@ -306,7 +306,7 @@ def test_smallest_root_of_every_canonical_subfield_polynomial():
             big = fc.ext_field_ctx(p, K)
             for d in (d for d in range(1, K + 1) if K % d == 0):
                 sub = fc.ext_field_ctx(p, d)
-                roots = fm._roots_in([(sub.defining_poly, 1)], big)
+                roots = fm._roots_in([(d, sub.defining_poly)], big)
                 first = next(x for x in big.iter_elements()
                              if not any(eval_poly_ext(big, sub.defining_poly, x)))
                 assert len(roots) == d and roots[0] == first, (p, K, d)
@@ -319,20 +319,20 @@ def test_smallest_root_of_every_canonical_subfield_polynomial():
 
 def test_roots_in_outside_the_splitting_field():
     # X^2 + 1 is irreducible mod 3: no root in F_3 or F_27, both in F_9
-    irreducible = fm._factor_univariate((1, 0, 1), 3)
-    assert irreducible == [((1, 0, 1), 1)]
+    irreducible = list(fc.degree_parts((1, 0, 1), 3))
+    assert irreducible == [(2, (1, 0, 1))]
     assert fm._roots_in(irreducible, fc.ext_field_ctx(3, 1)) == []
     assert fm._roots_in(irreducible, fc.ext_field_ctx(3, 3)) == []
     F9 = fc.ext_field_ctx(3, 2)
     assert fm._roots_in(irreducible, F9) == scan_roots((1, 0, 1), F9)
     # repeated factors give each root once
-    assert fm._roots_in(fm._factor_univariate((0, 0, 1), 3), F9) == [(0, 0)]
+    assert fm._roots_in(list(fc.degree_parts((0, 0, 1), 3)), F9) == [(0, 0)]
     # (X + 1)(X^2 + 1)^2 = X^5 + X^4 + 2X^3 + 2X^2 + X + 1 mod 3
-    mixed = fm._factor_univariate((1, 1, 2, 2, 1, 1), 3)
-    assert mixed == [((1, 1), 1), ((1, 0, 1), 2)]
+    mixed = list(fc.degree_parts((1, 1, 2, 2, 1, 1), 3))
+    assert mixed == [(1, (1, 1)), (2, (1, 0, 1))]
     assert fm._roots_in(mixed, F9) == scan_roots((1, 1, 2, 2, 1, 1), F9)
     with pytest.raises(ValueError, match="not monic"):
-        fm._factor_univariate((1, 2), 3)
+        next(fc.degree_parts((1, 2), 3))
 
 
 def test_embedding_is_computed_once_per_field_pair():
@@ -422,28 +422,34 @@ def test_decompose_absorbs_leading_constant():
 
 
 def test_closure_split_factors_each_restriction_once(monkeypatch):
-    # one _factor_univariate call per restriction, and none for an embedding:
-    # ExtFieldCtx has already proved its defining polynomial irreducible
-    factor_univariate = fm._factor_univariate
+    # one degree_parts split per restriction, and none for an embedding:
+    # ExtFieldCtx has already proved its defining polynomial irreducible.
+    # Every context is built before the spy, whose irreducibility test
+    # also splits.
+    rng = random.Random(41)
+    forms = []
+    for p, n, part in ((5, 1, (1,)), (3, 2, (2,)), (7, 2, (2, 1)), (5, 3, (3,)),
+                       (3, 3, (2, 1)), (5, 3, (2, 1, 1))):
+        forms.append((fm.synthesize_form(fm.random_decomposition(p, n, part, rng)), part))
+        fc.ext_field_ctx(p, math.lcm(*part))
+    pairs = [(fc.ext_field_ctx(p, d), fc.ext_field_ctx(p, K))
+             for p in (2, 3, 5) for K, d in ((2, 1), (2, 2), (4, 2), (6, 3))]
+    degree_parts = fc.degree_parts
     calls = []
 
     def counted(coeffs, p):
         calls.append(tuple(coeffs))
-        return factor_univariate(coeffs, p)
+        return degree_parts(coeffs, p)
 
-    monkeypatch.setattr(fm, "_factor_univariate", counted)
-    rng = random.Random(41)
-    for p, n, part in ((5, 1, (1,)), (3, 2, (2,)), (7, 2, (2, 1)), (5, 3, (3,)),
-                       (3, 3, (2, 1)), (5, 3, (2, 1, 1))):
-        F = fm.synthesize_form(fm.random_decomposition(p, n, part, rng))
+    monkeypatch.setattr(fc, "degree_parts", counted)
+    for F, part in forms:
         calls.clear()
         fm._closure_split(F)
-        assert len(calls) == n - 1, (p, n, part)
+        assert len(calls) == F.n - 1, (F.p, F.n, part)
     fm._embedding_powers.cache_clear()
     calls.clear()
-    for p in (2, 3, 5):
-        for K, d in ((2, 1), (2, 2), (4, 2), (6, 3)):
-            fm._embedding_powers(fc.ext_field_ctx(p, d), fc.ext_field_ctx(p, K))
+    for sub, big in pairs:
+        fm._embedding_powers(sub, big)
     fm._embedding_powers.cache_clear()
     assert calls == []
 
