@@ -129,6 +129,36 @@ def charsum_lifted(
     return _box_sum(chi, B, D.values)
 
 
+def _merge_shifts(factors: Sequence[tuple[int, int]], p: int) -> dict[int, int]:
+    """shift mod p -> total multiplicity of a (shift, multiplicity) list."""
+    merged: dict[int, int] = {}
+    for shift, mult in factors:
+        if mult <= 0:
+            raise ValueError("factor multiplicities must be positive")
+        merged[shift % p] = merged.get(shift % p, 0) + mult
+    if not merged:
+        raise ValueError("factor list is empty")
+    return merged
+
+
+def factor_class(factors: Sequence[tuple[int, int]], p: int, d: int) -> tuple:
+    """The translation class of a weil_complete_sum factor list for a
+    character of order d mod p: lists of one class have the same sum over
+    every F_{p^m}.
+
+    x -> x - c permutes F_{p^m} for c in F_p, so the shifts count only up
+    to a common translation, and the class keeps the least sorted tuple
+    with some present shift at 0.  The character reads a multiplicity only
+    mod d, but a shift whose multiplicity is 0 mod d still makes x = -s a
+    zero, so it stays in the class as (s, 0).  O(r^2) for r shifts.
+    """
+    merged = _merge_shifts(factors, p)
+    return min(
+        tuple(sorted(((s - c) % p, mult % d) for s, mult in merged.items()))
+        for c in merged
+    )
+
+
 def weil_complete_sum(
     chi: cc.DirichletChar, ctx: fc.ExtFieldCtx, factors: Sequence[tuple[int, int]]
 ):
@@ -148,13 +178,7 @@ def weil_complete_sum(
     d = cc.char_order(chi)
     if not fc.field_fits(p, ctx.m):
         raise ValueError(f"field size {q} over cap {fc.FIELD_SIZE_CAP}")
-    merged: dict[int, int] = {}
-    for shift, mult in factors:
-        if mult <= 0:
-            raise ValueError("factor multiplicities must be positive")
-        merged[shift % p] = merged.get(shift % p, 0) + mult
-    if not merged:
-        raise ValueError("factor list is empty")
+    merged = _merge_shifts(factors, p)
     m = len(merged)
     is_power = all(mult % d == 0 for mult in merged.values())
 

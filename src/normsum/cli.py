@@ -7,13 +7,17 @@ a usage error (bad flags, infeasible sizes, missing inputs).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import harness as hn
 from . import linalg as la
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built at the first call: parse_args
+    leaves a parser as it was, and every default is immutable."""
     parser = argparse.ArgumentParser(
         prog="normsum",
         description="Norm-form character sums: generators, scans, and checks.",
@@ -66,9 +70,8 @@ def _dispatch(config: hn.ExperimentConfig, ns):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 

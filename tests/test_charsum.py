@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -567,33 +568,140 @@ class TestMoment:
             cs.s2_moment(chi, [F5], 10, 5)
 
 
+def weil_lists(T, r, d):
+    """weil-check's T^(2r) factor lists for a character of order d:
+    (t_j, 1) then (t_(r+j), d - 1), at least 1, for t in (0, T]^(2r)."""
+    for t in itertools.product(range(1, T + 1), repeat=2 * r):
+        yield [(t[j], 1) for j in range(r)] + [(t[r + j], max(1, d - 1)) for j in range(r)]
+
+
 class TestWeilCheckSumsToMoment:
     """|sum_t psi(z + t)|^(2r) over t in (0, T] expands into the products
     psi(z + t_1) ... psi(z + t_r) conj psi(z + t_(r+1)) ... conj psi(z + t_2r),
     and conj psi = psi^(d - 1) for psi of order d, zero at zero either way.
-    So the complete sums that weil-check takes at its T^(2r) factor lists,
+    So the complete sums at weil-check's T^(2r) factor lists,
     (t_j, 1) then (t_(r+j), d - 1), add up to the moment at the same T."""
 
     @pytest.mark.parametrize("p,m,r", [
         (3, 2, 1), (5, 2, 1), (7, 1, 2), (3, 3, 1), (5, 1, 2), (7, 2, 1), (3, 2, 2),
     ])
-    def test_complete_sums_add_up_to_the_moment(self, p, m, r, monkeypatch):
-        values = {}
-        weil = cs.weil_complete_sum
-
-        def spy(chi, ctx, factors):
-            out = weil(chi, ctx, factors)
-            values.setdefault(chi.index, []).append(out[0])
-            return out
-
-        monkeypatch.setattr(cs, "weil_complete_sum", spy)
-        hn.run_weil_check(hn.ExperimentConfig("weil-check", p, p, k=m, r=r))
+    def test_complete_sums_add_up_to_the_moment(self, p, m, r):
         T, ctx = 3, fc.ext_field_ctx(p, m)
-        assert sorted(values) == sorted({1, (p - 1) // 2})
-        for idx, sums in values.items():
+        for idx in sorted({1, (p - 1) // 2}):
+            chi = cc.DirichletChar(p, idx)
+            sums = [cs.weil_complete_sum(chi, ctx, factors)[0]
+                    for factors in weil_lists(T, r, cc.char_order(chi))]
             assert len(sums) == T ** (2 * r)
-            moment = cs.s2_moment(cc.DirichletChar(p, idx), (ctx,), T, r)["value"]
+            moment = cs.s2_moment(chi, (ctx,), T, r)["value"]
             assert abs(sum(sums) - moment) <= 1e-9 * max(1.0, abs(moment)), (idx, moment)
+
+
+def direct_weil_rows(p, m, r):
+    """run_weil_check's rows at one prime, with every list summed on its own."""
+    T, ctx, rows = 3, fc.ext_field_ctx(p, m), []
+    for idx in sorted({1, (p - 1) // 2}):
+        chi = cc.DirichletChar(p, idx)
+        worst, nonpower = 0.0, 0
+        for factors in weil_lists(T, r, cc.char_order(chi)):
+            value, bound, holds = cs.weil_complete_sum(chi, ctx, factors)
+            assert holds, (p, idx, factors)
+            if 0 < bound < float(ctx.order):
+                nonpower += 1
+                worst = max(worst, abs(value) / bound)
+        rows.append(hn.scan_row(p, 1, m, (T,), f"weil_max_ratio_chi{idx}", worst, 1.0))
+        rows.append(hn.scan_row(p, 1, m, (T,), f"weil_nonpower_count_chi{idx}", nonpower, None))
+    return rows
+
+
+def weil_calls(monkeypatch, config):
+    """run_weil_check's weil_complete_sum calls per character index."""
+    calls = Counter()
+    weil = cs.weil_complete_sum
+
+    def spy(chi, ctx, factors):
+        calls[chi.index] += 1
+        return weil(chi, ctx, factors)
+
+    monkeypatch.setattr(cs, "weil_complete_sum", spy)
+    hn.run_weil_check(config)
+    monkeypatch.setattr(cs, "weil_complete_sum", weil)
+    return calls
+
+
+class TestFactorClass:
+    """weil-check takes one complete sum per factor_class; every list of a
+    class must have that sum, and the rows must be those of every list
+    summed on its own."""
+
+    @pytest.mark.parametrize("p,m,r", [
+        (p, m, r) for p in (3, 5, 7, 11, 13) for m in (1, 2) for r in (1, 2)
+    ] + [(3, 3, 1), (3, 3, 2), (5, 3, 1), (5, 3, 2)])
+    def test_rows_match_every_list_summed(self, p, m, r):
+        # p = 2 has no nonprincipal character and is skipped before any sum
+        config = hn.ExperimentConfig("weil-check", p, p, k=m, r=r)
+        assert hn.run_weil_check(config) == (direct_weil_rows(p, m, r), [])
+
+    def test_one_sum_per_class_at_r1(self, monkeypatch):
+        # (t, 1)(t, d - 1) is a d-th power; t' - t is +-1 or +-2 mod p, and
+        # the quadratic character cannot tell +-delta apart
+        calls = weil_calls(monkeypatch, hn.ExperimentConfig("weil-check", 3, 3, k=2, r=1))
+        assert calls == {1: 2}
+        for p in (5, 7, 11, 13):
+            calls = weil_calls(monkeypatch, hn.ExperimentConfig("weil-check", p, p, k=1, r=1))
+            assert calls == {1: 5, (p - 1) // 2: 3}, p
+
+    def test_complete_workload_weil_ops_take_44_sums(self, monkeypatch):
+        # the seven weil-check ops of the bench's complete workload: 108 lists
+        calls = Counter()
+        for p, m in ((5, 2), (7, 2), (11, 2), (13, 2), (3, 3), (3, 4), (5, 3)):
+            config = hn.ExperimentConfig("weil-check", p, p, k=m, r=1)
+            calls += weil_calls(monkeypatch, config)
+        assert sum(calls.values()) == 44
+
+    def test_translation(self):
+        assert cs.factor_class([(3, 1), (4, 1)], 7, 2) == ((0, 1), (1, 1))
+        assert cs.factor_class([(6, 1), (7, 1)], 7, 2) == ((0, 1), (1, 1))
+        # the least of the two translates, with either shift at 0
+        assert cs.factor_class([(2, 1), (1, 5)], 7, 6) == ((0, 1), (6, 5))
+        assert cs.factor_class([(1, 1), (2, 5)], 7, 6) == ((0, 1), (1, 5))
+
+    def test_multiplicities_mod_d(self):
+        assert cs.factor_class([(1, 3), (2, 1)], 5, 2) == ((0, 1), (1, 1))
+        assert cs.factor_class([(1, 1), (6, 2)], 5, 2) == ((0, 1),)
+        assert cs.factor_class([(2, 7)], 7, 6) == ((0, 1),)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_a_zero_shift_stays_in_the_class(self, p):
+        # (X+1)(X+3)(X+2)(X+3) = (X+1)(X+2)(X+3)^2 vanishes at x = -3, where
+        # (X+1)^3 (X+2) does not: the squares (X+3)^2 and (X+1)^2 are not the same
+        chi = cc.DirichletChar(p, (p - 1) // 2)
+        a, b = [(1, 1), (3, 1), (2, 1), (3, 1)], [(1, 1), (1, 1), (2, 1), (1, 1)]
+        assert cs.factor_class(a, p, 2) == ((0, 0), (p - 2, 1), (p - 1, 1))
+        assert cs.factor_class(b, p, 2) == ((0, 1), (1, 1))
+        F = fc.ext_field_ctx(p, 1)
+        assert cs.weil_complete_sum(chi, F, a) != cs.weil_complete_sum(chi, F, b)
+
+    def test_lists_of_one_class_have_one_sum(self):
+        # every list of up to three factors with shifts and multiplicities
+        # in [0, 4) x [1, 5) over F_25 and F_7, at each character
+        for p, m in ((5, 2), (7, 1)):
+            ctx = fc.ext_field_ctx(p, m)
+            for idx in range(1, p - 1):
+                chi = cc.DirichletChar(p, idx)
+                d, seen = cc.char_order(chi), {}
+                for size in (1, 2, 3):
+                    for factors in itertools.product(
+                        itertools.product(range(4), range(1, 5)), repeat=size
+                    ):
+                        out = cs.weil_complete_sum(chi, ctx, factors)
+                        key = cs.factor_class(factors, p, d)
+                        assert seen.setdefault(key, out) == out, (p, idx, factors)
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match="empty"):
+            cs.factor_class([], 5, 2)
+        with pytest.raises(ValueError, match="positive"):
+            cs.factor_class([(1, 0)], 5, 2)
 
 
 class TestBadTuples:

@@ -1,0 +1,81 @@
+"""Property test of the command line over random argv, in one process.
+
+`cli.main` builds its parser once per process and reuses it, so no call
+may leave behind anything that changes a later one: an argv run again
+after other calls, a usage error and --help among them, prints what it
+printed the first time.  Every run exits 0, 1 or 2 without a traceback,
+and exits 1 only with a failure line on stderr.
+"""
+
+import contextlib
+import io
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from normsum import cli
+from normsum import harness as hn
+
+SIZE = st.integers(2, 31)
+# odd values, unknown flags, a flag without its value, a stray positional,
+# a stored input that does not exist, and --help; at most two per argv
+ODD = (
+    ("--p", "0"), ("--p", "-3"), ("--p-range", "13..3"), ("--p-range", "x..7"),
+    ("--p-range", "5.."), ("--p-range", "-2..5"), ("--n", "0"), ("--k", "-1"), ("--r", "0"),
+    ("--seed", "-1"), ("--kappa", "-0.5"), ("--eps", "-1"), ("--format", "xml"),
+    ("--form", "no-such-dir/form.json"), ("--decomp", "no-such-dir/decomp.json"),
+    ("--frobnicate",), ("--n",), ("7",), ("--help",), ("-h",),
+)
+# every command and an unknown one, with small sizes: p <= 31 (b..a ranges
+# among them), n <= 2, k <= 3, r <= 2
+ARGV = st.builds(
+    lambda command, place, sizes, odd: [
+        command, *place, *itertools.chain.from_iterable(sizes.items()),
+        *itertools.chain.from_iterable(odd),
+    ],
+    st.sampled_from([*hn.COMMANDS, "frobnicate"]),
+    st.one_of(
+        st.just(()),
+        SIZE.map(lambda p: ("--p", str(p))),
+        st.tuples(SIZE, SIZE).map(lambda ab: ("--p-range", f"{ab[0]}..{ab[1]}")),
+    ),
+    st.fixed_dictionaries(
+        {"--seed": st.integers(0, 3).map(str)},
+        optional={
+            "--n": st.sampled_from(["1", "2"]),
+            "--k": st.sampled_from(["1", "2", "3"]),
+            "--r": st.sampled_from(["1", "2"]),
+            "--kappa": st.sampled_from(["0", "0.1", "0.25"]),
+            "--format": st.sampled_from(["csv", "json"]),
+        },
+    ),
+    st.lists(st.sampled_from(ODD), max_size=2),
+)
+USAGE_ERRORS = (["charsum", "--p-range", "3..7"], ["weil-check", "--k", "two"])
+FIRST_RUNS: dict = {}
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    result = code, out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, result)
+    assert "Traceback" not in result[2], (argv, result)
+    if code == 1:
+        assert any(
+            line.startswith(("check failed:", "fail:")) for line in result[2].splitlines()
+        ), (argv, result)
+    return result
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ARGV, ARGV)
+def test_random_argv_exits_cleanly_and_reruns_the_same(argv, other):
+    first = run(argv)
+    # an argv drawn again in a later example is compared with its first run
+    assert FIRST_RUNS.setdefault(tuple(argv), first) == first, argv
+    for between in (other, *USAGE_ERRORS, ["--help"]):
+        run(between)
+    assert run(argv) == first, argv

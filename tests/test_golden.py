@@ -29,6 +29,7 @@ CASES = {
     "lattice-n2": ["lattice", "--p-range", "3..50", "--n", "2", "--seed", "1"],
     "lattice-refused": ["lattice", "--p-range", "3..999983", "--n", "2", "--seed", "1"],
     "weil-check": ["weil-check", "--p-range", "3..7", "--k", "2", "--r", "1"],
+    "weil-check-r2": ["weil-check", "--p-range", "3..13", "--k", "2", "--r", "2"],
     "moment": ["moment", "--p-range", "3..13", "--k", "2", "--r", "2"],
     "moment-skips": ["moment", "--p-range", "3..13", "--k", "3", "--r", "4"],
     "moment-skip-line": ["moment", "--p", "101", "--k", "2", "--r", "3"],
@@ -184,6 +185,13 @@ DIGESTS = {
     ),
     "weil-check": (
         "996682c82a7ad718e89ad82b4058aed1b66aacefb6b8a2088b31122ef3eb8cae",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    # 81 factor lists per character, the most that share a translation
+    # class; pinned before weil-check took one sum per class
+    "weil-check-r2": (
+        "99f3b3076c2fbd02f93a3cc26af35179258abcbfa61e2483ab1aa2807dde1c83",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),
