@@ -120,7 +120,8 @@ class BlockData:
 @dataclass(frozen=True)
 class IntegerLattice:
     """A full-rank lattice in Z^dim with a lower-triangular basis, positive
-    pivots on the diagonal: the shape `congruence_lattice`'s HNF gives."""
+    pivots on the diagonal: the shape of `congruence_lattice`'s basis
+    [[I, 0], [S, pI]]."""
 
     dim: int
     basis: tuple[tuple[int, ...], ...]  # rows; the basis vectors are the columns
@@ -163,31 +164,23 @@ class IntegerLattice:
 
 
 def congruence_lattice(p: int, P, Q) -> IntegerLattice:
-    """Lattice of integer pairs (x, y) with P x = Q y mod p."""
+    """Lattice of integer pairs (x, y) with P x = Q y mod p, that is y = S x
+    mod p with S = Q^-1 P.  Its basis [[I, 0], [S, pI]] is the Hermite normal
+    form: pivots 1 then p, and S's entries in [0, p) below them."""
     la.check_prime(p)
     n = len(P)
     if len(Q) != n or any(len(r) != n for r in P) or any(len(r) != n for r in Q):
         raise ValueError("coupling matrices must be square of equal size")
-    R = la.mat_mul(la.mat_inv(P, p), Q, p)
-    if la.mat_det(Q, p) == 0:
-        raise ValueError(f"matrix singular mod {p}")
-    gens = [
-        tuple([R[i][j] for i in range(n)] + [1 if i == j else 0 for i in range(n)])
-        for j in range(n)
-    ]
-    gens += [
-        tuple([p if t == i else 0 for t in range(n)] + [0] * n) for i in range(n)
-    ]
-    cols = la.hnf_columns(gens, 2 * n)
-    basis = tuple(tuple(col[i] for col in cols) for i in range(2 * n))
-    form = CongruenceForm(
-        p,
-        tuple(tuple(v % p for v in row) for row in P),
-        tuple(tuple(v % p for v in row) for row in Q),
+    # inverting P^-1 Q refuses a singular P, then a singular Q
+    S = la.mat_inv(la.mat_mul(la.mat_inv(P, p), Q, p), p)
+    basis = tuple(tuple(int(i == j) for j in range(2 * n)) for i in range(n)) + tuple(
+        tuple(S[i]) + tuple(p * (i == j) for j in range(n)) for i in range(n)
     )
+    form = CongruenceForm(p, *(tuple(tuple(v % p for v in row) for row in M) for M in (P, Q)))
     lat = IntegerLattice(2 * n, basis, form=form)
-    if lat.det() != p**n:
-        raise la.CheckFailed(f"lattice determinant {lat.det()} differs from p^n = {p**n}")
+    for col in lat.columns():
+        if not form.holds(col):
+            raise la.CheckFailed(f"basis column {col} breaks P x = Q y mod {p}")
     return lat
 
 
@@ -285,7 +278,8 @@ MINIMA_PREFIX_NS = (10_000, 40_000, 60_000)
 
 
 def minima_cost(p: int, n: int) -> int:
-    """The prefixes (x_1..x_n) _gauge_ball walks in [-isqrt p, isqrt p]^2n: n pivots are 1."""
+    """The prefixes (x_1..x_n) _gauge_ball walks in [-isqrt p, isqrt p]^2n: the
+    basis [[I, 0], [S, pI]] has pivot 1 at each x_i, and p at each y_i."""
     return (2 * max(1, math.isqrt(p)) + 1) ** n
 
 

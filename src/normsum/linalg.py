@@ -66,7 +66,7 @@ def mat_mul(A, B, p: int) -> list[list[int]]:
 def mat_vec(A, x, p: int) -> list[int]:
     if len(A[0]) != len(x):
         raise ValueError(f"matrix has {len(A[0])} columns, vector has {len(x)} entries")
-    return [sum(row[j] * x[j] for j in range(len(x))) % p for row in A]
+    return [sum(a * b for a, b in zip(row, x)) % p for row in A]
 
 
 def transpose(A) -> list[list[int]]:
@@ -77,101 +77,86 @@ def mat_neg(A, p: int) -> list[list[int]]:
     return [[(-v) % p for v in row] for row in A]
 
 
+def _square_size(A) -> int:
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError(f"matrix of {n} rows is not square")
+    return n
+
+
 def _row_reduce(A, p: int):
-    """Gauss-Jordan elimination mod p. Returns (reduced matrix, pivot columns)."""
+    """Gauss-Jordan elimination mod p, the one elimination of this module.
+
+    Returns (reduced matrix, pivot columns, det), det the determinant mod p
+    of the leading square block: the product of the pivots, negated once per
+    row swap, and 0 unless the first len(A) columns are the pivots."""
     M = [[v % p for v in row] for row in A]
     rows = len(M)
     cols = len(M[0]) if rows else 0
     pivots = []
+    det = 1
     r = 0
     for c in range(cols):
         pr = next((i for i in range(r, rows) if M[i][c] != 0), None)
         if pr is None:
             continue
-        M[r], M[pr] = M[pr], M[r]
+        if pr != r:
+            M[r], M[pr] = M[pr], M[r]
+            det = -det
+        det = det * M[r][c] % p
         inv = inv_mod(M[r][c], p)
-        M[r] = [(v * inv) % p for v in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [(M[i][j] - f * M[r][j]) % p for j in range(cols)]
+        M[r] = row = [(v * inv) % p for v in M[r]]
+        for i, other in enumerate(M):
+            f = other[c]
+            if f and i != r:
+                M[i] = [(a - f * b) % p for a, b in zip(other, row)]
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return M, pivots
+    return M, pivots, det if pivots == list(range(rows)) else 0
 
 
 def mat_rank(A, p: int) -> int:
-    if not A:
-        return 0
     return len(_row_reduce(A, p)[1])
 
 
 def extend_to_basis(cols, p: int) -> list[tuple[int, ...]]:
-    """The columns, then each unit vector e_1, e_2, ... that raises their
-    rank, appended until they span F_p^k; raises CheckFailed if they do not."""
+    """The columns, then each unit vector e_1, e_2, ... outside the span of
+    the columns and the units before it: the pivot columns of [cols | I]
+    past the given ones.  Raises CheckFailed if the columns are dependent."""
     cols = [tuple(col) for col in cols]
-    k = len(cols[0])
-    for j in range(k):
-        if len(cols) == k:
-            break
-        unit = tuple(1 if i == j else 0 for i in range(k))
-        if mat_rank(cols + [unit], p) == len(cols) + 1:
-            cols.append(unit)
-    if len(cols) != k:
-        raise CheckFailed(f"{len(cols)} columns, not {k}, after extending to a basis")
-    return cols
+    g, k = len(cols), len(cols[0])
+    units = identity(k)
+    pivots = _row_reduce([row + unit for row, unit in zip(transpose(cols), units)], p)[1]
+    if pivots[:g] != list(range(g)):
+        raise CheckFailed(f"{g} columns, not {k}, after extending to a basis: dependent mod {p}")
+    return cols + [tuple(units[j - g]) for j in pivots[g:]]
 
 
 def mat_det(A, p: int) -> int:
-    return det_int(A) % p
+    _square_size(A)
+    return _row_reduce(A, p)[2]
 
 
 def mat_inv(A, p: int) -> list[list[int]]:
-    n = len(A)
-    aug = [[A[i][j] % p for j in range(n)] + identity(n)[i] for i in range(n)]
-    red, pivots = _row_reduce(aug, p)
-    if pivots[:n] != list(range(n)):
+    n = _square_size(A)
+    red, _, det = _row_reduce([list(row) + unit for row, unit in zip(A, identity(n))], p)
+    if det == 0:
         raise ValueError(f"matrix singular mod {p}")
     return [row[n:] for row in red]
 
 
 def solve_mod(A, b, p: int):
     """One solution of A x = b mod p, or None if the system is inconsistent."""
-    rows = len(A)
     cols = len(A[0])
-    aug = [[A[i][j] % p for j in range(cols)] + [b[i] % p] for i in range(rows)]
-    red, pivots = _row_reduce(aug, p)
+    red, pivots, _ = _row_reduce([list(row) + [v] for row, v in zip(A, b)], p)
     if cols in pivots:
         return None
     x = [0] * cols
     for r, c in enumerate(pivots):
         x[c] = red[r][cols]
     return x
-
-
-def det_int(A) -> int:
-    """Exact integer determinant via fraction-free (Bareiss) elimination."""
-    n = len(A)
-    if n == 0:
-        return 1
-    M = [[int(v) for v in row] for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if swap is None:
-                return 0
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
 
 
 def hnf_columns(vectors, dim: int) -> list[tuple[int, ...]]:

@@ -4,13 +4,17 @@
 may leave behind anything that changes a later one: an argv run again
 after other calls, a usage error and --help among them, prints what it
 printed the first time.  Every run exits 0, 1 or 2 without a traceback,
-and exits 1 only with a failure line on stderr.
+and exits 1 only with a failure line on stderr.  The same holds for stored
+JSON inputs (`--form`, `--decomp`) mutated at random.
 """
 
 import contextlib
+import copy
 import io
 import itertools
+import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,3 +83,63 @@ def test_random_argv_exits_cleanly_and_reruns_the_same(argv, other):
     for between in (other, *USAGE_ERRORS, ["--help"]):
         run(between)
     assert run(argv) == first, argv
+
+
+# values a mutation writes: odd integers, a float, and every other JSON type
+POOL = (0, 1, -1, 2, 7, 10**6, 2**70, 1.5, True, None, "x", [], {})
+STORED_RUNS = (("decompose", "--form"), ("charsum", "--form"), ("charsum", "--decomp"))
+
+
+def _places(node):
+    """(container, key) for every value below node, the nested ones too."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in list(items):
+        yield node, key
+        if isinstance(child, (dict, list)):
+            yield from _places(child)
+
+
+def _mutate(doc, data) -> None:
+    """One mutation in place: replace a value with one from POOL, delete a
+    key, or add or drop a list entry; nothing when no value is left to mutate."""
+    places = list(_places(doc))
+    kind = data.draw(st.sampled_from(("replace", "delete", "add", "drop")))
+    if kind in ("replace", "delete"):
+        targets = [(n, k) for n, k in places if kind == "replace" or isinstance(n, dict)]
+    else:
+        targets = [(n[k], None) for n, k in places
+                   if isinstance(n[k], list) and (kind == "add" or n[k])]
+    if not targets:
+        return
+    node, key = data.draw(st.sampled_from(targets))
+    if kind == "replace":
+        node[key] = copy.deepcopy(data.draw(st.sampled_from(POOL)))
+    elif kind == "delete":
+        del node[key]
+    elif kind == "drop":
+        del node[data.draw(st.integers(0, len(node) - 1))]
+    else:
+        entry = data.draw(st.sampled_from([*node, *POOL]))
+        node.insert(data.draw(st.integers(0, len(node))), copy.deepcopy(entry))
+
+
+@pytest.fixture(scope="module")
+def stored(tmp_path_factory):
+    """gen-form's JSON (a form and its decomposition), and a file to write mutations to."""
+    code, out, _ = run(["gen-form", "--p", "7", "--n", "2", "--k", "3", "--seed", "5"])
+    assert code == 0
+    return json.loads(out), tmp_path_factory.mktemp("stored") / "input.json"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_mutated_stored_inputs_exit_cleanly(stored, data):
+    original, path = stored
+    doc = copy.deepcopy(original)
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(doc, data)
+    path.write_text(json.dumps(doc))
+    for command, flag in STORED_RUNS:
+        code, _, err = run([command, flag, str(path), "--seed", "1"])
+        if code == 1:
+            assert any(line.startswith("check failed:") for line in err.splitlines()), (doc, err)

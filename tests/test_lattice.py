@@ -200,6 +200,65 @@ def test_build_errors():
         lt.congruence_lattice(5, [[1, 0], [0, 1]], [[1]])
 
 
+def generator_hnf(p, P, Q):
+    """The HNF of the generators (R e_j, e_j) and (p e_i, 0), R = P^-1 Q,
+    as rows: the route the closed-form basis replaced, kept as a reference."""
+    n = len(P)
+    R = la.mat_mul(la.mat_inv(P, p), Q, p)
+    gens = [tuple(R[i][j] for i in range(n)) + tuple(int(i == j) for i in range(n))
+            for j in range(n)]
+    gens += [tuple(p * (t == i) for t in range(n)) + (0,) * n for i in range(n)]
+    cols = la.hnf_columns(gens, 2 * n)
+    return tuple(tuple(col[i] for col in cols) for i in range(2 * n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 997])
+def test_congruence_basis_is_the_hnf_of_the_generators(p, n):
+    rng = random.Random(10 * p + n)
+    for _ in range(20):
+        # unreduced entries: the basis depends only on P and Q mod p
+        P, Q = (
+            [[v + p * rng.randint(-1, 1) for v in row] for row in random_nonsingular(rng, n, p)]
+            for _ in range(2)
+        )
+        assert lt.congruence_lattice(p, P, Q).basis == generator_hnf(p, P, Q)
+
+
+def test_congruence_lattice_takes_no_hnf_or_determinant(monkeypatch):
+    def refused(*args):
+        raise AssertionError("not called")
+
+    expected = generator_hnf(5, [[1, 2], [3, 4]], [[2, 1], [1, 1]])
+    monkeypatch.setattr(la, "hnf_columns", refused)
+    monkeypatch.setattr(la, "mat_det", refused)
+    assert lt.congruence_lattice(5, [[1, 2], [3, 4]], [[2, 1], [1, 1]]).basis == expected
+
+
+@pytest.mark.parametrize("singular", ["P", "Q"])
+def test_congruence_lattice_refuses_a_singular_coupling(singular):
+    rng = random.Random(29)
+    for p, n in [(2, 1), (3, 2), (7, 3), (101, 2)]:
+        M = random_nonsingular(rng, n, p)
+        Z = M[:-1] + [[p * v for v in M[0]]]  # last row vanishes mod p
+        P, Q = (Z, M) if singular == "P" else (M, Z)
+        with pytest.raises(ValueError, match=f"matrix singular mod {p}"):
+            lt.congruence_lattice(p, P, Q)
+
+
+def test_a_wrong_inverse_trips_the_basis_column_check(monkeypatch):
+    inverse = la.mat_inv
+
+    def off_by_one(A, p):
+        inv = inverse(A, p)
+        inv[0][0] = (inv[0][0] + 1) % p
+        return inv
+
+    monkeypatch.setattr(la, "mat_inv", off_by_one)
+    with pytest.raises(la.CheckFailed, match="breaks P x = Q y mod 5"):
+        lt.congruence_lattice(5, [[1, 0], [0, 1]], [[2, 1], [1, 1]])
+
+
 @pytest.mark.parametrize("fields,z,match", [
     ([(5, 1)], ((1,), (2,)), "2 multiplier components for 1 fields"),
     ([(5, 1), (5, 1)], ((1,),), "1 multiplier components for 2 fields"),

@@ -4,6 +4,7 @@ import ast
 import collections
 import importlib
 import inspect
+import itertools
 import json
 import math
 import random
@@ -75,6 +76,79 @@ def test_extend_to_basis():
     assert la.extend_to_basis([(1, 1, 0)], 3) == [(1, 1, 0), (1, 0, 0), (0, 0, 1)]
     with pytest.raises(la.CheckFailed, match="1 columns, not 2"):
         la.extend_to_basis([(0, 0)], 5)
+
+
+def greedy_extension(cols, p):
+    """The loop extend_to_basis replaced: each unit vector, in order, that
+    raises the rank of the columns so far by one."""
+    cols = [tuple(col) for col in cols]
+    k = len(cols[0])
+    for j in range(k):
+        unit = tuple(int(i == j) for i in range(k))
+        if la.mat_rank(cols + [unit], p) == len(cols) + 1:
+            cols.append(unit)
+    return cols
+
+
+def test_extend_to_basis_matches_the_greedy_rank_loop():
+    rng = random.Random(23)
+    checked = 0
+    for p in (2, 3, 5, 101):
+        for k in range(1, 5):
+            for g in range(1, k + 1):
+                for _ in range(12):
+                    cols = [tuple(rng.randint(-p, 2 * p) for _ in range(k)) for _ in range(g)]
+                    if la.mat_rank(cols, p) == g:
+                        assert la.extend_to_basis(cols, p) == greedy_extension(cols, p)
+                        checked += 1
+    assert checked > 300
+
+
+@pytest.mark.parametrize("cols", [
+    [(1, 0), (2, 0)],
+    [(1, 2, 0), (0, 0, 1), (3, 1, 0)],
+    [(5, 10)],
+    [(1, 0), (0, 1), (1, 1)],
+])
+def test_extend_to_basis_refuses_dependent_columns(cols):
+    # k dependent columns used to come back unextended, as if a basis
+    with pytest.raises(la.CheckFailed, match="dependent mod 5"):
+        la.extend_to_basis(cols, 5)
+
+
+def leibniz_det(A) -> int:
+    """Sum over permutations of sign times the product of the entries A[i][perm[i]]."""
+    n = len(A)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(A[i][perm[i]] for i in range(n))
+    return total
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_mat_det_matches_the_leibniz_formula(p):
+    rng = random.Random(p)
+    singular = 0
+    for n in range(6):
+        for _ in range(25):
+            # negative and unreduced entries, and small ones so that zero
+            # pivots (row swaps) and singular matrices are common
+            A = [[rng.choice((0, 1, -1, p, -p - 1, rng.randint(-3 * p, 3 * p)))
+                  for _ in range(n)] for _ in range(n)]
+            det = la.mat_det(A, p)
+            assert det == leibniz_det(A) % p, A
+            singular += det == 0
+    assert singular > 0
+
+
+@pytest.mark.parametrize("A", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]]])
+def test_inverse_and_determinant_refuse_a_non_square_matrix(A):
+    # a 2 x 3 matrix used to get its leading block's inverse and determinant
+    with pytest.raises(ValueError, match="not square"):
+        la.mat_inv(A, 7)
+    with pytest.raises(ValueError, match="not square"):
+        la.mat_det(A, 7)
 
 
 def test_check_failed_is_an_assertion_error():
@@ -363,23 +437,44 @@ def test_reference_walk_sees_each_kind_of_use():
     assert defs == [("f", "f"), ("m", "C.m")]
 
 
+# per-layer metrics other than .calls, .s and .self_s, each with the src
+# functions and methods that bench/trace.py reads it from
+DERIVED_METRICS = {
+    "charsum.box_points": ("charsum.charsum_direct", "charsum.charsum_lifted"),
+    "energy.pairs": ("energy.energy_histogram",),
+    "field_core.elements_iterated": ("field_core.ExtFieldCtx.iter_elements",),
+    "forms.random_decomposition.accept_ratio": (
+        "forms.random_decomposition", "forms.decomposition_in_class",
+    ),
+}
+
+
 def test_traced_names_resolve_to_src_callables():
-    """Each per-layer metric of BENCHMARK.json ending in .calls or .s names
-    a public function or method that its src module defines, and the element
-    count reads the yields of a generator method, so a renamed or deleted
-    traced name fails here, not as a KeyError in a traced benchmark run."""
+    """Every per-layer metric of BENCHMARK.json names something src defines,
+    so a renamed or deleted traced name fails here, not as a KeyError in a
+    traced benchmark run: .calls and .s a public function or method of its
+    module, .self_s a module, each derived metric above the functions it
+    reads (the element count, the yields of a generator method), and
+    trace.* a health metric that bench computes."""
     repo = Path(la.__file__).resolve().parents[2]
-    metrics = json.loads((repo / "BENCHMARK.json").read_text())["per_layer"]
-    traced = [m["name"].rpartition(".")[0] for m in metrics
-              if m["name"].endswith((".calls", ".s"))]
-    assert len(traced) >= 30
-    for dotted in traced:
-        module, *path = dotted.split(".")
-        mod = obj = importlib.import_module(f"normsum.{module}")
-        for attr in path:
-            obj = vars(obj)[attr]
-        assert inspect.isfunction(obj) and obj.__module__ == mod.__name__, dotted
-        assert not path[-1].startswith("_"), dotted
+    names = [m["name"] for m in json.loads((repo / "BENCHMARK.json").read_text())["per_layer"]]
+    bench_source = "".join(path.read_text() for path in sorted((repo / "bench").glob("*.py")))
+    for name in names:
+        head, _, tail = name.rpartition(".")
+        if head == "trace":
+            assert f'"{name}"' in bench_source, name
+        elif tail == "self_s":
+            importlib.import_module(f"normsum.{head}")
+        else:
+            assert name in DERIVED_METRICS or tail in ("calls", "s"), name
+            for dotted in DERIVED_METRICS.get(name, (head,)):
+                module, *path = dotted.split(".")
+                mod = obj = importlib.import_module(f"normsum.{module}")
+                for attr in path:
+                    obj = vars(obj)[attr]
+                assert inspect.isfunction(obj) and obj.__module__ == mod.__name__, (name, dotted)
+                assert not path[-1].startswith("_"), (name, dotted)
+    assert len(names) >= 50 and set(DERIVED_METRICS) <= set(names)
     ctx_class = importlib.import_module("normsum.field_core").ExtFieldCtx
     assert inspect.isgeneratorfunction(vars(ctx_class)["iter_elements"])
 
