@@ -1,7 +1,8 @@
 """Command-line entry point wrapping the experiment drivers.
 
 Exit codes: 0 on success, 1 when a checked identity or bound fails, 2 on
-a usage error (bad flags, infeasible sizes, missing inputs).
+a usage error (bad flags, infeasible sizes, missing inputs, output that
+cannot be written).
 """
 
 from __future__ import annotations
@@ -93,22 +94,17 @@ def main(argv=None) -> int:
             fmt=ns.fmt,
         )
         text, code = _dispatch(config, ns)
+        if config.out:
+            with open(config.out, "w", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError) as exc:  # UsageError is a ValueError
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except la.CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-
-    if config.out:
-        try:
-            with open(config.out, "w", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
     return code
 
 

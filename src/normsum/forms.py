@@ -286,38 +286,24 @@ class NormFormDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# polynomial dictionaries: exponent tuple -> coefficient
-
-
-def _ipoly_mul(a: dict, b: dict, p: int) -> dict:
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            out[e] = (out.get(e, 0) + c1 * c2) % p
-    return {e: c for e, c in out.items() if c}
-
-
-def _ipoly_pow(a: dict, e: int, p: int, n: int) -> dict:
-    out = {(0,) * n: 1}
-    for _ in range(e):
-        out = _ipoly_mul(out, a, p)
-    return out
+# polynomial dictionaries: exponent tuple -> coefficient tuple of a field
+# context; F_p is the degree-1 field, its coefficients 1-tuples
 
 
 def compose_form(F: FormSpec, M) -> FormSpec:
-    """The form G(x) = F(Mx) for a square matrix M over F_p."""
+    """The form G(x) = F(Mx) for a square matrix M over F_p: each monomial
+    expanded by _epoly_mul over F_p = F_{p^1}, the terms summed mod p."""
     n, p = F.n, F.p
-    rows = [{_unit(n, j): M[i][j] % p for j in range(n) if M[i][j] % p} for i in range(n)]
+    fp = fc.ext_field_ctx(p, 1)
+    rows = [{_unit(n, j): (M[i][j] % p,) for j in range(n) if M[i][j] % p} for i in range(n)]
     acc: dict = {}
     for exp, coef in F.monomials:
-        term = {(0,) * n: coef}
+        term = {(0,) * n: (coef,)}
         for i, e in enumerate(exp):
-            if e:
-                term = _ipoly_mul(term, _ipoly_pow(rows[i], e, p, n), p)
-        for e, c in term.items():
+            for _ in range(e):
+                term = _epoly_mul(term, rows[i], fp)
+        for e, (c,) in term.items():
             acc[e] = (acc.get(e, 0) + c) % p
-    acc = {e: c for e, c in acc.items() if c}
     return FormSpec(p, n, F.k, tuple(acc.items()))
 
 
@@ -548,14 +534,15 @@ def _restriction(G: FormSpec, j: int):
 
 
 def _prime_field_part(poly: dict, what: str) -> dict:
-    """A polynomial over F_{p^m} with every coefficient in F_p, as F_p ints.
+    """A polynomial over F_{p^m} with every coefficient in F_p, its
+    coefficients as 1-tuples of F_p = F_{p^1}.
 
     Raises linalg.CheckFailed when a coefficient has a nonzero w-part.
     """
     for e, v in poly.items():
         if any(v[1:]):
             raise linalg.CheckFailed(f"{what} left the prime field: coefficient {v} at {e}")
-    return {e: v[0] for e, v in poly.items()}
+    return {e: v[:1] for e, v in poly.items()}
 
 
 def form_sort_key(F: FormSpec):
@@ -701,7 +688,8 @@ def synthesize_form(D: NormFormDecomposition) -> FormSpec:
             f"expanding a degree-{D.k} form in {n} variables may take {size} monomials, "
             f"over the cap {EXPANSION_CAP}"
         )
-    total = {(0,) * n: 1}
+    fp = fc.ext_field_ctx(p, 1)
+    total = {(0,) * n: (1,)}
     for i, (ki, ctx, U) in enumerate(zip(D.partition, D.ctxs, D.blocks)):
         cols = [tuple(U[r][j] for r in range(ki)) for j in range(n)]
         block_poly = {(0,) * n: ctx.from_int(1)}
@@ -712,8 +700,8 @@ def synthesize_form(D: NormFormDecomposition) -> FormSpec:
             if not lin:
                 raise ValueError(f"block {i} defines the zero linear form")
             block_poly = _epoly_mul(block_poly, lin, ctx)
-        total = _ipoly_mul(total, _prime_field_part(block_poly, f"norm expansion of block {i}"), p)
-    return FormSpec(p, n, D.k, tuple(total.items()))
+        total = _epoly_mul(total, _prime_field_part(block_poly, f"norm expansion of block {i}"), fp)
+    return FormSpec(p, n, D.k, tuple((e, c) for e, (c,) in total.items()))
 
 
 def decomposition_in_class(D: NormFormDecomposition) -> bool:

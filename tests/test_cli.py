@@ -143,3 +143,22 @@ def test_mutated_stored_inputs_exit_cleanly(stored, data):
         code, _, err = run([command, flag, str(path), "--seed", "1"])
         if code == 1:
             assert any(line.startswith("check failed:") for line in err.splitlines()), (doc, err)
+
+
+class _BrokenPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_output_write_errors_are_usage_errors(tmp_path):
+    # stdout and --out share one error path: an OSError from either write
+    # prints one usage line and exits 2, with no traceback
+    argv = ["gen-form", "--p", "7", "--n", "2", "--k", "3", "--seed", "5"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_BrokenPipe()), contextlib.redirect_stderr(err):
+        assert cli.main(argv) == 2
+    assert err.getvalue() == "usage error: [Errno 32] Broken pipe\n"
+    missing = tmp_path / "no-such-dir" / "form.json"
+    code, out, err = run([*argv, "--out", str(missing)])
+    assert (code, out) == (2, "")
+    assert err == f"usage error: [Errno 2] No such file or directory: '{missing}'\n"

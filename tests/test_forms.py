@@ -110,10 +110,19 @@ def orbit_factor_form(orbit, split, F):
             if any(coeffs):
                 lin[fm._unit(n, j)] = coeffs
         poly = fm._epoly_mul(poly, lin, ctx)
-    int_monos = fm._prime_field_part(poly, "orbit product")
-    factor = fm.FormSpec(p, n, len(orbit), tuple(int_monos.items()))
+    monos = fm._prime_field_part(poly, "orbit product")
+    factor = fm.FormSpec(p, n, len(orbit), tuple((e, c) for e, (c,) in monos.items()))
     Minv = la.mat_inv([list(r) for r in split.change], p)
     return fm.compose_form(factor, Minv)
+
+
+def form_product(factors, p, n, k):
+    """The product of forms over F_p, taken by fm._epoly_mul over F_p = F_{p^1}."""
+    fp = fc.ext_field_ctx(p, 1)
+    prod = {(0,) * n: (1,)}
+    for f in factors:
+        prod = fm._epoly_mul(prod, {e: (c,) for e, c in f.monomials}, fp)
+    return fm.FormSpec(p, n, k, tuple((e, c) for e, (c,) in prod.items()))
 
 
 def factor_form(F):
@@ -133,10 +142,7 @@ def factor_form(F):
         factors[0] = fm.FormSpec(
             F.p, F.n, first.k, tuple((e, (v * split.c) % F.p) for e, v in first.monomials)
         )
-    prod = {(0,) * F.n: 1}
-    for fac in factors:
-        prod = fm._ipoly_mul(prod, dict(fac.monomials), F.p)
-    if fm.FormSpec(F.p, F.n, F.k, tuple(prod.items())) != F:
+    if form_product(factors, F.p, F.n, F.k) != F:
         raise la.CheckFailed("factor product mismatch")
     return factors
 
@@ -161,10 +167,7 @@ def test_factor_sum_of_squares_mod5_splits():
 
 def test_factor_repeated_and_constant():
     fs = factor_form(form(3, 2, {(2, 1): 2}))
-    prod = {(0, 0): 1}
-    for f in fs:
-        prod = fm._ipoly_mul(prod, dict(f.monomials), 3)
-    assert fm.FormSpec(3, 2, 3, tuple(prod.items())) == form(3, 2, {(2, 1): 2})
+    assert form_product(fs, 3, 2, 3) == form(3, 2, {(2, 1): 2})
     assert len(fs) == 3
 
 
@@ -172,6 +175,41 @@ def test_factor_unsupported_is_loud():
     F = form(7, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
     with pytest.raises(fm.UnsupportedFormError, match="factorization unsupported"):
         factor_form(F)
+
+
+def test_compose_form_matches_evaluation_at_mx():
+    # k < p: a form of degree k is pinned by its values on F_p^n, so the
+    # values of F(Mx) at every x pin every coefficient of compose_form(F, M)
+    rng = random.Random(28)
+    checked = 0
+    while checked < 60:
+        p, n = rng.choice((3, 5, 7, 11)), rng.randint(1, 3)
+        k = rng.randint(1, p - 1)
+        M = [[rng.randint(-2 * p, 2 * p) for _ in range(n)] for _ in range(n)]
+        if la.mat_det(M, p) == 0:
+            continue
+        homogeneous = [e for e in itertools.product(range(k + 1), repeat=n) if sum(e) == k]
+        F = form(p, n, {rng.choice(homogeneous): rng.randint(1, p - 1) for _ in range(4)})
+        G = fm.compose_form(F, M)
+        assert (G.p, G.n, G.k) == (p, n, k)
+        for x in itertools.product(range(p), repeat=n):
+            Mx = [sum(a * b for a, b in zip(row, x)) % p for row in M]
+            assert fm.eval_form(G, x) == fm.eval_form(F, Mx), (F, M, x)
+        checked += 1
+
+
+def test_compose_form_with_zero_matrix_is_refused():
+    F = form(5, 2, {(2, 0): 1, (1, 1): 3})
+    with pytest.raises(ValueError, match="form has no nonzero monomials"):
+        fm.compose_form(F, [[0, 0], [0, 0]])
+
+
+def test_prime_field_part_keeps_one_tuples_and_refuses_a_w_part():
+    assert fm._prime_field_part({(1, 0): (3, 0, 0), (0, 1): (0, 0, 0)}, "poly") == {
+        (1, 0): (3,), (0, 1): (0,)
+    }
+    with pytest.raises(la.CheckFailed, match="poly left the prime field"):
+        fm._prime_field_part({(1, 0): (3, 0), (0, 1): (1, 2)}, "poly")
 
 
 def first_nonvanishing_by_scan(F):

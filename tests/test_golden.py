@@ -19,6 +19,9 @@ from normsum import harness as hn
 CASES = {
     "gen-form": ["gen-form", "--p", "7", "--n", "2", "--k", "3", "--seed", "5"],
     "decompose": ["decompose", "--form", "{form}", "--seed", "0"],
+    # no X_a^3 monomial: decompose changes variables by a full matrix
+    "gen-form-general": ["gen-form", "--p", "3", "--n", "3", "--k", "3", "--seed", "7"],
+    "decompose-general": ["decompose", "--form", "{form_general}", "--seed", "0"],
     "charsum-csv": ["charsum", "--p-range", "3..13", "--n", "2", "--k", "2", "--seed", "1"],
     "charsum-json": ["charsum", "--p-range", "3..13", "--n", "2", "--k", "2", "--seed", "1",
                      "--format", "json"],
@@ -95,6 +98,13 @@ DIGESTS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),
+    # F(Mx) with M from extend_to_basis of the first point where F is nonzero;
+    # pinned before compose_form took its products over F_{p^1}
+    "decompose-general": (
+        "2eea88bd62b1de9b85ff52c9c386c10cea1a4b03102af4e6d3d3d17190c99d11",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
     "energy": (
         "ff5592d2de2a80d38bd2033e4bb11897ef8cc41e1ceb5e4467a64a62ce8eb8c1",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -113,6 +123,11 @@ DIGESTS = {
     ),
     "gen-form": (
         "8b8ec9255b71c71fc7ef1560209de6f21d4ca2eedb0d9513deae8524798f1361",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "gen-form-general": (
+        "d0d6533760b7d6f96fab992cf40af058a685d3a5d086c00bcacfdf42452b1cd2",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),
@@ -210,8 +225,10 @@ def _sha(text: str) -> str:
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("golden")
-    paths = {"form": str(d / "form.json"), "decomp": str(d / "decomp.json")}
+    paths = {"form": str(d / "form.json"), "decomp": str(d / "decomp.json"),
+             "form_general": str(d / "form_general.json")}
     assert cli.main(CASES["gen-form"] + ["--out", paths["form"]]) == 0
+    assert cli.main(CASES["gen-form-general"] + ["--out", paths["form_general"]]) == 0
     assert cli.main(["decompose", "--form", paths["form"], "--seed", "0",
                      "--out", paths["decomp"]]) == 0
     return paths
