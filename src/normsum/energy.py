@@ -4,8 +4,9 @@ Every count is an integer, taken by a histogram over per-field pair
 products: sums of discrete logs, counted by the class keys they fold to.
 The histogram key's zero pattern carries the vanishing index set, so
 degenerate classes stay separated, not skipped.  The literal quadruple loop
-is the oracle: the ratio-moment and restricted-split counts run it on every
-box pair within QUAD_CROSS_CHECK_CAP, and no caller can turn it off.
+is the oracle: the restricted split runs it on every box pair within
+QUAD_CROSS_CHECK_CAP, and no caller can turn it off.  energy_restricted and
+s1_identity_check's live count both read that one split.
 """
 
 from __future__ import annotations
@@ -239,21 +240,11 @@ def s1_identity_check(D: fm.NormFormDecomposition, box_x: fm.BoxSpec, box_y: fm.
     Returns (sum of eta^2, quadruple count, equal).  Also checks the
     Cauchy-Schwarz bound against the two single-box energies.
     """
-    _require_pairs(box_x, box_y)
-    logs_x, logs_y = _box_logs(D, box_x), _box_logs(D, box_y)
-    # lambda(x)/lambda(y) and lambda(x)lambda(y), counted over the pairs
-    # with no zero factor: those whose points are both live
-    s1, quads = (
-        sum(c * c for key, c in _pair_histogram(D, logs_x, logs).items()
-            if not _has_zero_factor(D, key))
-        for logs in (_inverse_logs(D, logs_y), logs_y)
-    )
-
-    if _literal_loop_fits(box_x, box_y):
-        lx, ly = ([l for l in _lam_table(D, b) if all(map(any, l))] for b in (box_x, box_y))
-        literal = sum(1 for _ in _literal_quadruples(D, lx, lx, ly, ly))
-        if literal != quads:
-            raise la.CheckFailed(f"literal loop counts {literal}, histogram {quads}")
+    quads = _restricted_split(D, (D,) * 4, box_x, box_y)[0]
+    # lambda(x)/lambda(y), counted over the pairs with no zero factor: those
+    # whose points are both live
+    ratios = _pair_histogram(D, _box_logs(D, box_x), _inverse_logs(D, _box_logs(D, box_y)))
+    s1 = sum(c * c for key, c in ratios.items() if not _has_zero_factor(D, key))
 
     e_x = energy_histogram(EnergyInstance(D, box_x, box_x))
     e_y = energy_histogram(EnergyInstance(D, box_y, box_y))
@@ -304,11 +295,16 @@ def energy_restricted(inst: GeneralizedEnergyInstance):
     checks both splits in one pass.
     """
     D = inst.decomposition
-    box_x, box_y = inst.box_x, inst.box_y
-    _require_pairs(box_x, box_y)
     # lambda^j(x): the rows of a_j sliced by the partition, in the power bases
     Ds = [fm.NormFormDecomposition(D.p, D.n, D.partition, D.ctxs, _split_rows(M, D.partition))
           for M in inst.matrices]
+    return _restricted_split(D, Ds, inst.box_x, inst.box_y)
+
+
+def _restricted_split(D: fm.NormFormDecomposition, Ds, box_x: fm.BoxSpec, box_y: fm.BoxSpec):
+    """energy_restricted's split of the energy of the four systems Ds, with
+    lambda^1 and lambda^2 over box_x and lambda^3 and lambda^4 over box_y."""
+    _require_pairs(box_x, box_y)
     h14, h23 = (
         _pair_histogram(D, _box_logs(Ds[i], box_x), _box_logs(Ds[j], box_y))
         for i, j in ((0, 3), (1, 2))
@@ -334,8 +330,8 @@ def energy_restricted(inst: GeneralizedEnergyInstance):
         for factors, lit_live in ((2, two), (4, four)):
             if (lit_live, count - lit_live) != (live, degenerate):
                 raise la.CheckFailed(
-                    f"literal split testing {factors} factors "
-                    f"{lit_live, count - lit_live} != {live, degenerate}"
+                    f"literal loop counts {lit_live}, histogram {live}: split testing "
+                    f"{factors} factors {lit_live, count - lit_live} != {live, degenerate}"
                 )
     return live, degenerate, total
 

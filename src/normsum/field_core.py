@@ -298,9 +298,6 @@ def norm_via_conjugates(ctx: ExtFieldCtx, a) -> int:
 # ---------------------------------------------------------------------------
 # raw-coordinate kernels: functions on coefficient tuples, one per context
 
-_norm_kernels: dict = {}
-_mul_kernels: dict = {}
-
 
 def _det3(M, p: int) -> int:
     (a, b, c), (d, e, f), (g, h, i) = M
@@ -328,6 +325,7 @@ def trace(ctx: ExtFieldCtx, a) -> int:
     return sum(col[j] for j, col in enumerate(mult_columns(ctx, a))) % ctx.p
 
 
+@functools.cache
 def norm_kernel(ctx: ExtFieldCtx):
     """N(a) in F_p from the coefficient tuple of a, cached per context.
 
@@ -337,9 +335,6 @@ def norm_kernel(ctx: ExtFieldCtx):
     degree m >= 3 it is the determinant of mult_columns, expanded in closed
     form at m = 3.  Coordinates need not be reduced mod p.
     """
-    kernel = _norm_kernels.get(ctx)
-    if kernel is not None:
-        return kernel
     p, m = ctx.p, ctx.m
     if m == 1:
         def kernel(a):
@@ -356,10 +351,10 @@ def norm_kernel(ctx: ExtFieldCtx):
         def kernel(a):
             return det(mult_columns(ctx, a), p)
 
-    _norm_kernels[ctx] = kernel
     return kernel
 
 
+@functools.cache
 def mul_kernel(ctx: ExtFieldCtx):
     """Product of two coefficient tuples as a reduced tuple, cached per context.
 
@@ -367,9 +362,6 @@ def mul_kernel(ctx: ExtFieldCtx):
     polynomials and reduces by the monic defining polynomial, so no field
     element is built per product.
     """
-    kernel = _mul_kernels.get(ctx)
-    if kernel is not None:
-        return kernel
     p, m = ctx.p, ctx.m
     f = ctx.defining_poly
     if m == 1:
@@ -401,7 +393,6 @@ def mul_kernel(ctx: ExtFieldCtx):
                         prod[t] -= c * ft
             return tuple(v % p for v in prod[:m])
 
-    _mul_kernels[ctx] = kernel
     return kernel
 
 

@@ -166,9 +166,6 @@ class BoxSpec:
     def volume(self) -> int:
         return math.prod(self.H)
 
-    def contains(self, x) -> bool:
-        return all(n < v <= n + h for v, n, h in zip(x, self.N, self.H))
-
     def axes(self) -> list:
         """The coordinate range of each axis."""
         return [range(n + 1, n + h + 1) for n, h in zip(self.N, self.H)]
@@ -584,7 +581,7 @@ def decompose(F: FormSpec, seed: int = 0) -> NormFormDecomposition:
     blocks.sort(key=factor_key)
     if split.c != 1:
         k1, ctx1, U1 = blocks[0]
-        # the element of smallest code with norm c scales lambda_1
+        # the first element with norm c in iter_elements order scales lambda_1
         norm, mul = fc.norm_kernel(ctx1), fc.mul_kernel(ctx1)
         gamma = next(a for a in itertools.product(range(p), repeat=k1) if norm(a) == split.c)
         cols = [mul(gamma, tuple(U1[r][j] for r in range(k1))) for j in range(n)]

@@ -360,7 +360,29 @@ class TestS1Identity:
             )
             s1, quads, equal = en.s1_identity_check(D, bx, by)
             assert equal, (p, partition, bx, by, s1, quads)
+            gi = en.GeneralizedEnergyInstance(D, (D.A,) * 4, bx, by)
+            assert quads == en.energy_restricted(gi)[0]
 
+    def test_s1_literal_check_sees_the_degenerate_split(self, monkeypatch):
+        # the literal loop beside the live count checks the degenerate
+        # quadruples too: one of them made live moves only the split
+        D = fm.random_decomposition(5, 2, (1, 1), random.Random(37))
+        b = box((-1, -1), (3, 3))
+        literal = en._literal_quadruples
+        unit = tuple((1,) + (0,) * (m - 1) for m in D.partition)
+
+        def altered(*tables):
+            quads = literal(*tables)
+            for l1, l2, l3, l4 in quads:
+                if not all(map(any, l1 + l4)):
+                    yield unit, l2, l3, unit
+                    break
+                yield l1, l2, l3, l4
+            yield from quads
+
+        monkeypatch.setattr(en, "_literal_quadruples", altered)
+        with pytest.raises(la.CheckFailed, match="testing 2 factors"):
+            en.s1_identity_check(D, b, b)
 
     def test_ratio_histogram_matches_inverse_product_route(self):
         # the log-domain ratio histogram against inverses and products, on
@@ -631,7 +653,7 @@ class TestLogDomain:
             other = box((-1,) * n, (2,) * n)
         else:
             other = box([v - 1 for v in x0], (2,) * n)
-            assert other.contains(x0)
+            assert all(n < v <= n + h for v, n, h in zip(x0, other.N, other.H))
         for bx, by in [(around_origin, around_origin), (around_origin, other),
                        (other, around_origin), (other, other)]:
             inst = en.EnergyInstance(D, bx, by)

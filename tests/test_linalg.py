@@ -350,7 +350,10 @@ UNREFERENCED_PUBLIC = {
     "field_core.ext_scalar_mul": "F_p-scaling of field elements, checked by the linearity test",
     "field_core.norm_via_conjugates": "oracle route for norm_kernel, the product of conjugates",
     "lattice.mult_matrix_via_columns": "oracle route for the multiplication matrix, by columns",
-    "energy.energy_restricted": "paper quantity: the energy split by vanishing of lambda^1",
+    "energy.energy_restricted": (
+        "paper quantity: the energy split by vanishing of lambda^1; its split also runs "
+        "in s1_identity_check"
+    ),
     "charsum.bad_tuple_count": "paper quantity: tuples whose entries all repeat, with its bound",
 }
 
