@@ -3,16 +3,19 @@
 Every count is an integer, taken by a histogram over per-field pair
 products: sums of discrete logs, counted by the class keys they fold to.
 The histogram key's zero pattern carries the vanishing index set, so
-degenerate classes stay separated, not skipped.  The literal quadruple loop
-is the oracle: the restricted split runs it on every box pair within
-QUAD_CROSS_CHECK_CAP, and no caller can turn it off.  energy_restricted and
-s1_identity_check's live count both read that one split.
+degenerate classes stay separated, not skipped.  A symmetric window keys
+its live pairs once per class up to -1 and the swap.  The literal
+quadruple loop is the oracle: the restricted split runs it on every box
+pair within QUAD_CROSS_CHECK_CAP, and no caller can turn it off.
+energy_restricted and s1_identity_check's live count both read that one
+split.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -26,15 +29,13 @@ QUAD_CROSS_CHECK_CAP = 10**6
 QUAD_SCAN_CAP = 10**9
 # the weight of pair_cost in a command's cost: ns per pair of a window energy
 # at n = 1, n = 2, and at n >= 3 over one field, two, and three or more.  With
-# field tables built (best of 10, 2-vCPU virtual machine, slowest on the
-# smallest windows), a pair took 77 to 322 at n = 1 (p = 101 to 999,983); 58
-# to 299 with one field and 103 to 278 with two at n = 2 (p = 5 to 479); and
-# 38 to 206 with one field, 81 to 379 with two and 108 to 326 with three at
-# n = 3 (p = 3 to 31).  The n <= 2 weights are kept, and at n >= 3 each is
-# its field count's floor; at n = 2 the one weight is below the two-field
-# floor, so those windows, and each prime's fixed work, are priced below
-# their time
-PAIR_NS = (175, 95, 40, 81, 108)
+# field tables built (best of 10, 2-vCPU virtual machine), a pair took 25 to
+# 46 at n = 1 (p = 10^4 to 10^5); 18 to 33 with one field and 34 to 40 with
+# two at n = 2 (p = 101 to 223); 16 to 23, 34 to 44 and 53 to 75 with one, two
+# and three at n = 3 (p = 13 to 31).  At n >= 2 each weight is the floor (at
+# n = 2 of two fields); at n = 1, where a prime's fixed work outweighs its
+# pairs, it is energy-scan's wall time per pair from p = 3 to 18,000 (68 ns)
+PAIR_NS = (70, 40, 16, 34, 53)
 
 
 def pair_cost(vol_x: int, vol_y: int) -> int:
@@ -61,12 +62,6 @@ def quadruple_cost(vol_x: int, vol_y: int) -> int:
 def _require_pairs(box_x: fm.BoxSpec, box_y: fm.BoxSpec):
     if not pairs_fit(box_x.volume, box_y.volume):
         raise ValueError("pair enumeration infeasible at this size")
-
-
-def _literal_loop_fits(box_x: fm.BoxSpec, box_y: fm.BoxSpec) -> bool:
-    """Whether the literal loop over the boxes is within QUAD_CROSS_CHECK_CAP:
-    the entry points that run it beside the histogram run it exactly then."""
-    return quadruple_cost(box_x.volume, box_y.volume) <= QUAD_CROSS_CHECK_CAP
 
 
 @dataclass(frozen=True)
@@ -108,17 +103,14 @@ def _box_logs(D: fm.NormFormDecomposition, box: fm.BoxSpec) -> list:
     return [fc.linear_logs(ctx, U, box.axes()) for U, ctx in zip(D.blocks, D.ctxs)]
 
 
-def _class_keys(D: fm.NormFormDecomposition):
-    """The map from per-field rows of log sums to their class keys.  A class
-    key has digit t_i in base q_i: the log of the product, or the zero marker
-    q_i - 1 (_has_zero_factor).  Each field's sums are read from its
-    fc.log_fold, pre-scaled by the product of the lower q's, and the reads
-    are added."""
+def _class_keys(folds):
+    """The map from per-field rows of sums to class keys, for a list of
+    (fold, radix) pairs: each field's sums are read from its fold, pre-scaled
+    by the product of the lower radices, and the reads are added."""
     reads, scale = [], 1
-    for ctx in D.ctxs:
-        fold = fc.log_fold(ctx) if scale == 1 else [t * scale for t in fc.log_fold(ctx)]
-        reads.append(fold.__getitem__)
-        scale *= ctx.order
+    for fold, radix in folds:
+        reads.append((fold if scale == 1 else [t * scale for t in fold]).__getitem__)
+        scale *= radix
 
     def keys(sums):
         return functools.reduce(functools.partial(map, operator.add), map(map, reads, sums))
@@ -128,39 +120,72 @@ def _class_keys(D: fm.NormFormDecomposition):
 
 def _pair_histogram(D: fm.NormFormDecomposition, logs_u, logs_v) -> Counter:
     """Pair counts per product class over all pairs (u, v): each u's entries
-    are added to the partner lists of their fields, and the row's class keys
-    are counted by one Counter update."""
-    keys, hist = _class_keys(D), Counter()
+    are added to the partner lists of their fields, and the row's keys, read
+    from each field's fc.log_fold in base q_i (a log, or the zero marker
+    q_i - 1: _has_zero_factor), are counted by one Counter update."""
+    keys, hist = _class_keys([(fc.log_fold(ctx), ctx.order) for ctx in D.ctxs]), Counter()
     for adds in zip(*([a.__add__ for a in logs] for logs in logs_u)):
         hist.update(keys(map(map, adds, logs_v)))
     return hist
 
 
-def _orbit_energy(D: fm.NormFormDecomposition, logs) -> int:
+def _sign_quotient(D: fm.NormFormDecomposition, logs):
+    """(coords, keys, |<-1>|): live points' coordinates in Q / <-1>, Q = prod
+    Z/(q_i - 1), from their log lists, and the map from rows of coordinate
+    sums to keys, equal exactly when the classes are equal up to -1, whose log
+    is h_i = (q_i - 1)/2.  The pivot r has the fewest factors 2 in q_r - 1, so
+    c_i h_r = h_i mod q_i - 1 is solvable: a point's coordinates are a_r mod
+    h_r and a_i - c_i a_r mod q_i - 1.  At p = 2, -1 = 1: they are the logs."""
+    orders = [ctx.order - 1 for ctx in D.ctxs]
+    r = min(range(D.s), key=lambda i: orders[i] & -orders[i])
+    folds = [(fc.log_fold(ctx), o) for ctx, o in zip(D.ctxs, orders)]
+    shifts = [0] * D.s
+    if D.p > 2:
+        h = orders[r] // 2
+        folds[r] = (folds[r][0][:h] * 2, h)
+        for i, o in enumerate(orders):
+            if i != r:
+                g = math.gcd(h, o)
+                shifts[i] = o // 2 // g * pow(h // g, -1, o // g)
+                if shifts[i] * h % o != o // 2:
+                    raise la.CheckFailed(f"sign quotient: no c with c {h} = {o // 2} mod {o}")
+    coords = [[(a - c * b) % m for a, b in zip(field, logs[r])]
+              for field, c, (_, m) in zip(logs, shifts, folds)]
+    return coords, _class_keys(folds), 2 if D.p > 2 else 1
+
+
+def _quotient_energy(D: fm.NormFormDecomposition, logs) -> int:
     """The energy sum c^2 over _pair_histogram(D, logs, logs), for a symmetric box.
 
-    Each lambda_i is F_p-linear, so (x, y) -> (y, x) and (x, y) -> (-x, -y)
-    keep a pair's class; one pair per orbit is counted, weighted by the
-    orbit's size.  Point i's negative is point vol - 1 - i.  With x in the
-    positive half: (x, +-z) for each z after x weighs 4, (x, x) and (x, -x)
-    weigh 2, the origin's pairs 2 and (0, 0) itself 1.  A class of c
-    weight-4 pairs and e from the rest has size 4c + e, and e is nonzero
-    at few classes: E is 16 sum c^2 plus e(8c + e) at each of those.
+    Each lambda_i is F_p-linear, so (-x, y) moves a live pair's class by -1
+    and (y, x) keeps it: live classes are counted in Q / <-1> (_sign_quotient)
+    over unordered pairs of live points in the box's first half (point i's
+    negative is point vol - 1 - i).  U pairs of distinct points and Dg
+    diagonal ones make 4(2U + Dg) pairs in each of |<-1>| classes.  Pairs
+    with a dead point (some lambda_i = 0) have zero-marked classes: a dead
+    point of the first half weighs 4 with a live point and 2 with a dead one,
+    and the origin's other pairs, vol + |live|, are all-zero.
     """
-    h = len(logs[0]) // 2
-    # per field: the positive half, the origin and the negatives of the half
-    parts = [(field[:h], field[h], field[:h:-1]) for field in logs]
-    # z and -z in turn, so each x's partners are one slice of each field's list
-    both = [[c for pair in zip(pos, neg) for c in pair] for pos, _, neg in parts]
-    keys, fours = _class_keys(D), Counter()
-    for i, adds in enumerate(zip(*([a.__add__ for a in pos] for pos, _, _ in parts))):
-        fours.update(keys(map(map, adds, [partners[2 * i + 2:] for partners in both])))
-    rest = Counter(keys(
-        ([a + b for a, b in zip(pos + pos, pos + neg)] + [o + c for c in pos + neg]) * 2 + [o + o]
-        for pos, o, neg in parts
-    ))
-    energy = 16 * sum(map(operator.mul, fours.values(), fours.values()))
-    return energy + sum(e * (8 * fours[key] + e) for key, e in rest.items())
+    vol, orders = len(logs[0]), [ctx.order - 1 for ctx in D.ctxs]
+    live = [all(map(operator.lt, point, orders)) for point in zip(*logs)]
+    dead = list(map(operator.not_, live))
+    live_half, dead_half, lives, deads = (
+        [list(itertools.compress(field, mask)) for field in logs]
+        for mask in (live[:vol // 2], dead[:vol // 2], live, dead))
+    coords, keys, sign = _sign_quotient(D, live_half)
+    pairs = Counter()
+    for j, adds in enumerate(zip(*([a.__add__ for a in field] for field in coords))):
+        pairs.update(keys(map(map, adds, [field[j + 1:] for field in coords])))
+    diagonal = Counter(keys([a + a for a in field] for field in coords))
+    energy = 4 * sum(map(operator.mul, pairs.values(), pairs.values()))
+    energy += sum(d * (4 * pairs[key] + d) for key, d in diagonal.items())
+
+    zeros = Counter()
+    for weight, partners in ((4, lives), (2, deads)):
+        for key, c in _pair_histogram(D, dead_half, partners).items():
+            zeros[key] += weight * c
+    zeros[math.prod(ctx.order for ctx in D.ctxs) - 1] += vol + len(lives[0])
+    return 16 // sign * energy + sum(map(operator.mul, zeros.values(), zeros.values()))
 
 
 def _inverse_logs(D: fm.NormFormDecomposition, logs) -> list:
@@ -193,7 +218,7 @@ def energy_histogram(inst: EnergyInstance) -> int:
     logs = _box_logs(D, box)
     # one box in both slots, with box == -box
     if inst.box_y == box and all(2 * n + h == -1 for n, h in zip(box.N, box.H)):
-        return _orbit_energy(D, logs)
+        return _quotient_energy(D, logs)
     hist = _pair_histogram(D, logs, _box_logs(D, inst.box_y))
     return sum(map(operator.mul, hist.values(), hist.values()))
 
@@ -240,10 +265,11 @@ def s1_identity_check(D: fm.NormFormDecomposition, box_x: fm.BoxSpec, box_y: fm.
     Returns (sum of eta^2, quadruple count, equal).  Also checks the
     Cauchy-Schwarz bound against the two single-box energies.
     """
-    quads = _restricted_split(D, (D,) * 4, box_x, box_y)[0]
-    # lambda(x)/lambda(y), counted over the pairs with no zero factor: those
-    # whose points are both live
-    ratios = _pair_histogram(D, _box_logs(D, box_x), _inverse_logs(D, _box_logs(D, box_y)))
+    _require_pairs(box_x, box_y)
+    logs_x, logs_y = _box_logs(D, box_x), _box_logs(D, box_y)
+    quads = _restricted_split(D, (D,) * 4, box_x, box_y, (logs_x, logs_x, logs_y, logs_y))[0]
+    # lambda(x)/lambda(y) over the pairs with no zero factor: both points live
+    ratios = _pair_histogram(D, logs_x, _inverse_logs(D, logs_y))
     s1 = sum(c * c for key, c in ratios.items() if not _has_zero_factor(D, key))
 
     e_x = energy_histogram(EnergyInstance(D, box_x, box_x))
@@ -291,24 +317,26 @@ def energy_restricted(inst: GeneralizedEnergyInstance):
     Returns (E_live, E_degenerate, total) with the first component counting
     quadruples whose tested products are all nonzero.  The defining
     equations force the two sides to vanish together, so testing all four
-    factors splits the same way; where _literal_loop_fits, the literal loop
+    factors splits the same way; within QUAD_CROSS_CHECK_CAP, the literal loop
     checks both splits in one pass.
     """
     D = inst.decomposition
     # lambda^j(x): the rows of a_j sliced by the partition, in the power bases
     Ds = [fm.NormFormDecomposition(D.p, D.n, D.partition, D.ctxs, _split_rows(M, D.partition))
           for M in inst.matrices]
-    return _restricted_split(D, Ds, inst.box_x, inst.box_y)
-
-
-def _restricted_split(D: fm.NormFormDecomposition, Ds, box_x: fm.BoxSpec, box_y: fm.BoxSpec):
-    """energy_restricted's split of the energy of the four systems Ds, with
-    lambda^1 and lambda^2 over box_x and lambda^3 and lambda^4 over box_y."""
+    box_x, box_y = inst.box_x, inst.box_y
     _require_pairs(box_x, box_y)
-    h14, h23 = (
-        _pair_histogram(D, _box_logs(Ds[i], box_x), _box_logs(Ds[j], box_y))
-        for i, j in ((0, 3), (1, 2))
-    )
+    logs = [_box_logs(Dj, box) for Dj, box in zip(Ds, (box_x, box_x, box_y, box_y))]
+    return _restricted_split(D, Ds, box_x, box_y, logs)
+
+
+def _restricted_split(D: fm.NormFormDecomposition, Ds, box_x: fm.BoxSpec, box_y: fm.BoxSpec,
+                      logs):
+    """energy_restricted's split of the energy of the four systems Ds, with
+    lambda^1 and lambda^2 over box_x and lambda^3 and lambda^4 over box_y,
+    from their _box_logs; h14 is h23 when each box has one system."""
+    h14 = _pair_histogram(D, logs[0], logs[3])
+    h23 = h14 if Ds[0] is Ds[1] and Ds[2] is Ds[3] else _pair_histogram(D, logs[1], logs[2])
     total = live = degenerate = 0
     for key, c14 in h14.items():
         c = c14 * h23.get(key, 0)
@@ -320,7 +348,7 @@ def _restricted_split(D: fm.NormFormDecomposition, Ds, box_x: fm.BoxSpec, box_y:
     if live + degenerate != total:
         raise la.CheckFailed(f"live {live} + degenerate {degenerate} != {total}")
 
-    if _literal_loop_fits(box_x, box_y):
+    if quadruple_cost(box_x.volume, box_y.volume) <= QUAD_CROSS_CHECK_CAP:
         tables = (_lam_table(Dj, box) for Dj, box in zip(Ds, (box_x, box_x, box_y, box_y)))
         count = two = four = 0
         for l1, l2, l3, l4 in _literal_quadruples(D, *tables):

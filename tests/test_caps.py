@@ -290,7 +290,7 @@ class TestCommandCap:
         [
             (["weil-check", "--p", "3", "--k", "12"], 3),
             (["weil-check", "--p", "3", "--k", "1", "--r", "100000000"], 3),
-            (["energy-scan", "--p-range", "3..999983", "--n", "1", "--seed", "1"], 18229),
+            (["energy-scan", "--p-range", "3..999983", "--n", "1", "--seed", "1"], 29581),
             # each prime's F_p log table and printed weight cells, not its box
             (["bound-table", "--p-range", "3..20000", "--n", "1", "--k", "1", "--seed", "1"],
              19273),
@@ -347,9 +347,9 @@ class TestCommandCap:
     def test_the_walk_stops_at_the_first_prime_past_the_cap(self, monkeypatch):
         is_prime, tested = la.is_prime, []
         monkeypatch.setattr(la, "is_prime", lambda p: tested.append(p) or is_prime(p))
-        with pytest.raises(hn.UsageError, match="by p=18229,"):
+        with pytest.raises(hn.UsageError, match="by p=29581,"):
             hn.run_energy_scan(hn.ExperimentConfig("energy-scan", 3, 999983, seed=1))
-        assert max(tested) == 18229
+        assert max(tested) == 29581
 
     def test_each_arity_has_its_own_pair_weight(self, monkeypatch):
         weights = [en.pair_ns(n) for n in (1, 2, 3, 4, 9)]

@@ -473,6 +473,29 @@ class TestRestricted:
         with pytest.raises(la.CheckFailed, match=f"testing {factors} factors"):
             en.energy_restricted(gi)
 
+    def test_one_histogram_only_when_each_box_has_one_system(self, monkeypatch):
+        # h14 and h23 are one histogram when Ds[0] is Ds[1] and Ds[2] is Ds[3],
+        # as in s1_identity_check; paired as (a, b, b, a) over two unequal
+        # boxes they differ, and the split still builds both
+        rng = random.Random(41)
+        D = fm.random_decomposition(5, 2, (1, 1), rng)
+        Da, Db = (
+            fm.NormFormDecomposition(5, 2, D.partition, D.ctxs,
+                                     en._split_rows(_random_nonsingular(rng, 2, 5), D.partition))
+            for _ in range(2)
+        )
+        bx, by = box((-1, -1), (3, 3)), box((0, -2), (2, 3))
+        histogram, built = en._pair_histogram, []
+        monkeypatch.setattr(en, "_pair_histogram", lambda *a: built.append(a) or histogram(*a))
+        for Ds, histograms in [((D,) * 4, 1), ((Da, Db, Db, Da), 2)]:
+            del built[:]
+            slots = list(zip(Ds, (bx, bx, by, by)))
+            split = en._restricted_split(D, Ds, bx, by, [en._box_logs(Dj, b) for Dj, b in slots])
+            literal = list(en._literal_quadruples(D, *(en._lam_table(Dj, b) for Dj, b in slots)))
+            assert len(built) == histograms
+            assert split[0] == sum(1 for l1, *_, l4 in literal if all(map(any, l1 + l4)))
+            assert split[2] == len(literal)
+
     def test_single_point_second_box(self):
         ident = ((1,),)
         gi = en.GeneralizedEnergyInstance(
@@ -704,7 +727,7 @@ class TestLogDomain:
         # factors) and on a box whose first side is longer than p, where
         # distinct points are congruent mod p
         D = fm.random_decomposition(p, n, partition, random.Random(p * 10 + n + len(partition)))
-        keys = en._class_keys(D)
+        keys = en._class_keys([(fc.log_fold(ctx), ctx.order) for ctx in D.ctxs])
         for b in (fm.BoxSpec.symmetric((1,) * n), box((-1,) * n, (p + 2,) + (2,) * (n - 1))):
             logs, table = en._box_logs(D, b), en._lam_table(D, b)
             for point, lx in zip(zip(*logs), table):
@@ -744,50 +767,116 @@ class TestLogDomain:
 ORBIT_CASES = [case + (H,) for case in LOG_DOMAIN_CASES for H in (0, 1, 2)] + [
     (2, 1, (1,), 5), (2, 2, (1, 1), 3), (3, 1, (1,), 4), (3, 2, (2,), 3), (5, 1, (1,), 7),
 ] + [case + (1,) for case in LARGER_FIELD_CASES]
+# windows with dead points off the origin: one factor of several vanishes on
+# a subspace, and at H >= p every factor vanishes at each multiple of p
+DEAD_POINT_CASES = [
+    (3, 2, (1, 1), 3), (5, 2, (1, 1), 2), (2, 3, (1, 1, 1), 2), (3, 3, (1, 1, 1), 1),
+    (3, 3, (2, 1), 3), (5, 3, (2, 1), 1), (2, 3, (2, 1), 2), (3, 1, (1,), 3),
+]
 
 
-class TestOrbits:
+def _window(p, n, partition, H, shape="cube"):
+    """A seeded decomposition and its symmetric window; a ragged window
+    widens its last side by one."""
+    D = fm.random_decomposition(p, n, partition, random.Random(p * 100 + n * 10 + H))
+    return D, fm.BoxSpec.symmetric((H,) * (n - 1) + (H + (shape == "ragged"),))
+
+
+def _dead_off_origin(D, b) -> int:
+    """The points of the box other than the origin where some lambda_i vanishes."""
+    return sum(1 for x in b.iter_points()
+               if any(x) and not all(any(D.lam(i, x)) for i in range(D.s)))
+
+
+class TestSignQuotient:
     @pytest.mark.parametrize("shape", ["cube", "ragged"])
-    @pytest.mark.parametrize("p,n,partition,H", ORBIT_CASES)
-    def test_orbit_route_matches_one_box_and_two_list_routes(self, p, n, partition, H, shape):
-        # a ragged box widens its last side by one, so the orbit route's
-        # negatives (index vol - 1 - i) are read off a box with unequal sides
-        D = fm.random_decomposition(p, n, partition, random.Random(p * 100 + n * 10 + H))
-        b = fm.BoxSpec.symmetric((H,) * (n - 1) + (H + (shape == "ragged"),))
+    @pytest.mark.parametrize("p,n,partition,H", ORBIT_CASES + DEAD_POINT_CASES)
+    def test_quotient_route_matches_one_box_and_two_list_routes(self, p, n, partition, H, shape):
+        # a ragged box reads the negatives (index vol - 1 - i) off unequal sides
+        D, b = _window(p, n, partition, H, shape)
         logs = en._box_logs(D, b)
-        orbit = en._orbit_energy(D, logs)
+        energy = en._quotient_energy(D, logs)
         copy = [list(field) for field in logs]
         for hist in (en._pair_histogram(D, logs, logs), en._pair_histogram(D, logs, copy)):
             assert sum(hist.values()) == b.volume**2
-            assert orbit == sum(c * c for c in hist.values())
+            assert energy == sum(c * c for c in hist.values())
         if en.quadruple_cost(b.volume, b.volume) <= en.QUAD_CROSS_CHECK_CAP:
-            assert orbit == en.energy_quadruple_loop(en.EnergyInstance(D, b, b))
+            assert energy == en.energy_quadruple_loop(en.EnergyInstance(D, b, b))
+
+    def test_cases_hit_dead_points_off_the_origin(self):
+        for p, n, partition, H in DEAD_POINT_CASES:
+            assert _dead_off_origin(*_window(p, n, partition, H)), (p, n, partition, H)
+        # the grid's windows hit them too: where one of two factors vanishes
+        # on a line, and in one field at H >= p
+        assert any(_dead_off_origin(*_window(*case)) for case in ORBIT_CASES if case[2] == (1, 1))
+        assert any(_dead_off_origin(*_window(*case)) for case in ORBIT_CASES
+                   if case[2] == (1,) and case[0] <= case[3])
 
     def test_negatives_are_the_reversed_box(self):
-        # the orbit route reads point i's negative at index vol - 1 - i
+        # the quotient route reads point i's negative at index vol - 1 - i
         for H in [(0,), (2,), (1, 0), (2, 1), (1, 2, 1)]:
             points = list(fm.BoxSpec.symmetric(H).iter_points())
             assert [tuple(-v for v in x) for x in points] == points[::-1]
 
-    def test_only_symmetric_one_box_windows_take_the_orbit_route(self, monkeypatch):
+    @pytest.mark.parametrize("p,n,partition", [
+        (2, 2, (1, 1)), (2, 3, (2, 1)), (3, 2, (2,)), (3, 2, (1, 1)), (5, 2, (1, 1)),
+        (3, 3, (2, 1)), (3, 3, (1, 1, 1)), (5, 3, (2, 1)), (7, 2, (2,)),
+    ])
+    def test_keys_are_the_classes_up_to_minus_one(self, p, n, partition):
+        # every pair of live points of F_p^n, as a window of half-width p // 2
+        # (all of F_2^n at p = 2): (x, y) and (-x, y) share a key, and two
+        # pairs share one exactly when their classes agree up to -1
+        D, b = _window(p, n, partition, max(1, p // 2))
+        logs, table = en._box_logs(D, b), en._lam_table(D, b)
+        live = [i for i, lx in enumerate(table) if all(map(any, lx))]
+        coords, keys, sign = en._sign_quotient(D, [[f[i] for i in live] for f in logs])
+        assert sign == (1 if p == 2 else 2)
+        classes, key_of = {}, {}
+        for j, x in enumerate(live):
+            row = keys([[a + t for t in field] for a, field in zip((f[j] for f in coords), coords)])
+            for key, y in zip(row, live):
+                up_to_sign = {product_key(D, table[x], table[y]),
+                              product_key(D, table[-1 - x], table[y])}
+                assert classes.setdefault(key, up_to_sign) == up_to_sign
+                assert key_of.setdefault(min(up_to_sign), key) == key
+
+    def test_p_two_keeps_the_logs_and_an_odd_pivot_is_not_field_zero(self):
+        def live_logs(D, b):
+            orders = [ctx.order - 1 for ctx in D.ctxs]
+            logs = en._box_logs(D, b)
+            live = [all(t < o for t, o in zip(point, orders)) for point in zip(*logs)]
+            return [list(itertools.compress(field, live)) for field in logs]
+
+        D, b = _window(2, 3, (2, 1), 2)
+        live = live_logs(D, b)
+        assert en._sign_quotient(D, live)[0] == live
+        # q - 1 = 8 and 2 at p = 3: the pivot is F_3, field 1, with a_1 mod 1
+        # and a_0 - c a_1 mod 8, c 1 = 4 mod 8
+        D, b = _window(3, 3, (2, 1), 1)
+        live = live_logs(D, b)
+        assert en._sign_quotient(D, live)[0] == [
+            [(a - 4 * t) % 8 for a, t in zip(*live)], [0] * len(live[1])
+        ]
+
+    def test_only_symmetric_one_box_windows_take_the_quotient_route(self, monkeypatch):
         D = fm.random_decomposition(7, 2, (1, 1), random.Random(4))
-        orbit_calls = []
-        orbit = en._orbit_energy
+        calls = []
+        route = en._quotient_energy
         monkeypatch.setattr(
-            en, "_orbit_energy", lambda *args: orbit_calls.append(args) or orbit(*args)
+            en, "_quotient_energy", lambda *args: calls.append(args) or route(*args)
         )
         symmetric = fm.BoxSpec.symmetric((2, 1))
-        for bx, by, route in [
+        for bx, by, taken in [
             (symmetric, symmetric, 1),
             (fm.BoxSpec.symmetric((0, 0)), fm.BoxSpec.symmetric((0, 0)), 1),
             (box((-3, -2), (5, 4)), box((-3, -2), (5, 4)), 0),  # [-2, 2] x [-1, 2]
             (box((-2, -1), (5, 3)), box((-2, -1), (5, 3)), 0),  # [-1, 3] x [0, 2]
             (symmetric, fm.BoxSpec.symmetric((1, 1)), 0),
         ]:
-            del orbit_calls[:]
+            del calls[:]
             inst = en.EnergyInstance(D, bx, by)
             assert en.energy_histogram(inst) == en.energy_quadruple_loop(inst)
-            assert len(orbit_calls) == route, (bx, by)
+            assert len(calls) == taken, (bx, by)
 
     @pytest.mark.parametrize("p,n,partition", [
         (2, 1, (1,)), (2, 2, (1, 1)), (3, 2, (2,)), (7, 2, (1, 1)), (5, 3, (2, 1)),
