@@ -26,7 +26,6 @@ from . import linalg as la
 
 BOX_CAP = 10**8
 MOMENT_CAP = 10**7
-BAD_TUPLE_CAP = 10**7
 # the fastest measured times of one unit of each cost below, in ns (on a
 # 2-vCPU virtual machine): the weights of these costs in a command's cost.
 # A box point of one route took 900 to 1,150 and a term of
@@ -247,28 +246,6 @@ def s2_moment(
         "bound_terms": bound_terms,
         "ratio": value / (bound_terms[0] + bound_terms[1]),
     }
-
-
-def bad_tuple_count(T: int, r: int) -> tuple[int, int]:
-    """Count tuples in (0, T]^{2r} in which every entry value repeats.
-
-    A tuple counts when each of its values appears at least twice among the
-    2r entries, which forces at most r distinct values.  Returns (count,
-    bound) where bound = sum_{m=1}^{r} 2^{2r-2} T^m m^{2r-m}; count <= bound
-    is checked.
-    """
-    if T < 1 or r < 1:
-        raise ValueError("window and exponent must be positive")
-    if T ** (2 * r) > BAD_TUPLE_CAP:
-        raise ValueError("tuple enumeration infeasible at this size")
-    count = 0
-    for t in itertools.product(range(1, T + 1), repeat=2 * r):
-        if all(c >= 2 for c in Counter(t).values()):
-            count += 1
-    bound = sum(2 ** (2 * r - 2) * T**m * m ** (2 * r - m) for m in range(1, r + 1))
-    if count > bound:
-        raise la.CheckFailed(f"bad tuple count {count} exceeds its bound {bound}")
-    return count, bound
 
 
 @dataclass(frozen=True)

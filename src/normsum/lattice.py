@@ -249,10 +249,6 @@ def dual_lattice(L: IntegerLattice) -> IntegerLattice:
     return dual
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
 def _box_gauge(H: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Integer form of the box gauge: max_i |v_i| / H_i = max_i w_i |v_i| / scale.
 
@@ -267,19 +263,20 @@ def _box_gauge(H: Sequence[int]) -> tuple[int, tuple[int, ...]]:
 # the weights of a whole `harness.run_lattice` lattice, in ns: LATTICE_NS, plus
 # MINIMA_PREFIX_NS[n - 1] per minima_cost prefix.  Timed prime by prime (seed 1,
 # 2-vCPU virtual machine), a lattice took 1.6 to 19 ms at p <= 7, most of it the
-# decompositions, HNF and three dual routes.  Less 2 ms, it took per prefix (lower
-# to upper quartile) 5,900 to 17,000 at n = 1 (p = 101 to 3,119), 27,000 to 47,000
-# at n = 2 (p = 101 to 997) and 48,000 to 78,000 at n = 3 (p = 13 to 97); single
-# lattices run up to 10x slower as the seed moves their minima.  The weights are
-# about the medians, so a range is priced a little under its time: 4.8 s against
-# 4.7 to 5.6 s at p = 3..400, n = 2, and 3.9 s against 5.0 s at p = 3..60, n = 3
+# decompositions, HNF and three dual routes.  Per prefix, the walk took (median,
+# best of 9 a prime) 6,900, 4,200 and 7,000 ns at n = 1, 2, 3 (p = 101 to 3,119,
+# 101 to 997, 13 to 97): 0.49, 0.21 and 0.21 of the whole-ball walk from radius 1
+# there, so the weights are that walk's (10,000, 40,000, 60,000) so scaled.  A
+# range is priced at or over its time: 1.25 s for 1.19 to 1.36 s at p = 3..400,
+# n = 2; the widest admitted ran 18.4 s (3..3078, n = 2) and 11.8 s (3..310, n = 3)
 LATTICE_NS = 2_000_000
-MINIMA_PREFIX_NS = (10_000, 40_000, 60_000)
+MINIMA_PREFIX_NS = (5_000, 8_500, 12_500)
 
 
 def minima_cost(p: int, n: int) -> int:
-    """The prefixes (x_1..x_n) _gauge_ball walks in [-isqrt p, isqrt p]^2n: the
-    basis [[I, 0], [S, pI]] has pivot 1 at each x_i, and p at each y_i."""
+    """The prefixes (x_1..x_n) in [-isqrt p, isqrt p]^n, as the basis [[I, 0],
+    [S, pI]] has pivot 1 at each x_i and p at each y_i: _gauge_ball walks the
+    half of them whose first nonzero coordinate is positive, at each budget."""
     return (2 * max(1, math.isqrt(p)) + 1) ** n
 
 
@@ -293,19 +290,19 @@ def _gauge_ball(
     row j, pivot cols[j][j] > 0), so coordinate j is final once coefficient
     j is chosen: the recursion carries the gauge of the coordinates fixed so
     far and bounds each coefficient by the budget that remains, so no point
-    outside the ball is visited (Fincke-Pohst pruning).
+    outside the ball is visited (Fincke-Pohst pruning).  As g(-v) = g(v), only
+    the vectors whose first nonzero coefficient is positive are walked; the
+    zero vector and their negations are appended.
     """
     d = len(cols)
     out: list[tuple[int, tuple[int, ...]]] = []
     v = [0] * d
 
-    def rec(j: int, acc: int) -> None:
-        wj, col = w[j], cols[j]
-        piv, x0 = col[j], v[j]
-        W = ((budget - acc) if additive else budget) // wj
-        lo = _ceil_div(-W - x0, piv)
-        hi = (W - x0) // piv
+    def rec(j: int, acc: int, lo: int, hi: int) -> None:
+        # coefficients lo..hi of column j, a nonempty range, on top of v
+        wj, col, piv = w[j], cols[j], cols[j][j]
         if j == d - 1:
+            x0 = v[j]
             for x in range(x0 + lo * piv, x0 + hi * piv + 1, piv):
                 v[j] = x
                 g = wj * abs(x)
@@ -315,14 +312,28 @@ def _gauge_ball(
         saved = v[j:]
         for i in range(j, d):
             v[i] += lo * col[i]
+        k = j + 1
+        wk, pk = w[k], cols[k][k]
         for _ in range(lo, hi + 1):
             g = wj * abs(v[j])
-            rec(j + 1, acc + g if additive else max(acc, g))
+            a = acc + g if additive else max(acc, g)
+            W = ((budget - a) if additive else budget) // wk
+            x0 = v[k]
+            lo_k, hi_k = -((W + x0) // pk), (W - x0) // pk
+            if lo_k <= hi_k:
+                rec(k, a, lo_k, hi_k)
             for i in range(j, d):
                 v[i] += col[i]
         v[j:] = saved
 
-    rec(0, 0)
+    # coefficients 0 before column j leave v = 0, so j's range is symmetric
+    for j in range(d):
+        hi = budget // w[j] // cols[j][j]
+        if hi:
+            rec(j, 0, 1, hi)
+    half = len(out)
+    out.append((0, tuple(v)))
+    out.extend([(g, tuple([-x for x in u])) for g, u in out[:half]])
     return out
 
 
@@ -352,6 +363,15 @@ def points_in_box(L: IntegerLattice, H: Sequence[int]):
     scale, w = _box_gauge(H)
     pts = sorted(v for _, v in _gauge_ball(L.columns(), w, scale, False))
     return len(pts), tuple(pts)
+
+
+def _iroot(N: int, d: int) -> int:
+    """The largest b >= 1 with b^d <= N, or 1, by integer Newton steps from
+    above; a step from over the root never falls below its floor."""
+    b = 1 << -(-N.bit_length() // d)
+    while b > 1 and b**d > N:
+        b = ((d - 1) * b + N // b ** (d - 1)) // d
+    return b
 
 
 @dataclass(frozen=True)
@@ -384,10 +404,16 @@ def successive_minima(
     # |v| = g(v) / scale with an integer gauge g; sorting on (g, v) is
     # sorting on (|v|, v).
     scale, w = _box_gauge(H) if gauge == "box" else (1, H)
+    det, low = L.det(), Fraction(2**d, math.factorial(d))
+    vol = math.prod(2 * h for h in H) if gauge == "box" else low / math.prod(H)
+    # by Minkowski's second theorem the g-minima multiply to at least c scale^d,
+    # c = (2^d / d!) det / vol: start at its d-th root.  The greedy pass reads
+    # only candidates with g <= lambda_d scale, so every increasing schedule of
+    # budgets gives the same minima.
+    budget = _iroot(math.floor(low * det / vol * scale**d), d)
     cols = L.columns()
-    radius = 1
     while True:
-        cand = sorted(_gauge_ball(cols, w, radius * scale, gauge == "polar"))
+        cand = sorted(_gauge_ball(cols, w, budget, gauge == "polar"))
         echelon = la.IntegerEchelon()
         chosen: list[tuple[int, ...]] = []
         gauges: list[int] = []
@@ -399,16 +425,10 @@ def successive_minima(
                     break
         if len(chosen) == d:
             break
-        radius *= 2
+        budget = max(budget + 1, math.isqrt(2 * budget * budget))
     minima = [Fraction(g, scale) for g in gauges]
-
-    det = L.det()
-    if gauge == "box":
-        vol = Fraction(math.prod(2 * h for h in H))
-    else:
-        vol = Fraction(2**d, math.factorial(d) * math.prod(H))
     ratio = vol * math.prod(minima, start=Fraction(1)) / det
-    if not Fraction(2**d, math.factorial(d)) <= ratio <= 2**d:
+    if not low <= ratio <= 2**d:
         raise la.CheckFailed(f"minima product outside the Minkowski range: {ratio}")
     s = sum(1 for lam in minima if lam <= 1)
     return SuccessiveMinimaReport(tuple(minima), s, tuple(chosen))

@@ -704,44 +704,6 @@ class TestFactorClass:
             cs.factor_class([(1, 0)], 5, 2)
 
 
-class TestBadTuples:
-    def test_frozen(self):
-        assert cs.bad_tuple_count(1, 1) == (1, 1)
-        assert cs.bad_tuple_count(2, 2) == (8, 72)
-
-    def test_r1_diagonal(self):
-        for T in range(1, 7):
-            count, bound = cs.bad_tuple_count(T, 1)
-            assert count == T
-            assert bound == T
-
-    def test_sweep(self):
-        for r in (1, 2, 3):
-            prev = 0
-            for T in range(1, 7):
-                count, bound = cs.bad_tuple_count(T, r)
-                assert count <= bound
-                assert count >= prev
-                prev = count
-
-    def test_at_most_r_distinct_values(self):
-        for T, r in [(3, 2), (4, 2), (3, 3)]:
-            for t in itertools.product(range(1, T + 1), repeat=2 * r):
-                tally = {}
-                for v in t:
-                    tally[v] = tally.get(v, 0) + 1
-                if all(c >= 2 for c in tally.values()):
-                    assert len(tally) <= r
-
-    def test_errors(self):
-        with pytest.raises(ValueError, match="positive"):
-            cs.bad_tuple_count(0, 1)
-        with pytest.raises(ValueError, match="positive"):
-            cs.bad_tuple_count(2, 0)
-        with pytest.raises(ValueError, match="infeasible"):
-            cs.bad_tuple_count(40, 3)
-
-
 # the shapes 1 <= n <= k < 2n up to n = 3, and the kappas of the grid
 SHAPES = [(n, k) for n in (1, 2, 3) for k in range(n, 2 * n)]
 KAPPAS = (0.001, 0.01, 0.1, 0.25, 0.5, 1.0, 3.0)

@@ -153,10 +153,10 @@ DIGESTS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),
-    # refused at p=997 by the command cap, before any lattice
+    # refused at p=3079 by the command cap, before any lattice
     "lattice-refused": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "dbe0650de95a4c26a2a972b390ad7c87076178a30f531d33ce18243878c4c975",
+        "5cd33bb7beb65d4da29fb7023a2a6dec05594237833de56178cae8f430c5125a",
         2,
     ),
     "moment": (

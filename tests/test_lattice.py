@@ -6,6 +6,7 @@ import math
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -509,7 +510,7 @@ def _reference_coeff_points(L, W):
             out.append(tuple(v))
             return
         piv = cols[j][j]
-        lo = lt._ceil_div(-W[j] - v[j], piv)
+        lo = -((W[j] + v[j]) // piv)
         hi = (W[j] - v[j]) // piv
         for c in range(lo, hi + 1):
             for i in range(j, d):
@@ -602,6 +603,8 @@ ORACLE_CASES = [
     (5, 3, (3,), [(1, 2, 1, 1, 2, 1)]),
     (6, 3, (2, 1), [(2, 1, 1, 1, 1, 2)]),
     (7, 3, (1, 1, 1), []),
+    # the box minima start at Minkowski's bound, past radius 1
+    (8, 23, (1, 1), [(1, 1, 1, 1)]),
 ]
 
 
@@ -635,6 +638,120 @@ def test_polar_ball_matches_filtered_scan(seed, p, partition, H):
     for r in range(r_max + 1):
         ball = lt._gauge_ball(cols, H, r, True)
         assert sorted(ball) == sorted((g, v) for g, v in scan if g <= r)
+
+
+def reference_gauge_ball(cols, w, budget, additive):
+    """The whole ball, both signs of every coefficient walked: the oracle of
+    _gauge_ball, which walks half of it."""
+    d = len(cols)
+    out = []
+    v = [0] * d
+
+    def rec(j: int, acc: int) -> None:
+        wj, col = w[j], cols[j]
+        piv, x0 = col[j], v[j]
+        W = ((budget - acc) if additive else budget) // wj
+        lo = -((W + x0) // piv)
+        hi = (W - x0) // piv
+        if j == d - 1:
+            for x in range(x0 + lo * piv, x0 + hi * piv + 1, piv):
+                v[j] = x
+                g = wj * abs(x)
+                out.append((acc + g if additive else max(acc, g), tuple(v)))
+            v[j] = x0
+            return
+        saved = v[j:]
+        for i in range(j, d):
+            v[i] += lo * col[i]
+        for _ in range(lo, hi + 1):
+            g = wj * abs(v[j])
+            rec(j + 1, acc + g if additive else max(acc, g))
+            for i in range(j, d):
+                v[i] += col[i]
+        v[j:] = saved
+
+    rec(0, 0)
+    return out
+
+
+def _assert_half_walk_matches_the_full_walk(L, H):
+    """Both gauges of the sides H, over budgets from 0 past the box's radius 1:
+    the same multiset of (g, v), each vector once."""
+    cols = L.columns()
+    scale, w = lt._box_gauge(H)
+    gauges = [(w, scale, False)]
+    if all(H):
+        gauges.append((H, max(H) * len(H), True))
+    for weights, top, additive in gauges:
+        for budget in sorted({0, 1, top // 2, top - 1, top, top + 1, 2 * top}):
+            got = lt._gauge_ball(cols, weights, budget, additive)
+            want = reference_gauge_ball(cols, weights, budget, additive)
+            assert Counter(got) == Counter(want), (L.basis, weights, budget, additive)
+            assert len(got) == len(set(v for _, v in got))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("partition", [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)])
+def test_half_walk_matches_the_full_walk_on_congruence_lattices(p, partition):
+    n = sum(partition)
+    L = seeded_lattice(p * 10 + n, p, partition)
+    side = max(1, math.isqrt(p))
+    boxes = [(side,) * (2 * n), tuple(range(1, 2 * n + 1)), (0,) + (side,) * (2 * n - 1)]
+    if n == 3:  # two boxes keep d = 6 short
+        boxes = [(side,) * 6, (0, 1, 2, 1, 2, 1)]
+    for lattice in (L, lt.dual_lattice(L)):
+        for H in boxes:
+            _assert_half_walk_matches_the_full_walk(lattice, H)
+
+
+@pytest.mark.parametrize("basis", [
+    ((1, 0), (0, 1)),
+    ((2, 0), (-3, 5)),
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((3, 0, 0), (1, 2, 0), (-4, 5, 7)),
+    ((1, 0, 0, 0), (0, 1, 0, 0), (2, 3, 5, 0), (4, 1, 0, 5)),
+])
+def test_half_walk_matches_the_full_walk_on_triangular_bases(basis):
+    L = lt.IntegerLattice(len(basis), basis)
+    d = L.dim
+    for H in [(1,) * d, (2,) * d, tuple(range(1, d + 1)), (0,) + (3,) * (d - 1),
+              (3,) * (d - 1) + (0,), (0,) * d]:
+        _assert_half_walk_matches_the_full_walk(L, H)
+
+
+def test_iroot_is_the_integer_root():
+    for d in range(1, 7):
+        for N in range(300):
+            want = max([b for b in range(1, 300) if b**d <= N], default=1)
+            assert lt._iroot(N, d) == want, (N, d)
+    N = 3**200 + 5
+    b = lt._iroot(N, 6)
+    assert b**6 <= N < (b + 1) ** 6
+
+
+def test_minima_walks_start_at_minkowskis_bound_and_grow_by_sqrt_2(monkeypatch):
+    walked = []
+    ball = lt._gauge_ball
+    monkeypatch.setattr(lt, "_gauge_ball", lambda *a: walked.append(a[2]) or ball(*a))
+    for seed, p, partition, sides in ORACLE_CASES:
+        L = seeded_lattice(seed, p, partition)
+        d = L.dim
+        for H in [(max(1, math.isqrt(p)),) * d] + sides:
+            for gauge in ("box", "polar"):
+                walked.clear()
+                rep = lt.successive_minima(L, H, gauge=gauge)
+                scale = lt._box_gauge(H)[0] if gauge == "box" else 1
+                vol = (
+                    math.prod(2 * h for h in H) if gauge == "box"
+                    else Fraction(2**d, math.factorial(d) * math.prod(H))
+                )
+                floor = math.floor(Fraction(2**d, math.factorial(d)) * L.det() / vol * scale**d)
+                start = max([b for b in range(1, 10**4) if b**d <= floor], default=1)
+                assert walked[0] == start
+                for a, b in zip(walked, walked[1:]):
+                    assert b == max(a + 1, math.isqrt(2 * a * a))
+                last = rep.minima[-1] * scale
+                assert walked[-1] >= last and all(b < last for b in walked[:-1])
 
 
 def test_box_gauge_weights():

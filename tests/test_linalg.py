@@ -354,7 +354,6 @@ UNREFERENCED_PUBLIC = {
         "paper quantity: the energy split by vanishing of lambda^1; its split also runs "
         "in s1_identity_check"
     ),
-    "charsum.bad_tuple_count": "paper quantity: tuples whose entries all repeat, with its bound",
 }
 
 
