@@ -299,11 +299,6 @@ def norm_via_conjugates(ctx: ExtFieldCtx, a) -> int:
 # raw-coordinate kernels: functions on coefficient tuples, one per context
 
 
-def _det3(M, p: int) -> int:
-    (a, b, c), (d, e, f), (g, h, i) = M
-    return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
-
-
 def mult_columns(ctx: ExtFieldCtx, a) -> list:
     """The columns a, w a, ..., w^(m-1) a of the matrix of multiplication by a
     on the power basis, w the generator: each is the one before shifted up a
@@ -330,10 +325,18 @@ def norm_kernel(ctx: ExtFieldCtx):
     """N(a) in F_p from the coefficient tuple of a, cached per context.
 
     The norm is the determinant of multiplication by a (Lidl-Niederreiter,
-    Finite Fields, ch. 2).  Degree 1 is the coordinate itself and degree 2
-    the quadratic a0^2 - f1 a0 a1 + f0 a1^2 for f = X^2 + f1 X + f0.  For
-    degree m >= 3 it is the determinant of mult_columns, expanded in closed
-    form at m = 3.  Coordinates need not be reduced mod p.
+    Finite Fields, ch. 2), in closed forms through degree 3.  Degree 1 is
+    the coordinate itself, degree 2 the quadratic a0^2 - f1 a0 a1 + f0 a1^2
+    for f = X^2 + f1 X + f0, and degree 3 the cubic form det(mult_columns)
+    expanded over Z for f = X^3 + f2 X^2 + f1 X + f0:
+
+      x^3 - f2 x^2 y + (f2^2 - 2 f1) x^2 z + f1 x y^2 + (3 f0 - f1 f2) x y z
+      + (f1^2 - 2 f0 f2) x z^2 - f0 y^3 + f0 f2 y^2 z - f0 f1 y z^2 + f0^2 z^3
+
+    at a = x + y w + z w^2, with its 9 constants taken once per context.
+    Degree 4 is the determinant of mult_columns by Laplace expansion in
+    complementary 2 x 2 minors, and degree m >= 5 linalg.mat_det of it.
+    Coordinates need not be reduced mod p.
     """
     p, m = ctx.p, ctx.m
     if m == 1:
@@ -345,11 +348,29 @@ def norm_kernel(ctx: ExtFieldCtx):
         def kernel(a):
             a0, a1 = a
             return (a0 * (a0 - f1 * a1) + f0 * a1 * a1) % p
-    else:
-        det = _det3 if m == 3 else linalg.mat_det
+    elif m == 3:
+        f0, f1, f2 = ctx.defining_poly[:3]
+        # each constant named by its monomial
+        xxy, xxz, xyy, xyz = -f2, f2 * f2 - 2 * f1, f1, 3 * f0 - f1 * f2
+        xzz, yyy, yyz, yzz, zzz = f1 * f1 - 2 * f0 * f2, -f0, f0 * f2, -f0 * f1, f0 * f0
 
         def kernel(a):
-            return det(mult_columns(ctx, a), p)
+            x, y, z = a
+            return (x * (x * (x + xxy * y + xxz * z) + y * (xyy * y + xyz * z) + xzz * z * z)
+                    + y * y * (yyy * y + yyz * z) + z * z * (yzz * y + zzz * z)) % p
+    elif m == 4:
+        def kernel(a):
+            (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = (
+                mult_columns(ctx, a))
+            return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+                    - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+                    + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+                    + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+                    - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+                    + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)) % p
+    else:
+        def kernel(a):
+            return linalg.mat_det(mult_columns(ctx, a), p)
 
     return kernel
 
@@ -358,9 +379,12 @@ def norm_kernel(ctx: ExtFieldCtx):
 def mul_kernel(ctx: ExtFieldCtx):
     """Product of two coefficient tuples as a reduced tuple, cached per context.
 
-    Closed forms for degrees 1 and 2; degree m >= 3 multiplies the
-    polynomials and reduces by the monic defining polynomial, so no field
-    element is built per product.
+    Closed forms through degree 3.  At degree 3 the product's coefficients
+    of X^3 and X^4, d3 = a1 b2 + a2 b1 and d4 = a2 b2, are put back through
+    the reduction rows X^3 and X^4 mod f, read from mult_columns once per
+    context.  Degree m >= 4 multiplies the polynomials and reduces by the
+    monic defining polynomial, so no field element is built per product.
+    Coordinates need not be reduced mod p.
     """
     p, m = ctx.p, ctx.m
     f = ctx.defining_poly
@@ -375,6 +399,20 @@ def mul_kernel(ctx: ExtFieldCtx):
             return (
                 (a[0] * b[0] - f0 * t) % p,
                 (a[0] * b[1] + a[1] * b[0] - f1 * t) % p,
+            )
+    elif m == 3:
+        # X^3 and X^4 mod f: the columns w^3 and w^4 of multiplication by w^2
+        rows = mult_columns(ctx, (0, 0, 1))[1:]
+        (r0, r1, r2), (s0, s1, s2) = ([v % p for v in col] for col in rows)
+
+        def kernel(a, b):
+            a0, a1, a2 = a
+            b0, b1, b2 = b
+            d3, d4 = a1 * b2 + a2 * b1, a2 * b2
+            return (
+                (a0 * b0 + d3 * r0 + d4 * s0) % p,
+                (a0 * b1 + a1 * b0 + d3 * r1 + d4 * s1) % p,
+                (a0 * b2 + a1 * b1 + a2 * b0 + d3 * r2 + d4 * s2) % p,
             )
     else:
         tail = f[:m]

@@ -606,40 +606,6 @@ class TestEmbed:
         assert len(literal_checked) == 3
 
 
-class TestMulKernel:
-    @pytest.mark.parametrize(
-        "p,m", [(5, 1), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (2, 4)]
-    )
-    def test_matches_field_product_exhaustively(self, p, m):
-        ctx = fc.ext_field_ctx(p, m)
-        mul = fc.mul_kernel(ctx)
-        for a in ctx.iter_elements():
-            for b in ctx.iter_elements():
-                assert mul(a, b) == fc.ext_mul(ctx, a, b)
-
-    @pytest.mark.parametrize(
-        "p,poly", [(3, (2, 1, 1)), (5, (1, 1, 1)), (3, (2, 1, 1, 1)), (2, (1, 1, 1, 1, 1))]
-    )
-    def test_matches_field_product_in_full_presentations(self, p, poly):
-        # every coefficient of the defining polynomial is nonzero
-        ctx = fc.ext_field_ctx(p, len(poly) - 1, poly)
-        mul = fc.mul_kernel(ctx)
-        for a in ctx.iter_elements():
-            for b in ctx.iter_elements():
-                assert mul(a, b) == fc.ext_mul(ctx, a, b)
-
-    def test_general_degree_reduces_by_defining_poly(self):
-        ctx = fc.ext_field_ctx(2, 3)
-        mul = fc.mul_kernel(ctx)
-        g = ctx.gen()
-        cube = fc.ext_mul(ctx, fc.ext_mul(ctx, g, g), g)
-        assert mul(g, fc.ext_mul(ctx, g, g)) == cube
-
-    def test_cached_per_context(self):
-        ctx = fc.ext_field_ctx(3, 3)
-        assert fc.mul_kernel(ctx) is fc.mul_kernel(fc.ext_field_ctx(3, 3))
-
-
 def _partial_zero_point(D):
     """A point where some, but not every, lambda_i vanishes; None if none."""
     half = max(1, D.p // 2)

@@ -308,9 +308,19 @@ NONCANONICAL_FIELDS = [
     (3, 2, (2, 1, 1)), (5, 2, (1, 1, 1)), (7, 2, (3, 1, 1)), (3, 3, (2, 1, 1, 1)),
     (5, 3, (3, 1, 1, 1)), (2, 4, (1, 1, 1, 1, 1)), (3, 4, (1, 1, 1, 1, 1)),
 ]
+# every monic irreducible cubic over F_2, F_3 and F_5: each presentation of
+# F_8, F_27 and F_125 (F_{7^3} is in KERNEL_FIELDS)
+CUBIC_FIELDS = [
+    (p, 3, f + (1,)) for p in (2, 3, 5) for f in itertools.product(range(p), repeat=3)
+    if fc.is_irreducible_poly(f + (1,), p)
+]
 
 
-@pytest.mark.parametrize("p,m,poly", KERNEL_FIELDS + NONCANONICAL_FIELDS)
+def test_cubic_fields_are_every_presentation():
+    assert [sum(1 for q, _, _ in CUBIC_FIELDS if q == p) for p in (2, 3, 5)] == [2, 8, 40]
+
+
+@pytest.mark.parametrize("p,m,poly", KERNEL_FIELDS + NONCANONICAL_FIELDS + CUBIC_FIELDS)
 def test_norm_kernel_matches_exponent_and_conjugate_routes(p, m, poly):
     ctx = fc.ext_field_ctx(p, m, poly)
     kernel = fc.norm_kernel(ctx)
@@ -333,15 +343,98 @@ def test_trace_is_the_sum_of_the_conjugates(p, m, poly):
         assert total == ctx.from_int(fc.trace(ctx, a)), (ctx, a)
 
 
-@pytest.mark.parametrize("p,m", [(5, 1), (7, 2), (3, 3), (2, 4), (3, 5)])
+@pytest.mark.parametrize("p,m", [(5, 1), (7, 2), (3, 3), (5, 3), (7, 3), (2, 4), (3, 5)])
 def test_norm_kernel_accepts_unreduced_coordinates(p, m):
     ctx = fc.ext_field_ctx(p, m)
     kernel = fc.norm_kernel(ctx)
     rng = random.Random(p * 10 + m)
     for a in ctx.iter_elements():
-        lifted = tuple(c + p * rng.randint(-3, 3) for c in a)
+        lifted = _lift(a, p, rng)
         assert kernel(lifted) == kernel(a)
     assert fc.norm_kernel(ctx) is kernel
+
+
+def _lift(a, p, rng):
+    """a with each coordinate moved by a multiple of p, negative or not."""
+    return tuple(c + p * rng.randint(-3, 3) for c in a)
+
+
+def _element_pairs(ctx, sample=None):
+    """Every pair of elements of ctx, or a sample of that many pairs seeded
+    by the field and its presentation."""
+    elems = list(ctx.iter_elements())
+    if sample is None:
+        return list(itertools.product(elems, repeat=2))
+    rng = random.Random(str((ctx.p, ctx.defining_poly)))
+    return [(rng.choice(elems), rng.choice(elems)) for _ in range(sample)]
+
+
+def _product_pairs(ctx):
+    """Every pair up to q = 64, a seeded sample of 2,000 above."""
+    return _element_pairs(ctx, None if ctx.order <= 64 else 2000)
+
+
+class TestMulKernel:
+    @pytest.mark.parametrize("p,m,poly", KERNEL_FIELDS + NONCANONICAL_FIELDS + CUBIC_FIELDS)
+    def test_matches_field_product(self, p, m, poly):
+        ctx = fc.ext_field_ctx(p, m, poly)
+        mul = fc.mul_kernel(ctx)
+        for a, b in _product_pairs(ctx):
+            assert mul(a, b) == fc.ext_mul(ctx, a, b)
+
+    @pytest.mark.parametrize("col,j", list(itertools.product((1, 2), range(3))))
+    def test_an_altered_reduction_constant_is_caught(self, monkeypatch, col, j):
+        # X^3 or X^4 mod f off by one in coordinate j: the product test's
+        # sample finds a pair that the kernel built from it gets wrong
+        ctx = fc.ext_field_ctx(5, 3, (3, 1, 1, 1))
+        columns = fc.mult_columns
+
+        def altered(ctx, a):
+            cols = columns(ctx, a)
+            cols[col][j] += 1
+            return cols
+
+        monkeypatch.setattr(fc, "mult_columns", altered)
+        mul = fc.mul_kernel.__wrapped__(ctx)
+        assert any(mul(a, b) != fc.ext_mul(ctx, a, b) for a, b in _product_pairs(ctx))
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_accepts_unreduced_coordinates(self, p):
+        ctx = fc.ext_field_ctx(p, 3)
+        mul = fc.mul_kernel(ctx)
+        rng = random.Random(p)
+        for a, b in _element_pairs(ctx, 500):
+            assert mul(_lift(a, p, rng), _lift(b, p, rng)) == mul(a, b)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_reduces_by_defining_poly(self, m):
+        ctx = fc.ext_field_ctx(2, m)
+        mul = fc.mul_kernel(ctx)
+        g = ctx.gen()
+        top = fc.ext_pow(ctx, g, m - 1)
+        assert mul(g, top) == fc.ext_mul(ctx, g, top) == fc.ext_pow(ctx, g, m)
+        assert mul(top, top) == fc.ext_pow(ctx, g, 2 * m - 2)
+
+    def test_cached_per_context(self):
+        ctx = fc.ext_field_ctx(3, 3)
+        assert fc.mul_kernel(ctx) is fc.mul_kernel(fc.ext_field_ctx(3, 3))
+
+
+@pytest.mark.parametrize("p,poly", [(7, None), (5, (3, 1, 1, 1))])
+def test_degree_3_kernels_build_no_matrix(monkeypatch, p, poly):
+    # the closed forms read neither the multiplication columns nor a
+    # determinant per call
+    ctx = fc.ext_field_ctx(p, 3, poly)
+    norm, mul = fc.norm_kernel(ctx), fc.mul_kernel(ctx)
+    pairs = _element_pairs(ctx, 200)
+    expected = [(fc.norm_via_conjugates(ctx, a), fc.ext_mul(ctx, a, b)) for a, b in pairs]
+
+    def refused(*args):
+        raise AssertionError("a degree-3 kernel built a matrix")
+
+    monkeypatch.setattr(fc, "mult_columns", refused)
+    monkeypatch.setattr(la, "mat_det", refused)
+    assert [(norm(a), mul(a, b)) for a, b in pairs] == expected
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (3, 4)])
