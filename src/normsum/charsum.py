@@ -228,9 +228,13 @@ def s2_moment(
             tuple(N if N in column else sum(column) % N for column in zip(*z))
             for z in itertools.product(*fields)
         )
-    # each z is keyed by its sorted indices; keys of equal weights merge
+    # the z's are counted by their rows of indices, each distinct row is
+    # sorted once into its key, and keys of equal weights merge
+    keys = Counter()
+    for row, count in Counter(rows).items():
+        keys[tuple(sorted(row))] += count
     classes = Counter()
-    for key, count in Counter(map(tuple, map(sorted, rows))).items():
+    for key, count in keys.items():
         classes[cc.index_weights(N, Counter(key).items())[0]] += count
     total = [0] * N
     for inner, count in classes.items():

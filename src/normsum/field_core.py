@@ -62,20 +62,44 @@ def _poly_mul(a, b, p: int) -> list[int]:
 
 
 def _poly_divmod(a, b, p: int):
-    """(quotient, remainder) of a by b over F_p, coefficients low to high."""
-    a = list(a)
+    """(quotient, remainder) of a by b over F_p, coefficients low to high.
+
+    Each coefficient of a is reduced mod p once: a quotient coefficient's
+    when the division reaches it, a remainder coefficient's at the end.
+    """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    a, n = list(a), len(b) - 1
     inv_lead = linalg.inv_mod(b[-1], p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and _trim(a):
-        shift = len(a) - len(b)
-        f = (a[-1] * inv_lead) % p
-        q[shift] = f
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - f * bi) % p
-        _trim(a)
-    return _trim(q), _trim(a)
+    q = [0] * max(0, len(a) - n)
+    for shift in range(len(q) - 1, -1, -1):
+        f = q[shift] = a[shift + n] % p * inv_lead % p
+        if f:
+            for i in range(n):
+                a[shift + i] -= f * b[i]
+    return _trim(q), _trim([v % p for v in a[:n]])
+
+
+def _poly_mulmod(a, b, f, p: int) -> list[int]:
+    """The coefficients of a b mod the monic f over F_p, for a and b of
+    degree below n = deg f: at most n of them, reduced but not trimmed.
+
+    The product is taken over Z and reduced from the top degree down by
+    X^n = -(f_0 + ... + f_{n-1} X^{n-1}), each coefficient mod p once, so
+    neither a's nor b's coefficients need be reduced mod p.
+    """
+    n, tail = len(f) - 1, f[:-1]
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for d in range(len(prod) - 1, n - 1, -1):
+        c = prod[d] % p
+        if c:
+            for t, ft in enumerate(tail, start=d - n):
+                prod[t] -= c * ft
+    return [v % p for v in prod[:n]]
 
 
 def _poly_gcd(a, b, p: int) -> list[int]:
@@ -89,13 +113,15 @@ def _poly_gcd(a, b, p: int) -> list[int]:
 
 
 def _poly_powmod(base, e: int, mod, p: int) -> list[int]:
+    """base^e mod the monic mod over F_p, for base of degree below mod's,
+    untrimmed as _poly_mulmod leaves it."""
     result = [1]
-    base = _poly_divmod(base, mod, p)[1]
-    while e > 0:
+    while e:
         if e & 1:
-            result = _poly_divmod(_poly_mul(result, base, p), mod, p)[1]
-        base = _poly_divmod(_poly_mul(base, base, p), mod, p)[1]
+            result = _poly_mulmod(result, base, mod, p)
         e >>= 1
+        if e:
+            base = _poly_mulmod(base, base, mod, p)
     return result
 
 
@@ -157,8 +183,15 @@ def degree_parts(f, p: int):
 
 def is_irreducible_poly(coeffs, p: int) -> bool:
     """Irreducibility of a monic polynomial over F_p: its first degree part
-    is the whole polynomial."""
-    return next(degree_parts(coeffs, p))[0] == len(coeffs) - 1
+    is the whole polynomial.  One verdict is kept per polynomial, so the
+    defining polynomial that find_irreducible returns is not split again
+    when ExtFieldCtx checks it."""
+    return _irreducible(tuple(coeffs), p)
+
+
+@functools.cache
+def _irreducible(f: tuple, p: int) -> bool:
+    return next(degree_parts(f, p))[0] == len(f) - 1
 
 
 def find_irreducible(p: int, m: int) -> tuple[int, ...]:
@@ -166,6 +199,8 @@ def find_irreducible(p: int, m: int) -> tuple[int, ...]:
 
     Candidates X^m + c_{m-1}X^{m-1} + ... + c_0 are scanned in ascending
     lexicographic order of (c_{m-1}, ..., c_0), so the choice is canonical.
+    From degree 2 on, a candidate with a root at 0, 1 or -1 has a linear
+    factor, so it is passed over before its distinct-degree split.
     Returns coefficients low-to-high, length m+1, leading 1.
     """
     linalg.check_prime(p)
@@ -175,6 +210,10 @@ def find_irreducible(p: int, m: int) -> tuple[int, ...]:
     # code sum_j c_j p^j ascending is that order, and builds no pool of p values
     for code in range(p**m):
         coeffs = tuple(code // p**j % p for j in range(m)) + (1,)
+        if m > 1 and 0 in (
+            coeffs[0], sum(coeffs) % p, (sum(coeffs[::2]) - sum(coeffs[1::2])) % p
+        ):
+            continue
         if is_irreducible_poly(coeffs, p):
             return coeffs
     raise linalg.CheckFailed("unreachable: irreducibles of every degree exist")
@@ -229,8 +268,11 @@ _ctx_cache: dict = {}
 def ext_field_ctx(p: int, m: int, defining_poly=None) -> ExtFieldCtx:
     """F_{p^m}; the canonical defining polynomial unless one is given.
 
-    Contexts are memoized on (p, m, poly), so the irreducibility search and
-    the distinct-degree test of is_irreducible_poly run once per field.
+    Contexts are memoized on (p, m, poly), so the irreducibility search runs
+    once per field.  ExtFieldCtx tests every defining polynomial, a given one
+    or the search's, with is_irreducible_poly, which keeps its verdict per
+    polynomial: the distinct-degree test of the search's polynomial, too,
+    runs once per field.
     """
     key = (p, m, None if defining_poly is None else tuple(defining_poly))
     ctx = _ctx_cache.get(key)
@@ -383,8 +425,8 @@ def mul_kernel(ctx: ExtFieldCtx):
     of X^3 and X^4, d3 = a1 b2 + a2 b1 and d4 = a2 b2, are put back through
     the reduction rows X^3 and X^4 mod f, read from mult_columns once per
     context.  Degree m >= 4 multiplies the polynomials and reduces by the
-    monic defining polynomial, so no field element is built per product.
-    Coordinates need not be reduced mod p.
+    monic defining polynomial with _poly_mulmod, so no field element is
+    built per product.  Coordinates need not be reduced mod p.
     """
     p, m = ctx.p, ctx.m
     f = ctx.defining_poly
@@ -415,21 +457,8 @@ def mul_kernel(ctx: ExtFieldCtx):
                 (a0 * b2 + a1 * b1 + a2 * b0 + d3 * r2 + d4 * s2) % p,
             )
     else:
-        tail = f[:m]
-
         def kernel(a, b):
-            prod = [0] * (2 * m - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        prod[i + j] += ai * bj
-            # X^m = -(f_0 + ... + f_{m-1} X^{m-1}), from the top degree down
-            for d in range(2 * m - 2, m - 1, -1):
-                c = prod[d] % p
-                if c:
-                    for t, ft in enumerate(tail, start=d - m):
-                        prod[t] -= c * ft
-            return tuple(v % p for v in prod[:m])
+            return tuple(_poly_mulmod(a, b, f, p))
 
     return kernel
 
@@ -497,7 +526,7 @@ def norm_table(ctx: ExtFieldCtx):
         g = primitive_element(ctx)
         norm_g = norm_kernel(ctx)(g)
         cycle = [pow(norm_g, j, p) for j in range(p - 1)] * ((q - 1) // (p - 1))
-        table = [0] + [cycle[j] for j in itertools.islice(log_table(ctx), 1, None)]
+        table = [0, *map(cycle.__getitem__, itertools.islice(log_table(ctx), 1, None))]
         code = sum(c * p**j for j, c in enumerate(g))
         if len(set(cycle[: p - 1])) != p - 1 or table[code] != norm_g:
             raise linalg.CheckFailed(f"norm table of F_{p}^{ctx.m}: bad N(g) = {norm_g}")
@@ -587,24 +616,43 @@ def _times_code_table(ctx: ExtFieldCtx, g) -> array.array:
     """step[c], the code of g times the element of code c, for every code c.
 
     Multiplication by g is F_p-linear, with columns w^k g from mult_columns.
-    Along the lowest digit c_0 the codes come in rows of p, and coordinate j
-    of g times a row is (c_0 g_j + s_j) mod p: the share at s_j = 0 rotated
-    by s_j / g_j, one slice, or constant where g_j = 0.  Every row's s_j is
-    built from the steps c_k (w^k g)_j along the higher digits with
-    itertools.product, as linear_logs builds a box's residues.
+    The codes come in rows of p^L over their lowest L = max(1, m // 2)
+    digits, so there are about as many rows as a row is long.  Coordinate j
+    of g times a row is (r_j + s_j) mod p, where r_j runs over the row's
+    digits and s_j is fixed along it, built from the steps c_k (w^k g)_j
+    along the higher digits with itertools.product, as linear_logs builds a
+    box's residues.  With k the highest row digit whose column moves
+    coordinate j, r_j has period p^(k+1) along the row, and adding s_j adds
+    t = s_j / (w^k g)_j to digit k mod p, which rotates each period by t
+    p^k: the row's share is one slice, at t p^k, of the share at s_j = 0
+    repeated one period past the row (at L = 1, the share along the lowest
+    digit rotated).  The coordinates that no row digit moves are constant
+    along a row, and are added to it as one sum.
     """
-    p = ctx.p
+    p, m = ctx.p, ctx.m
     cols = [[v % p for v in col] for col in mult_columns(ctx, g)]
-    shares = []
-    for j, a in enumerate(cols[0]):
-        w, inv = p**j, pow(a, -1, p) if a else 1
-        digits = ([c * col[j] * inv for c in range(p)] for col in reversed(cols[1:]))
-        ts = list(map(operator.mod, map(sum, itertools.product(*digits)), itertools.repeat(p)))
-        low = [c * a % p * w for c in range(p)] * 2
-        shares.append(map(low.__getitem__, map(slice, ts, [t + p for t in ts])) if a
-                      else map(itertools.repeat, [t * w for t in ts], itertools.repeat(p)))
-    add_shares = functools.partial(functools.reduce, functools.partial(map, operator.add))
-    return array.array("l", itertools.chain.from_iterable(map(add_shares, zip(*shares))))
+    L = max(1, m // 2)
+    width, shares, fixed = p**L, [], []
+    for j in range(m):
+        w, k = p**j, max((i for i in range(L) if cols[i][j]), default=-1)
+        # s_j / (w^k g)_j mod p, times p^k; or s_j mod p times p^j, if fixed
+        scale, inv = (p**k, pow(cols[k][j], -1, p)) if k >= 0 else (w, 1)
+        digits = ([c * col[j] * inv * scale for c in range(p)] for col in reversed(cols[L:]))
+        ts = list(map(operator.mod, map(sum, itertools.product(*digits)),
+                      itertools.repeat(p * scale)))
+        if k < 0:
+            fixed.append(ts)
+            continue
+        ring = [0]
+        for col in cols[: k + 1]:
+            ring = [r + c * col[j] for c in range(p) for r in ring]
+        ring = [r % p * w for r in ring] * (width // len(ring) + 1)
+        shares.append(map(ring.__getitem__, map(slice, ts, [t + width for t in ts])))
+    if fixed:
+        shares.append(map(itertools.repeat, map(sum, zip(*fixed)), itertools.repeat(width)))
+    # each coordinate's shares row after row, added across the coordinates
+    coordinates = map(itertools.chain.from_iterable, shares)
+    return array.array("l", functools.reduce(functools.partial(map, operator.add), coordinates))
 
 
 def _revisit(ctx: ExtFieldCtx, j: int, code: int):
@@ -616,10 +664,22 @@ def _revisit(ctx: ExtFieldCtx, j: int, code: int):
 @functools.cache
 def primitive_element(ctx: ExtFieldCtx) -> tuple:
     """The generator of F_q^* of smallest code: g^((q-1)/r) != 1 for r | q - 1
-    (for m > 1 the codes below p, the prime field, are passed over)."""
+    (for m > 1 the codes below p, the prime field, are passed over).
+
+    g^((q-1)/(p-1)) is N(g) (Lidl-Niederreiter, Finite Fields, ch. 2), so
+    for a prime r | p - 1 the power g^((q-1)/r) is N(g)^((p-1)/r), an int
+    power mod p; those tests come first.  The other primes r | q - 1 divide
+    (q - 1)/(p - 1), and only they take pow_coeffs; at m = 1 there are none.
+    """
     p, m, q = ctx.p, ctx.m, ctx.order
-    exponents = [(q - 1) // r for r in prime_divisors(q - 1)]
-    one = ctx.from_int(1)
-    units = (tuple(code // p**j % p for j in range(m)) for code in range(1, q))
-    return next(g for g in itertools.islice(units, p - 1 if m > 1 else 0, None)
-                if all(pow_coeffs(ctx, g, e) != one for e in exponents))
+    norm_exponents = [(p - 1) // r for r in prime_divisors(p - 1)]
+    exponents = [(q - 1) // r for r in prime_divisors((q - 1) // (p - 1)) if (p - 1) % r]
+    one, norm_of = ctx.from_int(1), norm_kernel(ctx)
+    for code in range(p if m > 1 else 1, q):
+        g = tuple(code // p**j % p for j in range(m))
+        n = norm_of(g)
+        if all(pow(n, e, p) != 1 for e in norm_exponents) and all(
+            pow_coeffs(ctx, g, e) != one for e in exponents
+        ):
+            return g
+    raise linalg.CheckFailed(f"unreachable: F_{p}^{m} has a primitive element")

@@ -40,6 +40,45 @@ def test_ctx_rejects_reducible_poly():
         fc.ext_field_ctx(5, 2, (1, 0, 1))  # X^2+1 = (X+2)(X+3) mod 5
 
 
+SCANNED_FIELDS = [(p, m) for p in range(2, 10**4) if la.is_prime(p)
+                  for m in range(1, 14) if p**m <= 10**4]
+
+
+def test_find_irreducible_is_the_first_irreducible_of_a_plain_scan():
+    # the root filter at 0, 1 and -1 passes over reducible candidates only:
+    # every field with p^m <= 10^4 gets the first candidate a scan of every
+    # monic polynomial finds
+    assert len(SCANNED_FIELDS) == 1280
+    for p, m in SCANNED_FIELDS:
+        scan = next(tail[::-1] + (1,) for tail in itertools.product(range(p), repeat=m)
+                    if fc.is_irreducible_poly(tail[::-1] + (1,), p))
+        assert fc.find_irreducible(p, m) == scan, (p, m)
+    assert fc.find_irreducible(2, 1) == fc.find_irreducible(9973, 1) == (0, 1)
+
+
+def test_a_field_reads_the_verdict_of_the_search(monkeypatch):
+    # ExtFieldCtx tests its defining polynomial, but the search has already
+    # split it: one distinct-degree split per candidate, none twice
+    fc._irreducible.cache_clear()
+    monkeypatch.setattr(fc, "_ctx_cache", {})
+    degree_parts, splits = fc.degree_parts, []
+
+    def counted(f, p):
+        splits.append(tuple(f))
+        return degree_parts(f, p)
+
+    monkeypatch.setattr(fc, "degree_parts", counted)
+    ctx = fc.ext_field_ctx(3, 6)
+    assert splits.count(ctx.defining_poly) == 1 and len(splits) == len(set(splits))
+    # X^2 + 1 = (X + 2)(X + 3) mod 5 passes the root filter, so the search
+    # for F_25 keeps its verdict, and a field given it still refuses it
+    fc.find_irreducible(5, 2)
+    assert (1, 0, 1) in splits
+    monkeypatch.setattr(fc, "degree_parts", None)
+    with pytest.raises(ValueError, match="reducible mod 5"):
+        fc.ext_field_ctx(5, 2, (1, 0, 1))
+
+
 def monic_polys(p, degree):
     """Every monic polynomial of the degree over F_p, low to high."""
     for tail in itertools.product(range(p), repeat=degree):
@@ -582,14 +621,19 @@ def test_walked_log_table_is_the_log_of_each_power(p, m):
     )
 
 
-@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5, 7) for m in (1, 2, 3)])
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5, 7) for m in (1, 2, 3)]
+                         + [(2, m) for m in range(4, 9)] + [(3, 4), (3, 5), (3, 6), (5, 4)])
 def test_times_code_table_is_the_code_of_each_product(p, m):
     # step[c] is the code of g times the element of code c, on every element,
-    # for the generator the walk uses and for units with some zero coordinates
+    # for the generator the walk uses and for units with some zero coordinates;
+    # from m = 4 on a row spans L = m // 2 >= 2 digits, and the unit vectors
+    # w^j leave coordinates that no row digit moves, or that only a lower
+    # row digit moves
     ctx = fc.ext_field_ctx(p, m)
     mul = fc.mul_kernel(ctx)
     units = {fc.primitive_element(ctx), ctx.from_int(1), ctx.from_int(p - 1)}
     units |= {tuple(int(i == j) for i in range(m)) for j in range(m)}
+    units |= {tuple(int(i % 2 == 0) for i in range(m)), tuple(int(i >= m - 2) for i in range(m))}
     units.add(tuple(range(1, m + 1)) if p > m else ctx.from_int(1))
     for g in units:
         step = fc._times_code_table(ctx, g)
@@ -808,3 +852,63 @@ def test_prime_divisors():
     assert fc.prime_divisors(360) == [2, 3, 5]
     assert fc.prime_divisors(97 * 97) == [97]
     assert fc.primitive_element(fc.ext_field_ctx(41, 1)) == (6,)
+
+
+# every extension field with q <= 5000: 42 of them
+EXTENSION_FIELDS = [(p, m) for p, m in SCANNED_FIELDS if m > 1 and p**m <= 5000]
+
+
+def first_generator(ctx):
+    """The unit of smallest code past F_p with g^((q-1)/r) != 1 for every
+    prime r | q - 1, each power taken with pow_coeffs."""
+    p, m, q = ctx.p, ctx.m, ctx.order
+    one = ctx.from_int(1)
+    for code in range(p, q):
+        g = tuple(code // p**j % p for j in range(m))
+        if all(fc.pow_coeffs(ctx, g, (q - 1) // r) != one for r in fc.prime_divisors(q - 1)):
+            return g
+    return None
+
+
+def test_primitive_element_matches_the_power_oracle():
+    assert len(EXTENSION_FIELDS) == 42
+    for p, m in EXTENSION_FIELDS:
+        ctx = fc.ext_field_ctx(p, m)
+        assert fc.primitive_element(ctx) == first_generator(ctx), (p, m)
+
+
+def test_a_power_of_a_unit_at_a_prime_of_p_minus_1_is_a_power_of_its_norm():
+    # g^((q-1)/r) = N(g)^((p-1)/r) for r | p - 1, as g^((q-1)/(p-1)) = N(g)
+    rng = random.Random(33)
+    checked = 0
+    for p, m in EXTENSION_FIELDS:
+        ctx = fc.ext_field_ctx(p, m)
+        for _ in range(4):
+            g = tuple(rng.randrange(p) for _ in range(m - 1)) + (rng.randrange(1, p),)
+            for r in fc.prime_divisors(p - 1):
+                power = pow(fc.norm(ctx, g), (p - 1) // r, p)
+                assert fc.pow_coeffs(ctx, g, (ctx.order - 1) // r) == ctx.from_int(power)
+                checked += 1
+    assert checked == 216
+
+
+def test_a_norm_test_at_a_prime_not_dividing_p_minus_1_is_caught(monkeypatch):
+    # the norm test taken at every prime r | q - 1, with exponent
+    # (p - 1) // r, decides something other than g^((q-1)/r) != 1 where r
+    # does not divide p - 1: the oracle sees it on 23 of the 39 fields that
+    # have such a prime (every one with r > p - 1, where no g passes)
+    real, fields, caught = fc.prime_divisors, 0, 0
+    for p, m in EXTENSION_FIELDS:
+        ctx = fc.ext_field_ctx(p, m)
+        primes = real(ctx.order - 1)
+        if set(primes) <= set(real(p - 1)):
+            continue
+        monkeypatch.setattr(fc, "prime_divisors", lambda n: primes if n == p - 1 else real(n))
+        try:
+            wrong = fc.primitive_element.__wrapped__(ctx)
+        except la.CheckFailed:
+            wrong = None
+        monkeypatch.setattr(fc, "prime_divisors", real)
+        fields += 1
+        caught += wrong != first_generator(ctx)
+    assert (fields, caught) == (39, 23)
