@@ -12,6 +12,7 @@ import array
 import functools
 import itertools
 import operator
+import types
 from dataclasses import dataclass
 
 from . import linalg
@@ -140,15 +141,6 @@ def prime_divisors(n: int) -> list[int]:
     return out
 
 
-def _poly_sub(a, b, p: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] = v % p
-    for i, v in enumerate(b):
-        out[i] = (out[i] - v) % p
-    return _trim(out)
-
-
 def degree_parts(f, p: int):
     """Yield (d, h) for each degree d of the F_p-irreducible factors of the
     monic f, lowest d first: h is the product of f's distinct monic
@@ -169,7 +161,8 @@ def degree_parts(f, p: int):
             yield len(rem) - 1, tuple(rem)
             return
         x_power = _poly_powmod(x_power, p, rem, p)
-        h = _poly_gcd(_poly_sub(x_power, [0, 1], p), rem, p)
+        # X^(p^d) - X: x_power, padded to degree 1, less 1 at X
+        h = _poly_gcd([(v - (i == 1)) % p for i, v in enumerate(x_power + [0])], rem, p)
         if len(h) > 1:
             # one power of each factor still in rem per pass
             g = h
@@ -262,32 +255,26 @@ class ExtFieldCtx:
         yield from itertools.product(range(self.p), repeat=self.m)
 
 
-_ctx_cache: dict = {}
-
-
 def ext_field_ctx(p: int, m: int, defining_poly=None) -> ExtFieldCtx:
     """F_{p^m}; the canonical defining polynomial unless one is given.
 
-    Contexts are memoized on (p, m, poly), so the irreducibility search runs
-    once per field.  ExtFieldCtx tests every defining polynomial, a given one
-    or the search's, with is_irreducible_poly, which keeps its verdict per
+    Contexts are memoized on (p, m, poly), a given poly as a tuple, so the
+    irreducibility search runs once per field; a refused polynomial is not
+    kept.  ExtFieldCtx tests every defining polynomial, a given one or the
+    search's, with is_irreducible_poly, which keeps its verdict per
     polynomial: the distinct-degree test of the search's polynomial, too,
     runs once per field.
     """
-    key = (p, m, None if defining_poly is None else tuple(defining_poly))
-    ctx = _ctx_cache.get(key)
-    if ctx is None:
-        poly = find_irreducible(p, m) if defining_poly is None else key[2]
-        ctx = _ctx_cache[key] = ExtFieldCtx(p, m, poly)
-    return ctx
+    return _ext_field_ctx(p, m, None if defining_poly is None else tuple(defining_poly))
+
+
+@functools.cache
+def _ext_field_ctx(p: int, m: int, poly) -> ExtFieldCtx:
+    return ExtFieldCtx(p, m, find_irreducible(p, m) if poly is None else poly)
 
 
 def ext_add(ctx: ExtFieldCtx, a, b) -> tuple:
     return tuple((x + y) % ctx.p for x, y in zip(a, b))
-
-
-def ext_scalar_mul(ctx: ExtFieldCtx, c: int, a) -> tuple:
-    return tuple(c * x % ctx.p for x in a)
 
 
 def ext_mul(ctx: ExtFieldCtx, a, b) -> tuple:
@@ -488,8 +475,9 @@ LOG_CACHE_ELEMENTS = FIELD_SIZE_CAP
 # on a 2-vCPU virtual machine, slowest from p = 10^5 up): the weight of the
 # p entries of the table that a character mod p reads, in a command's cost
 LOG_ENTRY_NS = 130
-_log_tables: dict = {}
-_norm_tables: dict = {}
+# one record per cached field, oldest first: its log_table, the walk's list of
+# logs until log_fold builds its fold from them, and its norm_table once built
+_tables: dict = {}
 
 
 def log_table(ctx: ExtFieldCtx) -> list:
@@ -506,7 +494,7 @@ def log_table(ctx: ExtFieldCtx) -> list:
     linalg.CheckFailed rather than store a table that is not a bijection.
     F_p's table is also the one that characters mod p read.
     """
-    return _log_tables_of(ctx)[0]
+    return _tables_of(ctx).log_table
 
 
 def norm_table(ctx: ExtFieldCtx):
@@ -514,24 +502,24 @@ def norm_table(ctx: ExtFieldCtx):
 
     N(g^j) = N(g)^j mod p (Lidl-Niederreiter, Finite Fields, Thm 2.28): one
     lookup per log_table entry into the p - 1 powers of N(g); degree 1 is
-    range(p).  Built on first use, evicted with the field's log tables; it
+    range(p).  Built on first use, evicted with the field's log table; it
     raises linalg.CheckFailed unless its entry at g is norm_kernel(g), of
     order p - 1.
     """
     p, q = ctx.p, ctx.order
     if ctx.m == 1:
         return range(p)
-    table = _norm_tables.get(ctx)
-    if table is None:
+    tables = _tables_of(ctx)
+    if tables.norm_table is None:
         g = primitive_element(ctx)
         norm_g = norm_kernel(ctx)(g)
         cycle = [pow(norm_g, j, p) for j in range(p - 1)] * ((q - 1) // (p - 1))
-        table = [0, *map(cycle.__getitem__, itertools.islice(log_table(ctx), 1, None))]
+        table = [0, *map(cycle.__getitem__, itertools.islice(tables.log_table, 1, None))]
         code = sum(c * p**j for j, c in enumerate(g))
         if len(set(cycle[: p - 1])) != p - 1 or table[code] != norm_g:
             raise linalg.CheckFailed(f"norm table of F_{p}^{ctx.m}: bad N(g) = {norm_g}")
-        _norm_tables[ctx] = table
-    return table
+        tables.norm_table = table
+    return tables.norm_table
 
 
 def shifted_norms(ctx: ExtFieldCtx, s: int) -> list:
@@ -569,27 +557,24 @@ def log_fold(ctx: ExtFieldCtx) -> list:
     use from the walk's list of logs, which it begins with, so its logs are
     the table's int objects, not copies.
     """
-    table, fold = _log_tables_of(ctx)
-    order = ctx.order - 1
-    if len(fold) == order:
-        fold = fold * 2  # logs, then logs again up to 2(q - 1) - 2, then the marker
+    tables = _tables_of(ctx)
+    if tables.fold is None:
+        order = ctx.order - 1
+        fold = tables.walk * 2  # logs, then logs again up to 2(q - 1) - 2, then the marker
         fold.pop()
         fold += itertools.repeat(order, 2 * order)
-        _log_tables[ctx] = (table, fold)
-    return fold
+        tables.fold, tables.walk = fold, None
+    return tables.fold
 
 
-def _log_tables_of(ctx: ExtFieldCtx) -> tuple:
-    tables = _log_tables.get(ctx)
+def _tables_of(ctx: ExtFieldCtx) -> types.SimpleNamespace:
+    tables = _tables.get(ctx)
     if tables is not None:
         return tables
     p, m, q = ctx.p, ctx.m, ctx.order
     # make room first, so an evicted field is freed before the new one grows
-    while _log_tables and (
-        sum(len(t) for t, _ in _log_tables.values()) + q > LOG_CACHE_ELEMENTS
-    ):
-        _norm_tables.pop(next(iter(_log_tables)), None)
-        del _log_tables[next(iter(_log_tables))]
+    while _tables and sum(len(t.log_table) for t in _tables.values()) + q > LOG_CACHE_ELEMENTS:
+        del _tables[next(iter(_tables))]
     order, g = q - 1, primitive_element(ctx)
     logs = list(range(order))  # one int object per log, kept for log_fold
     table = [None] * q
@@ -608,7 +593,8 @@ def _log_tables_of(ctx: ExtFieldCtx) -> tuple:
                 _revisit(ctx, j, code)
             table[code] = j
             code = step[code]
-    tables = _log_tables[ctx] = (table, logs)
+    tables = _tables[ctx] = types.SimpleNamespace(
+        log_table=table, walk=logs, fold=None, norm_table=None)
     return tables
 
 

@@ -583,7 +583,7 @@ def decompose(F: FormSpec, seed: int = 0) -> NormFormDecomposition:
         k1, ctx1, U1 = blocks[0]
         # the first element with norm c in iter_elements order scales lambda_1
         norm, mul = fc.norm_kernel(ctx1), fc.mul_kernel(ctx1)
-        gamma = next(a for a in itertools.product(range(p), repeat=k1) if norm(a) == split.c)
+        gamma = next(a for a in ctx1.iter_elements() if norm(a) == split.c)
         cols = [mul(gamma, tuple(U1[r][j] for r in range(k1))) for j in range(n)]
         blocks[0] = (k1, ctx1, [[cols[j][r] for j in range(n)] for r in range(k1)])
 

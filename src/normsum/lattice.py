@@ -137,11 +137,8 @@ class IntegerLattice:
         ):
             raise ValueError("basis must be lower-triangular with positive pivots")
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.basis[i][j] for i in range(self.dim))
-
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.dim)]
+        return list(zip(*self.basis))
 
     def det(self) -> int:
         return math.prod(self.basis[j][j] for j in range(self.dim))

@@ -1,6 +1,9 @@
 """Extension field arithmetic against hand-checked values and field axioms."""
 
 import array
+import contextlib
+import functools
+import io
 import itertools
 import random
 
@@ -8,6 +11,7 @@ import pytest
 
 from normsum import char_core as cc
 from normsum import charsum as cs
+from normsum import cli
 from normsum import field_core as fc
 from normsum import linalg as la
 
@@ -60,7 +64,7 @@ def test_a_field_reads_the_verdict_of_the_search(monkeypatch):
     # ExtFieldCtx tests its defining polynomial, but the search has already
     # split it: one distinct-degree split per candidate, none twice
     fc._irreducible.cache_clear()
-    monkeypatch.setattr(fc, "_ctx_cache", {})
+    monkeypatch.setattr(fc, "_ext_field_ctx", functools.cache(fc._ext_field_ctx.__wrapped__))
     degree_parts, splits = fc.degree_parts, []
 
     def counted(f, p):
@@ -77,6 +81,21 @@ def test_a_field_reads_the_verdict_of_the_search(monkeypatch):
     monkeypatch.setattr(fc, "degree_parts", None)
     with pytest.raises(ValueError, match="reducible mod 5"):
         fc.ext_field_ctx(5, 2, (1, 0, 1))
+
+
+def test_a_list_and_a_tuple_defining_polynomial_give_one_context():
+    ctx = fc.ext_field_ctx(5, 2, [1, 1, 1])
+    assert fc.ext_field_ctx(5, 2, (1, 1, 1)) is ctx
+    assert fc.ext_field_ctx(5, 2) is fc.ext_field_ctx(5, 2, None)
+
+
+def test_a_refused_polynomial_leaves_no_context(monkeypatch):
+    # the memo keeps only contexts that were built, so the refusal repeats
+    monkeypatch.setattr(fc, "_ext_field_ctx", functools.cache(fc._ext_field_ctx.__wrapped__))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="reducible mod 5"):
+            fc.ext_field_ctx(5, 2, [1, 0, 1])
+        assert fc._ext_field_ctx.cache_info().currsize == 0
 
 
 def monic_polys(p, degree):
@@ -151,7 +170,6 @@ def test_elements_are_coefficient_tuples():
     assert list(ctx.iter_elements())[:4] == [(0, 0), (0, 1), (0, 2), (1, 0)]
     assert len(list(ctx.iter_elements())) == 9
     assert fc.ext_add(ctx, (1, 2), (2, 2)) == (0, 1)
-    assert fc.ext_scalar_mul(ctx, 2, (1, 2)) == (2, 1)
 
 
 def test_ext_mul_F9():
@@ -587,22 +605,22 @@ def test_log_table_fails_closed(monkeypatch):
     # search multiplies by mul_kernel, not by these columns)
     ctx = fc.ext_field_ctx(5, 2)
     fc.primitive_element(ctx)
-    monkeypatch.setattr(fc, "_log_tables", {})
+    monkeypatch.setattr(fc, "_tables", {})
     monkeypatch.setattr(
         fc, "mult_columns", lambda ctx, a: [[int(i == k) for i in range(ctx.m)] for k in range(ctx.m)]
     )
     with pytest.raises(la.CheckFailed, match="revisits code 1"):
         fc.log_table(ctx)
-    assert fc._log_tables == {}
+    assert fc._tables == {}
 
 
 def test_prime_field_log_walk_fails_closed(monkeypatch):
     # 4 has order 2 mod 5: the int walk 1, 4, 1 revisits the code of 1
-    monkeypatch.setattr(fc, "_log_tables", {})
+    monkeypatch.setattr(fc, "_tables", {})
     monkeypatch.setattr(fc, "primitive_element", lambda ctx: ctx.from_int(4))
     with pytest.raises(la.CheckFailed, match="step 2 revisits code 1"):
         fc.log_table(fc.ext_field_ctx(5, 1))
-    assert fc._log_tables == {}
+    assert fc._tables == {}
 
 
 # every field up to F_{2^12}, F_{3^7}, F_{5^4}, F_{7^3} and F_{53^2}
@@ -649,11 +667,11 @@ def test_extension_log_walk_fails_closed(monkeypatch, p, m):
     ctx = fc.ext_field_ctx(p, m)
     e = 2 if p > 2 else 3
     h = fc.pow_coeffs(ctx, fc.primitive_element(ctx), e)
-    monkeypatch.setattr(fc, "_log_tables", {})
+    monkeypatch.setattr(fc, "_tables", {})
     monkeypatch.setattr(fc, "primitive_element", lambda ctx: h)
     with pytest.raises(la.CheckFailed, match=f"step {(ctx.order - 1) // e} revisits code 1"):
         fc.log_table(ctx)
-    assert fc._log_tables == {}
+    assert fc._tables == {}
 
 
 # the prime-field discrete logs that characters mod p read before they read
@@ -685,7 +703,7 @@ ORACLE_PRIMES = [p for p in range(2, 3000) if la.is_prime(p)] + [99991, 100003, 
 
 
 def test_prime_field_logs_match_the_primitive_root_oracle(monkeypatch):
-    monkeypatch.setattr(fc, "_log_tables", {})
+    monkeypatch.setattr(fc, "_tables", {})
     for p in ORACLE_PRIMES:
         ctx = fc.ext_field_ctx(p, 1)
         g = primitive_root(p)
@@ -701,19 +719,19 @@ def test_prime_field_logs_match_the_primitive_root_oracle(monkeypatch):
                     [None] + [t * j % (p - 1) for j in oracle[1:]]
                 ), (p, t)
         del oracle, table
-        fc._log_tables.clear()
+        fc._tables.clear()
 
 
 def test_character_holds_the_prime_field_log_table(monkeypatch):
-    monkeypatch.setattr(fc, "_log_tables", {})
+    monkeypatch.setattr(fc, "_tables", {})
     ctx = fc.ext_field_ctx(7, 1)
     chi = cc.DirichletChar(7, 2)
-    assert list(fc._log_tables) == [ctx]
+    assert list(fc._tables) == [ctx]
     assert chi == cc.DirichletChar(7, 8) and repr(chi) == "DirichletChar(p=7, index=2)"
     # an evicted table is still the character's: no rebuild per lookup
-    fc._log_tables.clear()
+    fc._tables.clear()
     assert [cc.char_index(chi, a) for a in range(7)] == [None, 0, 4, 2, 2, 4, 0]
-    assert fc._log_tables == {}
+    assert fc._tables == {}
     with pytest.raises(ValueError, match="modulus must be prime"):
         cc.DirichletChar(9, 1)
     with pytest.raises(ValueError, match="exceeds cap"):
@@ -750,34 +768,34 @@ def test_log_fold_gives_the_log_of_the_product(p, m, poly):
 
 
 def test_log_cache_is_bounded_by_elements(monkeypatch):
-    monkeypatch.setattr(fc, "_log_tables", {})
+    monkeypatch.setattr(fc, "_tables", {})
     monkeypatch.setattr(fc, "LOG_CACHE_ELEMENTS", 30)
     ctxs = [fc.ext_field_ctx(p, 1) for p in (3, 5, 7, 11, 13, 17, 31)]
     for ctx in ctxs:
         table = fc.log_table(ctx)
         assert fc.log_table(ctx) is table
-        sizes = [len(t) for t, _ in fc._log_tables.values()]
+        sizes = [len(t.log_table) for t in fc._tables.values()]
         assert sum(sizes) <= 30 or sizes == [ctx.order]
-    assert list(fc._log_tables) == ctxs[-1:]
+    assert list(fc._tables) == ctxs[-1:]
     # 17 + 13 fit together; evicting the oldest keeps the newest
     fc.log_table(ctxs[4])
     fc.log_table(ctxs[5])
-    assert list(fc._log_tables) == [ctxs[4], ctxs[5]]
-    # a norm table lives in its field's entry and leaves with it
-    monkeypatch.setattr(fc, "_norm_tables", {})
+    assert list(fc._tables) == [ctxs[4], ctxs[5]]
+    # a norm table and a fold live in their field's record and leave with it
     f4, f9, f25 = (fc.ext_field_ctx(p, 2) for p in (2, 3, 5))
-    n9 = fc.norm_table(f9)
+    n9, fold9 = fc.norm_table(f9), fc.log_fold(f9)
     n4 = fc.norm_table(f4)
-    assert list(fc._log_tables) == [ctxs[5], f9, f4]
-    assert list(fc._norm_tables) == [f9, f4]
+    assert list(fc._tables) == [ctxs[5], f9, f4]
+    assert [fc._tables[f].norm_table for f in (f9, f4)] == [n9, n4]
     fc.log_table(f25)
-    assert list(fc._log_tables) == [f4, f25]
-    assert list(fc._norm_tables) == [f4]
+    assert list(fc._tables) == [f4, f25]
+    assert fc._tables[f25].norm_table is None
     assert fc.norm_table(f4) is n4
-    rebuilt = fc.norm_table(f9)
+    rebuilt, refolded = fc.norm_table(f9), fc.log_fold(f9)
     assert rebuilt == n9 and rebuilt is not n9
-    assert list(fc._log_tables) == [f9]
-    assert list(fc._norm_tables) == [f9]
+    assert refolded == fold9 and refolded is not fold9
+    assert list(fc._tables) == [f9]
+    assert fc._tables[f9].norm_table is rebuilt
 
 
 NORM_TABLE_FIELDS = (
@@ -813,37 +831,49 @@ def test_shifted_norms_is_the_norm_at_each_shifted_element(p, m):
 
 
 def test_norm_table_is_built_on_first_use(monkeypatch):
-    monkeypatch.setattr(fc, "_log_tables", {})
-    monkeypatch.setattr(fc, "_norm_tables", {})
+    monkeypatch.setattr(fc, "_tables", {})
     ctx = fc.ext_field_ctx(5, 2)
     fc.log_table(ctx)
-    fc.log_fold(ctx)
-    assert fc._norm_tables == {}
+    fold = fc.log_fold(ctx)
+    assert fc._tables[ctx].norm_table is None
     table = fc.norm_table(ctx)
-    assert list(fc._norm_tables) == [ctx]
+    assert fc._tables[ctx].norm_table is table and fc.log_fold(ctx) is fold
     assert fc.norm_table(ctx) is table
     assert fc.norm_table(fc.ext_field_ctx(5, 1)) == range(5)
-    assert list(fc._norm_tables) == [ctx]
+    assert list(fc._tables) == [ctx]
+
+
+def test_a_field_without_a_fold_keeps_the_walk(monkeypatch):
+    # the fold begins with the walk's logs; weil-check reads norm tables and
+    # builds no fold, so its field's record keeps the walk's list of logs
+    monkeypatch.setattr(fc, "_tables", {})
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["weil-check", "--p", "29", "--k", "2", "--r", "1"]) == 0
+    ctx, order = fc.ext_field_ctx(29, 2), 29**2 - 1
+    tables = fc._tables[ctx]
+    assert tables.fold is None and tables.walk == list(range(order))
+    fold = fc.log_fold(ctx)
+    assert tables.fold is fold and tables.walk is None and fold[:order] == list(range(order))
 
 
 def test_norm_table_fails_closed(monkeypatch):
     ctx = fc.ext_field_ctx(5, 2)
     g = fc.primitive_element(ctx)
     # a norm kernel whose N(g) has order 1, not p - 1
-    monkeypatch.setattr(fc, "_norm_tables", {})
+    monkeypatch.setattr(fc, "_tables", {})
     monkeypatch.setattr(fc, "norm_kernel", lambda ctx: lambda a: 1)
     with pytest.raises(la.CheckFailed, match="norm table of F_5"):
         fc.norm_table(ctx)
+    assert fc._tables[ctx].norm_table is None
     monkeypatch.undo()
     # g^7 is primitive with N(g^7) of order 4, but the log walk is in powers
     # of g, so the table's entry at g^7 is N(g^7)^7 = N(g) != N(g^7)
-    monkeypatch.setattr(fc, "_log_tables", {})
-    monkeypatch.setattr(fc, "_norm_tables", {})
+    monkeypatch.setattr(fc, "_tables", {})
     fc.log_table(ctx)
     monkeypatch.setattr(fc, "primitive_element", lambda ctx: fc.ext_pow(ctx, g, 7))
     with pytest.raises(la.CheckFailed, match="norm table of F_5"):
         fc.norm_table(ctx)
-    assert fc._norm_tables == {}
+    assert fc._tables[ctx].norm_table is None
 
 
 def test_prime_divisors():

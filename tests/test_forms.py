@@ -596,7 +596,7 @@ def test_lambda_linearity_and_kernel():
                 lx, ly = D.lam(i, x), D.lam(i, y)
                 ctx = D.ctxs[i]
                 assert D.lam(i, [(a + b) % p for a, b in zip(x, y)]) == fc.ext_add(ctx, lx, ly)
-                assert D.lam(i, [(c * a) % p for a in x]) == fc.ext_scalar_mul(ctx, c, lx)
+                assert D.lam(i, [(c * a) % p for a in x]) == tuple(c * v % p for v in lx)
 
 
 def test_lambda_vanishing_iff_zero_when_square():

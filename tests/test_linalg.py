@@ -207,7 +207,7 @@ def test_src_calls_no_private_helper_of_another_module():
     # the walk sees each import form, and leaves instance attributes alone
     probe = (
         "from . import field_core as fc\nfrom normsum import forms\n"
-        "import normsum.linalg as la\nfc._log_tables_of(1)\nforms._roots_in(1, 2)\n"
+        "import normsum.linalg as la\nfc._tables_of(1)\nforms._roots_in(1, 2)\n"
         "la._row_reduce(1)\nchi._logs\nfc.__name__\nfc.log_table(1)\n"
     )
     assert _private_module_access(probe, modules) == [4, 5, 6]
@@ -296,6 +296,35 @@ def test_only_field_core_reads_the_defining_polynomials_coefficients():
     assert _defining_poly_subscripts(probe) == [1, 2]
 
 
+def _module_dicts(source: str) -> list:
+    """Names a module binds at top level to a dict: a display, a
+    comprehension, or a call of dict or of a dict subclass from collections."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+            continue
+        func = node.value.func if isinstance(node.value, ast.Call) else None
+        called = getattr(func, "id", getattr(func, "attr", None))
+        if isinstance(node.value, (ast.Dict, ast.DictComp)) or called in (
+            "dict", "OrderedDict", "defaultdict", "Counter"
+        ):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [t.id for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def test_field_core_binds_one_module_level_dict():
+    # every per-field table lives in one record of the one table cache, and
+    # other memos are functools.cache'd functions
+    src = Path(la.__file__).parent / "field_core.py"
+    assert _module_dicts(src.read_text()) == ["_tables"]
+    probe = (
+        "a = {}\nb: dict = dict()\nc = collections.OrderedDict()\nd = {k: 1 for k in x}\n"
+        "e: dict\nf = []\ng = h = defaultdict(int)\ndef i():\n    j = {}\n"
+    )
+    assert _module_dicts(probe) == ["a", "b", "c", "d", "g", "h"]
+
+
 def _cap_reads(source: str) -> list:
     """Line numbers of alias.NAME_CAP reads, other than a cap quoted in an f-string."""
     tree = ast.parse(source)
@@ -347,7 +376,6 @@ def test_each_capped_quantity_is_compared_with_its_cap_at_one_site():
 # public functions of src that nothing in src, bench/*.py or BENCHMARK.json
 # calls, each with the reason it stays
 UNREFERENCED_PUBLIC = {
-    "field_core.ext_scalar_mul": "F_p-scaling of field elements, checked by the linearity test",
     "field_core.norm_via_conjugates": "oracle route for norm_kernel, the product of conjugates",
     "lattice.mult_matrix_via_columns": "oracle route for the multiplication matrix, by columns",
     "energy.energy_restricted": (
