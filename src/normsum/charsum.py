@@ -25,7 +25,8 @@ from . import forms as fm
 from . import linalg as la
 
 BOX_CAP = 10**8
-MOMENT_CAP = 10**7
+# moment_work's units: the command cap's 25 s of MOMENT_ENTRY_NS is 2.3 x 10^8
+MOMENT_CAP = 25 * 10**7
 # the fastest measured times of one unit of each cost below, in ns (on a
 # 2-vCPU virtual machine): the weights of these costs in a command's cost.
 # A box point of one route took 900 to 1,150 and a term of
@@ -42,30 +43,29 @@ def box_fits(volume: int) -> bool:
     return volume <= BOX_CAP
 
 
-def moment_cost(p: int, k: int, T: int, r: int) -> int:
-    """p^k T^(2r): s2_moment's z's, or weil_complete_sum's terms over F_{p^k},
-    times the 2r-tuples of T shifts.  Each factor stops at fc.SIZE_CEILING."""
-    return fc.capped_power(p, k) * fc.capped_power(T, 2 * r)
-
-
-def moment_work(p: int, k: int, T: int, r: int, d: int) -> tuple[int, int]:
-    """s2_moment's units over one field F_{p^k} with a character of order d:
-    the p^k T index reads that key its z's, and the p - 1 entries that each
-    inner weight class passes over in |inner|^2 and the r-th power, once per
-    convolution.  The classes are at most the z's, and at most the multisets
-    of T - j values among d, where j <= ceil(T/p) shifts z + t vanish."""
-    zeros = -(-T // p)
-    classes = sum(math.comb(T - j + d - 1, d - 1) for j in range(zeros + 1))
+def moment_work(p: int, k: int, T: int, r: int, d: int, fields: int) -> tuple[int, int]:
+    """s2_moment's units over `fields` fields of total degree k with a
+    character of order d: the p^k T index reads that key its z's, and the
+    p - 1 entries that each inner weight class passes over in |inner|^2 and
+    the r-th power, once per convolution.  The classes are at most the z's,
+    and at most the multisets of T - j values among d, where j <= fields
+    ceil(T/p) shifts z + t vanish in some field, summed by the hockey stick."""
+    q, m = fc.capped_power(p, k), min(T, d - 1)
+    zeros = min(T, fields * -(-T // p))
+    # C(T + d - 1, m) >= ((T + d - 1) // m)^m multisets at j = 0: a count past
+    # the z's is decided without computing it
+    classes = q if m and fc.capped_power((T + d - 1) // m, m) >= q else (
+        math.comb(T + d, d) - math.comb(T - zeros + d - 1, d))
     # |inner|^2, then a squaring per bit of r past the first and a product
     # per set bit
     convolutions = r.bit_length() + bin(r).count("1")
-    q = fc.capped_power(p, k)
     return q * T, min(q, classes) * (p - 1) * convolutions
 
 
-def moment_fits(p: int, k: int, T: int, r: int) -> bool:
-    """Whether s2_moment at these sizes is within MOMENT_CAP."""
-    return moment_cost(p, k, T, r) <= MOMENT_CAP
+def moment_fits(p: int, k: int, T: int, r: int, d: int, fields: int) -> bool:
+    """Whether s2_moment's index reads and class entries at these sizes
+    together are within MOMENT_CAP."""
+    return sum(moment_work(p, k, T, r, d, fields)) <= MOMENT_CAP
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ def s2_moment(
     if T < 1 or r < 1:
         raise ValueError("window and exponent must be positive")
     k = sum(ctx.m for ctx in ctxs)
-    if not moment_fits(p, k, T, r):
+    if not moment_fits(p, k, T, r, cc.char_order(chi), len(ctxs)):
         raise ValueError("moment enumeration infeasible at this size")
     # chi's index of N(z_i + t) for t in (0, T] at each element code of
     # field i, N marking a zero norm; over several fields the index of a

@@ -81,10 +81,8 @@ class EnergyInstance:
 
 
 def _lam_table(D: fm.NormFormDecomposition, box: fm.BoxSpec) -> list:
-    """lambda(x) per point as coefficient tuples, for the literal oracle loops."""
-    return [
-        tuple(tuple(la.mat_vec(U, x, D.p)) for U in D.blocks) for x in box.iter_points()
-    ]
+    """lambda(x) per point by D.lam, for the literal oracle loops."""
+    return [tuple(D.lam(i, x) for i in range(D.s)) for x in box.iter_points()]
 
 
 # ---------------------------------------------------------------------------

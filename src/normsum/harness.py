@@ -471,7 +471,8 @@ def run_weil_check(config: ExperimentConfig):
             shown = size if size < fc.SIZE_CEILING else f"{p}^{m}"
             return f"p={p}: field size {shown} exceeds cap, skipped"
         # every list priced as its own sum: an upper bound, as a class sums once
-        return len({1, (p - 1) // 2}) * cs.moment_cost(p, m, T, r) * cs.WEIL_TERM_NS
+        lists = fc.capped_power(p, m) * fc.capped_power(T, 2 * r)
+        return len({1, (p - 1) // 2}) * lists * cs.WEIL_TERM_NS
 
     for p in _walk(config, cost, skips):
         ctx = fc.ext_field_ctx(p, m)
@@ -518,10 +519,10 @@ def run_moment(config: ExperimentConfig):
             return fc.SIZE_CEILING
 
     def cost(p):
-        if not cs.moment_fits(p, k, window(p), r):
+        # the quadratic character over one field: its indices take two values
+        if not cs.moment_fits(p, k, window(p), r, 2, 1):
             return f"p={p}: moment enumeration over cap, skipped"
-        # the quadratic character: its indices take two values
-        reads, entries = cs.moment_work(p, k, window(p), r, 2)
+        reads, entries = cs.moment_work(p, k, window(p), r, 2, 1)
         return (reads * cs.MOMENT_READ_NS + entries * cs.MOMENT_ENTRY_NS
                 + _character_cost(p, 1))
 

@@ -34,16 +34,18 @@ def test_each_cap_admits_its_own_size_and_refuses_the_next():
     assert not en.pairs_fit(2000, 2001)
     assert en.quadruple_cost(10, 100) == en.QUAD_CROSS_CHECK_CAP
     assert cs.box_fits(cs.BOX_CAP) and not cs.box_fits(cs.BOX_CAP + 1)
-    assert cs.moment_cost(5, 2, 2, 3) == 25 * 64
-    # weil-check prices its complete sums with the same count
-    assert cs.moment_cost(3, 12, 3, 2) == 3**12 * 81
-    # T^(2r) stops at the ceiling, so a huge r costs no huge power
-    assert cs.moment_cost(3, 1, 3, 31) == 3**63
+    # s2_moment's units at T = 1: p index reads, and 3 classes of p - 1
+    # entries passed over twice at r = 1, so 7p - 6 units in all
+    assert cs.moment_work(7, 1, 1, 1, 2, 1) == (7, 3 * 6 * 2)
+    p = (cs.MOMENT_CAP + 6) // 7
+    assert cs.moment_fits(p, 1, 1, 1, 2, 1) and not cs.moment_fits(p + 1, 1, 1, 1, 2, 1)
     start = time.perf_counter()
-    huge = cs.moment_cost(3, 1, 3, 10**8), cs.moment_cost(3, 1, 3, 2**40)
-    assert huge == (3 * fc.SIZE_CEILING,) * 2
+    # weil-check prices p^m T^(2r) lists: T^(2r) stops at the ceiling, so a
+    # huge r costs no huge power
+    assert fc.capped_power(3, 2 * 10**8) == fc.capped_power(3, 2**41) == fc.SIZE_CEILING
+    # a huge r costs moment_work only its bits
+    assert cs.moment_work(3, 1, 1, 10**8, 2, 1) == (3, 3 * 2 * (27 + 12))
     assert time.perf_counter() - start < 0.1
-    assert cs.moment_cost(3, 1, 1, 10**8) == 3
     assert fc.field_size(3, 12) == 3**12
     assert fc.field_fits(fc.FIELD_SIZE_CAP, 1) and not fc.field_fits(fc.FIELD_SIZE_CAP + 1, 1)
     assert lat.minima_fit(lat.MINIMA_DIM_CAP) and not lat.minima_fit(lat.MINIMA_DIM_CAP + 1)
@@ -59,8 +61,16 @@ def test_sizes_stop_at_the_ceiling_without_computing_a_huge_power():
     start = time.perf_counter()
     assert fc.field_size(3, 3 * 10**7) == fc.field_size(999983, 10**6) == fc.SIZE_CEILING
     assert fc.capped_power(1, 10**18) == 1 and fc.capped_power(0, 10**18) == 0
-    assert cs.moment_cost(3, 3 * 10**7, fc.SIZE_CEILING, 1) == fc.SIZE_CEILING**2
-    assert not fc.field_fits(3, 3 * 10**7) and not cs.moment_fits(3, 3 * 10**7, 1, 1)
+    # a window at the ceiling: the z's bound the classes before their count is taken
+    assert cs.moment_work(3, 3 * 10**7, fc.SIZE_CEILING, 1, 2, 1) == (
+        fc.SIZE_CEILING**2, fc.SIZE_CEILING * 2 * 2
+    )
+    assert cs.moment_work(3, 1300, fc.SIZE_CEILING, 1, 2, 1) == (
+        3**1300 * fc.SIZE_CEILING, 3**1300 * 2 * 2
+    )
+    # at T = 2^4096, C(T + d, d) takes seconds to compute from d = 4000 up
+    assert cs.moment_work(999983, 1, fc.SIZE_CEILING, 1, 999982, 2)[1] == 999983 * 999982 * 2
+    assert not fc.field_fits(3, 3 * 10**7) and not cs.moment_fits(3, 3 * 10**7, 1, 1, 2, 1)
     assert time.perf_counter() - start < 0.1
 
 
@@ -198,13 +208,15 @@ class TestQuadrupleCaps:
 
 
 def test_moment_cap_is_one_decision(monkeypatch):
-    # at p = 17, k = 1, r = 1 the window is T = 4: 17 * 4^2 = 272 terms
+    # at p = 17, k = 1, r = 1 the window is T = 4: 68 index reads, and
+    # 2T + 1 = 9 quadratic classes of 16 entries, passed over twice
     chi, ctxs = cc.DirichletChar(17, 8), (fc.ext_field_ctx(17, 1),)
     config = hn.ExperimentConfig("moment", 17, 17, k=1, r=1)
-    monkeypatch.setattr(cs, "MOMENT_CAP", cs.moment_cost(17, 1, 4, 1))
+    assert cs.moment_work(17, 1, 4, 1, 2, 1) == (68, 9 * 16 * 2)
+    monkeypatch.setattr(cs, "MOMENT_CAP", 68 + 9 * 16 * 2)
     cs.s2_moment(chi, ctxs, 4, 1)
     assert len(hn.run_moment(config)[0]) == 2
-    monkeypatch.setattr(cs, "MOMENT_CAP", 271)
+    monkeypatch.setattr(cs, "MOMENT_CAP", 68 + 9 * 16 * 2 - 1)
     with pytest.raises(ValueError, match="moment enumeration infeasible"):
         cs.s2_moment(chi, ctxs, 4, 1)
     assert hn.run_moment(config) == ([], ["p=17: moment enumeration over cap, skipped"])
@@ -298,6 +310,9 @@ class TestCommandCap:
              39671),
             # at T = 1 every prime to the field cap: its index reads and classes
             (["moment", "--p-range", "3..999983", "--k", "1", "--r", "12"], 13063),
+            # T = p^(1/4): each prime fits the moment cap, and their sum passes
+            # the command cap
+            (["moment", "--p-range", "3..999983", "--k", "1", "--r", "2"], 7177),
             # each lattice's fixed work and minima prefixes; the second range ran
             # 120 s on the whole-ball walk, and 3..3078 runs in 18 s
             (["lattice", "--p-range", "3..999983", "--n", "2", "--seed", "1"], 3079),
@@ -476,7 +491,7 @@ class TestCommandCap:
         config = hn.ExperimentConfig("moment", 3, 1500, k=1, r=6)
         primes = list(hn.primes_in(3, 1500))
         # r = 6: |S|^2, two squarings and two products
-        assert cs.moment_work(1499, 1, 1, 6, 2) == (1499, 3 * 1498 * 5)
+        assert cs.moment_work(1499, 1, 1, 6, 2, 1) == (1499, 3 * 1498 * 5)
         total = sum(
             p * cs.MOMENT_READ_NS + 3 * (p - 1) * 5 * cs.MOMENT_ENTRY_NS
             + p * fc.LOG_ENTRY_NS + (p - 1) * hn.CELL_ENTRY_NS
@@ -494,10 +509,16 @@ class TestCommandCap:
         # one field, T < p: at most one shift vanishes, so the quadratic
         # classes number (T + 1) + T; the z's bound them at a small field
         for T in range(1, 8):
-            assert cs.moment_work(101, 1, T, 1, 2) == (101 * T, (2 * T + 1) * 100 * 2)
-        assert cs.moment_work(3, 1, 4, 1, 2)[1] == 3 * 2 * 2
+            assert cs.moment_work(101, 1, T, 1, 2, 1) == (101 * T, (2 * T + 1) * 100 * 2)
+        assert cs.moment_work(3, 1, 4, 1, 2, 1)[1] == 3 * 2 * 2
         # T = 7 over p = 5: up to two shifts vanish, classes 8 + 7 + 6
-        assert cs.moment_work(5, 3, 7, 2, 2)[1] == 21 * 4 * 3
+        assert cs.moment_work(5, 3, 7, 2, 2, 1)[1] == 21 * 4 * 3
+        # over two fields one shift may vanish in each: T = 6 at p = 11,
+        # T = 4 at p = 5 and T = 3 at p = 7 key 7 + 6 + 5, 5 + 4 + 3 and
+        # 4 + 3 + 2 classes in s2_moment
+        assert cs.moment_work(11, 3, 6, 1, 2, 2)[1] == 18 * 10 * 2
+        assert cs.moment_work(5, 3, 4, 1, 2, 2)[1] == 12 * 4 * 2
+        assert cs.moment_work(7, 2, 3, 1, 2, 2)[1] == 9 * 6 * 2
 
     def test_a_lattice_prime_costs_only_the_partitions_that_fit(self, monkeypatch):
         # past p = 1000 the partition (2) of 2 is skipped before any work

@@ -489,17 +489,42 @@ class TestMoment:
                     idx, T, r,
                 )
 
-    @pytest.mark.parametrize("T", [1, 2, 3])
-    def test_weights_are_built_once_per_distinct_key(self, T, monkeypatch):
-        # the quadratic character keys each z by a sorted tuple of T indices
-        # among 0 and (p - 1)/2, with at most one zero marker as T < p: at
-        # most 2T + 1 keys for the 997 z's, where unsorted tuples give more
-        calls = []
+    @pytest.mark.parametrize("p,fields,T,r", [
+        (p, fields, T, 1)
+        for p in (3, 5, 7, 11)
+        for fields in ((1,), (1, 1), (2,), (1, 2))
+        for T in range(1, 7)
+    ] + [(p, (k,), max(1, int(p ** (k / (2 * r)))), r) for p, k, r in COMPLETE_MOMENT_GRID]
+      + [(997, (1,), T, 1) for T in (1, 2, 3)])
+    def test_moment_work_bounds_the_keys_and_counts_the_reads(self, p, fields, T, r, monkeypatch):
+        # index_weights sees each distinct key once, and the Counter of the
+        # rows sees every index that keys a z.  At p = 997 the quadratic
+        # character's 997 z's take at most 2T + 1 sorted keys, where
+        # unsorted tuples give more
+        keys, reads = [], []
         index_weights = cc.index_weights
-        monkeypatch.setattr(cc, "index_weights", lambda *a: calls.append(1) or index_weights(*a))
-        chi, ctxs = cc.DirichletChar(997, 498), (fc.ext_field_ctx(997, 1),)
-        cs.s2_moment(chi, ctxs, T, 1)
-        assert 0 < len(calls) <= 2 * T + 1
+
+        def weights(N, counts):
+            keys.append(tuple(sorted(counts)))
+            return index_weights(N, keys[-1])
+
+        def counter(items=()):
+            items = list(items)
+            reads.extend(len(row) for row in items if isinstance(row, tuple))
+            return Counter(items)
+
+        monkeypatch.setattr(cc, "index_weights", weights)
+        monkeypatch.setattr(cs, "Counter", counter)
+        ctxs = [fc.ext_field_ctx(p, m) for m in fields]
+        k, convolutions = sum(fields), r.bit_length() + bin(r).count("1")
+        for idx in sorted({1, (p - 1) // 2}):
+            chi = cc.DirichletChar(p, idx)
+            keys.clear()
+            reads.clear()
+            cs.s2_moment(chi, ctxs, T, r)
+            work = cs.moment_work(p, k, T, r, cc.char_order(chi), len(fields))
+            assert sum(reads) == work[0] == p**k * T
+            assert len(set(keys)) == len(keys) <= work[1] // ((p - 1) * convolutions), idx
 
     def test_asymmetric_weights_fail_closed(self, monkeypatch):
         # one perturbed weight makes total[1] != total[-1]: the value would
@@ -564,8 +589,15 @@ class TestMoment:
             cs.s2_moment(chi, [F5], 0, 1)
         with pytest.raises(ValueError, match="positive"):
             cs.s2_moment(chi, [F5], 2, 0)
-        with pytest.raises(ValueError, match="infeasible"):
-            cs.s2_moment(chi, [F5], 10, 5)
+        # 5 x 10^8 index reads; the z's of two fields of 5^8 elements
+        with pytest.raises(ValueError, match="moment enumeration infeasible"):
+            cs.s2_moment(chi, [F5], 10**8, 1)
+        F58 = fc.ext_field_ctx(5, 8)
+        with pytest.raises(ValueError, match="moment enumeration infeasible"):
+            cs.s2_moment(chi, [F58, F58], 1, 1)
+        # a field past the field cap is refused before a moment can take it
+        with pytest.raises(ValueError, match=r"field size 5\^9 exceeds cap"):
+            cs.s2_moment(chi, [fc.ext_field_ctx(5, 9)], 1, 1)
 
 
 def weil_lists(T, r, d):

@@ -36,6 +36,7 @@ CASES = {
     "moment": ["moment", "--p-range", "3..13", "--k", "2", "--r", "2"],
     "moment-skips": ["moment", "--p-range", "3..13", "--k", "3", "--r", "4"],
     "moment-skip-line": ["moment", "--p", "101", "--k", "2", "--r", "3"],
+    "moment-over-cap": ["moment", "--p", "999983", "--k", "1", "--r", "1"],
     "moment-t1": ["moment", "--p-range", "1400..1500", "--k", "1", "--r", "6"],
     "bound-table-skip-p2": ["bound-table", "--p-range", "2..13", "--n", "1", "--k", "1",
                             "--kappa", "0.1", "--seed", "1"],
@@ -164,10 +165,18 @@ DIGESTS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),
-    # the skip line "p=101: moment enumeration over cap, skipped" and a bare table
-    "moment-skip-line": (
+    # the skip line "p=999983: moment enumeration over cap, skipped" and a bare
+    # table: T = 999 over 999,983 z's is about 5 x 10^9 units
+    "moment-over-cap": (
         "3c6dcd2bd93e2330f5894dfaee7286ba0ef20b3fcdda32ff6d705d0e304f806d",
-        "b4bc5fdcf30e2c5a68ff68dbfbb45ebbdbda9302b2f8b2f95ff5a019562edb0b",
+        "7fd2ecd00b706d94b8ee5335a027b3b76d97cb0aaba072e1489f85d7cb2144ad",
+        0,
+    ),
+    # 44,404 units, within the moment cap; the value 5,481,828 is what a
+    # float sum over F_{101^2} gives
+    "moment-skip-line": (
+        "c98ea6ca933a6b86286ea42df665ebd6674bbf786f5a6e06b46c5a0841f82231",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),
     "moment-skips": (
