@@ -230,6 +230,13 @@ def _window_cost(p: int, n: int, fields: int = 1):
     return en.pair_cost(vol, vol) * en.pair_ns(n, fields)
 
 
+def _field_skip(p: int, m: int):
+    """The skip line of a prime whose F_{p^m} is past the field cap, else None."""
+    if not fc.field_fits(p, m):
+        shown = fc.field_size(p, m) if fc.field_size(p, m) < fc.SIZE_CEILING else f"{p}^{m}"
+        return f"p={p}: field size {shown} exceeds cap, skipped"
+
+
 def _character_cost(p: int, weight_rows: int) -> int:
     """In ns, the F_p log table that a character mod p reads and the weight
     cells of p - 1 entries that weight_rows rows print."""
@@ -381,7 +388,7 @@ def run_charsum(config: ExperimentConfig, form_path=None, decomp_path=None):
         box = _short_box(p, config.n, config.kappa)
         direct = cs.charsum_direct(chi, F, box)
         lifted = cs.charsum_lifted(D, chi, box)
-        if (direct.weights, direct.zero_terms) != (lifted.weights, lifted.zero_terms):
+        if direct != lifted:
             raise la.CheckFailed(f"route mismatch at p={p}")
         rows.extend(_charsum_rows(p, config.n, config.k, box, direct))
     return rows, skips
@@ -466,13 +473,9 @@ def run_weil_check(config: ExperimentConfig):
     T = 3
 
     def cost(p):
-        if not fc.field_fits(p, m):
-            size = fc.field_size(p, m)
-            shown = size if size < fc.SIZE_CEILING else f"{p}^{m}"
-            return f"p={p}: field size {shown} exceeds cap, skipped"
         # every list priced as its own sum: an upper bound, as a class sums once
         lists = fc.capped_power(p, m) * fc.capped_power(T, 2 * r)
-        return len({1, (p - 1) // 2}) * lists * cs.WEIL_TERM_NS
+        return _field_skip(p, m) or len({1, (p - 1) // 2}) * lists * cs.WEIL_TERM_NS
 
     for p in _walk(config, cost, skips):
         ctx = fc.ext_field_ctx(p, m)
@@ -523,8 +526,8 @@ def run_moment(config: ExperimentConfig):
         if not cs.moment_fits(p, k, window(p), r, 2, 1):
             return f"p={p}: moment enumeration over cap, skipped"
         reads, entries = cs.moment_work(p, k, window(p), r, 2, 1)
-        return (reads * cs.MOMENT_READ_NS + entries * cs.MOMENT_ENTRY_NS
-                + _character_cost(p, 1))
+        return _field_skip(p, k) or (reads * cs.MOMENT_READ_NS + entries * cs.MOMENT_ENTRY_NS
+                                     + _character_cost(p, 1))
 
     for p in _walk(config, cost, skips):
         T = window(p)
@@ -614,131 +617,129 @@ def run_energy_scan(config: ExperimentConfig):
 # identity suite
 
 
-def run_identity_suite(config: ExperimentConfig):
-    """Identity battery on a small grid; returns (rows, failures).
+def _lifted_sum(chi, D, F, rng, tag):
+    """chi(F(x)) = prod psi_i(lambda_i(x)): both routes sum three boxes alike."""
+    n = D.n
+    boxes = [fm.BoxSpec((0,) * n, (2,) * n), fm.BoxSpec((-2,) * n, (3,) * n),
+             fm.BoxSpec(tuple(rng.randint(-D.p, D.p) for _ in range(n)), (2,) * n)]
+    for B in boxes:
+        direct, lifted = cs.charsum_direct(chi, F, B), cs.charsum_lifted(D, chi, B)
+        holds = direct == lifted
+        yield "lifted_sum", f"{tag} N={B.N} H={B.H}", holds, direct.weights, lifted.weights
 
-    Failing rows name the instance and carry both sides; each failure is
-    the note "check instance".  The battery ends with a negative control
-    per prime: one corrupted block entry in a decomposition must break the
-    lifted-sum identity pointwise.
-    """
+
+def _box_partition(chi, D, F, rng, tag):
+    """A box's sum is the sum of its pieces' sums."""
+    B = fm.BoxSpec((-1,) * D.n, (4,) * D.n)
+    whole = cs.charsum_direct(chi, F, B)
+    pieces = [cs.charsum_direct(chi, F, piece) for piece in B.pieces(2)]
+    merged = tuple(map(sum, zip(*(res.weights for res in pieces))))
+    holds = (merged, sum(res.zero_terms for res in pieces)) == (whole.weights, whole.zero_terms)
+    yield "box_partition", f"{tag} N={B.N} H={B.H}", holds, whole.weights, merged
+
+
+def _shift_identity(chi, D, F, rng, tag):
+    """A shifted box's sum moves by the points it gains less the points it loses."""
+    n = D.n
+    base = fm.BoxSpec((0,) * n, (3,) * n)
+    for shift in [(0,) * n, (1,) + (0,) * (n - 1)]:
+        moved = fm.BoxSpec(tuple(a + s for a, s in zip(base.N, shift)), base.H)
+        pts_base, pts_moved = set(base.iter_points()), set(moved.iter_points())
+        (w_moved, z_moved), (w_base, z_base), (w_in, z_in), (w_out, z_out) = (
+            cc.index_histogram(chi, (fm.eval_form(F, x) for x in pts))
+            for pts in (pts_moved, pts_base, pts_moved - pts_base, pts_base - pts_moved)
+        )
+        lhs = tuple(a - b for a, b in zip(w_moved + (z_moved,), w_base + (z_base,)))
+        rhs = tuple(a - b for a, b in zip(w_in + (z_in,), w_out + (z_out,)))
+        holds = lhs == rhs and (any(shift) or not any(lhs))
+        yield "shift_identity", f"{tag} shift={shift}", holds, lhs, rhs
+
+
+def _shift_inequality(chi, D, F, rng, tag):
+    """No sampled shift of a box has more energy than the centered box."""
+    H = (2,) * D.n
+    centered = en.energy_symmetric(D, H)
+    boxes = [fm.BoxSpec(tuple(rng.randint(-D.p, D.p) for _ in range(D.n)), H) for _ in range(5)]
+    energies = [en.energy_histogram(en.EnergyInstance(D, B, B)) for B in boxes]
+    # the first largest: every sampled energy is within the centered one when it is
+    worst = max(range(5), key=energies.__getitem__)
+    yield ("shift_inequality", f"{tag} H={H} worst_N={boxes[worst].N}",
+           energies[worst] <= centered, energies[worst], centered)
+
+
+def _s1_cauchy_schwarz(chi, D, F, rng, tag):
+    """S_1 equals the Cauchy-Schwarz quadruple count of its two boxes."""
+    n = D.n
+    s1, quads, equal = en.s1_identity_check(
+        D, fm.BoxSpec((1,) * n, (2,) * n), fm.BoxSpec((0,) * n, (2,) * n))
+    yield "s1_cauchy_schwarz", tag, equal, s1, quads
+
+
+def _embedding_inequality(chi, rng):
+    """A rectangular system's energy is within that of its square embedding."""
+    box = fm.BoxSpec((0, 0), (2, 2))
+    inst = en.EnergyInstance(fm.random_decomposition(chi.p, 2, (2, 1), rng), box, box)
+    e_small, e_big, holds = en.embed_energy(inst)
+    yield "embedding_inequality", f"p={chi.p} partition=(2, 1)", holds, e_small, e_big
+
+
+def _negative_control(chi, rng):
+    """One corrupted block entry must break the lifted-sum identity pointwise."""
+    p = chi.p
+    D = fm.random_decomposition(p, 1, (1,), rng)
+    F = fm.synthesize_form(D)
+    box = fm.BoxSpec((0,), (min(3, p - 1),))
+    entry = D.blocks[0][0][0]
+    bumps = ((d, dataclasses.replace(D, blocks=((((entry + d) % p,),),))) for d in range(1, p))
+    # hit: the first (bump, x, direct index, lifted index) where they differ
+    sides = ((d, x, cc.char_index(chi, fm.eval_form(F, x)), cc.char_index(chi, bad.value(x)))
+             for d, bad in bumps for x in box.iter_points())
+    hit = next((side for side in sides if side[2] != side[3]), None)
+    yield ("negative_control", f"p={p} corrupted block entry, bump={hit and hit[:2]}",
+           hit is not None, *((str(hit[2]), str(hit[3])) if hit else ("", "")))
+
+
+# Each family is a generator over one seeded instance that yields its rows as
+# (check, instance, holds, lhs, rhs).  These run once per (p, n, partition)
+# instance, in the order in which they draw from the instance's rng.  The order
+# is load-bearing: a family moved draws other numbers, as do those after it.
+INSTANCE_FAMILIES = (
+    _lifted_sum, _box_partition, _shift_identity, _shift_inequality, _s1_cauchy_schwarz,
+)
+# The families run once per prime after its instances, each on its own rng:
+# (seed tag, n of its rows, family).
+PRIME_FAMILIES = ((21, 2, _embedding_inequality), (99, 1, _negative_control))
+
+
+def _identity_instances(seed: int, p: int):
+    """(n, families, their arguments) of each seeded instance at p, in row order;
+    the instances of one n share one rng, so each is drawn after the last has run."""
+    chi = _nonprincipal_char(p)
+    for n in (1, 2):
+        rng = random.Random(_derived_seed(seed, p, n))
+        for part in square_partitions(n):
+            D = fm.random_decomposition(p, n, part, rng)
+            tag = f"p={p} n={n} partition={part}"
+            yield n, INSTANCE_FAMILIES, (chi, D, fm.synthesize_form(D), rng, tag)
+    for seed_tag, n, family in PRIME_FAMILIES:
+        yield n, (family,), (chi, random.Random(_derived_seed(seed, p, seed_tag)))
+
+
+def run_identity_suite(config: ExperimentConfig):
+    """Identity battery on a small grid; returns (rows, failures).  Failing
+    rows name the instance and carry both sides; each failure is the note
+    "check instance"."""
     # every prime builds F_{p^2}, so the largest prime decides whether all fit
     top = next((p for p in range(config.p_hi, max(1, config.p_lo - 1), -1) if la.is_prime(p)), 2)
     if not fc.field_fits(top, 2):
         raise UsageError(f"field size {top}^2 exceeds cap {fc.FIELD_SIZE_CAP}")
-    results = []
-
-    def record(check, p, n, instance, ok, lhs, rhs):
-        results.append(IdentityRow(check, p, n, instance, "pass" if ok else "fail", lhs, rhs))
-
+    rows = []
     # p = 2 has no nonprincipal character; its skip line is no failure
     for p in _walk(config, lambda p: fc.field_size(p, 2) * IDENTITY_ELEMENT_NS, []):
-        chi = _nonprincipal_char(p)
-        for n in (1, 2):
-            rng = random.Random(_derived_seed(config.seed, p, n))
-            for part in square_partitions(n):
-                D = fm.random_decomposition(p, n, part, rng)
-                F = fm.synthesize_form(D)
-                tag = f"p={p} n={n} partition={part}"
-
-                boxes = [
-                    fm.BoxSpec((0,) * n, (2,) * n),
-                    fm.BoxSpec((-2,) * n, (3,) * n),
-                    fm.BoxSpec(tuple(rng.randint(-p, p) for _ in range(n)), (2,) * n),
-                ]
-                for B in boxes:
-                    direct = cs.charsum_direct(chi, F, B)
-                    lifted = cs.charsum_lifted(D, chi, B)
-                    ok = (
-                        direct.weights == lifted.weights
-                        and direct.zero_terms == lifted.zero_terms
-                    )
-                    record(
-                        "lifted_sum", p, n, f"{tag} N={B.N} H={B.H}", ok,
-                        direct.weights, lifted.weights,
-                    )
-
-                B = fm.BoxSpec((-1,) * n, (4,) * n)
-                whole = cs.charsum_direct(chi, F, B)
-                pieces = [cs.charsum_direct(chi, F, piece) for piece in B.pieces(2)]
-                merged = tuple(map(sum, zip(*(res.weights for res in pieces))))
-                zeros = sum(res.zero_terms for res in pieces)
-                ok = merged == whole.weights and zeros == whole.zero_terms
-                record(
-                    "box_partition", p, n, f"{tag} N={B.N} H={B.H}", ok, whole.weights, merged
-                )
-
-                base = fm.BoxSpec((0,) * n, (3,) * n)
-                for shift in [(0,) * n, (1,) + (0,) * (n - 1)]:
-                    moved = fm.BoxSpec(
-                        tuple(a + s for a, s in zip(base.N, shift)), base.H
-                    )
-                    pts_base = set(base.iter_points())
-                    pts_moved = set(moved.iter_points())
-                    (w_moved, z_moved), (w_base, z_base), (w_in, z_in), (w_out, z_out) = (
-                        cc.index_histogram(chi, (fm.eval_form(F, x) for x in pts))
-                        for pts in (pts_moved, pts_base, pts_moved - pts_base,
-                                    pts_base - pts_moved)
-                    )
-                    lhs = tuple(a - b for a, b in zip(w_moved + (z_moved,), w_base + (z_base,)))
-                    rhs = tuple(a - b for a, b in zip(w_in + (z_in,), w_out + (z_out,)))
-                    ok = lhs == rhs and (any(shift) or not any(lhs))
-                    record("shift_identity", p, n, f"{tag} shift={shift}", ok, lhs, rhs)
-
-                Hvec = (2,) * n
-                centered = en.energy_symmetric(D, Hvec)
-                worst = None
-                for _ in range(5):
-                    N = tuple(rng.randint(-p, p) for _ in range(n))
-                    Bn = fm.BoxSpec(N, Hvec)
-                    e = en.energy_histogram(en.EnergyInstance(D, Bn, Bn))
-                    if worst is None or e > worst[0]:
-                        worst = (e, N)
-                # every sampled energy is within the centered one when the largest is
-                record(
-                    "shift_inequality", p, n, f"{tag} H={Hvec} worst_N={worst[1]}",
-                    worst[0] <= centered, worst[0], centered,
-                )
-
-                bx = fm.BoxSpec((1,) * n, (2,) * n)
-                by = fm.BoxSpec((0,) * n, (2,) * n)
-                s1, quads, equal = en.s1_identity_check(D, bx, by)
-                record("s1_cauchy_schwarz", p, n, tag, equal, s1, quads)
-
-            if n == 2:
-                rng_r = random.Random(_derived_seed(config.seed, p, 21))
-                D_rect = fm.random_decomposition(p, 2, (2, 1), rng_r)
-                inst = en.EnergyInstance(
-                    D_rect, fm.BoxSpec((0, 0), (2, 2)), fm.BoxSpec((0, 0), (2, 2))
-                )
-                e_small, e_big, ok = en.embed_energy(inst)
-                record(
-                    "embedding_inequality", p, 2, f"p={p} partition=(2, 1)",
-                    ok, e_small, e_big,
-                )
-
-        rng_c = random.Random(_derived_seed(config.seed, p, 99))
-        D = fm.random_decomposition(p, 1, (1,), rng_c)
-        F = fm.synthesize_form(D)
-        box = fm.BoxSpec((0,), (min(3, p - 1),))
-        # hit: the first (bump, x, direct index, lifted index) where they differ
-        hit = None
-        for delta in range(1, p):
-            entry = (D.blocks[0][0][0] + delta) % p
-            bad = fm.NormFormDecomposition(p, 1, D.partition, D.ctxs, (((entry,),),))
-            sides = ((x, cc.char_index(chi, fm.eval_form(F, x)), cc.char_index(chi, bad.value(x)))
-                     for x in box.iter_points())
-            hit = next(((delta, x, a, b) for x, a, b in sides if a != b), None)
-            if hit:
-                break
-        record(
-            "negative_control", p, 1,
-            f"p={p} corrupted block entry, bump={hit and hit[:2]}", hit is not None,
-            str(hit[2]) if hit else "", str(hit[3]) if hit else "",
-        )
-
-    failures = [f"{r.check} {r.instance}" for r in results if r.status == "fail"]
-    return results, failures
+        for n, families, args in _identity_instances(config.seed, p):
+            rows += [IdentityRow(check, p, n, instance, "pass" if holds else "fail", lhs, rhs)
+                     for family in families for check, instance, holds, lhs, rhs in family(*args)]
+    return rows, [f"{r.check} {r.instance}" for r in rows if r.status == "fail"]
 
 
 # ---------------------------------------------------------------------------

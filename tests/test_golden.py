@@ -38,6 +38,7 @@ CASES = {
     "moment-skip-line": ["moment", "--p", "101", "--k", "2", "--r", "3"],
     "moment-over-cap": ["moment", "--p", "999983", "--k", "1", "--r", "1"],
     "moment-t1": ["moment", "--p-range", "1400..1500", "--k", "1", "--r", "6"],
+    "moment-field-skip": ["moment", "--p-range", "997..1009", "--k", "2", "--r", "100"],
     "bound-table-skip-p2": ["bound-table", "--p-range", "2..13", "--n", "1", "--k", "1",
                             "--kappa", "0.1", "--seed", "1"],
     "bound-table-json": ["bound-table", "--p-range", "3..7", "--n", "2", "--k", "3",
@@ -182,6 +183,13 @@ DIGESTS = {
     "moment-skips": (
         "6ec78f5fcbd05b1c9c84ad1cba097af4dc22147c84f81d7842bcdf1f04322a03",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    # 997's rows are those of `moment --p 997 --k 2 --r 100`; F_{1009^2} is past
+    # the field cap, so 1009 is a skip line, not a refusal of the command
+    "moment-field-skip": (
+        "8c8205f06c62308b238d087f41f350559b72e84c3820486e27ad4a1a98e1f4fe",
+        "95026b48b1dc1c2ccef7b1830c58493202866c01542f19639ed35ea617526cb3",
         0,
     ),
     # one shift per z (T = 1) at 17 primes, each weight row p - 1 entries

@@ -286,6 +286,32 @@ class TestIdentitySuite:
             assert isinstance(r, hn.IdentityRow) and r._fields == hn.IDENTITY_COLUMNS
             assert r.instance
 
+    @pytest.mark.parametrize("name", [f.__name__ for f in hn.INSTANCE_FAMILIES]
+                             + [f.__name__ for _, _, f in hn.PRIME_FAMILIES])
+    def test_each_familys_failures_reach_the_exit_code(self, name, monkeypatch, capsys):
+        # one family made to fail each of its rows: exit 1, with one fail line
+        # per row of that family and none for any other family's rows
+        family, expected = getattr(hn, name), []
+
+        def failing(*args):
+            for check, instance, holds, lhs, rhs in family(*args):
+                expected.append(f"fail: {check} {instance}")
+                yield check, instance, False, lhs, rhs
+
+        swap = {family: failing}
+        monkeypatch.setattr(
+            hn, "INSTANCE_FAMILIES", tuple(swap.get(f, f) for f in hn.INSTANCE_FAMILIES)
+        )
+        monkeypatch.setattr(
+            hn, "PRIME_FAMILIES", tuple((t, n, swap.get(f, f)) for t, n, f in hn.PRIME_FAMILIES)
+        )
+        capsys.readouterr()
+        assert cli.main(["identity-suite", "--p-range", "3..5", "--seed", "5"]) == 1
+        captured = capsys.readouterr()
+        assert expected and captured.err.splitlines() == expected
+        statuses = [row["status"] for row in csv.DictReader(io.StringIO(captured.out))]
+        assert statuses.count("fail") == len(expected)
+
     def test_deterministic(self):
         cfg = hn.ExperimentConfig("identity-suite", 3, 7, seed=9)
         a = hn.render(hn.IDENTITY_COLUMNS, hn.run_identity_suite(cfg)[0], "json")
@@ -328,8 +354,11 @@ class TestOtherDrivers:
                 assert 0 <= r.value <= 1
 
     def test_moment_skips_are_logged(self):
-        rows, skips = hn.run_moment(hn.ExperimentConfig("moment", 3, 13, k=3, r=4))
-        assert all("skipped" in s for s in skips)
+        # one prime past the moment cap, and one whose F_{p^2} is past the field cap
+        config = hn.ExperimentConfig("moment", 999983, 999983, k=1, r=1)
+        assert hn.run_moment(config) == ([], ["p=999983: moment enumeration over cap, skipped"])
+        config = hn.ExperimentConfig("moment", 1009, 1009, k=2, r=100)
+        assert hn.run_moment(config) == ([], ["p=1009: field size 1018081 exceeds cap, skipped"])
 
     def test_gen_form_round_trip(self, tmp_path):
         obj = hn.run_gen_form(hn.ExperimentConfig("gen-form", 7, 7, n=2, k=3, seed=5))

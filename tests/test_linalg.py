@@ -373,6 +373,61 @@ def test_each_capped_quantity_is_compared_with_its_cap_at_one_site():
     ]
 
 
+def _sites(source: str, is_site) -> list:
+    """Each node of the source that is_site accepts, as the names of the
+    functions around it, outermost first."""
+    found = []
+
+    def visit(node, scope):
+        if is_site(node):
+            found.append(scope)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope += (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def _src_sites(is_site) -> list:
+    return [
+        site for path in sorted(Path(la.__file__).parent.glob("*.py"))
+        for site in _sites(path.read_text(), is_site)
+    ]
+
+
+def _builds_identity_row(node) -> bool:
+    return isinstance(node, ast.Call) and "IdentityRow" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    )
+
+
+def _writes_field_skip_line(node) -> bool:
+    if not isinstance(node, ast.JoinedStr):
+        return False
+    text = "".join(part.value for part in node.values if isinstance(part, ast.Constant))
+    return "field size" in text and "skipped" in text
+
+
+def test_identity_rows_are_built_at_one_site():
+    # every family yields bare tuples; the suite's loop adds p, n and the status
+    assert _src_sites(_builds_identity_row) == [("run_identity_suite",)]
+    probe = "def f():\n    return [hn.IdentityRow(*r) for r in g()]\nIdentityRow(1)\n"
+    assert _sites(probe, _builds_identity_row) == [("f",), ()]
+
+
+def test_the_field_skip_line_is_written_at_one_site():
+    # weil-check and moment ask one helper, so their skip lines cannot drift apart
+    assert _src_sites(_writes_field_skip_line) == [("_field_skip",)]
+    probe = (
+        "def run(m):\n    def cost(p):\n"
+        "        return f'p={p}: field size {p**m} exceeds cap, skipped'\n"
+        "    raise ValueError(f'field size {m} exceeds cap')\n"
+    )
+    assert _sites(probe, _writes_field_skip_line) == [("run", "cost")]
+
+
 # public functions of src that nothing in src, bench/*.py or BENCHMARK.json
 # calls, each with the reason it stays
 UNREFERENCED_PUBLIC = {
