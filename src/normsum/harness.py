@@ -230,17 +230,26 @@ def _window_cost(p: int, n: int, fields: int = 1):
     return en.pair_cost(vol, vol) * en.pair_ns(n, fields)
 
 
-def _field_skip(p: int, m: int):
-    """The skip line of a prime whose F_{p^m} is past the field cap, else None."""
+def _field_skip(p: int, m: int, tag: str = ""):
+    """The skip line of p, tag appended, whose F_{p^m} is past the field cap, else None."""
     if not fc.field_fits(p, m):
         shown = fc.field_size(p, m) if fc.field_size(p, m) < fc.SIZE_CEILING else f"{p}^{m}"
-        return f"p={p}: field size {shown} exceeds cap, skipped"
+        return f"p={p}{tag}: field size {shown} exceeds cap, skipped"
 
 
 def _character_cost(p: int, weight_rows: int) -> int:
     """In ns, the F_p log table that a character mod p reads and the weight
     cells of p - 1 entries that weight_rows rows print."""
     return fc.field_size(p, 1) * fc.LOG_ENTRY_NS + weight_rows * (p - 1) * CELL_ENTRY_NS
+
+
+def _box_cost(p: int, n: int, kappa: float, routes: int, weight_rows: int):
+    """In ns, routes sums over p's short box and the character's table and
+    weight_rows rows, or the skip line of a box past the box cap."""
+    volume = _short_box(p, n, kappa).volume
+    if not cs.box_fits(volume):
+        return f"p={p}: box volume {volume} exceeds cap, skipped"
+    return routes * volume * cs.BOX_POINT_NS + _character_cost(p, weight_rows)
 
 
 def square_partitions(n: int) -> tuple:
@@ -273,7 +282,7 @@ def _derived_seed(seed: int, *tags: int) -> int:
 
 def _seeded_decomposition(config: ExperimentConfig, p: int, partition: tuple, skips: list):
     """The seeded decomposition of shape (n, k) at p for charsum and
-    bound-table, or None with p's skip line added to skips."""
+    bound-table, or None with p's rejection-sampling line added to skips."""
     rng = random.Random(_derived_seed(config.seed, p, config.n, config.k))
     try:
         return fm.random_decomposition(p, config.n, partition, rng)
@@ -287,12 +296,6 @@ def _random_unit(ctx, rng: random.Random):
         e = tuple(rng.randrange(ctx.p) for _ in range(ctx.m))
         if any(e):
             return e
-
-
-def _nonprincipal_char(p: int) -> cc.DirichletChar:
-    if p == 2:
-        raise UsageError("no nonprincipal character mod 2")
-    return cc.DirichletChar(p, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -356,35 +359,29 @@ def run_charsum(config: ExperimentConfig, form_path=None, decomp_path=None):
     if decomp_path or form_path:
         # a FormSpec and a NormFormDecomposition both carry p, n and k
         obj = _load_decomposition(decomp_path) if decomp_path else _load_form(form_path)
-        chi = _nonprincipal_char(obj.p)
-        box = _short_box(obj.p, obj.n, config.kappa)
-        # one route's box, refused past the command cap as a walk over obj.p alone
-        # (chi has refused p = 2); a box past the box cap costs nothing, as the
-        # route refuses it unsummed
-        sums = box.volume * cs.BOX_POINT_NS if cs.box_fits(box.volume) else 0
-        alone = dataclasses.replace(config, p_lo=obj.p, p_hi=obj.p)
-        next(_walk(alone, lambda p: sums + _character_cost(p, 1), [], characters=False))
-        if decomp_path:
-            res = cs.charsum_lifted(obj, chi, box)
-        else:
-            res = cs.charsum_direct(chi, obj, box)
-        return _charsum_rows(obj.p, obj.n, obj.k, box, res), []
+        if obj.p == 2:
+            raise UsageError("no nonprincipal character mod 2")
+        # one route's box, priced as a walk over obj.p alone before chi is built
+        alone, skips = dataclasses.replace(config, p_lo=obj.p, p_hi=obj.p), []
+        for p in _walk(alone, lambda p: _box_cost(p, obj.n, config.kappa, 1, 1), skips):
+            chi, box = cc.DirichletChar(p, 1), _short_box(p, obj.n, config.kappa)
+            res = (cs.charsum_lifted(obj, chi, box) if decomp_path
+                   else cs.charsum_direct(chi, obj, box))
+            return _charsum_rows(p, obj.n, obj.k, box, res), []
+        return [], skips
     partition = canonical_partition(config.n, config.k)  # a bad shape: exit 2 before the walk
     rows, skips = [], []
 
     def cost(p):
-        # both routes sum the box; a box past the box cap costs nothing,
-        # as the routes refuse it before they evaluate a point
-        volume = _short_box(p, config.n, config.kappa).volume
-        sums = 2 * volume * cs.BOX_POINT_NS if cs.box_fits(volume) else 0
-        return sums + _character_cost(p, 1)
+        # the decomposition's largest field, then both routes' box
+        return _field_skip(p, partition[0]) or _box_cost(p, config.n, config.kappa, 2, 1)
 
     for p in _walk(config, cost, skips):
         D = _seeded_decomposition(config, p, partition, skips)
         if D is None:
             continue
         F = fm.synthesize_form(D)
-        chi = _nonprincipal_char(p)
+        chi = cc.DirichletChar(p, 1)
         box = _short_box(p, config.n, config.kappa)
         direct = cs.charsum_direct(chi, F, box)
         lifted = cs.charsum_lifted(D, chi, box)
@@ -438,6 +435,9 @@ def run_lattice(config: ExperimentConfig):
 
     for p in _walk(config, cost, skips, characters=False):
         for part in square_partitions(n):
+            if skip := _field_skip(p, part[0], f" partition={part}"):
+                skips.append(skip)
+                continue
             rng = random.Random(_derived_seed(config.seed, p, n, *part))
             try:
                 D1 = fm.random_decomposition(p, n, part, rng)
@@ -556,17 +556,15 @@ def run_bound_table(config: ExperimentConfig):
         raise la.CheckFailed(f"optimal exponent mismatch: formula {r_opt}, search {r_brute}")
 
     def cost(p):
-        volume = _short_box(p, n, config.kappa).volume
-        if not cs.box_fits(volume):
-            return f"p={p}: box volume {volume} exceeds cap, skipped"
-        return volume * cs.BOX_POINT_NS + _character_cost(p, BOUND_SWEEP)
+        # the decomposition's largest field, then the lifted route's box
+        return _field_skip(p, partition[0]) or _box_cost(p, n, config.kappa, 1, BOUND_SWEEP)
 
     for p in _walk(config, cost, skips):
         D = _seeded_decomposition(config, p, partition, skips)
         if D is None:
             continue
         box = _short_box(p, n, config.kappa)
-        chi = _nonprincipal_char(p)
+        chi = cc.DirichletChar(p, 1)
         res = cs.charsum_lifted(D, chi, box)
         s_abs = abs(res.value)
         for r in range(k + 1, k + 1 + BOUND_SWEEP):
@@ -714,7 +712,7 @@ PRIME_FAMILIES = ((21, 2, _embedding_inequality), (99, 1, _negative_control))
 def _identity_instances(seed: int, p: int):
     """(n, families, their arguments) of each seeded instance at p, in row order;
     the instances of one n share one rng, so each is drawn after the last has run."""
-    chi = _nonprincipal_char(p)
+    chi = cc.DirichletChar(p, 1)
     for n in (1, 2):
         rng = random.Random(_derived_seed(seed, p, n))
         for part in square_partitions(n):

@@ -237,9 +237,9 @@ def test_box_cap_is_one_decision(monkeypatch):
         with pytest.raises(ValueError, match="box volume 6 over cap 5"):
             route()
     assert hn.run_bound_table(config) == ([], ["p=13: box volume 6 exceeds cap, skipped"])
-    # a seeded charsum refuses the box with the routes' own error
-    with pytest.raises(ValueError, match="box volume 6 over cap 5"):
-        hn.run_charsum(hn.ExperimentConfig("charsum", 13, 13, kappa=0.5, seed=1))
+    # a seeded charsum skips the prime with bound-table's line
+    assert hn.run_charsum(hn.ExperimentConfig("charsum", 13, 13, kappa=0.5, seed=1)) == (
+        [], ["p=13: box volume 6 exceeds cap, skipped"])
 
 
 def test_field_cap_is_one_decision(monkeypatch):
@@ -257,6 +257,111 @@ def test_field_cap_is_one_decision(monkeypatch):
     assert hn.run_weil_check(config) == ([], ["p=5: field size 25 exceeds cap, skipped"])
     with pytest.raises(hn.UsageError, match="prime range ends at 25, above the field size cap 24"):
         hn.ExperimentConfig("weil-check", 3, 25)
+
+
+@pytest.fixture(scope="module")
+def stored_at_7(tmp_path_factory):
+    """A stored form and its decomposition at p = 7, n = 2, k = 3."""
+    d = tmp_path_factory.mktemp("stored")
+    paths = {"form_path": str(d / "form.json"), "decomp_path": str(d / "decomp.json")}
+    assert cli.main(["gen-form", "--p", "7", "--n", "2", "--k", "3", "--seed", "5",
+                     "--out", paths["form_path"]]) == 0
+    assert cli.main(["decompose", "--form", paths["form_path"], "--seed", "0",
+                     "--out", paths["decomp_path"]]) == 0
+    return paths
+
+
+def _skip_cases(stored):
+    """command -> (its run over primes 3..13, the helper's line of each prime
+    or partition it skips, the (p, partition) decompositions a skip saves),
+    at a field cap under F_{11^2} and a box cap under 7's 16-point box."""
+    seeded = {"n": 2, "k": 3, "kappa": 0.5, "seed": 1}
+    charsum = hn.ExperimentConfig("charsum", seed=0, kappa=0.5)
+    fields = [hn._field_skip(11, 2), hn._field_skip(13, 2)]
+    saved = {(p, (2, 1)) for p in (7, 11, 13)}
+    return {
+        "charsum": (lambda: hn.run_charsum(hn.ExperimentConfig("charsum", 3, 13, **seeded)),
+                    [hn._box_cost(7, 2, 0.5, 2, 1), *fields], saved),
+        "charsum --form": (lambda: hn.run_charsum(charsum, form_path=stored["form_path"]),
+                           [hn._box_cost(7, 2, 0.5, 1, 1)], set()),
+        "charsum --decomp": (lambda: hn.run_charsum(charsum, decomp_path=stored["decomp_path"]),
+                             [hn._box_cost(7, 2, 0.5, 1, 1)], set()),
+        "bound-table": (
+            lambda: hn.run_bound_table(hn.ExperimentConfig("bound-table", 3, 13, **seeded)),
+            [hn._box_cost(7, 2, 0.5, 1, hn.BOUND_SWEEP), *fields], saved),
+        "lattice": (lambda: hn.run_lattice(hn.ExperimentConfig("lattice", 3, 13, n=2, seed=1)),
+                    [hn._field_skip(p, 2, " partition=(2,)") for p in (11, 13)],
+                    {(11, (2,)), (13, (2,))}),
+        "weil-check": (lambda: hn.run_weil_check(hn.ExperimentConfig("weil-check", 3, 13, k=2)),
+                       fields, set()),
+        "moment": (lambda: hn.run_moment(hn.ExperimentConfig("moment", 3, 13, k=2, r=2)),
+                   fields, set()),
+    }
+
+
+def _spy_on_decompositions(monkeypatch, fail_at=None):
+    """The (p, partition) of every random_decomposition call; each call at
+    fail_at raises the routine's rejection-sampling error instead."""
+    calls, sample = [], fm.random_decomposition
+
+    def spy(p, n, partition, rng):
+        calls.append((p, tuple(partition)))
+        if p == fail_at:
+            raise ValueError(f"no in-class decomposition found for p={p}, partition={partition}")
+        return sample(p, n, partition, rng)
+
+    monkeypatch.setattr(fm, "random_decomposition", spy)
+    return calls
+
+
+@pytest.mark.parametrize("command", [
+    "charsum", "charsum --form", "charsum --decomp", "bound-table", "lattice", "weil-check",
+    "moment",
+])
+def test_each_skip_line_is_its_caps_helpers_and_comes_before_any_work(
+    command, stored_at_7, monkeypatch
+):
+    # F_{p^2} is past 100 from p = 11; kappa = 1/2 boxes at n = 2 hold 4, 9
+    # and 16 points at p = 3, 5 and 7
+    monkeypatch.setattr(fc, "FIELD_SIZE_CAP", 100)
+    monkeypatch.setattr(cs, "BOX_CAP", 10)
+    run, lines, saved = _skip_cases(stored_at_7)[command]
+    assert lines and all(isinstance(line, str) for line in lines)
+    calls = _spy_on_decompositions(monkeypatch)
+    assert run()[1] == lines
+    assert not saved & set(calls)
+    assert bool(calls) == bool(saved)
+
+
+@pytest.mark.parametrize("command, failed", [
+    ("charsum", ["p=5: no in-class decomposition found for p=5, partition=(2, 1)"]),
+    ("bound-table", ["p=5: no in-class decomposition found for p=5, partition=(2, 1)"]),
+    ("lattice", [f"p=5 partition={part}: no in-class decomposition found for p=5, "
+                 f"partition={part}" for part in ((2,), (1, 1))]),
+])
+def test_a_rejection_sampling_failure_is_still_a_skip_line(
+    command, failed, stored_at_7, monkeypatch
+):
+    monkeypatch.setattr(fc, "FIELD_SIZE_CAP", 100)
+    monkeypatch.setattr(cs, "BOX_CAP", 10)
+    run, lines, saved = _skip_cases(stored_at_7)[command]
+    _spy_on_decompositions(monkeypatch, fail_at=5)
+    rows, skips = run()
+    assert skips == failed + lines
+    assert 5 not in {row.p for row in rows}
+
+
+def test_a_range_whose_every_prime_is_skipped_is_not_priced(capsys):
+    # F_{p^2} is past the cap at every prime of 1000..1100; their boxes, of
+    # p^2 points at kappa = 3/4, would have taken the command past 25 s
+    argv = ["charsum", "--p-range", "1000..1100", "--n", "2", "--k", "3", "--kappa", "0.75",
+            "--seed", "1"]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == hn.render(hn.SCAN_COLUMNS, [], "csv")
+    primes = list(hn.primes_in(1000, 1100))
+    assert len(primes) == 16
+    assert captured.err.splitlines() == [f"skip: {hn._field_skip(p, 2)}" for p in primes]
 
 
 def test_a_stored_field_past_the_cap_is_refused_before_its_irreducibility_test(
@@ -445,13 +550,19 @@ class TestCommandCap:
         return paths
 
     @pytest.mark.parametrize("flag", ["--form", "--decomp"])
-    def test_a_stored_object_past_the_cap_exits_2_at_once(self, flag, stored, capsys):
-        # a box of 8,100^2 = 65.6 M points, about 59 s at BOX_POINT_NS
+    def test_a_stored_object_past_the_cap_exits_2_at_once(
+        self, flag, stored, monkeypatch, capsys
+    ):
+        # a box of 8,100^2 = 65.6 M points, about 59 s at BOX_POINT_NS; the
+        # character, with its F_p log table, is not built
         capsys.readouterr()
+        built = []
+        monkeypatch.setattr(cc, "DirichletChar", lambda *args: built.append(args))
         start = time.perf_counter()
         key = flag.lstrip("-")
         assert cli.main(["charsum", flag, stored[key], "--seed", "0", "--kappa", "1.7"]) == 2
         assert time.perf_counter() - start < 1.0
+        assert built == []
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
@@ -528,7 +639,7 @@ class TestCommandCap:
         monkeypatch.setattr(hn, "COMMAND_CAP", total)
         rows, skips = hn.run_lattice(config)
         assert {row.p for row in rows} == {1009}
-        assert skips == ["p=1009 partition=(2,): field size 1009^2 exceeds cap 1000000"]
+        assert skips == ["p=1009 partition=(2,): field size 1018081 exceeds cap, skipped"]
         monkeypatch.setattr(hn, "COMMAND_CAP", total - 1)
         with pytest.raises(hn.UsageError, match="by p=1009, past the command cap"):
             hn.run_lattice(config)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from normsum import char_core as cc
 from normsum import charsum as cs
 from normsum import cli
 from normsum import harness as hn
@@ -232,11 +233,11 @@ class TestIdentitySuite:
         # first prime's character is where the suite starts its work
         reached = []
 
-        def first_prime(p):
+        def first_prime(p, index):
             reached.append(p)
             raise hn.UsageError("stop")
 
-        monkeypatch.setattr(hn, "_nonprincipal_char", first_prime)
+        monkeypatch.setattr(cc, "DirichletChar", first_prime)
         with pytest.raises(hn.UsageError, match="stop"):
             hn.run_identity_suite(hn.ExperimentConfig("identity-suite", 990, 1008, seed=5))
         assert reached == [991]

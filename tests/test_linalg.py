@@ -403,11 +403,23 @@ def _builds_identity_row(node) -> bool:
     )
 
 
-def _writes_field_skip_line(node) -> bool:
+def _writes_skip_line(node, kind: str = "") -> bool:
+    """Whether node is an f-string writing a "... exceeds cap, skipped" line
+    whose text holds kind."""
     if not isinstance(node, ast.JoinedStr):
         return False
     text = "".join(part.value for part in node.values if isinstance(part, ast.Constant))
-    return "field size" in text and "skipped" in text
+    return kind in text and "exceeds cap, skipped" in text
+
+
+def _writes_field_skip_line(node) -> bool:
+    return _writes_skip_line(node, "field size")
+
+
+def _calls_box_fits(node) -> bool:
+    return isinstance(node, ast.Call) and "box_fits" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    )
 
 
 def test_identity_rows_are_built_at_one_site():
@@ -418,14 +430,22 @@ def test_identity_rows_are_built_at_one_site():
 
 
 def test_the_field_skip_line_is_written_at_one_site():
-    # weil-check and moment ask one helper, so their skip lines cannot drift apart
+    # every table command asks one helper per cap, and asks it before its
+    # walk, so no two skip lines of one cap can drift apart
     assert _src_sites(_writes_field_skip_line) == [("_field_skip",)]
+    assert _src_sites(_writes_skip_line) == [("_window_cost",), ("_field_skip",), ("_box_cost",)]
+    harness = (Path(la.__file__).parent / "harness.py").read_text()
+    assert _sites(harness, _calls_box_fits) == [("_box_cost",)]
     probe = (
         "def run(m):\n    def cost(p):\n"
+        "        if not cs.box_fits(v):\n"
+        "            return f'p={p}: box volume {v} exceeds cap, skipped'\n"
         "        return f'p={p}: field size {p**m} exceeds cap, skipped'\n"
         "    raise ValueError(f'field size {m} exceeds cap')\n"
     )
     assert _sites(probe, _writes_field_skip_line) == [("run", "cost")]
+    assert _sites(probe, _writes_skip_line) == [("run", "cost")] * 2
+    assert _sites(probe, _calls_box_fits) == [("run", "cost")]
 
 
 # public functions of src that nothing in src, bench/*.py or BENCHMARK.json
@@ -522,46 +542,75 @@ def test_reference_walk_sees_each_kind_of_use():
     assert defs == [("f", "f"), ("m", "C.m")]
 
 
-# per-layer metrics other than .calls, .s and .self_s, each with the src
-# functions and methods that bench/trace.py reads it from
+# per-layer metrics other than .calls, .s and .self_s, which bench/trace.py's
+# Tracer.metric computes by a rule of its own: (why no .calls or .s rule
+# reads it, the src functions and methods it reads)
 DERIVED_METRICS = {
-    "charsum.box_points": ("charsum.charsum_direct", "charsum.charsum_lifted"),
-    "energy.pairs": ("energy.energy_histogram",),
-    "field_core.elements_iterated": ("field_core.ExtFieldCtx.iter_elements",),
+    "charsum.box_points": (
+        "a counter: the box volume of each call of either route",
+        ("charsum.charsum_direct", "charsum.charsum_lifted"),
+    ),
+    "energy.pairs": (
+        "a counter: vol_x vol_y of each histogram's instance", ("energy.energy_histogram",),
+    ),
+    "field_core.elements_iterated": (
+        "the items a generator method yields, not its calls",
+        ("field_core.ExtFieldCtx.iter_elements",),
+    ),
     "forms.random_decomposition.accept_ratio": (
-        "forms.random_decomposition", "forms.decomposition_in_class",
+        "a ratio: accepted draws over class tests",
+        ("forms.random_decomposition", "forms.decomposition_in_class"),
     ),
 }
+
+
+def _traced_callable(dotted: str) -> bool:
+    """Whether module.function or module.Class.method is a public function
+    that normsum's module defines, as bench/trace.py's Tracer wraps it."""
+    module, *path = dotted.split(".")
+    try:
+        mod = obj = importlib.import_module(f"normsum.{module}")
+        for attr in path:
+            obj = vars(obj)[attr]
+    except (ImportError, KeyError):
+        return False
+    return (inspect.isfunction(obj) and obj.__module__ == mod.__name__
+            and not any(attr.startswith("_") for attr in path))
 
 
 def test_traced_names_resolve_to_src_callables():
     """Every per-layer metric of BENCHMARK.json names something src defines,
     so a renamed or deleted traced name fails here, not as a KeyError in a
     traced benchmark run: .calls and .s a public function or method of its
-    module, .self_s a module, each derived metric above the functions it
-    reads (the element count, the yields of a generator method), and
-    trace.* a health metric that bench computes."""
+    module, .self_s a module, each derived metric above one that
+    bench/trace.py computes from the functions it reads, and trace.* a
+    health metric that bench computes.  BENCHMARK.json and bench are read,
+    never written."""
     repo = Path(la.__file__).resolve().parents[2]
     names = [m["name"] for m in json.loads((repo / "BENCHMARK.json").read_text())["per_layer"]]
     bench_source = "".join(path.read_text() for path in sorted((repo / "bench").glob("*.py")))
+    trace_source = (repo / "bench" / "trace.py").read_text()
     for name in names:
         head, _, tail = name.rpartition(".")
         if head == "trace":
             assert f'"{name}"' in bench_source, name
         elif tail == "self_s":
             importlib.import_module(f"normsum.{head}")
+        elif name in DERIVED_METRICS:
+            assert f'"{name}"' in trace_source, name
+            assert all(map(_traced_callable, DERIVED_METRICS[name][1])), name
         else:
-            assert name in DERIVED_METRICS or tail in ("calls", "s"), name
-            for dotted in DERIVED_METRICS.get(name, (head,)):
-                module, *path = dotted.split(".")
-                mod = obj = importlib.import_module(f"normsum.{module}")
-                for attr in path:
-                    obj = vars(obj)[attr]
-                assert inspect.isfunction(obj) and obj.__module__ == mod.__name__, (name, dotted)
-                assert not path[-1].startswith("_"), (name, dotted)
+            assert tail in ("calls", "s") and _traced_callable(head), name
     assert len(names) >= 50 and set(DERIVED_METRICS) <= set(names)
     ctx_class = importlib.import_module("normsum.field_core").ExtFieldCtx
     assert inspect.isgeneratorfunction(vars(ctx_class)["iter_elements"])
+    # a missing, private or cached name, or a property, is no traced callable
+    assert _traced_callable("forms.decompose")
+    assert _traced_callable("forms.NormFormDecomposition.lam")
+    assert not any(map(_traced_callable, (
+        "forms.no_such_function", "nomodule.f", "forms._roots_in", "field_core.norm_kernel",
+        "forms.BoxSpec.volume",
+    )))
 
 
 def test_shape_mismatch_is_value_error():
