@@ -476,7 +476,7 @@ LOG_CACHE_ELEMENTS = FIELD_SIZE_CAP
 # p entries of the table that a character mod p reads, in a command's cost
 LOG_ENTRY_NS = 130
 # one record per cached field, oldest first: its log_table, the walk's list of
-# logs until log_fold builds its fold from them, and its norm_table once built
+# logs until log_fold or norm_table is built, and each of those once built
 _tables: dict = {}
 
 
@@ -511,6 +511,7 @@ def norm_table(ctx: ExtFieldCtx):
         return range(p)
     tables = _tables_of(ctx)
     if tables.norm_table is None:
+        tables.walk = None  # a fold, if asked for later, takes fresh ints
         g = primitive_element(ctx)
         norm_g = norm_kernel(ctx)(g)
         cycle = [pow(norm_g, j, p) for j in range(p - 1)] * ((q - 1) // (p - 1))
@@ -555,12 +556,13 @@ def log_fold(ctx: ExtFieldCtx) -> list:
     fold[s] is log[ab] = s mod (q - 1) when a and b are nonzero, and the
     marker q - 1, which is no log, when either is zero.  It is built on first
     use from the walk's list of logs, which it begins with, so its logs are
-    the table's int objects, not copies.
+    the table's int objects, not copies, unless norm_table dropped that list.
     """
     tables = _tables_of(ctx)
     if tables.fold is None:
         order = ctx.order - 1
-        fold = tables.walk * 2  # logs, then logs again up to 2(q - 1) - 2, then the marker
+        # logs, then logs again up to 2(q - 1) - 2, then the marker
+        fold = (tables.walk or list(range(order))) * 2
         fold.pop()
         fold += itertools.repeat(order, 2 * order)
         tables.fold, tables.walk = fold, None
@@ -576,7 +578,7 @@ def _tables_of(ctx: ExtFieldCtx) -> types.SimpleNamespace:
     while _tables and sum(len(t.log_table) for t in _tables.values()) + q > LOG_CACHE_ELEMENTS:
         del _tables[next(iter(_tables))]
     order, g = q - 1, primitive_element(ctx)
-    logs = list(range(order))  # one int object per log, kept for log_fold
+    logs = list(range(order))  # one int object per log, kept for log_fold or norm_table
     table = [None] * q
     table[0] = 2 * order - 1  # set first, so a step onto code 0 is a revisit
     code, step = 1, g[0] if m == 1 else _times_code_table(ctx, g)

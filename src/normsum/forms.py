@@ -656,18 +656,20 @@ def _ranks_hold(D: NormFormDecomposition) -> bool:
 
 
 def verify_decomposition(F: FormSpec, D: NormFormDecomposition, seed: int = 0) -> bool:
-    """Pointwise identity F(x) = prod N_i(lambda_i(x)) plus the rank invariants."""
+    """The rank invariants, and F(x) = prod N_i(lambda_i(x)) by form_values
+    against D.values: over all of F_p^n in pieces, or past POINTWISE_EXHAUSTIVE_CAP
+    points over seeded runs of s points along x_n.  A run tests as much as a
+    point: for k < p, F - D on a seeded line is nonzero on all but a k/p share
+    of lines (Schwartz-Zippel), and a nonzero restriction cannot vanish at s > k points."""
     if F.p != D.p or F.n != D.n or F.k != D.k or not _ranks_hold(D):
         return False
     p, n = F.p, F.n
-    if p**n <= POINTWISE_EXHAUSTIVE_CAP:
-        return all(
-            all(map(operator.eq, form_values(F, piece), D.values(piece)))
-            for piece in BoxSpec((-1,) * n, (p,) * n).pieces(PIECE_SIDE)
-        )
-    rng = random.Random(seed)
-    points = (tuple(rng.randrange(p) for _ in range(n)) for _ in range(POINTWISE_SAMPLES))
-    return all(eval_form(F, x) == D.value(x) for x in points)
+    boxes = BoxSpec((-1,) * n, (p,) * n).pieces(PIECE_SIDE)
+    if p**n > POINTWISE_EXHAUSTIVE_CAP:
+        rng, s = random.Random(seed), min(p, math.isqrt(POINTWISE_SAMPLES))
+        boxes = (BoxSpec([rng.randrange(p) for _ in range(n)], (1,) * (n - 1) + (s,))
+                 for _ in range(-(-POINTWISE_SAMPLES // s)))
+    return all(all(map(operator.eq, form_values(F, B), D.values(B))) for B in boxes)
 
 
 def synthesize_form(D: NormFormDecomposition) -> FormSpec:

@@ -280,15 +280,26 @@ def _derived_seed(seed: int, *tags: int) -> int:
     return x
 
 
-def _seeded_decomposition(config: ExperimentConfig, p: int, partition: tuple, skips: list):
-    """The seeded decomposition of shape (n, k) at p for charsum and
-    bound-table, or None with p's rejection-sampling line added to skips."""
+def _seeded_decomposition(config: ExperimentConfig, p: int):
+    """The one seeded draw of shape (n, k) at p, for gen-form, charsum and bound-table."""
     rng = random.Random(_derived_seed(config.seed, p, config.n, config.k))
-    try:
-        return fm.random_decomposition(p, config.n, partition, rng)
-    except ValueError as exc:
-        skips.append(f"p={p}: {exc}")
-        return None
+    return fm.random_decomposition(p, config.n, canonical_partition(config.n, config.k), rng)
+
+
+def _seeded_boxes(config: ExperimentConfig, routes: int, weight_rows: int, skips: list):
+    """(p, D, chi of index 1, short box) per prime that runs, each priced by
+    D's largest field, then routes sums over its box and weight_rows rows; a
+    draw that fails rejection sampling is p's skip line."""
+    n, k, kappa = config.n, config.k, config.kappa
+    canonical_partition(n, k)  # a bad shape: exit 2 before the walk, never a skip line
+    for p in _walk(config, lambda p: _field_skip(p, k - n + 1)
+                   or _box_cost(p, n, kappa, routes, weight_rows), skips):
+        try:
+            D = _seeded_decomposition(config, p)
+        except ValueError as exc:
+            skips.append(f"p={p}: {exc}")
+            continue
+        yield p, D, cc.DirichletChar(p, 1), _short_box(p, n, kappa)
 
 
 def _random_unit(ctx, rng: random.Random):
@@ -307,8 +318,7 @@ def run_gen_form(config: ExperimentConfig) -> dict:
     p = next(primes_in(config.p_lo, config.p_hi), None)
     if p is None:
         raise UsageError("no prime in the requested range")
-    rng = random.Random(_derived_seed(config.seed, p, config.n, config.k))
-    D = fm.random_decomposition(p, config.n, canonical_partition(config.n, config.k), rng)
+    D = _seeded_decomposition(config, p)
     F = fm.synthesize_form(D)
     if not fm.verify_decomposition(F, D, seed=config.seed):
         raise la.CheckFailed("synthesized form failed verification")
@@ -369,21 +379,9 @@ def run_charsum(config: ExperimentConfig, form_path=None, decomp_path=None):
                    else cs.charsum_direct(chi, obj, box))
             return _charsum_rows(p, obj.n, obj.k, box, res), []
         return [], skips
-    partition = canonical_partition(config.n, config.k)  # a bad shape: exit 2 before the walk
     rows, skips = [], []
-
-    def cost(p):
-        # the decomposition's largest field, then both routes' box
-        return _field_skip(p, partition[0]) or _box_cost(p, config.n, config.kappa, 2, 1)
-
-    for p in _walk(config, cost, skips):
-        D = _seeded_decomposition(config, p, partition, skips)
-        if D is None:
-            continue
-        F = fm.synthesize_form(D)
-        chi = cc.DirichletChar(p, 1)
-        box = _short_box(p, config.n, config.kappa)
-        direct = cs.charsum_direct(chi, F, box)
+    for p, D, chi, box in _seeded_boxes(config, 2, 1, skips):
+        direct = cs.charsum_direct(chi, fm.synthesize_form(D), box)
         lifted = cs.charsum_lifted(D, chi, box)
         if direct != lifted:
             raise la.CheckFailed(f"route mismatch at p={p}")
@@ -548,23 +546,13 @@ def run_bound_table(config: ExperimentConfig):
     the one an exact search finds; both are blank where no r peaks.
     """
     n, k = config.n, config.k
-    partition = canonical_partition(n, k)  # a bad shape: exit 2 before the walk
+    canonical_partition(n, k)  # a bad shape: exit 2 before BoundParams
     rows, skips = [], []
     params = cs.BoundParams(n, k, k + 1, config.eps, config.kappa)
     r_opt, r_brute = cs.optimal_exponent(params), cs.search_exponent(params)
     if r_opt != r_brute:
         raise la.CheckFailed(f"optimal exponent mismatch: formula {r_opt}, search {r_brute}")
-
-    def cost(p):
-        # the decomposition's largest field, then the lifted route's box
-        return _field_skip(p, partition[0]) or _box_cost(p, n, config.kappa, 1, BOUND_SWEEP)
-
-    for p in _walk(config, cost, skips):
-        D = _seeded_decomposition(config, p, partition, skips)
-        if D is None:
-            continue
-        box = _short_box(p, n, config.kappa)
-        chi = cc.DirichletChar(p, 1)
+    for p, D, chi, box in _seeded_boxes(config, 1, BOUND_SWEEP, skips):
         res = cs.charsum_lifted(D, chi, box)
         s_abs = abs(res.value)
         for r in range(k + 1, k + 1 + BOUND_SWEEP):

@@ -843,17 +843,18 @@ def test_norm_table_is_built_on_first_use(monkeypatch):
     assert list(fc._tables) == [ctx]
 
 
-def test_a_field_without_a_fold_keeps_the_walk(monkeypatch):
-    # the fold begins with the walk's logs; weil-check reads norm tables and
-    # builds no fold, so its field's record keeps the walk's list of logs
+def test_a_norm_table_drops_the_walk_and_a_later_fold_is_the_same(monkeypatch):
+    # weil-check reads norm tables and builds no fold, so its field's record
+    # holds no walk list; a fold asked for afterwards is built from fresh ints
     monkeypatch.setattr(fc, "_tables", {})
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["weil-check", "--p", "29", "--k", "2", "--r", "1"]) == 0
     ctx, order = fc.ext_field_ctx(29, 2), 29**2 - 1
     tables = fc._tables[ctx]
-    assert tables.fold is None and tables.walk == list(range(order))
+    assert tables.fold is None and tables.walk is None and tables.norm_table is not None
     fold = fc.log_fold(ctx)
-    assert tables.fold is fold and tables.walk is None and fold[:order] == list(range(order))
+    logs = list(range(order))
+    assert tables.fold is fold and fold == logs + logs[:-1] + [order] * (2 * order)
 
 
 def test_norm_table_fails_closed(monkeypatch):

@@ -798,21 +798,71 @@ def test_exhaustive_verify_rejects_one_corrupted_block_entry(monkeypatch, side):
         D = fm.random_decomposition(p, n, part, rng)
         F = fm.synthesize_form(D)
         assert fm.verify_decomposition(F, D)
-        for i, ki in enumerate(part):
-            for r, j in itertools.product(range(ki), range(n)):
-                U = [list(row) for row in D.blocks[i]]
-                U[r][j] += 1
-                blocks = D.blocks[:i] + (U,) + D.blocks[i + 1:]
-                bad = fm.NormFormDecomposition(p, n, part, D.ctxs, blocks)
-                if not fm._ranks_hold(bad):
-                    continue
-                differs = any(
-                    fm.eval_form(F, x) != bad.value(x)
-                    for x in itertools.product(range(p), repeat=n)
-                )
-                assert fm.verify_decomposition(F, bad) is not differs, (p, part, i, r, j)
-                rejected += differs
+        for bad in _corruptions(D):
+            differs = any(
+                fm.eval_form(F, x) != bad.value(x) for x in itertools.product(range(p), repeat=n)
+            )
+            assert fm.verify_decomposition(F, bad) is not differs, (p, part, bad.blocks)
+            rejected += differs
     assert rejected >= 6
+
+
+def _corruptions(D):
+    """D with one block entry moved by 1, for each entry where the ranks hold."""
+    for i, ki in enumerate(D.partition):
+        for r, j in itertools.product(range(ki), range(D.n)):
+            U = [list(row) for row in D.blocks[i]]
+            U[r][j] += 1
+            bad = fm.NormFormDecomposition(
+                D.p, D.n, D.partition, D.ctxs, D.blocks[:i] + (U,) + D.blocks[i + 1:])
+            if fm._ranks_hold(bad):
+                yield bad
+
+
+def _no_point_oracle(monkeypatch):
+    """eval_form and D.value raise once patched; form_values is wrapped to
+    log the box of every run that verification compares."""
+    boxes, values = [], fm.form_values
+
+    def never(*args):
+        raise AssertionError("verification evaluated a single point")
+
+    def logged(F, B):
+        boxes.append(B)
+        return values(F, B)
+
+    monkeypatch.setattr(fm, "eval_form", never)
+    monkeypatch.setattr(fm.NormFormDecomposition, "value", never)
+    monkeypatch.setattr(fm, "form_values", logged)
+    return boxes
+
+
+@pytest.mark.parametrize("cap, shapes", [
+    (0, [(5, 2, (2,)), (7, 2, (1, 1)), (37, 2, (2,)), (5, 3, (2, 1)), (7, 3, (1, 1, 1))]),
+    (fm.POINTWISE_EXHAUSTIVE_CAP, [(19, 4, (2, 1, 1, 1))]),
+], ids=["cap-0", "19^4-points"])
+def test_sampled_verify_compares_seeded_runs_along_the_last_axis(monkeypatch, cap, shapes):
+    # past the exhaustive cap (forced to 0, or for real at 19^4 = 130,321
+    # points) F and D are compared over seeded runs of s = min(p, 100) points
+    # along x_n; a D whose synthesized form is not F fails
+    monkeypatch.setattr(fm, "POINTWISE_EXHAUSTIVE_CAP", cap)
+    rng = random.Random(41)
+    rejected = 0
+    for p, n, part in shapes:
+        assert p**n > fm.POINTWISE_EXHAUSTIVE_CAP and sum(part) < p
+        D = fm.random_decomposition(p, n, part, rng)
+        F = fm.synthesize_form(D)
+        corrupted = [(bad, fm.synthesize_form(bad) != F) for bad in _corruptions(D)]
+        with monkeypatch.context() as spies:
+            boxes = _no_point_oracle(spies)
+            assert fm.verify_decomposition(F, D, seed=p)
+            s = min(p, math.isqrt(fm.POINTWISE_SAMPLES))
+            assert {B.H for B in boxes} == {(1,) * (n - 1) + (s,)}
+            assert sum(B.volume for B in boxes) >= fm.POINTWISE_SAMPLES
+            for bad, differs in corrupted:
+                assert fm.verify_decomposition(F, bad, seed=p) is not differs, (p, part)
+                rejected += differs
+    assert rejected >= len(shapes)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ CASES = {
     "decompose": ["decompose", "--form", "{form}", "--seed", "0"],
     # no X_a^3 monomial: decompose changes variables by a full matrix
     "gen-form-general": ["gen-form", "--p", "3", "--n", "3", "--k", "3", "--seed", "7"],
+    # 19^4 = 130,321 points, past the exhaustive cap: verified over seeded runs
+    "gen-form-sampled": ["gen-form", "--p", "19", "--n", "4", "--k", "5", "--seed", "3"],
     "decompose-general": ["decompose", "--form", "{form_general}", "--seed", "0"],
     "charsum-csv": ["charsum", "--p-range", "3..13", "--n", "2", "--k", "2", "--seed", "1"],
     "charsum-json": ["charsum", "--p-range", "3..13", "--n", "2", "--k", "2", "--seed", "1",
@@ -130,6 +132,11 @@ DIGESTS = {
     ),
     "gen-form-general": (
         "d0d6533760b7d6f96fab992cf40af058a685d3a5d086c00bcacfdf42452b1cd2",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "gen-form-sampled": (
+        "05a23f2386586846a5cda1a10b9c4e9378261ee4b38878771c293eb2b7dd78a2",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),

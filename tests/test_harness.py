@@ -218,6 +218,22 @@ class TestBoundTable:
         with pytest.raises(hn.UsageError, match="2n"):
             hn.run_bound_table(hn.ExperimentConfig("bound-table", 3, 13, n=1, k=2))
 
+    @pytest.mark.parametrize("n, k, kappa", [(2, 3, 0.1), (1, 1, 0.3), (3, 5, 0.0)])
+    def test_charsum_and_bound_table_sum_one_instance(self, n, k, kappa):
+        # both draw, price and skip each prime alike, so each bound-table row
+        # carries the sum that charsum prints for its prime
+        shape = {"n": n, "k": k, "kappa": kappa, "seed": 1}
+        sums, sum_skips = hn.run_charsum(hn.ExperimentConfig("charsum", 3, 61, **shape))
+        table, table_skips = hn.run_bound_table(hn.ExperimentConfig("bound-table", 3, 61, **shape))
+        by_prime = {}
+        for row in sums:
+            by_prime.setdefault(row.p, {})[row.quantity] = row.value
+        assert len(by_prime) > 10 and len(table) == hn.BOUND_SWEEP * len(by_prime)
+        assert {(row.p, row.S_abs, row.weights) for row in table} == {
+            (p, q["charsum_abs"], q["charsum_weights"]) for p, q in by_prime.items()
+        }
+        assert table_skips == sum_skips
+
 
 class TestIdentitySuite:
     def test_field_cap_refuses_before_any_prime(self, capsys):

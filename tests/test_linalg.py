@@ -448,6 +448,50 @@ def test_the_field_skip_line_is_written_at_one_site():
     assert _sites(probe, _calls_box_fits) == [("run", "cost")]
 
 
+def _derives_shape_seed(node) -> bool:
+    """Whether node is a _derived_seed call of four tags, the last one k: the
+    seed of the (seed, p, n, k) draw."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_derived_seed"):
+        return False
+    last = node.args[-1] if len(node.args) == 4 else None
+    return "k" in (getattr(last, "id", None), getattr(last, "attr", None))
+
+
+def _calls_box_cost(node) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_box_cost"
+
+
+def test_the_seeded_instance_is_drawn_and_priced_at_one_site():
+    # gen-form, charsum and bound-table draw one decomposition per prime; the
+    # seeded commands price and walk it in one generator, the stored-object
+    # charsum in its own one-prime walk
+    harness = (Path(la.__file__).parent / "harness.py").read_text()
+    assert _sites(harness, _derives_shape_seed) == [("_seeded_decomposition",)]
+    assert _sites(harness, _calls_box_cost) == [("_seeded_boxes",), ("run_charsum",)]
+    probe = (
+        "def run(config):\n    def cost(p):\n        return _box_cost(p, 2, 0.0, 1, 1)\n"
+        "    a = random.Random(_derived_seed(config.seed, p, config.n, config.k))\n"
+        "    b = _derived_seed(seed, p, n, k)\n"
+        "    c = _derived_seed(config.seed, p, n, *part) + _derived_seed(seed, p, n)\n"
+    )
+    assert _sites(probe, _derives_shape_seed) == [("run",)] * 2
+    assert _sites(probe, _calls_box_cost) == [("run", "cost")]
+
+
+def _long_lines(text: str, limit: int = 100) -> list:
+    """The numbers of the lines of text longer than limit characters."""
+    return [i for i, line in enumerate(text.splitlines(), 1) if len(line) > limit]
+
+
+def test_no_src_line_is_over_100_characters():
+    found = {
+        path.name: lines for path in sorted(Path(la.__file__).parent.glob("*.py"))
+        if (lines := _long_lines(path.read_text()))
+    }
+    assert found == {}
+    assert _long_lines("x = 1\n" + "#" * 100 + "\n" + "y" * 101 + "\n") == [3]
+
+
 # public functions of src that nothing in src, bench/*.py or BENCHMARK.json
 # calls, each with the reason it stays
 UNREFERENCED_PUBLIC = {
