@@ -444,39 +444,38 @@ def _closure_split(F: FormSpec) -> ClosureSplitting:
     # roots of each restriction in the splitting field, negated
     candidates = [[tuple(-v % p for v in r) for r in _roots_in(rp, ctx)] for rp in parts]
 
-    # distinct monic linear forms are coprime, so a candidate divides G exactly
-    # when it divides what the earlier candidates left of G
+    # F_{p^K}[X] factors uniquely, so X_1 + b_2 X_2 + ... + b_j X_j divides
+    # G(X_1, ..., X_j, 0, ..., 0) only when it starts a linear factor of G
     rem = {e: (v,) + one[1:] for e, v in G.monomials}
-    mult_of = {}
-    for tail in itertools.product(*candidates):
-        b = (one,) + tail
-        mult = 0
-        while (q := _divide_by_linear(rem, b, ctx, n)) is not None:
-            rem = q
-            mult += 1
-        if mult:
-            mult_of[b] = mult
-    matched = sum(mult_of.values())
-    if matched != k or rem != {(0,) * n: one}:
-        raise UnsupportedFormError(
-            "factorization unsupported: form does not split into linear factors "
-            f"over the splitting field of size {p**K} (matched degree {matched} of {k})"
-        )
-
-    orbits = []
-    seen = set()
-    for b in mult_of:
-        if b in seen:
+    tails = [()]
+    for j, cands in enumerate(candidates[:-1], 2):
+        head = {e: v for e, v in rem.items() if not any(e[j:])}
+        tails = [t + (x,) for t in tails for x in cands
+                 if _divide_by_linear(head, (one,) + t + (x,), ctx, j) is not None]
+    # distinct monic linear forms are coprime, so each factor's multiplicity
+    # is counted on what the earlier orbits left of G; its conjugates share it
+    orbits, seen = [], set()
+    for tail in itertools.product(tails, *candidates[-1:]):
+        b, mult = (one,) + tail[0] + tail[1:], 0
+        while b not in seen and (q := _divide_by_linear(rem, b, ctx, n)) is not None:
+            rem, mult = q, mult + 1
+        if not mult:
             continue
         orbit = []
         while b not in seen:
             seen.add(b)
             orbit.append(b)
             b = tuple(fc.pow_coeffs(ctx, x, p) for x in b)
-        orbit_mults = {mult_of.get(ob) for ob in orbit}
-        if len(orbit_mults) != 1:
-            raise linalg.CheckFailed("conjugate factors must share multiplicity")
-        orbits.append((tuple(ob[1:] for ob in orbit), orbit_mults.pop()))
+        for ob in orbit[1:] * mult:
+            if (rem := _divide_by_linear(rem, ob, ctx, n)) is None:
+                raise linalg.CheckFailed("conjugate factors must share multiplicity")
+        orbits.append((tuple(ob[1:] for ob in orbit), mult))
+    matched = sum(len(orbit) * mult for orbit, mult in orbits)
+    if matched != k or rem != {(0,) * n: one}:
+        raise UnsupportedFormError(
+            "factorization unsupported: form does not split into linear factors "
+            f"over the splitting field of size {p**K} (matched degree {matched} of {k})"
+        )
     return ClosureSplitting(c, ctx, tuple(tuple(row) for row in M), tuple(orbits))
 
 

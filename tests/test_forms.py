@@ -1,6 +1,7 @@
 """Forms, factorization, norm-form decompositions, boxes cut into pieces."""
 
 import ast
+import collections
 import itertools
 import json
 import math
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from normsum import cli
 from normsum import field_core as fc
 from normsum import forms as fm
 from normsum import harness as hn
@@ -500,6 +502,140 @@ def test_closure_split_of_one_variable():
                 split = fm._closure_split(form(p, 1, {(k,): c}))
                 want = fm.ClosureSplitting(c, fc.ext_field_ctx(p, 1), ((1,),), ((((),), k),))
                 assert split == want, (p, k, c)
+
+
+def closure_split_by_product(F):
+    """The oracle: fm._closure_split as it searched by trying every tuple of
+    the restrictions' negated roots on the whole form, then grouped the
+    factors found into Frobenius orbits."""
+    p, n, k = F.p, F.n, F.k
+    M = fm._leading_change(F)
+    G = fm.compose_form(F, M)
+    c = G.coefficient((k,) + (0,) * (n - 1))
+    if c == 0:
+        raise la.CheckFailed("change of variables left the X_1^k coefficient zero")
+    G = fm.FormSpec(p, n, k, tuple((e, (v * la.inv_mod(c, p)) % p) for e, v in G.monomials))
+    parts = [list(fc.degree_parts(fm._restriction(G, j), p)) for j in range(1, n)]
+    K = math.lcm(*(d for restriction in parts for d, _ in restriction))
+    if not fc.field_fits(p, K):
+        raise fm.UnsupportedFormError(
+            f"factorization unsupported: splitting field {p}^{K} exceeds cap {fc.FIELD_SIZE_CAP}"
+        )
+    ctx = fc.ext_field_ctx(p, K)
+    one = ctx.from_int(1)
+    candidates = [[tuple(-v % p for v in r) for r in fm._roots_in(rp, ctx)] for rp in parts]
+    rem = {e: (v,) + one[1:] for e, v in G.monomials}
+    mult_of = {}
+    for tail in itertools.product(*candidates):
+        b = (one,) + tail
+        mult = 0
+        while (q := fm._divide_by_linear(rem, b, ctx, n)) is not None:
+            rem = q
+            mult += 1
+        if mult:
+            mult_of[b] = mult
+    matched = sum(mult_of.values())
+    if matched != k or rem != {(0,) * n: one}:
+        raise fm.UnsupportedFormError(
+            "factorization unsupported: form does not split into linear factors "
+            f"over the splitting field of size {p**K} (matched degree {matched} of {k})"
+        )
+    orbits = []
+    seen = set()
+    for b in mult_of:
+        if b in seen:
+            continue
+        orbit = []
+        while b not in seen:
+            seen.add(b)
+            orbit.append(b)
+            b = tuple(fc.pow_coeffs(ctx, x, p) for x in b)
+        orbit_mults = {mult_of.get(ob) for ob in orbit}
+        if len(orbit_mults) != 1:
+            raise la.CheckFailed("conjugate factors must share multiplicity")
+        orbits.append((tuple(ob[1:] for ob in orbit), orbit_mults.pop()))
+    return fm.ClosureSplitting(c, ctx, tuple(tuple(row) for row in M), tuple(orbits))
+
+
+def split_or_error(split, F):
+    """split(F), or the type and message of what it raised."""
+    try:
+        return split(F)
+    except (ValueError, la.CheckFailed) as exc:
+        return type(exc), str(exc)
+
+
+def random_form(rng):
+    """A random form over F_p with p <= 7, n <= 4 and k <= 5, mostly outside
+    the supported class: a product of random factors, the last on about two
+    thirds of its monomials and any earlier one on at most three, so that
+    repeated factors come now and then."""
+    p, n, k = rng.choice((2, 3, 5, 7)), rng.choice((1, 2, 3, 3, 4, 4)), rng.randint(1, 5)
+    factors, left = [], k
+    while left:
+        d = rng.randint(1, left) if rng.random() < 0.25 else left
+        homogeneous = [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d]
+        keep = 3 if d < left else len(homogeneous)
+        monos = {rng.choice(homogeneous): rng.randint(1, p - 1) for _ in range(keep)}
+        factors.append(fm.FormSpec(p, n, d, tuple(monos.items())))
+        left -= d
+    return form_product(factors, p, n, k)
+
+
+def test_closure_split_matches_the_product_search():
+    # the same orbits in the same order, or the same refusal, as trying every
+    # tuple: on the round-trip forms and on random forms
+    rng = random.Random(99)
+    cases = [(3, (2,)), (3, (1, 1)), (5, (2, 1)), (5, (3,)), (7, (1, 1, 1)), (7, (2,))]
+    forms = [fm.synthesize_form(fm.random_decomposition(p, sum(part), part, rng))
+             for p, part in (cases[i % len(cases)] for i in range(50))]
+    rng = random.Random(39)
+    forms += [random_form(rng) for _ in range(200)]
+    outcomes = collections.Counter()
+    for F in forms:
+        got = split_or_error(fm._closure_split, F)
+        assert got == split_or_error(closure_split_by_product, F), F
+        outcomes[got[0] if isinstance(got, tuple) else fm.ClosureSplitting] += 1
+    assert outcomes[fm.ClosureSplitting] >= 50 and outcomes[fm.UnsupportedFormError] >= 100
+
+
+def counted_divisions(monkeypatch, refuse=lambda b: False):
+    """Spy on fm._divide_by_linear: the list of divisor tuples it is asked
+    for; a divisor that refuse accepts leaves a remainder."""
+    divide, calls = fm._divide_by_linear, []
+
+    def spy(poly, b, ctx, n):
+        calls.append(b)
+        return None if refuse(b) else divide(poly, b, ctx, n)
+
+    monkeypatch.setattr(fm, "_divide_by_linear", spy)
+    return calls
+
+
+def test_closure_split_divides_polynomially_often(monkeypatch, tmp_path):
+    # at most k tails live per coordinate, so (n - 2) k^2 divisions of
+    # restricted forms and k^2 + 2k of the whole form; trying every tuple
+    # made 18,824 on this form of 1,179 monomials
+    path = tmp_path / "form.json"
+    argv = ["gen-form", "--p", "13", "--n", "6", "--k", "8", "--seed", "1", "--out", str(path)]
+    assert cli.main(argv) == 0
+    F = fm.form_from_dict(json.loads(path.read_text())["form"])
+    calls = counted_divisions(monkeypatch)
+    split = fm._closure_split(F)
+    assert sum(len(orbit) * mult for orbit, mult in split.orbits) == F.k
+    assert len(calls) <= (F.n - 1) * F.k**2 + 2 * F.k == 336
+
+
+def test_closure_split_fails_closed_on_a_conjugate_that_does_not_divide(monkeypatch):
+    # X1^2 + X2^2 is irreducible mod 3: one orbit of two conjugate factors
+    F = form(3, 2, {(2, 0): 1, (0, 2): 1})
+    (orbit, mult), = fm._closure_split(F).orbits
+    assert (len(orbit), mult) == (2, 1)
+    one = fc.ext_field_ctx(3, 2).from_int(1)
+    calls = counted_divisions(monkeypatch, refuse=lambda b: b == (one,) + orbit[1])
+    with pytest.raises(la.CheckFailed, match="conjugate factors must share multiplicity"):
+        fm._closure_split(F)
+    assert calls[-1] == (one,) + orbit[1]
 
 
 def check_stacked_ranks(D):

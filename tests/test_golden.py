@@ -24,6 +24,9 @@ CASES = {
     # 19^4 = 130,321 points, past the exhaustive cap: verified over seeded runs
     "gen-form-sampled": ["gen-form", "--p", "19", "--n", "4", "--k", "5", "--seed", "3"],
     "decompose-general": ["decompose", "--form", "{form_general}", "--seed", "0"],
+    # 1,179 monomials in six variables, k = 8
+    "gen-form-wide": ["gen-form", "--p", "13", "--n", "6", "--k", "8", "--seed", "1"],
+    "decompose-wide": ["decompose", "--form", "{form_wide}", "--seed", "0"],
     "charsum-csv": ["charsum", "--p-range", "3..13", "--n", "2", "--k", "2", "--seed", "1"],
     "charsum-json": ["charsum", "--p-range", "3..13", "--n", "2", "--k", "2", "--seed", "1",
                      "--format", "json"],
@@ -109,6 +112,12 @@ DIGESTS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),
+    # pinned while decompose still tried every tuple of root candidates
+    "decompose-wide": (
+        "87ca9c9a602b8a96da4ca85d604c31bb8560232738884bece2cc6f33aed20fe9",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
     "energy": (
         "ff5592d2de2a80d38bd2033e4bb11897ef8cc41e1ceb5e4467a64a62ce8eb8c1",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -132,6 +141,11 @@ DIGESTS = {
     ),
     "gen-form-general": (
         "d0d6533760b7d6f96fab992cf40af058a685d3a5d086c00bcacfdf42452b1cd2",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "gen-form-wide": (
+        "5f5c42cb3ddc3e5428679bc6e5497f51db664d0eb527e5420b1f65f7efde8232",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),
@@ -250,9 +264,10 @@ def _sha(text: str) -> str:
 def inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("golden")
     paths = {"form": str(d / "form.json"), "decomp": str(d / "decomp.json"),
-             "form_general": str(d / "form_general.json")}
+             "form_general": str(d / "form_general.json"), "form_wide": str(d / "form_wide.json")}
     assert cli.main(CASES["gen-form"] + ["--out", paths["form"]]) == 0
     assert cli.main(CASES["gen-form-general"] + ["--out", paths["form_general"]]) == 0
+    assert cli.main(CASES["gen-form-wide"] + ["--out", paths["form_wide"]]) == 0
     assert cli.main(["decompose", "--form", paths["form"], "--seed", "0",
                      "--out", paths["decomp"]]) == 0
     return paths

@@ -429,6 +429,30 @@ def test_identity_rows_are_built_at_one_site():
     assert _sites(probe, _builds_identity_row) == [("f",), ()]
 
 
+def _closure_split_shape(source: str) -> tuple:
+    """The argument counts of the itertools.product calls in _closure_split,
+    and whether it has a name mult_of."""
+    fn, = [node for node in ast.walk(ast.parse(source))
+           if isinstance(node, ast.FunctionDef) and node.name == "_closure_split"]
+    nodes = list(ast.walk(fn))
+    arities = [len(node.args) for node in nodes
+               if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "product"]
+    return arities, any(isinstance(node, ast.Name) and node.id == "mult_of" for node in nodes)
+
+
+def test_the_closure_split_walks_one_product_of_pruned_tails():
+    # one product, of the pruned tails by the last coordinate's candidates,
+    # and one orbit per first factor: no product over every coordinate and
+    # no table of multiplicities grouped in a second loop
+    forms = (Path(la.__file__).parent / "forms.py").read_text()
+    assert _closure_split_shape(forms) == ([2], False)
+    probe = (
+        "def _closure_split(F):\n    mult_of = {}\n"
+        "    for tail in itertools.product(*candidates):\n        mult_of[tail] = 1\n"
+    )
+    assert _closure_split_shape(probe) == ([1], True)
+
+
 def test_the_field_skip_line_is_written_at_one_site():
     # every table command asks one helper per cap, and asks it before its
     # walk, so no two skip lines of one cap can drift apart
