@@ -140,17 +140,8 @@ def modulus(w) -> tuple[int, ...]:
 
 
 def power(w, r: int) -> tuple[int, ...]:
-    """S^r by repeated squaring, in about 2 log2 r convolutions."""
-    if r < 0:
-        raise ValueError("exponent must be nonnegative")
-    powed = (1,) + (0,) * (len(w) - 1)
-    while r:
-        if r & 1:
-            powed = convolve(powed, w)
-        r >>= 1
-        if r:
-            w = convolve(w, w)
-    return powed
+    """S^r by fc.power_by_squaring with convolve: r.bit_length() - 1 + popcount(r) products."""
+    return fc.power_by_squaring(convolve, (1,) + (0,) * (len(w) - 1), w, r)
 
 
 def real_value(w) -> float:

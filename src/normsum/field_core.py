@@ -113,16 +113,19 @@ def _poly_gcd(a, b, p: int) -> list[int]:
     return a
 
 
-def _poly_powmod(base, e: int, mod, p: int) -> list[int]:
-    """base^e mod the monic mod over F_p, for base of degree below mod's,
-    untrimmed as _poly_mulmod leaves it."""
-    result = [1]
+def power_by_squaring(mul, one, a, e: int):
+    """a^e in the monoid of mul with identity one, for e >= 0, by the
+    right-to-left binary method (Knuth, TAOCP vol. 2, 4.6.3): from one,
+    e.bit_length() - 1 squarings and one product per set bit of e."""
+    if e < 0:
+        raise ValueError(f"exponent must be nonnegative (>= 0), got {e}")
+    result = one
     while e:
         if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
+            result = mul(result, a)
         e >>= 1
         if e:
-            base = _poly_mulmod(base, base, mod, p)
+            a = mul(a, a)
     return result
 
 
@@ -160,7 +163,7 @@ def degree_parts(f, p: int):
         if len(rem) - 1 < 2 * d:
             yield len(rem) - 1, tuple(rem)
             return
-        x_power = _poly_powmod(x_power, p, rem, p)
+        x_power = power_by_squaring(functools.partial(_poly_mulmod, f=rem, p=p), [1], x_power, p)
         # X^(p^d) - X: x_power, padded to degree 1, less 1 at X
         h = _poly_gcd([(v - (i == 1)) % p for i, v in enumerate(x_power + [0])], rem, p)
         if len(h) > 1:
@@ -286,15 +289,7 @@ def ext_mul(ctx: ExtFieldCtx, a, b) -> tuple:
 
 def ext_pow(ctx: ExtFieldCtx, a, e: int) -> tuple:
     """Oracle of pow_coeffs: a^e for e >= 0 by squaring with ext_mul."""
-    if e < 0:
-        raise ValueError(f"exponent must be >= 0, got {e}")
-    result = ctx.from_int(1)
-    while e > 0:
-        if e & 1:
-            result = ext_mul(ctx, result, a)
-        a = ext_mul(ctx, a, a)
-        e >>= 1
-    return result
+    return power_by_squaring(functools.partial(ext_mul, ctx), ctx.from_int(1), a, e)
 
 
 def frobenius(ctx: ExtFieldCtx, a, i: int) -> tuple:
@@ -452,17 +447,7 @@ def mul_kernel(ctx: ExtFieldCtx):
 
 def pow_coeffs(ctx: ExtFieldCtx, a, e: int) -> tuple:
     """a^e for a coefficient tuple a and e >= 0, by squaring with mul_kernel."""
-    if e < 0:
-        raise ValueError(f"exponent must be >= 0, got {e}")
-    mul = mul_kernel(ctx)
-    result = (1,) + (0,) * (ctx.m - 1)
-    while e:
-        if e & 1:
-            result = mul(result, a)
-        e >>= 1
-        if e:
-            a = mul(a, a)
-    return result
+    return power_by_squaring(mul_kernel(ctx), ctx.from_int(1), a, e)
 
 
 # a field's log table, fold and norm table hold about 6q references (some

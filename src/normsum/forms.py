@@ -12,7 +12,8 @@ the matching extension field.
 
 Supported factorization classes: any binary form; products of linear forms;
 forms assembled from a norm-form decomposition (every form whose closure
-factorization is into linear forms, really). Anything else fails loudly.
+factorization is into linear forms, really), unless the form vanishes on all
+of F_p^n, as L1 L2 (L1 + L2) does at p = 2. Anything else fails loudly.
 """
 
 from __future__ import annotations
@@ -659,7 +660,9 @@ def verify_decomposition(F: FormSpec, D: NormFormDecomposition, seed: int = 0) -
     against D.values: over all of F_p^n in pieces, or past POINTWISE_EXHAUSTIVE_CAP
     points over seeded runs of s points along x_n.  A run tests as much as a
     point: for k < p, F - D on a seeded line is nonzero on all but a k/p share
-    of lines (Schwartz-Zippel), and a nonzero restriction cannot vanish at s > k points."""
+    of lines (Schwartz-Zippel), and a nonzero restriction cannot vanish at s > k points.
+    Both compare functions: for k >= p a nonzero F - D can vanish on all of F_p^n
+    (x1 x2 (x1 + x2) on F_2^2), so F_p^n decides the polynomial only for k < p."""
     if F.p != D.p or F.n != D.n or F.k != D.k or not _ranks_hold(D):
         return False
     p, n = F.p, F.n

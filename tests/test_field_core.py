@@ -347,6 +347,96 @@ def test_pow_coeffs_matches_ext_pow(p, m, poly):
         fc.pow_coeffs(ctx, a, -1)
 
 
+def chain_power(mul, one, a, e):
+    """a^e by e-fold repeated multiplication, one, one a, one a a, ...: the
+    walk stops at its first repeated value, from which the sequence of
+    powers is periodic, so a huge e costs no more than the cycle."""
+    chain, seen = [one], {one: 0}
+    while len(chain) <= e:
+        nxt = mul(chain[-1], a)
+        if nxt in seen:
+            start = seen[nxt]
+            return chain[start + (e - start) % (len(chain) - start)]
+        seen[nxt] = len(chain)
+        chain.append(nxt)
+    return chain[e]
+
+
+def _power_monoids():
+    """pytest.param(mul, one, elements, exponents) for ints mod a prime, F_{p^m}
+    tuples through mul_kernel for m = 1..5, and weight vectors through
+    cc.convolve; the exponents are 0..64, p, q - 1, 3q + 1 and 10^6 + 3."""
+    def exponents(p, q):
+        return list(range(65)) + [p, q - 1, 3 * q + 1, 10**6 + 3]
+
+    p = 1009
+    yield pytest.param(lambda a, b: a * b % p, 1, [0, 1, 2, 11, p - 1], exponents(p, p),
+                       id="ints mod 1009")
+    for m in range(1, 6):
+        ctx = fc.ext_field_ctx(3, m)
+        rng = random.Random(m)
+        elements = [ctx.from_int(0), ctx.from_int(1), ctx.from_int(2), ctx.gen()]
+        elements += [tuple(rng.randrange(3) for _ in range(m)) for _ in range(4)]
+        yield pytest.param(fc.mul_kernel(ctx), ctx.from_int(1), elements,
+                           exponents(3, ctx.order), id=f"F_3^{m}")
+    # the powers of a signed unit vector cycle; the others' weights grow, so
+    # they take the exponents the repeated products reach
+    one = (1, 0, 0, 0)
+    yield pytest.param(cc.convolve, one, [(0, 0, 0, 0), one, (0, 1, 0, 0), (0, 0, -1, 0)],
+                       exponents(5, 5), id="cycling weights")
+    yield pytest.param(cc.convolve, one, [(1, 1, 0, 0), (2, 0, -1, 1), (0, 3, 1, 1)],
+                       [e for e in exponents(5, 5) if e <= 64], id="growing weights")
+
+
+@pytest.mark.parametrize("mul,one,elements,exponents", _power_monoids())
+def test_power_by_squaring_matches_repeated_multiplication(mul, one, elements, exponents):
+    for a in elements:
+        for e in exponents:
+            assert fc.power_by_squaring(mul, one, a, e) == chain_power(mul, one, a, e), (a, e)
+
+
+def test_power_by_squaring_takes_one_squaring_per_bit_and_one_product_per_set_bit(monkeypatch):
+    """For e >= 1, e.bit_length() - 1 + e.bit_count() products: the per-power
+    part of charsum.moment_work's r.bit_length() + bin(r).count("1"), which
+    adds cc.modulus's one product.  e = 0 returns one without a product."""
+    calls = []
+
+    def counting(a, b):
+        calls.append(None)
+        return a * b % 1009
+
+    def refuse(a, b):
+        raise AssertionError("e = 0 took a product")
+
+    one = object()
+    assert fc.power_by_squaring(refuse, one, 5, 0) is one
+    for e in list(range(1, 300)) + [1009, 10**6 + 3, 2**40 - 1, 2**40]:
+        calls.clear()
+        fc.power_by_squaring(counting, 1, 5, e)
+        assert len(calls) == e.bit_length() - 1 + e.bit_count(), e
+    convolve = cc.convolve
+
+    def counted_convolve(a, b):
+        calls.append(None)
+        return convolve(a, b)
+
+    monkeypatch.setattr(cc, "convolve", counted_convolve)
+    for r in range(1, 65):
+        calls.clear()
+        cc.power(cc.modulus((1, 2, 0, 1)), r)
+        assert len(calls) == r.bit_length() + bin(r).count("1"), r
+
+
+def test_power_by_squaring_refuses_a_negative_exponent_before_any_product():
+    def refuse(a, b):
+        raise AssertionError("a negative exponent took a product")
+
+    for e in (-1, -2, -(10**6)):
+        with pytest.raises(ValueError) as info:
+            fc.power_by_squaring(refuse, 1, 2, e)
+        assert str(info.value) == f"exponent must be nonnegative (>= 0), got {e}"
+
+
 def test_ext_field_ctx_memoized():
     assert fc.ext_field_ctx(3, 2) is fc.ext_field_ctx(3, 2)
     assert fc.ext_field_ctx(3, 2, [1, 0, 1]) is fc.ext_field_ctx(3, 2, (1, 0, 1))

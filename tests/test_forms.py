@@ -427,6 +427,39 @@ def test_verify_decomposition_counterexample():
     assert not fm.verify_decomposition(F, bad)
 
 
+def gen_form(tmp_path, p, n, k, seed=1):
+    """The form and decomposition that gen-form prints for (p, n, k, seed)."""
+    path = tmp_path / f"gen-{p}-{n}-{k}-{seed}.json"
+    argv = ["gen-form", "--p", str(p), "--n", str(n), "--k", str(k), "--seed", str(seed),
+            "--out", str(path)]
+    assert cli.main(argv) == 0
+    obj = json.loads(path.read_text())
+    return fm.form_from_dict(obj["form"]), fm.decomposition_from_dict(obj["decomposition"])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "verify_decomposition compares values on F_p^n, which fixes a form only "
+        "for k < p: x1 x2 (x1 + x2) is zero on F_2^2 and x1 x2 (x1^2 - x2^2) on "
+        "F_3^2, so adding x3 (k = 4) or x1 x3 (k = 5) times the first to the "
+        "synthesized form of gen-form --p 2 --n 3 --seed 1, or the second itself "
+        "at p = 3, k = 4, gives a different form that is still accepted"
+    ),
+)
+@pytest.mark.parametrize("p,k,extra", [
+    (2, 4, {(2, 1, 1): 1, (1, 2, 1): 1}),
+    (2, 5, {(3, 1, 1): 1, (2, 2, 1): 1}),
+    (3, 4, {(3, 1, 0): 1, (1, 3, 0): -1}),
+])
+def test_verify_decomposition_rejects_a_form_that_differs_only_as_a_polynomial(
+        tmp_path, p, k, extra):
+    F, D = gen_form(tmp_path, p, 3, k)
+    G = fm.FormSpec(p, 3, k, F.monomials + tuple(extra.items()))
+    assert G != F and fm.verify_decomposition(F, D)
+    assert not fm.verify_decomposition(G, D)
+
+
 def test_synthesize_examples():
     ctx5 = fc.ext_field_ctx(5, 1)
     D = fm.NormFormDecomposition(
@@ -450,6 +483,24 @@ def test_synthesize_decompose_round_trip_50():
         assert fm.verify_decomposition(F, D2)
         assert fm.synthesize_form(D2) == F
         count += 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=fm.UnsupportedFormError,
+    reason=(
+        "gen-form --p 2 --n 4 --k 7 --seed 1 draws partition (4, 1, 1, 1) with "
+        "linear blocks (0, 1, 0, 1), (1, 0, 0, 0) and (1, 1, 0, 1) = their sum, so "
+        "L1 L2 (L1 + L2) is zero on F_2^4 and so is the form; decompose finds no "
+        "point where it is nonzero, and no change of variables over F_p can give "
+        "X_1^k a nonzero coefficient. 7 of 324 round trips at seeds 1-12, "
+        "p in {2, 3, 5}, 2 <= n <= 4, n <= k < 2n fail so, all at p = 2, n = 4"
+    ),
+)
+def test_gen_form_round_trips_when_its_form_vanishes_on_all_of_F2_n(tmp_path):
+    F, D = gen_form(tmp_path, 2, 4, 7)
+    assert D.partition == (4, 1, 1, 1)
+    assert fm.verify_decomposition(F, fm.decompose(F))
 
 
 def test_decompose_absorbs_leading_constant():

@@ -27,6 +27,13 @@ CASES = {
     # 1,179 monomials in six variables, k = 8
     "gen-form-wide": ["gen-form", "--p", "13", "--n", "6", "--k", "8", "--seed", "1"],
     "decompose-wide": ["decompose", "--form", "{form_wide}", "--seed", "0"],
+    # fields of degree 4 to 6: the generic m >= 4 product, the Laplace (m = 4)
+    # and mat_det (m >= 5) norms, and the distinct-degree split past degree 3
+    "charsum-m4": ["charsum", "--p", "5", "--n", "4", "--k", "7", "--seed", "1"],
+    "weil-check-m5": ["weil-check", "--p", "3", "--k", "5", "--r", "1"],
+    "moment-m6": ["moment", "--p", "3", "--k", "6", "--r", "3"],
+    "gen-form-m5": ["gen-form", "--p", "3", "--n", "5", "--k", "9", "--seed", "1"],
+    "decompose-m5": ["decompose", "--form", "{form_m5}", "--seed", "0"],
     "charsum-csv": ["charsum", "--p-range", "3..13", "--n", "2", "--k", "2", "--seed", "1"],
     "charsum-json": ["charsum", "--p-range", "3..13", "--n", "2", "--k", "2", "--seed", "1",
                      "--format", "json"],
@@ -100,6 +107,12 @@ DIGESTS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),
+    # partition (4, 1, 1, 1), F_{5^4}
+    "charsum-m4": (
+        "185926ae7f4d9f788ffd973bd514e0150a2f970e3596fc2837904fa86dc3b248",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
     "decompose": (
         "ded4939689c9092dcca4f66b22fb9e0a2c8bd9c5855622c15a44b33cdd6620d1",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -115,6 +128,12 @@ DIGESTS = {
     # pinned while decompose still tried every tuple of root candidates
     "decompose-wide": (
         "87ca9c9a602b8a96da4ca85d604c31bb8560232738884bece2cc6f33aed20fe9",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    # splitting field F_{3^5}
+    "decompose-m5": (
+        "b4ec43b623d4253779dc2d5ce0d94037f0862d1e4af73ff09d12a8551cf34e12",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),
@@ -146,6 +165,11 @@ DIGESTS = {
     ),
     "gen-form-wide": (
         "5f5c42cb3ddc3e5428679bc6e5497f51db664d0eb527e5420b1f65f7efde8232",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "gen-form-m5": (
+        "d9f06c7a412a66b85136fd4977b690876b6317ce85f059a15830a0c2fa7b3db5",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),
@@ -220,6 +244,11 @@ DIGESTS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),
+    "moment-m6": (
+        "3da006e114c7535ff03c6476686e97bfb3ca4d223ee65c813230248606d121b5",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
     "usage-bound-table-shape": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "ce3e22b9555f5d34fe0f9cc527d3db0aebb9bab4e343dea6e2eea983ab2d948b",
@@ -248,6 +277,11 @@ DIGESTS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),
+    "weil-check-m5": (
+        "f49020e6c4db45cc51cb38b6aa921f3f9496d8f26a230c75465903e75e2884e5",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
     "identity-suite-failures": (
         "ecac45a8e4536b425cd0c1894018f017d155c5657f8dc2b7b24cb5feca7ea557",
         "47123fb0008951f0f3de53fd2e7b11811adf9a379afa4d4fdd83ae5f48af6d8f",
@@ -264,10 +298,12 @@ def _sha(text: str) -> str:
 def inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("golden")
     paths = {"form": str(d / "form.json"), "decomp": str(d / "decomp.json"),
-             "form_general": str(d / "form_general.json"), "form_wide": str(d / "form_wide.json")}
+             "form_general": str(d / "form_general.json"), "form_wide": str(d / "form_wide.json"),
+             "form_m5": str(d / "form_m5.json")}
     assert cli.main(CASES["gen-form"] + ["--out", paths["form"]]) == 0
     assert cli.main(CASES["gen-form-general"] + ["--out", paths["form_general"]]) == 0
     assert cli.main(CASES["gen-form-wide"] + ["--out", paths["form_wide"]]) == 0
+    assert cli.main(CASES["gen-form-m5"] + ["--out", paths["form_m5"]]) == 0
     assert cli.main(["decompose", "--form", paths["form"], "--seed", "0",
                      "--out", paths["decomp"]]) == 0
     return paths

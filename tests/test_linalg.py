@@ -453,6 +453,24 @@ def test_the_closure_split_walks_one_product_of_pruned_tails():
     assert _closure_split_shape(probe) == ([1], True)
 
 
+def _halves_an_exponent(node) -> bool:
+    return isinstance(node, ast.AugAssign) and isinstance(node.op, ast.RShift)
+
+
+def test_every_power_is_raised_by_one_loop():
+    # Frobenius conjugates, inverses, the primitive-element tests, X^(p^d)
+    # mod f and the moment's power all call power_by_squaring, so no second
+    # square-and-multiply loop can drift from its schedule
+    assert _src_sites(_halves_an_exponent) == [("power_by_squaring",)]
+    probe = (
+        "def pow_coeffs(ctx, a, e):\n    mul = mul_kernel(ctx)\n"
+        "    result = (1,) + (0,) * (ctx.m - 1)\n    while e:\n"
+        "        if e & 1:\n            result = mul(result, a)\n"
+        "        e >>= 1\n        if e:\n            a = mul(a, a)\n    return result\n"
+    )
+    assert _sites(probe, _halves_an_exponent) == [("pow_coeffs",)]
+
+
 def test_the_field_skip_line_is_written_at_one_site():
     # every table command asks one helper per cap, and asks it before its
     # walk, so no two skip lines of one cap can drift apart
