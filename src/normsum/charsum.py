@@ -228,17 +228,15 @@ def s2_moment(
             tuple(N if N in column else sum(column) % N for column in zip(*z))
             for z in itertools.product(*fields)
         )
-    # the z's are counted by their rows of indices, each distinct row is
-    # sorted once into its key, and keys of equal weights merge
+    # the z's are counted by their rows of indices, and each distinct row is
+    # sorted once into its key; every row has T entries, so no two keys
+    # share a weight vector
     keys = Counter()
     for row, count in Counter(rows).items():
         keys[tuple(sorted(row))] += count
-    classes = Counter()
-    for key, count in keys.items():
-        classes[cc.index_weights(N, Counter(key).items())[0]] += count
     total = [0] * N
-    for inner, count in classes.items():
-        powed = cc.power(cc.modulus(inner), r)
+    for key, count in keys.items():
+        powed = cc.power(cc.modulus(cc.index_weights(N, Counter(key).items())[0]), r)
         for e in itertools.compress(range(N), powed):
             total[e] += count * powed[e]
     total = tuple(total)

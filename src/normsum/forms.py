@@ -32,7 +32,7 @@ from . import linalg
 POINTWISE_EXHAUSTIVE_CAP = 10**5
 POINTWISE_SAMPLES = 10**4
 PIECE_SIDE = 4096  # longest side of a box evaluated line by line at once
-# most monomials, C(n + k - 1, k), that synthesize_form expands: n = 9, k = 10
+# most monomials that synthesize_form's estimate admits: dense n = 9, k = 10
 # (43,758) takes 0.9 s on a 2-vCPU Xeon VM, n = k = 10 (92,378) 2.0 s
 EXPANSION_CAP = 5 * 10**4
 
@@ -547,14 +547,14 @@ def form_sort_key(F: FormSpec):
     return (F.k, tuple((tuple(-e for e in exp), coef) for exp, coef in reversed(F.monomials)))
 
 
-def decompose(F: FormSpec, seed: int = 0) -> NormFormDecomposition:
+def decompose(F: FormSpec) -> NormFormDecomposition:
     """Recover a norm-form decomposition with F(x) = prod_i N_i(lambda_i(x)).
 
     Factors the form over the closure, groups the linear factors into
     Frobenius orbits, writes one representative per orbit in the power basis
     of the canonical field of matching degree, and absorbs the leading
-    constant into the first block as a norm. The seed only feeds the sampled
-    fallback of the final verification.
+    constant into the first block as a norm. The ranks are checked, then the
+    expansion must equal F coefficient by coefficient, exact at every k.
     """
     split = _closure_split(F)
     p, n = F.p, F.n
@@ -588,9 +588,8 @@ def decompose(F: FormSpec, seed: int = 0) -> NormFormDecomposition:
         blocks[0] = (k1, ctx1, [[cols[j][r] for j in range(n)] for r in range(k1)])
 
     D = NormFormDecomposition(p, n, *zip(*blocks))
-    if not verify_decomposition(F, D, seed=seed):
-        # the ranks are verified first, and a rank failure has its own error
-        _check_ranks(D)
+    _check_ranks(D)
+    if synthesize_form(D) != F:
         raise linalg.CheckFailed("decomposition failed verification")
     return D
 
@@ -655,11 +654,11 @@ def _ranks_hold(D: NormFormDecomposition) -> bool:
     return True
 
 
-def verify_decomposition(F: FormSpec, D: NormFormDecomposition, seed: int = 0) -> bool:
+def verify_decomposition(F: FormSpec, D: NormFormDecomposition) -> bool:
     """The rank invariants, and F(x) = prod N_i(lambda_i(x)) by form_values
     against D.values: over all of F_p^n in pieces, or past POINTWISE_EXHAUSTIVE_CAP
-    points over seeded runs of s points along x_n.  A run tests as much as a
-    point: for k < p, F - D on a seeded line is nonzero on all but a k/p share
+    points over runs of s points along x_n drawn by random.Random(repr(F.monomials)).
+    A run tests as much as a point: for k < p, F - D is nonzero on all but a k/p share
     of lines (Schwartz-Zippel), and a nonzero restriction cannot vanish at s > k points.
     Both compare functions: for k >= p a nonzero F - D can vanish on all of F_p^n
     (x1 x2 (x1 + x2) on F_2^2), so F_p^n decides the polynomial only for k < p."""
@@ -668,7 +667,7 @@ def verify_decomposition(F: FormSpec, D: NormFormDecomposition, seed: int = 0) -
     p, n = F.p, F.n
     boxes = BoxSpec((-1,) * n, (p,) * n).pieces(PIECE_SIDE)
     if p**n > POINTWISE_EXHAUSTIVE_CAP:
-        rng, s = random.Random(seed), min(p, math.isqrt(POINTWISE_SAMPLES))
+        rng, s = random.Random(repr(F.monomials)), min(p, math.isqrt(POINTWISE_SAMPLES))
         boxes = (BoxSpec([rng.randrange(p) for _ in range(n)], (1,) * (n - 1) + (s,))
                  for _ in range(-(-POINTWISE_SAMPLES // s)))
     return all(all(map(operator.eq, form_values(F, B), D.values(B))) for B in boxes)
@@ -680,10 +679,12 @@ def synthesize_form(D: NormFormDecomposition) -> FormSpec:
     Each norm is the product of the Frobenius conjugates of lambda_i; every
     coefficient of the expansion must land in F_p, anything else signals a
     broken invariant. Raises ValueError before expanding when the form may
-    have more than EXPANSION_CAP monomials.
+    have more than EXPANSION_CAP monomials: the smaller of C(n + k - 1, k) and
+    the product of C(v_i + k_i - 1, k_i), where block i reads v_i variables.
     """
     p, n = D.p, D.n
-    size = math.comb(n + D.k - 1, D.k)
+    size = min(math.comb(n + D.k - 1, D.k), math.prod(
+        math.comb(sum(map(any, zip(*U))) + ki - 1, ki) for ki, U in zip(D.partition, D.blocks)))
     if size > EXPANSION_CAP:
         raise ValueError(
             f"expanding a degree-{D.k} form in {n} variables may take {size} monomials, "
@@ -724,16 +725,18 @@ def decomposition_in_class(D: NormFormDecomposition) -> bool:
             tuple(sum(row[j] * pw[t] for row, pw in zip(U, powers)) % D.p for t in range(L))
             for j in range(D.n)
         ]
-        for _ in range(ctx.m):
-            lead = next((c for c in cols if any(c)), None)
-            if lead is None:
-                return False
-            inv = fc.pow_coeffs(big, lead, big.order - 2)
-            key = tuple(mul(inv, c) for c in cols)
+        lead = next((c for c in cols if any(c)), None)
+        if lead is None:
+            return False
+        # Frobenius keeps the lead column, so it maps each normalized key to the next
+        inv = fc.pow_coeffs(big, lead, big.order - 2)
+        key = tuple(mul(inv, c) for c in cols)
+        for t in range(ctx.m):
+            if t:
+                key = tuple(fc.pow_coeffs(big, c, big.p) for c in key)
             if key in seen:
                 return False
             seen.add(key)
-            cols = [fc.pow_coeffs(big, c, big.p) for c in cols]
     return True
 
 

@@ -320,7 +320,7 @@ def run_gen_form(config: ExperimentConfig) -> dict:
         raise UsageError("no prime in the requested range")
     D = _seeded_decomposition(config, p)
     F = fm.synthesize_form(D)
-    if not fm.verify_decomposition(F, D, seed=config.seed):
+    if not fm.verify_decomposition(F, D):
         raise la.CheckFailed("synthesized form failed verification")
     return {"form": fm.form_to_dict(F), "decomposition": fm.decomposition_to_dict(D)}
 
@@ -350,9 +350,7 @@ def _load_decomposition(path: str) -> fm.NormFormDecomposition:
 def run_decompose(config: ExperimentConfig, form_path: str | None) -> dict:
     if not form_path:
         raise UsageError("decompose needs --form FILE")
-    F = _load_form(form_path)
-    # decompose ends with verify_decomposition(F, D, seed) and raises on failure
-    return fm.decomposition_to_dict(fm.decompose(F, seed=config.seed))
+    return fm.decomposition_to_dict(fm.decompose(_load_form(form_path)))
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +753,7 @@ class Command:
 
 COMMANDS = {
     "gen-form": Command("run_gen_form", None),
-    "decompose": Command("run_decompose", None, inputs=("form",)),
+    "decompose": Command("run_decompose", None, seeded=False, inputs=("form",)),
     "charsum": Command("run_charsum", SCAN_COLUMNS, inputs=("form", "decomp")),
     "energy": Command("run_energy", SCAN_COLUMNS),
     "lattice": Command("run_lattice", SCAN_COLUMNS),

@@ -87,8 +87,8 @@ def test_decomposition_round_trip_exhaustive_verify():
                 for _ in range(per_class):
                     D = fm.random_decomposition(p, n, part, rng)
                     F = fm.synthesize_form(D)
-                    D2 = fm.decompose(F, seed=7)
-                    assert fm.verify_decomposition(F, D2, seed=7)
+                    D2 = fm.decompose(F)
+                    assert fm.verify_decomposition(F, D2)
                     for x in period.iter_points():
                         assert fm.eval_form(F, x) % p == D2.value(x)
                 classes += 1

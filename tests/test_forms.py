@@ -440,11 +440,12 @@ def gen_form(tmp_path, p, n, k, seed=1):
 @pytest.mark.xfail(
     strict=True,
     reason=(
-        "verify_decomposition compares values on F_p^n, which fixes a form only "
-        "for k < p: x1 x2 (x1 + x2) is zero on F_2^2 and x1 x2 (x1^2 - x2^2) on "
-        "F_3^2, so adding x3 (k = 4) or x1 x3 (k = 5) times the first to the "
-        "synthesized form of gen-form --p 2 --n 3 --seed 1, or the second itself "
-        "at p = 3, k = 4, gives a different form that is still accepted"
+        "verify_decomposition, now only gen-form's cross-check, compares values on "
+        "F_p^n, which fixes a form only for k < p: x1 x2 (x1 + x2) is zero on F_2^2 "
+        "and x1 x2 (x1^2 - x2^2) on F_3^2, so adding x3 (k = 4) or x1 x3 (k = 5) "
+        "times the first to the synthesized form of gen-form --p 2 --n 3 --seed 1, "
+        "or the second itself at p = 3, k = 4, gives a different form that is still "
+        "accepted; decompose compares coefficients and refuses it"
     ),
 )
 @pytest.mark.parametrize("p,k,extra", [
@@ -460,6 +461,24 @@ def test_verify_decomposition_rejects_a_form_that_differs_only_as_a_polynomial(
     assert not fm.verify_decomposition(G, D)
 
 
+@pytest.mark.parametrize("p,k,extra", [
+    (2, 4, {(2, 1, 1): 1, (1, 2, 1): 1}),
+    (2, 5, {(3, 1, 1): 1, (2, 2, 1): 1}),
+    (3, 4, {(3, 1, 0): 1, (1, 3, 0): -1}),
+])
+def test_decompose_refuses_a_form_that_differs_only_as_a_polynomial(
+        monkeypatch, tmp_path, p, k, extra):
+    # G agrees with F at every point of F_p^n; handed F's closure split, decompose
+    # builds F's decomposition for G, and its expansion differs from G
+    F, _ = gen_form(tmp_path, p, 3, k)
+    G = fm.FormSpec(p, 3, k, F.monomials + tuple(extra.items()))
+    split = fm._closure_split
+    monkeypatch.setattr(fm, "_closure_split", lambda H: split(F if H == G else H))
+    assert fm.synthesize_form(fm.decompose(F)) == F
+    with pytest.raises(la.CheckFailed, match="decomposition failed verification"):
+        fm.decompose(G)
+
+
 def test_synthesize_examples():
     ctx5 = fc.ext_field_ctx(5, 1)
     D = fm.NormFormDecomposition(
@@ -469,6 +488,27 @@ def test_synthesize_examples():
     ctx9 = fc.ext_field_ctx(3, 2)
     D2 = fm.NormFormDecomposition(3, 2, (2,), (ctx9,), (((1, 0), (0, 1)),))
     assert fm.synthesize_form(D2) == form(3, 2, {(2, 0): 1, (0, 2): 1})
+
+
+def test_synthesize_form_refuses_past_its_estimate_before_expanding(monkeypatch):
+    # a dense draw is priced at C(n + k - 1, k); blocks that read v_i of the n
+    # variables at the product of C(v_i + k_i - 1, k_i) when that is smaller
+    def never(*args):
+        raise AssertionError("synthesize_form expanded past its cap")
+
+    monkeypatch.setattr(fm, "_epoly_mul", never)
+    D = fm.random_decomposition(13, 8, (2,) * 6, random.Random(5))
+    assert all(all(map(any, zip(*U))) for U in D.blocks)
+    with pytest.raises(ValueError, match=(
+            "expanding a degree-12 form in 8 variables may take 50388 monomials, "
+            f"over the cap {fm.EXPANSION_CAP}")):
+        fm.synthesize_form(D)
+    # six blocks of degree 3 in ten variables, each reading three: C(5, 3)^6 < C(27, 18)
+    blocks = [[[int(j == 3 * (i % 3) + r) for j in range(10)] for r in range(3)] for i in range(6)]
+    D = fm.NormFormDecomposition(13, 10, (3,) * 6, (fc.ext_field_ctx(13, 3),) * 6, blocks)
+    assert math.comb(27, 18) > 10**6
+    with pytest.raises(ValueError, match="may take 1000000 monomials"):
+        fm.synthesize_form(D)
 
 
 def test_synthesize_decompose_round_trip_50():
@@ -501,6 +541,38 @@ def test_gen_form_round_trips_when_its_form_vanishes_on_all_of_F2_n(tmp_path):
     F, D = gen_form(tmp_path, 2, 4, 7)
     assert D.partition == (4, 1, 1, 1)
     assert fm.verify_decomposition(F, fm.decompose(F))
+
+
+def test_decompose_round_trips_every_gen_form_draw_that_is_nonzero_somewhere(tmp_path, capsys):
+    # seeds 1-12, p in {2, 3, 5}, 2 <= n <= 4, n <= k < 2n through the CLI; the
+    # only refusals are the draws that vanish on all of F_2^4
+    refused, trips = [], 0
+    for seed, p, n in itertools.product(range(1, 13), (2, 3, 5), (2, 3, 4)):
+        for k in range(n, 2 * n):
+            F, _ = gen_form(tmp_path, p, n, k, seed)
+            # decompose reads the form from the object gen-form wrote
+            printed, path = tmp_path / f"gen-{p}-{n}-{k}-{seed}.json", tmp_path / "decomposition.json"
+            capsys.readouterr()
+            code = cli.main(["decompose", "--form", str(printed), "--out", str(path)])
+            if code:
+                assert (code, capsys.readouterr().err) == (2, (
+                    "usage error: factorization unsupported: form vanishes on all of F_p^n\n"))
+                refused.append((p, n, k))
+                continue
+            D = fm.decomposition_from_dict(json.loads(path.read_text()))
+            assert fm.synthesize_form(D) == F, (seed, p, n, k)
+            trips += 1
+    assert trips == 317 and len(refused) == 7
+    assert {(p, n) for p, n, _ in refused} == {(2, 4)} and {k for *_, k in refused} == {5, 6, 7}
+
+
+def test_decompose_takes_a_form_past_the_dense_expansion_cap():
+    # x_1 ... x_12 over F_7: C(23, 12) = 1,352,078 monomials for a dense degree-12
+    # form in 12 variables, but every block here reads one variable
+    F = form(7, 12, {(1,) * 12: 1})
+    assert math.comb(23, 12) > fm.EXPANSION_CAP
+    D = fm.decompose(F)
+    assert D.partition == (1,) * 12 and fm.synthesize_form(D) == F
 
 
 def test_decompose_absorbs_leading_constant():
@@ -1042,14 +1114,29 @@ def test_sampled_verify_compares_seeded_runs_along_the_last_axis(monkeypatch, ca
         corrupted = [(bad, fm.synthesize_form(bad) != F) for bad in _corruptions(D)]
         with monkeypatch.context() as spies:
             boxes = _no_point_oracle(spies)
-            assert fm.verify_decomposition(F, D, seed=p)
+            assert fm.verify_decomposition(F, D)
             s = min(p, math.isqrt(fm.POINTWISE_SAMPLES))
             assert {B.H for B in boxes} == {(1,) * (n - 1) + (s,)}
             assert sum(B.volume for B in boxes) >= fm.POINTWISE_SAMPLES
             for bad, differs in corrupted:
-                assert fm.verify_decomposition(F, bad, seed=p) is not differs, (p, part)
+                assert fm.verify_decomposition(F, bad) is not differs, (p, part)
                 rejected += differs
     assert rejected >= len(shapes)
+
+
+def test_decompose_evaluates_no_point(monkeypatch, tmp_path):
+    # the forms of gen-form at (19, 4, 5), past the exhaustive cap, and (7, 2, 3)
+    forms = [gen_form(tmp_path, 19, 4, 5, seed=3)[0], gen_form(tmp_path, 7, 2, 3, seed=5)[0]]
+
+    def never(*args):
+        raise AssertionError("decompose evaluated the form at points")
+
+    for name in ("form_values", "eval_form"):
+        monkeypatch.setattr(fm, name, never)
+    for name in ("values", "value"):
+        monkeypatch.setattr(fm.NormFormDecomposition, name, never)
+    for F in forms:
+        assert fm.synthesize_form(fm.decompose(F)) == F
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from normsum import harness as hn
 CASES = {
     "gen-form": ["gen-form", "--p", "7", "--n", "2", "--k", "3", "--seed", "5"],
     "decompose": ["decompose", "--form", "{form}", "--seed", "0"],
+    "decompose-unseeded": ["decompose", "--form", "{form}"],
     # no X_a^3 monomial: decompose changes variables by a full matrix
     "gen-form-general": ["gen-form", "--p", "3", "--n", "3", "--k", "3", "--seed", "7"],
     # 19^4 = 130,321 points, past the exhaustive cap: verified over seeded runs
@@ -114,6 +115,12 @@ DIGESTS = {
         0,
     ),
     "decompose": (
+        "ded4939689c9092dcca4f66b22fb9e0a2c8bd9c5855622c15a44b33cdd6620d1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    # decompose takes no seed, and prints the same bytes without one
+    "decompose-unseeded": (
         "ded4939689c9092dcca4f66b22fb9e0a2c8bd9c5855622c15a44b33cdd6620d1",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,

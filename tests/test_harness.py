@@ -407,9 +407,13 @@ class TestCli:
             assert callable(getattr(hn, command.run)), name
             assert set(command.inputs) <= {"form", "decomp"}, name
 
-    def test_unseeded_commands_run_without_seed(self):
+    def test_unseeded_commands_run_without_seed(self, tmp_path):
         assert run_cli(["weil-check", "--p", "5", "--k", "1", "--r", "1"]) == 0
         assert run_cli(["moment", "--p", "5", "--k", "1", "--r", "1"]) == 0
+        form = str(tmp_path / "form.json")
+        argv = ["gen-form", "--p", "7", "--n", "2", "--k", "3", "--seed", "5", "--out", form]
+        assert run_cli(argv) == 0
+        assert run_cli(["decompose", "--form", form]) == 0
 
     def test_failed_identity_check_exits_1(self, monkeypatch, capsys):
         row = hn.IdentityRow("lifted_sum", 3, 1, "x", "fail", 1, 2)

@@ -361,7 +361,7 @@ def _cap_comparisons(source: str) -> list:
 def test_each_capped_quantity_is_compared_with_its_cap_at_one_site():
     caps = (
         "PAIR_CAP", "QUAD_CROSS_CHECK_CAP", "QUAD_SCAN_CAP", "MOMENT_CAP", "BOX_CAP",
-        "FIELD_SIZE_CAP", "MINIMA_DIM_CAP",
+        "FIELD_SIZE_CAP", "MINIMA_DIM_CAP", "EXPANSION_CAP",
     )
     found = collections.Counter(
         name for path in sorted(Path(la.__file__).parent.glob("*.py"))
