@@ -77,7 +77,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
 
     try:
-        if hn.COMMANDS[ns.command].seeded and ns.seed is None:
+        command = hn.COMMANDS[ns.command]
+        if command.seeded and ns.seed is None and not any(map(vars(ns).get, command.inputs)):
             raise hn.UsageError(f"{ns.command} is seeded; --seed is required")
         p_lo, p_hi = _parse_range(ns)
         config = hn.ExperimentConfig(

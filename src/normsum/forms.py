@@ -553,9 +553,11 @@ def decompose(F: FormSpec) -> NormFormDecomposition:
     Factors the form over the closure, groups the linear factors into
     Frobenius orbits, writes one representative per orbit in the power basis
     of the canonical field of matching degree, and absorbs the leading
-    constant into the first block as a norm. The ranks are checked, then the
-    expansion must equal F coefficient by coefficient, exact at every k.
+    constant into the first block as a norm. Each norm is expanded once; after
+    the ranks, their product must equal F coefficient by coefficient.
     """
+    if F.k == 0:
+        raise UnsupportedFormError("factorization unsupported: form of degree 0")
     split = _closure_split(F)
     p, n = F.p, F.n
     for orbit, mult in split.orbits:
@@ -573,23 +575,22 @@ def decompose(F: FormSpec) -> NormFormDecomposition:
         U = [[1 if r == 0 else 0] + [col[r] for col in cols] for r in range(ki)]
         blocks.append((ki, ctx_i, linalg.mat_mul(U, Minv, p)))
 
-    def factor_key(block):
-        # the block's F_p-irreducible factor N_i(lambda_i), expanded once
-        ki, ctx_i, U = block
-        return form_sort_key(synthesize_form(NormFormDecomposition(p, n, (ki,), (ctx_i,), (U,))))
-
-    blocks.sort(key=factor_key)
+    # each block's F_p-irreducible factor N_i(lambda_i) orders the blocks
+    norms = _block_norms(n, F.k, blocks)
+    order = sorted(range(len(blocks)), key=lambda i: form_sort_key(norms[i]))
+    norms, blocks = [norms[i] for i in order], [blocks[i] for i in order]
     if split.c != 1:
         k1, ctx1, U1 = blocks[0]
-        # the first element with norm c in iter_elements order scales lambda_1
+        # the first element with norm c in iter_elements order scales lambda_1;
+        # U1 keeps its zero columns, so the size estimate stands
         norm, mul = fc.norm_kernel(ctx1), fc.mul_kernel(ctx1)
         gamma = next(a for a in ctx1.iter_elements() if norm(a) == split.c)
-        cols = [mul(gamma, tuple(U1[r][j] for r in range(k1))) for j in range(n)]
-        blocks[0] = (k1, ctx1, [[cols[j][r] for j in range(n)] for r in range(k1)])
+        blocks[0] = (k1, ctx1, list(zip(*(mul(gamma, col) for col in zip(*U1)))))
+        norms[0] = _block_norm(n, ctx1, blocks[0][2], 0)
 
     D = NormFormDecomposition(p, n, *zip(*blocks))
     _check_ranks(D)
-    if synthesize_form(D) != F:
+    if _product_form(norms) != F:
         raise linalg.CheckFailed("decomposition failed verification")
     return D
 
@@ -674,36 +675,44 @@ def verify_decomposition(F: FormSpec, D: NormFormDecomposition) -> bool:
 
 
 def synthesize_form(D: NormFormDecomposition) -> FormSpec:
-    """Expand prod_i N_i(lambda_i(X)) symbolically into a FormSpec over F_p.
+    """Expand prod_i N_i(lambda_i(X)) symbolically into a FormSpec over F_p;
+    ValueError before any expansion past EXPANSION_CAP (_block_norms)."""
+    return _product_form(_block_norms(D.n, D.k, list(zip(D.partition, D.ctxs, D.blocks))))
 
-    Each norm is the product of the Frobenius conjugates of lambda_i; every
-    coefficient of the expansion must land in F_p, anything else signals a
-    broken invariant. Raises ValueError before expanding when the form may
-    have more than EXPANSION_CAP monomials: the smaller of C(n + k - 1, k) and
-    the product of C(v_i + k_i - 1, k_i), where block i reads v_i variables.
-    """
-    p, n = D.p, D.n
-    size = min(math.comb(n + D.k - 1, D.k), math.prod(
-        math.comb(sum(map(any, zip(*U))) + ki - 1, ki) for ki, U in zip(D.partition, D.blocks)))
+
+def _block_norms(n: int, k: int, blocks) -> list:
+    """_block_norm of each (k_i, ctx_i, U_i) of blocks, after one size estimate:
+    ValueError, before any expansion, when their product may have more than
+    EXPANSION_CAP monomials, the smaller of C(n + k - 1, k) and the product of
+    C(v_i + k_i - 1, k_i), where U_i reads v_i variables."""
+    size = min(math.comb(n + k - 1, k), math.prod(
+        math.comb(sum(map(any, zip(*U))) + ki - 1, ki) for ki, _, U in blocks))
     if size > EXPANSION_CAP:
-        raise ValueError(
-            f"expanding a degree-{D.k} form in {n} variables may take {size} monomials, "
-            f"over the cap {EXPANSION_CAP}"
-        )
-    fp = fc.ext_field_ctx(p, 1)
-    total = {(0,) * n: (1,)}
-    for i, (ki, ctx, U) in enumerate(zip(D.partition, D.ctxs, D.blocks)):
-        cols = [tuple(U[r][j] for r in range(ki)) for j in range(n)]
-        block_poly = {(0,) * n: ctx.from_int(1)}
-        for t in range(ki):
-            if t:
-                cols = [fc.pow_coeffs(ctx, c, p) for c in cols]
-            lin = {_unit(n, j): c for j, c in enumerate(cols) if any(c)}
-            if not lin:
-                raise ValueError(f"block {i} defines the zero linear form")
-            block_poly = _epoly_mul(block_poly, lin, ctx)
-        total = _epoly_mul(total, _prime_field_part(block_poly, f"norm expansion of block {i}"), fp)
-    return FormSpec(p, n, D.k, tuple((e, c) for e, (c,) in total.items()))
+        raise ValueError(f"expanding a degree-{k} form in {n} variables may take {size} "
+                         f"monomials, over the cap {EXPANSION_CAP}")
+    return [_block_norm(n, ctx, U, i) for i, (_, ctx, U) in enumerate(blocks)]
+
+
+def _block_norm(n: int, ctx: fc.ExtFieldCtx, U, i: int) -> FormSpec:
+    """The form N(lambda(x)) of block i, U over ctx: the product of the Frobenius
+    conjugates of lambda, its coefficients in F_p or else a broken invariant."""
+    poly = lin = {_unit(n, j): c for j, c in enumerate(zip(*U)) if any(c)}
+    if not lin:
+        raise ValueError(f"block {i} defines the zero linear form")
+    for _ in range(ctx.m - 1):
+        lin = {e: fc.pow_coeffs(ctx, c, ctx.p) for e, c in lin.items()}
+        poly = _epoly_mul(poly, lin, ctx)
+    poly = _prime_field_part(poly, f"norm expansion of block {i}")
+    return FormSpec(ctx.p, n, ctx.m, tuple((e, c) for e, (c,) in poly.items()))
+
+
+def _product_form(factors: list) -> FormSpec:
+    """The product of a nonempty list of forms over one F_p in the same variables."""
+    p, n = factors[0].p, factors[0].n
+    fp, total = fc.ext_field_ctx(p, 1), {(0,) * n: (1,)}
+    for G in factors:
+        total = _epoly_mul(total, {e: (c,) for e, c in G.monomials}, fp)
+    return FormSpec(p, n, sum(G.k for G in factors), tuple((e, c) for e, (c,) in total.items()))
 
 
 def decomposition_in_class(D: NormFormDecomposition) -> bool:

@@ -740,7 +740,7 @@ class Command:
     (rows, notes): rows of the namedtuple over columns, and note strings,
     each a skipped prime, or with fails set a failed check, which makes the
     exit code 1.  inputs names the stored-object flags passed to the runner
-    after the config.
+    after the config; with one of them given, a seeded command needs no seed.
     """
 
     run: str

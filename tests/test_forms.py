@@ -842,6 +842,37 @@ def test_decompose_checks_ranks_once(monkeypatch):
     assert calls == [D]
 
 
+def test_decompose_expands_each_block_norm_once(monkeypatch, tmp_path):
+    # the (13, 5, 6) gen-form draw, whose leading constant c != 1 scales the
+    # first block, expanded again alone; divided by c, the form has c = 1
+    F, _ = gen_form(tmp_path, 13, 5, 6)
+    c = fm._closure_split(F).c
+    G = fm.FormSpec(F.p, F.n, F.k, tuple((e, v * la.inv_mod(c, F.p)) for e, v in F.monomials))
+    assert c != 1 and fm._closure_split(G).c == 1
+    block_norm, calls = fm._block_norm, []
+    monkeypatch.setattr(fm, "_block_norm", lambda *a: calls.append(a) or block_norm(*a))
+    for H, extra in ((F, 1), (G, 0)):
+        calls.clear()
+        D = fm.decompose(H)
+        assert D.s >= 2 and len(calls) == D.s + extra
+        assert fm.synthesize_form(D) == H
+
+
+def test_decompose_refuses_past_the_cap_before_expanding_a_block(monkeypatch, tmp_path):
+    F, _ = gen_form(tmp_path, 13, 5, 6)
+    D = fm.decompose(F)
+    estimate = min(math.comb(D.n + D.k - 1, D.k), math.prod(
+        math.comb(sum(map(any, zip(*U))) + ki - 1, ki) for ki, U in zip(D.partition, D.blocks)))
+
+    def never(*args):
+        raise AssertionError("decompose expanded a block past the cap")
+
+    monkeypatch.setattr(fm, "_block_norm", never)
+    monkeypatch.setattr(fm, "EXPANSION_CAP", estimate - 1)
+    with pytest.raises(ValueError, match=f"may take {estimate} monomials, over the cap"):
+        fm.decompose(F)
+
+
 def test_lambda_linearity_and_kernel():
     rng = random.Random(31)
     for p, part in [(5, (2, 1)), (7, (3,)), (3, (1, 1))]:

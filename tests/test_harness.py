@@ -407,13 +407,34 @@ class TestCli:
             assert callable(getattr(hn, command.run)), name
             assert set(command.inputs) <= {"form", "decomp"}, name
 
-    def test_unseeded_commands_run_without_seed(self, tmp_path):
+    def test_unseeded_commands_run_without_seed(self, tmp_path, capsys):
         assert run_cli(["weil-check", "--p", "5", "--k", "1", "--r", "1"]) == 0
         assert run_cli(["moment", "--p", "5", "--k", "1", "--r", "1"]) == 0
         form = str(tmp_path / "form.json")
         argv = ["gen-form", "--p", "7", "--n", "2", "--k", "3", "--seed", "5", "--out", form]
         assert run_cli(argv) == 0
         assert run_cli(["decompose", "--form", form]) == 0
+        # a stored charsum reads no seed and prints what it prints with one
+        for flag in ("--form", "--decomp"):
+            capsys.readouterr()
+            assert run_cli(["charsum", flag, form]) == 0
+            unseeded = capsys.readouterr()
+            assert run_cli(["charsum", flag, form, "--seed", "3"]) == 0
+            assert capsys.readouterr() == unseeded and unseeded.out
+        assert run_cli(["charsum", "--p", "5"]) == 2
+        assert capsys.readouterr().err == "usage error: charsum is seeded; --seed is required\n"
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_decompose_refuses_a_degree_0_form(self, n, tmp_path, capsys):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(
+            {"p": 3 if n == 1 else 5, "n": n, "k": 0, "monomials": [{"exp": [0] * n, "coef": 1}]}))
+        assert run_cli(["decompose", "--form", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "usage error: factorization unsupported: form of degree 0\n")
+        # charsum still sums a degree-0 form
+        assert run_cli(["charsum", "--form", str(path)]) == 0
+        assert capsys.readouterr().out
 
     def test_failed_identity_check_exits_1(self, monkeypatch, capsys):
         row = hn.IdentityRow("lifted_sum", 3, 1, "x", "fail", 1, 2)
