@@ -29,9 +29,12 @@ BOX_CAP = 10**8
 MOMENT_CAP = 25 * 10**7
 # the fastest measured times of one unit of each cost below, in ns (on a
 # 2-vCPU virtual machine): the weights of these costs in a command's cost.
-# A box point of one route took 900 to 1,150 and a term of
-# weil_complete_sum 640 to 860.  s2_moment's two units are fitted instead,
-# as its time per unit moves with T and r (see moment_work)
+# A term of weil_complete_sum took 640 to 860.  A box point of one route
+# took 166 to 211 (direct) and 165 to 378 (lifted) at n = 2 and 442 to 553
+# and 627 to 954 at n = 3 over the bench's charsum boxes; BOX_POINT_NS
+# stays at 900, as a point costs more at field degree >= 4 or with
+# hundreds of monomials.  s2_moment's two units are fitted instead, as its
+# time per unit moves with T and r (see moment_work)
 BOX_POINT_NS = 900
 WEIL_TERM_NS = 640
 MOMENT_READ_NS = 330

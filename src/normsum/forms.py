@@ -24,6 +24,8 @@ import json
 import math
 import operator
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 
 from . import field_core as fc
@@ -119,15 +121,23 @@ def form_values(F: FormSpec, B: BoxSpec):
     """F at every point of B: one list of residues per line of B along its
     last coordinate, the lines and their points in B.iter_points() order.
 
-    On a line, F is a polynomial of degree k in x_n.  Its k + 1 coefficients
-    are collected once per line from the compiled monomials, and each point
-    is one dot product with the power row [1, t, ..., t^k] of its x_n = t,
-    built once per box.
+    On a line, F is a polynomial of degree k in x_n, with k + 1 coefficients
+    c_j collected once per line from the compiled monomials and reduced mod
+    p.  The line is one integer sum_j c_j P_j (Kronecker substitution), where
+    P_j, built once per box, holds t^j mod p of each x_n = t as a base-2^64
+    digit: a digit of the sum is at most (k + 1)(p - 1)^2, checked below 2^64
+    before any power row is built, so none carries.
     """
     if B.dim != F.n:
         raise ValueError("box dimension and form arity differ")
     p, k, last = F.p, F.k, F.n - 1
+    if (k + 1) * (p - 1) ** 2 >= 1 << 64:
+        raise ValueError(f"form of degree {k} at p={p}: the packed digit bound "
+                         "(k + 1)(p - 1)^2 reaches 2^64")
     *axes, rows = [_power_rows(axis, k, p) for axis in B.axes()]
+    packed = [int.from_bytes(array("Q", column).tobytes(), sys.byteorder)
+              for column in zip(*rows)]
+    width, repeat = 8 * len(rows), itertools.repeat(p)
     for powers in itertools.product(*axes):
         coeffs = [0] * (k + 1)
         for term, factors in F._terms:
@@ -138,8 +148,10 @@ def form_values(F: FormSpec, B: BoxSpec):
                 else:
                     term *= powers[i][e]
             coeffs[j] += term
-        coeffs = [c % p for c in coeffs]
-        yield [sum(map(operator.mul, coeffs, row)) % p for row in rows]
+        line = sum(map(operator.mul, [c % p for c in coeffs], packed))
+        digits = array("Q")
+        digits.frombytes(line.to_bytes(width, sys.byteorder))
+        yield list(map(operator.mod, digits, repeat))
 
 
 @dataclass(frozen=True)
@@ -260,16 +272,17 @@ class NormFormDecomposition:
 
         On a line x = (x', t), the block coordinate (U_i x)_r is
         U_i[r][:-1] x' + U_i[r][-1] t, an arithmetic progression in t, so no
-        dot product is taken per point; each point's coordinate tuple still
-        goes through its field's norm kernel.
+        dot product is taken per point.  A degree-1 block's norm is its
+        coordinate, so its progression is its factor as it stands; each point
+        of a block of degree >= 2 goes through its field's norm kernel.  The
+        line's factors are multiplied point by point and reduced mod p once.
         """
         if B.dim != self.n:
             raise ValueError("box dimension and decomposition arity differ")
-        p = self.p
         *axes, line = B.axes()
-        side = len(line)
+        side, repeat = len(line), itertools.repeat(self.p)
         for prefix in itertools.product(*axes):
-            total = None
+            factors = []
             for U, norm in self._factors:
                 coords = []
                 for row in U:
@@ -278,9 +291,9 @@ class NormFormDecomposition:
                     coords.append(
                         range(a, a + step * side, step) if step else itertools.repeat(a, side)
                     )
-                norms = map(norm, zip(*coords))
-                total = list(norms) if total is None else [x * y % p for x, y in zip(total, norms)]
-            yield total
+                factors.append(coords[0] if len(U) == 1 else map(norm, zip(*coords)))
+            product = functools.reduce(functools.partial(map, operator.mul), factors)
+            yield list(map(operator.mod, product, repeat))
 
 
 # ---------------------------------------------------------------------------

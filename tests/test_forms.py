@@ -958,7 +958,7 @@ def test_value_is_the_product_of_conjugate_norms():
 # ---------------------------------------------------------------------------
 # whole-box evaluation, one list per line along the last coordinate
 
-LINE_PARTITIONS = ((2, 1), (1, 1), (2, 1, 1), (3, 1, 1))
+LINE_PARTITIONS = ((2, 1), (1, 1), (2, 1, 1), (3, 1, 1), (1, 1, 1), (4, 1))
 
 
 def literal_form_value(F, x):
@@ -983,6 +983,13 @@ def check_line_shape(lines, B):
     assert all(len(line) == B.H[-1] for line in lines)
 
 
+def assert_form_values_literal(F, B):
+    lines = list(fm.form_values(F, B))
+    check_line_shape(lines, B)
+    want = [literal_form_value(F, x) for x in B.iter_points()]
+    assert list(itertools.chain.from_iterable(lines)) == want, (F, B)
+
+
 def test_form_values_match_the_literal_monomial_sum():
     rng = random.Random(29)
     for p, n, part in itertools.product((2, 3, 5, 37), (1, 2, 3), LINE_PARTITIONS):
@@ -993,17 +1000,18 @@ def test_form_values_match_the_literal_monomial_sum():
             form(p, n, {e: rng.randint(1, p - 1) for e in exps}),
         ]
         for F, B in itertools.product(forms, line_test_boxes(n, rng)):
-            lines = list(fm.form_values(F, B))
-            check_line_shape(lines, B)
-            want = [literal_form_value(F, x) for x in B.iter_points()]
-            assert list(itertools.chain.from_iterable(lines)) == want, (F, B)
+            assert_form_values_literal(F, B)
     with pytest.raises(ValueError, match="arity"):
         next(fm.form_values(forms[0], fm.BoxSpec((0,), (2,))))
 
 
 def test_decomposition_values_match_value_point_by_point():
+    # (1, 1, 1) is a line with no kernel call, (4, 1) the m = 4 kernel beside a
+    # progression; 37^4 is past the field cap
     rng = random.Random(31)
     for p, n, part in itertools.product((2, 3, 5, 37), (1, 2, 3), LINE_PARTITIONS):
+        if p ** max(part) > fc.FIELD_SIZE_CAP:
+            continue
         ctxs = tuple(fc.ext_field_ctx(p, ki) for ki in part)
         blocks = tuple(
             tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(ki)) for ki in part
@@ -1016,6 +1024,81 @@ def test_decomposition_values_match_value_point_by_point():
             assert list(itertools.chain.from_iterable(lines)) == want, (p, part, blocks, B)
     with pytest.raises(ValueError, match="arity"):
         next(D.values(fm.BoxSpec((0,), (2,))))
+
+
+LARGE_P = 999_983  # the largest prime below 10^6
+
+
+@pytest.mark.parametrize("k", [1, 4, 9])
+def test_form_values_at_a_large_prime_with_digits_near_the_bound(k):
+    # at x1 = 1 the line coefficients of F are its coefficients p - 1, and at
+    # x2 = -1 mod p the powers of x2 alternate between 1 and p - 1, so a
+    # line's packed digit reaches about (k + 1)(p - 1)^2 / 2
+    p, rng = LARGE_P, random.Random(43 + k)
+    exps = [(k - j, j) for j in range(k + 1)]
+    dense = form(p, 2, {e: p - 1 for e in exps})
+    digit = sum((p - 1) * pow(p - 1, j, p) for j in range(k + 1))
+    assert 3 * digit >= (k + 1) * (p - 1) ** 2 > digit
+    boxes = [fm.BoxSpec((0, p - 4), (1, 7)), fm.BoxSpec((-p - 1, -8), (3, 9))]
+    for F in (dense, form(p, 2, {e: rng.randrange(1, p) for e in exps})):
+        for B in boxes:
+            assert_form_values_literal(F, B)
+    trio = [e for e in itertools.product(range(k + 1), repeat=3) if sum(e) == k]
+    F = form(p, 3, {e: rng.randrange(p - 9, p) for e in trio})
+    assert_form_values_literal(F, fm.BoxSpec((p - 3, -2, p - 5), (2, 3, 8)))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_form_values_on_lines_longer_than_p(p):
+    # the line's x_n = t repeats mod p, and so do the digits of each power
+    rng = random.Random(47 + p)
+    for n, part in itertools.product((1, 2, 3), LINE_PARTITIONS):
+        k = sum(part)
+        exps = [e for e in itertools.product(range(k + 1), repeat=n) if sum(e) == k]
+        F = form(p, n, {e: rng.randint(1, p - 1) for e in exps})
+        B = fm.BoxSpec(tuple(rng.randint(-9, 0) for _ in range(n)), (2,) * (n - 1) + (4 * p + 3,))
+        assert_form_values_literal(F, B)
+
+
+def prime_at_most(v):
+    return next(q for q in range(v, 1, -1) if la.is_prime(q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_form_values_match_the_literal_sum_at_primes_up_to_10_6(data):
+    p = data.draw(st.integers(2, 10**6).map(prime_at_most), label="p")
+    n = data.draw(st.integers(1, 3), label="n")
+    k = data.draw(st.integers(0, 6), label="k")
+    exps = [e for e in itertools.product(range(k + 1), repeat=n) if sum(e) == k]
+    chosen = data.draw(st.lists(st.sampled_from(exps), min_size=1, unique=True), label="exps")
+    coefs = data.draw(st.lists(st.integers(1, p - 1), min_size=len(chosen),
+                               max_size=len(chosen)), label="coefs")
+    N = data.draw(st.tuples(*[st.integers(-2 * 10**6, -1)] * n), label="N")
+    H = data.draw(st.tuples(*[st.integers(1, 6)] * n), label="H")
+    assert_form_values_literal(form(p, n, dict(zip(chosen, coefs))), fm.BoxSpec(N, H))
+
+
+def test_form_values_refuses_digits_past_2_64_before_any_power_row(monkeypatch, tmp_path,
+                                                                  capsys):
+    # the least degree whose digit bound (k + 1)(p - 1)^2 reaches 2^64
+    p = LARGE_P
+    k = -(-(1 << 64) // (p - 1) ** 2) - 1
+    assert k * (p - 1) ** 2 < 1 << 64 <= (k + 1) * (p - 1) ** 2
+
+    def never(*args):
+        raise AssertionError("a power row was built")
+
+    monkeypatch.setattr(fm, "_power_rows", never)
+    F = form(p, 1, {(k,): 1})
+    with pytest.raises(ValueError, match="reaches 2\\^64"):
+        next(fm.form_values(F, fm.BoxSpec((-1,), (3,))))
+    path = tmp_path / "form.json"
+    save_json(fm.form_to_dict(F), str(path))
+    assert cli.main(["charsum", "--form", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 BOX_SHAPES = st.integers(1, 3).flatmap(
