@@ -3,8 +3,10 @@
 Every count is an integer, taken by a histogram over per-field pair
 products: sums of discrete logs, counted by the class keys they fold to.
 The histogram key's zero pattern carries the vanishing index set, so
-degenerate classes stay separated, not skipped.  A symmetric window keys
-its live pairs once per class up to -1 and the swap.  The literal
+degenerate classes stay separated, not skipped.  A symmetric window counts
+its live pairs once per class up to -1 and the swap: as one squared
+integer, the histogram of its live points packed as digits, while
+_square_route says that is cheaper, else by the pair loop.  The literal
 quadruple loop is the oracle: the restricted split runs it on every box
 pair within QUAD_CROSS_CHECK_CAP, and no caller can turn it off.
 energy_restricted and s1_identity_check's live count both read that one
@@ -13,10 +15,12 @@ split.
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import math
 import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -36,6 +40,13 @@ QUAD_SCAN_CAP = 10**9
 # n = 2 of two fields); at n = 1, where a prime's fixed work outweighs its
 # pairs, it is energy-scan's wall time per pair from p = 3 to 18,000 (68 ns)
 PAIR_NS = (70, 40, 16, 34, 53)
+# _square_route's crossover: the squared integer's limb products, limbs^log2 3,
+# against this many times a symmetric window's live pairs N(N - 1)/2.  With
+# field tables built (best of 5, 2-vCPU virtual machine) the two routes tie at
+# 34 (n = 1, p = 30,011) and between 27 and 43 with one field at n = 2
+# (p = 199 to 251); with two or three fields a pair costs more and the tie
+# lies past 60, so there the pair loop keeps a window the square would win
+SQUARE_LIMB_WEIGHT = 35
 
 
 def pair_cost(vol_x: int, vol_y: int) -> int:
@@ -128,38 +139,147 @@ def _pair_histogram(D: fm.NormFormDecomposition, logs_u, logs_v) -> Counter:
 
 
 def _sign_quotient(D: fm.NormFormDecomposition, logs):
-    """(coords, keys, |<-1>|): live points' coordinates in Q / <-1>, Q = prod
-    Z/(q_i - 1), from their log lists, and the map from rows of coordinate
-    sums to keys, equal exactly when the classes are equal up to -1, whose log
-    is h_i = (q_i - 1)/2.  The pivot r has the fewest factors 2 in q_r - 1, so
-    c_i h_r = h_i mod q_i - 1 is solvable: a point's coordinates are a_r mod
-    h_r and a_i - c_i a_r mod q_i - 1.  At p = 2, -1 = 1: they are the logs."""
-    orders = [ctx.order - 1 for ctx in D.ctxs]
-    r = min(range(D.s), key=lambda i: orders[i] & -orders[i])
-    folds = [(fc.log_fold(ctx), o) for ctx, o in zip(D.ctxs, orders)]
+    """(coords, keys, moduli, |<-1>|): live points' coordinates in G = Q / <-1>,
+    Q = prod Z/(q_i - 1), from their log lists; the map from rows of
+    coordinate sums to keys, equal exactly when the classes are equal up to
+    -1, whose log is h_i = (q_i - 1)/2; and G's moduli m_i, one per field.  The
+    pivot r has the fewest factors 2 in q_r - 1, so c_i h_r = h_i mod q_i - 1
+    is solvable: a point's coordinates are a_r mod m_r = h_r and
+    a_i - c_i a_r mod m_i = q_i - 1.  At p = 2, -1 = 1: they are the logs."""
+    moduli = [ctx.order - 1 for ctx in D.ctxs]
+    r = min(range(D.s), key=lambda i: moduli[i] & -moduli[i])
+    folds = [(fc.log_fold(ctx), m) for ctx, m in zip(D.ctxs, moduli)]
     shifts = [0] * D.s
     if D.p > 2:
-        h = orders[r] // 2
+        h = moduli[r] = moduli[r] // 2
         folds[r] = (folds[r][0][:h] * 2, h)
-        for i, o in enumerate(orders):
+        for i, o in enumerate(moduli):
             if i != r:
                 g = math.gcd(h, o)
                 shifts[i] = o // 2 // g * pow(h // g, -1, o // g)
                 if shifts[i] * h % o != o // 2:
                     raise la.CheckFailed(f"sign quotient: no c with c {h} = {o // 2} mod {o}")
     coords = [[(a - c * b) % m for a, b in zip(field, logs[r])]
-              for field, c, (_, m) in zip(logs, shifts, folds)]
-    return coords, _class_keys(folds), 2 if D.p > 2 else 1
+              for field, c, m in zip(logs, shifts, moduli)]
+    return coords, _class_keys(folds), moduli, 2 if D.p > 2 else 1
+
+
+def _pair_count(coords, keys) -> int:
+    """sum_x (h*h)(x)^2 for the histogram h of the coordinates, by the pair
+    loop: each unordered pair of points, and each point with itself, is keyed
+    by keys, and a class of U pairs and Dg diagonal ones holds 2U + Dg."""
+    pairs = Counter()
+    for j, adds in enumerate(zip(*([a.__add__ for a in field] for field in coords))):
+        pairs.update(keys(map(map, adds, [field[j + 1:] for field in coords])))
+    diagonal = Counter(keys([a + a for a in field] for field in coords))
+    count = 4 * sum(map(operator.mul, pairs.values(), pairs.values()))
+    return count + sum(d * (4 * pairs[key] + d) for key, d in diagonal.items())
+
+
+def _class_histogram(coords, moduli):
+    """(h, sizes): the Counter of the points' row-major indices over G =
+    prod Z/m_i, largest modulus outermost, and G's moduli in that order."""
+    order = sorted(range(len(moduli)), key=moduli.__getitem__, reverse=True)
+    index = coords[order[0]]
+    for i in order[1:]:
+        index = map(operator.add, map(operator.mul, index, itertools.repeat(moduli[i])), coords[i])
+    return Counter(index), [moduli[i] for i in order]
+
+
+def _digit_code(bound: int) -> str:
+    """The array typecode of the narrowest of 8, 16, 32 and 64 bits above bound."""
+    for code in "BHIQ":
+        if bound < 1 << 8 * array.array(code).itemsize:
+            return code
+    raise ValueError(f"digit bound {bound} needs more than 64 bits")
+
+
+def _square_route(h: Counter, moduli) -> bool:
+    """Whether a live count takes the squared integer: _cyclic_square's packed
+    operand's 30-bit limbs to the power log2 3 (the Karatsuba square's limb
+    products) are at most SQUARE_LIMB_WEIGHT times the pair loop's N(N - 1)/2
+    pairs."""
+    n = sum(h.values())
+    width = 8 * array.array(_digit_code(n * max(h.values(), default=0))).itemsize
+    limbs = -(-width * moduli[0] * math.prod(2 * m for m in moduli[1:]) // 30)
+    return limbs ** math.log2(3) <= SQUARE_LIMB_WEIGHT * n * (n - 1) // 2
+
+
+def _square_count(h: Counter, moduli) -> int:
+    """sum_x (h*h)(x)^2 for a Counter h of row-major indices over prod Z/m_i,
+    by _cyclic_square."""
+    digits = _cyclic_square(h, moduli)
+    return sum(map(operator.mul, digits, digits))
+
+
+def _little_endian(digits: array.array) -> array.array:
+    """The digits, byte-swapped in place on a big-endian machine, so that
+    their bytes read as one little-endian int."""
+    if sys.byteorder == "big":
+        digits.byteswap()
+    return digits
+
+
+def _cyclic_square(h, moduli) -> array.array:
+    """The cyclic self-convolution h*h over G = prod Z/m_i of a nonnegative
+    histogram h, a map from row-major indices (moduli[0] outermost) to
+    counts, listed in that order; at s = 1, the cyclic self-convolution mod
+    m_0 of the weight vector that h maps.
+
+    Kronecker substitution: h is packed as fixed-width unsigned digits of one
+    int, dimension 0 as it is and every other one padded to 2 m_i, where a
+    sum a + b of two indices stays.  The int is squared once; the square's
+    outer half is folded onto dimension 0 by one mask and shift, and each
+    inner dimension's upper half onto its lower by one repeating mask.  Every
+    digit, folded or not, is a sum of class counts of h*h, so at most
+    N max(h), N = sum(h), which the digit width exceeds.  The folded digits
+    must total N^2, else the width was short and CheckFailed is raised.
+    """
+    n = sum(h.values())
+    code = _digit_code(n * max(h.values(), default=0))
+    width = 8 * array.array(code).itemsize
+    # digits per step of each dimension, the last one's being 1, and the
+    # first digit of each row of the last dimension
+    steps = [1]
+    for m in reversed(moduli[1:]):
+        steps.insert(0, 2 * m * steps[0])
+    size, last = moduli[0] * steps[0], moduli[-1]
+    rows = [sum(t) for t in itertools.product(
+        *(range(0, m * step, step) for m, step in zip(moduli[:-1], steps)))]
+    packed = array.array(code, bytes(size * width // 8))
+    for index, c in h.items():
+        row, a = divmod(index, last)
+        packed[rows[row] + a] = c
+    x = int.from_bytes(_little_endian(packed).tobytes(), "little")
+    x *= x
+    x = (x & ((1 << size * width) - 1)) + (x >> size * width)
+    for m, step in zip(moduli[1:], steps[1:]):
+        half = m * step * width // 8
+        upper = x & int.from_bytes((bytes(half) + b"\xff" * half) * (size // (2 * m * step)),
+                                   "little")
+        x += (upper >> 8 * half) - upper
+    try:
+        folded = _little_endian(array.array(code, x.to_bytes(size * width // 8, "little")))
+    except OverflowError:
+        raise la.CheckFailed(f"cyclic square: digits of {width} bits overflow") from None
+    square = array.array(code)
+    for row in rows:
+        square += folded[row:row + last]
+    if sum(square) != n * n:
+        raise la.CheckFailed(f"cyclic square: digits total {sum(square)}, not {n}^2")
+    return square
 
 
 def _quotient_energy(D: fm.NormFormDecomposition, logs) -> int:
     """The energy sum c^2 over _pair_histogram(D, logs, logs), for a symmetric box.
 
     Each lambda_i is F_p-linear, so (-x, y) moves a live pair's class by -1
-    and (y, x) keeps it: live classes are counted in Q / <-1> (_sign_quotient)
-    over unordered pairs of live points in the box's first half (point i's
-    negative is point vol - 1 - i).  U pairs of distinct points and Dg
-    diagonal ones make 4(2U + Dg) pairs in each of |<-1>| classes.  Pairs
+    and (y, x) keeps it: live classes are counted in G = Q / <-1>
+    (_sign_quotient) over ordered pairs of live points in the box's first
+    half (point i's negative is point vol - 1 - i), where a class holds
+    (h*h)(x) of them for the histogram h of their coordinates, and 4 (h*h)(x)
+    pairs in each of |<-1>| classes.  sum_x (h*h)(x)^2 is taken by one
+    squared integer or by the pair loop, as _square_route says.  Pairs
     with a dead point (some lambda_i = 0) have zero-marked classes: a dead
     point of the first half weighs 4 with a live point and 2 with a dead one,
     and the origin's other pairs, vol + |live|, are all-zero.
@@ -170,13 +290,9 @@ def _quotient_energy(D: fm.NormFormDecomposition, logs) -> int:
     live_half, dead_half, lives, deads = (
         [list(itertools.compress(field, mask)) for field in logs]
         for mask in (live[:vol // 2], dead[:vol // 2], live, dead))
-    coords, keys, sign = _sign_quotient(D, live_half)
-    pairs = Counter()
-    for j, adds in enumerate(zip(*([a.__add__ for a in field] for field in coords))):
-        pairs.update(keys(map(map, adds, [field[j + 1:] for field in coords])))
-    diagonal = Counter(keys([a + a for a in field] for field in coords))
-    energy = 4 * sum(map(operator.mul, pairs.values(), pairs.values()))
-    energy += sum(d * (4 * pairs[key] + d) for key, d in diagonal.items())
+    coords, keys, moduli, sign = _sign_quotient(D, live_half)
+    h, sizes = _class_histogram(coords, moduli)
+    energy = _square_count(h, sizes) if _square_route(h, sizes) else _pair_count(coords, keys)
 
     zeros = Counter()
     for weight, partners in ((4, lives), (2, deads)):

@@ -2,9 +2,12 @@
 
 import collections
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normsum import energy as en
 from normsum import field_core as fc
@@ -739,6 +742,16 @@ DEAD_POINT_CASES = [
     (3, 2, (1, 1), 3), (5, 2, (1, 1), 2), (2, 3, (1, 1, 1), 2), (3, 3, (1, 1, 1), 1),
     (3, 3, (2, 1), 3), (5, 3, (2, 1), 1), (2, 3, (2, 1), 2), (3, 1, (1,), 3),
 ]
+# past the grid's primes, every partition of n <= 3: windows of half-width 1,
+# and at n <= 2 of floor(sqrt(p)), as energy and energy-scan take them
+SQUARE_PRIMES = (2, 3, 5, 7, 11, 13, 53)
+SQUARE_CASES = [
+    (p, n, part, H)
+    for p in (11, 13, 53)
+    for n in (1, 2, 3)
+    for part in hn.square_partitions(n)
+    for H in ((1, math.isqrt(p)) if n < 3 else (1,))
+]
 
 
 def _window(p, n, partition, H, shape="cube"):
@@ -746,6 +759,51 @@ def _window(p, n, partition, H, shape="cube"):
     widens its last side by one."""
     D = fm.random_decomposition(p, n, partition, random.Random(p * 100 + n * 10 + H))
     return D, fm.BoxSpec.symmetric((H,) * (n - 1) + (H + (shape == "ragged"),))
+
+
+def _live_half(D, logs) -> list:
+    """The log lists of the live points of a symmetric window's first half."""
+    orders, half = [ctx.order - 1 for ctx in D.ctxs], len(logs[0]) // 2
+    live = [all(t < o for t, o in zip(point, orders)) for point in zip(*logs)][:half]
+    return [list(itertools.compress(field, live)) for field in logs]
+
+
+def _live_counts(D, logs):
+    """The live count sum_x (h*h)(x)^2 by the squared integer and by the
+    pair loop, and the window's live points in its first half, N."""
+    coords, keys, moduli, _ = en._sign_quotient(D, _live_half(D, logs))
+    h, sizes = en._class_histogram(coords, moduli)
+    return en._square_count(h, sizes), en._pair_count(coords, keys), len(coords[0])
+
+
+def _forced_energies(D, logs, monkeypatch) -> list:
+    """_quotient_energy with the live count sent down the squared integer,
+    then down the pair loop."""
+    energies = []
+    for square in (True, False):
+        with monkeypatch.context() as m:
+            m.setattr(en, "_square_route", lambda h, sizes, square=square: square)
+            energies.append(en._quotient_energy(D, logs))
+    return energies
+
+
+def cyclic_square_literal(h, moduli) -> list:
+    """h*h over prod Z/m_i, class pair by class pair, in row-major order."""
+    def coordinates(index):
+        digits = []
+        for m in reversed(moduli):
+            index, a = divmod(index, m)
+            digits.append(a)
+        return digits[::-1]
+
+    out = [0] * math.prod(moduli)
+    for i, ci in h.items():
+        for j, cj in h.items():
+            k = 0
+            for a, b, m in zip(coordinates(i), coordinates(j), moduli):
+                k = k * m + (a + b) % m
+            out[k] += ci * cj
+    return out
 
 
 def _dead_off_origin(D, b) -> int:
@@ -756,12 +814,18 @@ def _dead_off_origin(D, b) -> int:
 
 class TestSignQuotient:
     @pytest.mark.parametrize("shape", ["cube", "ragged"])
-    @pytest.mark.parametrize("p,n,partition,H", ORBIT_CASES + DEAD_POINT_CASES)
-    def test_quotient_route_matches_one_box_and_two_list_routes(self, p, n, partition, H, shape):
-        # a ragged box reads the negatives (index vol - 1 - i) off unequal sides
+    @pytest.mark.parametrize("p,n,partition,H", ORBIT_CASES + DEAD_POINT_CASES + SQUARE_CASES)
+    def test_quotient_route_matches_one_box_and_two_list_routes(
+        self, p, n, partition, H, shape, monkeypatch
+    ):
+        # a ragged box reads the negatives (index vol - 1 - i) off unequal sides;
+        # the live count is taken down both routes, whichever the rule picks
         D, b = _window(p, n, partition, H, shape)
         logs = en._box_logs(D, b)
+        square, pairs, live = _live_counts(D, logs)
+        assert square == pairs and (live == 0 or b.volume > 1)  # the origin alone: N = 0
         energy = en._quotient_energy(D, logs)
+        assert _forced_energies(D, logs, monkeypatch) == [energy, energy]
         copy = [list(field) for field in logs]
         for hist in (en._pair_histogram(D, logs, logs), en._pair_histogram(D, logs, copy)):
             assert sum(hist.values()) == b.volume**2
@@ -795,7 +859,7 @@ class TestSignQuotient:
         D, b = _window(p, n, partition, max(1, p // 2))
         logs, table = en._box_logs(D, b), en._lam_table(D, b)
         live = [i for i, lx in enumerate(table) if all(map(any, lx))]
-        coords, keys, sign = en._sign_quotient(D, [[f[i] for i in live] for f in logs])
+        coords, keys, _, sign = en._sign_quotient(D, [[f[i] for i in live] for f in logs])
         assert sign == (1 if p == 2 else 2)
         classes, key_of = {}, {}
         for j, x in enumerate(live):
@@ -844,6 +908,49 @@ class TestSignQuotient:
             assert en.energy_histogram(inst) == en.energy_quadruple_loop(inst)
             assert len(calls) == taken, (bx, by)
 
+    def test_sixteen_bit_digits_and_a_short_width_is_caught_by_the_total(self, monkeypatch):
+        # p = 5, n = 1, H = 40: 32 live points of the first half, 16 in each
+        # class of Z/2, so N max(h) = 512 and each class of h*h holds 512
+        D, b = _window(5, 1, (1,), 40)
+        logs = en._box_logs(D, b)
+        coords, _, moduli, _ = en._sign_quotient(D, _live_half(D, logs))
+        h, sizes = en._class_histogram(coords, moduli)
+        assert (sizes, sorted(h.values())) == ([2], [16, 16])
+        assert list(en._cyclic_square(h, sizes)) == [512, 512]
+        digit_code, codes = en._digit_code, []
+        monkeypatch.setattr(en, "_digit_code", lambda bound: codes.append(digit_code(bound))
+                            or codes[-1])
+        hist = en._pair_histogram(D, logs, logs)
+        assert en.energy_symmetric(D, (40,)) == sum(c * c for c in hist.values())
+        assert codes and set(codes) == {"H"}
+        # one typecode narrower: the digits carry and the total is short
+        monkeypatch.setattr(en, "_digit_code",
+                            lambda bound: "BHIQ"["BHIQ".index(digit_code(bound)) - 1])
+        with pytest.raises(la.CheckFailed, match="not 32\\^2"):
+            en.energy_symmetric(D, (40,))
+        # a carry past the last digit: 75^2 = 21 * 256 + 249 folds to 270
+        with pytest.raises(la.CheckFailed, match="digits of 8 bits overflow"):
+            en._cyclic_square({0: 75}, [1])
+
+    def test_route_rule_squares_the_bench_windows_and_not_the_large_ones(self, monkeypatch):
+        taken = []
+        for name in ("_square_count", "_pair_count"):
+            monkeypatch.setattr(en, name, lambda *args, name=name, route=getattr(en, name):
+                                taken.append(name) or route(*args))
+
+        def routes(p, n, partition, seed):
+            del taken[:]
+            D = fm.random_decomposition(p, n, partition, random.Random(seed))
+            en.energy_symmetric(D, (math.isqrt(p),) * n)
+            return taken
+
+        # every shape of the bench's energy workload, over a few draws
+        for n, primes in ((2, (53, 59, 61, 67, 71, 73)), (3, (3, 5, 7))):
+            for p, partition, seed in itertools.product(primes, hn.square_partitions(n), range(3)):
+                assert routes(p, n, partition, seed) == ["_square_count"], (p, partition, seed)
+        assert routes(999983, 1, (1,), 1) == ["_pair_count"]
+        assert routes(401, 2, (1, 1), 1) == ["_pair_count"]
+
     @pytest.mark.parametrize("p,n,partition", [
         (2, 1, (1,)), (2, 2, (1, 1)), (3, 2, (2,)), (7, 2, (1, 1)), (5, 3, (2, 1)),
         (3, 3, (1, 1, 1)), (7, 3, (3,)),
@@ -875,3 +982,29 @@ class TestSignQuotient:
             Dm = fm.NormFormDecomposition(p, n, D.partition, D.ctxs, blocks)
             b = box([rng.randint(-3, 3) for _ in range(n)], [rng.randint(1, 3) for _ in range(n)])
             assert en._box_logs(Dm, b) == logs_per_point(Dm, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SQUARE_PRIMES), st.integers(1, 3), st.data())
+def test_square_and_pair_live_counts_agree_on_random_windows(p, n, data):
+    partition = data.draw(st.sampled_from(hn.square_partitions(n)))
+    H = data.draw(st.integers(0, (12, 4, 2)[n - 1]))
+    ragged = data.draw(st.booleans())
+    D = fm.random_decomposition(p, n, partition, random.Random(data.draw(st.integers(0, 10**6))))
+    b = fm.BoxSpec.symmetric((H,) * (n - 1) + (H + ragged,))
+    logs = en._box_logs(D, b)
+    square, pairs, _ = _live_counts(D, logs)
+    assert square == pairs
+    hist = en._pair_histogram(D, logs, logs)
+    assert en._quotient_energy(D, logs) == sum(c * c for c in hist.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_cyclic_square_matches_the_literal_convolution(data):
+    # counts up to 2^24 reach every digit width, 8 to 64 bits
+    moduli = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+    bits = data.draw(st.integers(0, 24))
+    h = data.draw(st.dictionaries(st.integers(0, math.prod(moduli) - 1),
+                                  st.integers(0, 2**bits), max_size=12))
+    assert list(en._cyclic_square(h, moduli)) == cyclic_square_literal(h, moduli)
