@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import field_core as fc
 from . import linalg as la
@@ -168,17 +168,17 @@ def congruence_lattice(p: int, P, Q) -> IntegerLattice:
     n = len(P)
     if len(Q) != n or any(len(r) != n for r in P) or any(len(r) != n for r in Q):
         raise ValueError("coupling matrices must be square of equal size")
-    # inverting P^-1 Q refuses a singular P, then a singular Q
-    S = la.mat_inv(la.mat_mul(la.mat_inv(P, p), Q, p), p)
+    if la.mat_rank(P, p) < n:
+        raise ValueError(f"matrix singular mod {p}")
+    S = la.mat_mul(la.mat_inv(Q, p), P, p)
     basis = tuple(tuple(int(i == j) for j in range(2 * n)) for i in range(n)) + tuple(
         tuple(S[i]) + tuple(p * (i == j) for j in range(n)) for i in range(n)
     )
     form = CongruenceForm(p, *(tuple(tuple(v % p for v in row) for row in M) for M in (P, Q)))
-    lat = IntegerLattice(2 * n, basis, form=form)
-    for col in lat.columns():
-        if not form.holds(col):
-            raise la.CheckFailed(f"basis column {col} breaks P x = Q y mod {p}")
-    return lat
+    # the columns (e_j, S e_j) hold P x = Q y iff Q S = P; the columns (0, p e_j) always do
+    if la.mat_mul(form.Q, S, p) != [list(row) for row in form.P]:
+        raise la.CheckFailed(f"basis [[I, 0], [S, pI]] breaks P x = Q y mod {p}: Q S != P")
+    return IntegerLattice(2 * n, basis, form=form)
 
 
 def build_lattice(A, A_prime, ctxs: Sequence[fc.ExtFieldCtx], z) -> IntegerLattice:
@@ -202,12 +202,14 @@ def build_lattice(A, A_prime, ctxs: Sequence[fc.ExtFieldCtx], z) -> IntegerLatti
 
 
 def dual_pairing_check(L: IntegerLattice, dual: IntegerLattice) -> None:
-    """Every dual basis column pairs to 0 mod p with every basis column."""
+    """Every dual basis column pairs to 0 mod p with every basis column: the
+    product of the transposed dual basis with the basis vanishes mod p."""
     p = L.form.p
-    for u in dual.columns():
-        for x in L.columns():
-            if sum(a * b for a, b in zip(u, x)) % p:
-                raise la.CheckFailed(f"dual column {u} pairs nonzero mod {p} with column {x}")
+    pairing = la.mat_mul(la.transpose(dual.basis), L.basis, p)
+    bad = next(((a, b) for a, row in enumerate(pairing) for b, t in enumerate(row) if t), None)
+    if bad is not None:
+        u, x = dual.columns()[bad[0]], L.columns()[bad[1]]
+        raise la.CheckFailed(f"dual column {u} pairs nonzero mod {p} with column {x}")
 
 
 def dual_lattice(L: IntegerLattice) -> IntegerLattice:
@@ -222,13 +224,14 @@ def dual_lattice(L: IntegerLattice) -> IntegerLattice:
     if L.form is None:
         raise ValueError("dual construction requires congruence provenance")
     p, n = L.form.p, L.form.n
-    R = la.mat_mul(la.mat_inv(L.form.P, p), L.form.Q, p)
+    P_inv = la.mat_inv(L.form.P, p)  # L.form.P is A mod p when block provenance is present
+    R = la.mat_mul(P_inv, L.form.Q, p)
     neg_id = [[(p - 1) if i == j else 0 for j in range(n)] for i in range(n)]
     dual = congruence_lattice(p, la.transpose(R), neg_id)
     if L.block is not None:
-        A, A_prime, ctxs = L.block.A, L.block.A_prime, L.block.ctxs
+        A_prime, ctxs = L.block.A_prime, L.block.ctxs
         M = block_mult_matrix(ctxs, L.block.z)
-        inv_t = la.transpose(la.mat_inv(A, p))
+        inv_t = la.transpose(P_inv)
         P0 = la.mat_mul(la.transpose(M), inv_t, p)
         Q0 = la.mat_neg(la.transpose(la.mat_inv(A_prime, p)), p)
         alt = congruence_lattice(p, P0, Q0)
@@ -265,7 +268,8 @@ def _box_gauge(H: Sequence[int]) -> tuple[int, tuple[int, ...]]:
 # 101 to 997, 13 to 97): 0.49, 0.21 and 0.21 of the whole-ball walk from radius 1
 # there, so the weights are that walk's (10,000, 40,000, 60,000) so scaled.  A
 # range is priced at or over its time: 1.25 s for 1.19 to 1.36 s at p = 3..400,
-# n = 2; the widest admitted ran 18.4 s (3..3078, n = 2) and 11.8 s (3..310, n = 3)
+# n = 2; the widest admitted ran 18.4 s (3..3078, n = 2) and 11.8 s (3..310, n = 3).
+# Both were fitted before the minima read each shell once, so they now over-estimate
 LATTICE_NS = 2_000_000
 MINIMA_PREFIX_NS = (5_000, 8_500, 12_500)
 
@@ -273,65 +277,64 @@ MINIMA_PREFIX_NS = (5_000, 8_500, 12_500)
 def minima_cost(p: int, n: int) -> int:
     """The prefixes (x_1..x_n) in [-isqrt p, isqrt p]^n, as the basis [[I, 0],
     [S, pI]] has pivot 1 at each x_i and p at each y_i: _gauge_ball walks the
-    half of them whose first nonzero coordinate is positive, at each budget."""
+    half of them whose first nonzero coordinate is positive, at each budget up
+    to the last, whose walk may stop once the minima reach full rank."""
     return (2 * max(1, math.isqrt(p)) + 1) ** n
 
 
 def _gauge_ball(
     cols, w: Sequence[int], budget: int, additive: bool
-) -> list[tuple[int, tuple[int, ...]]]:
-    """All lattice vectors v with g(v) <= budget, as (g(v), v) pairs.
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The half ball: the lattice vectors v with g(v) <= budget whose first
+    nonzero coordinate is positive, as (g(v), v) pairs, v descending.
 
     g(v) = sum_i w_i |v_i| if additive, else max_i w_i |v_i|, with positive
     integer weights w.  cols is a triangular basis (column j vanishes above
     row j, pivot cols[j][j] > 0), so coordinate j is final once coefficient
-    j is chosen: the recursion carries the gauge of the coordinates fixed so
-    far and bounds each coefficient by the budget that remains, so no point
-    outside the ball is visited (Fincke-Pohst pruning).  As g(-v) = g(v), only
-    the vectors whose first nonzero coefficient is positive are walked; the
-    zero vector and their negations are appended.
+    j is chosen: the walk carries the gauge acc[j] of the coordinates fixed
+    before j and bounds each coefficient by the budget that remains, so no
+    point outside the ball is visited (Fincke-Pohst pruning).  As g(-v) =
+    g(v), the zero vector and the negations are left to the caller.  Each
+    coefficient is walked from its top value coef[j] down to low[j], so v_j
+    falls with it and the vectors come out in descending lexicographic order.
     """
     d = len(cols)
-    out: list[tuple[int, tuple[int, ...]]] = []
     v = [0] * d
-
-    def rec(j: int, acc: int, lo: int, hi: int) -> None:
-        # coefficients lo..hi of column j, a nonempty range, on top of v
-        wj, col, piv = w[j], cols[j], cols[j][j]
-        if j == d - 1:
-            x0 = v[j]
-            for x in range(x0 + lo * piv, x0 + hi * piv + 1, piv):
-                v[j] = x
-                g = wj * abs(x)
-                out.append((acc + g if additive else max(acc, g), tuple(v)))
-            v[j] = x0
-            return
-        saved = v[j:]
-        for i in range(j, d):
-            v[i] += lo * col[i]
-        k = j + 1
-        wk, pk = w[k], cols[k][k]
-        for _ in range(lo, hi + 1):
-            g = wj * abs(v[j])
-            a = acc + g if additive else max(acc, g)
-            W = ((budget - a) if additive else budget) // wk
-            x0 = v[k]
-            lo_k, hi_k = -((W + x0) // pk), (W - x0) // pk
-            if lo_k <= hi_k:
-                rec(k, a, lo_k, hi_k)
-            for i in range(j, d):
-                v[i] += col[i]
-        v[j:] = saved
-
-    # coefficients 0 before column j leave v = 0, so j's range is symmetric
-    for j in range(d):
-        hi = budget // w[j] // cols[j][j]
-        if hi:
-            rec(j, 0, 1, hi)
-    half = len(out)
-    out.append((0, tuple(v)))
-    out.extend([(g, tuple([-x for x in u])) for g, u in out[:half]])
-    return out
+    # column j's step, on the rows where it is nonzero
+    steps = [[(i, col[i]) for i in range(j, d) if col[i]] for j, col in enumerate(cols)]
+    coef, low, acc = [0] * d, [0] * d, [0] * d
+    for top in range(d):
+        # coefficients 0 before column top leave v = 0: v_top > 0 is coefficient top > 0
+        hi = budget // w[top] // cols[top][top]
+        if not hi:
+            continue
+        j, coef[top], low[top], acc[top] = top, hi, 1, 0
+        for i, c in steps[top]:
+            v[i] += hi * c
+        while j >= top:
+            g = w[j] * abs(v[j])
+            a = acc[j] + g if additive else max(acc[j], g)
+            if j == d - 1:
+                yield a, tuple(v)
+            else:
+                k = j + 1
+                W = ((budget - a) if additive else budget) // w[k]
+                pk, x0 = cols[k][k], v[k]
+                lo, hi = -((W + x0) // pk), (W - x0) // pk
+                if lo <= hi:  # enter level k at its top coefficient
+                    j, coef[k], low[k], acc[k] = k, hi, lo, a
+                    for i, c in steps[k]:
+                        v[i] += hi * c
+                    continue
+            # leave the levels whose coefficients are spent, then step one down
+            while j >= top and coef[j] == low[j]:
+                for i, c in steps[j]:
+                    v[i] -= coef[j] * c
+                j -= 1
+            if j >= top:
+                coef[j] -= 1
+                for i, c in steps[j]:
+                    v[i] -= c
 
 
 def _scan_points(L: IntegerLattice, H: Sequence[int]) -> list[tuple[int, ...]]:
@@ -352,13 +355,15 @@ def points_in_box(L: IntegerLattice, H: Sequence[int]):
     """Count and list the lattice vectors v with |v_i| <= H_i for all i.
 
     The vectors are the ball of the box gauge at radius 1, walked over
-    bounded basis coefficients (_gauge_ball), in sorted order.
+    bounded basis coefficients (_gauge_ball), in sorted order: the half
+    ball's negations ascending, the zero vector, then the half ball ascending.
     """
     H = tuple(int(h) for h in H)
     if len(H) != L.dim or any(h < 0 for h in H):
         raise ValueError("box bounds must be one nonnegative integer per dimension")
     scale, w = _box_gauge(H)
-    pts = sorted(v for _, v in _gauge_ball(L.columns(), w, scale, False))
+    half = [v for _, v in _gauge_ball(L.columns(), w, scale, False)]
+    pts = [tuple([-x for x in v]) for v in half] + [(0,) * L.dim] + half[::-1]
     return len(pts), tuple(pts)
 
 
@@ -399,34 +404,38 @@ def successive_minima(
         raise ValueError(f"unknown gauge {gauge!r}")
 
     # |v| = g(v) / scale with an integer gauge g; sorting on (g, v) is
-    # sorting on (|v|, v).
+    # sorting on (|v|, v).  The body's volume is num / den, so the ratio
+    # vol prod(minima) / det is N / D below, both integers.
     scale, w = _box_gauge(H) if gauge == "box" else (1, H)
-    det, low = L.det(), Fraction(2**d, math.factorial(d))
-    vol = math.prod(2 * h for h in H) if gauge == "box" else low / math.prod(H)
-    # by Minkowski's second theorem the g-minima multiply to at least c scale^d,
-    # c = (2^d / d!) det / vol: start at its d-th root.  The greedy pass reads
-    # only candidates with g <= lambda_d scale, so every increasing schedule of
-    # budgets gives the same minima.
-    budget = _iroot(math.floor(low * det / vol * scale**d), d)
-    cols = L.columns()
-    while True:
-        cand = sorted(_gauge_ball(cols, w, budget, gauge == "polar"))
-        echelon = la.IntegerEchelon()
-        chosen: list[tuple[int, ...]] = []
-        gauges: list[int] = []
-        for g, v in cand:
-            if g and echelon.add(v):
+    fact = math.factorial(d)
+    num, den = (math.prod(2 * h for h in H), 1) if gauge == "box" else (2**d, fact * math.prod(H))
+    D = den * scale**d * L.det()
+    # by Minkowski's second theorem the g-minima multiply to at least
+    # 2^d D / (d! num): start at its d-th root and grow by about sqrt 2.  The
+    # greedy pass over the ball sorted by (g, v) reads only candidates with
+    # g <= lambda_d scale, and of v and -v the negative one first, so it reads
+    # each new shell done < g <= budget of the half ball, negated, into one echelon.
+    budget, done = _iroot(2**d * D // (fact * num), d), 0
+    cols, echelon = L.columns(), la.IntegerEchelon()
+    chosen: list[tuple[int, ...]] = []
+    gauges: list[int] = []
+    while len(chosen) < d:
+        shell = (
+            (g, tuple([-x for x in v]))
+            for g, v in _gauge_ball(cols, w, budget, gauge == "polar") if g > done
+        )
+        # a shell of one gauge value is already in (g, v) order, as the walk is descending
+        for g, v in shell if budget == done + 1 else sorted(shell):
+            if echelon.add(v):
                 chosen.append(v)
                 gauges.append(g)
                 if len(chosen) == d:
                     break
-        if len(chosen) == d:
-            break
-        budget = max(budget + 1, math.isqrt(2 * budget * budget))
+        done, budget = budget, max(budget + 1, math.isqrt(2 * budget * budget))
+    N = num * math.prod(gauges)
+    if not 2**d * D <= fact * N <= fact * 2**d * D:
+        raise la.CheckFailed(f"minima product outside the Minkowski range: {Fraction(N, D)}")
     minima = [Fraction(g, scale) for g in gauges]
-    ratio = vol * math.prod(minima, start=Fraction(1)) / det
-    if not low <= ratio <= 2**d:
-        raise la.CheckFailed(f"minima product outside the Minkowski range: {ratio}")
     s = sum(1 for lam in minima if lam <= 1)
     return SuccessiveMinimaReport(tuple(minima), s, tuple(chosen))
 

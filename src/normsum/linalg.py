@@ -7,6 +7,7 @@ function says otherwise; no floats anywhere.
 from __future__ import annotations
 
 import math
+import operator
 
 PRIMALITY_CAP = 10**6
 
@@ -57,10 +58,8 @@ def mat_mul(A, B, p: int) -> list[list[int]]:
     rows, inner, cols = len(A), len(B), len(B[0])
     if len(A[0]) != inner:
         raise ValueError(f"cannot multiply a {rows} x {len(A[0])} by a {inner} x {cols} matrix")
-    return [
-        [sum(A[i][t] * B[t][j] for t in range(inner)) % p for j in range(cols)]
-        for i in range(rows)
-    ]
+    B_cols = list(zip(*B))
+    return [[sum(map(operator.mul, row, col)) % p for col in B_cols] for row in A]
 
 
 def mat_vec(A, x, p: int) -> list[int]:

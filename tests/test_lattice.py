@@ -445,6 +445,15 @@ def test_minima_frozen_scalar_lattice():
     assert Fraction(2) <= vol_ratio <= 4  # 12/5 inside the Minkowski range
 
 
+def test_the_minkowski_range_trips_on_both_sides(monkeypatch):
+    # minima 1 and 3 of the box (1, 1), volume 4: the ratio is 12 / det
+    L = lt.build_lattice([[1]], [[1]], *scalars(5, 1))
+    for det, ratio in [(100, "3/25"), (1, "12")]:
+        monkeypatch.setattr(lt.IntegerLattice, "det", lambda self, det=det: det)
+        with pytest.raises(la.CheckFailed, match=f"Minkowski range: {ratio}$"):
+            lt.successive_minima(L, (1, 1))
+
+
 def test_minima_integer_lattice():
     for d in (2, 3, 4):
         Zd = lt.IntegerLattice(d, tuple(tuple(la.identity(d)[i]) for i in range(d)))
@@ -636,8 +645,16 @@ def test_polar_ball_matches_filtered_scan(seed, p, partition, H):
         for v in lt._scan_points(L, [r_max // h for h in H])
     ]
     for r in range(r_max + 1):
-        ball = lt._gauge_ball(cols, H, r, True)
+        ball = whole_ball(cols, H, r, True)
         assert sorted(ball) == sorted((g, v) for g, v in scan if g <= r)
+        assert len(ball) == len(set(ball))
+
+
+def whole_ball(cols, w, budget, additive):
+    """_gauge_ball's half ball, then the zero vector and the half's negations."""
+    half = list(lt._gauge_ball(cols, w, budget, additive))
+    zero = (0, (0,) * len(cols))
+    return half + [zero] + [(g, tuple(-x for x in v)) for g, v in half]
 
 
 def reference_gauge_ball(cols, w, budget, additive):
@@ -684,7 +701,7 @@ def _assert_half_walk_matches_the_full_walk(L, H):
         gauges.append((H, max(H) * len(H), True))
     for weights, top, additive in gauges:
         for budget in sorted({0, 1, top // 2, top - 1, top, top + 1, 2 * top}):
-            got = lt._gauge_ball(cols, weights, budget, additive)
+            got = whole_ball(cols, weights, budget, additive)
             want = reference_gauge_ball(cols, weights, budget, additive)
             assert Counter(got) == Counter(want), (L.basis, weights, budget, additive)
             assert len(got) == len(set(v for _, v in got))
@@ -717,6 +734,44 @@ def test_half_walk_matches_the_full_walk_on_triangular_bases(basis):
     for H in [(1,) * d, (2,) * d, tuple(range(1, d + 1)), (0,) + (3,) * (d - 1),
               (3,) * (d - 1) + (0,), (0,) * d]:
         _assert_half_walk_matches_the_full_walk(L, H)
+
+
+@pytest.mark.parametrize("seed,p,partition,sides", ORACLE_CASES)
+def test_half_walk_is_strictly_descending(seed, p, partition, sides):
+    L = seeded_lattice(seed, p, partition)
+    d = L.dim
+    for lattice in (L, lt.dual_lattice(L)):
+        cols = lattice.columns()
+        for H in [(max(1, math.isqrt(p)),) * d] + sides:
+            scale, w = lt._box_gauge(H)
+            for weights, budget, additive in [(w, 2 * scale, False), (H, max(H) * d, True)]:
+                walk = list(lt._gauge_ball(cols, weights, budget, additive))
+                vs = [v for _, v in walk]
+                assert all(a > b for a, b in zip(vs, vs[1:])), (lattice.basis, H, additive)
+                assert all(next(x for x in v if x) > 0 for v in vs)
+                whole = reference_gauge_ball(cols, weights, budget, additive)
+                assert 2 * len(walk) + 1 == len(whole)
+
+
+def test_box_minima_stop_their_last_walk_at_full_rank(monkeypatch):
+    # p = 3, n = 3: box lambda_6 = 2 at sides 1, so the budget-2 walk is the last
+    L = seeded_lattice(7, 3, (1, 1, 1))
+    H = (1,) * 6
+    drawn = {}
+    ball = lt._gauge_ball
+
+    def spy(cols, w, budget, additive):
+        drawn[budget] = 0
+        for item in ball(cols, w, budget, additive):
+            drawn[budget] += 1
+            yield item
+
+    monkeypatch.setattr(lt, "_gauge_ball", spy)
+    rep = lt.successive_minima(L, H)
+    assert rep.minima[-1] == 2 and list(drawn) == [1, 2]
+    half = len(list(ball(L.columns(), lt._box_gauge(H)[1], 2, False)))
+    assert drawn[2] < half
+    assert rep == reference_successive_minima(L, H)
 
 
 def test_iroot_is_the_integer_root():
