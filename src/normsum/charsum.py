@@ -30,11 +30,14 @@ MOMENT_CAP = 25 * 10**7
 # the fastest measured times of one unit of each cost below, in ns (on a
 # 2-vCPU virtual machine): the weights of these costs in a command's cost.
 # A term of weil_complete_sum took 640 to 860.  A box point of one route
-# took 166 to 211 (direct) and 165 to 378 (lifted) at n = 2 and 442 to 553
-# and 627 to 954 at n = 3 over the bench's charsum boxes; BOX_POINT_NS
-# stays at 900, as a point costs more at field degree >= 4 or with
-# hundreds of monomials.  s2_moment's two units are fitted instead, as its
-# time per unit moves with T and r (see moment_work)
+# alone, evaluated a plane at a time with its P_ab packed for it, took 430
+# to 730 (direct) and 432 to 742 (lifted) at n = 2 and 449 to 608 and 527
+# to 758 at n = 3 over the bench's charsum boxes, in a slow spell where the
+# line evaluators took 309 to 403, 287 to 730, 791 to 1073 and 1236 to
+# 1936; two routes over one box pack once.  BOX_POINT_NS stays at 900, as
+# a point costs more at field degree >= 4 or with hundreds of monomials.
+# s2_moment's two units are fitted instead, as its time per unit moves
+# with T and r (see moment_work)
 BOX_POINT_NS = 900
 WEIL_TERM_NS = 640
 MOMENT_READ_NS = 330
@@ -93,20 +96,20 @@ class CharSumResult:
 
 
 def _box_sum(chi, B: fm.BoxSpec, values) -> CharSumResult:
-    """The sum of chi over values(piece), line by line, for each piece of B."""
+    """The sum of chi over values(B), the box's residues a plane at a time."""
     if not box_fits(B.volume):
         raise ValueError(f"box volume {B.volume} over cap {BOX_CAP}")
-    lines = (line for piece in B.pieces(fm.PIECE_SIDE) for line in values(piece))
-    weights, zeros = cc.index_histogram(chi, itertools.chain.from_iterable(lines))
+    weights, zeros = cc.index_histogram(chi, itertools.chain.from_iterable(values(B)))
     return CharSumResult(B.volume, weights, zeros)
 
 
 def charsum_direct(chi: cc.DirichletChar, F: fm.FormSpec, B: fm.BoxSpec) -> CharSumResult:
     """Sum chi(F(x)) over the box, zero arguments contributing zero.
 
-    The values stream line by line from fm.form_values over pieces of the
-    box with sides of at most fm.PIECE_SIDE, so memory holds one short line
-    and the power rows of one piece, whatever the shape of the box.
+    The values stream a plane at a time from fm.form_values, over pieces of
+    the box with at most fm.PIECE_SIDE points in a plane, so memory holds one
+    plane and the packed powers P_ab of one piece, whatever the shape of the
+    box; each plane's last point is checked against fm.eval_form.
     """
     if chi.p != F.p:
         raise ValueError("character modulus and form modulus differ")
@@ -121,8 +124,11 @@ def charsum_lifted(
     """Sum the product of norm-pulled-back character values over the box.
 
     prod_i psi_i(lambda_i(x)) = chi(prod_i N_i(U_i x)) = chi(D.value(x)),
-    streamed line by line from D.values over the same pieces as the direct
-    route.
+    streamed a plane at a time from D.values over the same pieces as the
+    direct route: each block's norm on a plane is interpolated from its
+    field's norm kernel (or, for a block of degree m >= p or a plane no
+    larger than its grid, taken by the kernel at every point), F is never
+    read, and each plane's last point is checked against D.value.
     """
     if chi.p != D.p:
         raise ValueError("character modulus and decomposition modulus differ")

@@ -33,7 +33,7 @@ from . import linalg
 
 POINTWISE_EXHAUSTIVE_CAP = 10**5
 POINTWISE_SAMPLES = 10**4
-PIECE_SIDE = 4096  # longest side of a box evaluated line by line at once
+PIECE_SIDE = 4096  # most points in a plane of a piece, and longest side of a piece
 # most monomials that synthesize_form's estimate admits: dense n = 9, k = 10
 # (43,758) takes 0.9 s on a 2-vCPU Xeon VM, n = k = 10 (92,378) 2.0 s
 EXPANSION_CAP = 5 * 10**4
@@ -78,8 +78,8 @@ class FormSpec:
             raise ValueError("form has no nonzero monomials")
         monomials = tuple(sorted(cleaned.items()))
         object.__setattr__(self, "monomials", monomials)
-        # for eval_form and form_values: (coef, ((i, e), ...)) per monomial,
-        # zero exponents dropped
+        # for eval_form: (coef, ((i, e), ...)) per monomial, zero exponents
+        # dropped
         object.__setattr__(self, "_terms", tuple(
             (c, tuple((i, e) for i, e in enumerate(exp) if e)) for exp, c in monomials
         ))
@@ -89,12 +89,12 @@ class FormSpec:
 
 
 def _power_rows(values, k: int, p: int) -> list:
-    """The power row [1, v, ..., v^k] mod p of each integer v of values, k >= 1."""
+    """The power row [1, v, ..., v^k] mod p of each integer v of values."""
     rows = []
     for v in values:
         v = int(v) % p
-        row = [1, v]
-        for _ in range(k - 1):
+        row = [1]
+        for _ in range(k):
             row.append(row[-1] * v % p)
         rows.append(row)
     return rows
@@ -117,41 +117,179 @@ def eval_form(F: FormSpec, x) -> int:
     return total % F.p
 
 
-def form_values(F: FormSpec, B: BoxSpec):
-    """F at every point of B: one list of residues per line of B along its
-    last coordinate, the lines and their points in B.iter_points() order.
+# ---------------------------------------------------------------------------
+# plane evaluation over the last two axes (s, t) = (x_{n-1}, x_n), a piece of
+# the box at a time.  A piece whose s side is 1, and every piece at n = 1, has
+# planes of one row: s joins the prefix, and the terms are t^b alone.
 
-    On a line, F is a polynomial of degree k in x_n, with k + 1 coefficients
-    c_j collected once per line from the compiled monomials and reduced mod
-    p.  The line is one integer sum_j c_j P_j (Kronecker substitution), where
-    P_j, built once per box, holds t^j mod p of each x_n = t as a base-2^64
-    digit: a digit of the sum is at most (k + 1)(p - 1)^2, checked below 2^64
-    before any power row is built, so none carries.
+
+@functools.cache
+def _plane_terms(k: int, rows: bool) -> tuple:
+    """The exponents (a, b) of s^a t^b of total degree at most k, by degree;
+    (0, b) alone for planes of one row."""
+    return tuple((a, d - a) for d in range(k + 1) for a in range(d + 1 if rows else 1))
+
+
+def _plane_code(p: int, k: int, rows: bool) -> str:
+    """The array typecode of the narrowest of 8, 16, 32 and 64 bits above
+    the digit bound of a plane's packed sum: each of its terms adds at most
+    (p - 1)^2 to a digit.  ValueError past 64 bits, before any power row."""
+    bound = _term_count(k, rows) * (p - 1) ** 2
+    for code in "BHIQ":
+        if bound < 1 << 8 * array(code).itemsize:
+            return code
+    raise ValueError(f"degree {k} at p={p}: the packed digit bound {bound} reaches 2^64")
+
+
+def _plane_pieces(B: BoxSpec):
+    """B cut into pieces with at most PIECE_SIDE points in a plane and every
+    side at most PIECE_SIDE: the t side at PIECE_SIDE, the s side at
+    PIECE_SIDE // (the t side)."""
+    t = min(B.H[-1], PIECE_SIDE)
+    sides = (PIECE_SIDE,) * (B.dim - 1) + (t,)
+    return B.pieces(sides[:-2] + (PIECE_SIDE // t, t) if B.dim > 1 else sides)
+
+
+@functools.lru_cache(maxsize=1)
+def _plane_powers(p: int, k: int, S, T, code: str) -> tuple:
+    """P_ab for each (a, b) of _plane_terms: s^a t^b mod p at every point
+    (s, t) of S x T in row order, or t^b along T when S is None, packed as
+    one integer of `code` digits.  The last piece's powers are kept, so the
+    two routes over the same piece pack them once."""
+    cols_t = list(zip(*_power_rows(T, k, p)))
+    if S is None:
+        digits = [array(code, col) for col in cols_t]
+    else:
+        cols_s = list(zip(*_power_rows(S, k, p)))
+        # t^b repeats row by row and s^a along a row; only the rest multiply
+        digits = [array(code, cols_t[b]) * len(S) if not a
+                  else array(code, [u for u in cols_s[a] for _ in T]) if not b
+                  else array(code, [u * v % p for u in cols_s[a] for v in cols_t[b]])
+                  for a, b in _plane_terms(k, True)]
+    return tuple(int.from_bytes(d.tobytes(), sys.byteorder) for d in digits)
+
+
+def _plane_values(coeffs, packed, code: str, size: int, p: int) -> list:
+    """The digits of sum_ab c_ab P_ab mod p, c_ab in [0, p): one residue per
+    point of a plane of `size` points."""
+    digits = array(code)
+    digits.frombytes(sum(map(operator.mul, coeffs, packed)).to_bytes(
+        size * digits.itemsize, sys.byteorder))
+    return list(map(operator.mod, digits, itertools.repeat(p)))
+
+
+def _plane_coords(coords, S, T) -> list:
+    """Each coordinate a + b s + c t of (a, b, c) in coords at the points
+    (s, t) of S x T in row order, or a + c t along T when S is None."""
+    return [[a + b * s + c * t for s in S or (0,) for t in T] for a, b, c in coords]
+
+
+def _term_count(k: int, rows: bool) -> int:
+    """len(_plane_terms(k, rows)), which is also the number of grid nodes
+    that fix a plane polynomial of degree k."""
+    return (k + 1) * (k + 2) // 2 if rows else k + 1
+
+
+@functools.cache
+def _interpolation(p: int, m: int, rows: bool, width: int, stride: int) -> tuple:
+    """The grid nodes (u, v), u + v <= m (u = 0 alone for planes of one row),
+    on which the polynomials f of degree m < p are unisolvent, and for each
+    node an integer: f's values at the nodes times these sum to f packed,
+    its coefficient of s^a t^b at digit a * stride + b of `width` bits.
+
+    Newton's forward differences give f = sum_ij d_ij C(s, i) C(t, j) with
+    d_ij = sum_{u <= i, v <= j} (-1)^(i-u) C(i, u) (-1)^(j-v) C(j, v) f(u, v),
+    and C(s, i) = sum_a L[i][a] s^a, L[i] being the falling factorial
+    s (s - 1) ... (s - i + 1) over i!.  So the weight of f(u, v) in s^a t^b
+    is the sum over i + j <= m of A[i][a][u] A[j][b][v], with
+    A[i][a][u] = L[i][a] (-1)^(i-u) C(i, u), each taken mod p.
+    """
+    nodes = _plane_terms(m, rows)
+    A, falling = [], [1]
+    for i in range(m + 1):
+        if i:
+            falling = [hi - (i - 1) * lo for lo, hi in zip(falling + [0], [0] + falling)]
+        inv = linalg.inv_mod(math.factorial(i), p)
+        A.append([[c * inv * (-1) ** (i - u) * math.comb(i, u) for u in range(i + 1)]
+                  for c in falling])
+    index = {node: n for n, node in enumerate(nodes)}
+    weights = {node: [0] * len(nodes) for node in nodes}
+    for i, j in nodes:
+        for a, b in itertools.product(range(i + 1), range(j + 1)):
+            w = weights[a, b]
+            for u, v in itertools.product(range(i + 1), range(j + 1)):
+                w[index[u, v]] += A[i][a][u] * A[j][b][v]
+    return nodes, tuple(sum(weights[a, b][n] % p << width * (a * stride + b) for a, b in nodes)
+                        for n in range(len(nodes)))
+
+
+def _plane_norm(norm, coords, p: int, rows: bool, width: int, stride: int) -> int:
+    """N(a + b s + c t) of degree m = len(coords) < p, coordinates (a, b, c)
+    as in _plane_coords, packed as in _interpolation from the kernel's values
+    at the grid nodes: each digit is below len(nodes) (p - 1)^2."""
+    nodes, weights = _interpolation(p, len(coords), rows, width, stride)
+    values = [norm([a + b * i + c * j for a, b, c in coords]) for i, j in nodes]
+    return sum(map(operator.mul, values, weights))
+
+
+def _packed_planes(B: BoxSpec, p: int, k: int, exact, planes):
+    """The plane evaluator that both routes share: for each piece of B, the
+    residues of every plane that planes(prefix axes, S, T) yields as
+    (x', coefficients c_ab mod p, kernel factors), each the one packed sum
+    of the piece's P_ab times its kernel factors point by point; S is None
+    on planes of one row.  Each plane's last point x is checked against
+    exact(x), which packs nothing: linalg.CheckFailed on a mismatch."""
+    code = _plane_code(p, k, B.dim > 1)
+    for piece in _plane_pieces(B):
+        *prefix, T = piece.axes()
+        S = prefix.pop() if prefix and len(prefix[-1]) > 1 else None
+        size, packed = len(T) * len(S or (0,)), _plane_powers(p, k, S, T, code)
+        last = (S[-1], T[-1]) if S else (T[-1],)
+        for x, coeffs, kernels in planes(prefix, S, T):
+            values = _plane_values(coeffs, packed, code, size, p)
+            if kernels:
+                product = functools.reduce(functools.partial(map, operator.mul),
+                                           kernels, values)
+                values = list(map(operator.mod, product, itertools.repeat(p)))
+            if values[-1] != exact(x + last):
+                raise linalg.CheckFailed(
+                    f"packed value {values[-1]} at {x + last} is not {exact(x + last)}")
+            yield values
+
+
+def form_values(F: FormSpec, B: BoxSpec):
+    """F at every point of B: one list of residues per plane of the last two
+    axes, each of at most PIECE_SIDE points, planes and points in
+    B.iter_points() order within each piece of _plane_pieces(B); a box with
+    at most PIECE_SIDE points in a plane and sides of at most PIECE_SIDE is
+    one piece.
+
+    On a plane, F is a polynomial of degree k in (s, t): its coefficients
+    c_ab are collected once per plane from the monomials and reduced mod p,
+    and the plane is one packed sum of the piece's P_ab.  A digit of the sum
+    is at most C(k + 2, 2) (p - 1)^2 (k + 1 terms at n = 1), which picks the
+    narrowest of 8, 16, 32 and 64-bit digits and is checked, ValueError past
+    2^64, before any power row is built.  Each plane's last point is checked
+    against eval_form, which packs nothing: linalg.CheckFailed on a mismatch.
     """
     if B.dim != F.n:
         raise ValueError("box dimension and form arity differ")
-    p, k, last = F.p, F.k, F.n - 1
-    if (k + 1) * (p - 1) ** 2 >= 1 << 64:
-        raise ValueError(f"form of degree {k} at p={p}: the packed digit bound "
-                         "(k + 1)(p - 1)^2 reaches 2^64")
-    *axes, rows = [_power_rows(axis, k, p) for axis in B.axes()]
-    packed = [int.from_bytes(array("Q", column).tobytes(), sys.byteorder)
-              for column in zip(*rows)]
-    width, repeat = 8 * len(rows), itertools.repeat(p)
-    for powers in itertools.product(*axes):
-        coeffs = [0] * (k + 1)
-        for term, factors in F._terms:
-            j = 0
-            for i, e in factors:
-                if i == last:
-                    j = e
-                else:
-                    term *= powers[i][e]
-            coeffs[j] += term
-        line = sum(map(operator.mul, [c % p for c in coeffs], packed))
-        digits = array("Q")
-        digits.frombytes(line.to_bytes(width, sys.byteorder))
-        yield list(map(operator.mod, digits, repeat))
+    p, k = F.p, F.k
+
+    def planes(prefix, S, T):
+        cut = len(prefix)
+        index = {ab: j for j, ab in enumerate(_plane_terms(k, S is not None))}
+        monomials = [(c, [(i, e) for i, e in enumerate(exp[:cut]) if e],
+                      index[exp[cut] if S else 0, exp[-1]]) for exp, c in F.monomials]
+        for point in itertools.product(*(zip(axis, _power_rows(axis, k, p)) for axis in prefix)):
+            coeffs = [0] * len(index)
+            for term, factors, j in monomials:
+                for i, e in factors:
+                    term *= point[i][1][e]
+                coeffs[j] += term
+            yield tuple(x for x, _ in point), [c % p for c in coeffs], ()
+
+    return _packed_planes(B, p, k, functools.partial(eval_form, F), planes)
 
 
 @dataclass(frozen=True)
@@ -186,11 +324,13 @@ class BoxSpec:
     def iter_points(self):
         yield from itertools.product(*self.axes())
 
-    def pieces(self, side: int):
-        """The box cut into boxes with every side at most `side`."""
+    def pieces(self, side):
+        """The box cut into boxes with every side at most `side`, or with
+        side i at most side[i] for a tuple."""
+        sides = side if isinstance(side, tuple) else (side,) * self.dim
         cuts = [
-            [(s, min(side, n + h - s)) for s in range(n, n + h, side)]
-            for n, h in zip(self.N, self.H)
+            [(s, min(c, n + h - s)) for s in range(n, n + h, c)]
+            for n, h, c in zip(self.N, self.H, sides)
         ]
         for piece in itertools.product(*cuts):
             yield BoxSpec(*zip(*piece))
@@ -267,33 +407,54 @@ class NormFormDecomposition:
         return total % self.p
 
     def values(self, B: BoxSpec):
-        """value(x) at every point of B: one list of residues per line of B
-        along its last coordinate, in B.iter_points() order.
+        """value(x) at every point of B: one list of residues per plane, in
+        the order and over the pieces of form_values, by the same packed
+        evaluator; F is never read.
 
-        On a line x = (x', t), the block coordinate (U_i x)_r is
-        U_i[r][:-1] x' + U_i[r][-1] t, an arithmetic progression in t, so no
-        dot product is taken per point.  A degree-1 block's norm is its
-        coordinate, so its progression is its factor as it stands; each point
-        of a block of degree >= 2 goes through its field's norm kernel.  The
-        line's factors are multiplied point by point and reduced mod p once.
+        On a plane with prefix x', block i's coordinates are a + b s + c t,
+        (a, b, c) = (U_i[r][:-2] x', U_i[r][-2], U_i[r][-1]) per row r, so its
+        norm is a polynomial of degree m = k_i in (s, t).  The rule: a block
+        of degree 1 is that linear polynomial; one of degree m >= 2 is
+        interpolated from its field's norm kernel at the grid nodes (i, j),
+        i + j <= m, when m < p and the plane has more points than the grid,
+        and otherwise runs its kernel at every point of the plane.  The
+        polynomials' product is one integer with the coefficient of s^a t^b
+        at digit a * stride + b, so a degree-1 block multiplies it in by
+        index shifts; its coefficients mod p are the plane's c_ab, the
+        kernel factors are multiplied in point by point, and each plane's
+        last point is checked against value.
         """
         if B.dim != self.n:
             raise ValueError("box dimension and decomposition arity differ")
-        *axes, line = B.axes()
-        side, repeat = len(line), itertools.repeat(self.p)
-        for prefix in itertools.product(*axes):
-            factors = []
-            for U, norm in self._factors:
-                coords = []
-                for row in U:
-                    step = row[-1]
-                    a = sum(map(operator.mul, row, prefix)) + step * line.start
-                    coords.append(
-                        range(a, a + step * side, step) if step else itertools.repeat(a, side)
-                    )
-                factors.append(coords[0] if len(U) == 1 else map(norm, zip(*coords)))
-            product = functools.reduce(functools.partial(map, operator.mul), factors)
-            yield list(map(operator.mod, product, repeat))
+        return _packed_planes(B, self.p, self.k, self.value, self._planes)
+
+    def _planes(self, prefix, S, T):
+        """(x', c_ab mod p, kernel factors) of each plane of a piece, for values."""
+        p, cut, rows = self.p, len(prefix), S is not None
+        size = len(T) * len(S or (0,))
+        # each block's route, and digits for the plane polynomial: the
+        # product over its blocks of their terms times their largest
+        # coefficient bounds each
+        routes = ["linear" if m == 1 else "grid" if m < p and size > _term_count(m, rows)
+                  else "kernel" for m in self.partition]
+        degrees = [m for m, route in zip(self.partition, routes) if route != "kernel"]
+        width = math.prod(3 * (p - 1) if m == 1 else (_term_count(m, rows) * (p - 1)) ** 2
+                          for m in degrees).bit_length()
+        stride, mask = sum(degrees) + 1, (1 << width) - 1
+        shifts = [width * (a * stride + b) for a, b in _plane_terms(sum(degrees), rows)]
+        for x in itertools.product(*prefix):
+            poly, kernels = 1, []
+            for (U, norm), route in zip(self._factors, routes):
+                coords = [(sum(map(operator.mul, row, x)), row[cut] if rows else 0, row[-1])
+                          for row in U]
+                if route == "linear":
+                    (a, b, c), = coords
+                    poly = poly * (a % p) + (poly << width) * c + (poly << width * stride) * b
+                elif route == "grid":
+                    poly *= _plane_norm(norm, coords, p, rows, width, stride)
+                else:
+                    kernels.append(map(norm, zip(*_plane_coords(coords, S, T))))
+            yield x, [(poly >> shift & mask) % p for shift in shifts], kernels
 
 
 # ---------------------------------------------------------------------------
@@ -303,23 +464,33 @@ class NormFormDecomposition:
 
 def compose_form(F: FormSpec, M) -> FormSpec:
     """The form G(x) = F(Mx) for a square matrix M over F_p: each monomial
-    expanded by _epoly_mul over F_p = F_{p^1}, the terms summed mod p."""
+    expanded by _poly_mul, the terms summed mod p."""
     n, p = F.n, F.p
-    fp = fc.ext_field_ctx(p, 1)
-    rows = [{_unit(n, j): (M[i][j] % p,) for j in range(n) if M[i][j] % p} for i in range(n)]
+    rows = [{_unit(n, j): M[i][j] % p for j in range(n) if M[i][j] % p} for i in range(n)]
     acc: dict = {}
     for exp, coef in F.monomials:
-        term = {(0,) * n: (coef,)}
+        term = {(0,) * n: coef}
         for i, e in enumerate(exp):
             for _ in range(e):
-                term = _epoly_mul(term, rows[i], fp)
-        for e, (c,) in term.items():
+                term = _poly_mul(term, rows[i], p)
+        for e, c in term.items():
             acc[e] = (acc.get(e, 0) + c) % p
     return FormSpec(p, n, F.k, tuple(acc.items()))
 
 
 def _unit(n: int, j: int) -> tuple:
     return tuple(1 if t == j else 0 for t in range(n))
+
+
+def _poly_mul(f: dict, g: dict, p: int) -> dict:
+    """The product of two polynomials over F_p, exponent tuples to
+    coefficients, its coefficients reduced and the zero ones dropped."""
+    out: dict = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(operator.add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c % p for e, c in out.items() if c % p}
 
 
 def _epoly_mul(a: dict, b: dict, ctx) -> dict:
@@ -670,8 +841,10 @@ def _ranks_hold(D: NormFormDecomposition) -> bool:
 
 def verify_decomposition(F: FormSpec, D: NormFormDecomposition) -> bool:
     """The rank invariants, and F(x) = prod N_i(lambda_i(x)) by form_values
-    against D.values: over all of F_p^n in pieces, or past POINTWISE_EXHAUSTIVE_CAP
-    points over runs of s points along x_n drawn by random.Random(repr(F.monomials)).
+    against D.values, plane by plane: over all of F_p^n, or past POINTWISE_EXHAUSTIVE_CAP
+    points over runs of s points along x_n drawn by random.Random(repr(F.monomials)),
+    each run one plane of one row.  Each plane of either route also checks its last
+    point against eval_form or D.value, which pack nothing (linalg.CheckFailed).
     A run tests as much as a point: for k < p, F - D is nonzero on all but a k/p share
     of lines (Schwartz-Zippel), and a nonzero restriction cannot vanish at s > k points.
     Both compare functions: for k >= p a nonzero F - D can vanish on all of F_p^n
@@ -679,7 +852,7 @@ def verify_decomposition(F: FormSpec, D: NormFormDecomposition) -> bool:
     if F.p != D.p or F.n != D.n or F.k != D.k or not _ranks_hold(D):
         return False
     p, n = F.p, F.n
-    boxes = BoxSpec((-1,) * n, (p,) * n).pieces(PIECE_SIDE)
+    boxes = [BoxSpec((-1,) * n, (p,) * n)]
     if p**n > POINTWISE_EXHAUSTIVE_CAP:
         rng, s = random.Random(repr(F.monomials)), min(p, math.isqrt(POINTWISE_SAMPLES))
         boxes = (BoxSpec([rng.randrange(p) for _ in range(n)], (1,) * (n - 1) + (s,))
@@ -722,10 +895,10 @@ def _block_norm(n: int, ctx: fc.ExtFieldCtx, U, i: int) -> FormSpec:
 def _product_form(factors: list) -> FormSpec:
     """The product of a nonempty list of forms over one F_p in the same variables."""
     p, n = factors[0].p, factors[0].n
-    fp, total = fc.ext_field_ctx(p, 1), {(0,) * n: (1,)}
+    total = {(0,) * n: 1}
     for G in factors:
-        total = _epoly_mul(total, {e: (c,) for e, c in G.monomials}, fp)
-    return FormSpec(p, n, sum(G.k for G in factors), tuple((e, c) for e, (c,) in total.items()))
+        total = _poly_mul(total, dict(G.monomials), p)
+    return FormSpec(p, n, sum(G.k for G in factors), tuple(total.items()))
 
 
 def decomposition_in_class(D: NormFormDecomposition) -> bool:

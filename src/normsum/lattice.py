@@ -9,6 +9,7 @@ bases stored in Hermite normal form, minima as rationals.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -71,8 +72,10 @@ def block_mult_matrix(ctxs: Sequence[fc.ExtFieldCtx], z) -> list[list[int]]:
     return _block_diagonal([mult_matrix(ctx, a) for ctx, a in zip(ctxs, z)])
 
 
-def symmetrizer(ctx: fc.ExtFieldCtx) -> list[list[int]]:
-    """Symmetric nonsingular C with M_a C = C M_a^T mod p for every a in F_{p^m}.
+@functools.cache
+def symmetrizer(ctx: fc.ExtFieldCtx) -> tuple[tuple[int, ...], ...]:
+    """Symmetric nonsingular C with M_a C = C M_a^T mod p for every a in F_{p^m},
+    computed once per field.
 
     C is the inverse of the trace form's Gram matrix G_ij = Tr(w^(i+j)) on
     the power basis, w the generator.  Multiplication by a is self-adjoint
@@ -81,7 +84,8 @@ def symmetrizer(ctx: fc.ExtFieldCtx) -> list[list[int]]:
     """
     p, m, w = ctx.p, ctx.m, ctx.gen()
     traces = [fc.trace(ctx, fc.pow_coeffs(ctx, w, k)) for k in range(2 * m - 1)]
-    return la.mat_inv([[traces[i + j] for j in range(m)] for i in range(m)], p)
+    C = la.mat_inv([[traces[i + j] for j in range(m)] for i in range(m)], p)
+    return tuple(map(tuple, C))
 
 
 def block_symmetrizer(ctxs: Sequence[fc.ExtFieldCtx]) -> list[list[int]]:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from normsum import char_core as cc
+from normsum import cli
 from normsum import charsum as cs
 from normsum import field_core as fc
 from normsum import forms as fm
@@ -315,6 +316,48 @@ class TestLifted:
                 want = per_point_histogram(chi, (fm.eval_form(F, x) for x in B.iter_points()))
                 for res in (cs.charsum_direct(chi, F, B), cs.charsum_lifted(D, chi, B)):
                     assert (res.weights, res.zero_terms) == want, (p, partition, B, side)
+
+    def test_both_routes_sum_a_box_of_side_5000_plane_by_plane(self, monkeypatch):
+        # at n = 2 a side of 5,000 is cut so that no plane holds more than
+        # PIECE_SIDE points; both routes still count each point once
+        rng = random.Random(71)
+        D = fm.random_decomposition(13, 2, (2, 1), rng)
+        F = fm.synthesize_form(D)
+        chi = cc.DirichletChar(13, 1)
+        sizes, plane_values = [], fm._plane_values
+
+        def logged(coeffs, packed, code, size, p):
+            sizes.append(size)
+            return plane_values(coeffs, packed, code, size, p)
+
+        monkeypatch.setattr(fm, "_plane_values", logged)
+        for H in ((3, 5000), (5000, 3)):
+            B = box((-2, 7), H)
+            want = per_point_histogram(chi, (fm.eval_form(F, x) for x in B.iter_points()))
+            for res in (cs.charsum_direct(chi, F, B), cs.charsum_lifted(D, chi, B)):
+                assert (res.weights, res.zero_terms) == want, H
+        assert max(sizes) == fm.PIECE_SIDE and sum(sizes) == 2 * 2 * 3 * 5000
+
+    def test_a_wrong_packed_value_stops_both_routes_and_the_command(self, monkeypatch, capsys):
+        # each plane's spot check compares one point with eval_form or
+        # D.value, which do not pack: a shifted packed residue is a failed
+        # check, exit 1, in either route
+        plane_values = fm._plane_values
+
+        def shifted(coeffs, packed, code, size, p):
+            return [(v + 1) % p for v in plane_values(coeffs, packed, code, size, p)]
+
+        monkeypatch.setattr(fm, "_plane_values", shifted)
+        D = fm.random_decomposition(11, 3, (2, 1, 1), random.Random(73))
+        chi, B = cc.DirichletChar(11, 1), box((0, 0, 0), (2, 3, 4))
+        with pytest.raises(la.CheckFailed, match="packed value"):
+            cs.charsum_direct(chi, fm.synthesize_form(D), B)
+        with pytest.raises(la.CheckFailed, match="packed value"):
+            cs.charsum_lifted(D, chi, B)
+        argv = ["charsum", "--p", "11", "--n", "3", "--k", "4", "--kappa", "0.25", "--seed", "1"]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("check failed: packed value"), err
 
     def test_volume_one_box(self):
         F = fm.FormSpec(5, 2, 2, (((1, 1), 1),))

@@ -2,6 +2,7 @@
 
 import ast
 import collections
+import functools
 import itertools
 import json
 import math
@@ -956,7 +957,7 @@ def test_value_is_the_product_of_conjugate_norms():
 
 
 # ---------------------------------------------------------------------------
-# whole-box evaluation, one list per line along the last coordinate
+# whole-box evaluation, one list per plane of the last two axes
 
 LINE_PARTITIONS = ((2, 1), (1, 1), (2, 1, 1), (3, 1, 1), (1, 1, 1), (4, 1))
 
@@ -978,16 +979,18 @@ def line_test_boxes(n, rng):
     return boxes
 
 
-def check_line_shape(lines, B):
-    assert len(lines) == math.prod(B.H[:-1])
-    assert all(len(line) == B.H[-1] for line in lines)
+def check_plane_shape(planes, B):
+    """B is one piece: one list per plane of its last two axes, the single
+    row of its last axis at n = 1."""
+    assert len(planes) == math.prod(B.H[:-2])
+    assert all(len(plane) == math.prod(B.H[-2:]) for plane in planes)
 
 
 def assert_form_values_literal(F, B):
-    lines = list(fm.form_values(F, B))
-    check_line_shape(lines, B)
+    planes = list(fm.form_values(F, B))
+    check_plane_shape(planes, B)
     want = [literal_form_value(F, x) for x in B.iter_points()]
-    assert list(itertools.chain.from_iterable(lines)) == want, (F, B)
+    assert list(itertools.chain.from_iterable(planes)) == want, (F, B)
 
 
 def test_form_values_match_the_literal_monomial_sum():
@@ -1018,10 +1021,10 @@ def test_decomposition_values_match_value_point_by_point():
         )
         D = fm.NormFormDecomposition(p, n, part, ctxs, blocks)
         for B in line_test_boxes(n, rng):
-            lines = list(D.values(B))
-            check_line_shape(lines, B)
+            planes = list(D.values(B))
+            check_plane_shape(planes, B)
             want = [D.value(x) for x in B.iter_points()]
-            assert list(itertools.chain.from_iterable(lines)) == want, (p, part, blocks, B)
+            assert list(itertools.chain.from_iterable(planes)) == want, (p, part, blocks, B)
     with pytest.raises(ValueError, match="arity"):
         next(D.values(fm.BoxSpec((0,), (2,))))
 
@@ -1077,6 +1080,164 @@ def test_form_values_match_the_literal_sum_at_primes_up_to_10_6(data):
     N = data.draw(st.tuples(*[st.integers(-2 * 10**6, -1)] * n), label="N")
     H = data.draw(st.tuples(*[st.integers(1, 6)] * n), label="H")
     assert_form_values_literal(form(p, n, dict(zip(chosen, coefs))), fm.BoxSpec(N, H))
+
+
+PLANE_PRIMES = (2, 3, 5, 7, 13, 37)
+
+
+def plane_shapes():
+    """(n, partition) for n <= 4: every canonical shape and every one of LINE_PARTITIONS."""
+    for n in range(1, 5):
+        canonical = {hn.canonical_partition(n, k) for k in range(n, 2 * n)}
+        for part in sorted(canonical | set(LINE_PARTITIONS)):
+            yield n, part
+
+
+def random_pair(p, n, part, rng):
+    """A decomposition with uniform blocks, none zero, and its synthesized form."""
+    ctxs = tuple(fc.ext_field_ctx(p, ki) for ki in part)
+    while True:
+        blocks = tuple(
+            tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(ki)) for ki in part
+        )
+        if all(any(map(any, U)) for U in blocks):
+            D = fm.NormFormDecomposition(p, n, part, ctxs, blocks)
+            return D, fm.synthesize_form(D)
+
+
+def plane_test_boxes(n, rng):
+    """One-piece boxes: planes of 4 x 5 points, more than the 15 grid nodes
+    of a degree-4 block; planes of one row of 7 points; 2 x 2 planes, fewer
+    than the 6 nodes of a degree-2 block; and 7 x 1 planes, a last side of 1."""
+    def start():
+        return tuple(rng.randint(-60, 60) for _ in range(n))
+
+    if n == 1:
+        return [fm.BoxSpec(start(), (7,)), fm.BoxSpec(start(), (3,)), fm.BoxSpec(start(), (1,))]
+    prefix = [rng.randint(1, 2) for _ in range(n - 2)]
+    return [fm.BoxSpec(start(), prefix + plane) for plane in ([4, 5], [1, 7], [2, 2], [7, 1])]
+
+
+def spy_block_routes(monkeypatch):
+    """Wrap the interpolation and the per-point kernel coordinates to log
+    (block degree, points in the plane) for each block a plane puts there."""
+    routes = {"interpolated": [], "kernel": []}
+    plane_norm, plane_coords = fm._plane_norm, fm._plane_coords
+
+    def interpolated(norm, coords, *layout):
+        routes["interpolated"].append(len(coords))
+        return plane_norm(norm, coords, *layout)
+
+    def kernel(coords, S, T):
+        routes["kernel"].append((len(coords), len(S or (0,)) * len(T)))
+        return plane_coords(coords, S, T)
+
+    monkeypatch.setattr(fm, "_plane_norm", interpolated)
+    monkeypatch.setattr(fm, "_plane_coords", kernel)
+    return routes
+
+
+@pytest.mark.parametrize("p", PLANE_PRIMES)
+def test_plane_evaluators_match_eval_form_and_value_at_every_point(monkeypatch, p):
+    # both evaluators against the per-point oracles at every point; each
+    # block of degree m >= 2 is interpolated exactly when m < p and its plane
+    # has more points than the m-grid, else its kernel runs at every point
+    rng = random.Random(53 + p)
+    routes, seen = spy_block_routes(monkeypatch), set()
+    for n, part in plane_shapes():
+        if p ** max(part) > fc.FIELD_SIZE_CAP:
+            continue
+        D, F = random_pair(p, n, part, rng)
+        for B in plane_test_boxes(n, rng):
+            del routes["interpolated"][:], routes["kernel"][:]
+            want = [fm.eval_form(F, x) for x in B.iter_points()]
+            assert want == [D.value(x) for x in B.iter_points()], (p, part, D.blocks)
+            for planes in (list(fm.form_values(F, B)), list(D.values(B))):
+                check_plane_shape(planes, B)
+                assert list(itertools.chain.from_iterable(planes)) == want, (p, part, B)
+            rows = n > 1 and B.H[-2] > 1
+            nodes = {m: (m + 1) * (m + 2) // 2 if rows else m + 1 for m in part}
+            size = math.prod(B.H[-2:])
+            planes = math.prod(B.H[:-2])
+            assert sorted(routes["interpolated"]) == sorted(
+                [m for m in part if 1 < m < p and size > nodes[m]] * planes)
+            assert sorted(routes["kernel"]) == sorted(
+                [(m, size) for m in part if m > 1 and (m >= p or size <= nodes[m])] * planes)
+            seen.update(f"interpolated {m}" for m in routes["interpolated"])
+            seen.update("kernel, m >= p" if m >= p else "kernel, small plane"
+                        for m, _ in routes["kernel"])
+    # 37^4 is past the field cap
+    assert seen == {
+        2: {"kernel, m >= p"},
+        3: {"interpolated 2", "kernel, m >= p", "kernel, small plane"},
+        37: {"interpolated 2", "interpolated 3", "kernel, small plane"},
+    }.get(p, {"interpolated 2", "interpolated 3", "interpolated 4", "kernel, small plane"})
+
+
+@pytest.mark.parametrize("side", [1, 2, 3, 7])
+def test_plane_evaluators_on_boxes_cut_into_pieces(monkeypatch, side):
+    # a small PIECE_SIDE cuts every box below into pieces with at most side
+    # points in a plane: the values come piece by piece, in each piece's
+    # iter_points order
+    monkeypatch.setattr(fm, "PIECE_SIDE", side)
+    rng = random.Random(59 + side)
+    for p, n, part in ((13, 1, (1,)), (7, 2, (2, 1)), (5, 3, (2, 1)), (3, 3, (3, 1)),
+                       (5, 4, (2, 1, 1, 1))):
+        D, F = random_pair(p, n, part, rng)
+        B = fm.BoxSpec(tuple(rng.randint(-9, 9) for _ in range(n)), (3, 4, 5, 8)[-n:])
+        pieces = list(fm._plane_pieces(B))
+        assert all(max(P.H) <= side and math.prod(P.H[-2:]) <= side for P in pieces)
+        assert sorted(x for P in pieces for x in P.iter_points()) == list(B.iter_points())
+        points = [x for P in pieces for x in P.iter_points()]
+        for planes, oracle in ((list(fm.form_values(F, B)), functools.partial(fm.eval_form, F)),
+                               (list(D.values(B)), D.value)):
+            assert all(len(plane) <= side for plane in planes)
+            assert list(itertools.chain.from_iterable(planes)) == list(map(oracle, points))
+
+
+def test_a_box_of_side_5000_has_planes_of_at_most_piece_side_points():
+    # at n = 2 a side of 5,000 is cut: along x_2 into rows of PIECE_SIDE
+    # points, along x_1 into planes of PIECE_SIDE // 3 rows of 3 points
+    rng = random.Random(61)
+    D, F = random_pair(13, 2, (2, 1), rng)
+    for H in ((3, 5000), (5000, 3)):
+        B = fm.BoxSpec((-2, 7), H)
+        points = [x for P in fm._plane_pieces(B) for x in P.iter_points()]
+        assert len(points) == B.volume
+        for planes, oracle in ((list(fm.form_values(F, B)), functools.partial(fm.eval_form, F)),
+                               (list(D.values(B)), D.value)):
+            assert max(map(len, planes)) <= fm.PIECE_SIDE
+            assert list(itertools.chain.from_iterable(planes)) == list(map(oracle, points))
+
+
+def test_the_digit_width_holds_the_plane_digit_bound_at_p_2():
+    # at p = 2 every coefficient and power is 1 at x = (1, 1), so a dense form
+    # of degree 22 packs 276 = C(24, 2) terms into that digit: 9 bits, one
+    # more than a byte
+    p, k = 2, 22
+    F = form(p, 2, {(a, k - a): 1 for a in range(k + 1)})
+    assert fm._plane_code(p, k, True) == "H"
+    assert (k + 1) * (k + 2) // 2 == 276 and fm._plane_code(p, 8, True) == "B"
+    for B in (fm.BoxSpec((0, 0), (2, 2)), fm.BoxSpec((-3, -1), (5, 4))):
+        assert_form_values_literal(F, B)
+
+
+def test_a_wrong_packed_value_fails_each_planes_spot_check(monkeypatch):
+    # every packed residue moved by 1: each route's first plane raises
+    # against eval_form or D.value, which do not pack
+    rng = random.Random(67)
+    plane_values = fm._plane_values
+
+    def shifted(coeffs, packed, code, size, p):
+        return [(v + 1) % p for v in plane_values(coeffs, packed, code, size, p)]
+
+    monkeypatch.setattr(fm, "_plane_values", shifted)
+    for p, n, part in ((7, 1, (1,)), (5, 2, (2, 1)), (3, 3, (3, 1))):
+        D, F = random_pair(p, n, part, rng)
+        B = fm.BoxSpec((0,) * n, (3,) * n)
+        for planes in (fm.form_values(F, B), D.values(B)):
+            with pytest.raises(la.CheckFailed, match="packed value"):
+                next(planes)
 
 
 def test_form_values_refuses_digits_past_2_64_before_any_power_row(monkeypatch, tmp_path,
@@ -1192,22 +1353,27 @@ def _corruptions(D):
                 yield bad
 
 
-def _no_point_oracle(monkeypatch):
-    """eval_form and D.value raise once patched; form_values is wrapped to
-    log the box of every run that verification compares."""
-    boxes, values = [], fm.form_values
-
-    def never(*args):
-        raise AssertionError("verification evaluated a single point")
+def _spot_checks_only(monkeypatch):
+    """form_values is wrapped to log the box of every run that verification
+    compares, and eval_form and D.value to count the single points they
+    evaluate, which should be the one spot check of each plane."""
+    boxes, points = [], collections.Counter()
+    values, eval_form, value = fm.form_values, fm.eval_form, fm.NormFormDecomposition.value
 
     def logged(F, B):
         boxes.append(B)
         return values(F, B)
 
-    monkeypatch.setattr(fm, "eval_form", never)
-    monkeypatch.setattr(fm.NormFormDecomposition, "value", never)
+    def counted(name, oracle):
+        def point(*args):
+            points[name] += 1
+            return oracle(*args)
+        return point
+
+    monkeypatch.setattr(fm, "eval_form", counted("eval_form", eval_form))
+    monkeypatch.setattr(fm.NormFormDecomposition, "value", counted("value", value))
     monkeypatch.setattr(fm, "form_values", logged)
-    return boxes
+    return boxes, points
 
 
 @pytest.mark.parametrize("cap, shapes", [
@@ -1217,7 +1383,8 @@ def _no_point_oracle(monkeypatch):
 def test_sampled_verify_compares_seeded_runs_along_the_last_axis(monkeypatch, cap, shapes):
     # past the exhaustive cap (forced to 0, or for real at 19^4 = 130,321
     # points) F and D are compared over seeded runs of s = min(p, 100) points
-    # along x_n; a D whose synthesized form is not F fails
+    # along x_n, each one plane whose last point alone is evaluated on its
+    # own, once per route; a D whose synthesized form is not F fails
     monkeypatch.setattr(fm, "POINTWISE_EXHAUSTIVE_CAP", cap)
     rng = random.Random(41)
     rejected = 0
@@ -1227,10 +1394,11 @@ def test_sampled_verify_compares_seeded_runs_along_the_last_axis(monkeypatch, ca
         F = fm.synthesize_form(D)
         corrupted = [(bad, fm.synthesize_form(bad) != F) for bad in _corruptions(D)]
         with monkeypatch.context() as spies:
-            boxes = _no_point_oracle(spies)
+            boxes, points = _spot_checks_only(spies)
             assert fm.verify_decomposition(F, D)
             s = min(p, math.isqrt(fm.POINTWISE_SAMPLES))
             assert {B.H for B in boxes} == {(1,) * (n - 1) + (s,)}
+            assert points == {"eval_form": len(boxes), "value": len(boxes)}
             assert sum(B.volume for B in boxes) >= fm.POINTWISE_SAMPLES
             for bad, differs in corrupted:
                 assert fm.verify_decomposition(F, bad) is not differs, (p, part)

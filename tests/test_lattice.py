@@ -298,7 +298,24 @@ def test_lattice_rejects_a_non_triangular_basis():
 
 
 def test_symmetrizer_frozen_F9_block():
-    assert lt.symmetrizer(fc.ext_field_ctx(3, 2)) == [[2, 0], [0, 1]]
+    assert lt.symmetrizer(fc.ext_field_ctx(3, 2)) == ((2, 0), (0, 1))
+
+
+def test_symmetrizer_is_built_once_per_field_and_immutable(monkeypatch):
+    # the dual routes read one symmetrizer per field; a second call is the
+    # same tuple, built without a trace or an inversion
+    ctx = fc.ext_field_ctx(5, 3)
+    C = lt.symmetrizer(ctx)
+    assert isinstance(C, tuple) and all(isinstance(row, tuple) for row in C)
+
+    def never(*args):
+        raise AssertionError("the symmetrizer was rebuilt")
+
+    monkeypatch.setattr(fc, "trace", never)
+    monkeypatch.setattr(la, "mat_inv", never)
+    assert lt.symmetrizer(ctx) is C
+    assert lt.block_symmetrizer((ctx, ctx)) == [
+        list(row) + [0] * 3 for row in C] + [[0] * 3 + list(row) for row in C]
 
 
 def _fields_up_to(q_max):
@@ -315,7 +332,7 @@ def test_symmetrizer_trace_form_every_field():
     for ctx in _fields_up_to(625):
         p, m = ctx.p, ctx.m
         C = lt.symmetrizer(ctx)
-        assert C == la.transpose(C)
+        assert [list(row) for row in C] == la.transpose(C)
         assert la.mat_det(C, p) != 0
         for a in ctx.iter_elements():
             M = lt.mult_matrix(ctx, a)
