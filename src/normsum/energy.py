@@ -21,7 +21,7 @@ import itertools
 import math
 import operator
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from . import field_core as fc
@@ -40,13 +40,16 @@ QUAD_SCAN_CAP = 10**9
 # n = 2 of two fields); at n = 1, where a prime's fixed work outweighs its
 # pairs, it is energy-scan's wall time per pair from p = 3 to 18,000 (68 ns)
 PAIR_NS = (70, 40, 16, 34, 53)
-# _square_route's crossover: the squared integer's limb products, limbs^log2 3,
-# against this many times a symmetric window's live pairs N(N - 1)/2.  With
-# field tables built (best of 5, 2-vCPU virtual machine) the two routes tie at
-# 34 (n = 1, p = 30,011) and between 27 and 43 with one field at n = 2
-# (p = 199 to 251); with two or three fields a pair costs more and the tie
-# lies past 60, so there the pair loop keeps a window the square would win
-SQUARE_LIMB_WEIGHT = 35
+# _square_route's crossover, one weight per number of fields of G (one, two,
+# three or more): the squared integer's limb products, limbs^log2 3, against
+# this many times a symmetric window's live pairs N(N - 1)/2.  A pair of a
+# window with more fields costs more, so the tie lies further out.  With field
+# tables built (best of 7 interleaved rounds, 2-vCPU virtual machine), the two
+# routes tie at 35 to 57 with one field (n = 1, p = 20,011 to 40,009, and
+# partition (2,) at n = 2, p = 163 to 251); 59 to 94 with two ((1, 1) at n = 2,
+# p = 149 to 251, and (2, 1) at n = 3, p = 23 to 43); and 91 to 99 with three
+# ((1, 1, 1) at n = 3, p = 19 to 31).  Each weight is its median tie
+SQUARE_LIMB_WEIGHT = (45, 68, 98)
 
 
 def pair_cost(vol_x: int, vol_y: int) -> int:
@@ -112,14 +115,21 @@ def _box_logs(D: fm.NormFormDecomposition, box: fm.BoxSpec) -> list:
     return [fc.linear_logs(ctx, U, box.axes()) for U, ctx in zip(D.blocks, D.ctxs)]
 
 
-def _class_keys(folds):
-    """The map from per-field rows of sums to class keys, for a list of
-    (fold, radix) pairs: each field's sums are read from its fold, pre-scaled
-    by the product of the lower radices, and the reads are added."""
+def _class_reads(folds) -> list:
+    """Each field's fold read, pre-scaled by the product of the lower
+    radices, for a list of (fold, radix) pairs."""
     reads, scale = [], 1
     for fold, radix in folds:
         reads.append((fold if scale == 1 else [t * scale for t in fold]).__getitem__)
         scale *= radix
+    return reads
+
+
+def _class_keys(folds):
+    """The map from per-field rows of sums to class keys, for a list of
+    (fold, radix) pairs: each field's sums are read from its fold
+    (_class_reads), and the reads are added."""
+    reads = _class_reads(folds)
 
     def keys(sums):
         return functools.reduce(functools.partial(map, operator.add), map(map, reads, sums))
@@ -139,36 +149,60 @@ def _pair_histogram(D: fm.NormFormDecomposition, logs_u, logs_v) -> Counter:
 
 
 def _sign_quotient(D: fm.NormFormDecomposition, logs):
-    """(coords, keys, moduli, |<-1>|): live points' coordinates in G = Q / <-1>,
-    Q = prod Z/(q_i - 1), from their log lists; the map from rows of
-    coordinate sums to keys, equal exactly when the classes are equal up to
-    -1, whose log is h_i = (q_i - 1)/2; and G's moduli m_i, one per field.  The
-    pivot r has the fewest factors 2 in q_r - 1, so c_i h_r = h_i mod q_i - 1
-    is solvable: a point's coordinates are a_r mod m_r = h_r and
+    """(coords, moduli, |<-1>|): live points' coordinates in G = Q / <-1>,
+    Q = prod Z/(q_i - 1), from their log lists by list-wide maps; and G's
+    moduli m_i, one per field.  Two classes are equal up to
+    -1, whose log is h_i = (q_i - 1)/2, exactly when their coordinates are.
+    The pivot r has the fewest factors 2 in q_r - 1, so c_i h_r = h_i mod
+    q_i - 1 is solvable: a point's coordinates are a_r mod m_r = h_r and
     a_i - c_i a_r mod m_i = q_i - 1.  At p = 2, -1 = 1: they are the logs."""
     moduli = [ctx.order - 1 for ctx in D.ctxs]
     r = min(range(D.s), key=lambda i: moduli[i] & -moduli[i])
-    folds = [(fc.log_fold(ctx), m) for ctx, m in zip(D.ctxs, moduli)]
     shifts = [0] * D.s
     if D.p > 2:
         h = moduli[r] = moduli[r] // 2
-        folds[r] = (folds[r][0][:h] * 2, h)
         for i, o in enumerate(moduli):
             if i != r:
                 g = math.gcd(h, o)
                 shifts[i] = o // 2 // g * pow(h // g, -1, o // g)
                 if shifts[i] * h % o != o // 2:
                     raise la.CheckFailed(f"sign quotient: no c with c {h} = {o // 2} mod {o}")
-    coords = [[(a - c * b) % m for a, b in zip(field, logs[r])]
-              for field, c, m in zip(logs, shifts, moduli)]
-    return coords, _class_keys(folds), moduli, 2 if D.p > 2 else 1
+    coords = [list(map(operator.mod, map(operator.sub, field, map(
+        operator.mul, logs[r], itertools.repeat(c))) if c else field, itertools.repeat(m)))
+        for field, c, m in zip(logs, shifts, moduli)]
+    return coords, moduli, 2 if D.p > 2 else 1
 
 
-def _pair_count(coords, keys) -> int:
+def _quotient_keys(moduli, pairs: int):
+    """The pair loop's map from rows of coordinate sums to keys in G = prod
+    Z/m_i, built from G's moduli alone: each field's sums are taken mod m_i,
+    scaled by the product of the lower moduli, and the fields are added.  A
+    field with no more residues than the loop has pairs reads its 2 m_i sums
+    from a table, which is faster a pair; a larger one takes % and a
+    product, so no window builds a table much longer than its pair count."""
+    reads, scale = [], 1
+    for m in moduli:
+        if m <= pairs:
+            reads.append(functools.partial(map, ([t * scale for t in range(m)] * 2).__getitem__))
+        else:
+            reads.append(lambda row, m=m, scale=scale: map(operator.mul, map(
+                operator.mod, row, itertools.repeat(m)), itertools.repeat(scale)))
+        scale *= m
+
+    def keys(sums):
+        return functools.reduce(functools.partial(map, operator.add), (
+            read(row) for read, row in zip(reads, sums)))
+
+    return keys
+
+
+def _pair_count(coords, moduli) -> int:
     """sum_x (h*h)(x)^2 for the histogram h of the coordinates, by the pair
     loop: each unordered pair of points, and each point with itself, is keyed
-    by keys, and a class of U pairs and Dg diagonal ones holds 2U + Dg."""
-    pairs = Counter()
+    by _quotient_keys, and a class of U pairs and Dg diagonal ones holds
+    2U + Dg."""
+    n = len(coords[0])
+    keys, pairs = _quotient_keys(moduli, n * (n + 1) // 2), Counter()
     for j, adds in enumerate(zip(*([a.__add__ for a in field] for field in coords))):
         pairs.update(keys(map(map, adds, [field[j + 1:] for field in coords])))
     diagonal = Counter(keys([a + a for a in field] for field in coords))
@@ -197,12 +231,13 @@ def _digit_code(bound: int) -> str:
 def _square_route(h: Counter, moduli) -> bool:
     """Whether a live count takes the squared integer: _cyclic_square's packed
     operand's 30-bit limbs to the power log2 3 (the Karatsuba square's limb
-    products) are at most SQUARE_LIMB_WEIGHT times the pair loop's N(N - 1)/2
-    pairs."""
+    products) are at most SQUARE_LIMB_WEIGHT's weight for G's number of
+    fields times the pair loop's N(N - 1)/2 pairs."""
     n = sum(h.values())
     width = 8 * array.array(_digit_code(n * max(h.values(), default=0))).itemsize
     limbs = -(-width * moduli[0] * math.prod(2 * m for m in moduli[1:]) // 30)
-    return limbs ** math.log2(3) <= SQUARE_LIMB_WEIGHT * n * (n - 1) // 2
+    weight = SQUARE_LIMB_WEIGHT[min(len(moduli), len(SQUARE_LIMB_WEIGHT)) - 1]
+    return limbs ** math.log2(3) <= weight * n * (n - 1) // 2
 
 
 def _square_count(h: Counter, moduli) -> int:
@@ -244,11 +279,12 @@ def _cyclic_square(h, moduli) -> array.array:
     for m in reversed(moduli[1:]):
         steps.insert(0, 2 * m * steps[0])
     size, last = moduli[0] * steps[0], moduli[-1]
-    rows = [sum(t) for t in itertools.product(
-        *(range(0, m * step, step) for m, step in zip(moduli[:-1], steps)))]
+    rows = [0]
+    for m, step in zip(moduli[:-1], steps):
+        rows = [r + t for r in rows for t in range(0, m * step, step)]
     packed = array.array(code, bytes(size * width // 8))
-    for index, c in h.items():
-        row, a = divmod(index, last)
+    for c, row, a in zip(h.values(), map(operator.floordiv, h, itertools.repeat(last)),
+                         map(operator.mod, h, itertools.repeat(last))):
         packed[rows[row] + a] = c
     x = int.from_bytes(_little_endian(packed).tobytes(), "little")
     x *= x
@@ -281,25 +317,64 @@ def _quotient_energy(D: fm.NormFormDecomposition, logs) -> int:
     pairs in each of |<-1>| classes.  sum_x (h*h)(x)^2 is taken by one
     squared integer or by the pair loop, as _square_route says.  Pairs
     with a dead point (some lambda_i = 0) have zero-marked classes: a dead
-    point of the first half weighs 4 with a live point and 2 with a dead one,
-    and the origin's other pairs, vol + |live|, are all-zero.
+    point of the first half weighs 4 with a live point and 2 with a dead one
+    (_dead_pairs, not called when the first half has no dead point), and the
+    origin's other pairs, vol + |live|, are all-zero.  Each point's zero
+    pattern, the set of fields where its lambda_i vanishes, is taken
+    list-wide, as are the live masks.
     """
-    vol, orders = len(logs[0]), [ctx.order - 1 for ctx in D.ctxs]
-    live = [all(map(operator.lt, point, orders)) for point in zip(*logs)]
-    dead = list(map(operator.not_, live))
-    live_half, dead_half, lives, deads = (
-        [list(itertools.compress(field, mask)) for field in logs]
-        for mask in (live[:vol // 2], dead[:vol // 2], live, dead))
-    coords, keys, moduli, sign = _sign_quotient(D, live_half)
+    vol = len(logs[0])
+    # bit i of a point's pattern is set where its log in field i is the sentinel
+    pattern = list(functools.reduce(functools.partial(map, operator.or_), (
+        map(operator.lshift, map(operator.ge, field, itertools.repeat(ctx.order - 1)),
+            itertools.repeat(i)) for i, (field, ctx) in enumerate(zip(logs, D.ctxs)))))
+    live = list(map(operator.not_, pattern))
+    coords, moduli, sign = _sign_quotient(
+        D, [list(itertools.compress(field, live[:vol // 2])) for field in logs])
     h, sizes = _class_histogram(coords, moduli)
-    energy = _square_count(h, sizes) if _square_route(h, sizes) else _pair_count(coords, keys)
+    energy = _square_count(h, sizes) if _square_route(h, sizes) else _pair_count(coords, moduli)
 
-    zeros = Counter()
-    for weight, partners in ((4, lives), (2, deads)):
-        for key, c in _pair_histogram(D, dead_half, partners).items():
-            zeros[key] += weight * c
-    zeros[math.prod(ctx.order for ctx in D.ctxs) - 1] += vol + len(lives[0])
+    zeros = (_dead_pairs(D, logs, pattern) if any(pattern[:vol // 2])
+             else defaultdict(int))
+    zeros[math.prod(ctx.order for ctx in D.ctxs) - 1] += vol + sum(live)
     return 16 // sign * energy + sum(map(operator.mul, zeros.values(), zeros.values()))
+
+
+def _dead_pairs(D: fm.NormFormDecomposition, logs, pattern) -> dict:
+    """The pairs (x, y) of a symmetric box with x a dead point of its first
+    half, by _pair_histogram's class keys, counted 4 times with a live y and
+    twice with a dead one.
+
+    The dead points are taken a zero pattern Z at a time.  Their keys hold
+    the zero marker in each field of Z, whatever y is, so the partners are
+    counted once, by their logs in the other fields, and that histogram is
+    shifted through each dead point's logs with those fields' folds: |dead|
+    times its distinct entries, where a key for every partner took |dead|
+    times vol.
+    """
+    reads = _class_reads([(fc.log_fold(ctx), ctx.order) for ctx in D.ctxs])
+    vol, zeros = len(pattern), defaultdict(int)
+    live = list(map(operator.not_, pattern))
+    for z in set(pattern[:vol // 2]) - {0}:
+        rest = [i for i in range(D.s) if not z >> i & 1]
+        # a dead x's sentinel plus any partner's entry reads the marker
+        base = sum(reads[i](2 * ctx.order - 3) for i, ctx in enumerate(D.ctxs) if z >> i & 1)
+        at_z = list(map(operator.eq, pattern[:vol // 2], itertools.repeat(z)))
+        if not rest:
+            zeros[base] += sum(at_z) * (2 * vol + 2 * sum(live))
+            continue
+        # 2 for each partner and 2 more for a live one, in units of 2
+        partners = Counter(zip(*(logs[i] for i in rest)))
+        partners.update(zip(*(itertools.compress(logs[i], live) for i in rest)))
+        ys, weights = list(zip(*partners)), [2 * c for c in partners.values()]
+        rest_reads = [reads[i] for i in rest]
+        for x in zip(*(itertools.compress(logs[i], at_z) for i in rest)):
+            sums = (map(a.__add__, y) for a, y in zip(x, ys))
+            keys = functools.reduce(functools.partial(map, operator.add),
+                                    map(map, rest_reads, sums), itertools.repeat(base))
+            for key, weight in zip(keys, weights):
+                zeros[key] += weight
+    return zeros
 
 
 def _inverse_logs(D: fm.NormFormDecomposition, logs) -> list:

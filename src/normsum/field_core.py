@@ -460,9 +460,31 @@ LOG_CACHE_ELEMENTS = FIELD_SIZE_CAP
 # on a 2-vCPU virtual machine, slowest from p = 10^5 up): the weight of the
 # p entries of the table that a character mod p reads, in a command's cost
 LOG_ENTRY_NS = 130
-# one record per cached field, oldest first: its log_table, the walk's list of
-# logs until log_fold or norm_table is built, and each of those once built
+# one record per cached field, oldest first, charged its q elements whichever
+# of its tables are built: its log_table, the walk's list of logs until
+# log_fold or norm_table is built, each of those once built, and at degree 2
+# the class tables of linear_logs.  A record is made when its first table is
+# built, so a build that raises keeps nothing
 _tables: dict = {}
+
+
+def _room_for(ctx: ExtFieldCtx):
+    """ctx's record, or None; if it has none, the oldest records are evicted
+    until its q elements fit, before its first table is built, so an evicted
+    field is freed before the new one grows."""
+    if ctx not in _tables:
+        while _tables and sum(map(operator.attrgetter("order"), _tables)) + ctx.order > (
+                LOG_CACHE_ELEMENTS):
+            del _tables[next(iter(_tables))]
+    return _tables.get(ctx)
+
+
+def _keep(ctx: ExtFieldCtx, **tables) -> types.SimpleNamespace:
+    """ctx's record with these tables put in, made (after _room_for) if it has none."""
+    record = _room_for(ctx) or _tables.setdefault(ctx, types.SimpleNamespace(
+        log_table=None, walk=None, fold=None, norm_table=None, classes=None))
+    vars(record).update(tables)
+    return record
 
 
 def log_table(ctx: ExtFieldCtx) -> list:
@@ -479,7 +501,13 @@ def log_table(ctx: ExtFieldCtx) -> list:
     linalg.CheckFailed rather than store a table that is not a bijection.
     F_p's table is also the one that characters mod p read.
     """
-    return _tables_of(ctx).log_table
+    record = _room_for(ctx)
+    if record is None or record.log_table is None:
+        table, walk = _log_walk(ctx)
+        # the walk's list of logs is kept for a fold, unless one is built
+        record = _keep(ctx, log_table=table, walk=walk if record is None or record.fold is None
+                       else None)
+    return record.log_table
 
 
 def norm_table(ctx: ExtFieldCtx):
@@ -494,18 +522,19 @@ def norm_table(ctx: ExtFieldCtx):
     p, q = ctx.p, ctx.order
     if ctx.m == 1:
         return range(p)
-    tables = _tables_of(ctx)
-    if tables.norm_table is None:
-        tables.walk = None  # a fold, if asked for later, takes fresh ints
+    record = _room_for(ctx)
+    if record is None or record.norm_table is None:
+        logs = log_table(ctx)
+        _tables[ctx].walk = None  # a fold, if asked for later, takes fresh ints
         g = primitive_element(ctx)
         norm_g = norm_kernel(ctx)(g)
         cycle = [pow(norm_g, j, p) for j in range(p - 1)] * ((q - 1) // (p - 1))
-        table = [0, *map(cycle.__getitem__, itertools.islice(tables.log_table, 1, None))]
+        table = [0, *map(cycle.__getitem__, itertools.islice(logs, 1, None))]
         code = sum(c * p**j for j, c in enumerate(g))
         if len(set(cycle[: p - 1])) != p - 1 or table[code] != norm_g:
             raise linalg.CheckFailed(f"norm table of F_{p}^{ctx.m}: bad N(g) = {norm_g}")
-        tables.norm_table = table
-    return tables.norm_table
+        record = _keep(ctx, norm_table=table)
+    return record.norm_table
 
 
 def shifted_norms(ctx: ExtFieldCtx, s: int) -> list:
@@ -524,14 +553,30 @@ def shifted_norms(ctx: ExtFieldCtx, s: int) -> list:
 def linear_logs(ctx: ExtFieldCtx, U, axes) -> list:
     """The log_table entry of U x for each x in itertools.product(*axes), in
     that order, for an m x n matrix U over F_p.  Each row's residues u.x mod p
-    are built over the whole product from its steps u_j t along each axis, and
-    the base-p code and the lookup are taken list-wide."""
-    p, idx = ctx.p, itertools.repeat(0)
-    for j, row in enumerate(U):
-        steps = ([u * t for t in axis] for u, axis in zip(row, axes))
-        residues = map(operator.mod, map(sum, itertools.product(*steps)), itertools.repeat(p))
+    are built over the whole product, an axis at a time, from its steps u_j t
+    along each axis (_box_residues).  At degree m != 2 the base-p code and the
+    lookup are taken list-wide.  At degree 2 no table of F_{p^2} is read:
+    each point's log comes from F_p's log table and the field's class
+    tables, list-wide (_projective_logs)."""
+    p = ctx.p
+    rows = (_box_residues(p, row, axes) for row in U)
+    if ctx.m == 2:
+        a0, a1 = rows
+        return _projective_logs(_class_tables(ctx), a0, a1)
+    idx = next(rows)
+    for j, residues in enumerate(rows, start=1):
         idx = map(operator.add, idx, map(operator.mul, residues, itertools.repeat(p**j)))
     return list(map(log_table(ctx).__getitem__, idx))
+
+
+def _box_residues(p: int, row, axes) -> list:
+    """u.x mod p for each x in itertools.product(*axes), in that order: the
+    sums over the axes so far, each with every step u_j t of the next axis."""
+    sums = [0]
+    for u, axis in zip(row, axes):
+        steps = [u * t for t in axis]
+        sums = [s + t for s in sums for t in steps]
+    return list(map(operator.mod, sums, itertools.repeat(p)))
 
 
 def log_fold(ctx: ExtFieldCtx) -> list:
@@ -540,28 +585,117 @@ def log_fold(ctx: ExtFieldCtx) -> list:
     For a sum s = log[a] + log[b] of two entries (0 <= s <= 4(q - 1) - 2),
     fold[s] is log[ab] = s mod (q - 1) when a and b are nonzero, and the
     marker q - 1, which is no log, when either is zero.  It is built on first
-    use from the walk's list of logs, which it begins with, so its logs are
-    the table's int objects, not copies, unless norm_table dropped that list.
+    use from q alone, so it walks no field; while the field's record holds
+    the walk's list of logs, the fold begins with that list, so its logs are
+    the table's int objects, not copies.
     """
-    tables = _tables_of(ctx)
-    if tables.fold is None:
+    record = _room_for(ctx)
+    if record is None or record.fold is None:
         order = ctx.order - 1
         # logs, then logs again up to 2(q - 1) - 2, then the marker
-        fold = (tables.walk or list(range(order))) * 2
+        fold = ((record and record.walk) or list(range(order))) * 2
         fold.pop()
         fold += itertools.repeat(order, 2 * order)
-        tables.fold, tables.walk = fold, None
-    return tables.fold
+        record = _keep(ctx, fold=fold, walk=None)
+    return record.fold
 
 
-def _tables_of(ctx: ExtFieldCtx) -> types.SimpleNamespace:
-    tables = _tables.get(ctx)
-    if tables is not None:
-        return tables
+def _class_tables(ctx: ExtFieldCtx) -> tuple:
+    """(A, B, W, P, M), the tables of _projective_logs for F_{p^2}, built
+    once per field into its record.
+
+    F_{p^2}^* / F_p^* is cyclic of order p + 1, its classes the points of
+    the projective line: a = a0 (1 + t w) with t = a1 / a0, or a = a1 w
+    (t = oo).  g^(p+1) = N(g) generates F_p^*, so log_g c = (p + 1)
+    log_{N(g)} c for c in F_p^*, and log a = T[class(a)] + (p + 1)
+    log_{N(g)} c, c the first nonzero coordinate of a and T[class] the log
+    of 1 + t w, or of w (Lidl-Niederreiter, Finite Fields, ch. 2).
+
+    A is F_p's log table (A[0] = 2p - 3), B the same with B[0] = 3p - 4, so
+    that e = B[a1] - A[a0] falls in one of four disjoint ranges:
+    [-(p - 2), p - 2] when both coordinates are nonzero (t = r^e, r the root
+    of F_p's table), [2p - 2, 3p - 4] when a1 = 0 (t = 0), [-(2p - 3),
+    -(p - 1)] when a0 = 0 (t = oo), and p - 1 for a = 0.  W, indexed by e
+    (the negative ranges from its end), holds T[class], the whole log of a1 w
+    at t = oo, and the zero sentinel 2(q - 1) - 1; P[a0] = log_g a0, 0 at
+    a0 = 0; M[a0] the modulus, q - 1, or 2(q - 1) at a0 = 0, where W's entry
+    is already the answer.
+
+    T is _class_walk's.  The tables are checked before they are kept: the
+    log they give to g times each class's representative must be T's at
+    that class plus one, else linalg.CheckFailed is raised.  With
+    T[class(1)] = 0 that makes them the logs, so two entries of T swapped
+    are caught here, and a g that is not primitive here or by the walk.
+    """
+    record = _room_for(ctx)
+    if record is not None and record.classes is not None:
+        return record.classes
+    p, q = ctx.p, ctx.order
+    A = log_table(ext_field_ctx(p, 1))
+    g = primitive_element(ctx)
+    try:
+        k = pow(A[norm_kernel(ctx)(g)], -1, p - 1)
+    except ValueError:
+        raise linalg.CheckFailed(f"class table of F_{p}^2: N(g) is not of order p - 1") from None
+    # log_g c = (p + 1) k log_r c for c in F_p^*, from the log L = log_r c
+    scaled = [(p + 1) * (k * L % (p - 1)) for L in range(p - 1)]
+    P = [0, *map(scaled.__getitem__, A[1:])]
+    T = _class_walk(ctx, g, A, P)
+    B = [3 * p - 4, *A[1:]]
+    # W by e: both coordinates nonzero (slot e mod (p - 1)), a = 0, a1 = 0, and
+    # a0 = 0, where e = log a1 - (2p - 3) is read from the end
+    W = [None] * (5 * p - 6)
+    W[: p - 1], W[4 * p - 4:] = T[: p - 1], T[1: p - 1]
+    W[p - 1] = 2 * q - 3
+    W[2 * p - 2: 3 * p - 3] = [T[p - 1]] * (p - 1)
+    W[3 * p - 3: 4 * p - 4] = [(T[p] + s) % (q - 1) for s in scaled]
+    tables = A, B, W, P, [2 * q - 2] + [q - 1] * (p - 1)
+    # g (1 + t w) = g + t (w g) for each t of F_p, and g w
+    (g0, g1), (h0, h1) = mult_columns(ctx, g)
+    images = _projective_logs(tables, [(g0 + t * h0) % p for t in range(p)] + [h0 % p],
+                              [(g1 + t * h1) % p for t in range(p)] + [h1 % p])
+    slots = [p - 1, *A[1:], p]
+    if images != [(T[s] + 1) % (q - 1) for s in slots]:
+        raise linalg.CheckFailed(f"class table of F_{p}^2: g times a class representative "
+                                 "is not one log further")
+    return _keep(ctx, classes=tables).classes
+
+
+def _class_walk(ctx: ExtFieldCtx, g, A: list, P: list) -> list:
+    """T, the log of each class's representative 1 + t w, or w, by slot: the
+    slot of t = r^e is e, of t = 0 it is p - 1, and of oo it is p.
+
+    The walk takes g^j for j = 0, ..., p with mul_kernel: g^j = c u for the
+    representative u of its class and c in F_p^*, so log u = j - log_g c, with
+    log_g c = P[c].  It fails closed as the log walk does: a class met twice
+    raises linalg.CheckFailed, so g's class generates the p + 1 classes.
+    """
+    p, q = ctx.p, ctx.order
+    mul, a, T = mul_kernel(ctx), ctx.from_int(1), [None] * (p + 1)
+    for j in range(p + 1):
+        a0, a1 = a
+        slot, c = (p, a1) if not a0 else (p - 1, a0) if not a1 else (
+            (A[a1] - A[a0]) % (p - 1), a0)
+        if T[slot] is not None:
+            raise linalg.CheckFailed(f"class table of F_{p}^2: step {j} revisits class {slot}")
+        T[slot] = (j - P[c]) % (q - 1)
+        a = mul(a, g)
+    return T
+
+
+def _projective_logs(tables: tuple, a0: list, a1) -> list:
+    """The logs of the elements a0 + a1 w of F_{p^2}, from _class_tables:
+    (W[B[a1] - A[a0]] + P[a0]) mod M[a0], by C-level maps over the lists."""
+    A, B, W, P, M = tables
+    e = map(operator.sub, map(B.__getitem__, a1), map(A.__getitem__, a0))
+    return list(map(operator.mod, map(operator.add, map(W.__getitem__, e), map(P.__getitem__, a0)),
+                    map(M.__getitem__, a0)))
+
+
+def _log_walk(ctx: ExtFieldCtx) -> tuple:
+    """(table, logs): log_table's table, and the walk's list of logs, whose
+    int objects the table holds."""
     p, m, q = ctx.p, ctx.m, ctx.order
-    # make room first, so an evicted field is freed before the new one grows
-    while _tables and sum(len(t.log_table) for t in _tables.values()) + q > LOG_CACHE_ELEMENTS:
-        del _tables[next(iter(_tables))]
     order, g = q - 1, primitive_element(ctx)
     logs = list(range(order))  # one int object per log, kept for log_fold or norm_table
     table = [None] * q
@@ -580,9 +714,7 @@ def _tables_of(ctx: ExtFieldCtx) -> types.SimpleNamespace:
                 _revisit(ctx, j, code)
             table[code] = j
             code = step[code]
-    tables = _tables[ctx] = types.SimpleNamespace(
-        log_table=table, walk=logs, fold=None, norm_table=None)
-    return tables
+    return table, logs
 
 
 def _times_code_table(ctx: ExtFieldCtx, g) -> array.array:
@@ -593,14 +725,13 @@ def _times_code_table(ctx: ExtFieldCtx, g) -> array.array:
     digits, so there are about as many rows as a row is long.  Coordinate j
     of g times a row is (r_j + s_j) mod p, where r_j runs over the row's
     digits and s_j is fixed along it, built from the steps c_k (w^k g)_j
-    along the higher digits with itertools.product, as linear_logs builds a
-    box's residues.  With k the highest row digit whose column moves
-    coordinate j, r_j has period p^(k+1) along the row, and adding s_j adds
-    t = s_j / (w^k g)_j to digit k mod p, which rotates each period by t
-    p^k: the row's share is one slice, at t p^k, of the share at s_j = 0
-    repeated one period past the row (at L = 1, the share along the lowest
-    digit rotated).  The coordinates that no row digit moves are constant
-    along a row, and are added to it as one sum.
+    along the higher digits with itertools.product.  With k the highest row
+    digit whose column moves coordinate j, r_j has period p^(k+1) along the
+    row, and adding s_j adds t = s_j / (w^k g)_j to digit k mod p, which
+    rotates each period by t p^k: the row's share is one slice, at t p^k, of
+    the share at s_j = 0 repeated one period past the row (at L = 1, the
+    share along the lowest digit rotated).  The coordinates that no row
+    digit moves are constant along a row, and are added to it as one sum.
     """
     p, m = ctx.p, ctx.m
     cols = [[v % p for v in col] for col in mult_columns(ctx, g)]

@@ -1,6 +1,8 @@
 """Tests for exact multiplicative-energy counting."""
 
 import collections
+import contextlib
+import io
 import itertools
 import math
 import random
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normsum import cli
 from normsum import energy as en
 from normsum import field_core as fc
 from normsum import forms as fm
@@ -771,9 +774,9 @@ def _live_half(D, logs) -> list:
 def _live_counts(D, logs):
     """The live count sum_x (h*h)(x)^2 by the squared integer and by the
     pair loop, and the window's live points in its first half, N."""
-    coords, keys, moduli, _ = en._sign_quotient(D, _live_half(D, logs))
+    coords, moduli, _ = en._sign_quotient(D, _live_half(D, logs))
     h, sizes = en._class_histogram(coords, moduli)
-    return en._square_count(h, sizes), en._pair_count(coords, keys), len(coords[0])
+    return en._square_count(h, sizes), en._pair_count(coords, moduli), len(coords[0])
 
 
 def _forced_energies(D, logs, monkeypatch) -> list:
@@ -852,14 +855,18 @@ class TestSignQuotient:
         (2, 2, (1, 1)), (2, 3, (2, 1)), (3, 2, (2,)), (3, 2, (1, 1)), (5, 2, (1, 1)),
         (3, 3, (2, 1)), (3, 3, (1, 1, 1)), (5, 3, (2, 1)), (7, 2, (2,)),
     ])
-    def test_keys_are_the_classes_up_to_minus_one(self, p, n, partition):
+    @pytest.mark.parametrize("pairs", [0, 10**6])
+    def test_keys_are_the_classes_up_to_minus_one(self, p, n, partition, pairs):
         # every pair of live points of F_p^n, as a window of half-width p // 2
         # (all of F_2^n at p = 2): (x, y) and (-x, y) share a key, and two
-        # pairs share one exactly when their classes agree up to -1
+        # pairs share one exactly when their classes agree up to -1; with
+        # each field's sums taken mod m_i (no pairs to pay for a table) and
+        # read from its table
         D, b = _window(p, n, partition, max(1, p // 2))
         logs, table = en._box_logs(D, b), en._lam_table(D, b)
         live = [i for i, lx in enumerate(table) if all(map(any, lx))]
-        coords, keys, _, sign = en._sign_quotient(D, [[f[i] for i in live] for f in logs])
+        coords, moduli, sign = en._sign_quotient(D, [[f[i] for i in live] for f in logs])
+        keys = en._quotient_keys(moduli, pairs)
         assert sign == (1 if p == 2 else 2)
         classes, key_of = {}, {}
         for j, x in enumerate(live):
@@ -913,7 +920,7 @@ class TestSignQuotient:
         # class of Z/2, so N max(h) = 512 and each class of h*h holds 512
         D, b = _window(5, 1, (1,), 40)
         logs = en._box_logs(D, b)
-        coords, _, moduli, _ = en._sign_quotient(D, _live_half(D, logs))
+        coords, moduli, _ = en._sign_quotient(D, _live_half(D, logs))
         h, sizes = en._class_histogram(coords, moduli)
         assert (sizes, sorted(h.values())) == ([2], [16, 16])
         assert list(en._cyclic_square(h, sizes)) == [512, 512]
@@ -982,6 +989,98 @@ class TestSignQuotient:
             Dm = fm.NormFormDecomposition(p, n, D.partition, D.ctxs, blocks)
             b = box([rng.randint(-3, 3) for _ in range(n)], [rng.randint(1, 3) for _ in range(n)])
             assert en._box_logs(Dm, b) == logs_per_point(Dm, b)
+
+
+def _zero_patterns(D, logs) -> list:
+    """Each point's zero pattern, point by point: bit i set where lambda_i
+    vanishes."""
+    return [sum(1 << i for i, (t, ctx) in enumerate(zip(point, D.ctxs)) if t >= ctx.order - 1)
+            for point in zip(*logs)]
+
+
+def _dead_pair_histograms(D, logs) -> collections.Counter:
+    """The dead points of a symmetric window's first half against every
+    point, as _quotient_energy counted them before zero patterns: one
+    _pair_histogram with the live points, weighed 4, and one with the dead
+    ones, weighed 2."""
+    pattern, half = _zero_patterns(D, logs), len(logs[0]) // 2
+    masks = ([z != 0 for z in pattern[:half]], [z == 0 for z in pattern], [z != 0 for z in pattern])
+    dead_half, lives, deads = ([list(itertools.compress(field, mask)) for field in logs]
+                               for mask in masks)
+    zeros = collections.Counter()
+    for weight, partners in ((4, lives), (2, deads)):
+        for key, c in en._pair_histogram(D, dead_half, partners).items():
+            zeros[key] += weight * c
+    return zeros
+
+
+# every window within PAIR_CAP: at n = 3, H = p is past it from p = 7 on
+DEAD_PATTERN_CASES = [(p, n, partition, H) for p in (2, 3, 5, 7, 13) for n in (1, 2, 3)
+                      for partition in hn.square_partitions(n) for H in (1, 2, p)
+                      if en.pairs_fit((2 * H + 1) ** n, (2 * H + 1) ** n)]
+
+
+class TestDeadPatterns:
+    @pytest.mark.parametrize("p,n,partition,H", DEAD_PATTERN_CASES)
+    def test_pattern_counts_match_the_pair_histograms_and_the_literal_loop(self, p, n, partition,
+                                                                          H):
+        # random windows (p = 2 too, where -1 = 1): the dead points' counts
+        # by zero pattern are the two histograms' counts, and the energy is
+        # the literal loop's wherever that fits 10^6 quadruples
+        rng = random.Random(p * 1000 + n * 100 + H)
+        for _ in range(2 if (2 * H + 1) ** n < 300 else 1):
+            D = fm.random_decomposition(p, n, partition, random.Random(rng.randint(0, 10**6)))
+            b = fm.BoxSpec.symmetric((H,) * n)
+            logs = en._box_logs(D, b)
+            pattern = _zero_patterns(D, logs)
+            old = _dead_pair_histograms(D, logs)
+            if any(pattern[:b.volume // 2]):
+                assert en._dead_pairs(D, logs, pattern) == old
+            else:
+                assert old == {}
+            energy = en.energy_symmetric(D, (H,) * n)
+            hist = en._pair_histogram(D, logs, logs)
+            assert energy == sum(c * c for c in hist.values())
+            if en.quadruple_cost(b.volume, b.volume) <= 10**6:
+                assert energy == en.energy_quadruple_loop(en.EnergyInstance(D, b, b))
+
+    def test_the_cases_reach_every_kind_of_dead_point(self):
+        # patterns of one field, of some fields but not all, and of every
+        # field off the origin, and windows whose first half has none
+        kinds = set()
+        for p, n, partition, H in DEAD_PATTERN_CASES:
+            D = fm.random_decomposition(p, n, partition, random.Random(p * 1000 + n * 100 + H))
+            b = fm.BoxSpec.symmetric((H,) * n)
+            full = (1 << D.s) - 1
+            for z in set(_zero_patterns(D, en._box_logs(D, b))[:b.volume // 2]) or {0}:
+                kinds.add("none" if z == 0 else "all" if z == full else "some")
+        assert kinds == {"none", "some", "all"}
+
+    def test_no_dead_pair_call_without_a_dead_point_in_the_first_half(self, monkeypatch):
+        # partition (2,): lambda is one invertible map, so only the origin is
+        # dead until H reaches p
+        calls, dead_pairs = [], en._dead_pairs
+        monkeypatch.setattr(en, "_dead_pairs", lambda *a: calls.append(a) or dead_pairs(*a))
+        D = fm.random_decomposition(7, 2, (2,), random.Random(1))
+        for H, expected in ((3, 0), (7, 1)):
+            del calls[:]
+            b = fm.BoxSpec.symmetric((H, H))
+            hist = en._pair_histogram(D, en._box_logs(D, b), en._box_logs(D, b))
+            assert en.energy_symmetric(D, (H, H)) == sum(c * c for c in hist.values())
+            assert len(calls) == expected, H
+
+    def test_an_energy_scan_op_walks_no_field(self, monkeypatch):
+        # the logs of F_{73^2} come from F_73's table and the class tables,
+        # and its fold from q: the op builds no step table and no F_{73^2}
+        # log table
+        spied = []
+        monkeypatch.setattr(fc, "_tables", {})
+        monkeypatch.setattr(fc, "_times_code_table", lambda *a: spied.append(a))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["energy-scan", "--p", "73", "--n", "2", "--seed", "1"]) == 0
+        assert spied == [] and "max_sampled_energy" in out.getvalue()
+        assert all(record.log_table is None for ctx, record in fc._tables.items() if ctx.m == 2)
+        assert fc.ext_field_ctx(73, 2) in fc._tables
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,6 +5,7 @@ import contextlib
 import functools
 import io
 import itertools
+import math
 import random
 
 import pytest
@@ -840,6 +841,112 @@ def test_linear_logs_is_the_log_of_each_image(p, m, n):
         images = ([sum(u * v for u, v in zip(row, x)) % p for row in U]
                   for x in itertools.product(*axes))
         assert fc.linear_logs(ctx, U, axes) == [table[_code(ctx, y)] for y in images]
+
+
+def _degree_two_matrices(p, rng):
+    """(U, rank) over F_p at n = 1 and n = 2: rank 0 (entries multiples of
+    p), rank 1 with both rows live, with the first row zero (a0 = 0, the
+    class at infinity) and with the second zero (a1 = 0), and rank 2."""
+    u = [rng.randint(1, p - 1) + p * rng.randint(-2, 2) for _ in range(2)]
+    c = rng.randint(1, p - 1)
+    out = []
+    for n in (1, 2):
+        out += [([[p * rng.randint(-1, 1)] * n, [0] * n], 0), ([u[:n], [c * v for v in u[:n]]], 1),
+                ([[0] * n, u[:n]], 1), ([u[:n], [-p] * n], 1)]
+    while True:
+        U = [[rng.randint(-2 * p, 2 * p) for _ in range(2)] for _ in range(2)]
+        if la.mat_rank(U, p) == 2:
+            return out + [(U, 2)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 73, 997])
+def test_degree_two_logs_are_the_log_table_entries(p, monkeypatch):
+    # linear_logs at degree 2 reads F_p's table and the class tables, and no
+    # table of F_{p^2}: it gives the walked table's entry at U x for U of
+    # rank 0, 1 and 2, over boxes with negative coordinates and sides
+    # longer than p
+    monkeypatch.setattr(fc, "_tables", {})
+    ctx, rng = fc.ext_field_ctx(p, 2), random.Random(p)
+    table = fc.log_table(ctx)
+    for U, rank in _degree_two_matrices(p, rng):
+        assert la.mat_rank(U, p) == rank
+        n = len(U[0])
+        boxes = ([[range(-p - 3, p + 2)], [range(-1, 2)]] if n == 1 else
+                 [[range(-2, 3), range(-p - 2, 1)], [range(rng.randint(-2 * p, 0), p + 3),
+                                                     range(-1, 1)]])
+        for axes in boxes:
+            images = ([sum(u * v for u, v in zip(row, x)) % p for row in U]
+                      for x in itertools.product(*axes))
+            assert fc.linear_logs(ctx, U, axes) == [table[_code(ctx, y)] for y in images], U
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_a_class_table_with_two_entries_swapped_fails_closed(p, monkeypatch):
+    # every swap of two of the p + 1 classes' logs is caught by the check
+    # of g times each class, and no class table is kept
+    ctx = fc.ext_field_ctx(p, 2)
+    walk = fc._class_walk
+    for i, j in itertools.combinations(range(p + 1), 2):
+        def swapped(*args):
+            T = walk(*args)
+            T[i], T[j] = T[j], T[i]
+            return T
+
+        monkeypatch.setattr(fc, "_tables", {})
+        monkeypatch.setattr(fc, "_class_walk", swapped)
+        with pytest.raises(la.CheckFailed, match=f"class table of F_{p}\\^2: g times a class"):
+            fc.linear_logs(ctx, [[1], [0]], [range(p)])
+        assert ctx not in fc._tables
+    monkeypatch.undo()
+    assert fc.linear_logs(ctx, [[1], [0]], [range(1, 2)]) == [0]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_a_class_walk_from_a_g_that_is_not_primitive_fails_closed(p, monkeypatch):
+    # g^e is primitive exactly when e is prime to p^2 - 1.  Its norm N(g)^e
+    # is of order p - 1 when e is prime to p - 1, which is asked first; its
+    # class, e mod p + 1, moves the p + 1 classes in one cycle when e is prime
+    # to p + 1, else the walk meets the class of 1 again at step
+    # (p + 1)/gcd(e, p + 1)
+    ctx = fc.ext_field_ctx(p, 2)
+    g, walks = fc.primitive_element(ctx), 0
+    for e in (2, 3, 7, p + 2):
+        if math.gcd(e, p * p - 1) == 1:
+            continue
+        if math.gcd(e, p - 1) > 1:
+            message = "N\\(g\\) is not of order p - 1"
+        else:
+            message = f"step {(p + 1) // math.gcd(e, p + 1)} revisits class {p - 1}"
+            walks += 1
+        monkeypatch.setattr(fc, "_tables", {})
+        fc.log_table(fc.ext_field_ctx(p, 1))  # F_p's table, from F_p's own generator
+        monkeypatch.setattr(fc, "primitive_element", lambda ctx, e=e: fc.pow_coeffs(ctx, g, e))
+        with pytest.raises(la.CheckFailed, match=f"class table of F_{p}\\^2: {message}"):
+            fc.linear_logs(ctx, [[1], [0]], [range(p)])
+        assert ctx not in fc._tables
+        monkeypatch.undo()
+    assert walks == (p in (5, 11, 13))
+
+
+def test_degree_two_tables_live_in_the_fields_record(monkeypatch):
+    # linear_logs and log_fold at degree 2 walk no field: the record holds
+    # the class tables and a fold from q alone, no log table and no walk
+    # list, is charged q elements, and leaves whole when evicted
+    monkeypatch.setattr(fc, "_tables", {})
+    monkeypatch.setattr(fc, "LOG_CACHE_ELEMENTS", 60)
+    f13, f49 = fc.ext_field_ctx(13, 1), fc.ext_field_ctx(7, 2)
+    spied = []
+    monkeypatch.setattr(fc, "_times_code_table", lambda *a: spied.append(a))
+    logs, fold = fc.linear_logs(f49, [[1, 2], [3, 4]], [range(-3, 4)] * 2), fc.log_fold(f49)
+    record = fc._tables[f49]
+    assert (record.log_table, record.walk, record.norm_table, spied) == (None, None, None, [])
+    assert record.fold is fold and fold == list(range(48)) + list(range(47)) + [48] * 96
+    assert list(fc._tables) == [fc.ext_field_ctx(7, 1), f49]
+    assert fc.linear_logs(f49, [[1, 2], [3, 4]], [range(-3, 4)] * 2) == logs
+    assert fc._tables[f49].classes is record.classes
+    # 7 + 49 + 13 > 60, and 49 + 13 too: F_7 leaves first, then F_49 with its tables
+    fc.log_table(f13)
+    assert list(fc._tables) == [f13]
 
 
 @pytest.mark.parametrize("p,m,poly", [(2, 1, None), (2, 3, None), (7, 1, None),
