@@ -173,27 +173,11 @@ def _sign_quotient(D: fm.NormFormDecomposition, logs):
     return coords, moduli, 2 if D.p > 2 else 1
 
 
-def _quotient_keys(moduli, pairs: int):
+def _quotient_keys(moduli):
     """The pair loop's map from rows of coordinate sums to keys in G = prod
-    Z/m_i, built from G's moduli alone: each field's sums are taken mod m_i,
-    scaled by the product of the lower moduli, and the fields are added.  A
-    field with no more residues than the loop has pairs reads its 2 m_i sums
-    from a table, which is faster a pair; a larger one takes % and a
-    product, so no window builds a table much longer than its pair count."""
-    reads, scale = [], 1
-    for m in moduli:
-        if m <= pairs:
-            reads.append(functools.partial(map, ([t * scale for t in range(m)] * 2).__getitem__))
-        else:
-            reads.append(lambda row, m=m, scale=scale: map(operator.mul, map(
-                operator.mod, row, itertools.repeat(m)), itertools.repeat(scale)))
-        scale *= m
-
-    def keys(sums):
-        return functools.reduce(functools.partial(map, operator.add), (
-            read(row) for read, row in zip(reads, sums)))
-
-    return keys
+    Z/m_i, from G's moduli alone: _class_keys with each field's sums, at
+    most 2 m_i - 2, read from its residues mod m_i twice over."""
+    return _class_keys([(list(range(m)) * 2, m) for m in moduli])
 
 
 def _pair_count(coords, moduli) -> int:
@@ -201,8 +185,7 @@ def _pair_count(coords, moduli) -> int:
     loop: each unordered pair of points, and each point with itself, is keyed
     by _quotient_keys, and a class of U pairs and Dg diagonal ones holds
     2U + Dg."""
-    n = len(coords[0])
-    keys, pairs = _quotient_keys(moduli, n * (n + 1) // 2), Counter()
+    keys, pairs = _quotient_keys(moduli), Counter()
     for j, adds in enumerate(zip(*([a.__add__ for a in field] for field in coords))):
         pairs.update(keys(map(map, adds, [field[j + 1:] for field in coords])))
     diagonal = Counter(keys([a + a for a in field] for field in coords))
@@ -279,12 +262,11 @@ def _cyclic_square(h, moduli) -> array.array:
     for m in reversed(moduli[1:]):
         steps.insert(0, 2 * m * steps[0])
     size, last = moduli[0] * steps[0], moduli[-1]
-    rows = [0]
-    for m, step in zip(moduli[:-1], steps):
-        rows = [r + t for r in rows for t in range(0, m * step, step)]
+    rows = [sum(t) for t in itertools.product(
+        *(range(0, m * step, step) for m, step in zip(moduli[:-1], steps)))]
     packed = array.array(code, bytes(size * width // 8))
-    for c, row, a in zip(h.values(), map(operator.floordiv, h, itertools.repeat(last)),
-                         map(operator.mod, h, itertools.repeat(last))):
+    for index, c in h.items():
+        row, a = divmod(index, last)
         packed[rows[row] + a] = c
     x = int.from_bytes(_little_endian(packed).tobytes(), "little")
     x *= x
