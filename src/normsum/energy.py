@@ -20,7 +20,6 @@ import functools
 import itertools
 import math
 import operator
-import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -203,21 +202,13 @@ def _class_histogram(coords, moduli):
     return Counter(index), [moduli[i] for i in order]
 
 
-def _digit_code(bound: int) -> str:
-    """The array typecode of the narrowest of 8, 16, 32 and 64 bits above bound."""
-    for code in "BHIQ":
-        if bound < 1 << 8 * array.array(code).itemsize:
-            return code
-    raise ValueError(f"digit bound {bound} needs more than 64 bits")
-
-
 def _square_route(h: Counter, moduli) -> bool:
     """Whether a live count takes the squared integer: _cyclic_square's packed
     operand's 30-bit limbs to the power log2 3 (the Karatsuba square's limb
     products) are at most SQUARE_LIMB_WEIGHT's weight for G's number of
     fields times the pair loop's N(N - 1)/2 pairs."""
     n = sum(h.values())
-    width = 8 * array.array(_digit_code(n * max(h.values(), default=0))).itemsize
+    width = 8 * array.array(la.digit_code(n * max(h.values(), default=0))).itemsize
     limbs = -(-width * moduli[0] * math.prod(2 * m for m in moduli[1:]) // 30)
     weight = SQUARE_LIMB_WEIGHT[min(len(moduli), len(SQUARE_LIMB_WEIGHT)) - 1]
     return limbs ** math.log2(3) <= weight * n * (n - 1) // 2
@@ -228,14 +219,6 @@ def _square_count(h: Counter, moduli) -> int:
     by _cyclic_square."""
     digits = _cyclic_square(h, moduli)
     return sum(map(operator.mul, digits, digits))
-
-
-def _little_endian(digits: array.array) -> array.array:
-    """The digits, byte-swapped in place on a big-endian machine, so that
-    their bytes read as one little-endian int."""
-    if sys.byteorder == "big":
-        digits.byteswap()
-    return digits
 
 
 def _cyclic_square(h, moduli) -> array.array:
@@ -254,7 +237,7 @@ def _cyclic_square(h, moduli) -> array.array:
     must total N^2, else the width was short and CheckFailed is raised.
     """
     n = sum(h.values())
-    code = _digit_code(n * max(h.values(), default=0))
+    code = la.digit_code(n * max(h.values(), default=0))
     width = 8 * array.array(code).itemsize
     # digits per step of each dimension, the last one's being 1, and the
     # first digit of each row of the last dimension
@@ -268,7 +251,7 @@ def _cyclic_square(h, moduli) -> array.array:
     for index, c in h.items():
         row, a = divmod(index, last)
         packed[rows[row] + a] = c
-    x = int.from_bytes(_little_endian(packed).tobytes(), "little")
+    x = la.pack(packed)
     x *= x
     x = (x & ((1 << size * width) - 1)) + (x >> size * width)
     for m, step in zip(moduli[1:], steps[1:]):
@@ -276,10 +259,7 @@ def _cyclic_square(h, moduli) -> array.array:
         upper = x & int.from_bytes((bytes(half) + b"\xff" * half) * (size // (2 * m * step)),
                                    "little")
         x += (upper >> 8 * half) - upper
-    try:
-        folded = _little_endian(array.array(code, x.to_bytes(size * width // 8, "little")))
-    except OverflowError:
-        raise la.CheckFailed(f"cyclic square: digits of {width} bits overflow") from None
+    folded = la.unpack(x, code, size)
     square = array.array(code)
     for row in rows:
         square += folded[row:row + last]

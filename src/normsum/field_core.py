@@ -451,42 +451,52 @@ def pow_coeffs(ctx: ExtFieldCtx, a, e: int) -> tuple:
 
 
 # a field's log table, fold and norm table hold about 6q references (some
-# 120 MB at q = 10^6; 2q before the fold is built), and a scan over a prime
-# range builds them for new fields at every prime, so only the most recent
-# fields are kept, up to this many elements: room for F_p, F_{p^2}, ... of
-# one prime up to the field cap
+# 120 MB at q = 10^6), and a scan over a prime range builds them for new
+# fields at every prime, so only the most recent fields are kept, up to this
+# many elements: room for F_p, F_{p^2}, ... of one prime up to the field cap
 LOG_CACHE_ELEMENTS = FIELD_SIZE_CAP
 # the fastest measured time of one log_table entry of F_p, in ns (130 to 520
 # on a 2-vCPU virtual machine, slowest from p = 10^5 up): the weight of the
 # p entries of the table that a character mod p reads, in a command's cost
 LOG_ENTRY_NS = 130
 # one record per cached field, oldest first, charged its q elements whichever
-# of its tables are built: its log_table, the walk's list of logs until
-# log_fold or norm_table is built, each of those once built, and at degree 2
-# the class tables of linear_logs.  A record is made when its first table is
-# built, so a build that raises keeps nothing
+# of its tables are built: its log_table, fold, norm_table and, at degree 2,
+# the classes of linear_logs
 _tables: dict = {}
 
 
-def _room_for(ctx: ExtFieldCtx):
-    """ctx's record, or None; if it has none, the oldest records are evicted
-    until its q elements fit, before its first table is built, so an evicted
-    field is freed before the new one grows."""
-    if ctx not in _tables:
-        while _tables and sum(map(operator.attrgetter("order"), _tables)) + ctx.order > (
-                LOG_CACHE_ELEMENTS):
+def _kept(name: str):
+    """Decorator of a function that builds one of a field's tables, which is
+    kept in the field's record under name and built on first use.
+
+    A field with no record has the oldest records evicted until its q
+    elements fit, before the build, so an evicted field is freed before the
+    new one grows, and again after it, past the records the build made.  The
+    record is made when the build returns, so a build that raises keeps
+    nothing.
+    """
+    def fit(ctx: ExtFieldCtx):
+        while ctx not in _tables and _tables and sum(
+                map(operator.attrgetter("order"), _tables)) + ctx.order > LOG_CACHE_ELEMENTS:
             del _tables[next(iter(_tables))]
-    return _tables.get(ctx)
+
+    def memo(build):
+        @functools.wraps(build)
+        def table(ctx: ExtFieldCtx):
+            record = _tables.get(ctx)
+            if record is None or getattr(record, name) is None:
+                fit(ctx)
+                built = build(ctx)
+                fit(ctx)
+                record = _tables.setdefault(ctx, types.SimpleNamespace(
+                    log_table=None, fold=None, norm_table=None, classes=None))
+                setattr(record, name, built)
+            return getattr(record, name)
+        return table
+    return memo
 
 
-def _keep(ctx: ExtFieldCtx, **tables) -> types.SimpleNamespace:
-    """ctx's record with these tables put in, made (after _room_for) if it has none."""
-    record = _room_for(ctx) or _tables.setdefault(ctx, types.SimpleNamespace(
-        log_table=None, walk=None, fold=None, norm_table=None, classes=None))
-    vars(record).update(tables)
-    return record
-
-
+@_kept("log_table")
 def log_table(ctx: ExtFieldCtx) -> list:
     """Discrete logs in F_q^*, indexed by element code.
 
@@ -495,46 +505,36 @@ def log_table(ctx: ExtFieldCtx) -> list:
     element of smallest code (g^((q-1)/r) != 1 for every prime r | q - 1).
     The entry for 0 is the sentinel 2(q - 1) - 1, above every sum of two
     logs, so the sum of two entries shows whether either factor is zero.
-    The table is filled by a walk from code to code, multiplying by g (at
-    degree 1 with int products mod p, at degree m >= 2 through a table of g
-    times every element), and fails closed: a repeated code raises
-    linalg.CheckFailed rather than store a table that is not a bijection.
-    F_p's table is also the one that characters mod p read.
+    The table is _power_walk's over range(q - 1), so it fails closed: a
+    repeated code raises linalg.CheckFailed rather than store a table that
+    is not a bijection.  F_p's table is also the one that characters mod p
+    read.
     """
-    record = _room_for(ctx)
-    if record is None or record.log_table is None:
-        table, walk = _log_walk(ctx)
-        # the walk's list of logs is kept for a fold, unless one is built
-        record = _keep(ctx, log_table=table, walk=walk if record is None or record.fold is None
-                       else None)
-    return record.log_table
+    return _power_walk(ctx, range(ctx.order - 1), 2 * ctx.order - 3)
 
 
 def norm_table(ctx: ExtFieldCtx):
     """N(a) for every element a of F_q, indexed by element code as log_table.
 
-    N(g^j) = N(g)^j mod p (Lidl-Niederreiter, Finite Fields, Thm 2.28): one
-    lookup per log_table entry into the p - 1 powers of N(g); degree 1 is
-    range(p).  Built on first use, evicted with the field's log table; it
-    raises linalg.CheckFailed unless its entry at g is norm_kernel(g), of
-    order p - 1.
+    N(g^j) = N(g)^j mod p (Lidl-Niederreiter, Finite Fields, Thm 2.28), so
+    the table is _power_walk's over the p - 1 powers of N(g) repeated: it
+    builds and reads no log table.  Degree 1 is range(p), kept in no record.
+    Built on first use, it raises linalg.CheckFailed unless N(g) =
+    norm_kernel(g) is of order p - 1 and the walk's first step from code 1
+    writes it at g.
     """
-    p, q = ctx.p, ctx.order
-    if ctx.m == 1:
-        return range(p)
-    record = _room_for(ctx)
-    if record is None or record.norm_table is None:
-        logs = log_table(ctx)
-        _tables[ctx].walk = None  # a fold, if asked for later, takes fresh ints
-        g = primitive_element(ctx)
-        norm_g = norm_kernel(ctx)(g)
-        cycle = [pow(norm_g, j, p) for j in range(p - 1)] * ((q - 1) // (p - 1))
-        table = [0, *map(cycle.__getitem__, itertools.islice(logs, 1, None))]
-        code = sum(c * p**j for j, c in enumerate(g))
-        if len(set(cycle[: p - 1])) != p - 1 or table[code] != norm_g:
-            raise linalg.CheckFailed(f"norm table of F_{p}^{ctx.m}: bad N(g) = {norm_g}")
-        record = _keep(ctx, norm_table=table)
-    return record.norm_table
+    return range(ctx.p) if ctx.m == 1 else _norm_table(ctx)
+
+
+@_kept("norm_table")
+def _norm_table(ctx: ExtFieldCtx) -> list:
+    p, g = ctx.p, primitive_element(ctx)
+    norm_g = norm_kernel(ctx)(g)
+    powers = [pow(norm_g, j, p) for j in range(p - 1)]
+    table = _power_walk(ctx, itertools.islice(itertools.cycle(powers), ctx.order - 1), 0)
+    if len(set(powers)) != p - 1 or table[sum(c * p**j for j, c in enumerate(g))] != norm_g:
+        raise linalg.CheckFailed(f"norm table of F_{p}^{ctx.m}: bad N(g) = {norm_g}")
+    return table
 
 
 def shifted_norms(ctx: ExtFieldCtx, s: int) -> list:
@@ -579,27 +579,24 @@ def _box_residues(p: int, row, axes) -> list:
     return list(map(operator.mod, sums, itertools.repeat(p)))
 
 
+@_kept("fold")
 def log_fold(ctx: ExtFieldCtx) -> list:
     """The log of a product from the sum of its factors' log_table entries.
 
     For a sum s = log[a] + log[b] of two entries (0 <= s <= 4(q - 1) - 2),
     fold[s] is log[ab] = s mod (q - 1) when a and b are nonzero, and the
     marker q - 1, which is no log, when either is zero.  It is built on first
-    use from q alone, so it walks no field; while the field's record holds
-    the walk's list of logs, the fold begins with that list, so its logs are
-    the table's int objects, not copies.
+    use from q alone, so it walks no field.
     """
-    record = _room_for(ctx)
-    if record is None or record.fold is None:
-        order = ctx.order - 1
-        # logs, then logs again up to 2(q - 1) - 2, then the marker
-        fold = ((record and record.walk) or list(range(order))) * 2
-        fold.pop()
-        fold += itertools.repeat(order, 2 * order)
-        record = _keep(ctx, fold=fold, walk=None)
-    return record.fold
+    order = ctx.order - 1
+    # logs, then logs again up to 2(q - 1) - 2, then the marker
+    fold = list(range(order)) * 2
+    fold.pop()
+    fold += itertools.repeat(order, 2 * order)
+    return fold
 
 
+@_kept("classes")
 def _class_tables(ctx: ExtFieldCtx) -> tuple:
     """(A, B, W, P, M), the tables of _projective_logs for F_{p^2}, built
     once per field into its record.
@@ -627,9 +624,6 @@ def _class_tables(ctx: ExtFieldCtx) -> tuple:
     T[class(1)] = 0 that makes them the logs, so two entries of T swapped
     are caught here, and a g that is not primitive here or by the walk.
     """
-    record = _room_for(ctx)
-    if record is not None and record.classes is not None:
-        return record.classes
     p, q = ctx.p, ctx.order
     A = log_table(ext_field_ctx(p, 1))
     g = primitive_element(ctx)
@@ -658,7 +652,7 @@ def _class_tables(ctx: ExtFieldCtx) -> tuple:
     if images != [(T[s] + 1) % (q - 1) for s in slots]:
         raise linalg.CheckFailed(f"class table of F_{p}^2: g times a class representative "
                                  "is not one log further")
-    return _keep(ctx, classes=tables).classes
+    return tables
 
 
 def _class_walk(ctx: ExtFieldCtx, g, A: list, P: list) -> list:
@@ -692,29 +686,33 @@ def _projective_logs(tables: tuple, a0: list, a1) -> list:
                     map(M.__getitem__, a0)))
 
 
-def _log_walk(ctx: ExtFieldCtx) -> tuple:
-    """(table, logs): log_table's table, and the walk's list of logs, whose
-    int objects the table holds."""
-    p, m, q = ctx.p, ctx.m, ctx.order
-    order, g = q - 1, primitive_element(ctx)
-    logs = list(range(order))  # one int object per log, kept for log_fold or norm_table
-    table = [None] * q
-    table[0] = 2 * order - 1  # set first, so a step onto code 0 is a revisit
-    code, step = 1, g[0] if m == 1 else _times_code_table(ctx, g)
-    if m == 1:
+def _power_walk(ctx: ExtFieldCtx, values, zero) -> list:
+    """A table indexed by element code: zero at code 0, and the j-th of the
+    q - 1 values at the code of g^j, g the primitive element.
+
+    The walk goes from code to code, multiplying by g: at degree 1 with int
+    products mod p, at degree m >= 2 through _times_code_table.  It fails
+    closed: a code met twice, 0 included, raises linalg.CheckFailed.
+    """
+    p, table = ctx.p, [None] * ctx.order
+    table[0] = zero  # set first, so a step onto code 0 is a revisit
+    code, g = 1, primitive_element(ctx)
+    if ctx.m == 1:
         # a residue is its own code, so the walk is int products mod p
-        for j in logs:
+        step = g[0]
+        for value in values:
             if table[code] is not None:
-                _revisit(ctx, j, code)
-            table[code] = j
+                _revisit(ctx, table, code)
+            table[code] = value
             code = code * step % p
     else:
-        for j in logs:
+        step = _times_code_table(ctx, g)
+        for value in values:
             if table[code] is not None:
-                _revisit(ctx, j, code)
-            table[code] = j
+                _revisit(ctx, table, code)
+            table[code] = value
             code = step[code]
-    return table, logs
+    return table
 
 
 def _times_code_table(ctx: ExtFieldCtx, g) -> array.array:
@@ -759,10 +757,10 @@ def _times_code_table(ctx: ExtFieldCtx, g) -> array.array:
     return array.array("l", functools.reduce(functools.partial(map, operator.add), coordinates))
 
 
-def _revisit(ctx: ExtFieldCtx, j: int, code: int):
-    raise linalg.CheckFailed(
-        f"log table of F_{ctx.p}^{ctx.m}: step {j} revisits code {code}"
-    )
+def _revisit(ctx: ExtFieldCtx, table: list, code: int):
+    # the steps so far each filled one entry, past the one at code 0
+    step = len(table) - table.count(None) - 1
+    raise linalg.CheckFailed(f"walk of F_{ctx.p}^{ctx.m}: step {step} revisits code {code}")
 
 
 @functools.cache

@@ -24,7 +24,6 @@ import json
 import math
 import operator
 import random
-import sys
 from array import array
 from dataclasses import dataclass
 
@@ -134,11 +133,10 @@ def _plane_code(p: int, k: int, rows: bool) -> str:
     """The array typecode of the narrowest of 8, 16, 32 and 64 bits above
     the digit bound of a plane's packed sum: each of its terms adds at most
     (p - 1)^2 to a digit.  ValueError past 64 bits, before any power row."""
-    bound = _term_count(k, rows) * (p - 1) ** 2
-    for code in "BHIQ":
-        if bound < 1 << 8 * array(code).itemsize:
-            return code
-    raise ValueError(f"degree {k} at p={p}: the packed digit bound {bound} reaches 2^64")
+    try:
+        return linalg.digit_code(_term_count(k, rows) * (p - 1) ** 2)
+    except ValueError as e:
+        raise ValueError(f"degree {k} at p={p}: {e}") from None
 
 
 def _plane_pieces(B: BoxSpec):
@@ -166,15 +164,13 @@ def _plane_powers(p: int, k: int, S, T, code: str) -> tuple:
                   else array(code, [u for u in cols_s[a] for _ in T]) if not b
                   else array(code, [u * v % p for u in cols_s[a] for v in cols_t[b]])
                   for a, b in _plane_terms(k, True)]
-    return tuple(int.from_bytes(d.tobytes(), sys.byteorder) for d in digits)
+    return tuple(map(linalg.pack, digits))
 
 
 def _plane_values(coeffs, packed, code: str, size: int, p: int) -> list:
     """The digits of sum_ab c_ab P_ab mod p, c_ab in [0, p): one residue per
     point of a plane of `size` points."""
-    digits = array(code)
-    digits.frombytes(sum(map(operator.mul, coeffs, packed)).to_bytes(
-        size * digits.itemsize, sys.byteorder))
+    digits = linalg.unpack(sum(map(operator.mul, coeffs, packed)), code, size)
     return list(map(operator.mod, digits, itertools.repeat(p)))
 
 

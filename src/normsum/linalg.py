@@ -6,8 +6,10 @@ function says otherwise; no floats anywhere.
 
 from __future__ import annotations
 
+import array
 import math
 import operator
+import sys
 
 PRIMALITY_CAP = 10**6
 
@@ -48,6 +50,37 @@ def inv_mod(a: int, p: int) -> int:
     if a == 0:
         raise ZeroDivisionError(f"no inverse of 0 mod {p}")
     return pow(a, -1, p)
+
+
+def digit_code(bound: int) -> str:
+    """The array typecode of the narrowest of 8, 16, 32 and 64 bits above
+    bound: the digit width of pack and unpack.  ValueError past 64 bits."""
+    for code in "BHIQ":
+        if bound < 1 << 8 * array.array(code).itemsize:
+            return code
+    raise ValueError(f"the packed digit bound {bound} reaches 2^64")
+
+
+def pack(digits: array.array) -> int:
+    """The digits as one nonnegative int, digit i at bits i w to (i + 1) w - 1
+    for digits of w bits, on a machine of either byte order."""
+    if sys.byteorder == "big":
+        digits = array.array(digits.typecode, digits)
+        digits.byteswap()
+    return int.from_bytes(digits.tobytes(), "little")
+
+
+def unpack(x: int, code: str, size: int) -> array.array:
+    """The size digits of typecode code that pack would make x from.
+    CheckFailed if x is too wide for them: a digit sum overflowed."""
+    digits = array.array(code)
+    try:
+        digits.frombytes(x.to_bytes(size * digits.itemsize, "little"))
+    except OverflowError:
+        raise CheckFailed(f"digits of {8 * digits.itemsize} bits overflow") from None
+    if sys.byteorder == "big":
+        digits.byteswap()
+    return digits
 
 
 def identity(n: int) -> list[list[int]]:

@@ -921,14 +921,14 @@ class TestSignQuotient:
         h, sizes = en._class_histogram(coords, moduli)
         assert (sizes, sorted(h.values())) == ([2], [16, 16])
         assert list(en._cyclic_square(h, sizes)) == [512, 512]
-        digit_code, codes = en._digit_code, []
-        monkeypatch.setattr(en, "_digit_code", lambda bound: codes.append(digit_code(bound))
+        digit_code, codes = la.digit_code, []
+        monkeypatch.setattr(la, "digit_code", lambda bound: codes.append(digit_code(bound))
                             or codes[-1])
         hist = en._pair_histogram(D, logs, logs)
         assert en.energy_symmetric(D, (40,)) == sum(c * c for c in hist.values())
         assert codes and set(codes) == {"H"}
         # one typecode narrower: the digits carry and the total is short
-        monkeypatch.setattr(en, "_digit_code",
+        monkeypatch.setattr(la, "digit_code",
                             lambda bound: "BHIQ"["BHIQ".index(digit_code(bound)) - 1])
         with pytest.raises(la.CheckFailed, match="not 32\\^2"):
             en.energy_symmetric(D, (40,))

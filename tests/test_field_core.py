@@ -930,8 +930,8 @@ def test_a_class_walk_from_a_g_that_is_not_primitive_fails_closed(p, monkeypatch
 
 def test_degree_two_tables_live_in_the_fields_record(monkeypatch):
     # linear_logs and log_fold at degree 2 walk no field: the record holds
-    # the class tables and a fold from q alone, no log table and no walk
-    # list, is charged q elements, and leaves whole when evicted
+    # the class tables and a fold from q alone, no log table, is charged q
+    # elements, and leaves whole when evicted
     monkeypatch.setattr(fc, "_tables", {})
     monkeypatch.setattr(fc, "LOG_CACHE_ELEMENTS", 60)
     f13, f49 = fc.ext_field_ctx(13, 1), fc.ext_field_ctx(7, 2)
@@ -939,7 +939,7 @@ def test_degree_two_tables_live_in_the_fields_record(monkeypatch):
     monkeypatch.setattr(fc, "_times_code_table", lambda *a: spied.append(a))
     logs, fold = fc.linear_logs(f49, [[1, 2], [3, 4]], [range(-3, 4)] * 2), fc.log_fold(f49)
     record = fc._tables[f49]
-    assert (record.log_table, record.walk, record.norm_table, spied) == (None, None, None, [])
+    assert (record.log_table, record.norm_table, spied) == (None, None, [])
     assert record.fold is fold and fold == list(range(48)) + list(range(47)) + [48] * 96
     assert list(fc._tables) == [fc.ext_field_ctx(7, 1), f49]
     assert fc.linear_logs(f49, [[1, 2], [3, 4]], [range(-3, 4)] * 2) == logs
@@ -1040,15 +1040,16 @@ def test_norm_table_is_built_on_first_use(monkeypatch):
     assert list(fc._tables) == [ctx]
 
 
-def test_a_norm_table_drops_the_walk_and_a_later_fold_is_the_same(monkeypatch):
+def test_a_norm_table_builds_no_log_table_and_a_later_fold_is_the_same(monkeypatch):
     # weil-check reads norm tables and builds no fold, so its field's record
-    # holds no walk list; a fold asked for afterwards is built from fresh ints
+    # holds a norm table and no log table or fold; a fold asked for
+    # afterwards is built from q alone
     monkeypatch.setattr(fc, "_tables", {})
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["weil-check", "--p", "29", "--k", "2", "--r", "1"]) == 0
     ctx, order = fc.ext_field_ctx(29, 2), 29**2 - 1
     tables = fc._tables[ctx]
-    assert tables.fold is None and tables.walk is None and tables.norm_table is not None
+    assert tables.fold is None and tables.log_table is None and tables.norm_table is not None
     fold = fc.log_fold(ctx)
     logs = list(range(order))
     assert tables.fold is fold and fold == logs + logs[:-1] + [order] * (2 * order)
@@ -1062,16 +1063,73 @@ def test_norm_table_fails_closed(monkeypatch):
     monkeypatch.setattr(fc, "norm_kernel", lambda ctx: lambda a: 1)
     with pytest.raises(la.CheckFailed, match="norm table of F_5"):
         fc.norm_table(ctx)
-    assert fc._tables[ctx].norm_table is None
+    assert fc._tables == {}
     monkeypatch.undo()
-    # g^7 is primitive with N(g^7) of order 4, but the log walk is in powers
-    # of g, so the table's entry at g^7 is N(g^7)^7 = N(g) != N(g^7)
+    # g^7 is primitive with N(g^7) of order 4: a walk that steps by g^7 writes
+    # N(g)^7 = N(g)^3 at g, while the check reads g
+    times_code_table = fc._times_code_table
     monkeypatch.setattr(fc, "_tables", {})
-    fc.log_table(ctx)
-    monkeypatch.setattr(fc, "primitive_element", lambda ctx: fc.ext_pow(ctx, g, 7))
+    monkeypatch.setattr(fc, "_times_code_table",
+                        lambda ctx, g: times_code_table(ctx, fc.pow_coeffs(ctx, g, 7)))
     with pytest.raises(la.CheckFailed, match="norm table of F_5"):
         fc.norm_table(ctx)
-    assert fc._tables[ctx].norm_table is None
+    assert fc._tables == {}
+
+
+def test_norm_table_reads_no_log_table(monkeypatch):
+    # the norm table is walked from the powers of N(g) alone
+    def refused(ctx):
+        raise AssertionError("norm_table read a log table")
+
+    monkeypatch.setattr(fc, "_tables", {})
+    monkeypatch.setattr(fc, "log_table", refused)
+    for p, m in ((5, 2), (3, 3), (2, 4), (29, 2)):
+        ctx = fc.ext_field_ctx(p, m)
+        table, kernel = fc.norm_table(ctx), fc.norm_kernel(ctx)
+        assert all(table[_code(ctx, a)] == kernel(a) for a in ctx.iter_elements())
+        assert fc._tables[ctx].log_table is None
+
+
+def test_a_record_with_only_a_norm_table_is_charged_q_and_evicted_whole(monkeypatch):
+    # F_25's norm table alone charges its record 25 elements: F_7 fits
+    # beside it in 32 and F_11 does not, so the record leaves whole; a later
+    # log_table fills the record that a norm table made
+    monkeypatch.setattr(fc, "_tables", {})
+    monkeypatch.setattr(fc, "LOG_CACHE_ELEMENTS", 32)
+    f25, f7, f11 = fc.ext_field_ctx(5, 2), fc.ext_field_ctx(7, 1), fc.ext_field_ctx(11, 1)
+    norms = fc.norm_table(f25)
+    fc.log_table(f7)
+    assert list(fc._tables) == [f25, f7]
+    fc.log_table(f11)
+    assert list(fc._tables) == [f7, f11]
+    fc._tables.clear()
+    norms = fc.norm_table(f25)
+    record = fc._tables[f25]
+    table = fc.log_table(f25)
+    assert fc._tables == {f25: record}
+    assert (record.norm_table, record.log_table) == (norms, table)
+    assert sorted(table[1:]) == list(range(24))
+
+
+def test_records_a_build_makes_are_evicted_before_its_own_is_kept(monkeypatch):
+    # F_49's class tables build F_7's log table first: 7 + 49 > 52, so F_7,
+    # the oldest record, leaves before F_49's is made
+    monkeypatch.setattr(fc, "_tables", {})
+    monkeypatch.setattr(fc, "LOG_CACHE_ELEMENTS", 52)
+    f49 = fc.ext_field_ctx(7, 2)
+    assert fc.linear_logs(f49, [[1], [0]], [range(1, 2)]) == [0]
+    assert list(fc._tables) == [f49]
+
+
+@pytest.mark.parametrize("p,m,poly", NORM_TABLE_FIELDS + NONCANONICAL_FIELDS)
+def test_norm_table_is_the_norm_cycle_read_at_the_walked_logs(p, m, poly):
+    # the route before the walk of N(g)'s powers: the p - 1 powers of N(g),
+    # read at each entry of the walked log table
+    ctx = fc.ext_field_ctx(p, m, poly)
+    norm_g = fc.norm_kernel(ctx)(fc.primitive_element(ctx))
+    cycle = [pow(norm_g, j, p) for j in range(p - 1)]
+    logs = fc.log_table(ctx)
+    assert list(fc.norm_table(ctx)) == [0] + [cycle[j % (p - 1)] for j in logs[1:]]
 
 
 def test_prime_divisors():

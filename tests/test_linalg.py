@@ -1,5 +1,6 @@
 """Exact linear algebra (the integer echelon), and AST rules over all of src."""
 
+import array
 import ast
 import collections
 import importlib
@@ -124,6 +125,22 @@ def leibniz_det(A) -> int:
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         total += (-1) ** inversions * math.prod(A[i][perm[i]] for i in range(n))
     return total
+
+
+def test_digits_pack_little_endian_and_an_overflow_is_caught():
+    # the narrowest typecode above each bound; digit i of w bits is bits i w up
+    assert [la.digit_code(b) for b in (0, 255, 256, 2**16, 2**32 - 1, 2**64 - 1)] == list("BBHIIQ")
+    with pytest.raises(ValueError, match="reaches 2\\^64"):
+        la.digit_code(2**64)
+    for code in "BHIQ":
+        digits = array.array(code, [1, 0, 7, 2**(8 * array.array(code).itemsize) - 1])
+        w = 8 * digits.itemsize
+        x = la.pack(digits)
+        assert x == sum(d << w * i for i, d in enumerate(digits))
+        assert la.unpack(x, code, 4) == digits
+        assert la.unpack(x, code, 6) == digits + array.array(code, [0, 0])
+        with pytest.raises(la.CheckFailed, match=f"digits of {w} bits overflow"):
+            la.unpack(x, code, 3)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 101])
