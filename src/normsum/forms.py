@@ -193,30 +193,13 @@ def _interpolation(p: int, m: int, rows: bool, width: int, stride: int) -> tuple
     node an integer: f's values at the nodes times these sum to f packed,
     its coefficient of s^a t^b at digit a * stride + b of `width` bits.
 
-    Newton's forward differences give f = sum_ij d_ij C(s, i) C(t, j) with
-    d_ij = sum_{u <= i, v <= j} (-1)^(i-u) C(i, u) (-1)^(j-v) C(j, v) f(u, v),
-    and C(s, i) = sum_a L[i][a] s^a, L[i] being the falling factorial
-    s (s - 1) ... (s - i + 1) over i!.  So the weight of f(u, v) in s^a t^b
-    is the sum over i + j <= m of A[i][a][u] A[j][b][v], with
-    A[i][a][u] = L[i][a] (-1)^(i-u) C(i, u), each taken mod p.
+    f's values at the nodes are V times its coefficients, V[(u, v)][(a, b)]
+    = u^a v^b, so the weights of f(u, v) are column (u, v) of V^-1 mod p.
     """
     nodes = _plane_terms(m, rows)
-    A, falling = [], [1]
-    for i in range(m + 1):
-        if i:
-            falling = [hi - (i - 1) * lo for lo, hi in zip(falling + [0], [0] + falling)]
-        inv = linalg.inv_mod(math.factorial(i), p)
-        A.append([[c * inv * (-1) ** (i - u) * math.comb(i, u) for u in range(i + 1)]
-                  for c in falling])
-    index = {node: n for n, node in enumerate(nodes)}
-    weights = {node: [0] * len(nodes) for node in nodes}
-    for i, j in nodes:
-        for a, b in itertools.product(range(i + 1), range(j + 1)):
-            w = weights[a, b]
-            for u, v in itertools.product(range(i + 1), range(j + 1)):
-                w[index[u, v]] += A[i][a][u] * A[j][b][v]
-    return nodes, tuple(sum(weights[a, b][n] % p << width * (a * stride + b) for a, b in nodes)
-                        for n in range(len(nodes)))
+    inverse = linalg.mat_inv([[u ** a * v ** b for a, b in nodes] for u, v in nodes], p)
+    return nodes, tuple(sum(row[n] << width * (a * stride + b)
+                            for (a, b), row in zip(nodes, inverse)) for n in range(len(nodes)))
 
 
 def _plane_norm(norm, coords, p: int, rows: bool, width: int, stride: int) -> int:

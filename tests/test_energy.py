@@ -231,6 +231,12 @@ class TestBruteforce:
         assert report == {"energy": 6, "diagonal_lower": 4, "upper_ratio": 0.75}
         assert len(literal_checked) == 1
 
+    def test_an_energy_below_the_diagonal_fails(self, monkeypatch):
+        # the diagonal x = x', y = y' alone gives volume^2 = 4 quadruples
+        monkeypatch.setattr(en, "energy_histogram", lambda inst: 3)
+        with pytest.raises(la.CheckFailed, match="energy 3 below the diagonal count 4"):
+            en.elementary_bounds_check(en.EnergyInstance(LINE5, BOX2, BOX2))
+
     def test_monotone_in_nested_boxes(self, literal_checked):
         line7 = line_decomp(7)
         values = []
@@ -348,6 +354,12 @@ class TestS1Identity:
 
     def test_frozen(self):
         assert en.s1_identity_check(LINE5, BOX2, BOX2) == (6, 6, True)
+
+    def test_a_single_box_energy_under_s1_fails_cauchy_schwarz(self, monkeypatch):
+        # S_1 = 6 here (test_frozen); energies of 5 make S_1^2 > E_x E_y
+        monkeypatch.setattr(en, "energy_histogram", lambda inst: 5)
+        with pytest.raises(la.CheckFailed, match=r"Cauchy-Schwarz fails: 6\^2 > 5 \* 5"):
+            en.s1_identity_check(LINE5, BOX2, BOX2)
 
     def test_random_instances(self):
         rng = random.Random(17)

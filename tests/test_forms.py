@@ -6,6 +6,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import random
 from pathlib import Path
 
@@ -1172,6 +1173,30 @@ def test_plane_evaluators_match_eval_form_and_value_at_every_point(monkeypatch, 
         3: {"interpolated 2", "kernel, m >= p", "kernel, small plane"},
         37: {"interpolated 2", "interpolated 3", "kernel, small plane"},
     }.get(p, {"interpolated 2", "interpolated 3", "interpolated 4", "kernel, small plane"})
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13, 37, 101, 997))
+def test_interpolation_weights_recover_each_plane_polynomial(p):
+    # the values of a plane polynomial of degree <= m at the grid nodes, times
+    # the weights, unpack to its coefficients mod p; plane_shapes() stops at
+    # n = 4, so this is the only test that reaches m = 5 and 6
+    rng = random.Random(71 + p)
+    for m, rows in itertools.product(range(1, min(p, 7)), (True, False)):
+        terms, stride = fm._plane_terms(m, rows), m + 1
+        width = (len(terms) * (p - 1) ** 2).bit_length()
+        nodes, weights = fm._interpolation(p, m, rows, width, stride)
+        digits = m * stride + m + 1
+        for top in (False, True):
+            coeffs = {ab: p - 1 if top else rng.randrange(p) for ab in terms}
+            values = [sum(c * u ** a * v ** b for (a, b), c in coeffs.items()) % p
+                      for u, v in nodes]
+            packed = sum(map(operator.mul, values, weights))
+            assert packed >> width * digits == 0, (p, m, rows)
+            want = [0] * digits
+            for (a, b), c in coeffs.items():
+                want[a * stride + b] = c
+            got = [(packed >> width * i & (1 << width) - 1) % p for i in range(digits)]
+            assert got == want, (p, m, rows, coeffs)
 
 
 @pytest.mark.parametrize("side", [1, 2, 3, 7])

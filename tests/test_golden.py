@@ -31,6 +31,9 @@ CASES = {
     # fields of degree 4 to 6: the generic m >= 4 product, the Laplace (m = 4)
     # and mat_det (m >= 5) norms, and the distinct-degree split past degree 3
     "charsum-m4": ["charsum", "--p", "5", "--n", "4", "--k", "7", "--seed", "1"],
+    # a degree-5 block interpolated on 125 planes of 5 x 5 points (m = 5 < p)
+    "charsum-m5": ["charsum", "--p", "7", "--n", "5", "--k", "9", "--kappa", "0.58",
+                   "--seed", "1"],
     "weil-check-m5": ["weil-check", "--p", "3", "--k", "5", "--r", "1"],
     "moment-m6": ["moment", "--p", "3", "--k", "6", "--r", "3"],
     "gen-form-m5": ["gen-form", "--p", "3", "--n", "5", "--k", "9", "--seed", "1"],
@@ -111,6 +114,11 @@ DIGESTS = {
     # partition (4, 1, 1, 1), F_{5^4}
     "charsum-m4": (
         "185926ae7f4d9f788ffd973bd514e0150a2f970e3596fc2837904fa86dc3b248",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "charsum-m5": (
+        "49f96dcc17740e957d09cc0ff064a68630d0b53eb9434f338419b48e2c6752a4",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         0,
     ),

@@ -1,6 +1,7 @@
 """Tests for the experiment drivers, serialization, and CLI contract."""
 
 import csv
+import dataclasses
 import io
 import json
 import random
@@ -15,6 +16,7 @@ import pytest
 from normsum import char_core as cc
 from normsum import charsum as cs
 from normsum import cli
+from normsum import forms as fm
 from normsum import harness as hn
 
 
@@ -455,6 +457,37 @@ class TestCli:
         assert captured.err.startswith("check failed: p=5 chi1 [(1, 1), (1, 3)]:")
         assert "|sum| 9.0 > 1.0" in captured.err
         assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_a_lifted_sum_off_by_one_term_exits_1(self, monkeypatch, capsys):
+        # one term moved from a character class to the zero terms
+        lifted = cs.charsum_lifted
+
+        def shifted(D, chi, box):
+            res = lifted(D, chi, box)
+            j = next(i for i, w in enumerate(res.weights) if w)
+            weights = res.weights[:j] + (res.weights[j] - 1,) + res.weights[j + 1:]
+            return dataclasses.replace(res, weights=weights, zero_terms=res.zero_terms + 1)
+
+        monkeypatch.setattr(cs, "charsum_lifted", shifted)
+        assert run_cli(["charsum", "--p", "5", "--n", "2", "--k", "2", "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "check failed: route mismatch at p=5\n"
+        assert captured.out == ""
+
+    def test_a_synthesized_form_off_by_one_coefficient_exits_1(self, monkeypatch, capsys):
+        synthesize = fm.synthesize_form
+
+        def moved(D):
+            F = synthesize(D)
+            (exp, coef), *rest = F.monomials
+            return dataclasses.replace(F, monomials=((exp, coef + 1), *rest))
+
+        args = ["gen-form", "--p", "7", "--n", "2", "--k", "2", "--seed", "1"]
+        monkeypatch.setattr(fm, "synthesize_form", moved)
+        assert run_cli(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "check failed: synthesized form failed verification\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["charsum", "bound-table"])

@@ -3,6 +3,7 @@
 import ast
 import itertools
 import math
+import operator
 import random
 import subprocess
 import sys
@@ -384,6 +385,35 @@ def test_dual_pairing_and_double_dual():
         assert lt.dual_lattice(D).basis == L.basis
 
 
+def test_each_dual_route_is_checked_against_the_transposed_relation(monkeypatch):
+    # F_9's multiplier by its generator is not symmetric, so the identity does
+    # not symmetrize it, and a multiplier moved by one entry couples differently
+    ctx = fc.ext_field_ctx(3, 2)
+    L = lt.build_lattice(la.identity(2), la.identity(2), (ctx,), (ctx.gen(),))
+    M = lt.block_mult_matrix(L.block.ctxs, L.block.z)
+    assert M != la.transpose(M)
+    moved = [[(M[0][0] + 1) % 3, M[0][1]], M[1]]
+    with monkeypatch.context() as patch:
+        patch.setattr(lt, "block_mult_matrix", lambda ctxs, z: moved)
+        with pytest.raises(la.CheckFailed, match="inverse-transpose dual route"):
+            lt.dual_lattice(L)
+    with monkeypatch.context() as patch:
+        patch.setattr(lt, "block_symmetrizer", lambda ctxs: la.identity(2))
+        with pytest.raises(la.CheckFailed, match="structured dual route"):
+            lt.dual_lattice(L)
+
+
+def test_a_dual_that_pairs_nonzero_names_its_columns():
+    L = lt.build_lattice([[1]], [[1]], *scalars(5, 3))
+    (one, _), (s, five) = lt.dual_lattice(L).basis
+    bad = lt.IntegerLattice(2, ((one, 0), ((s + 1) % 5, five)))
+    u, x = bad.columns()[0], L.columns()[0]
+    assert sum(map(operator.mul, u, x)) % 5
+    with pytest.raises(la.CheckFailed) as exc:
+        lt.dual_pairing_check(L, bad)
+    assert str(exc.value) == f"dual column {u} pairs nonzero mod 5 with column {x}"
+
+
 def test_dual_requires_provenance():
     plain = lt.IntegerLattice(2, ((1, 0), (0, 1)))
     with pytest.raises(ValueError, match="provenance"):
@@ -517,6 +547,23 @@ def test_minkowski_and_mahler_on_instances():
         d = 2 * n
         for prod in report["products"]:
             assert 1 <= prod <= math.factorial(d) ** 2
+
+
+def test_a_transference_product_past_its_range_fails(monkeypatch):
+    # dual minima scaled past (d!)^2 put every product above the bound
+    minima = lt.successive_minima
+
+    def scaled(L, H, gauge="box"):
+        rep = minima(L, H, gauge=gauge)
+        if gauge != "polar":
+            return rep
+        return lt.SuccessiveMinimaReport(tuple(lam * 5 for lam in rep.minima), rep.s, rep.vectors)
+
+    L = lt.build_lattice([[1]], [[1]], *scalars(5, 3))
+    assert all(1 <= prod <= 4 for prod in lt.mahler_check(L, (2, 2))["products"])
+    monkeypatch.setattr(lt, "successive_minima", scaled)
+    with pytest.raises(la.CheckFailed, match=r"transference product \S+ outside \[1, 4\]"):
+        lt.mahler_check(L, (2, 2))
 
 
 # ---------------------------------------------------------------------------
